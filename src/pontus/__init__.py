@@ -81,6 +81,7 @@ from .protocols import (
     run_continuous,
     run_direct,
     run_two_step,
+    run_two_step_scan,
 )
 from .sweep import (
     GainMap,

@@ -47,6 +47,7 @@ from .protocols import (
     run_continuous,
     run_direct,
     run_two_step,
+    run_two_step_scan,
 )
 from .sweep import (
     GridAxis,
@@ -245,11 +246,15 @@ def _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label):
     if not baseline.converged:
         raise NotConverged("direct baseline did not converge")
 
-    first = {}
-    rows = []
+    t_is = []
     t_i = start
     while t_i <= stop + 1e-12:
-        res = run_two_step(pS, pA, pF, t_i, eps, integ)
+        t_is.append(t_i)
+        t_i = round(t_i + step, 12)
+
+    first = {}
+    rows = []
+    for t_i, res in zip(t_is, run_two_step_scan(pS, pA, pF, t_is, eps, integ)):
         if res.converged:
             cls = classify_two_step(res, baseline).value
             rows.append({"t_i": t_i, "tau": res.tau, "class": cls})
@@ -260,7 +265,6 @@ def _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label):
                 first[cls]["trajectory_file"] = traj_file
         else:
             rows.append({"t_i": t_i, "tau": None, "class": "timeout"})
-        t_i = round(t_i + step, 12)
 
     base_file = f"{label}_direct_trajectory.csv"
     trajectory_to_csv(baseline.trajectory, out_dir / base_file)
@@ -577,9 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--t-cap", type=float, default=None, help="integration cap")
     parser.add_argument(
         "--jobs", type=int, default=os.cpu_count(), help="sweep worker processes"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="reserved; runs are deterministic"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,8 +1,9 @@
 """Generator assembly and propagation of the affine Bloch equation.
 
-Constant-parameter dynamics is propagated exactly through matrix
-exponentials; time-dependent schedules go through an adaptive embedded
-Runge-Kutta 5(4) pair with dense output.  Two independent oracles
+Constant-parameter dynamics is propagated exactly through the drift's
+eigenmodes, or a matrix exponential where those are unusable;
+time-dependent schedules go through an adaptive embedded Runge-Kutta 5(4)
+pair with dense output.  Two independent oracles
 (a density-matrix-level rebuild of the generator and a time-ordered
 product integrator) cross-check both routes.
 """
@@ -27,6 +28,11 @@ from .errors import BallViolation, SingularGenerator, StepSizeUnderflow
 
 _COND_CAP = 1e12
 _RESIDUAL_CAP = 1e-10
+#: Largest condition number of the drift's eigenvector matrix V for which
+#: ``ConstantFlow`` uses its eigenmodes; the round-off of that route grows
+#: like cond(V) times machine epsilon, so nearer a defective drift the
+#: augmented matrix exponential takes over.
+_EIGVEC_COND_CAP = 1e4
 
 
 @dataclass(frozen=True)
@@ -106,82 +112,68 @@ def _augmented(g: AffineGenerator) -> np.ndarray:
 
 
 def propagate_constant(g: AffineGenerator, r0: BlochVector, t: float) -> BlochVector:
-    """Exact state at time t under constant parameters.
-
-    Uses the steady-state decomposition when the drift is invertible and
-    falls back to the forcing quadrature, evaluated in closed form through
-    an augmented matrix exponential, when it is not.
-    """
+    """Exact state at time t under constant parameters (see ``ConstantFlow``)."""
     if t < 0:
         raise ValueError("propagation time must be nonnegative")
     if t == 0.0:
         return r0
-    try:
-        rss = steady_state(g).as_array()
-    except SingularGenerator:
-        e = expm(t * _augmented(g))
-        return BlochVector.from_array(e[:3, :3] @ r0.as_array() + e[:3, 3])
-    return BlochVector.from_array(
-        expm(t * g.Lambda) @ (r0.as_array() - rss) + rss
-    )
+    return BlochVector.from_array(ConstantFlow(g).state(r0.as_array(), t))
 
 
 class ConstantFlow:
-    """Stride-sampled exact flow of r' = Lambda r + b.
+    """Exact flow of r' = Lambda r + b, at arbitrary times or on a stride grid.
 
-    Precomputes cumulative powers of the one-stride propagator so whole
-    blocks of samples reduce to a single einsum; arbitrary off-grid times
-    are still evaluated through a fresh matrix exponential.
+    Construction does the expensive work once: the steady state r_ss and the
+    eigendecomposition Lambda = V diag(lam) V^-1.  Every evaluation is then
+    the closed form
+
+        r(t) = r_ss + Re(V e^{lam t} V^-1 (r0 - r_ss)),
+
+    vectorised over an array of times; each sample is computed from r0
+    directly, so round-off does not accumulate along a grid.  A drift with no
+    steady state (pure precession, dephasing along the field axis) or with
+    near-dependent eigenvectors (cond(V) above ``_EIGVEC_COND_CAP``, as at a
+    defective drift) is evaluated instead through the augmented exponential
+    expm(t [[Lambda, b], [0, 0]]), batched over the times.  ``stride`` is
+    needed only by ``grid`` and ``run_until``.
     """
 
-    _BLOCK = 1024
+    _CHUNK = 1024
 
-    def __init__(self, g: AffineGenerator, stride: float):
+    def __init__(self, g: AffineGenerator, stride: Optional[float] = None):
         self.g = g
         self.stride = stride
-        e = expm(stride * _augmented(g))
-        self._p1 = e[:3, :3]
-        self._q1 = e[:3, 3]
-        self._cum_p: Optional[np.ndarray] = None
-        self._cum_q: Optional[np.ndarray] = None
+        self._modes = None
+        try:
+            r_ss = steady_state(g).as_array()
+        except SingularGenerator:
+            return
+        lam, vec = np.linalg.eig(g.Lambda)
+        if np.linalg.cond(vec) <= _EIGVEC_COND_CAP:
+            self._modes = (r_ss, lam, vec.T, np.linalg.inv(vec))
 
-    def _tables(self):
-        if self._cum_p is None:
-            n = self._BLOCK
-            cp = np.empty((n + 1, 3, 3))
-            cq = np.empty((n + 1, 3))
-            cp[0] = np.eye(3)
-            cq[0] = 0.0
-            for k in range(n):
-                cp[k + 1] = self._p1 @ cp[k]
-                cq[k + 1] = self._p1 @ cq[k] + self._q1
-            self._cum_p, self._cum_q = cp, cq
-        return self._cum_p, self._cum_q
+    def states(self, r0: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """States at the nonnegative times ``ts``, starting from r0 at t = 0."""
+        r0 = np.asarray(r0, dtype=float)
+        ts = np.asarray(ts, dtype=float)
+        if self._modes is None:
+            e = expm(ts[:, None, None] * _augmented(self.g))
+            out = e[:, :3, :3] @ r0 + e[:, :3, 3]
+        else:
+            r_ss, lam, vec_t, coef = self._modes
+            w = (coef @ (r0 - r_ss))[:, None] * vec_t  # row j: c_j V[:, j]
+            z = np.exp(np.multiply.outer(ts, lam))
+            # modes summed term by term, so no sample depends on the batch
+            out = r_ss + (z[:, :1] * w[0] + z[:, 1:2] * w[1] + z[:, 2:] * w[2]).real
+        out[ts == 0.0] = r0
+        return out
 
     def state(self, r0: np.ndarray, t: float) -> np.ndarray:
-        if t == 0.0:
-            return np.array(r0, dtype=float)
-        e = expm(t * _augmented(self.g))
-        return e[:3, :3] @ r0 + e[:3, 3]
-
-    def block(self, r0: np.ndarray, n: int) -> np.ndarray:
-        """States at the first min(n, block) stride multiples, starting at r0."""
-        cp, cq = self._tables()
-        n = min(n, self._BLOCK)
-        return np.einsum("kij,j->ki", cp[: n + 1], r0) + cq[: n + 1]
+        return self.states(r0, np.array([t]))[0]
 
     def grid(self, r0: np.ndarray, n_strides: int) -> np.ndarray:
         """States at 0, stride, ..., n_strides*stride (inclusive)."""
-        out = np.empty((n_strides + 1, 3))
-        r = np.array(r0, dtype=float)
-        out[0] = r
-        filled = 1
-        while filled <= n_strides:
-            chunk = self.block(r, n_strides - filled + 1)
-            out[filled : filled + len(chunk) - 1] = chunk[1:]
-            filled += len(chunk) - 1
-            r = chunk[-1]
-        return out
+        return self.states(r0, np.arange(n_strides + 1) * self.stride)
 
     def run_until(
         self,
@@ -201,17 +193,14 @@ class ConstantFlow:
             return r[None, :], True
         cap = int(np.floor(t_max / self.stride))
         pieces = [r[None, :]]
-        filled = 1
-        while filled <= cap:
-            chunk = self.block(r, cap - filled + 1)
-            d = 0.5 * np.linalg.norm(chunk[1:] - target, axis=1)
-            hit = np.nonzero(d < threshold)[0]
+        for first in range(1, cap + 1, self._CHUNK):
+            ks = np.arange(first, min(first + self._CHUNK, cap + 1))
+            chunk = self.states(r, ks * self.stride)
+            hit = np.flatnonzero(0.5 * np.linalg.norm(chunk - target, axis=1) < threshold)
             if len(hit):
-                pieces.append(chunk[1 : hit[0] + 2])
+                pieces.append(chunk[: hit[0] + 1])
                 return np.concatenate(pieces), True
-            pieces.append(chunk[1:])
-            filled += len(chunk) - 1
-            r = chunk[-1]
+            pieces.append(chunk)
         return np.concatenate(pieces), False
 
 

@@ -9,7 +9,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NotConverged, ZeroDenominator
-from .protocols import ProtocolResult
+from .protocols import TAU_XTOL, ProtocolResult
 
 log = logging.getLogger(__name__)
 
@@ -104,12 +104,14 @@ def classify_two_step(
 
     The detour is graded by where its switching state sits relative to the
     direct trajectory at the same instant and to the starting distance; no
-    speed-up at all is reported as no-effect regardless of geometry.
+    speed-up at all is reported as no-effect regardless of geometry.  Taus
+    within twice the root finder's tolerance of each other count as equal,
+    so a detour that changes nothing is no-effect whatever its round-off.
     """
     _check_comparable(two_step, direct)
     if not (two_step.converged and direct.converged):
         raise NotConverged("both runs must have converged to classify them")
-    if two_step.tau >= direct.tau:
+    if two_step.tau >= direct.tau - 2.0 * TAU_XTOL:
         return TwoStepClass.NO_EFFECT
     d_s, d_i, d_sf = two_step_distances(two_step, direct)
     if d_i < d_sf:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -36,6 +36,8 @@ from .errors import NotConverged
 
 #: Default trace-distance cutoff below which states count as indistinguishable.
 DEFAULT_EPS = 1e-4
+#: Absolute time tolerance of the root finder that sharpens tau.
+TAU_XTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -254,7 +256,7 @@ def _threshold_analysis(traj: Trajectory, eps: float):
                 lambda x: traj.distance_of(x) - eps,
                 ts[k],
                 ts[k + 1],
-                xtol=1e-9,
+                xtol=TAU_XTOL,
             )
         )
     else:
@@ -301,8 +303,8 @@ def run_direct(
 ) -> ProtocolResult:
     """Sudden quench from the S steady state into the F environment.
 
-    Constant-parameter stages propagate through exact matrix exponentials;
-    the trace distance to the F attractor decreases monotonically.
+    The constant-parameter stage propagates through the exact closed-form
+    flow; the trace distance to the F attractor decreases monotonically.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -352,10 +354,32 @@ def run_two_step(
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> ProtocolResult:
     """Detour through the A environment until t_i, then relax toward F."""
-    if t_i <= 0:
-        raise ValueError("switching time must be positive")
-    if t_i >= cfg.t_cap:
-        raise ValueError("switching time must lie below the time cap")
+    (result,) = run_two_step_scan(pS, pA, pF, [t_i], eps, cfg)
+    return result
+
+
+def run_two_step_scan(
+    pS: ParameterPoint,
+    pA: ParameterPoint,
+    pF: ParameterPoint,
+    t_is: Sequence[float],
+    eps: float = DEFAULT_EPS,
+    cfg: IntegratorConfig = IntegratorConfig(),
+) -> Iterator[ProtocolResult]:
+    """Two-step runs for each switching time in ``t_is``, yielded in order.
+
+    Everything independent of the switching time is done once, before the
+    first run: the argument checks, the generators and steady states, both
+    constant flows, and the A-stage grid up to the largest switching time,
+    whose prefixes serve every run.  Results are produced lazily, so a long
+    scan holds one trajectory at a time.
+    """
+    t_is = [float(t_i) for t_i in t_is]
+    for t_i in t_is:
+        if t_i <= 0:
+            raise ValueError("switching time must be positive")
+        if t_i >= cfg.t_cap:
+            raise ValueError("switching time must lie below the time cap")
     if eps <= 0:
         raise ValueError("eps must be positive")
     validate_endpoint(pS)
@@ -371,57 +395,61 @@ def run_two_step(
     stride = cfg.sample_stride
     flow_a = ConstantFlow(gA, stride)
     flow_f = ConstantFlow(gF, stride)
+    n_strides = [int(math.floor(t_i / stride + 1e-9)) for t_i in t_is]
+    grid_a = flow_a.grid(r0, max(n_strides, default=0))
+    rates_a, rates_f = pA.gamma.as_array(), pF.gamma.as_array()
 
-    n_a = int(math.floor(t_i / stride + 1e-9))
-    grid_a = flow_a.grid(r0, n_a)
-    t_a = np.arange(n_a + 1) * stride
-    r_i = flow_a.state(r0, t_i)
-    aligned = abs(n_a * stride - t_i) < 1e-9
-    if not aligned:
-        t_a = np.append(t_a, t_i)
-        grid_a = np.vstack([grid_a, r_i])
+    def one_run(t_i: float, n_a: int) -> ProtocolResult:
+        t_a = np.arange(n_a + 1) * stride
+        r_a = grid_a[: n_a + 1]
+        r_i = flow_a.state(r0, t_i)
+        if abs(n_a * stride - t_i) >= 1e-9:
+            t_a = np.append(t_a, t_i)
+            r_a = np.vstack([r_a, r_i])
 
-    states_f, reached = flow_f.run_until(r_i, tgt, eps / 10.0, cfg.t_cap - t_i)
-    t_f = t_i + np.arange(len(states_f)) * stride
+        states_f, reached = flow_f.run_until(r_i, tgt, eps / 10.0, cfg.t_cap - t_i)
+        t_f = t_i + np.arange(len(states_f)) * stride
 
-    ts = np.concatenate([t_a, t_f[1:]])
-    rs = np.vstack([grid_a, states_f[1:]])
-    rates = np.tile(pF.gamma.as_array(), (len(ts), 1))
-    rates[ts <= t_i] = pA.gamma.as_array()
+        ts = np.concatenate([t_a, t_f[1:]])
+        rs = np.vstack([r_a, states_f[1:]])
+        rates = np.tile(rates_f, (len(ts), 1))
+        rates[ts <= t_i] = rates_a
 
-    def distance_of(t: float) -> float:
-        if t <= t_i:
-            r = flow_a.state(r0, t)
-        else:
-            r = flow_f.state(r_i, t - t_i)
-        return 0.5 * float(np.linalg.norm(r - tgt))
+        def distance_of(t: float) -> float:
+            if t <= t_i:
+                r = flow_a.state(r0, t)
+            else:
+                r = flow_f.state(r_i, t - t_i)
+            return 0.5 * float(np.linalg.norm(r - tgt))
 
-    traj = Trajectory(
-        t=ts,
-        r=rs,
-        rates=rates,
-        dist=0.5 * np.linalg.norm(rs - tgt, axis=1),
-        target=target,
-        epsilon=eps,
-        timed_out=not reached,
-        distance_of=distance_of,
-    )
-    return _finalize(
-        ProtocolResult(
-            kind="two-step",
-            trajectory=traj,
-            tau=None,
-            converged=False,
-            inconclusive=False,
-            timed_out=not reached,
-            p_start=pS,
-            p_final=pF,
+        traj = Trajectory(
+            t=ts,
+            r=rs,
+            rates=rates,
+            dist=0.5 * np.linalg.norm(rs - tgt, axis=1),
+            target=target,
             epsilon=eps,
-            t_intermediate=t_i,
-            r_intermediate=r_i,
-        ),
-        eps,
-    )
+            timed_out=not reached,
+            distance_of=distance_of,
+        )
+        return _finalize(
+            ProtocolResult(
+                kind="two-step",
+                trajectory=traj,
+                tau=None,
+                converged=False,
+                inconclusive=False,
+                timed_out=not reached,
+                p_start=pS,
+                p_final=pF,
+                epsilon=eps,
+                t_intermediate=t_i,
+                r_intermediate=r_i,
+            ),
+            eps,
+        )
+
+    return map(one_run, t_is, n_strides)
 
 
 def run_continuous(

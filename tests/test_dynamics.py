@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from pontus import (
     BlochVector,
@@ -165,7 +166,7 @@ class TestConstantFlow:
         g = assemble_generator(PLANAR_F)
         r0 = steady_state(assemble_generator(PLANAR_S)).as_array()
         flow = ConstantFlow(g, 0.05)
-        grid = flow.grid(r0, 2500)  # spans more than two power-table blocks
+        grid = flow.grid(r0, 2500)
         for k in (0, 1, 77, 1024, 1025, 2047, 2500):
             direct = propagate_constant(g, BlochVector.from_array(r0), k * 0.05)
             assert np.allclose(grid[k], direct.as_array(), atol=1e-11)
@@ -187,6 +188,51 @@ class TestConstantFlow:
         states, reached = ConstantFlow(g, 0.05).run_until(r0, target, 1e-5, 2.0)
         assert not reached
         assert len(states) == 41  # 0 .. 2.0 inclusive
+
+    @staticmethod
+    def _augmented_route(g, r0, t):
+        """Independent reference: the affine flow as one 4x4 exponential."""
+        aug = np.zeros((4, 4))
+        aug[:3, :3] = g.Lambda
+        aug[:3, 3] = g.b
+        e = expm(t * aug)
+        return e[:3, :3] @ r0 + e[:3, 3]
+
+    @pytest.mark.parametrize(
+        "h, gamma",
+        [
+            # a steady state exists, but the eigenvalue -1 is double and defective
+            ((0.5, 0.0, 0.0), (0.0, 0.0, 1.0)),
+            ((0.0, 0.0, 1.0), (0.0, 0.0, 0.0)),  # pure precession, singular
+            ((0.0, 0.0, 0.7), (0.0, 0.0, 0.5)),  # dephasing along the field, singular
+        ],
+    )
+    def test_fallback_matches_augmented_exponential(self, h, gamma):
+        g = assemble_generator(ParameterPoint.make(h, gamma))
+        r0 = np.array([0.3, -0.5, 0.6])
+        flow = ConstantFlow(g, 0.05)
+        grid = flow.grid(r0, 400)
+        for k in (0, 1, 33, 400):
+            want = self._augmented_route(g, r0, k * 0.05)
+            assert np.max(np.abs(grid[k] - want)) <= 1e-11
+        for t in (0.0, 0.013, 1.7, 19.99):
+            want = self._augmented_route(g, r0, t)
+            assert np.max(np.abs(flow.state(r0, t) - want)) <= 1e-11
+
+    def test_random_generators_match_augmented_exponential(self):
+        rng = np.random.default_rng(4242)
+        worst = 0.0
+        for _ in range(200):
+            gamma = rng.uniform(0.0, 2.0, 3) * (rng.uniform(size=3) > 0.25)
+            h = rng.normal(scale=rng.choice([0.1, 1.0, 3.0]), size=3)
+            g = assemble_generator(ParameterPoint.make(h, gamma))
+            r0 = rng.normal(size=3)
+            r0 *= rng.uniform(0, 1) / np.linalg.norm(r0)
+            ts = np.concatenate([[0.0], rng.uniform(0, 5, 4), rng.uniform(0, 1e3, 4)])
+            got = ConstantFlow(g).states(r0, ts)
+            for t, r in zip(ts, got):
+                worst = max(worst, np.max(np.abs(r - self._augmented_route(g, r0, t))))
+        assert worst <= 1e-10
 
 
 class TestSuperoperatorOracle:

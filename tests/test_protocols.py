@@ -11,11 +11,13 @@ from pontus import (
     ParameterPoint,
     PiecewiseTwoStepSchedule,
     RateTriple,
+    classify_two_step,
     rate_at,
     relaxation_time,
     run_continuous,
     run_direct,
     run_two_step,
+    run_two_step_scan,
 )
 
 PLANAR_S = ParameterPoint.make((0.707, 0.707, 0.0), (0.5, 0.1, 0.0), "S")
@@ -149,6 +151,52 @@ class TestRunTwoStep:
             run_two_step(DETOUR_S, DETOUR_A, DETOUR_F, t_i=0.0)
         with pytest.raises(ValueError):
             run_two_step(DETOUR_S, DETOUR_A, DETOUR_F, t_i=1e5)
+
+
+class TestRunTwoStepScan:
+    # fig1 (the DETOUR points), recorded with the previous stride-power-table
+    # flow; the closed-form flow must reproduce them to 1e-9 relative
+    TAU_DIRECT = 75.07195599618873
+    TAUS = {
+        0.35: 74.51656613330297,
+        1.2: 69.83306271823166,
+        2.1: 61.963647193685205,
+        3.0: 59.64748206123046,
+        4.45: 61.616741694155756,
+        7.3: 64.09539934055559,
+        10.0: 66.81753617622854,
+        15.05: 71.86493036199418,
+        22.4: 79.21506767292179,
+        30.0: 86.81506487695302,
+    }
+
+    def test_matches_recorded_fig1_taus(self):
+        direct = run_direct(DETOUR_S, DETOUR_F)
+        assert direct.tau == pytest.approx(self.TAU_DIRECT, rel=1e-9)
+        scan = run_two_step_scan(DETOUR_S, DETOUR_A, DETOUR_F, list(self.TAUS))
+        for (t_i, tau), res in zip(self.TAUS.items(), scan):
+            assert res.t_intermediate == t_i
+            assert res.tau == pytest.approx(tau, rel=1e-9), t_i
+
+    def test_bit_identical_to_single_runs(self):
+        direct = run_direct(DETOUR_S, DETOUR_F)
+        t_is = [0.01, 0.35, 1.2, 2.1, 2.125, 7.3, 12.0]
+        scan = run_two_step_scan(DETOUR_S, DETOUR_A, DETOUR_F, t_is)
+        assert iter(scan) is scan  # lazy: one result at a time
+        for t_i, res in zip(t_is, scan):
+            one = run_two_step(DETOUR_S, DETOUR_A, DETOUR_F, t_i)
+            assert res.tau == one.tau
+            assert classify_two_step(res, direct) is classify_two_step(one, direct)
+            assert np.array_equal(res.r_intermediate, one.r_intermediate)
+            for field in ("t", "r", "dist", "rates"):
+                a = getattr(res.trajectory, field)
+                b = getattr(one.trajectory, field)
+                assert np.array_equal(a, b), (t_i, field)
+
+    def test_rejects_bad_switch_times_before_running(self):
+        with pytest.raises(ValueError):
+            run_two_step_scan(DETOUR_S, DETOUR_A, DETOUR_F, [1.0, 0.0])
+        assert list(run_two_step_scan(DETOUR_S, DETOUR_A, DETOUR_F, [])) == []
 
 
 class TestRunContinuous:
