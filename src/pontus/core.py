@@ -7,7 +7,7 @@ is the energy unit, times are measured in its inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -154,8 +154,12 @@ class Trajectory:
     """Dense time series of the Bloch vector under some protocol.
 
     ``distance_of`` is an exact (or dense-output) evaluator of the trace
-    distance to the target at arbitrary times within the recorded span; it
-    backs sub-sample bisection of threshold crossings.
+    distance to the target at a time or an array of times within the
+    recorded span (see ``distance_evaluator``); it backs sub-sample
+    bisection of threshold crossings.  ``nfev``, ``n_accepted`` and
+    ``n_rejected`` count the right-hand-side calls and the accepted and
+    rejected steps of the adaptive integrator, and stay 0 for runs that do
+    not use it.
     """
 
     t: np.ndarray
@@ -168,10 +172,11 @@ class Trajectory:
     converged: bool = False
     inconclusive: bool = False
     timed_out: bool = False
-    distance_of: Optional[Callable[[float], float]] = field(
-        default=None, repr=False, compare=False
-    )
+    distance_of: Optional[Callable] = field(default=None, repr=False, compare=False)
     modulation: Optional[ModulationInfo] = None
+    nfev: int = 0
+    n_accepted: int = 0
+    n_rejected: int = 0
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
@@ -190,6 +195,24 @@ class Trajectory:
         return len(self.t)
 
 
+def distance_evaluator(
+    states: Callable[[np.ndarray], np.ndarray], target: np.ndarray
+) -> Callable:
+    """Trace distance to ``target`` at a time (a float) or an array of times.
+
+    ``states`` maps an array of times to the (n, 3) Bloch vectors at those
+    times.  Every distance is computed row by row, so a value does not depend
+    on the other times in its call.
+    """
+
+    def distance_of(t):
+        ts = np.asarray(t, dtype=float)
+        d = 0.5 * np.linalg.norm(states(ts.reshape(-1)) - target, axis=1)
+        return float(d[0]) if ts.ndim == 0 else d
+
+    return distance_of
+
+
 def trace_distance(r1: BlochVector, r2: BlochVector) -> float:
     """Trace distance between two-level states, half the Euclidean Bloch distance."""
     return 0.5 * float(np.linalg.norm(r1.as_array() - r2.as_array()))
@@ -205,3 +228,15 @@ def validate_endpoint(p: ParameterPoint) -> ParameterPoint:
             f"endpoint {p.label!r} has negative rate(s) {tuple(g)}"
         )
     return p
+
+
+def write_csv(path, header: str, row_format: str, rows: Iterable[Sequence]) -> None:
+    """Write a CSV file: the header line, then ``row_format % tuple(row)`` per row.
+
+    Every number goes through one printf-style field such as ``%.17g``,
+    which round-trips a float exactly.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        line = row_format + "\n"
+        fh.writelines(line % tuple(row) for row in rows)

@@ -1,21 +1,26 @@
 """Generator assembly and propagation of the affine Bloch equation.
 
 Constant-parameter dynamics is propagated exactly through the drift's
-eigenmodes, or a matrix exponential where those are unusable;
-time-dependent schedules go through an adaptive embedded Runge-Kutta 5(4)
-pair with dense output.  Two independent oracles
-(a density-matrix-level rebuild of the generator and a time-ordered
-product integrator) cross-check both routes.
+eigenmodes, or a matrix exponential where those are unusable.
+Time-dependent schedules go through an in-house adaptive Dormand-Prince 5(4)
+stepper: scalar floats, hand-unrolled stages, the affine ramp form
+Lambda(t) = lam_f + m(t) dlam of every schedule as its right-hand side, and
+the initial step, error norm, step controller, event location and quartic
+dense output of scipy's RK45, whose steps it takes up to round-off.  Two
+independent oracles (a density-matrix-level rebuild of the generator and a
+time-ordered product integrator) cross-check both routes.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from .core import (
     TOL_BALL,
@@ -23,6 +28,8 @@ from .core import (
     BlochVector,
     ParameterPoint,
     Trajectory,
+    distance_evaluator,
+    write_csv,
 )
 from .errors import BallViolation, SingularGenerator, StepSizeUnderflow
 
@@ -48,8 +55,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.t_cap <= 0 or self.sample_stride <= 0:
-            raise ValueError("t_cap and sample_stride must be positive")
+        if self.t_cap <= 0 or self.sample_stride <= 0 or not self.max_step > 0:
+            raise ValueError("t_cap, sample_stride and max_step must be positive")
 
 
 def assemble_generator(p: ParameterPoint) -> AffineGenerator:
@@ -204,6 +211,230 @@ class ConstantFlow:
         return np.concatenate(pieces), False
 
 
+# Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 19
+# (1980)): nodes C, stage weights A, fifth-order weights B and error weights
+# E = B - B_hat, as in scipy's RK45.  Zero entries are left out of the
+# unrolled sums below; C6 = 1.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
+)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40,
+)
+# Quartic dense output with the optimal c_6 (Hairer, Norsett & Wanner,
+# Solving ODEs I, sec. II.6): y(t_k + x h) = y_k + h sum_j Q[:, j] x^(j+1)
+# with Q = K^T P.  P's first column is (1, 0, ..., 0), so Q[:, 0] = K_1; the
+# rows below are P's other three columns for stages 1 and 3-7 (stage 2's
+# row is zero).
+_P1 = (-8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432)
+_P3 = (131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799)
+_P4 = (-1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072)
+_P5 = (127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632)
+_P6 = (-282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844)
+_P7 = (40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423)
+# step-size controller: safety factor, factor bounds, error exponent -1/(4+1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXP = 0.9, 0.2, 10.0, -1 / 5
+_EPS = float(np.finfo(float).eps)
+_SQRT3 = 3**0.5
+
+
+class _DenseOutput:
+    """Quartic interpolants of the accepted steps, held in flat arrays.
+
+    Step k starts at ``t_break[k]`` with state ``y_old[k]``, has length
+    ``h[k]`` and coefficients ``q[k]`` (3x4); ``t_break[-1]`` is the final
+    time.  A time is served by the step whose interval holds it, a
+    breakpoint by the step that ends there.  Each time is evaluated on its
+    own, so a value does not depend on the other times in its call.
+    """
+
+    def __init__(self, t_break, h, y_old, q):
+        self.t_break = t_break
+        self.h = h
+        self.y_old = y_old
+        self.q = q
+
+    def __call__(self, ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        k = np.searchsorted(self.t_break, ts, side="left") - 1
+        np.clip(k, 0, len(self.h) - 1, out=k)
+        h = self.h[k]
+        x = ((ts - self.t_break[k]) / h)[:, None]
+        x2 = x * x
+        x3 = x2 * x
+        q = self.q[k]
+        poly = q[:, :, 0] * x + q[:, :, 1] * x2 + q[:, :, 2] * x3 + q[:, :, 3] * (x3 * x)
+        return self.y_old[k] + h[:, None] * poly
+
+
+def _rms3(a: float, b: float, c: float) -> float:
+    return math.sqrt(a * a + b * b + c * c) / _SQRT3
+
+
+def _dormand_prince(rhs, stop, y, t_bound, rtol, atol, max_step):
+    """Adaptive Dormand-Prince 5(4) from t = 0, step for step as scipy's RK45.
+
+    ``rhs(t, a, b, c)`` returns the three velocity components as floats.
+    ``stop(t, a, b, c)``, unless None, is checked after every accepted step;
+    on a sign change (scipy's ``find_active_events`` rule) its root on that
+    step's interpolant ends the run.  Otherwise the run ends at ``t_bound``.
+
+    Returns ``(dense, y_final, stopped, nfev, n_rejected)``.  Raises
+    StepSizeUnderflow when the step falls below 10 ulp of t.
+    """
+    t = 0.0
+    y1, y2, y3 = y
+    k11, k12, k13 = rhs(t, y1, y2, y3)
+
+    # initial step (Hairer, Norsett & Wanner, sec. II.4)
+    s1, s2, s3 = atol + abs(y1) * rtol, atol + abs(y2) * rtol, atol + abs(y3) * rtol
+    d0 = _rms3(y1 / s1, y2 / s2, y3 / s3)
+    d1 = _rms3(k11 / s1, k12 / s2, k13 / s3)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_bound)
+    u1, u2, u3 = rhs(h0, y1 + h0 * k11, y2 + h0 * k12, y3 + h0 * k13)
+    d2 = _rms3((u1 - k11) / s1, (u2 - k12) / s2, (u3 - k13) / s3) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, t_bound, max_step)
+    nfev = 2
+    n_rejected = 0
+
+    # per accepted step: start, length, state and dense-output coefficients
+    t_olds, hs, y_olds, qs = array("d"), array("d"), array("d"), array("d")
+    g_old = None if stop is None else stop(t, y1, y2, y3)
+    stopped = False
+    while True:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepSizeUnderflow(
+                    "Required step size is less than spacing between numbers."
+                )
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+
+            k21, k22, k23 = rhs(
+                t + _C2 * h,
+                y1 + k11 * _A21 * h,
+                y2 + k12 * _A21 * h,
+                y3 + k13 * _A21 * h,
+            )
+            k31, k32, k33 = rhs(
+                t + _C3 * h,
+                y1 + (k11 * _A31 + k21 * _A32) * h,
+                y2 + (k12 * _A31 + k22 * _A32) * h,
+                y3 + (k13 * _A31 + k23 * _A32) * h,
+            )
+            k41, k42, k43 = rhs(
+                t + _C4 * h,
+                y1 + (k11 * _A41 + k21 * _A42 + k31 * _A43) * h,
+                y2 + (k12 * _A41 + k22 * _A42 + k32 * _A43) * h,
+                y3 + (k13 * _A41 + k23 * _A42 + k33 * _A43) * h,
+            )
+            k51, k52, k53 = rhs(
+                t + _C5 * h,
+                y1 + (k11 * _A51 + k21 * _A52 + k31 * _A53 + k41 * _A54) * h,
+                y2 + (k12 * _A51 + k22 * _A52 + k32 * _A53 + k42 * _A54) * h,
+                y3 + (k13 * _A51 + k23 * _A52 + k33 * _A53 + k43 * _A54) * h,
+            )
+            k61, k62, k63 = rhs(
+                t + h,
+                y1 + (k11 * _A61 + k21 * _A62 + k31 * _A63 + k41 * _A64 + k51 * _A65) * h,
+                y2 + (k12 * _A61 + k22 * _A62 + k32 * _A63 + k42 * _A64 + k52 * _A65) * h,
+                y3 + (k13 * _A61 + k23 * _A62 + k33 * _A63 + k43 * _A64 + k53 * _A65) * h,
+            )
+            z1 = y1 + h * (k11 * _B1 + k31 * _B3 + k41 * _B4 + k51 * _B5 + k61 * _B6)
+            z2 = y2 + h * (k12 * _B1 + k32 * _B3 + k42 * _B4 + k52 * _B5 + k62 * _B6)
+            z3 = y3 + h * (k13 * _B1 + k33 * _B3 + k43 * _B4 + k53 * _B5 + k63 * _B6)
+            k71, k72, k73 = rhs(t + h, z1, z2, z3)
+            nfev += 6
+
+            err = _rms3(
+                (k11 * _E1 + k31 * _E3 + k41 * _E4 + k51 * _E5 + k61 * _E6 + k71 * _E7)
+                * h / (atol + max(abs(y1), abs(z1)) * rtol),
+                (k12 * _E1 + k32 * _E3 + k42 * _E4 + k52 * _E5 + k62 * _E6 + k72 * _E7)
+                * h / (atol + max(abs(y2), abs(z2)) * rtol),
+                (k13 * _E1 + k33 * _E3 + k43 * _E4 + k53 * _E5 + k63 * _E6 + k73 * _E7)
+                * h / (atol + max(abs(y3), abs(z3)) * rtol),
+            )
+            if err < 1:
+                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err**_ERR_EXP)
+                if rejected:  # no growth right after a rejection
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERR_EXP)
+            rejected = True
+            n_rejected += 1
+
+        q = (
+            k11,
+            k11 * _P1[0] + k31 * _P3[0] + k41 * _P4[0] + k51 * _P5[0] + k61 * _P6[0] + k71 * _P7[0],
+            k11 * _P1[1] + k31 * _P3[1] + k41 * _P4[1] + k51 * _P5[1] + k61 * _P6[1] + k71 * _P7[1],
+            k11 * _P1[2] + k31 * _P3[2] + k41 * _P4[2] + k51 * _P5[2] + k61 * _P6[2] + k71 * _P7[2],
+            k12,
+            k12 * _P1[0] + k32 * _P3[0] + k42 * _P4[0] + k52 * _P5[0] + k62 * _P6[0] + k72 * _P7[0],
+            k12 * _P1[1] + k32 * _P3[1] + k42 * _P4[1] + k52 * _P5[1] + k62 * _P6[1] + k72 * _P7[1],
+            k12 * _P1[2] + k32 * _P3[2] + k42 * _P4[2] + k52 * _P5[2] + k62 * _P6[2] + k72 * _P7[2],
+            k13,
+            k13 * _P1[0] + k33 * _P3[0] + k43 * _P4[0] + k53 * _P5[0] + k63 * _P6[0] + k73 * _P7[0],
+            k13 * _P1[1] + k33 * _P3[1] + k43 * _P4[1] + k53 * _P5[1] + k63 * _P6[1] + k73 * _P7[1],
+            k13 * _P1[2] + k33 * _P3[2] + k43 * _P4[2] + k53 * _P5[2] + k63 * _P6[2] + k73 * _P7[2],
+        )
+        t_olds.append(t)
+        hs.append(h)
+        y_olds.extend((y1, y2, y3))
+        qs.extend(q)
+        y_final = (z1, z2, z3)
+        if g_old is not None:
+            g_new = stop(t_new, z1, z2, z3)
+            if (g_old <= 0 <= g_new) or (g_new <= 0 <= g_old):
+                step = _DenseOutput(
+                    np.array([t, t_new]),
+                    np.array([h]),
+                    np.array([[y1, y2, y3]]),
+                    np.array(q).reshape(1, 3, 4),
+                )
+                t_new = brentq(
+                    lambda s: stop(s, *step([s])[0].tolist()),
+                    t,
+                    t_new,
+                    xtol=4 * _EPS,
+                    rtol=4 * _EPS,
+                )
+                y_final = tuple(step([t_new])[0].tolist())
+                stopped = True
+            g_old = g_new
+        t = t_new
+        if stopped or t >= t_bound:
+            break
+        y1, y2, y3 = z1, z2, z3
+        k11, k12, k13 = k71, k72, k73
+
+    n = len(hs)
+    dense = _DenseOutput(
+        np.append(np.frombuffer(t_olds), t),
+        np.frombuffer(hs),
+        np.frombuffer(y_olds).reshape(n, 3),
+        np.frombuffer(qs).reshape(n, 3, 4),
+    )
+    return dense, y_final, stopped, nfev, n_rejected
+
+
 def integrate(
     schedule,
     r0: BlochVector,
@@ -214,6 +445,10 @@ def integrate(
 ) -> Trajectory:
     """Solve r' = Lambda(t) r + b(t) under a rate schedule.
 
+    The schedule supplies the affine ramp form Lambda(t) = lam_f + m(t) dlam,
+    b(t) = b_f + m(t) db through ``parts`` and the scalar ``m``; the
+    equation is stepped on plain floats by ``_dormand_prince``.
+
     Integration stops once the trace distance to ``target`` is below
     ``eps/10`` while the schedule's remaining deviation from its final
     generator is below ``eps``; from that point on the flow is a plain
@@ -221,20 +456,19 @@ def integrate(
     occur.  Passing ``t_end`` disables the stop rule and integrates the
     fixed horizon instead.
     """
+    if t_end is not None and not t_end > 0:
+        raise ValueError("t_end must be positive")
     tgt = target.as_array()
+    g0, g1, g2 = tgt.tolist()
     y0 = r0.as_array()
+    settle = schedule.settle_bound
+    tol = eps / 10.0
 
-    def rhs(t, y):
-        lam, b = schedule.generator(t)
-        return lam @ y + b
+    def stop(t, a, b, c):
+        d = 0.5 * math.sqrt((a - g0) ** 2 + (b - g1) ** 2 + (c - g2) ** 2)
+        return max(d - tol, settle(t) - eps)
 
-    def stop(t, y):
-        d = 0.5 * np.linalg.norm(y - tgt)
-        return max(d - eps / 10.0, schedule.settle_bound(t) - eps)
-
-    stop.terminal = True
-
-    if t_end is None and stop(0.0, y0) < 0.0:
+    if t_end is None and stop(0.0, *y0.tolist()) < 0.0:
         # nothing to do: already settled at t = 0
         return Trajectory(
             t=np.array([0.0]),
@@ -243,44 +477,50 @@ def integrate(
             dist=np.array([0.5 * np.linalg.norm(y0 - tgt)]),
             target=target,
             epsilon=eps,
-            distance_of=lambda t: 0.5 * float(np.linalg.norm(y0 - tgt)),
+            distance_of=distance_evaluator(lambda ts: np.tile(y0, (len(ts), 1)), tgt),
             modulation=schedule.modulation,
         )
 
-    horizon = cfg.t_cap if t_end is None else t_end
-    sol = solve_ivp(
-        rhs,
-        (0.0, horizon),
-        y0,
-        method="RK45",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        dense_output=True,
-        events=[stop] if t_end is None else None,
-    )
-    if sol.status == -1:
-        raise StepSizeUnderflow(sol.message)
+    lam_f, b_f, dlam, db = schedule.parts
+    f00, f01, f02, f10, f11, f12, f20, f21, f22 = np.ravel(lam_f).tolist()
+    d00, d01, d02, d10, d11, d12, d20, d21, d22 = np.ravel(dlam).tolist()
+    c0, c1, c2 = np.ravel(b_f).tolist()
+    e0, e1, e2 = np.ravel(db).tolist()
+    ramp = schedule.m
 
-    t_stop = float(sol.t[-1])
+    def rhs(t, a, b, c):
+        m = ramp(t)
+        return (
+            (f00 + m * d00) * a + (f01 + m * d01) * b + (f02 + m * d02) * c + (c0 + m * e0),
+            (f10 + m * d10) * a + (f11 + m * d11) * b + (f12 + m * d12) * c + (c1 + m * e1),
+            (f20 + m * d20) * a + (f21 + m * d21) * b + (f22 + m * d22) * c + (c2 + m * e2),
+        )
+
+    dense, y_final, stopped, nfev, n_rejected = _dormand_prince(
+        rhs,
+        None if t_end is not None else stop,
+        y0.tolist(),
+        cfg.t_cap if t_end is None else float(t_end),
+        # below about 100 eps the controller could not meet the tolerance
+        max(cfg.rel_tol, 100 * _EPS),
+        cfg.abs_tol,
+        cfg.max_step,
+    )
+
+    t_stop = float(dense.t_break[-1])
     ts = np.arange(0.0, t_stop, cfg.sample_stride)
     if t_stop - (ts[-1] if len(ts) else 0.0) > 1e-12:
         ts = np.append(ts, t_stop)
-    rs = sol.sol(ts).T
+    rs = dense(ts)
 
     worst = max(
         float(np.max(np.linalg.norm(rs, axis=1))),
-        float(np.max(np.linalg.norm(sol.y, axis=0))),
+        float(np.max(np.linalg.norm(np.vstack([dense.y_old, y_final]), axis=1))),
     )
     if worst > 1.0 + TOL_BALL:
         raise BallViolation(
             f"trajectory left the Bloch ball (max |r| = {worst:.12g})"
         )
-
-    dense = sol.sol
-
-    def distance_of(t: float) -> float:
-        return 0.5 * float(np.linalg.norm(dense(t) - tgt))
 
     return Trajectory(
         t=ts,
@@ -289,9 +529,12 @@ def integrate(
         dist=0.5 * np.linalg.norm(rs - tgt, axis=1),
         target=target,
         epsilon=eps,
-        timed_out=(t_end is None and sol.status == 0),
-        distance_of=distance_of,
+        timed_out=(t_end is None and not stopped),
+        distance_of=distance_evaluator(dense, tgt),
         modulation=schedule.modulation,
+        nfev=nfev,
+        n_accepted=len(dense.h),
+        n_rejected=n_rejected,
     )
 
 
@@ -375,31 +618,17 @@ def velocity_field_grid(
     return np.column_stack([pts, vel, speed])
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write the dense samples as CSV: t,rx,ry,rz,dist,gp,gm,gz."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,rx,ry,rz,dist,gp,gm,gz\n")
-        for k in range(len(traj)):
-            row = (
-                traj.t[k],
-                traj.r[k, 0],
-                traj.r[k, 1],
-                traj.r[k, 2],
-                traj.dist[k],
-                traj.rates[k, 0],
-                traj.rates[k, 1],
-                traj.rates[k, 2],
-            )
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    cols = np.column_stack([traj.t, traj.r, traj.dist, traj.rates])
+    write_csv(path, "t,rx,ry,rz,dist,gp,gm,gz", ",".join(["%.17g"] * 8), cols.tolist())
 
 
 def velocity_field_to_csv(rows: np.ndarray, path) -> None:
     """Write velocity-field samples as CSV: rx,ry,rz,vx,vy,vz,speed."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("rx,ry,rz,vx,vy,vz,speed\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    write_csv(
+        path,
+        "rx,ry,rz,vx,vy,vz,speed",
+        ",".join(["%.17g"] * 7),
+        np.asarray(rows, dtype=float).tolist(),
+    )

@@ -22,6 +22,7 @@ from .core import (
     ParameterPoint,
     RateTriple,
     Trajectory,
+    distance_evaluator,
     validate_endpoint,
 )
 from .dynamics import (
@@ -40,25 +41,39 @@ DEFAULT_EPS = 1e-4
 TAU_XTOL = 1e-9
 
 
+class _AffineRamp:
+    """Generator of the affine ramp form shared by every rate schedule.
+
+    Lambda(t) = lam_f + m(t) dlam and b(t) = b_f + m(t) db, with the four
+    arrays in ``parts`` and the scalar ramp ``m(t)``; ``integrate`` reads the
+    same two attributes.
+    """
+
+    def generator(self, t: float):
+        lam_f, b_f, dlam, db = self.parts
+        m = self.m(t)
+        return lam_f + m * dlam, b_f + m * db
+
+
 @dataclass(frozen=True)
-class ConstantSchedule:
-    """Time-independent parameters."""
+class ConstantSchedule(_AffineRamp):
+    """Time-independent parameters (m = 0)."""
 
     point: ParameterPoint
 
     @cached_property
-    def _parts(self):
+    def parts(self):
         g = assemble_generator(self.point)
-        return np.asarray(g.Lambda), np.asarray(g.b)
+        return g.Lambda, g.b, np.zeros((3, 3)), np.zeros(3)
+
+    def m(self, t: float) -> float:
+        return 0.0
 
     def rates(self, t: float) -> np.ndarray:
         return self.point.gamma.as_array()
 
     def rates_array(self, ts: np.ndarray) -> np.ndarray:
         return np.tile(self.point.gamma.as_array(), (len(ts), 1))
-
-    def generator(self, t: float):
-        return self._parts
 
     def settle_bound(self, t: float) -> float:
         return 0.0
@@ -69,8 +84,9 @@ class ConstantSchedule:
 
 
 @dataclass(frozen=True)
-class PiecewiseTwoStepSchedule:
-    """Auxiliary parameters up to the switching time, final parameters after."""
+class PiecewiseTwoStepSchedule(_AffineRamp):
+    """Auxiliary parameters up to the switching time, final parameters after
+    (m = 1 up to t_i, 0 after)."""
 
     p_a: ParameterPoint
     p_f: ParameterPoint
@@ -81,13 +97,13 @@ class PiecewiseTwoStepSchedule:
             raise ValueError("switching time must be positive")
 
     @cached_property
-    def _parts(self):
+    def parts(self):
         ga = assemble_generator(self.p_a)
         gf = assemble_generator(self.p_f)
-        return (np.asarray(ga.Lambda), np.asarray(ga.b)), (
-            np.asarray(gf.Lambda),
-            np.asarray(gf.b),
-        )
+        return gf.Lambda, gf.b, ga.Lambda - gf.Lambda, ga.b - gf.b
+
+    def m(self, t: float) -> float:
+        return 1.0 if t <= self.t_i else 0.0
 
     def rates(self, t: float) -> np.ndarray:
         p = self.p_a if t <= self.t_i else self.p_f
@@ -98,10 +114,6 @@ class PiecewiseTwoStepSchedule:
         out[np.asarray(ts) <= self.t_i] = self.p_a.gamma.as_array()
         return out
 
-    def generator(self, t: float):
-        a, f = self._parts
-        return a if t <= self.t_i else f
-
     def settle_bound(self, t: float) -> float:
         return math.inf if t <= self.t_i else 0.0
 
@@ -111,7 +123,7 @@ class PiecewiseTwoStepSchedule:
 
 
 @dataclass(frozen=True)
-class ExponentialCosineSchedule:
+class ExponentialCosineSchedule(_AffineRamp):
     """Rates relax from start to final values under a damped cosine.
 
     gamma(t) = gamma_F + (gamma_S - gamma_F) exp(-kappa t) cos(omega t),
@@ -130,7 +142,7 @@ class ExponentialCosineSchedule:
             raise ValueError("kappa and omega must be nonnegative")
 
     @cached_property
-    def _parts(self):
+    def parts(self):
         harr = self.h.as_array()
         lam_f, b_f = generator_parts(self.gamma_f.as_array(), harr)
         lam_s, b_s = generator_parts(self.gamma_s.as_array(), harr)
@@ -140,31 +152,27 @@ class ExponentialCosineSchedule:
     def _dg(self) -> np.ndarray:
         return self.gamma_s.as_array() - self.gamma_f.as_array()
 
-    def _m(self, t):
-        return np.exp(-self.kappa * t) * np.cos(self.omega * t)
+    @cached_property
+    def _dg_max(self) -> float:
+        return float(np.max(np.abs(self._dg)))
+
+    def m(self, t: float) -> float:
+        return math.exp(-self.kappa * t) * math.cos(self.omega * t)
 
     def rates(self, t: float) -> np.ndarray:
-        return self.gamma_f.as_array() + self._dg * self._m(t)
+        return self.gamma_f.as_array() + self._dg * self.m(t)
 
     def rates_array(self, ts: np.ndarray) -> np.ndarray:
-        m = self._m(np.asarray(ts, dtype=float))
+        ts = np.asarray(ts, dtype=float)
+        m = np.exp(-self.kappa * ts) * np.cos(self.omega * ts)
         return self.gamma_f.as_array()[None, :] + m[:, None] * self._dg[None, :]
 
-    def generator(self, t: float):
-        lam_f, b_f, dlam, db = self._parts
-        m = self._m(t)
-        return lam_f + m * dlam, b_f + m * db
-
     def settle_bound(self, t: float) -> float:
-        return float(np.max(np.abs(self._dg))) * math.exp(-self.kappa * t)
+        return self._dg_max * math.exp(-self.kappa * t)
 
     @property
     def modulation(self) -> ModulationInfo:
-        return ModulationInfo(
-            kappa=self.kappa,
-            omega=self.omega,
-            dg_max=float(np.max(np.abs(self._dg))),
-        )
+        return ModulationInfo(kappa=self.kappa, omega=self.omega, dg_max=self._dg_max)
 
 
 RateSchedule = Union[ConstantSchedule, PiecewiseTwoStepSchedule, ExponentialCosineSchedule]
@@ -219,15 +227,12 @@ def _refined_threshold_series(traj: Trajectory, eps: float):
     refine = in_band & (straddle | turning)
     if not refine.any():
         return t, d
-    ts_out = [t]
-    ds_out = [d]
-    for k in np.nonzero(refine)[0]:
-        sub = np.linspace(t[k], t[k + 1], 10)[1:-1]
-        ts_out.append(sub)
-        ds_out.append(np.array([f(x) for x in sub]))
-    ts = np.concatenate(ts_out)
+    sub = np.concatenate(
+        [np.linspace(t[k], t[k + 1], 10)[1:-1] for k in np.nonzero(refine)[0]]
+    )
+    ts = np.concatenate([t, sub])
     order = np.argsort(ts, kind="stable")
-    return ts[order], np.concatenate(ds_out)[order]
+    return ts[order], np.concatenate([d, f(sub)])[order]
 
 
 def _threshold_analysis(traj: Trajectory, eps: float):
@@ -327,7 +332,7 @@ def run_direct(
         target=target,
         epsilon=eps,
         timed_out=not reached,
-        distance_of=lambda t: 0.5 * float(np.linalg.norm(flow.state(r0, t) - tgt)),
+        distance_of=distance_evaluator(lambda ts: flow.states(r0, ts), tgt),
     )
     return _finalize(
         ProtocolResult(
@@ -415,12 +420,13 @@ def run_two_step_scan(
         rates = np.tile(rates_f, (len(ts), 1))
         rates[ts <= t_i] = rates_a
 
-        def distance_of(t: float) -> float:
-            if t <= t_i:
-                r = flow_a.state(r0, t)
-            else:
-                r = flow_f.state(r_i, t - t_i)
-            return 0.5 * float(np.linalg.norm(r - tgt))
+        def states(ts: np.ndarray) -> np.ndarray:
+            out = np.empty((len(ts), 3))
+            before = ts <= t_i
+            for mask, flow, r, t0 in ((before, flow_a, r0, 0.0), (~before, flow_f, r_i, t_i)):
+                if mask.any():
+                    out[mask] = flow.states(r, ts[mask] - t0)
+            return out
 
         traj = Trajectory(
             t=ts,
@@ -430,7 +436,7 @@ def run_two_step_scan(
             target=target,
             epsilon=eps,
             timed_out=not reached,
-            distance_of=distance_of,
+            distance_of=distance_evaluator(states, tgt),
         )
         return _finalize(
             ProtocolResult(

@@ -9,13 +9,14 @@ the sweep, and results are bit-identical regardless of worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import FieldVector, ParameterPoint, RateTriple
+from .core import FieldVector, ParameterPoint, RateTriple, write_csv
 from .dynamics import IntegratorConfig
 from .errors import BallViolation, SingularGenerator
 from .nonmarkov import boundary_curve, is_non_markovian
@@ -181,8 +182,9 @@ def _run_cells(tasks, jobs: Optional[int], progress: Optional[Callable]):
             if progress:
                 progress(i + 1, len(tasks))
         return results
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(tasks) // (8 * (pool._max_workers or 1)))
+    workers = jobs or os.cpu_count() or 1
+    chunk = max(1, len(tasks) // (8 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for i, out in enumerate(pool.map(_cell, tasks, chunksize=chunk)):
             results[i] = out
             if progress:
@@ -297,36 +299,31 @@ def sweep_kappa_omega(
     return gm
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def gain_map_to_csv(gm: GainMap, path) -> None:
     """Row-major cell dump; booleans as true/false, failures in ``status``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "axis1,axis2,tau_dir,tau_cpm,gain,inconclusive,non_markovian,"
-            "f_total,status\n"
+    flag = ("false", "true")
+    n1, n2 = gm.shape
+    rows = (
+        (
+            gm.kappa[i],
+            gm.second[j],
+            gm.tau_dir[i, j],
+            gm.tau_cpm[i, j],
+            gm.gain[i, j],
+            flag[bool(gm.inconclusive[i, j])],
+            flag[bool(gm.non_markovian[i, j])],
+            gm.f_total[i, j],
+            gm.status[i][j],
         )
-        n1, n2 = gm.shape
-        for i in range(n1):
-            for j in range(n2):
-                fh.write(
-                    ",".join(
-                        [
-                            _fmt(gm.kappa[i]),
-                            _fmt(gm.second[j]),
-                            _fmt(gm.tau_dir[i, j]),
-                            _fmt(gm.tau_cpm[i, j]),
-                            _fmt(gm.gain[i, j]),
-                            "true" if gm.inconclusive[i, j] else "false",
-                            "true" if gm.non_markovian[i, j] else "false",
-                            _fmt(gm.f_total[i, j]),
-                            gm.status[i][j],
-                        ]
-                    )
-                    + "\n"
-                )
+        for i in range(n1)
+        for j in range(n2)
+    )
+    write_csv(
+        path,
+        "axis1,axis2,tau_dir,tau_cpm,gain,inconclusive,non_markovian,f_total,status",
+        "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%.17g,%s",
+        rows,
+    )
 
 
 def gain_map_sidecar(gm: GainMap) -> dict:

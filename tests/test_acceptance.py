@@ -26,7 +26,7 @@ from pontus import (
     nm_measure_quadrature,
     run_continuous,
     run_direct,
-    run_two_step,
+    run_two_step_scan,
     superoperator_oracle,
     sweep_kappa_omega,
     sweep_kappa_theta,
@@ -140,16 +140,21 @@ def test_criterion_4_two_step_classes_by_scan():
     t0 = time.perf_counter()
     direct = run_direct(DETOUR_S, DETOUR_F)
     found = {}
+    t_is = []
     t_i = 0.05
     while t_i <= 30.0 + 1e-9:
-        res = run_two_step(DETOUR_S, DETOUR_A, DETOUR_F, t_i)
+        t_is.append(t_i)
+        t_i = round(t_i + 0.05, 10)
+    # the scan yields lazily, so stopping early skips the remaining runs
+    for t_i, res in zip(
+        t_is, run_two_step_scan(DETOUR_S, DETOUR_A, DETOUR_F, t_is)
+    ):
         if res.converged and res.tau < direct.tau:
             cls = classify_two_step(res, direct).value
             if cls not in found:
                 found[cls] = (round(t_i, 2), round(res.tau, 2))
         if len(found) >= 3:
             break
-        t_i = round(t_i + 0.05, 10)
     elapsed = time.perf_counter() - t0
     ok = (
         {"weak-type-A", "weak-type-B", "strong"} <= set(found) and elapsed < 60.0

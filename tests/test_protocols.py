@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pontus import (
+    ConstantSchedule,
     ExponentialCosineSchedule,
     FieldVector,
     IntegratorConfig,
@@ -11,14 +12,19 @@ from pontus import (
     ParameterPoint,
     PiecewiseTwoStepSchedule,
     RateTriple,
+    assemble_generator,
     classify_two_step,
+    integrate,
     rate_at,
     relaxation_time,
     run_continuous,
     run_direct,
     run_two_step,
     run_two_step_scan,
+    steady_state,
 )
+from pontus.dynamics import generator_parts
+from pontus.protocols import _refined_threshold_series
 
 PLANAR_S = ParameterPoint.make((0.707, 0.707, 0.0), (0.5, 0.1, 0.0), "S")
 PLANAR_F = ParameterPoint.make((0.707, 0.707, 0.0), (0.01, 0.05, 0.0), "F")
@@ -74,6 +80,44 @@ class TestRateAt:
 
 
 class TestScheduleProperties:
+    def test_generators_follow_the_affine_ramp(self):
+        # every schedule is Lambda(t) = lam_f + m(t) dlam with the endpoint
+        # generators at m = 0 and m = 1
+        def parts(p):
+            g = assemble_generator(p)
+            return g.Lambda, g.b
+
+        cases = [
+            (ConstantSchedule(PLANAR_F), [(0.0, PLANAR_F), (50.0, PLANAR_F)]),
+            (
+                PiecewiseTwoStepSchedule(DETOUR_A, DETOUR_F, t_i=2.0),
+                [(0.0, DETOUR_A), (2.0, DETOUR_A), (2.0 + 1e-12, DETOUR_F)],
+            ),
+            (exp_cos(0.3, 0.0), [(0.0, PLANAR_S)]),
+        ]
+        for sched, points in cases:
+            for t, p in points:
+                lam, b = sched.generator(t)
+                want_lam, want_b = parts(p)
+                assert np.allclose(lam, want_lam, rtol=0, atol=1e-15), (sched, t)
+                assert np.allclose(b, want_b, rtol=0, atol=1e-15), (sched, t)
+        s = exp_cos(0.3, 1.1)
+        lam, b = s.generator(2.5)
+        want_lam, want_b = generator_parts(s.rates(2.5), PLANAR_S.h.as_array())
+        assert np.allclose(lam, want_lam, rtol=0, atol=1e-15)
+        assert np.allclose(b, want_b, rtol=0, atol=1e-15)
+
+    def test_integrated_two_step_matches_closed_form(self):
+        sched = PiecewiseTwoStepSchedule(DETOUR_A, DETOUR_F, t_i=2.0)
+        r0 = steady_state(assemble_generator(DETOUR_S))
+        target = steady_state(assemble_generator(DETOUR_F))
+        cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12)
+        traj = integrate(sched, r0, target, cfg, 1e-4, t_end=10.0)
+        exact = run_two_step(DETOUR_S, DETOUR_A, DETOUR_F, t_i=2.0).trajectory
+        n = len(traj)
+        assert np.allclose(traj.t, exact.t[:n], rtol=0, atol=1e-12)
+        assert np.max(np.abs(traj.r - exact.r[:n])) < 1e-9
+
     def test_envelope_bounds_deviation_from_final(self):
         s = exp_cos(0.37, 2.1)
         dg = np.abs(PLANAR_S.gamma.as_array() - PLANAR_F.gamma.as_array())
@@ -266,3 +310,41 @@ class TestRelaxationTime:
         f = ParameterPoint.make((0.183, 0.183, -0.966), (0.1, 0.5, 0.0), "F")
         res = run_continuous(s, f, kappa=0.6, omega=0.2)
         assert res.converged and not res.inconclusive
+
+
+class TestVectorisedDistance:
+    """Refinement points are evaluated in one array call; each value must be
+    bit-identical to a single-time call, so taus do not change."""
+
+    TILTED_S = ParameterPoint.make((0.183, 0.183, -0.966), (0.5, 0.1, 0.0), "S")
+    TILTED_F = ParameterPoint.make((0.183, 0.183, -0.966), (0.1, 0.5, 0.0), "F")
+    RAMPS = [  # (kappa, omega), all staying inside the Bloch ball
+        (0.2, 0.0), (0.035, 0.0), (0.4, 0.45), (0.6, 0.2), (1.0, 1.0),
+        (0.5, 0.5), (0.8, 0.3), (2.0, 1.5), (0.3, 0.9), (0.15, 0.1),
+    ]
+
+    @staticmethod
+    def n_checked(traj, eps):
+        ts, ds = _refined_threshold_series(traj, eps)
+        new = ~np.isin(ts, traj.t)
+        assert np.array_equal(ts[~new], traj.t)
+        assert np.array_equal(ds[~new], traj.dist)
+        pointwise = np.array([traj.distance_of(float(x)) for x in ts[new]])
+        assert np.array_equal(ds[new], pointwise)
+        assert np.array_equal(traj.distance_of(ts[new]), pointwise)
+        return int(new.sum())
+
+    def test_fig1_scan(self):
+        t_is = [round(0.05 * k, 10) for k in range(1, 601)]
+        direct = run_direct(DETOUR_S, DETOUR_F)
+        n = self.n_checked(direct.trajectory, direct.epsilon)
+        for res in run_two_step_scan(DETOUR_S, DETOUR_A, DETOUR_F, t_is):
+            n += self.n_checked(res.trajectory, res.epsilon)
+        assert n > 1000
+
+    def test_ramps(self):
+        n = 0
+        for kappa, omega in self.RAMPS:
+            res = run_continuous(self.TILTED_S, self.TILTED_F, kappa, omega)
+            n += self.n_checked(res.trajectory, res.epsilon)
+        assert n > 100

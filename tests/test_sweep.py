@@ -181,6 +181,31 @@ class TestArtifacts:
         assert first[8] == "ok"
         assert first[5] in ("true", "false")
 
+    def test_csv_bytes_match_per_value_formatting(self, tmp_path):
+        gm = sweep_kappa_omega(omega_spec(n_kappa=3, n_omega=2), jobs=1)
+        gm.gain[0, 0], gm.gain[0, 1], gm.tau_cpm[1, 0] = math.nan, math.inf, -0.0
+        gm.f_total[2, 1] = 5e-324
+        gm.inconclusive[1, 1] = True
+        gm.status[2][0] = "ball-violation"
+        path = tmp_path / "map.csv"
+        gain_map_to_csv(gm, path)
+        # the writer's previous form: one format() call per value
+        fmt = lambda x: format(float(x), ".17g")  # noqa: E731
+        expected = [
+            "axis1,axis2,tau_dir,tau_cpm,gain,inconclusive,non_markovian,"
+            "f_total,status"
+        ]
+        for i in range(3):
+            for j in range(2):
+                expected.append(",".join([
+                    fmt(gm.kappa[i]), fmt(gm.second[j]), fmt(gm.tau_dir[i, j]),
+                    fmt(gm.tau_cpm[i, j]), fmt(gm.gain[i, j]),
+                    "true" if gm.inconclusive[i, j] else "false",
+                    "true" if gm.non_markovian[i, j] else "false",
+                    fmt(gm.f_total[i, j]), gm.status[i][j],
+                ]))
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
     def test_sidecar_contents(self):
         gm = sweep_kappa_omega(omega_spec(n_kappa=3, n_omega=2), jobs=1)
         side = gain_map_sidecar(gm)
