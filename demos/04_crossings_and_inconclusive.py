@@ -56,7 +56,7 @@ res = run_continuous(S, F, kappa=0.4, omega=0.45)
 print(
     f"kappa=0.4 omega=0.45: tau = {res.tau:.2f}, inconclusive = "
     f"{res.inconclusive} (envelope at tau = "
-    f"{res.trajectory.modulation.envelope(res.tau):.2e} > eps = 1e-4)"
+    f"{res.trajectory.envelope(res.tau):.2e} > eps = 1e-4)"
 )
 print(f"  class = {classify_continuous(res, direct).value}")
 trajectory_to_csv(res.trajectory, out / "osc_inconclusive.csv")

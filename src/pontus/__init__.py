@@ -12,7 +12,6 @@ from .core import (
     AffineGenerator,
     BlochVector,
     FieldVector,
-    ModulationInfo,
     ParameterPoint,
     RateTriple,
     Trajectory,
@@ -68,6 +67,7 @@ from .nonmarkov import (
     negative_intervals,
     nm_measure_closed_form,
     nm_measure_quadrature,
+    truncation_horizon,
 )
 from .protocols import (
     DEFAULT_EPS,

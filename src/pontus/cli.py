@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -26,7 +25,14 @@ from .dynamics import (
     velocity_field_grid,
     velocity_field_to_csv,
 )
-from .errors import ConfigError, NotConverged, PontusError, SingularGenerator
+from .errors import (
+    ConfigError,
+    NegativeEndpointRate,
+    NonFinite,
+    NotConverged,
+    PontusError,
+    SingularGenerator,
+)
 from .mpemba import (
     classify_continuous,
     classify_two_step,
@@ -40,6 +46,7 @@ from .nonmarkov import (
     channel_report,
     markov_boundary_alpha,
     nm_measure_quadrature,
+    truncation_horizon,
 )
 from .protocols import (
     DEFAULT_EPS,
@@ -385,7 +392,6 @@ def cmd_gain_map(cfg, args, out_dir) -> int:
             "kappa",
             "theta",
             "omega",
-            "omega_fixed",
             "label",
         },
         "config.sweep",
@@ -407,7 +413,6 @@ def cmd_gain_map(cfg, args, out_dir) -> int:
             rates_f=rates_f,
             kappa_axis=kappa_axis,
             second_axis=second,
-            omega=float(section.get("omega_fixed", 0.0)),
             eps=eps,
             cfg=integ,
         )
@@ -481,11 +486,7 @@ def cmd_nm_measure(cfg, args, out_dir) -> int:
     total = 0.0
     for idx, name in enumerate(CHANNELS):
         rep = channel_report(rates_s[idx], rates_f[idx], kappa, omega, name)
-        horizon = (
-            math.log(max(dg[idx], 1e-300) / (kappa * 1e-12)) / kappa
-            if dg[idx] > 0
-            else 1.0
-        )
+        horizon = truncation_horizon(dg[idx], kappa) if dg[idx] > 0 else 1.0
         quad_val = nm_measure_quadrature(schedule, name, horizon)
         channels.append(
             {
@@ -629,7 +630,7 @@ def main(argv=None) -> int:
         out_dir = Path(args.output)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.command](cfg, args, out_dir)
-    except ConfigError as exc:
+    except (ConfigError, ValueError, NegativeEndpointRate, NonFinite) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SingularGenerator as exc:

@@ -137,18 +137,6 @@ class AffineGenerator:
         object.__setattr__(self, "b", bb)
 
 
-@dataclass(frozen=True)
-class ModulationInfo:
-    """Envelope data of an exponentially damped rate modulation."""
-
-    kappa: float
-    omega: float
-    dg_max: float  # largest modulation amplitude over the three channels
-
-    def envelope(self, t) -> np.ndarray:
-        return self.dg_max * np.exp(-self.kappa * np.asarray(t, dtype=float))
-
-
 @dataclass
 class Trajectory:
     """Dense time series of the Bloch vector under some protocol.
@@ -156,7 +144,9 @@ class Trajectory:
     ``distance_of`` is an exact (or dense-output) evaluator of the trace
     distance to the target at a time or an array of times within the
     recorded span (see ``distance_evaluator``); it backs sub-sample
-    bisection of threshold crossings.  ``nfev``, ``n_accepted`` and
+    bisection of threshold crossings.  ``envelope``, set only for an
+    oscillating rate modulation, bounds the modulation's amplitude at a
+    time (the schedule's ``envelope``).  ``nfev``, ``n_accepted`` and
     ``n_rejected`` count the right-hand-side calls and the accepted and
     rejected steps of the adaptive integrator, and stay 0 for runs that do
     not use it.
@@ -167,13 +157,11 @@ class Trajectory:
     rates: np.ndarray
     dist: np.ndarray
     target: BlochVector
-    epsilon: float
-    tau: Optional[float] = None
-    converged: bool = False
-    inconclusive: bool = False
+    distance_of: Callable = field(repr=False, compare=False)
     timed_out: bool = False
-    distance_of: Optional[Callable] = field(default=None, repr=False, compare=False)
-    modulation: Optional[ModulationInfo] = None
+    envelope: Optional[Callable[[float], float]] = field(
+        default=None, repr=False, compare=False
+    )
     nfev: int = 0
     n_accepted: int = 0
     n_rejected: int = 0

@@ -79,21 +79,6 @@ def assemble_generator(p: ParameterPoint) -> AffineGenerator:
     return AffineGenerator(lam, b)
 
 
-def generator_parts(rates: np.ndarray, h: np.ndarray):
-    """(Lambda, b) from raw arrays; permits transiently negative rates."""
-    gp, gm, gz = rates
-    hx, hy, hz = h
-    d = -(gp + gm) / 4.0 - gz
-    lam = 2.0 * np.array(
-        [
-            [d, -hz, hy],
-            [hz, d, -hx],
-            [-hy, hx, -(gp + gm) / 2.0],
-        ]
-    )
-    return lam, np.array([0.0, 0.0, gp - gm])
-
-
 def steady_state(g: AffineGenerator) -> BlochVector:
     """Fixed point -Lambda^{-1} b of the constant-parameter flow."""
     cond = np.linalg.cond(g.Lambda)
@@ -242,6 +227,7 @@ _P7 = (40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXP = 0.9, 0.2, 10.0, -1 / 5
 _EPS = float(np.finfo(float).eps)
 _SQRT3 = 3**0.5
+_BALL_SQ = (1.0 + TOL_BALL) ** 2
 
 
 class _DenseOutput:
@@ -285,8 +271,9 @@ def _dormand_prince(rhs, stop, y, t_bound, rtol, atol, max_step):
     on a sign change (scipy's ``find_active_events`` rule) its root on that
     step's interpolant ends the run.  Otherwise the run ends at ``t_bound``.
 
-    Returns ``(dense, y_final, stopped, nfev, n_rejected)``.  Raises
-    StepSizeUnderflow when the step falls below 10 ulp of t.
+    Returns ``(dense, stopped, nfev, n_rejected)``.  Raises
+    StepSizeUnderflow when the step falls below 10 ulp of t, and
+    BallViolation as soon as an accepted step ends outside the Bloch ball.
     """
     t = 0.0
     y1, y2, y3 = y
@@ -381,6 +368,11 @@ def _dormand_prince(rhs, stop, y, t_bound, rtol, atol, max_step):
             rejected = True
             n_rejected += 1
 
+        if z1 * z1 + z2 * z2 + z3 * z3 > _BALL_SQ:
+            raise BallViolation(
+                f"trajectory left the Bloch ball at t = {t_new:.12g} "
+                f"(|r| = {math.sqrt(z1 * z1 + z2 * z2 + z3 * z3):.12g})"
+            )
         q = (
             k11,
             k11 * _P1[0] + k31 * _P3[0] + k41 * _P4[0] + k51 * _P5[0] + k61 * _P6[0] + k71 * _P7[0],
@@ -399,7 +391,6 @@ def _dormand_prince(rhs, stop, y, t_bound, rtol, atol, max_step):
         hs.append(h)
         y_olds.extend((y1, y2, y3))
         qs.extend(q)
-        y_final = (z1, z2, z3)
         if g_old is not None:
             g_new = stop(t_new, z1, z2, z3)
             if (g_old <= 0 <= g_new) or (g_new <= 0 <= g_old):
@@ -416,7 +407,6 @@ def _dormand_prince(rhs, stop, y, t_bound, rtol, atol, max_step):
                     xtol=4 * _EPS,
                     rtol=4 * _EPS,
                 )
-                y_final = tuple(step([t_new])[0].tolist())
                 stopped = True
             g_old = g_new
         t = t_new
@@ -432,7 +422,7 @@ def _dormand_prince(rhs, stop, y, t_bound, rtol, atol, max_step):
         np.frombuffer(y_olds).reshape(n, 3),
         np.frombuffer(qs).reshape(n, 3, 4),
     )
-    return dense, y_final, stopped, nfev, n_rejected
+    return dense, stopped, nfev, n_rejected
 
 
 def integrate(
@@ -454,7 +444,8 @@ def integrate(
     generator is below ``eps``; from that point on the flow is a plain
     contraction toward the target and no further threshold crossing can
     occur.  Passing ``t_end`` disables the stop rule and integrates the
-    fixed horizon instead.
+    fixed horizon instead.  A run whose state leaves the Bloch ball raises
+    BallViolation at the first step that ends outside it.
     """
     if t_end is not None and not t_end > 0:
         raise ValueError("t_end must be positive")
@@ -476,9 +467,8 @@ def integrate(
             rates=schedule.rates_array(np.array([0.0])),
             dist=np.array([0.5 * np.linalg.norm(y0 - tgt)]),
             target=target,
-            epsilon=eps,
             distance_of=distance_evaluator(lambda ts: np.tile(y0, (len(ts), 1)), tgt),
-            modulation=schedule.modulation,
+            envelope=schedule.envelope,
         )
 
     lam_f, b_f, dlam, db = schedule.parts
@@ -496,7 +486,7 @@ def integrate(
             (f20 + m * d20) * a + (f21 + m * d21) * b + (f22 + m * d22) * c + (c2 + m * e2),
         )
 
-    dense, y_final, stopped, nfev, n_rejected = _dormand_prince(
+    dense, stopped, nfev, n_rejected = _dormand_prince(
         rhs,
         None if t_end is not None else stop,
         y0.tolist(),
@@ -513,13 +503,11 @@ def integrate(
         ts = np.append(ts, t_stop)
     rs = dense(ts)
 
-    worst = max(
-        float(np.max(np.linalg.norm(rs, axis=1))),
-        float(np.max(np.linalg.norm(np.vstack([dense.y_old, y_final]), axis=1))),
-    )
+    # the stepper checked every step end; the interpolated samples remain
+    worst = float(np.max(np.linalg.norm(rs, axis=1)))
     if worst > 1.0 + TOL_BALL:
         raise BallViolation(
-            f"trajectory left the Bloch ball (max |r| = {worst:.12g})"
+            f"trajectory left the Bloch ball (max sampled |r| = {worst:.12g})"
         )
 
     return Trajectory(
@@ -528,10 +516,9 @@ def integrate(
         rates=schedule.rates_array(ts),
         dist=0.5 * np.linalg.norm(rs - tgt, axis=1),
         target=target,
-        epsilon=eps,
-        timed_out=(t_end is None and not stopped),
         distance_of=distance_evaluator(dense, tgt),
-        modulation=schedule.modulation,
+        timed_out=(t_end is None and not stopped),
+        envelope=schedule.envelope,
         nfev=nfev,
         n_accepted=len(dense.h),
         n_rejected=n_rejected,

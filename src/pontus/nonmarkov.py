@@ -27,6 +27,13 @@ CHANNELS = ("plus", "minus", "z")
 _TAIL_TOL = 1e-12
 
 
+def truncation_horizon(dg: float, kappa: float) -> float:
+    """Time beyond which a modulation of amplitude |dg| damped at rate kappa
+    carries less than ``_TAIL_TOL`` weight: the T of |dg| e^{-kappa T} / kappa
+    = _TAIL_TOL."""
+    return math.log(abs(dg) / (kappa * _TAIL_TOL)) / kappa
+
+
 @dataclass(frozen=True)
 class NmChannelReport:
     """Negative-rate bookkeeping of one dissipation channel."""
@@ -168,7 +175,7 @@ def nm_measure_closed_form(
     try:
         intervals = negative_intervals(g_s, g_f, kappa, omega)
     except DivergentIntervalCount:
-        horizon = math.log(abs(dg) / (kappa * _TAIL_TOL)) / kappa
+        horizon = truncation_horizon(dg, kappa)
 
         def rate_scalar(t: float) -> float:
             return g_f + dg * math.exp(-kappa * t) * math.cos(omega * t)
@@ -230,6 +237,14 @@ def channel_boundary_omega(g_s: float, g_f: float, kappa: float) -> Optional[flo
         return None
 
 
+def _least_boundary_omega(gs, gf, kappa: float) -> Optional[float]:
+    """Least ``channel_boundary_omega`` over the channels, None if every
+    channel stays Markovian."""
+    bounds = [channel_boundary_omega(float(a), float(b), kappa) for a, b in zip(gs, gf)]
+    finite = [w for w in bounds if w is not None]
+    return min(finite) if finite else None
+
+
 def is_non_markovian(
     rates_s: Sequence[float],
     rates_f: Sequence[float],
@@ -244,11 +259,8 @@ def is_non_markovian(
     gf = np.asarray(rates_f, dtype=float)
     if omega == 0:
         return False, 0.0
-    bounds = [
-        channel_boundary_omega(float(a), float(b), kappa) for a, b in zip(gs, gf)
-    ]
-    finite = [w for w in bounds if w is not None]
-    flag = bool(finite) and omega > min(finite)
+    least = _least_boundary_omega(gs, gf, kappa)
+    flag = least is not None and omega > least
     total = sum(
         nm_measure_closed_form(float(a), float(b), kappa, omega)
         for a, b in zip(gs, gf)
@@ -266,7 +278,7 @@ def channel_report(
         intervals = tuple(negative_intervals(g_s, g_f, kappa, omega))
     except DivergentIntervalCount:
         # report the windows inside the truncation horizon of the measure
-        horizon = math.log((g_s - g_f) / (kappa * _TAIL_TOL)) / kappa
+        horizon = truncation_horizon(g_s - g_f, kappa)
         lobes = []
         n = 1
         while (2 * n - 1.5) * math.pi / omega < horizon:
@@ -291,12 +303,4 @@ def boundary_curve(
     all channels; omega_min is None where every channel stays Markovian."""
     gs = np.asarray(rates_s, dtype=float)
     gf = np.asarray(rates_f, dtype=float)
-    out = []
-    for kap in kappas:
-        bounds = [
-            channel_boundary_omega(float(a), float(b), float(kap))
-            for a, b in zip(gs, gf)
-        ]
-        finite = [w for w in bounds if w is not None]
-        out.append((float(kap), min(finite) if finite else None))
-    return out
+    return [(float(kap), _least_boundary_omega(gs, gf, float(kap))) for kap in kappas]

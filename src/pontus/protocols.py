@@ -10,15 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .core import (
-    BlochVector,
     FieldVector,
-    ModulationInfo,
     ParameterPoint,
     RateTriple,
     Trajectory,
@@ -29,7 +27,6 @@ from .dynamics import (
     ConstantFlow,
     IntegratorConfig,
     assemble_generator,
-    generator_parts,
     integrate,
     steady_state,
 )
@@ -46,8 +43,11 @@ class _AffineRamp:
 
     Lambda(t) = lam_f + m(t) dlam and b(t) = b_f + m(t) db, with the four
     arrays in ``parts`` and the scalar ramp ``m(t)``; ``integrate`` reads the
-    same two attributes.
+    same two attributes.  ``envelope`` bounds the amplitude of an oscillating
+    rate modulation at a time; schedules without one leave it None.
     """
+
+    envelope = None
 
     def generator(self, t: float):
         lam_f, b_f, dlam, db = self.parts
@@ -77,10 +77,6 @@ class ConstantSchedule(_AffineRamp):
 
     def settle_bound(self, t: float) -> float:
         return 0.0
-
-    @property
-    def modulation(self) -> Optional[ModulationInfo]:
-        return None
 
 
 @dataclass(frozen=True)
@@ -117,10 +113,6 @@ class PiecewiseTwoStepSchedule(_AffineRamp):
     def settle_bound(self, t: float) -> float:
         return math.inf if t <= self.t_i else 0.0
 
-    @property
-    def modulation(self) -> Optional[ModulationInfo]:
-        return None
-
 
 @dataclass(frozen=True)
 class ExponentialCosineSchedule(_AffineRamp):
@@ -143,10 +135,9 @@ class ExponentialCosineSchedule(_AffineRamp):
 
     @cached_property
     def parts(self):
-        harr = self.h.as_array()
-        lam_f, b_f = generator_parts(self.gamma_f.as_array(), harr)
-        lam_s, b_s = generator_parts(self.gamma_s.as_array(), harr)
-        return lam_f, b_f, lam_s - lam_f, b_s - b_f
+        gs = assemble_generator(ParameterPoint(self.h, self.gamma_s))
+        gf = assemble_generator(ParameterPoint(self.h, self.gamma_f))
+        return gf.Lambda, gf.b, gs.Lambda - gf.Lambda, gs.b - gf.b
 
     @cached_property
     def _dg(self) -> np.ndarray:
@@ -171,8 +162,9 @@ class ExponentialCosineSchedule(_AffineRamp):
         return self._dg_max * math.exp(-self.kappa * t)
 
     @property
-    def modulation(self) -> ModulationInfo:
-        return ModulationInfo(kappa=self.kappa, omega=self.omega, dg_max=self._dg_max)
+    def envelope(self) -> Optional[Callable[[float], float]]:
+        """``settle_bound`` while the modulation oscillates (omega > 0)."""
+        return self.settle_bound if self.omega > 0 else None
 
 
 RateSchedule = Union[ConstantSchedule, PiecewiseTwoStepSchedule, ExponentialCosineSchedule]
@@ -187,20 +179,31 @@ def rate_at(s: RateSchedule, t: float) -> RateTriple:
 
 @dataclass
 class ProtocolResult:
-    """Outcome of one protocol run."""
+    """Outcome of one protocol run.
+
+    ``tau``, ``inconclusive`` and ``n_threshold_crossings`` come from the
+    threshold analysis of the trajectory; a run that hit the time cap keeps
+    None, False and 0.
+    """
 
     kind: str
     trajectory: Trajectory
-    tau: Optional[float]
-    converged: bool
-    inconclusive: bool
-    timed_out: bool
     p_start: ParameterPoint
     p_final: ParameterPoint
     epsilon: float
+    tau: Optional[float] = None
+    inconclusive: bool = False
+    n_threshold_crossings: int = 0
     t_intermediate: Optional[float] = None
     r_intermediate: Optional[np.ndarray] = None
-    n_threshold_crossings: int = 0
+
+    @property
+    def timed_out(self) -> bool:
+        return self.trajectory.timed_out
+
+    @property
+    def converged(self) -> bool:
+        return not self.trajectory.timed_out
 
 
 def _refined_threshold_series(traj: Trajectory, eps: float):
@@ -211,8 +214,7 @@ def _refined_threshold_series(traj: Trajectory, eps: float):
     inside the threshold band are subdivided.
     """
     t, d = traj.t, traj.dist
-    f = traj.distance_of
-    if f is None or len(t) < 3:
+    if len(t) < 3:
         return t, d
     lo_band, hi_band = eps / 4.0, 4.0 * eps
     in_band = (np.minimum(d[:-1], d[1:]) < hi_band) & (
@@ -232,7 +234,7 @@ def _refined_threshold_series(traj: Trajectory, eps: float):
     )
     ts = np.concatenate([t, sub])
     order = np.argsort(ts, kind="stable")
-    return ts[order], np.concatenate([d, f(sub)])[order]
+    return ts[order], np.concatenate([d, traj.distance_of(sub)])[order]
 
 
 def _threshold_analysis(traj: Trajectory, eps: float):
@@ -243,11 +245,6 @@ def _threshold_analysis(traj: Trajectory, eps: float):
         )
     ts, ds = _refined_threshold_series(traj, eps)
     above = ds >= eps
-
-    def _inconclusive(tau: float) -> bool:
-        m = traj.modulation
-        return m is not None and m.omega > 0 and float(m.envelope(tau)) > eps
-
     if not above.any():
         return 0.0, False, 0
     flips = np.nonzero(above[:-1] != above[1:])[0]
@@ -255,21 +252,11 @@ def _threshold_analysis(traj: Trajectory, eps: float):
     if len(down) == 0:
         raise NotConverged("distance never settled below the cutoff")
     k = int(down[-1])
-    if traj.distance_of is not None:
-        tau = float(
-            brentq(
-                lambda x: traj.distance_of(x) - eps,
-                ts[k],
-                ts[k + 1],
-                xtol=TAU_XTOL,
-            )
-        )
-    else:
-        # linear fallback between the bracketing samples
-        tau = float(
-            ts[k] + (ds[k] - eps) / (ds[k] - ds[k + 1]) * (ts[k + 1] - ts[k])
-        )
-    return tau, _inconclusive(tau), int(len(flips))
+    tau = float(
+        brentq(lambda x: traj.distance_of(x) - eps, ts[k], ts[k + 1], xtol=TAU_XTOL)
+    )
+    inconclusive = traj.envelope is not None and traj.envelope(tau) > eps
+    return tau, inconclusive, int(len(flips))
 
 
 def relaxation_time(traj: Trajectory, eps: float):
@@ -286,18 +273,21 @@ def relaxation_time(traj: Trajectory, eps: float):
     return tau, inconclusive
 
 
-def _finalize(result: ProtocolResult, eps: float) -> ProtocolResult:
-    if result.timed_out:
-        return result
-    tau, inconclusive, n_cross = _threshold_analysis(result.trajectory, eps)
-    result.tau = tau
-    result.converged = True
-    result.inconclusive = inconclusive
-    result.trajectory.tau = tau
-    result.trajectory.converged = True
-    result.trajectory.inconclusive = inconclusive
-    result.n_threshold_crossings = n_cross
-    return result
+def _result(
+    kind: str,
+    traj: Trajectory,
+    pS: ParameterPoint,
+    pF: ParameterPoint,
+    eps: float,
+    **switch,
+) -> ProtocolResult:
+    """The record of one run, with its threshold analysis unless it timed out."""
+    res = ProtocolResult(kind, traj, pS, pF, eps, **switch)
+    if not traj.timed_out:
+        res.tau, res.inconclusive, res.n_threshold_crossings = _threshold_analysis(
+            traj, eps
+        )
+    return res
 
 
 def run_direct(
@@ -330,24 +320,10 @@ def run_direct(
         rates=np.tile(pF.gamma.as_array(), (len(states), 1)),
         dist=0.5 * np.linalg.norm(states - tgt, axis=1),
         target=target,
-        epsilon=eps,
-        timed_out=not reached,
         distance_of=distance_evaluator(lambda ts: flow.states(r0, ts), tgt),
+        timed_out=not reached,
     )
-    return _finalize(
-        ProtocolResult(
-            kind="direct",
-            trajectory=traj,
-            tau=None,
-            converged=False,
-            inconclusive=False,
-            timed_out=not reached,
-            p_start=pS,
-            p_final=pF,
-            epsilon=eps,
-        ),
-        eps,
-    )
+    return _result("direct", traj, pS, pF, eps)
 
 
 def run_two_step(
@@ -434,25 +410,11 @@ def run_two_step_scan(
             rates=rates,
             dist=0.5 * np.linalg.norm(rs - tgt, axis=1),
             target=target,
-            epsilon=eps,
-            timed_out=not reached,
             distance_of=distance_evaluator(states, tgt),
+            timed_out=not reached,
         )
-        return _finalize(
-            ProtocolResult(
-                kind="two-step",
-                trajectory=traj,
-                tau=None,
-                converged=False,
-                inconclusive=False,
-                timed_out=not reached,
-                p_start=pS,
-                p_final=pF,
-                epsilon=eps,
-                t_intermediate=t_i,
-                r_intermediate=r_i,
-            ),
-            eps,
+        return _result(
+            "two-step", traj, pS, pF, eps, t_intermediate=t_i, r_intermediate=r_i
         )
 
     return map(one_run, t_is, n_strides)
@@ -485,17 +447,4 @@ def run_continuous(
     r0 = steady_state(assemble_generator(pS))
     target = steady_state(assemble_generator(pF))
     traj = integrate(schedule, r0, target, cfg, eps)
-    return _finalize(
-        ProtocolResult(
-            kind="continuous",
-            trajectory=traj,
-            tau=None,
-            converged=False,
-            inconclusive=False,
-            timed_out=traj.timed_out,
-            p_start=pS,
-            p_final=pF,
-            epsilon=eps,
-        ),
-        eps,
-    )
+    return _result("continuous", traj, pS, pF, eps)

@@ -61,7 +61,6 @@ class SweepSpec:
     kappa_axis: GridAxis
     second_axis: GridAxis  # "theta" (field angle) or "omega" (modulation)
     h: Optional[FieldVector] = None  # fixed field; required for omega sweeps
-    omega: float = 0.0  # fixed modulation frequency; theta sweeps only
     eps: float = DEFAULT_EPS
     cfg: IntegratorConfig = field(default_factory=IntegratorConfig)
 
@@ -70,14 +69,8 @@ class SweepSpec:
             raise ValueError("first axis must be kappa")
         if self.second_axis.name not in ("theta", "omega"):
             raise ValueError("second axis must be theta or omega")
-        if self.second_axis.name == "omega":
-            if self.h is None:
-                raise ValueError("omega sweeps need a fixed field")
-            if self.omega != 0.0:
-                raise ValueError("omega sweeps scan omega; leave the fixed value 0")
-        else:
-            if self.omega != 0.0:
-                raise ValueError("theta sweeps are defined at omega = 0")
+        if self.second_axis.name == "omega" and self.h is None:
+            raise ValueError("omega sweeps need a fixed field")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
 
@@ -107,15 +100,10 @@ def _field_for_theta(theta: float) -> FieldVector:
     return FieldVector(math.sin(theta), 0.0, math.cos(theta))
 
 
-def _direct_tau(h: FieldVector, spec: SweepSpec):
-    """(tau_dir, status) of the direct problem at one field."""
+def _direct_tau(pS: ParameterPoint, pF: ParameterPoint, spec: SweepSpec):
+    """(tau_dir, status) of the direct problem of one column."""
     try:
-        res = run_direct(
-            ParameterPoint(h, spec.rates_s, "S"),
-            ParameterPoint(h, spec.rates_f, "F"),
-            spec.eps,
-            spec.cfg,
-        )
+        res = run_direct(pS, pF, spec.eps, spec.cfg)
     except SingularGenerator:
         return math.nan, "singular-generator"
     if not res.converged:
@@ -124,54 +112,38 @@ def _direct_tau(h: FieldVector, spec: SweepSpec):
 
 
 def _cell(args):
-    """One sweep cell; must stay a plain top-level function for pickling."""
-    (kappa, omega, h_arr, gs_arr, gf_arr, eps, cfg, tau_dir) = args
-    h = FieldVector.from_array(h_arr)
-    gs = RateTriple.from_array(gs_arr)
-    gf = RateTriple.from_array(gf_arr)
+    """One sweep cell; must stay a plain top-level function for pickling.
 
+    Returns (tau_cpm, gain, inconclusive, non_markovian, f_total, status).
+    """
+    kappa, omega, pS, pF, eps, cfg, tau_dir = args
     if omega > 0:
-        nm_flag, f_total = is_non_markovian(gs_arr, gf_arr, kappa, omega)
+        nm_flag, f_total = is_non_markovian(
+            pS.gamma.as_array(), pF.gamma.as_array(), kappa, omega
+        )
     else:
         nm_flag, f_total = False, 0.0
 
-    out = {
-        "tau_cpm": math.nan,
-        "gain": math.nan,
-        "inconclusive": False,
-        "non_markovian": nm_flag,
-        "f_total": f_total,
-        "status": STATUS_OK,
-    }
+    def failed(status):
+        return math.nan, math.nan, False, nm_flag, f_total, status
+
     try:
-        res = run_continuous(
-            ParameterPoint(h, gs, "S"),
-            ParameterPoint(h, gf, "F"),
-            kappa,
-            omega,
-            eps,
-            cfg,
-        )
+        res = run_continuous(pS, pF, kappa, omega, eps, cfg)
     except SingularGenerator:
-        out["status"] = "singular-generator"
-        return out
+        return failed("singular-generator")
     except BallViolation:
-        out["status"] = "ball-violation"
-        return out
+        return failed("ball-violation")
     except Exception as exc:  # record, never abort the sweep
-        out["status"] = f"error:{type(exc).__name__}"
-        return out
+        return failed(f"error:{type(exc).__name__}")
     if not res.converged:
-        out["status"] = STATUS_TIMEOUT
-        return out
-    out["tau_cpm"] = res.tau
-    out["inconclusive"] = res.inconclusive
-    if not math.isnan(tau_dir):
-        if res.tau > 0:
-            out["gain"] = tau_dir / res.tau - 1.0
-        else:
-            out["gain"] = 0.0 if tau_dir == 0 else math.inf
-    return out
+        return failed(STATUS_TIMEOUT)
+    if math.isnan(tau_dir):
+        gain = math.nan
+    elif res.tau > 0:
+        gain = tau_dir / res.tau - 1.0
+    else:
+        gain = 0.0 if tau_dir == 0 else math.inf
+    return res.tau, gain, res.inconclusive, nm_flag, f_total, STATUS_OK
 
 
 def _run_cells(tasks, jobs: Optional[int], progress: Optional[Callable]):
@@ -192,38 +164,30 @@ def _run_cells(tasks, jobs: Optional[int], progress: Optional[Callable]):
     return results
 
 
-def _assemble(spec, kappas, seconds, tau_dir_col, col_status, tasks, jobs, progress):
-    n1, n2 = len(kappas), len(seconds)
-    results = _run_cells(tasks, jobs, progress)
-    gm = GainMap(
+def _assemble(spec, kappas, seconds, columns, tasks, jobs, progress):
+    """The gain map of row-major ``tasks``, one per (kappa, second) cell;
+    ``columns`` holds each column's (tau_dir, status) of the direct run."""
+    shape = (len(kappas), len(seconds))
+    tau_dir_col, col_status = zip(*columns)
+    tau_cpm, gain, inconclusive, non_markovian, f_total, status = (
+        np.reshape(grid, shape) for grid in zip(*_run_cells(tasks, jobs, progress))
+    )
+    return GainMap(
         spec=spec,
         kappa=np.asarray(kappas),
         second=np.asarray(seconds),
-        tau_dir=np.empty((n1, n2)),
-        tau_cpm=np.empty((n1, n2)),
-        gain=np.empty((n1, n2)),
-        f_total=np.empty((n1, n2)),
-        inconclusive=np.zeros((n1, n2), dtype=bool),
-        non_markovian=np.zeros((n1, n2), dtype=bool),
-        status=[[STATUS_OK] * n2 for _ in range(n1)],
+        tau_dir=np.tile(np.asarray(tau_dir_col, dtype=float), (shape[0], 1)),
+        tau_cpm=tau_cpm,
+        gain=gain,
+        f_total=f_total,
+        inconclusive=inconclusive,
+        non_markovian=non_markovian,
+        status=[
+            [cell if col == STATUS_OK else f"direct-{col}" for cell, col in zip(row, col_status)]
+            for row in status.tolist()
+        ],
         boundary=[],
     )
-    k = 0
-    for i in range(n1):
-        for j in range(n2):
-            cell = results[k]
-            k += 1
-            gm.tau_dir[i, j] = tau_dir_col[j]
-            gm.tau_cpm[i, j] = cell["tau_cpm"]
-            gm.gain[i, j] = cell["gain"]
-            gm.f_total[i, j] = cell["f_total"]
-            gm.inconclusive[i, j] = cell["inconclusive"]
-            gm.non_markovian[i, j] = cell["non_markovian"]
-            if col_status[j] != STATUS_OK:
-                gm.status[i][j] = f"direct-{col_status[j]}"
-            else:
-                gm.status[i][j] = cell["status"]
-    return gm
 
 
 def sweep_kappa_theta(
@@ -235,33 +199,24 @@ def sweep_kappa_theta(
 
     The field h = (sin theta, 0, cos theta) rotates with the second axis,
     shifting both the initial and the target steady state; the direct
-    baseline is therefore recomputed once per column.
+    baseline is therefore recomputed once per column.  Every cell is
+    Markovian (omega = 0), so the map carries no boundary.
     """
     if spec.second_axis.name != "theta":
         raise ValueError("spec's second axis is not theta")
     kappas = list(spec.kappa_axis.values)
     thetas = list(spec.second_axis.values)
-    gs = spec.rates_s.as_array()
-    gf = spec.rates_f.as_array()
-
-    tau_dir_col, col_status, fields = [], [], []
-    for theta in thetas:
-        h = _field_for_theta(theta)
-        fields.append(h.as_array())
-        tau, status = _direct_tau(h, spec)
-        tau_dir_col.append(tau)
-        col_status.append(status)
-
-    tasks = [
-        (kap, 0.0, fields[j], gs, gf, spec.eps, spec.cfg, tau_dir_col[j])
-        for kap in kappas
-        for j in range(len(thetas))
+    points = [
+        (ParameterPoint(h, spec.rates_s, "S"), ParameterPoint(h, spec.rates_f, "F"))
+        for h in map(_field_for_theta, thetas)
     ]
-    gm = _assemble(
-        spec, kappas, thetas, tau_dir_col, col_status, tasks, jobs, progress
-    )
-    gm.boundary = []  # omega = 0 everywhere: Markovian by construction
-    return gm
+    columns = [_direct_tau(pS, pF, spec) for pS, pF in points]
+    tasks = [
+        (kap, 0.0, pS, pF, spec.eps, spec.cfg, tau)
+        for kap in kappas
+        for (pS, pF), (tau, _) in zip(points, columns)
+    ]
+    return _assemble(spec, kappas, thetas, columns, tasks, jobs, progress)
 
 
 def sweep_kappa_omega(
@@ -279,23 +234,15 @@ def sweep_kappa_omega(
         raise ValueError("spec's second axis is not omega")
     kappas = list(spec.kappa_axis.values)
     omegas = list(spec.second_axis.values)
-    gs = spec.rates_s.as_array()
-    gf = spec.rates_f.as_array()
-    h_arr = spec.h.as_array()
-
-    tau, status = _direct_tau(spec.h, spec)
-    tau_dir_col = [tau] * len(omegas)
-    col_status = [status] * len(omegas)
-
+    pS = ParameterPoint(spec.h, spec.rates_s, "S")
+    pF = ParameterPoint(spec.h, spec.rates_f, "F")
+    tau, status = _direct_tau(pS, pF, spec)
     tasks = [
-        (kap, om, h_arr, gs, gf, spec.eps, spec.cfg, tau)
-        for kap in kappas
-        for om in omegas
+        (kap, om, pS, pF, spec.eps, spec.cfg, tau) for kap in kappas for om in omegas
     ]
-    gm = _assemble(
-        spec, kappas, omegas, tau_dir_col, col_status, tasks, jobs, progress
-    )
-    gm.boundary = boundary_curve(gs, gf, kappas)
+    columns = [(tau, status)] * len(omegas)
+    gm = _assemble(spec, kappas, omegas, columns, tasks, jobs, progress)
+    gm.boundary = boundary_curve(spec.rates_s.as_array(), spec.rates_f.as_array(), kappas)
     return gm
 
 
@@ -336,7 +283,6 @@ def gain_map_sidecar(gm: GainMap) -> dict:
             "rates_s": list(spec.rates_s.as_array()),
             "rates_f": list(spec.rates_f.as_array()),
             "h": None if spec.h is None else list(spec.h.as_array()),
-            "omega_fixed": spec.omega,
             "eps": spec.eps,
             "kappa": list(spec.kappa_axis.values),
             spec.second_axis.name: list(spec.second_axis.values),

@@ -101,6 +101,50 @@ class TestConfigValidation:
         code, _, err = run_cli(capsys, "--config", cfg, "gain-map")
         assert code == 1 and "n" in err
 
+    @staticmethod
+    def theta_sweep(**extra):
+        return {
+            "kind": "kappa-theta",
+            "rates_s": [0.75, 0.75, 0.75],
+            "rates_f": [0.05, 0.1, 0.15],
+            "kappa": {"min": 0.1, "max": 1.0, "n": 2},
+            "theta": {"min": 0.1, "max": 1.0, "n": 2},
+            **extra,
+        }
+
+    def test_log_axis_from_zero(self, tmp_path, capsys):
+        sweep = self.theta_sweep(kappa={"min": 0, "max": 1.0, "n": 3, "spacing": "log"})
+        cfg = write_config(tmp_path, {"schema": 1, "sweep": sweep})
+        code, _, err = run_cli(capsys, "--config", cfg, "--output", str(tmp_path), "gain-map")
+        assert code == 1 and err.startswith("config error:") and "log axis" in err
+
+    def test_switch_time_at_time_cap(self, tmp_path, capsys):
+        points = dict(PLANAR_POINTS, A={"h": [0.0, 2.0, 2.0], "gamma": [1.0, 0.0, 0.0]})
+        cfg = write_config(
+            tmp_path,
+            {
+                "schema": 1,
+                "points": points,
+                "protocol": {"kind": "two-step", "t_i": 50.0},
+                "integrator": {"t_cap": 50.0},
+            },
+        )
+        code, _, err = run_cli(capsys, "--config", cfg, "--output", str(tmp_path), "simulate")
+        assert code == 1 and err.startswith("config error:") and "time cap" in err
+
+    def test_negative_endpoint_rate(self, tmp_path, capsys):
+        points = dict(PLANAR_POINTS, F={"h": [0.707, 0.707, 0.0], "gamma": [-0.01, 0.05, 0.0]})
+        cfg = write_config(
+            tmp_path, {"schema": 1, "points": points, "protocol": {"kind": "direct"}}
+        )
+        code, _, err = run_cli(capsys, "--config", cfg, "--output", str(tmp_path), "simulate")
+        assert code == 1 and err.startswith("config error:") and "negative rate" in err
+
+    def test_fixed_omega_is_unknown_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"schema": 1, "sweep": self.theta_sweep(omega_fixed=0.3)})
+        code, _, err = run_cli(capsys, "--config", cfg, "--output", str(tmp_path), "gain-map")
+        assert code == 1 and err.startswith("config error:") and "omega_fixed" in err
+
 
 class TestSimulate:
     def test_direct_reference(self, tmp_path, capsys):

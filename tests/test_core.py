@@ -149,7 +149,7 @@ class TestTrajectory:
                 rates=np.zeros((2, 3)),
                 dist=np.zeros(2),
                 target=tgt,
-                epsilon=1e-4,
+                distance_of=lambda t: 0.0,
             )
 
     def test_rejects_inconsistent_distances(self):
@@ -162,5 +162,5 @@ class TestTrajectory:
                 rates=np.zeros((1, 3)),
                 dist=np.array([0.3]),  # true value is 0.25
                 target=tgt,
-                epsilon=1e-4,
+                distance_of=lambda t: 0.25,
             )

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from pontus import (
     product_integration_oracle,
     propagate_constant,
     relaxation_time,
+    run_continuous,
     steady_state,
     superoperator_oracle,
     trace_distance,
@@ -366,17 +368,17 @@ def scipy_rk45(schedule, r0, target, cfg, eps, t_end=None):
         rates=schedule.rates_array(ts),
         dist=0.5 * np.linalg.norm(rs - tgt, axis=1),
         target=target,
-        epsilon=eps,
-        timed_out=(t_end is None and sol.status == 0),
         distance_of=distance_evaluator(lambda t: sol.sol(t).T, tgt),
-        modulation=schedule.modulation,
+        timed_out=(t_end is None and sol.status == 0),
+        envelope=schedule.envelope,
     )
     return sol, traj
 
 
-def random_ramp(rng):
+def random_ramp(rng, omega=None):
     """Damped-cosine ramp with random rates and field, kappa log-uniform in
-    [0.01, 10] and omega uniform in [0, 2]; returns (schedule, r0, target)."""
+    [0.01, 10] and omega uniform in [0, 2] unless given; returns
+    (schedule, r0, target)."""
     h = rng.normal(size=3)
     p_s = ParameterPoint.make(h, rng.uniform(0.0, 1.0, 3))
     p_f = ParameterPoint.make(h, rng.uniform(0.02, 1.0, 3))
@@ -385,7 +387,7 @@ def random_ramp(rng):
         gamma_f=p_f.gamma,
         h=p_s.h,
         kappa=10 ** rng.uniform(-2.0, 1.0),
-        omega=rng.uniform(0.0, 2.0),
+        omega=rng.uniform(0.0, 2.0) if omega is None else omega,
     )
     r0 = steady_state(assemble_generator(p_s))
     return sched, r0, steady_state(assemble_generator(p_f))
@@ -453,6 +455,53 @@ class TestSolveIvpOracle:
             assert (traj.nfev, traj.n_accepted, traj.n_rejected) == self.counts(sol), k
             assert traj.t[-1] == 20.0 and not traj.timed_out
             assert np.max(np.abs(traj.r - sol.sol(traj.t).T)) < 1e-12, k
+
+
+class TestRampProperties:
+    """Seeded properties of the stop rule and of the Bloch ball."""
+
+    CFG = IntegratorConfig()
+    EPS = 1e-4
+
+    def test_early_stop_matches_fixed_horizon(self):
+        # past the stop time the distance can no longer cross the cutoff, so
+        # integrating further changes neither tau nor the flag, bit for bit
+        rng = np.random.default_rng(2)
+        n_compared = 0
+        for k in range(40):
+            sched, r0, target = random_ramp(rng)
+            try:
+                traj = integrate(sched, r0, target, self.CFG, self.EPS)
+            except BallViolation:
+                continue
+            assert not traj.timed_out, k
+            longer = integrate(
+                sched, r0, target, self.CFG, self.EPS, t_end=1.5 * traj.t[-1]
+            )
+            assert relaxation_time(longer, self.EPS) == relaxation_time(traj, self.EPS), k
+            n_compared += 1
+        assert n_compared >= 35
+
+    def test_nonnegative_ramps_stay_in_ball(self):
+        # at omega = 0 every rate is a convex combination of the nonnegative
+        # endpoint rates, so the dynamics is a contraction of the ball
+        rng = np.random.default_rng(3)
+        for k in range(40):
+            sched, r0, target = random_ramp(rng, omega=0.0)
+            traj = integrate(sched, r0, target, self.CFG, self.EPS)
+            assert np.max(np.linalg.norm(traj.r, axis=1)) <= 1.0 + TOL_BALL, k
+
+    def test_ball_violation_ends_the_run_at_the_first_step_outside(self):
+        # a fig5a map cell that leaves the ball near t = 19.5; the stop rule
+        # alone would integrate it to t = 885
+        s = ParameterPoint.make((1.0, 0.0, 0.0), (0.75, 0.75, 0.75), "S")
+        f = ParameterPoint.make((1.0, 0.0, 0.0), (0.05, 0.1, 0.15), "F")
+        with pytest.raises(BallViolation) as info:
+            run_continuous(s, f, kappa=0.01, omega=2 / 11)
+        found = re.search(r"at t = (\S+) \(\|r\| = (\S+)\)", str(info.value))
+        assert found, str(info.value)
+        assert 0.0 < float(found.group(1)) < 30.0
+        assert float(found.group(2)) > 1.0 + TOL_BALL
 
 
 class TestProductIntegrationOracle:

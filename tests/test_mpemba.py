@@ -109,18 +109,12 @@ def _fake_result(dists, target, t_i=None, r_i=None, tau=None, kind="two-step"):
         rates=np.zeros((n, 3)),
         dist=np.asarray(dists, dtype=float),
         target=target,
-        epsilon=1e-4,
-        tau=tau,
-        converged=True,
         distance_of=lambda x: float(np.interp(x, t, dists)),
     )
     return ProtocolResult(
         kind=kind,
         trajectory=traj,
         tau=tau,
-        converged=True,
-        inconclusive=False,
-        timed_out=False,
         p_start=DETOUR_S,
         p_final=DETOUR_F,
         epsilon=1e-4,

@@ -23,7 +23,6 @@ from pontus import (
     run_two_step_scan,
     steady_state,
 )
-from pontus.dynamics import generator_parts
 from pontus.protocols import _refined_threshold_series
 
 PLANAR_S = ParameterPoint.make((0.707, 0.707, 0.0), (0.5, 0.1, 0.0), "S")
@@ -103,7 +102,7 @@ class TestScheduleProperties:
                 assert np.allclose(b, want_b, rtol=0, atol=1e-15), (sched, t)
         s = exp_cos(0.3, 1.1)
         lam, b = s.generator(2.5)
-        want_lam, want_b = generator_parts(s.rates(2.5), PLANAR_S.h.as_array())
+        want_lam, want_b = parts(ParameterPoint(PLANAR_S.h, rate_at(s, 2.5)))
         assert np.allclose(lam, want_lam, rtol=0, atol=1e-15)
         assert np.allclose(b, want_b, rtol=0, atol=1e-15)
 
@@ -276,7 +275,7 @@ class TestRunContinuous:
         traj = res.trajectory
         # the stop event roots exactly on the boundary of the rule
         assert traj.dist[-1] <= eps / 10 + 1e-12
-        assert traj.modulation.envelope(traj.t[-1]) <= eps + 1e-12
+        assert exp_cos(0.2, 0.0).settle_bound(traj.t[-1]) <= eps + 1e-12
 
 
 class TestRelaxationTime:
@@ -302,7 +301,7 @@ class TestRelaxationTime:
         f = ParameterPoint.make((0.183, 0.183, -0.966), (0.1, 0.5, 0.0), "F")
         res = run_continuous(s, f, kappa=0.4, omega=0.45)
         assert res.converged and res.inconclusive
-        env = res.trajectory.modulation.envelope(res.tau)
+        env = res.trajectory.envelope(res.tau)
         assert env > res.epsilon
 
     def test_late_crossing_is_conclusive(self):

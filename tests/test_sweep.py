@@ -59,7 +59,8 @@ class TestSpecValidation:
             )
 
     def test_theta_sweep_pins_omega_to_zero(self):
-        with pytest.raises(ValueError):
+        # a spec carries no modulation frequency: theta cells run at omega = 0
+        with pytest.raises(TypeError):
             theta_spec(omega=0.3)
 
     def test_runner_checks_axis_kind(self):
