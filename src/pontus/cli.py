@@ -1,8 +1,8 @@
 """Command-line interface: JSON-configured runs emitting CSV/JSON artifacts.
 
 Exit codes: 0 success, 1 configuration error, 2 singular generator,
-3 non-convergence.  The environment variable PONTUS_LOG selects the log
-level.
+3 non-convergence, 4 a state that left the Bloch ball.  The environment
+variable PONTUS_LOG selects the log level.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .dynamics import (
     velocity_field_to_csv,
 )
 from .errors import (
+    BallViolation,
     ConfigError,
     NegativeEndpointRate,
     NonFinite,
@@ -73,6 +74,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SINGULAR = 2
 EXIT_NOT_CONVERGED = 3
+EXIT_BALL_VIOLATION = 4
 
 _TOP_KEYS = {
     "schema",
@@ -447,7 +449,7 @@ def cmd_gain_map(cfg, args, out_dir) -> int:
     sidecar["csv_file"] = csv_path.name
     with open(out_dir / f"{label}_gainmap.json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
-    n_failed = sum(s != "ok" for row in gm.status for s in row)
+    n_failed = total_cells - sidecar["status_counts"].get("ok", 0)
     print(
         f"gain-map: wrote {csv_path} ({total_cells} cells, {n_failed} non-ok)",
         file=sys.stderr,
@@ -639,6 +641,9 @@ def main(argv=None) -> int:
     except NotConverged as exc:
         print(f"not converged: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
+    except BallViolation as exc:
+        print(f"ball violation: {exc}", file=sys.stderr)
+        return EXIT_BALL_VIOLATION
 
 
 if __name__ == "__main__":

@@ -3,12 +3,14 @@
 Constant-parameter dynamics is propagated exactly through the drift's
 eigenmodes, or a matrix exponential where those are unusable.
 Time-dependent schedules go through an in-house adaptive Dormand-Prince 5(4)
-stepper: scalar floats, hand-unrolled stages, the affine ramp form
-Lambda(t) = lam_f + m(t) dlam of every schedule as its right-hand side, and
-the initial step, error norm, step controller, event location and quartic
-dense output of scipy's RK45, whose steps it takes up to round-off.  Two
-independent oracles (a density-matrix-level rebuild of the generator and a
-time-ordered product integrator) cross-check both routes.
+stepper specialised to the affine ramp form Lambda(t) = lam_f + m(t) dlam,
+b(t) = b_f + m(t) db that every schedule shares: scalar floats, stages that
+form the velocity inline from the ramp's coefficients and one call of m, the
+stop rule checked inline, and the quartic dense-output coefficients of all
+steps built in one pass at the end.  It copies the initial step, error norm,
+step controller and event location of scipy's RK45, whose steps it takes up
+to round-off.  Two independent oracles (a density-matrix-level rebuild of
+the generator and a time-ordered product integrator) cross-check both routes.
 """
 
 from __future__ import annotations
@@ -231,20 +233,28 @@ _BALL_SQ = (1.0 + TOL_BALL) ** 2
 
 
 class _DenseOutput:
-    """Quartic interpolants of the accepted steps, held in flat arrays.
+    """Quartic interpolants of the accepted steps, from the stepper's 23-float
+    step records (t, h, y, k1, k3, ..., k7) and ending at ``t_final``.
 
-    Step k starts at ``t_break[k]`` with state ``y_old[k]``, has length
-    ``h[k]`` and coefficients ``q[k]`` (3x4); ``t_break[-1]`` is the final
-    time.  A time is served by the step whose interval holds it, a
-    breakpoint by the step that ends there.  Each time is evaluated on its
-    own, so a value does not depend on the other times in its call.
+    Q = K^T P is formed for all steps at once, elementwise and term by term
+    in stage order, so no coefficient depends on a BLAS kernel.  A time is
+    served by the step whose interval holds it, a breakpoint by the step
+    that ends there.  Each time is evaluated on its own, so a value does not
+    depend on the other times.
     """
 
-    def __init__(self, t_break, h, y_old, q):
-        self.t_break = t_break
-        self.h = h
-        self.y_old = y_old
-        self.q = q
+    def __init__(self, steps, t_final):
+        a = np.frombuffer(steps).reshape(-1, 23)
+        k1, k3, k4, k5, k6, k7 = (a[:, j : j + 3] for j in range(5, 23, 3))
+        self.t_break = np.append(a[:, 0], t_final)
+        self.h = a[:, 1]
+        self.y_old = a[:, 2:5]
+        self.q = np.empty((len(a), 3, 4))
+        self.q[:, :, 0] = k1
+        for j in range(3):
+            self.q[:, :, j + 1] = (
+                k1 * _P1[j] + k3 * _P3[j] + k4 * _P4[j] + k5 * _P5[j] + k6 * _P6[j] + k7 * _P7[j]
+            )
 
     def __call__(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -263,21 +273,48 @@ def _rms3(a: float, b: float, c: float) -> float:
     return math.sqrt(a * a + b * b + c * c) / _SQRT3
 
 
-def _dormand_prince(rhs, stop, y, t_bound, rtol, atol, max_step):
-    """Adaptive Dormand-Prince 5(4) from t = 0, step for step as scipy's RK45.
+def _dormand_prince(coef, ramp, stop, y, t_bound, rtol, atol, max_step):
+    """Adaptive Dormand-Prince 5(4) from t = 0, step for step as scipy's RK45,
+    specialised to the affine ramp form.
 
-    ``rhs(t, a, b, c)`` returns the three velocity components as floats.
-    ``stop(t, a, b, c)``, unless None, is checked after every accepted step;
-    on a sign change (scipy's ``find_active_events`` rule) its root on that
-    step's interpolant ends the run.  Otherwise the run ends at ``t_bound``.
+    ``coef`` holds the 24 floats of a schedule's ``parts`` (lam_f, b_f,
+    dlam, db, row-major) and ``ramp`` is its scalar m.  Each stage calls m
+    once and writes the velocity (lam_f + m dlam) y + (b_f + m db) inline;
+    stage 7 shares stage 6's time, so it reuses that m.  ``stop`` is None
+    (run to ``t_bound``) or ``(target, tol, eps, settle)`` for the stop
+    function max(|y - target|/2 - tol, settle(t) - eps), evaluated after
+    every accepted step; on a sign change (scipy's ``find_active_events``
+    rule) its root on that step's interpolant ends the run.
 
-    Returns ``(dense, stopped, nfev, n_rejected)``.  Raises
-    StepSizeUnderflow when the step falls below 10 ulp of t, and
-    BallViolation as soon as an accepted step ends outside the Bloch ball.
+    Returns ``(dense, stopped, nfev, n_rejected)``; dense is None when the
+    stop function is already negative at t = 0.  Raises StepSizeUnderflow
+    when the step falls below 10 ulp of t, and BallViolation as soon as an
+    accepted step ends outside the Bloch ball.
     """
+    f00, f01, f02, f10, f11, f12, f20, f21, f22, c0, c1, c2 = coef[:12]
+    d00, d01, d02, d10, d11, d12, d20, d21, d22, e0, e1, e2 = coef[12:]
+
+    def slope(m, a, b, c):
+        return (
+            (f00 + m * d00) * a + (f01 + m * d01) * b + (f02 + m * d02) * c + (c0 + m * e0),
+            (f10 + m * d10) * a + (f11 + m * d11) * b + (f12 + m * d12) * c + (c1 + m * e1),
+            (f20 + m * d20) * a + (f21 + m * d21) * b + (f22 + m * d22) * c + (c2 + m * e2),
+        )
+
     t = 0.0
     y1, y2, y3 = y
-    k11, k12, k13 = rhs(t, y1, y2, y3)
+    g_old = None
+    if stop is not None:
+        (g0, g1, g2), tol, eps, settle = stop
+
+        def gap(t, a, b, c):
+            d = 0.5 * math.sqrt((a - g0) ** 2 + (b - g1) ** 2 + (c - g2) ** 2)
+            return max(d - tol, settle(t) - eps)
+
+        g_old = gap(t, y1, y2, y3)
+        if g_old < 0.0:
+            return None, True, 0, 0
+    k11, k12, k13 = slope(ramp(t), y1, y2, y3)
 
     # initial step (Hairer, Norsett & Wanner, sec. II.4)
     s1, s2, s3 = atol + abs(y1) * rtol, atol + abs(y2) * rtol, atol + abs(y3) * rtol
@@ -285,7 +322,7 @@ def _dormand_prince(rhs, stop, y, t_bound, rtol, atol, max_step):
     d1 = _rms3(k11 / s1, k12 / s2, k13 / s3)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound)
-    u1, u2, u3 = rhs(h0, y1 + h0 * k11, y2 + h0 * k12, y3 + h0 * k13)
+    u1, u2, u3 = slope(ramp(h0), y1 + h0 * k11, y2 + h0 * k12, y3 + h0 * k13)
     d2 = _rms3((u1 - k11) / s1, (u2 - k12) / s2, (u3 - k13) / s3) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -295,9 +332,7 @@ def _dormand_prince(rhs, stop, y, t_bound, rtol, atol, max_step):
     nfev = 2
     n_rejected = 0
 
-    # per accepted step: start, length, state and dense-output coefficients
-    t_olds, hs, y_olds, qs = array("d"), array("d"), array("d"), array("d")
-    g_old = None if stop is None else stop(t, y1, y2, y3)
+    steps = array("d")  # per accepted step: t, h, y, k1, k3, ..., k7
     stopped = False
     while True:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -314,40 +349,45 @@ def _dormand_prince(rhs, stop, y, t_bound, rtol, atol, max_step):
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
 
-            k21, k22, k23 = rhs(
-                t + _C2 * h,
-                y1 + k11 * _A21 * h,
-                y2 + k12 * _A21 * h,
-                y3 + k13 * _A21 * h,
-            )
-            k31, k32, k33 = rhs(
-                t + _C3 * h,
-                y1 + (k11 * _A31 + k21 * _A32) * h,
-                y2 + (k12 * _A31 + k22 * _A32) * h,
-                y3 + (k13 * _A31 + k23 * _A32) * h,
-            )
-            k41, k42, k43 = rhs(
-                t + _C4 * h,
-                y1 + (k11 * _A41 + k21 * _A42 + k31 * _A43) * h,
-                y2 + (k12 * _A41 + k22 * _A42 + k32 * _A43) * h,
-                y3 + (k13 * _A41 + k23 * _A42 + k33 * _A43) * h,
-            )
-            k51, k52, k53 = rhs(
-                t + _C5 * h,
-                y1 + (k11 * _A51 + k21 * _A52 + k31 * _A53 + k41 * _A54) * h,
-                y2 + (k12 * _A51 + k22 * _A52 + k32 * _A53 + k42 * _A54) * h,
-                y3 + (k13 * _A51 + k23 * _A52 + k33 * _A53 + k43 * _A54) * h,
-            )
-            k61, k62, k63 = rhs(
-                t + h,
-                y1 + (k11 * _A61 + k21 * _A62 + k31 * _A63 + k41 * _A64 + k51 * _A65) * h,
-                y2 + (k12 * _A61 + k22 * _A62 + k32 * _A63 + k42 * _A64 + k52 * _A65) * h,
-                y3 + (k13 * _A61 + k23 * _A62 + k33 * _A63 + k43 * _A64 + k53 * _A65) * h,
-            )
+            m = ramp(t + _C2 * h)
+            a, b, c = y1 + k11 * _A21 * h, y2 + k12 * _A21 * h, y3 + k13 * _A21 * h
+            k21 = (f00 + m * d00) * a + (f01 + m * d01) * b + (f02 + m * d02) * c + (c0 + m * e0)
+            k22 = (f10 + m * d10) * a + (f11 + m * d11) * b + (f12 + m * d12) * c + (c1 + m * e1)
+            k23 = (f20 + m * d20) * a + (f21 + m * d21) * b + (f22 + m * d22) * c + (c2 + m * e2)
+            m = ramp(t + _C3 * h)
+            a = y1 + (k11 * _A31 + k21 * _A32) * h
+            b = y2 + (k12 * _A31 + k22 * _A32) * h
+            c = y3 + (k13 * _A31 + k23 * _A32) * h
+            k31 = (f00 + m * d00) * a + (f01 + m * d01) * b + (f02 + m * d02) * c + (c0 + m * e0)
+            k32 = (f10 + m * d10) * a + (f11 + m * d11) * b + (f12 + m * d12) * c + (c1 + m * e1)
+            k33 = (f20 + m * d20) * a + (f21 + m * d21) * b + (f22 + m * d22) * c + (c2 + m * e2)
+            m = ramp(t + _C4 * h)
+            a = y1 + (k11 * _A41 + k21 * _A42 + k31 * _A43) * h
+            b = y2 + (k12 * _A41 + k22 * _A42 + k32 * _A43) * h
+            c = y3 + (k13 * _A41 + k23 * _A42 + k33 * _A43) * h
+            k41 = (f00 + m * d00) * a + (f01 + m * d01) * b + (f02 + m * d02) * c + (c0 + m * e0)
+            k42 = (f10 + m * d10) * a + (f11 + m * d11) * b + (f12 + m * d12) * c + (c1 + m * e1)
+            k43 = (f20 + m * d20) * a + (f21 + m * d21) * b + (f22 + m * d22) * c + (c2 + m * e2)
+            m = ramp(t + _C5 * h)
+            a = y1 + (k11 * _A51 + k21 * _A52 + k31 * _A53 + k41 * _A54) * h
+            b = y2 + (k12 * _A51 + k22 * _A52 + k32 * _A53 + k42 * _A54) * h
+            c = y3 + (k13 * _A51 + k23 * _A52 + k33 * _A53 + k43 * _A54) * h
+            k51 = (f00 + m * d00) * a + (f01 + m * d01) * b + (f02 + m * d02) * c + (c0 + m * e0)
+            k52 = (f10 + m * d10) * a + (f11 + m * d11) * b + (f12 + m * d12) * c + (c1 + m * e1)
+            k53 = (f20 + m * d20) * a + (f21 + m * d21) * b + (f22 + m * d22) * c + (c2 + m * e2)
+            m = ramp(t + h)  # stage 7 sits at t + h too and reuses this m
+            a = y1 + (k11 * _A61 + k21 * _A62 + k31 * _A63 + k41 * _A64 + k51 * _A65) * h
+            b = y2 + (k12 * _A61 + k22 * _A62 + k32 * _A63 + k42 * _A64 + k52 * _A65) * h
+            c = y3 + (k13 * _A61 + k23 * _A62 + k33 * _A63 + k43 * _A64 + k53 * _A65) * h
+            k61 = (f00 + m * d00) * a + (f01 + m * d01) * b + (f02 + m * d02) * c + (c0 + m * e0)
+            k62 = (f10 + m * d10) * a + (f11 + m * d11) * b + (f12 + m * d12) * c + (c1 + m * e1)
+            k63 = (f20 + m * d20) * a + (f21 + m * d21) * b + (f22 + m * d22) * c + (c2 + m * e2)
             z1 = y1 + h * (k11 * _B1 + k31 * _B3 + k41 * _B4 + k51 * _B5 + k61 * _B6)
             z2 = y2 + h * (k12 * _B1 + k32 * _B3 + k42 * _B4 + k52 * _B5 + k62 * _B6)
             z3 = y3 + h * (k13 * _B1 + k33 * _B3 + k43 * _B4 + k53 * _B5 + k63 * _B6)
-            k71, k72, k73 = rhs(t + h, z1, z2, z3)
+            k71 = (f00 + m * d00) * z1 + (f01 + m * d01) * z2 + (f02 + m * d02) * z3 + (c0 + m * e0)
+            k72 = (f10 + m * d10) * z1 + (f11 + m * d11) * z2 + (f12 + m * d12) * z3 + (c1 + m * e1)
+            k73 = (f20 + m * d20) * z1 + (f21 + m * d21) * z2 + (f22 + m * d22) * z3 + (c2 + m * e2)
             nfev += 6
 
             err = _rms3(
@@ -373,39 +413,19 @@ def _dormand_prince(rhs, stop, y, t_bound, rtol, atol, max_step):
                 f"trajectory left the Bloch ball at t = {t_new:.12g} "
                 f"(|r| = {math.sqrt(z1 * z1 + z2 * z2 + z3 * z3):.12g})"
             )
-        q = (
-            k11,
-            k11 * _P1[0] + k31 * _P3[0] + k41 * _P4[0] + k51 * _P5[0] + k61 * _P6[0] + k71 * _P7[0],
-            k11 * _P1[1] + k31 * _P3[1] + k41 * _P4[1] + k51 * _P5[1] + k61 * _P6[1] + k71 * _P7[1],
-            k11 * _P1[2] + k31 * _P3[2] + k41 * _P4[2] + k51 * _P5[2] + k61 * _P6[2] + k71 * _P7[2],
-            k12,
-            k12 * _P1[0] + k32 * _P3[0] + k42 * _P4[0] + k52 * _P5[0] + k62 * _P6[0] + k72 * _P7[0],
-            k12 * _P1[1] + k32 * _P3[1] + k42 * _P4[1] + k52 * _P5[1] + k62 * _P6[1] + k72 * _P7[1],
-            k12 * _P1[2] + k32 * _P3[2] + k42 * _P4[2] + k52 * _P5[2] + k62 * _P6[2] + k72 * _P7[2],
-            k13,
-            k13 * _P1[0] + k33 * _P3[0] + k43 * _P4[0] + k53 * _P5[0] + k63 * _P6[0] + k73 * _P7[0],
-            k13 * _P1[1] + k33 * _P3[1] + k43 * _P4[1] + k53 * _P5[1] + k63 * _P6[1] + k73 * _P7[1],
-            k13 * _P1[2] + k33 * _P3[2] + k43 * _P4[2] + k53 * _P5[2] + k63 * _P6[2] + k73 * _P7[2],
-        )
-        t_olds.append(t)
-        hs.append(h)
-        y_olds.extend((y1, y2, y3))
-        qs.extend(q)
+        steps.extend((
+            t, h, y1, y2, y3, k11, k12, k13, k31, k32, k33, k41, k42, k43,
+            k51, k52, k53, k61, k62, k63, k71, k72, k73,
+        ))
         if g_old is not None:
-            g_new = stop(t_new, z1, z2, z3)
+            g_new = max(
+                0.5 * math.sqrt((z1 - g0) ** 2 + (z2 - g1) ** 2 + (z3 - g2) ** 2) - tol,
+                settle(t_new) - eps,
+            )
             if (g_old <= 0 <= g_new) or (g_new <= 0 <= g_old):
-                step = _DenseOutput(
-                    np.array([t, t_new]),
-                    np.array([h]),
-                    np.array([[y1, y2, y3]]),
-                    np.array(q).reshape(1, 3, 4),
-                )
+                step = _DenseOutput(steps[-23:], t_new)
                 t_new = brentq(
-                    lambda s: stop(s, *step([s])[0].tolist()),
-                    t,
-                    t_new,
-                    xtol=4 * _EPS,
-                    rtol=4 * _EPS,
+                    lambda s: gap(s, *step([s])[0].tolist()), t, t_new, xtol=4 * _EPS, rtol=4 * _EPS
                 )
                 stopped = True
             g_old = g_new
@@ -415,14 +435,7 @@ def _dormand_prince(rhs, stop, y, t_bound, rtol, atol, max_step):
         y1, y2, y3 = z1, z2, z3
         k11, k12, k13 = k71, k72, k73
 
-    n = len(hs)
-    dense = _DenseOutput(
-        np.append(np.frombuffer(t_olds), t),
-        np.frombuffer(hs),
-        np.frombuffer(y_olds).reshape(n, 3),
-        np.frombuffer(qs).reshape(n, 3, 4),
-    )
-    return dense, stopped, nfev, n_rejected
+    return _DenseOutput(steps, t), stopped, nfev, n_rejected
 
 
 def integrate(
@@ -450,16 +463,19 @@ def integrate(
     if t_end is not None and not t_end > 0:
         raise ValueError("t_end must be positive")
     tgt = target.as_array()
-    g0, g1, g2 = tgt.tolist()
     y0 = r0.as_array()
-    settle = schedule.settle_bound
-    tol = eps / 10.0
-
-    def stop(t, a, b, c):
-        d = 0.5 * math.sqrt((a - g0) ** 2 + (b - g1) ** 2 + (c - g2) ** 2)
-        return max(d - tol, settle(t) - eps)
-
-    if t_end is None and stop(0.0, *y0.tolist()) < 0.0:
+    dense, stopped, nfev, n_rejected = _dormand_prince(
+        np.concatenate([np.ravel(p) for p in schedule.parts]).tolist(),
+        schedule.m,
+        None if t_end is not None else (tgt.tolist(), eps / 10.0, eps, schedule.settle_bound),
+        y0.tolist(),
+        cfg.t_cap if t_end is None else float(t_end),
+        # below about 100 eps the controller could not meet the tolerance
+        max(cfg.rel_tol, 100 * _EPS),
+        cfg.abs_tol,
+        cfg.max_step,
+    )
+    if dense is None:
         # nothing to do: already settled at t = 0
         return Trajectory(
             t=np.array([0.0]),
@@ -470,32 +486,6 @@ def integrate(
             distance_of=distance_evaluator(lambda ts: np.tile(y0, (len(ts), 1)), tgt),
             envelope=schedule.envelope,
         )
-
-    lam_f, b_f, dlam, db = schedule.parts
-    f00, f01, f02, f10, f11, f12, f20, f21, f22 = np.ravel(lam_f).tolist()
-    d00, d01, d02, d10, d11, d12, d20, d21, d22 = np.ravel(dlam).tolist()
-    c0, c1, c2 = np.ravel(b_f).tolist()
-    e0, e1, e2 = np.ravel(db).tolist()
-    ramp = schedule.m
-
-    def rhs(t, a, b, c):
-        m = ramp(t)
-        return (
-            (f00 + m * d00) * a + (f01 + m * d01) * b + (f02 + m * d02) * c + (c0 + m * e0),
-            (f10 + m * d10) * a + (f11 + m * d11) * b + (f12 + m * d12) * c + (c1 + m * e1),
-            (f20 + m * d20) * a + (f21 + m * d21) * b + (f22 + m * d22) * c + (c2 + m * e2),
-        )
-
-    dense, stopped, nfev, n_rejected = _dormand_prince(
-        rhs,
-        None if t_end is not None else stop,
-        y0.tolist(),
-        cfg.t_cap if t_end is None else float(t_end),
-        # below about 100 eps the controller could not meet the tolerance
-        max(cfg.rel_tol, 100 * _EPS),
-        cfg.abs_tol,
-        cfg.max_step,
-    )
 
     t_stop = float(dense.t_break[-1])
     ts = np.arange(0.0, t_stop, cfg.sample_stride)

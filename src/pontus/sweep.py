@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
@@ -274,7 +275,7 @@ def gain_map_to_csv(gm: GainMap, path) -> None:
 
 
 def gain_map_sidecar(gm: GainMap) -> dict:
-    """JSON-ready description of the sweep and the boundary curve."""
+    """JSON-ready description of the sweep, its cell-status counts and the boundary curve."""
     spec = gm.spec
     return {
         "schema": 1,
@@ -293,5 +294,6 @@ def gain_map_sidecar(gm: GainMap) -> dict:
                 "sample_stride": spec.cfg.sample_stride,
             },
         },
+        "status_counts": dict(Counter(s for row in gm.status for s in row).most_common()),
         "boundary": [[k, w] for k, w in gm.boundary],
     }

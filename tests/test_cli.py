@@ -217,6 +217,26 @@ class TestSimulate:
         assert out["timed_out"] is True and out["tau"] is None
         assert (tmp_path / out["trajectory_file"]).exists()
 
+    def test_ball_violation_exits_4(self, tmp_path, capsys):
+        # a fig5a map cell whose non-positive map drives the state out of the ball
+        cfg = write_config(
+            tmp_path,
+            {
+                "schema": 1,
+                "points": {
+                    "S": {"h": [1.0, 0.0, 0.0], "gamma": [0.75, 0.75, 0.75]},
+                    "F": {"h": [1.0, 0.0, 0.0], "gamma": [0.05, 0.1, 0.15]},
+                },
+                "protocol": {"kind": "continuous", "kappa": 0.01, "omega": 2 / 11},
+            },
+        )
+        code, out, err = run_cli(
+            capsys, "--config", cfg, "--output", str(tmp_path), "simulate"
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("ball violation: trajectory left the Bloch ball at t = ")
+
     def test_two_step_fixed_switch(self, tmp_path, capsys):
         points = {
             "S": {"h": [0.0, 0.998, 0.062], "gamma": [0.0, 0.2, 0.0]},

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -15,6 +16,7 @@ from pontus import (
     ExponentialCosineSchedule,
     IntegratorConfig,
     ParameterPoint,
+    PiecewiseTwoStepSchedule,
     SingularGenerator,
     Trajectory,
     assemble_generator,
@@ -502,6 +504,89 @@ class TestRampProperties:
         assert found, str(info.value)
         assert 0.0 < float(found.group(1)) < 30.0
         assert float(found.group(2)) > 1.0 + TOL_BALL
+
+
+def pinned_cases():
+    """(name, schedule, r0, target, t_end) of the bit-identity guard.
+
+    m is a constant or a comparison in these schedules and the states come
+    from the pure-Python ``gauss_solve3``, so the inputs carry no libm or
+    LAPACK round-off: the fig1 points, then three seeded random generators.
+    """
+
+    def attractor(p):
+        g = assemble_generator(p)
+        return BlochVector.from_array(gauss_solve3(g.Lambda, -g.b))
+
+    s = ParameterPoint.make((0.0, 0.998, 0.062), (0.0, 0.2, 0.0))
+    a = ParameterPoint.make((0.0, 2.0, 2.0), (1.0, 0.0, 0.0))
+    f = ParameterPoint.make((0.0, -0.966, 0.258), (0.0, 0.2, 0.0))
+    runs = [
+        ("fig1-ti0.4", PiecewiseTwoStepSchedule(a, f, 0.4), s, f),
+        ("fig1-ti3.7", PiecewiseTwoStepSchedule(a, f, 3.7), s, f),
+        ("fig1-const", ConstantSchedule(f), s, f),
+    ]
+    rng = np.random.default_rng(5)
+    for k in range(3):
+        h = rng.uniform(-1.0, 1.0, 3)
+        s, a, f = (ParameterPoint.make(h, rng.uniform(lo, 1.0, 3)) for lo in (0.0, 0.0, 0.05))
+        runs.append((f"seed5-{k}", PiecewiseTwoStepSchedule(a, f, rng.uniform(0.5, 5.0)), s, f))
+        runs.append((f"seed5-{k}-const", ConstantSchedule(f), s, f))
+    return [
+        (f"{name}-{mode}", sched, attractor(p_s), attractor(p_f), t_end)
+        for name, sched, p_s, p_f in runs
+        for mode, t_end in (("stop", None), ("t12", 12.0))
+    ]
+
+
+def pin(traj):
+    """sha256 prefixes of t and r, with the step counters."""
+    return (
+        hashlib.sha256(traj.t.tobytes()).hexdigest()[:16],
+        hashlib.sha256(traj.r.tobytes()).hexdigest()[:16],
+        traj.nfev,
+        traj.n_accepted,
+        traj.n_rejected,
+    )
+
+
+class TestBitIdentity:
+    """``integrate``'s samples and step counts, pinned bit for bit.
+
+    The values were recorded from an earlier version of the stepper that
+    took the same steps; any change to a float it produces shows here.
+    The damped-cosine ramps, whose m calls exp and cos, are covered by
+    ``TestSolveIvpOracle``.
+    """
+
+    PINNED = {
+        "fig1-ti0.4-stop": ("0b12cdeb39e337f5", "9c924b10561ec1ef", 6638, 1083, 23),
+        "fig1-ti0.4-t12": ("150045520fdb0809", "eef810fd218a3191", 2402, 377, 23),
+        "fig1-ti3.7-stop": ("6edfd928bf85cfb1", "e80948b4bf48b812", 8966, 1466, 28),
+        "fig1-ti3.7-t12": ("150045520fdb0809", "4e2d341b41b65a28", 3464, 549, 28),
+        "fig1-const-stop": ("f1ec86f2cd9b5d59", "68dd9abb62137ff8", 5906, 984, 0),
+        "fig1-const-t12": ("150045520fdb0809", "0d0edfa7987071d7", 1904, 317, 0),
+        "seed5-0-stop": ("682b7e017a72613d", "2dc95c604baab357", 1058, 157, 19),
+        "seed5-0-t12": ("150045520fdb0809", "d57f806d21f86ab7", 1142, 171, 19),
+        "seed5-0-const-stop": ("1aaa15d2c05057e6", "678e13a58264b2be", 368, 61, 0),
+        "seed5-0-const-t12": ("150045520fdb0809", "37004b7f002006ae", 488, 81, 0),
+        "seed5-1-stop": ("903f2cc8d2cf2401", "6e3c7c7e48ef28af", 1904, 293, 24),
+        "seed5-1-t12": ("150045520fdb0809", "19184b226a1ca19e", 1952, 301, 24),
+        "seed5-1-const-stop": ("6267294950ef1389", "2c1e668780791199", 824, 137, 0),
+        "seed5-1-const-t12": ("150045520fdb0809", "d611f927313c72e3", 962, 160, 0),
+        "seed5-2-stop": ("d27c481ca84a51b4", "adf7b509ca480ea6", 1334, 202, 20),
+        "seed5-2-t12": ("150045520fdb0809", "6454701bb955235a", 1436, 219, 20),
+        "seed5-2-const-stop": ("ba94831030682e5d", "5e06d146a4b804f5", 674, 112, 0),
+        "seed5-2-const-t12": ("150045520fdb0809", "84e890b275979482", 746, 124, 0),
+    }
+
+    def test_pinned_outputs(self):
+        cfg = IntegratorConfig()
+        got = {
+            name: pin(integrate(sched, r0, target, cfg, 1e-4, t_end=t_end))
+            for name, sched, r0, target, t_end in pinned_cases()
+        }
+        assert got == self.PINNED
 
 
 class TestProductIntegrationOracle:

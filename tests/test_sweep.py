@@ -214,3 +214,18 @@ class TestArtifacts:
         assert side["sweep"]["kind"] == "kappa-omega"
         assert len(side["boundary"]) == 3
         assert side["sweep"]["omega"] == list(gm.second)
+        assert side["status_counts"] == {"ok": 6}
+
+    def test_sidecar_counts_failed_cells(self):
+        # the (0.01, 2/11) cell of the fig5a problem leaves the Bloch ball
+        spec = SweepSpec(
+            rates_s=RATES_S,
+            rates_f=RATES_F,
+            kappa_axis=GridAxis("kappa", (0.01, 1.0)),
+            second_axis=GridAxis("omega", (2 / 11, 1.0)),
+            h=FieldVector(1.0, 0.0, 0.0),
+        )
+        gm = sweep_kappa_omega(spec, jobs=1)
+        assert gm.status == [["ball-violation", "ok"], ["ok", "ok"]]
+        counts = gain_map_sidecar(gm)["status_counts"]
+        assert list(counts.items()) == [("ok", 3), ("ball-violation", 1)]
