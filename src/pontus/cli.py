@@ -367,12 +367,7 @@ def cmd_simulate(cfg, args, out_dir) -> int:
         "points": {k: _point_dict(_parameter_point(cfg, k)) for k in cfg["points"]},
         "protocol": dict(proto),
         "epsilon": eps,
-        "integrator": {
-            "rel_tol": integ.rel_tol,
-            "abs_tol": integ.abs_tol,
-            "t_cap": integ.t_cap,
-            "sample_stride": integ.sample_stride,
-        },
+        "integrator": integ.as_dict(),
     }
     with open(out_dir / f"{label}_result.json", "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=2)

@@ -144,7 +144,9 @@ class Trajectory:
     ``distance_of`` is an exact (or dense-output) evaluator of the trace
     distance to the target at a time or an array of times within the
     recorded span (see ``distance_evaluator``); it backs sub-sample
-    bisection of threshold crossings.  ``envelope``, set only for an
+    bisection of threshold crossings.  ``dist``, the trace distance of each
+    sample to the target, is derived from ``r`` and ``target`` on
+    construction (``trace_distances``).  ``envelope``, set only for an
     oscillating rate modulation, bounds the modulation's amplitude at a
     time (the schedule's ``envelope``).  ``nfev``, ``n_accepted`` and
     ``n_rejected`` count the right-hand-side calls and the accepted and
@@ -155,7 +157,7 @@ class Trajectory:
     t: np.ndarray
     r: np.ndarray
     rates: np.ndarray
-    dist: np.ndarray
+    dist: np.ndarray = field(init=False)
     target: BlochVector
     distance_of: Callable = field(repr=False, compare=False)
     timed_out: bool = False
@@ -170,14 +172,11 @@ class Trajectory:
         self.t = np.asarray(self.t, dtype=float)
         self.r = np.asarray(self.r, dtype=float)
         self.rates = np.asarray(self.rates, dtype=float)
-        self.dist = np.asarray(self.dist, dtype=float)
-        if not (len(self.t) == len(self.r) == len(self.rates) == len(self.dist)):
+        if not (len(self.t) == len(self.r) == len(self.rates)):
             raise ValueError("sample arrays must share one length")
         if len(self.t) > 1 and not np.all(np.diff(self.t) > 0):
             raise ValueError("sample times must be strictly increasing")
-        ref = 0.5 * np.linalg.norm(self.r - self.target.as_array(), axis=1)
-        if len(self.t) and np.max(np.abs(ref - self.dist)) > 1e-12:
-            raise ValueError("recorded distances disagree with the samples")
+        self.dist = trace_distances(self.r, self.target.as_array())
 
     def __len__(self) -> int:
         return len(self.t)
@@ -195,10 +194,20 @@ def distance_evaluator(
 
     def distance_of(t):
         ts = np.asarray(t, dtype=float)
-        d = 0.5 * np.linalg.norm(states(ts.reshape(-1)) - target, axis=1)
+        d = trace_distances(states(ts.reshape(-1)), target)
         return float(d[0]) if ts.ndim == 0 else d
 
     return distance_of
+
+
+def trace_distances(r: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Trace distance of each row of the (n, 3) array ``r`` to ``target``.
+
+    Half the row-wise Euclidean norm, summed as ``np.linalg.norm(x, axis=1)``
+    sums it, so every sample's value is the same in any batch.
+    """
+    x = r - target
+    return 0.5 * np.sqrt(np.add.reduce(x * x, axis=1))
 
 
 def trace_distance(r1: BlochVector, r2: BlochVector) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,6 +31,7 @@ from .core import (
     ParameterPoint,
     Trajectory,
     distance_evaluator,
+    trace_distances,
     write_csv,
 )
 from .errors import BallViolation, SingularGenerator, StepSizeUnderflow
@@ -59,6 +60,11 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if self.t_cap <= 0 or self.sample_stride <= 0 or not self.max_step > 0:
             raise ValueError("t_cap, sample_stride and max_step must be positive")
+
+    def as_dict(self) -> dict:
+        """The settings as a config's ``integrator`` section, which reproduces
+        them; ``max_step`` is left out while it is unbounded."""
+        return {k: v for k, v in asdict(self).items() if k != "max_step" or v < math.inf}
 
 
 def assemble_generator(p: ParameterPoint) -> AffineGenerator:
@@ -130,6 +136,12 @@ class ConstantFlow:
     defective drift) is evaluated instead through the augmented exponential
     expm(t [[Lambda, b], [0, 0]]), batched over the times.  ``stride`` is
     needed only by ``grid`` and ``run_until``.
+
+    An evaluation splits into a table that depends on the times alone,
+    e^{lam t} or the augmented exponentials, and its combination with the
+    start state (``sampler``).  ``run_until`` samples in chunks of
+    ``_CHUNK`` strides and keeps each chunk's table, built the first time a
+    run needs it, for every later run through the flow from any start state.
     """
 
     _CHUNK = 1024
@@ -138,6 +150,7 @@ class ConstantFlow:
         self.g = g
         self.stride = stride
         self._modes = None
+        self._chunks = {}  # first stride index of a chunk -> its table
         try:
             r_ss = steady_state(g).as_array()
         except SingularGenerator:
@@ -146,21 +159,36 @@ class ConstantFlow:
         if np.linalg.cond(vec) <= _EIGVEC_COND_CAP:
             self._modes = (r_ss, lam, vec.T, np.linalg.inv(vec))
 
+    def _table(self, ts: np.ndarray) -> np.ndarray:
+        if self._modes is None:
+            return expm(ts[:, None, None] * _augmented(self.g))
+        return np.exp(np.multiply.outer(ts, self._modes[1]))
+
+    def _combiner(self, r0: np.ndarray):
+        """Function from a table to the states of the run that starts at r0."""
+        if self._modes is None:
+            return lambda e: e[:, :3, :3] @ r0 + e[:, :3, 3]
+        r_ss, _, vec_t, coef = self._modes
+        w = (coef @ (r0 - r_ss))[:, None] * vec_t  # row j: c_j V[:, j]
+        # modes summed term by term, so no sample depends on the batch
+        return lambda z: r_ss + (z[:, :1] * w[0] + z[:, 1:2] * w[1] + z[:, 2:] * w[2]).real
+
+    def sampler(self, r0: np.ndarray):
+        """``states`` from r0 as a function of a float array of times alone;
+        the work that depends only on r0 is done once, here."""
+        r0 = np.array(r0, dtype=float)
+        combine = self._combiner(r0)
+
+        def states(ts: np.ndarray) -> np.ndarray:
+            out = combine(self._table(ts))
+            out[ts == 0.0] = r0
+            return out
+
+        return states
+
     def states(self, r0: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """States at the nonnegative times ``ts``, starting from r0 at t = 0."""
-        r0 = np.asarray(r0, dtype=float)
-        ts = np.asarray(ts, dtype=float)
-        if self._modes is None:
-            e = expm(ts[:, None, None] * _augmented(self.g))
-            out = e[:, :3, :3] @ r0 + e[:, :3, 3]
-        else:
-            r_ss, lam, vec_t, coef = self._modes
-            w = (coef @ (r0 - r_ss))[:, None] * vec_t  # row j: c_j V[:, j]
-            z = np.exp(np.multiply.outer(ts, lam))
-            # modes summed term by term, so no sample depends on the batch
-            out = r_ss + (z[:, :1] * w[0] + z[:, 1:2] * w[1] + z[:, 2:] * w[2]).real
-        out[ts == 0.0] = r0
-        return out
+        return self.sampler(r0)(np.asarray(ts, dtype=float))
 
     def state(self, r0: np.ndarray, t: float) -> np.ndarray:
         return self.states(r0, np.array([t]))[0]
@@ -182,15 +210,19 @@ class ConstantFlow:
         Returns ``(states, reached)`` with states at stride multiples from 0
         up to and including the first satisfying sample (or the time cap).
         """
-        r = np.array(r0, dtype=float)
-        if 0.5 * np.linalg.norm(r - target) < threshold:
-            return r[None, :], True
+        r = np.array(r0, dtype=float)[None, :]
+        if trace_distances(r, target)[0] < threshold:
+            return r, True
+        combine = self._combiner(r[0])
         cap = int(np.floor(t_max / self.stride))
-        pieces = [r[None, :]]
+        pieces = [r]
         for first in range(1, cap + 1, self._CHUNK):
-            ks = np.arange(first, min(first + self._CHUNK, cap + 1))
-            chunk = self.states(r, ks * self.stride)
-            hit = np.flatnonzero(0.5 * np.linalg.norm(chunk - target, axis=1) < threshold)
+            table = self._chunks.get(first)
+            if table is None:
+                ks = np.arange(first, first + self._CHUNK)
+                table = self._chunks[first] = self._table(ks * self.stride)
+            chunk = combine(table[: cap + 1 - first])  # the last chunk may be cut
+            hit = np.flatnonzero(trace_distances(chunk, target) < threshold)
             if len(hit):
                 pieces.append(chunk[: hit[0] + 1])
                 return np.concatenate(pieces), True
@@ -481,7 +513,6 @@ def integrate(
             t=np.array([0.0]),
             r=y0[None, :],
             rates=schedule.rates_array(np.array([0.0])),
-            dist=np.array([0.5 * np.linalg.norm(y0 - tgt)]),
             target=target,
             distance_of=distance_evaluator(lambda ts: np.tile(y0, (len(ts), 1)), tgt),
             envelope=schedule.envelope,
@@ -504,7 +535,6 @@ def integrate(
         t=ts,
         r=rs,
         rates=schedule.rates_array(ts),
-        dist=0.5 * np.linalg.norm(rs - tgt, axis=1),
         target=target,
         distance_of=distance_evaluator(dense, tgt),
         timed_out=(t_end is None and not stopped),

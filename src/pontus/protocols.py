@@ -318,9 +318,8 @@ def run_direct(
         t=ts,
         r=states,
         rates=np.tile(pF.gamma.as_array(), (len(states), 1)),
-        dist=0.5 * np.linalg.norm(states - tgt, axis=1),
         target=target,
-        distance_of=distance_evaluator(lambda ts: flow.states(r0, ts), tgt),
+        distance_of=distance_evaluator(flow.sampler(r0), tgt),
         timed_out=not reached,
     )
     return _result("direct", traj, pS, pF, eps)
@@ -376,6 +375,7 @@ def run_two_step_scan(
     stride = cfg.sample_stride
     flow_a = ConstantFlow(gA, stride)
     flow_f = ConstantFlow(gF, stride)
+    detour = flow_a.sampler(r0)
     n_strides = [int(math.floor(t_i / stride + 1e-9)) for t_i in t_is]
     grid_a = flow_a.grid(r0, max(n_strides, default=0))
     rates_a, rates_f = pA.gamma.as_array(), pF.gamma.as_array()
@@ -383,32 +383,32 @@ def run_two_step_scan(
     def one_run(t_i: float, n_a: int) -> ProtocolResult:
         t_a = np.arange(n_a + 1) * stride
         r_a = grid_a[: n_a + 1]
-        r_i = flow_a.state(r0, t_i)
+        r_i = detour(np.array([t_i]))[0]
         if abs(n_a * stride - t_i) >= 1e-9:
             t_a = np.append(t_a, t_i)
             r_a = np.vstack([r_a, r_i])
 
         states_f, reached = flow_f.run_until(r_i, tgt, eps / 10.0, cfg.t_cap - t_i)
         t_f = t_i + np.arange(len(states_f)) * stride
+        relax = flow_f.sampler(r_i)
 
         ts = np.concatenate([t_a, t_f[1:]])
-        rs = np.vstack([r_a, states_f[1:]])
         rates = np.tile(rates_f, (len(ts), 1))
         rates[ts <= t_i] = rates_a
 
         def states(ts: np.ndarray) -> np.ndarray:
+            if len(ts) == 1:  # the root finder's calls: one stage, no masks
+                return detour(ts) if ts[0] <= t_i else relax(ts - t_i)
             out = np.empty((len(ts), 3))
             before = ts <= t_i
-            for mask, flow, r, t0 in ((before, flow_a, r0, 0.0), (~before, flow_f, r_i, t_i)):
-                if mask.any():
-                    out[mask] = flow.states(r, ts[mask] - t0)
+            out[before] = detour(ts[before])
+            out[~before] = relax(ts[~before] - t_i)
             return out
 
         traj = Trajectory(
             t=ts,
-            r=rs,
+            r=np.vstack([r_a, states_f[1:]]),
             rates=rates,
-            dist=0.5 * np.linalg.norm(rs - tgt, axis=1),
             target=target,
             distance_of=distance_evaluator(states, tgt),
             timed_out=not reached,

@@ -287,12 +287,7 @@ def gain_map_sidecar(gm: GainMap) -> dict:
             "eps": spec.eps,
             "kappa": list(spec.kappa_axis.values),
             spec.second_axis.name: list(spec.second_axis.values),
-            "integrator": {
-                "rel_tol": spec.cfg.rel_tol,
-                "abs_tol": spec.cfg.abs_tol,
-                "t_cap": spec.cfg.t_cap,
-                "sample_stride": spec.cfg.sample_stride,
-            },
+            "integrator": spec.cfg.as_dict(),
         },
         "status_counts": dict(Counter(s for row in gm.status for s in row).most_common()),
         "boundary": [[k, w] for k, w in gm.boundary],

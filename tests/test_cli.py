@@ -310,6 +310,31 @@ class TestSimulate:
         assert second["tau"] == first["tau"]
         assert second["threshold_crossings"] == first["threshold_crossings"]
 
+    def test_round_trip_keeps_max_step(self, tmp_path, capsys):
+        # fig3b with a step cap: the echoed config must carry the cap, or the
+        # rerun takes other steps and moves tau in its eighth digit
+        cfg = write_config(
+            tmp_path,
+            {
+                "schema": 1,
+                "points": TILTED_POINTS,
+                "protocol": {"kind": "continuous", "kappa": 0.4, "omega": 0.45},
+                "integrator": {"max_step": 0.01},
+            },
+        )
+        code, first, _ = run_json(
+            capsys, "--config", cfg, "--output", str(tmp_path), "simulate"
+        )
+        assert code == 0
+        assert first["config"]["integrator"]["max_step"] == 0.01
+        echo = write_config(tmp_path, first["config"], name="echo.json")
+        code, second, _ = run_json(
+            capsys, "--config", echo, "--output", str(tmp_path), "simulate"
+        )
+        assert code == 0
+        assert first["tau"] == pytest.approx(19.45839778283673, abs=1e-12)
+        assert second["tau"] == first["tau"]
+
 
 class TestGainMap:
     def test_small_map(self, tmp_path, capsys):

@@ -16,6 +16,7 @@ from pontus import (
     trace_distance,
     validate_endpoint,
 )
+from pontus.core import trace_distances
 
 
 def random_ball_points(rng, n):
@@ -147,20 +148,34 @@ class TestTrajectory:
                 t=np.array([0.0, 0.0]),
                 r=r,
                 rates=np.zeros((2, 3)),
-                dist=np.zeros(2),
                 target=tgt,
                 distance_of=lambda t: 0.0,
             )
 
-    def test_rejects_inconsistent_distances(self):
-        tgt = BlochVector(0, 0, 0)
-        r = np.array([[0.0, 0.0, 0.5]])
+    def test_distances_are_the_row_wise_half_norm(self):
+        rng = np.random.default_rng(11)
+        r = rng.uniform(-0.6, 0.6, (257, 3))
+        tgt = BlochVector(0.1, -0.3, 0.45)
+        traj = Trajectory(
+            t=np.arange(257) * 0.05,
+            r=r,
+            rates=np.zeros((257, 3)),
+            target=tgt,
+            distance_of=lambda t: 0.0,
+        )
+        want = 0.5 * np.linalg.norm(r - tgt.as_array(), axis=1)
+        assert np.array_equal(traj.dist, want)
+        assert np.array_equal(trace_distances(r, tgt.as_array()), want)
+        # each value is its row's alone, whatever the batch
+        one = [trace_distances(r[k : k + 1], tgt.as_array())[0] for k in range(len(r))]
+        assert np.array_equal(one, want)
+
+    def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             Trajectory(
-                t=np.array([0.0]),
-                r=r,
-                rates=np.zeros((1, 3)),
-                dist=np.array([0.3]),  # true value is 0.25
-                target=tgt,
-                distance_of=lambda t: 0.25,
+                t=np.array([0.0, 0.05]),
+                r=np.zeros((3, 3)),
+                rates=np.zeros((2, 3)),
+                target=BlochVector(0, 0, 0),
+                distance_of=lambda t: 0.0,
             )

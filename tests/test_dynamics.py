@@ -200,6 +200,34 @@ class TestConstantFlow:
         assert len(states) == 41  # 0 .. 2.0 inclusive
 
     @staticmethod
+    def _pointwise(flow, r0, n):
+        """The first n stride samples, one ``states`` call per time."""
+        return np.array([flow.states(r0, np.array([k * flow.stride]))[0] for k in range(n)])
+
+    @pytest.mark.parametrize(
+        "h, gamma",
+        [
+            ((0.707, 0.707, 0.0), (0.01, 0.05, 0.0)),  # eigenmodes
+            ((0.5, 0.0, 0.0), (0.0, 0.0, 1.0)),  # defective: expm fallback
+        ],
+    )
+    def test_run_until_tables_match_pointwise_states(self, h, gamma):
+        g = assemble_generator(ParameterPoint.make(h, gamma))
+        target = steady_state(g).as_array()
+        starts = (np.array([0.3, -0.5, 0.6]), np.array([-0.7, 0.1, -0.2]))
+        # t_max 60 cuts the second chunk after 176 of its 1024 strides; a
+        # threshold of 0 is never met, so every run goes to its cap
+        for order in (starts, starts[::-1]):
+            flow = ConstantFlow(g, 0.05)
+            for r0, t_max in zip(order, (60.0, 110.0)):
+                got, reached = flow.run_until(r0, target, 0.0, t_max)
+                assert not reached and len(got) == round(t_max / 0.05) + 1
+                assert np.array_equal(got, self._pointwise(flow, r0, len(got)))
+            for r0 in order:  # the tables now exist; reuse them for both starts
+                got, _ = flow.run_until(r0, target, 0.0, 60.0)
+                assert np.array_equal(got, self._pointwise(flow, r0, len(got)))
+
+    @staticmethod
     def _augmented_route(g, r0, t):
         """Independent reference: the affine flow as one 4x4 exponential."""
         aug = np.zeros((4, 4))
@@ -368,7 +396,6 @@ def scipy_rk45(schedule, r0, target, cfg, eps, t_end=None):
         t=ts,
         r=rs,
         rates=schedule.rates_array(ts),
-        dist=0.5 * np.linalg.norm(rs - tgt, axis=1),
         target=target,
         distance_of=distance_evaluator(lambda t: sol.sol(t).T, tgt),
         timed_out=(t_end is None and sol.status == 0),
@@ -702,6 +729,14 @@ class TestIntegratorConfig:
             IntegratorConfig(t_cap=-1.0)
         with pytest.raises(ValueError):
             IntegratorConfig(max_step=0.0)
+
+    def test_as_dict_reproduces_the_config(self):
+        default = IntegratorConfig().as_dict()
+        assert list(default) == ["rel_tol", "abs_tol", "t_cap", "sample_stride"]
+        assert IntegratorConfig(**default) == IntegratorConfig()
+        capped = IntegratorConfig(rel_tol=1e-7, max_step=0.25, sample_stride=0.1)
+        assert capped.as_dict()["max_step"] == 0.25
+        assert IntegratorConfig(**capped.as_dict()) == capped
 
     def test_integrate_rejects_nonpositive_horizon(self):
         sched = ConstantSchedule(PLANAR_F)

@@ -101,13 +101,12 @@ def _fake_result(dists, target, t_i=None, r_i=None, tau=None, kind="two-step"):
     n = len(dists)
     t = np.arange(n) * 0.05
     tgt = target.as_array()
-    # place all samples along x so the recorded distances are exact
+    # place all samples along x, at the prescribed distances up to round-off
     r = np.column_stack([tgt[0] + 2 * np.asarray(dists), [tgt[1]] * n, [tgt[2]] * n])
     traj = Trajectory(
         t=t,
         r=r,
         rates=np.zeros((n, 3)),
-        dist=np.asarray(dists, dtype=float),
         target=target,
         distance_of=lambda x: float(np.interp(x, t, dists)),
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pontus import (
+    ConstantFlow,
     ConstantSchedule,
     ExponentialCosineSchedule,
     FieldVector,
@@ -23,6 +24,7 @@ from pontus import (
     run_two_step_scan,
     steady_state,
 )
+from pontus import dynamics
 from pontus.protocols import _refined_threshold_series
 
 PLANAR_S = ParameterPoint.make((0.707, 0.707, 0.0), (0.5, 0.1, 0.0), "S")
@@ -235,6 +237,34 @@ class TestRunTwoStepScan:
                 a = getattr(res.trajectory, field)
                 b = getattr(one.trajectory, field)
                 assert np.array_equal(a, b), (t_i, field)
+
+    def test_fig1_scan_builds_each_f_chunk_table_once(self, monkeypatch):
+        # every run's F stage goes through the scan's one F flow, so each
+        # chunk's exp(k stride lam) table is built once per scan, not per run
+        chunk = ConstantFlow._CHUNK
+
+        class CountingNumpy:
+            """numpy, counting the exponentials of whole chunk tables."""
+
+            chunk_tables = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x, *args, **kwargs):
+                if np.shape(x)[:1] == (chunk,):
+                    CountingNumpy.chunk_tables += 1
+                return np.exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "np", CountingNumpy())
+        t_is = [round(0.05 * k, 10) for k in range(1, 601)]
+        runs = list(run_two_step_scan(DETOUR_S, DETOUR_A, DETOUR_F, t_is))
+        per_run = [
+            math.ceil(round((r.trajectory.t[-1] - r.t_intermediate) / 0.05) / chunk)
+            for r in runs
+        ]
+        assert sum(per_run) >= 1200  # chunk evaluations made by the runs
+        assert CountingNumpy.chunk_tables == max(per_run)
 
     def test_rejects_bad_switch_times_before_running(self):
         with pytest.raises(ValueError):

@@ -215,6 +215,8 @@ class TestArtifacts:
         assert len(side["boundary"]) == 3
         assert side["sweep"]["omega"] == list(gm.second)
         assert side["status_counts"] == {"ok": 6}
+        assert side["sweep"]["integrator"] == IntegratorConfig().as_dict()
+        assert "max_step" not in side["sweep"]["integrator"]
 
     def test_sidecar_counts_failed_cells(self):
         # the (0.01, 2/11) cell of the fig5a problem leaves the Bloch ball
