@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -152,24 +153,13 @@ def _parameter_point(cfg, name) -> ParameterPoint:
 
 def _integrator(cfg, args) -> IntegratorConfig:
     section = cfg.get("integrator", {})
-    _check_keys(
-        section,
-        {"rel_tol", "abs_tol", "max_step", "t_cap", "sample_stride"},
-        "config.integrator",
-    )
-    kwargs = {}
-    if "rel_tol" in section:
-        kwargs["rel_tol"] = _number(section["rel_tol"], "integrator.rel_tol", 0, True)
-    if "abs_tol" in section:
-        kwargs["abs_tol"] = _number(section["abs_tol"], "integrator.abs_tol", 0, True)
-    if section.get("max_step") is not None and "max_step" in section:
-        kwargs["max_step"] = _number(section["max_step"], "integrator.max_step", 0, True)
-    if "t_cap" in section:
-        kwargs["t_cap"] = _number(section["t_cap"], "integrator.t_cap", 0, True)
-    if "sample_stride" in section:
-        kwargs["sample_stride"] = _number(
-            section["sample_stride"], "integrator.sample_stride", 0, True
-        )
+    keys = [f.name for f in fields(IntegratorConfig)]
+    _check_keys(section, keys, "config.integrator")
+    kwargs = {
+        k: _number(section[k], f"integrator.{k}", 0, True)
+        for k in keys
+        if k in section and (section[k] is not None or k != "max_step")  # null: unbounded
+    }
     if args.t_cap is not None:
         kwargs["t_cap"] = args.t_cap
     return IntegratorConfig(**kwargs)
@@ -580,6 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs", type=int, default=os.cpu_count(), help="sweep worker processes"
     )
+    parser.set_defaults(with_baseline=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("steady-state", help="attractor of one parameter point")
@@ -620,8 +611,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
-    if not hasattr(args, "with_baseline"):
-        args.with_baseline = False
     try:
         cfg = load_config(args.config)
         out_dir = Path(args.output)

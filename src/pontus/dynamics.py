@@ -151,24 +151,24 @@ class ConstantFlow:
         self.stride = stride
         self._modes = None
         self._chunks = {}  # first stride index of a chunk -> its table
+        # the table function closes over the drift's data, not over the
+        # flow, so a sampler does not keep the flow's chunk tables alive
+        aug = _augmented(g)
+        self._table = lambda ts: expm(ts[:, None, None] * aug)
         try:
             r_ss = steady_state(g).as_array()
         except SingularGenerator:
             return
         lam, vec = np.linalg.eig(g.Lambda)
         if np.linalg.cond(vec) <= _EIGVEC_COND_CAP:
-            self._modes = (r_ss, lam, vec.T, np.linalg.inv(vec))
-
-    def _table(self, ts: np.ndarray) -> np.ndarray:
-        if self._modes is None:
-            return expm(ts[:, None, None] * _augmented(self.g))
-        return np.exp(np.multiply.outer(ts, self._modes[1]))
+            self._modes = (r_ss, vec.T, np.linalg.inv(vec))
+            self._table = lambda ts: np.exp(np.multiply.outer(ts, lam))
 
     def _combiner(self, r0: np.ndarray):
         """Function from a table to the states of the run that starts at r0."""
         if self._modes is None:
             return lambda e: e[:, :3, :3] @ r0 + e[:, :3, 3]
-        r_ss, _, vec_t, coef = self._modes
+        r_ss, vec_t, coef = self._modes
         w = (coef @ (r0 - r_ss))[:, None] * vec_t  # row j: c_j V[:, j]
         # modes summed term by term, so no sample depends on the batch
         return lambda z: r_ss + (z[:, :1] * w[0] + z[:, 1:2] * w[1] + z[:, 2:] * w[2]).real
@@ -177,10 +177,10 @@ class ConstantFlow:
         """``states`` from r0 as a function of a float array of times alone;
         the work that depends only on r0 is done once, here."""
         r0 = np.array(r0, dtype=float)
-        combine = self._combiner(r0)
+        combine, table = self._combiner(r0), self._table
 
         def states(ts: np.ndarray) -> np.ndarray:
-            out = combine(self._table(ts))
+            out = combine(table(ts))
             out[ts == 0.0] = r0
             return out
 

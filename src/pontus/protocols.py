@@ -3,6 +3,9 @@
 Each runner starts from the steady state of the initial parameters,
 monitors the trace distance to the final steady state, and extracts the
 relaxation time as the last time the distance settles below the cutoff.
+The direct quench and the two-step detour hold constant parameters in each
+stage and share one runner, the quench being its run without a detour;
+the continuous ramp is integrated adaptively.
 """
 
 from __future__ import annotations
@@ -290,6 +293,17 @@ def _result(
     return res
 
 
+def _attractors(eps: float, *points: ParameterPoint):
+    """Generators and steady states of a run's parameter points, after the
+    checks every runner makes: a positive cutoff and valid endpoints."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    for p in points:
+        validate_endpoint(p)
+    gens = [assemble_generator(p) for p in points]
+    return gens, [steady_state(g) for g in gens]
+
+
 def run_direct(
     pS: ParameterPoint,
     pF: ParameterPoint,
@@ -298,31 +312,12 @@ def run_direct(
 ) -> ProtocolResult:
     """Sudden quench from the S steady state into the F environment.
 
-    The constant-parameter stage propagates through the exact closed-form
-    flow; the trace distance to the F attractor decreases monotonically.
+    The no-detour run of the two-step protocol's constant-stage runner: the
+    one F stage propagates through the exact closed-form flow; the trace
+    distance to the F attractor decreases monotonically.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    validate_endpoint(pS)
-    validate_endpoint(pF)
-    gF = assemble_generator(pF)
-    r0 = steady_state(assemble_generator(pS)).as_array()
-    target = steady_state(gF)
-    tgt = target.as_array()
-
-    flow = ConstantFlow(gF, cfg.sample_stride)
-    states, reached = flow.run_until(r0, tgt, eps / 10.0, cfg.t_cap)
-    ts = np.arange(len(states)) * cfg.sample_stride
-
-    traj = Trajectory(
-        t=ts,
-        r=states,
-        rates=np.tile(pF.gamma.as_array(), (len(states), 1)),
-        target=target,
-        distance_of=distance_evaluator(flow.sampler(r0), tgt),
-        timed_out=not reached,
-    )
-    return _result("direct", traj, pS, pF, eps)
+    (result,) = _constant_stage_runs(pS, pF, pF, [0.0], eps, cfg)
+    return result
 
 
 def run_two_step(
@@ -348,11 +343,9 @@ def run_two_step_scan(
 ) -> Iterator[ProtocolResult]:
     """Two-step runs for each switching time in ``t_is``, yielded in order.
 
-    Everything independent of the switching time is done once, before the
-    first run: the argument checks, the generators and steady states, both
-    constant flows, and the A-stage grid up to the largest switching time,
-    whose prefixes serve every run.  Results are produced lazily, so a long
-    scan holds one trajectory at a time.
+    The argument checks and the work independent of the switching time are
+    done before the first run (see ``_constant_stage_runs``).  Results are
+    produced lazily, so a long scan holds one trajectory at a time.
     """
     t_is = [float(t_i) for t_i in t_is]
     for t_i in t_is:
@@ -360,21 +353,34 @@ def run_two_step_scan(
             raise ValueError("switching time must be positive")
         if t_i >= cfg.t_cap:
             raise ValueError("switching time must lie below the time cap")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    validate_endpoint(pS)
-    validate_endpoint(pA)
-    validate_endpoint(pF)
-    gA = assemble_generator(pA)
-    gF = assemble_generator(pF)
-    steady_state(gA)  # endpoint generators must admit attractors
-    r0 = steady_state(assemble_generator(pS)).as_array()
-    target = steady_state(gF)
+    return _constant_stage_runs(pS, pA, pF, t_is, eps, cfg)
+
+
+def _constant_stage_runs(
+    pS: ParameterPoint,
+    pA: ParameterPoint,
+    pF: ParameterPoint,
+    t_is: Sequence[float],
+    eps: float,
+    cfg: IntegratorConfig,
+) -> Iterator[ProtocolResult]:
+    """Runs that hold the A parameters up to each switching time, then F's.
+
+    Everything independent of the switching time is done once, before the
+    first run: the checks, the generators and steady states, both constant
+    flows, and the A-stage grid up to the largest switching time, whose
+    prefixes serve every run.  A run with t_i = 0 makes no detour: it is the
+    direct quench, and records no switch.  With pA the F point itself, F's
+    generator and flow serve the A stage too.
+    """
+    points = (pS, pF) if pA is pF else (pS, pA, pF)
+    gens, attractors = _attractors(eps, *points)
+    r0, target = attractors[0].as_array(), attractors[-1]
     tgt = target.as_array()
 
     stride = cfg.sample_stride
-    flow_a = ConstantFlow(gA, stride)
-    flow_f = ConstantFlow(gF, stride)
+    flow_f = ConstantFlow(gens[-1], stride)
+    flow_a = flow_f if pA is pF else ConstantFlow(gens[1], stride)
     detour = flow_a.sampler(r0)
     n_strides = [int(math.floor(t_i / stride + 1e-9)) for t_i in t_is]
     grid_a = flow_a.grid(r0, max(n_strides, default=0))
@@ -413,6 +419,8 @@ def run_two_step_scan(
             distance_of=distance_evaluator(states, tgt),
             timed_out=not reached,
         )
+        if t_i == 0:
+            return _result("direct", traj, pS, pF, eps)
         return _result(
             "two-step", traj, pS, pF, eps, t_intermediate=t_i, r_intermediate=r_i
         )
@@ -435,16 +443,11 @@ def run_continuous(
     quench; kappa -> 0 is the quasi-static limit and will exhaust the time
     cap.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    validate_endpoint(pS)
-    validate_endpoint(pF)
     if np.max(np.abs(pS.h.as_array() - pF.h.as_array())) > 1e-12:
         raise ValueError("the continuous protocol requires a static field")
     schedule = ExponentialCosineSchedule(
         gamma_s=pS.gamma, gamma_f=pF.gamma, h=pS.h, kappa=kappa, omega=omega
     )
-    r0 = steady_state(assemble_generator(pS))
-    target = steady_state(assemble_generator(pF))
+    _, (r0, target) = _attractors(eps, pS, pF)
     traj = integrate(schedule, r0, target, cfg, eps)
     return _result("continuous", traj, pS, pF, eps)

@@ -68,6 +68,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.kappa_axis.name != "kappa":
             raise ValueError("first axis must be kappa")
+        if min(self.kappa_axis.values) <= 0:
+            raise ValueError("kappa must be positive")
         if self.second_axis.name not in ("theta", "omega"):
             raise ValueError("second axis must be theta or omega")
         if self.second_axis.name == "omega" and self.h is None:

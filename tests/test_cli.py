@@ -120,17 +120,23 @@ class TestConfigValidation:
 
     def test_switch_time_at_time_cap(self, tmp_path, capsys):
         points = dict(PLANAR_POINTS, A={"h": [0.0, 2.0, 2.0], "gamma": [1.0, 0.0, 0.0]})
-        cfg = write_config(
-            tmp_path,
-            {
-                "schema": 1,
-                "points": points,
-                "protocol": {"kind": "two-step", "t_i": 50.0},
-                "integrator": {"t_cap": 50.0},
-            },
-        )
-        code, _, err = run_cli(capsys, "--config", cfg, "--output", str(tmp_path), "simulate")
-        assert code == 1 and err.startswith("config error:") and "time cap" in err
+        # a null max_step is unbounded and leaves the time cap check standing;
+        # every integrator key rejects zero and a string under its own path
+        cases = [({"t_cap": 50.0}, "time cap"), ({"t_cap": 50.0, "max_step": None}, "time cap")]
+        for key in ("rel_tol", "abs_tol", "max_step", "t_cap", "sample_stride"):
+            cases += [({key: 0}, f"integrator.{key}"), ({key: "0.1"}, f"integrator.{key}")]
+        for integrator, message in cases:
+            cfg = write_config(
+                tmp_path,
+                {
+                    "schema": 1,
+                    "points": points,
+                    "protocol": {"kind": "two-step", "t_i": 50.0},
+                    "integrator": integrator,
+                },
+            )
+            code, _, err = run_cli(capsys, "--config", cfg, "--output", str(tmp_path), "simulate")
+            assert code == 1 and err.startswith("config error:") and message in err, integrator
 
     def test_negative_endpoint_rate(self, tmp_path, capsys):
         points = dict(PLANAR_POINTS, F={"h": [0.707, 0.707, 0.0], "gamma": [-0.01, 0.05, 0.0]})

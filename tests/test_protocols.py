@@ -1,4 +1,7 @@
+import gc
+import hashlib
 import math
+import types
 
 import numpy as np
 import pytest
@@ -157,6 +160,87 @@ class TestRunDirect:
     def test_timeout_flagged(self):
         res = run_direct(PLANAR_S, PLANAR_F, cfg=IntegratorConfig(t_cap=5.0))
         assert res.timed_out and not res.converged and res.tau is None
+
+    def test_result_keeps_no_flow_alive(self):
+        # a timed-out run through 196 chunk tables: its distance evaluator
+        # must hold the drift's data, not the flow that owns the tables
+        slow_f = ParameterPoint.make((0.707, 0.707, 0.0), (0.0, 2e-4, 0.0), "F")
+        res = run_direct(PLANAR_S, slow_f)
+        assert res.timed_out
+        gc.collect()
+        assert not reachable(res, ConstantFlow)
+
+
+def reachable(root, kind) -> bool:
+    """Whether an instance of ``kind`` is reachable from ``root`` through
+    references and closures; modules, classes and function globals are not
+    followed."""
+    seen, todo = set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, kind):
+            return True
+        if isinstance(obj, types.FunctionType):
+            todo.extend(obj.__closure__ or ())
+            todo.extend(obj.__defaults__ or ())
+        else:
+            todo.extend(gc.get_referents(obj))
+    return False
+
+
+def pin_direct(res):
+    """sha256 prefix of the samples and of the distance evaluator at 257
+    times, with the threshold analysis."""
+    traj = res.trajectory
+    h = hashlib.sha256()
+    for a in (
+        traj.t,
+        traj.r,
+        traj.rates,
+        traj.dist,
+        traj.distance_of(np.linspace(0.0, traj.t[-1], 257)),
+    ):
+        h.update(a.tobytes())
+    return (
+        h.hexdigest()[:16],
+        res.tau,
+        res.inconclusive,
+        res.n_threshold_crossings,
+        res.timed_out,
+    )
+
+
+class TestDirectBitIdentity:
+    """``run_direct``'s outputs, pinned bit for bit.
+
+    Recorded from the version whose direct quench had its own flow, stride
+    grid and evaluator, before it became the no-detour constant-stage run.
+    """
+
+    CASES = {
+        "fig1": (DETOUR_S, DETOUR_F, IntegratorConfig()),
+        "precessing": (PLANAR_S, PLANAR_F, IntegratorConfig()),
+        "identical": (PLANAR_S, PLANAR_S, IntegratorConfig()),
+        "timeout": (PLANAR_S, PLANAR_F, IntegratorConfig(t_cap=50.0)),
+        "stride": (DETOUR_S, DETOUR_F, IntegratorConfig(sample_stride=0.013)),
+    }
+    PINNED = {
+        "fig1": ("de23bc7fcc814751", 75.07195599619169, False, 1, False),
+        "precessing": ("43ca6682d57f3c23", 154.93278562147165, False, 1, False),
+        "identical": ("33a0611152e597e4", 0.0, False, 0, False),
+        "timeout": ("716e4823fbb3fbe5", None, False, 0, True),
+        "stride": ("762c63a4bd6579b2", 75.07195599619143, False, 1, False),
+    }
+
+    def test_pinned_outputs(self):
+        got = {
+            name: pin_direct(run_direct(s, f, cfg=cfg))
+            for name, (s, f, cfg) in self.CASES.items()
+        }
+        assert got == self.PINNED
 
 
 class TestRunTwoStep:

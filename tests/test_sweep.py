@@ -58,6 +58,19 @@ class TestSpecValidation:
                 second_axis=GridAxis.linear("omega", 0.0, 1.0, 3),
             )
 
+    def test_kappa_must_be_positive(self):
+        # a kappa = 0 ramp never leaves the S rates, so its cells could only
+        # time out; the spec rejects it before any cell runs
+        for lo in (0.0, -0.5):
+            with pytest.raises(ValueError, match="kappa"):
+                SweepSpec(
+                    rates_s=RATES_S,
+                    rates_f=RATES_F,
+                    kappa_axis=GridAxis.linear("kappa", lo, 1.0, 4),
+                    second_axis=GridAxis.linear("omega", 0.0, 1.0, 3),
+                    h=FieldVector(1.0, 0.0, 0.0),
+                )
+
     def test_theta_sweep_pins_omega_to_zero(self):
         # a spec carries no modulation frequency: theta cells run at omega = 0
         with pytest.raises(TypeError):
