@@ -19,6 +19,7 @@ import numpy as np
 from pontus import (
     ParameterPoint,
     classify_two_step,
+    gain,
     run_direct,
     run_two_step,
     trajectory_to_csv,
@@ -55,7 +56,7 @@ for t_i in np.arange(0.05, 30.0, 0.05):
     if len(found) == 3:
         break
 
-speedups = {k: direct.tau / v.tau - 1 for k, v in found.items()}
+speedups = {k: gain(direct.tau, v.tau).g for k, v in found.items()}
 print("\nspeed-ups over the direct quench:")
 for cls, g in speedups.items():
     print(f"  {cls:12s} gain = {g:+.3f}")

@@ -43,7 +43,6 @@ from .errors import (
     PontusError,
     SingularGenerator,
     StepSizeUnderflow,
-    ZeroDenominator,
 )
 from .mpemba import (
     ContinuousClass,

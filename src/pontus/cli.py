@@ -324,7 +324,7 @@ def cmd_simulate(cfg, args, out_dir) -> int:
         params["t_i"] = t_i
         res = run_two_step(pS, pA, pF, t_i, eps, integ)
     else:
-        kappa = _number(proto.get("kappa"), "protocol.kappa", 0)
+        kappa = _number(proto.get("kappa"), "protocol.kappa", 0, True)
         omega = _number(proto.get("omega", 0.0), "protocol.omega", 0)
         params["kappa"] = kappa
         params["omega"] = omega

@@ -212,7 +212,7 @@ def trace_distances(r: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def trace_distance(r1: BlochVector, r2: BlochVector) -> float:
     """Trace distance between two-level states, half the Euclidean Bloch distance."""
-    return 0.5 * float(np.linalg.norm(r1.as_array() - r2.as_array()))
+    return float(trace_distances(r1.as_array()[None, :], r2.as_array())[0])
 
 
 def validate_endpoint(p: ParameterPoint) -> ParameterPoint:

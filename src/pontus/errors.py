@@ -29,10 +29,6 @@ class NotConverged(PontusError):
     """The trace distance never settled below the cutoff within the time cap."""
 
 
-class ZeroDenominator(PontusError):
-    """Gain is undefined for a vanishing engineered relaxation time."""
-
-
 class NoSolution(PontusError):
     """The tangency equation for the Markovian boundary has no positive root."""
 

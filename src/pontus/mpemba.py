@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import NotConverged, ZeroDenominator
+from .core import trace_distances
+from .errors import NotConverged
 from .protocols import TAU_XTOL, ProtocolResult
 
 log = logging.getLogger(__name__)
@@ -43,12 +45,22 @@ class GainValue:
 
 
 def gain(tau_dir: float, tau_cpm: float) -> GainValue:
-    """g = tau_dir / tau_cpm - 1; positive iff the engineered route is faster."""
+    """g = tau_dir / tau_cpm - 1; positive iff the engineered route is faster.
+
+    The one gain rule of the package, for sweeps and single runs alike.  An
+    engineered run already settled at t = 0 gives 0 against a direct run
+    that settled too, and +inf otherwise; a nan tau_dir (no direct baseline)
+    gives nan.
+    """
     if tau_dir < 0 or tau_cpm < 0:
         raise ValueError("relaxation times must be nonnegative")
-    if tau_cpm == 0:
-        raise ZeroDenominator("engineered relaxation time is zero")
-    return GainValue(g=tau_dir / tau_cpm - 1.0, tau_dir=tau_dir, tau_cpm=tau_cpm)
+    if math.isnan(tau_dir):
+        g = math.nan
+    elif tau_cpm == 0:
+        g = 0.0 if tau_dir == 0 else math.inf
+    else:
+        g = tau_dir / tau_cpm - 1.0
+    return GainValue(g=g, tau_dir=tau_dir, tau_cpm=tau_cpm)
 
 
 def count_crossings(series_a, series_b, tol: float = TOL_CROSSING) -> int:
@@ -92,7 +104,7 @@ def two_step_distances(two_step: ProtocolResult, direct: ProtocolResult):
         raise ValueError("result does not carry a switching state")
     tgt = direct.trajectory.target.as_array()
     d_s = float(direct.trajectory.dist[0])
-    d_i = 0.5 * float(np.linalg.norm(two_step.r_intermediate - tgt))
+    d_i = float(trace_distances(two_step.r_intermediate[None, :], tgt)[0])
     d_sf = float(direct.trajectory.distance_of(two_step.t_intermediate))
     return d_s, d_i, d_sf
 
@@ -127,12 +139,13 @@ def _shared_series(engineered: ProtocolResult, direct: ProtocolResult):
     ta, da = engineered.trajectory.t, engineered.trajectory.dist
     tb, db = direct.trajectory.t, direct.trajectory.dist
     n = min(len(ta), len(tb))
-    # drop any trailing off-grid stop sample; the strides must agree before it
+    # drop any trailing off-grid stop sample; the strides must agree before
+    # it.  A run settled at its first sample shares just that one.
     mismatch = np.nonzero(np.abs(ta[:n] - tb[:n]) > 1e-9)[0]
     if len(mismatch):
         n = int(mismatch[0])
-    if n < 2:
-        raise ValueError("trajectories were sampled on different grids")
+        if n < 2:
+            raise ValueError("trajectories were sampled on different grids")
     eps = engineered.epsilon
     relevant = np.maximum(da[:n], db[:n]) >= eps
     m = int(np.nonzero(relevant)[0][-1]) + 2 if relevant.any() else n

@@ -1,15 +1,17 @@
 """Non-Markovianity of damped-cosine rate schedules.
 
 A channel contributes whenever its instantaneous rate turns negative.  The
-accumulated weight of the negative windows admits a closed form through the
-antiderivative of the rate, with an adaptive quadrature as the independent
-cross-check, and the Markovian/non-Markovian boundary in the
-(kappa, omega) plane follows from a tangency condition on the first
+accumulated weight of the negative windows admits a closed form on every
+channel (through the antiderivative of the rate, or a geometric series over
+the cosine lobes when the final rate vanishes), with an adaptive quadrature
+as the independent cross-check, and the Markovian/non-Markovian boundary in
+the (kappa, omega) plane follows from a tangency condition on the first
 negative lobe.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -22,9 +24,11 @@ from .errors import DivergentIntervalCount, NoSolution
 
 CHANNELS = ("plus", "minus", "z")
 
-#: Tail weight accepted when the interval list is infinite and the measure
-#: must be truncated.
+#: Tail weight left beyond ``truncation_horizon``, where a report cuts an
+#: infinite window list short.
 _TAIL_TOL = 1e-12
+#: Absolute error budget of the quadrature oracle, shared by its pieces.
+_QUAD_TOL = 1e-10
 
 
 def truncation_horizon(dg: float, kappa: float) -> float:
@@ -44,19 +48,28 @@ class NmChannelReport:
     intervals: Tuple[Tuple[float, float], ...]
 
 
-def _neg_part_quad(
-    rate_scalar, rate_vector, T: float, n_segments: int, quad_tol: float
-) -> float:
-    """Adaptive quadrature of -min(0, rate) over [0, T].
+def nm_measure_quadrature(schedule, channel: str, T: float) -> float:
+    """Accumulated negative-rate weight of one channel up to time T.
 
-    The kinks of min(0, .) defeat the error estimator of adaptive rules, so
-    the domain is first split at the rate's sign changes (located on a
-    dense sample grid and sharpened by bisection); the negative stretches
-    are then smooth and integrate reliably.
+    Pure quadrature of the schedule's instantaneous rates; shares nothing
+    with the closed-form route, so the two can cross-check each other.  The
+    kinks of min(0, .) defeat the error estimator of adaptive rules, so the
+    domain is first split at the rate's sign changes (located on a sample
+    grid dense enough that no sign window is skipped, and sharpened by
+    bisection); the negative stretches are then smooth and integrate
+    reliably.
     """
+    if T <= 0:
+        raise ValueError("horizon must be positive")
+    idx = CHANNELS.index(channel)
+
+    def rate(t: float) -> float:
+        return float(schedule.rates(t)[idx])
+
+    omega = getattr(schedule, "omega", 0.0)
+    n_segments = max(8, int(math.ceil(T * omega / math.pi)) + 1)
     grid = np.linspace(0.0, T, 128 * n_segments + 1)
-    vals = rate_vector(grid)
-    neg = vals < 0.0
+    neg = schedule.rates_array(grid)[:, idx] < 0.0
     if not neg.any():
         return 0.0
     cuts = [0.0]
@@ -64,7 +77,7 @@ def _neg_part_quad(
         lo, hi = grid[k], grid[k + 1]
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if (rate_scalar(mid) < 0.0) == neg[k]:
+            if (rate(mid) < 0.0) == neg[k]:
                 lo = mid
             else:
                 hi = mid
@@ -73,40 +86,23 @@ def _neg_part_quad(
     pieces = [
         (a, b)
         for a, b in zip(cuts[:-1], cuts[1:])
-        if rate_scalar(0.5 * (a + b)) < 0.0
+        if rate(0.5 * (a + b)) < 0.0
     ]
     total = 0.0
     for a, b in pieces:
         val, _ = quad(
-            lambda s: -rate_scalar(s), a, b, limit=200,
-            epsabs=quad_tol / len(pieces),
+            lambda s: -rate(s), a, b, limit=200,
+            epsabs=_QUAD_TOL / len(pieces),
         )
         total += val
     return total
 
 
-def nm_measure_quadrature(
-    schedule, channel: str, T: float, quad_tol: float = 1e-10
-) -> float:
-    """Accumulated negative-rate weight of one channel up to time T.
-
-    Pure quadrature of the schedule's instantaneous rates; shares nothing
-    with the closed-form route, so the two can cross-check each other.
-    """
-    if T <= 0:
-        raise ValueError("horizon must be positive")
-    idx = CHANNELS.index(channel)
-
-    def rate_scalar(t: float) -> float:
-        return float(schedule.rates(t)[idx])
-
-    def rate_vector(ts: np.ndarray) -> np.ndarray:
-        return schedule.rates_array(ts)[:, idx]
-
-    omega = getattr(schedule, "omega", 0.0)
-    # sample density tied to the oscillation so no sign window is skipped
-    n_segments = max(8, int(math.ceil(T * omega / math.pi)) + 1)
-    return _neg_part_quad(rate_scalar, rate_vector, T, n_segments, quad_tol)
+def _lobes(omega: float):
+    """(n, start, end) of the negative cosine lobes
+    ((2n - 1.5) pi / omega, (2n - 0.5) pi / omega), n = 1, 2, ..."""
+    for n in itertools.count(1):
+        yield n, (2 * n - 1.5) * math.pi / omega, (2 * n - 0.5) * math.pi / omega
 
 
 def negative_intervals(
@@ -142,10 +138,7 @@ def negative_intervals(
         return math.exp(-kappa * t) * math.cos(omega * t) + c
 
     out = []
-    n = 1
-    while True:
-        lo = (2 * n - 1.5) * math.pi / omega
-        hi = (2 * n - 0.5) * math.pi / omega
+    for n, lo, hi in _lobes(omega):
         if math.exp(-kappa * lo) < c:
             break  # envelope can no longer reach the threshold
         t_min = ((2 * n - 1) * math.pi - math.atan2(kappa, omega)) / omega
@@ -153,7 +146,6 @@ def negative_intervals(
             t1 = brentq(f, lo, t_min, xtol=1e-12)
             t2 = brentq(f, t_min, hi, xtol=1e-12)
             out.append((float(t1), float(t2)))
-        n += 1
     return out
 
 
@@ -165,28 +157,19 @@ def nm_measure_closed_form(
     Sums the antiderivative of the rate across the negative windows; the
     damped-cosine part of the antiderivative is the same constant at both
     window edges (the rate vanishes there) and cancels, leaving the linear
-    term proportional to the final rate plus the sine part.  When the
-    window count diverges (vanishing final rate) the value falls back to a
-    truncated quadrature with a bounded tail.
+    term proportional to the final rate plus the sine part.  When the final
+    rate vanishes every cosine lobe is a window, |sin| = 1 at its edges, and
+    the sum over the lobes is the geometric series
+    dg omega / (kappa^2 + omega^2) e^{-q/2} / (1 - e^{-q}), q = kappa pi / omega.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     dg = g_s - g_f
-    try:
-        intervals = negative_intervals(g_s, g_f, kappa, omega)
-    except DivergentIntervalCount:
-        horizon = truncation_horizon(dg, kappa)
-
-        def rate_scalar(t: float) -> float:
-            return g_f + dg * math.exp(-kappa * t) * math.cos(omega * t)
-
-        def rate_vector(ts: np.ndarray) -> np.ndarray:
-            return g_f + dg * np.exp(-kappa * ts) * np.cos(omega * ts)
-
-        n_segments = max(8, int(math.ceil(horizon * omega / math.pi)) + 1)
-        return _neg_part_quad(rate_scalar, rate_vector, horizon, n_segments, 1e-11)
-
     k2w2 = kappa * kappa + omega * omega
+    if g_f == 0 and dg > 0 and omega > 0:
+        q = kappa * math.pi / omega
+        return dg * omega / k2w2 * math.exp(-0.5 * q) / -math.expm1(-q)
+    intervals = negative_intervals(g_s, g_f, kappa, omega)
 
     def antiderivative(t: float) -> float:
         return g_f * t + dg * omega / k2w2 * math.exp(-kappa * t) * math.sin(
@@ -277,16 +260,14 @@ def channel_report(
     try:
         intervals = tuple(negative_intervals(g_s, g_f, kappa, omega))
     except DivergentIntervalCount:
-        # report the windows inside the truncation horizon of the measure
+        # report the windows inside the truncation horizon
         horizon = truncation_horizon(g_s - g_f, kappa)
-        lobes = []
-        n = 1
-        while (2 * n - 1.5) * math.pi / omega < horizon:
-            lobes.append(
-                ((2 * n - 1.5) * math.pi / omega, (2 * n - 0.5) * math.pi / omega)
+        intervals = tuple(
+            (lo, hi)
+            for _, lo, hi in itertools.takewhile(
+                lambda lobe: lobe[1] < horizon, _lobes(omega)
             )
-            n += 1
-        intervals = tuple(lobes)
+        )
     f_value = nm_measure_closed_form(g_s, g_f, kappa, omega)
     return NmChannelReport(
         channel=channel,

@@ -20,6 +20,7 @@ import numpy as np
 from .core import FieldVector, ParameterPoint, RateTriple, write_csv
 from .dynamics import IntegratorConfig
 from .errors import BallViolation, SingularGenerator
+from .mpemba import gain
 from .nonmarkov import boundary_curve, is_non_markovian
 from .protocols import DEFAULT_EPS, run_continuous, run_direct
 
@@ -117,7 +118,9 @@ def _direct_tau(pS: ParameterPoint, pF: ParameterPoint, spec: SweepSpec):
 def _cell(args):
     """One sweep cell; must stay a plain top-level function for pickling.
 
-    Returns (tau_cpm, gain, inconclusive, non_markovian, f_total, status).
+    Returns (tau_cpm, gain, inconclusive, non_markovian, f_total, status);
+    the gain is ``mpemba.gain``'s, so a cell agrees with ``simulate`` on the
+    same problem, a nan tau_dir (failed direct baseline) included.
     """
     kappa, omega, pS, pF, eps, cfg, tau_dir = args
     if omega > 0:
@@ -140,13 +143,8 @@ def _cell(args):
         return failed(f"error:{type(exc).__name__}")
     if not res.converged:
         return failed(STATUS_TIMEOUT)
-    if math.isnan(tau_dir):
-        gain = math.nan
-    elif res.tau > 0:
-        gain = tau_dir / res.tau - 1.0
-    else:
-        gain = 0.0 if tau_dir == 0 else math.inf
-    return res.tau, gain, res.inconclusive, nm_flag, f_total, STATUS_OK
+    g = gain(tau_dir, res.tau).g
+    return res.tau, g, res.inconclusive, nm_flag, f_total, STATUS_OK
 
 
 def _run_cells(tasks, jobs: Optional[int], progress: Optional[Callable]):

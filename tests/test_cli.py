@@ -138,6 +138,22 @@ class TestConfigValidation:
             code, _, err = run_cli(capsys, "--config", cfg, "--output", str(tmp_path), "simulate")
             assert code == 1 and err.startswith("config error:") and message in err, integrator
 
+    def test_continuous_kappa_must_be_positive(self, tmp_path, capsys):
+        # a ramp with kappa <= 0 never settles on the F rates
+        for kappa in (0, -0.4):
+            cfg = write_config(
+                tmp_path,
+                {
+                    "schema": 1,
+                    "points": TILTED_POINTS,
+                    "protocol": {"kind": "continuous", "kappa": kappa, "omega": 0.45},
+                    "integrator": {"t_cap": 50.0},
+                },
+            )
+            code, _, err = run_cli(capsys, "--config", cfg, "--output", str(tmp_path), "simulate")
+            assert code == 1 and err.startswith("config error:") and "protocol.kappa" in err
+            assert not (tmp_path / "continuous_trajectory.csv").exists()
+
     def test_negative_endpoint_rate(self, tmp_path, capsys):
         points = dict(PLANAR_POINTS, F={"h": [0.707, 0.707, 0.0], "gamma": [-0.01, 0.05, 0.0]})
         cfg = write_config(
@@ -242,6 +258,28 @@ class TestSimulate:
         assert code == 4
         assert out == ""
         assert err.startswith("ball violation: trajectory left the Bloch ball at t = ")
+
+    def test_settled_baseline_continuous(self, tmp_path, capsys):
+        # S = F: both runs settle at their first sample, and the gain is 0/0
+        points = {"S": TILTED_POINTS["F"], "F": TILTED_POINTS["F"]}
+        protocol = {"kind": "continuous", "kappa": 0.4, "omega": 0.45, "with_baseline": True}
+        cfg = write_config(tmp_path, {"schema": 1, "points": points, "protocol": protocol})
+        code, out, _ = run_json(capsys, "--config", cfg, "--output", str(tmp_path), "simulate")
+        assert code == 0
+        assert out["tau"] == 0.0 and out["baseline"]["tau"] == 0.0
+        assert out["classification"] == {"gain": 0.0, "class": "no-effect", "crossings": 0}
+
+    def test_settled_baseline_two_step(self, tmp_path, capsys):
+        # S = F: the direct run settles at its first sample, the detour does not
+        f = {"h": [0.0, -0.966, 0.258], "gamma": [0.0, 0.2, 0.0]}
+        points = {"S": f, "A": {"h": [0.0, 2.0, 2.0], "gamma": [1.0, 0.0, 0.0]}, "F": f}
+        protocol = {"kind": "two-step", "t_i": 1.0, "with_baseline": True}
+        cfg = write_config(tmp_path, {"schema": 1, "points": points, "protocol": protocol})
+        code, out, _ = run_json(capsys, "--config", cfg, "--output", str(tmp_path), "simulate")
+        assert code == 0
+        assert out["tau"] > 0 and out["baseline"]["tau"] == 0.0
+        cls = out["classification"]
+        assert cls["gain"] == -1.0 and cls["class"] == "no-effect" and cls["crossings"] == 0
 
     def test_two_step_fixed_switch(self, tmp_path, capsys):
         points = {

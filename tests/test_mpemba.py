@@ -11,7 +11,6 @@ from pontus import (
     ProtocolResult,
     Trajectory,
     TwoStepClass,
-    ZeroDenominator,
     classify_continuous,
     classify_two_step,
     count_crossings,
@@ -44,9 +43,12 @@ class TestGain:
     def test_quasi_static_limit_approaches_minus_one(self):
         assert gain(100.0, 1e12).g == pytest.approx(-1.0, abs=1e-9)
 
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominator):
-            gain(10.0, 0.0)
+    def test_values_at_zero_engineered_time(self):
+        # the values a gain map writes for an engineered run settled at t = 0
+        assert gain(0.0, 0.0).g == 0.0
+        assert gain(10.0, 0.0).g == math.inf
+        assert math.isnan(gain(math.nan, 0.0).g)
+        assert math.isnan(gain(math.nan, 12.5).g)
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(17)

@@ -18,6 +18,7 @@ from pontus import (
     negative_intervals,
     nm_measure_closed_form,
     nm_measure_quadrature,
+    truncation_horizon,
 )
 
 MAP_RATES_S = (0.75, 0.75, 0.75)
@@ -177,9 +178,23 @@ class TestClosedForm:
             quadrature = nm_measure_quadrature(s, "plus", horizon)
             assert abs(closed - quadrature) < 1e-8
 
-    def test_vanishing_final_rate_falls_back_to_quadrature(self):
+    def test_vanishing_final_rate_lobe_series(self):
         val = nm_measure_closed_form(1.0, 0.0, 1.0, 10.0)
         assert val == pytest.approx(0.3138659878, abs=5e-9)
+
+    def test_lobe_series_agrees_with_quadrature_on_60_random_tuples(self):
+        # every cosine lobe is a window when the final rate vanishes; the
+        # quadrature runs well past the truncation horizon
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            dg = rng.uniform(0.01, 2.5)
+            kappa = rng.uniform(0.05, 2.0)
+            omega = rng.uniform(0.05, 3.0)
+            closed = nm_measure_closed_form(dg, 0.0, kappa, omega)
+            horizon = truncation_horizon(dg, kappa) + 10.0 / kappa
+            s = exp_cos_schedule((dg, 0, 0), (0.0, 0, 0), kappa, omega)
+            quadrature = nm_measure_quadrature(s, "plus", horizon)
+            assert abs(closed - quadrature) < 1e-10, (dg, kappa, omega)
 
     def test_measure_nonnegative_and_zero_iff_no_windows(self):
         rng = np.random.default_rng(5)

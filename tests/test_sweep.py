@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -148,6 +150,47 @@ class TestDeterminism:
         np.testing.assert_array_equal(serial.f_total, parallel.f_total)
         np.testing.assert_array_equal(serial.inconclusive, parallel.inconclusive)
         assert serial.status == parallel.status
+
+
+class TestPinnedBytes:
+    """sha256 of the CSV and of the sorted-key sidecar JSON of two small maps,
+    recorded before the sweep's gain moved to ``mpemba.gain`` and the
+    vanishing-final-rate measure to its closed form."""
+
+    @staticmethod
+    def digests(gm, tmp_path):
+        path = tmp_path / "map.csv"
+        gain_map_to_csv(gm, path)
+        sidecar = json.dumps(gain_map_sidecar(gm), sort_keys=True).encode()
+        return (
+            hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256(sidecar).hexdigest(),
+        )
+
+    def test_fig5a_kappa_omega_map(self, tmp_path):
+        spec = SweepSpec(
+            rates_s=RATES_S,
+            rates_f=RATES_F,
+            kappa_axis=GridAxis.log("kappa", 0.05, 5.0, 4),
+            second_axis=GridAxis.linear("omega", 0.0, 2.0, 3),
+            h=FieldVector(1.0, 0.0, 0.0),
+        )
+        assert self.digests(sweep_kappa_omega(spec, jobs=1), tmp_path) == (
+            "60014986297b12ec6c18fcfaeaa68bc2e609b752acae60bb62bdd0ca0a133b93",
+            "ccb00775f7f7256128d3a289a88f90860464290d17e01a61d451dc15ec00a738",
+        )
+
+    def test_fig4a_kappa_theta_map(self, tmp_path):
+        spec = SweepSpec(
+            rates_s=RATES_S,
+            rates_f=RATES_F,
+            kappa_axis=GridAxis.log("kappa", 0.05, 5.0, 3),
+            second_axis=GridAxis.linear("theta", 0.0, math.pi / 2, 3),
+        )
+        assert self.digests(sweep_kappa_theta(spec, jobs=1), tmp_path) == (
+            "b26f083db5a9d244ba1e2df2c6e63a621996848c7532cf74a286a5531820147e",
+            "3affa02cef037c0840a2d683721d909c8b74df52f5f0b6dfb6843622a9414cd4",
+        )
 
 
 class TestFailureHandling:
