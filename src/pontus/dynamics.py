@@ -5,17 +5,19 @@ eigenmodes, or a matrix exponential where those are unusable.
 Time-dependent schedules go through an in-house adaptive Dormand-Prince 5(4)
 stepper specialised to the affine ramp form Lambda(t) = lam_f + m(t) dlam,
 b(t) = b_f + m(t) db that every schedule shares: scalar floats, stages that
-form the velocity inline from the ramp's coefficients and one call of m, the
-stop rule checked inline, and the quartic dense-output coefficients of all
-steps built in one pass at the end.  It copies the initial step, error norm,
-step controller and event location of scipy's RK45, whose steps it takes up
-to round-off.  Two independent oracles (a density-matrix-level rebuild of
-the generator and a time-ordered product integrator) cross-check both routes.
+form the velocity inline from seven ramp coefficients and one call of m, the
+stop rule checked inline (its settle term only where it decides the sign),
+and the quartic dense-output coefficients of all steps built in one pass at
+the end.  It copies the initial step, error norm, step controller and event
+location of scipy's RK45, whose steps it takes up to round-off.  Two
+independent oracles (a density-matrix-level rebuild of the generator and a
+time-ordered product integrator) cross-check both routes.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -230,22 +232,6 @@ class ConstantFlow:
         return np.concatenate(pieces), False
 
 
-# Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 19
-# (1980)): nodes C, stage weights A, fifth-order weights B and error weights
-# E = B - B_hat, as in scipy's RK45.  Zero entries are left out of the
-# unrolled sums below; C6 = 1.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
-    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
-)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40,
-)
 # Quartic dense output with the optimal c_6 (Hairer, Norsett & Wanner,
 # Solving ODEs I, sec. II.6): y(t_k + x h) = y_k + h sum_j Q[:, j] x^(j+1)
 # with Q = K^T P.  P's first column is (1, 0, ..., 0), so Q[:, 0] = K_1; the
@@ -257,8 +243,6 @@ _P4 = (-1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347
 _P5 = (127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632)
 _P6 = (-282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844)
 _P7 = (40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423)
-# step-size controller: safety factor, factor bounds, error exponent -1/(4+1)
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXP = 0.9, 0.2, 10.0, -1 / 5
 _EPS = float(np.finfo(float).eps)
 _SQRT3 = 3**0.5
 _BALL_SQ = (1.0 + TOL_BALL) ** 2
@@ -309,28 +293,50 @@ def _dormand_prince(coef, ramp, stop, y, t_bound, rtol, atol, max_step):
     """Adaptive Dormand-Prince 5(4) from t = 0, step for step as scipy's RK45,
     specialised to the affine ramp form.
 
-    ``coef`` holds the 24 floats of a schedule's ``parts`` (lam_f, b_f,
-    dlam, db, row-major) and ``ramp`` is its scalar m.  Each stage calls m
-    once and writes the velocity (lam_f + m dlam) y + (b_f + m db) inline;
-    stage 7 shares stage 6's time, so it reuses that m.  ``stop`` is None
-    (run to ``t_bound``) or ``(target, tol, eps, settle)`` for the stop
-    function max(|y - target|/2 - tol, settle(t) - eps), evaluated after
-    every accepted step; on a sign change (scipy's ``find_active_events``
-    rule) its root on that step's interpolant ends the run.
+    ``coef`` holds the entries L00, L11, L22, L01, L02, L12 and b_z of
+    (lam_f, b_f), then of (dlam, db); ``ramp`` is the schedule's scalar m.
+    Each stage calls m once, forms these seven f + m d and writes the
+    velocity ((L00 a + L01 b) + L02 c, (L11 b - L01 a) + L12 c,
+    (L22 c - (L02 a + L12 b)) + b_z).  As IEEE negation is exact, these are
+    the floats of the full sums (lam_f + m dlam) y + (b_f + m db) when the
+    off-diagonal entries are antisymmetric and the x, y forcing is zero,
+    which ``integrate`` checks, save the sign of an exactly zero sum; stage
+    7 shares stage 6's time, so it reuses that m.  ``stop`` is None (run to
+    ``t_bound``) or ``(target, tol, eps, settle)`` for the stop function
+    max(|y - target|/2 - tol, settle(t) - eps), whose sign is checked after
+    every accepted step, calling settle only when the first term is not
+    positive; on a sign change (scipy's ``find_active_events`` rule) its
+    root on that step's interpolant ends the run.
 
     Returns ``(dense, stopped, nfev, n_rejected)``; dense is None when the
     stop function is already negative at t = 0.  Raises StepSizeUnderflow
     when the step falls below 10 ulp of t, and BallViolation as soon as an
     accepted step ends outside the Bloch ball.
     """
-    f00, f01, f02, f10, f11, f12, f20, f21, f22, c0, c1, c2 = coef[:12]
-    d00, d01, d02, d10, d11, d12, d20, d21, d22, e0, e1, e2 = coef[12:]
+    # Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
+    # 19 (1980)) as in scipy's RK45: nodes C, stage weights A, fifth-order
+    # weights B, error weights E = B - B_hat, then the controller's safety
+    # factor, factor bounds and error exponent -1/(4+1).  Locals, so the loop
+    # reads them without a global lookup; zero entries are left out of the
+    # unrolled sums below, and C6 = 1.
+    C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+    A21 = 1 / 5
+    A31, A32 = 3 / 40, 9 / 40
+    A41, A42, A43 = 44 / 45, -56 / 15, 32 / 9
+    A51, A52, A53, A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+    A61, A62, A63, A64, A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+    B1, B3, B4, B5, B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+    E1, E3, E4, E5, E6, E7 = (
+        -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40,
+    )
+    SAFETY, MIN_FACTOR, MAX_FACTOR, ERR_EXP = 0.9, 0.2, 10.0, -1 / 5
+    f00, f11, f22, f01, f02, f12, fz, d00, d11, d22, d01, d02, d12, dz = coef
 
     def slope(m, a, b, c):
         return (
-            (f00 + m * d00) * a + (f01 + m * d01) * b + (f02 + m * d02) * c + (c0 + m * e0),
-            (f10 + m * d10) * a + (f11 + m * d11) * b + (f12 + m * d12) * c + (c1 + m * e1),
-            (f20 + m * d20) * a + (f21 + m * d21) * b + (f22 + m * d22) * c + (c2 + m * e2),
+            (f00 + m * d00) * a + (f01 + m * d01) * b + (f02 + m * d02) * c,
+            (f11 + m * d11) * b - (f01 + m * d01) * a + (f12 + m * d12) * c,
+            (f22 + m * d22) * c - ((f02 + m * d02) * a + (f12 + m * d12) * b) + (fz + m * dz),
         )
 
     t = 0.0
@@ -365,6 +371,7 @@ def _dormand_prince(coef, ramp, stop, y, t_bound, rtol, atol, max_step):
     n_rejected = 0
 
     steps = array("d")  # per accepted step: t, h, y, k1, k3, ..., k7
+    pack_step = struct.Struct("23d").pack  # a third of array.extend's time per step
     stopped = False
     while True:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -381,62 +388,72 @@ def _dormand_prince(coef, ramp, stop, y, t_bound, rtol, atol, max_step):
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
 
-            m = ramp(t + _C2 * h)
-            a, b, c = y1 + k11 * _A21 * h, y2 + k12 * _A21 * h, y3 + k13 * _A21 * h
-            k21 = (f00 + m * d00) * a + (f01 + m * d01) * b + (f02 + m * d02) * c + (c0 + m * e0)
-            k22 = (f10 + m * d10) * a + (f11 + m * d11) * b + (f12 + m * d12) * c + (c1 + m * e1)
-            k23 = (f20 + m * d20) * a + (f21 + m * d21) * b + (f22 + m * d22) * c + (c2 + m * e2)
-            m = ramp(t + _C3 * h)
-            a = y1 + (k11 * _A31 + k21 * _A32) * h
-            b = y2 + (k12 * _A31 + k22 * _A32) * h
-            c = y3 + (k13 * _A31 + k23 * _A32) * h
-            k31 = (f00 + m * d00) * a + (f01 + m * d01) * b + (f02 + m * d02) * c + (c0 + m * e0)
-            k32 = (f10 + m * d10) * a + (f11 + m * d11) * b + (f12 + m * d12) * c + (c1 + m * e1)
-            k33 = (f20 + m * d20) * a + (f21 + m * d21) * b + (f22 + m * d22) * c + (c2 + m * e2)
-            m = ramp(t + _C4 * h)
-            a = y1 + (k11 * _A41 + k21 * _A42 + k31 * _A43) * h
-            b = y2 + (k12 * _A41 + k22 * _A42 + k32 * _A43) * h
-            c = y3 + (k13 * _A41 + k23 * _A42 + k33 * _A43) * h
-            k41 = (f00 + m * d00) * a + (f01 + m * d01) * b + (f02 + m * d02) * c + (c0 + m * e0)
-            k42 = (f10 + m * d10) * a + (f11 + m * d11) * b + (f12 + m * d12) * c + (c1 + m * e1)
-            k43 = (f20 + m * d20) * a + (f21 + m * d21) * b + (f22 + m * d22) * c + (c2 + m * e2)
-            m = ramp(t + _C5 * h)
-            a = y1 + (k11 * _A51 + k21 * _A52 + k31 * _A53 + k41 * _A54) * h
-            b = y2 + (k12 * _A51 + k22 * _A52 + k32 * _A53 + k42 * _A54) * h
-            c = y3 + (k13 * _A51 + k23 * _A52 + k33 * _A53 + k43 * _A54) * h
-            k51 = (f00 + m * d00) * a + (f01 + m * d01) * b + (f02 + m * d02) * c + (c0 + m * e0)
-            k52 = (f10 + m * d10) * a + (f11 + m * d11) * b + (f12 + m * d12) * c + (c1 + m * e1)
-            k53 = (f20 + m * d20) * a + (f21 + m * d21) * b + (f22 + m * d22) * c + (c2 + m * e2)
+            m = ramp(t + C2 * h)
+            l00, l11, l22, bz = f00 + m * d00, f11 + m * d11, f22 + m * d22, fz + m * dz
+            l01, l02, l12 = f01 + m * d01, f02 + m * d02, f12 + m * d12
+            a, b, c = y1 + k11 * A21 * h, y2 + k12 * A21 * h, y3 + k13 * A21 * h
+            k21 = l00 * a + l01 * b + l02 * c
+            k22 = l11 * b - l01 * a + l12 * c
+            k23 = l22 * c - (l02 * a + l12 * b) + bz
+            m = ramp(t + C3 * h)
+            l00, l11, l22, bz = f00 + m * d00, f11 + m * d11, f22 + m * d22, fz + m * dz
+            l01, l02, l12 = f01 + m * d01, f02 + m * d02, f12 + m * d12
+            a = y1 + (k11 * A31 + k21 * A32) * h
+            b = y2 + (k12 * A31 + k22 * A32) * h
+            c = y3 + (k13 * A31 + k23 * A32) * h
+            k31 = l00 * a + l01 * b + l02 * c
+            k32 = l11 * b - l01 * a + l12 * c
+            k33 = l22 * c - (l02 * a + l12 * b) + bz
+            m = ramp(t + C4 * h)
+            l00, l11, l22, bz = f00 + m * d00, f11 + m * d11, f22 + m * d22, fz + m * dz
+            l01, l02, l12 = f01 + m * d01, f02 + m * d02, f12 + m * d12
+            a = y1 + (k11 * A41 + k21 * A42 + k31 * A43) * h
+            b = y2 + (k12 * A41 + k22 * A42 + k32 * A43) * h
+            c = y3 + (k13 * A41 + k23 * A42 + k33 * A43) * h
+            k41 = l00 * a + l01 * b + l02 * c
+            k42 = l11 * b - l01 * a + l12 * c
+            k43 = l22 * c - (l02 * a + l12 * b) + bz
+            m = ramp(t + C5 * h)
+            l00, l11, l22, bz = f00 + m * d00, f11 + m * d11, f22 + m * d22, fz + m * dz
+            l01, l02, l12 = f01 + m * d01, f02 + m * d02, f12 + m * d12
+            a = y1 + (k11 * A51 + k21 * A52 + k31 * A53 + k41 * A54) * h
+            b = y2 + (k12 * A51 + k22 * A52 + k32 * A53 + k42 * A54) * h
+            c = y3 + (k13 * A51 + k23 * A52 + k33 * A53 + k43 * A54) * h
+            k51 = l00 * a + l01 * b + l02 * c
+            k52 = l11 * b - l01 * a + l12 * c
+            k53 = l22 * c - (l02 * a + l12 * b) + bz
             m = ramp(t + h)  # stage 7 sits at t + h too and reuses this m
-            a = y1 + (k11 * _A61 + k21 * _A62 + k31 * _A63 + k41 * _A64 + k51 * _A65) * h
-            b = y2 + (k12 * _A61 + k22 * _A62 + k32 * _A63 + k42 * _A64 + k52 * _A65) * h
-            c = y3 + (k13 * _A61 + k23 * _A62 + k33 * _A63 + k43 * _A64 + k53 * _A65) * h
-            k61 = (f00 + m * d00) * a + (f01 + m * d01) * b + (f02 + m * d02) * c + (c0 + m * e0)
-            k62 = (f10 + m * d10) * a + (f11 + m * d11) * b + (f12 + m * d12) * c + (c1 + m * e1)
-            k63 = (f20 + m * d20) * a + (f21 + m * d21) * b + (f22 + m * d22) * c + (c2 + m * e2)
-            z1 = y1 + h * (k11 * _B1 + k31 * _B3 + k41 * _B4 + k51 * _B5 + k61 * _B6)
-            z2 = y2 + h * (k12 * _B1 + k32 * _B3 + k42 * _B4 + k52 * _B5 + k62 * _B6)
-            z3 = y3 + h * (k13 * _B1 + k33 * _B3 + k43 * _B4 + k53 * _B5 + k63 * _B6)
-            k71 = (f00 + m * d00) * z1 + (f01 + m * d01) * z2 + (f02 + m * d02) * z3 + (c0 + m * e0)
-            k72 = (f10 + m * d10) * z1 + (f11 + m * d11) * z2 + (f12 + m * d12) * z3 + (c1 + m * e1)
-            k73 = (f20 + m * d20) * z1 + (f21 + m * d21) * z2 + (f22 + m * d22) * z3 + (c2 + m * e2)
+            l00, l11, l22, bz = f00 + m * d00, f11 + m * d11, f22 + m * d22, fz + m * dz
+            l01, l02, l12 = f01 + m * d01, f02 + m * d02, f12 + m * d12
+            a = y1 + (k11 * A61 + k21 * A62 + k31 * A63 + k41 * A64 + k51 * A65) * h
+            b = y2 + (k12 * A61 + k22 * A62 + k32 * A63 + k42 * A64 + k52 * A65) * h
+            c = y3 + (k13 * A61 + k23 * A62 + k33 * A63 + k43 * A64 + k53 * A65) * h
+            k61 = l00 * a + l01 * b + l02 * c
+            k62 = l11 * b - l01 * a + l12 * c
+            k63 = l22 * c - (l02 * a + l12 * b) + bz
+            z1 = y1 + h * (k11 * B1 + k31 * B3 + k41 * B4 + k51 * B5 + k61 * B6)
+            z2 = y2 + h * (k12 * B1 + k32 * B3 + k42 * B4 + k52 * B5 + k62 * B6)
+            z3 = y3 + h * (k13 * B1 + k33 * B3 + k43 * B4 + k53 * B5 + k63 * B6)
+            k71 = l00 * z1 + l01 * z2 + l02 * z3
+            k72 = l11 * z2 - l01 * z1 + l12 * z3
+            k73 = l22 * z3 - (l02 * z1 + l12 * z2) + bz
             nfev += 6
 
-            err = _rms3(
-                (k11 * _E1 + k31 * _E3 + k41 * _E4 + k51 * _E5 + k61 * _E6 + k71 * _E7)
-                * h / (atol + max(abs(y1), abs(z1)) * rtol),
-                (k12 * _E1 + k32 * _E3 + k42 * _E4 + k52 * _E5 + k62 * _E6 + k72 * _E7)
-                * h / (atol + max(abs(y2), abs(z2)) * rtol),
-                (k13 * _E1 + k33 * _E3 + k43 * _E4 + k53 * _E5 + k63 * _E6 + k73 * _E7)
-                * h / (atol + max(abs(y3), abs(z3)) * rtol),
-            )
+            # _rms3 inline, with max(y, -y, z, -z) = max(|y|, |z|) in one call
+            er1 = (k11 * E1 + k31 * E3 + k41 * E4 + k51 * E5 + k61 * E6 + k71 * E7) * h / (
+                atol + max(y1, -y1, z1, -z1) * rtol)
+            er2 = (k12 * E1 + k32 * E3 + k42 * E4 + k52 * E5 + k62 * E6 + k72 * E7) * h / (
+                atol + max(y2, -y2, z2, -z2) * rtol)
+            er3 = (k13 * E1 + k33 * E3 + k43 * E4 + k53 * E5 + k63 * E6 + k73 * E7) * h / (
+                atol + max(y3, -y3, z3, -z3) * rtol)
+            err = math.sqrt(er1 * er1 + er2 * er2 + er3 * er3) / _SQRT3
             if err < 1:
-                factor = _MAX_FACTOR if err == 0 else min(_MAX_FACTOR, _SAFETY * err**_ERR_EXP)
+                factor = MAX_FACTOR if err == 0 else min(MAX_FACTOR, SAFETY * err**ERR_EXP)
                 if rejected:  # no growth right after a rejection
                     factor = min(1, factor)
                 h_abs *= factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERR_EXP)
+            h_abs *= max(MIN_FACTOR, SAFETY * err**ERR_EXP)
             rejected = True
             n_rejected += 1
 
@@ -445,15 +462,14 @@ def _dormand_prince(coef, ramp, stop, y, t_bound, rtol, atol, max_step):
                 f"trajectory left the Bloch ball at t = {t_new:.12g} "
                 f"(|r| = {math.sqrt(z1 * z1 + z2 * z2 + z3 * z3):.12g})"
             )
-        steps.extend((
+        steps.frombytes(pack_step(
             t, h, y1, y2, y3, k11, k12, k13, k31, k32, k33, k41, k42, k43,
             k51, k52, k53, k61, k62, k63, k71, k72, k73,
         ))
         if g_old is not None:
-            g_new = max(
-                0.5 * math.sqrt((z1 - g0) ** 2 + (z2 - g1) ** 2 + (z3 - g2) ** 2) - tol,
-                settle(t_new) - eps,
-            )
+            g_new = 0.5 * math.sqrt((z1 - g0) ** 2 + (z2 - g1) ** 2 + (z3 - g2) ** 2) - tol
+            if g_new <= 0:  # else positive whatever the settle term
+                g_new = max(g_new, settle(t_new) - eps)
             if (g_old <= 0 <= g_new) or (g_new <= 0 <= g_old):
                 step = _DenseOutput(steps[-23:], t_new)
                 t_new = brentq(
@@ -482,7 +498,9 @@ def integrate(
 
     The schedule supplies the affine ramp form Lambda(t) = lam_f + m(t) dlam,
     b(t) = b_f + m(t) db through ``parts`` and the scalar ``m``; the
-    equation is stepped on plain floats by ``_dormand_prince``.
+    equation is stepped on plain floats by ``_dormand_prince``.  Both drifts
+    must be exactly antisymmetric off the diagonal and both forcings zero in
+    x and y, as ``assemble_generator`` builds them; ValueError otherwise.
 
     Integration stops once the trace distance to ``target`` is below
     ``eps/10`` while the schedule's remaining deviation from its final
@@ -494,10 +512,16 @@ def integrate(
     """
     if t_end is not None and not t_end > 0:
         raise ValueError("t_end must be positive")
+    coef = []  # L00, L11, L22, L01, L02, L12, b_z of (lam_f, b_f), then (dlam, db)
+    for lam, b in (schedule.parts[:2], schedule.parts[2:]):
+        lam, b = np.asarray(lam, dtype=float), np.asarray(b, dtype=float)
+        if not np.array_equal(np.triu(lam, 1), -np.tril(lam, -1).T) or b[0] or b[1]:
+            raise ValueError("schedule parts need an antisymmetric precession and z forcing")
+        coef += lam[(0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2)].tolist() + [float(b[2])]
     tgt = target.as_array()
     y0 = r0.as_array()
     dense, stopped, nfev, n_rejected = _dormand_prince(
-        np.concatenate([np.ravel(p) for p in schedule.parts]).tolist(),
+        coef,
         schedule.m,
         None if t_end is not None else (tgt.tolist(), eps / 10.0, eps, schedule.settle_bound),
         y0.tolist(),

@@ -134,22 +134,20 @@ def classify_two_step(
 
 
 def _shared_series(engineered: ProtocolResult, direct: ProtocolResult):
-    """Distance series of both runs on their common sample grid, truncated
-    where both have settled below the cutoff for good."""
+    """Distance series of both runs at the engineered run's times within the
+    direct run's span, cut where both have settled below the cutoff for good.
+    Past the first sample off the direct grid (a switch time or stop sample
+    off the stride), the direct distances come from its evaluator."""
     ta, da = engineered.trajectory.t, engineered.trajectory.dist
     tb, db = direct.trajectory.t, direct.trajectory.dist
     n = min(len(ta), len(tb))
-    # drop any trailing off-grid stop sample; the strides must agree before
-    # it.  A run settled at its first sample shares just that one.
     mismatch = np.nonzero(np.abs(ta[:n] - tb[:n]) > 1e-9)[0]
     if len(mismatch):
-        n = int(mismatch[0])
-        if n < 2:
-            raise ValueError("trajectories were sampled on different grids")
-    eps = engineered.epsilon
-    relevant = np.maximum(da[:n], db[:n]) >= eps
-    m = int(np.nonzero(relevant)[0][-1]) + 2 if relevant.any() else n
-    m = min(m, n)
+        k = int(mismatch[0])
+        n = max(k, int(np.searchsorted(ta, tb[-1] + 1e-9, side="right")))
+        db = np.concatenate([db[:k], direct.trajectory.distance_of(ta[k:n])])
+    relevant = np.maximum(da[:n], db[:n]) >= engineered.epsilon
+    m = min(int(np.nonzero(relevant)[0][-1]) + 2, n) if relevant.any() else n
     return da[:m], db[:m]
 
 

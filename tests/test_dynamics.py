@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -354,6 +355,39 @@ class TestIntegrate:
             target = steady_state(assemble_generator(ParameterPoint.make(h, gf)))
             traj = integrate(sched, r0, target, cfg, eps=1e-4, t_end=30.0)
             assert np.max(np.linalg.norm(traj.r, axis=1)) <= 1.0 + 1e-9
+
+    def test_parts_must_have_the_generator_structure(self):
+        # the stepper reads seven coefficients of each (drift, forcing) pair;
+        # parts without exact antisymmetry or with x, y forcing are refused
+        g = assemble_generator(PLANAR_F)
+        r0, target = steady_state(assemble_generator(PLANAR_S)), steady_state(g)
+        zero_lam, zero_b = np.zeros((3, 3)), np.zeros(3)
+
+        def duck(*parts):
+            return types.SimpleNamespace(
+                parts=parts,
+                m=lambda t: 1.0,
+                settle_bound=lambda t: 0.0,
+                rates_array=lambda ts: np.zeros((len(ts), 3)),
+                envelope=None,
+            )
+
+        cfg = IntegratorConfig()
+        want = integrate(ConstantSchedule(PLANAR_F), r0, target, cfg, 1e-4, t_end=5.0)
+        got = integrate(duck(g.Lambda, g.b, zero_lam, zero_b), r0, target, cfg, 1e-4, t_end=5.0)
+        np.testing.assert_array_equal(got.r, want.r)
+
+        skew, off_axis = zero_lam.copy(), zero_b.copy()
+        skew[2, 0] = 1e-3  # L20 != -L02
+        off_axis[1] = 1e-3  # forcing along y
+        for parts in (
+            (g.Lambda + skew, g.b, zero_lam, zero_b),
+            (g.Lambda, g.b + off_axis, zero_lam, zero_b),
+            (g.Lambda, g.b, skew, zero_b),
+            (g.Lambda, g.b, zero_lam, off_axis),
+        ):
+            with pytest.raises(ValueError, match="antisymmetric"):
+                integrate(duck(*parts), r0, target, cfg, 1e-4)
 
 
 def scipy_rk45(schedule, r0, target, cfg, eps, t_end=None):

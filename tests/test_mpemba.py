@@ -21,6 +21,7 @@ from pontus import (
     run_two_step,
     two_step_distances,
 )
+from pontus.mpemba import _shared_series
 
 PLANAR_S = ParameterPoint.make((0.707, 0.707, 0.0), (0.5, 0.1, 0.0), "S")
 PLANAR_F = ParameterPoint.make((0.707, 0.707, 0.0), (0.01, 0.05, 0.0), "F")
@@ -176,6 +177,39 @@ class TestClassifyTwoStep:
             assert classify_two_step(fake, self.DIRECT) is TwoStepClass.WEAK_TYPE_B
             _, got_d_i, _ = two_step_distances(fake, self.DIRECT)
             assert got_d_i == pytest.approx(d_i)
+
+
+class TestOffStrideSwitch:
+    """A switch time off the sample stride puts every later sample of the
+    two-step run off the direct run's grid; from there the direct distances
+    come from its evaluator, so the whole relaxation is still compared."""
+
+    DIRECT = run_direct(DETOUR_S, DETOUR_F)
+
+    def two_step(self, t_i):
+        return run_two_step(DETOUR_S, DETOUR_A, DETOUR_F, t_i)
+
+    def test_off_stride_switch_counts_like_its_neighbours(self):
+        counts = [
+            relevant_crossings(self.two_step(t_i), self.DIRECT) for t_i in (2.10, 2.13, 2.15)
+        ]
+        assert counts == [3, 3, 3]
+
+    def test_direct_series_at_the_engineered_times(self):
+        two = self.two_step(2.13)
+        da, db = _shared_series(two, self.DIRECT)
+        k = 43  # the switch sample, the first off the direct grid
+        assert two.trajectory.t[k] == 2.13 and len(da) == len(db) > 1000
+        np.testing.assert_array_equal(da, two.trajectory.dist[: len(da)])
+        np.testing.assert_array_equal(db[:k], self.DIRECT.trajectory.dist[:k])
+        np.testing.assert_array_equal(
+            db[k:], self.DIRECT.trajectory.distance_of(two.trajectory.t[k : len(db)])
+        )
+
+    def test_switch_inside_the_first_stride(self):
+        two = self.two_step(0.03)  # the grids part at the second sample
+        assert relevant_crossings(two, self.DIRECT) == 0
+        assert len(_shared_series(two, self.DIRECT)[0]) > 1000
 
 
 class TestClassifyContinuous:

@@ -243,6 +243,45 @@ class TestDirectBitIdentity:
         assert got == self.PINNED
 
 
+class TestContinuousBitIdentity:
+    """``run_continuous``'s outputs and step counters, pinned bit for bit.
+
+    Recorded from the stepper that formed each stage's velocity from all
+    twelve coefficients of lam_f + m dlam and b_f + m db.  The ramp's m calls
+    libm's exp and cos, so, like the gain-map pins, these values hold for
+    the libm they were recorded with.
+    """
+
+    FIG5A_S = ParameterPoint.make((1.0, 0.0, 0.0), (0.75, 0.75, 0.75), "S")
+    FIG5A_F = ParameterPoint.make((1.0, 0.0, 0.0), (0.05, 0.1, 0.15), "F")
+    TILTED_S = ParameterPoint.make((0.183, 0.183, -0.966), (0.5, 0.1, 0.0), "S")
+    TILTED_F = ParameterPoint.make((0.183, 0.183, -0.966), (0.1, 0.5, 0.0), "F")
+    CASES = {  # name: (S, F, kappa, omega)
+        "fig2_k020": (PLANAR_S, PLANAR_F, 0.2, 0.0),
+        "fig3b": (TILTED_S, TILTED_F, 0.4, 0.45),
+        "fig5a-k0.05-w1": (FIG5A_S, FIG5A_F, 0.05, 1.0),
+        "fig5a-k0.01-w2": (FIG5A_S, FIG5A_F, 0.01, 2.0),
+    }
+    PINNED = {
+        "fig2_k020": ("ee6bdf1c53048b49", 59.07035817679941, False, 3, False, 6374, 1062, 0),
+        "fig3b": ("cc6883933337c3ff", 19.45839776726268, True, 1, False, 1568, 261, 0),
+        "fig5a-k0.05-w1": (
+            "c2a75735d918f8ab", 107.22107968631923, True, 9, False, 11006, 1832, 2,
+        ),
+        "fig5a-k0.01-w2": (
+            "692b96874f23ecbf", 661.7345081661086, True, 19, False, 79148, 13183, 8,
+        ),
+    }
+
+    def test_pinned_outputs(self):
+        got = {}
+        for name, (s, f, kappa, omega) in self.CASES.items():
+            res = run_continuous(s, f, kappa, omega)
+            traj = res.trajectory
+            got[name] = pin_direct(res) + (traj.nfev, traj.n_accepted, traj.n_rejected)
+        assert got == self.PINNED
+
+
 class TestRunTwoStep:
     def test_small_detour_approaches_direct(self):
         direct = run_direct(DETOUR_S, DETOUR_F)
