@@ -88,6 +88,7 @@ from .sweep import (
     SweepSpec,
     gain_map_sidecar,
     gain_map_to_csv,
+    scan_two_step,
     sweep_kappa_omega,
     sweep_kappa_theta,
 )

@@ -56,13 +56,13 @@ from .protocols import (
     run_continuous,
     run_direct,
     run_two_step,
-    run_two_step_scan,
 )
 from .sweep import (
     GridAxis,
     SweepSpec,
     gain_map_sidecar,
     gain_map_to_csv,
+    scan_two_step,
     sweep_kappa_omega,
     sweep_kappa_theta,
 )
@@ -208,9 +208,12 @@ def _result_dict(res, trajectory_file=None) -> dict:
     }
 
 
-def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _emit(obj, path=None) -> None:
+    """Print ``obj`` as JSON; with a ``path``, also write that text there."""
+    text = json.dumps(obj, indent=2)
+    if path is not None:
+        path.write_text(text, encoding="utf-8")
+    sys.stdout.write(text + "\n")
 
 
 # ---------------------------------------------------------------- handlers
@@ -232,7 +235,9 @@ def cmd_steady_state(cfg, args, out_dir) -> int:
     return EXIT_OK
 
 
-def _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label):
+def _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label, jobs):
+    """The classified t_I scan on ``jobs`` worker processes; each class's first
+    realization is rerun here, bit-identically, for its trajectory CSV."""
     scan = proto["t_i_scan"]
     _check_keys(scan, {"start", "stop", "step"}, "config.protocol.t_i_scan")
     start = _number(scan.get("start"), "t_i_scan.start", 0, True)
@@ -245,25 +250,19 @@ def _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label):
     if not baseline.converged:
         raise NotConverged("direct baseline did not converge")
 
-    t_is = []
-    t_i = start
+    t_is, t_i = [], start
     while t_i <= stop + 1e-12:
         t_is.append(t_i)
         t_i = round(t_i + step, 12)
 
-    first = {}
-    rows = []
-    for t_i, res in zip(t_is, run_two_step_scan(pS, pA, pF, t_is, eps, integ)):
-        if res.converged:
-            cls = classify_two_step(res, baseline).value
-            rows.append({"t_i": t_i, "tau": res.tau, "class": cls})
-            if cls not in first and cls != "no-effect":
-                first[cls] = {"t_i": t_i, "tau": res.tau}
-                traj_file = f"{label}_{cls}_trajectory.csv"
-                trajectory_to_csv(res.trajectory, out_dir / traj_file)
-                first[cls]["trajectory_file"] = traj_file
-        else:
-            rows.append({"t_i": t_i, "tau": None, "class": "timeout"})
+    first, rows = {}, []
+    for t_i, (tau, cls) in zip(t_is, scan_two_step(pS, pA, pF, t_is, eps, integ, jobs)):
+        rows.append({"t_i": t_i, "tau": tau, "class": cls})
+        if cls not in first and cls not in ("no-effect", "timeout"):
+            traj_file = f"{label}_{cls}_trajectory.csv"
+            res = run_two_step(pS, pA, pF, t_i, eps, integ)
+            trajectory_to_csv(res.trajectory, out_dir / traj_file)
+            first[cls] = {"t_i": t_i, "tau": tau, "trajectory_file": traj_file}
 
     base_file = f"{label}_direct_trajectory.csv"
     trajectory_to_csv(baseline.trajectory, out_dir / base_file)
@@ -281,10 +280,7 @@ def _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label):
             "F": _point_dict(pF),
         },
     }
-    path = out_dir / f"{label}_result.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-    _emit(report)
+    _emit(report, out_dir / f"{label}_result.json")
     return EXIT_OK
 
 
@@ -308,7 +304,7 @@ def cmd_simulate(cfg, args, out_dir) -> int:
     with_baseline = bool(proto.get("with_baseline", False)) or args.with_baseline
 
     if kind == "two-step" and "t_i_scan" in proto:
-        return _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label)
+        return _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label, args.jobs)
 
     pS = _parameter_point(cfg, "S")
     pF = _parameter_point(cfg, "F")
@@ -359,9 +355,7 @@ def cmd_simulate(cfg, args, out_dir) -> int:
         "epsilon": eps,
         "integrator": integ.as_dict(),
     }
-    with open(out_dir / f"{label}_result.json", "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=2)
-    _emit(out)
+    _emit(out, out_dir / f"{label}_result.json")
     return EXIT_OK if res.converged else EXIT_NOT_CONVERGED
 
 
@@ -568,7 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--t-cap", type=float, default=None, help="integration cap")
     parser.add_argument(
-        "--jobs", type=int, default=os.cpu_count(), help="sweep worker processes"
+        "--jobs", type=int, default=os.cpu_count(),
+        help="worker processes for gain maps and t_I scans",
     )
     parser.set_defaults(with_baseline=False)
     sub = parser.add_subparsers(dest="command", required=True)

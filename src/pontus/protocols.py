@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -232,9 +232,9 @@ def _refined_threshold_series(traj: Trajectory, eps: float):
     refine = in_band & (straddle | turning)
     if not refine.any():
         return t, d
-    sub = np.concatenate(
-        [np.linspace(t[k], t[k + 1], 10)[1:-1] for k in np.nonzero(refine)[0]]
-    )
+    k = np.nonzero(refine)[0]
+    step = (t[k + 1] - t[k]) / 9  # linspace's own points, j * step + start
+    sub = (np.arange(1, 9) * step[:, None] + t[k][:, None]).ravel()
     ts = np.concatenate([t, sub])
     order = np.argsort(ts, kind="stable")
     return ts[order], np.concatenate([d, traj.distance_of(sub)])[order]
@@ -347,13 +347,18 @@ def run_two_step_scan(
     done before the first run (see ``_constant_stage_runs``).  Results are
     produced lazily, so a long scan holds one trajectory at a time.
     """
+    return _constant_stage_runs(pS, pA, pF, _switch_times(t_is, cfg), eps, cfg)
+
+
+def _switch_times(t_is: Sequence[float], cfg: IntegratorConfig) -> List[float]:
+    """The switching times as floats, each checked to lie in (0, t_cap)."""
     t_is = [float(t_i) for t_i in t_is]
     for t_i in t_is:
         if t_i <= 0:
             raise ValueError("switching time must be positive")
         if t_i >= cfg.t_cap:
             raise ValueError("switching time must lie below the time cap")
-    return _constant_stage_runs(pS, pA, pF, t_is, eps, cfg)
+    return t_is
 
 
 def _constant_stage_runs(

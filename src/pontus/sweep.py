@@ -1,9 +1,9 @@
-"""Parameter-plane sweeps of the gain function.
+"""Parameter-plane sweeps of the gain function, and t_I scans, on one pool.
 
-Cells are independent tasks over immutable inputs: each runs the direct
-baseline (shared per column) and one continuous protocol, then attaches
-non-Markovianity flags.  Failures are recorded per cell, never aborting
-the sweep, and results are bit-identical regardless of worker count.
+Tasks are independent over immutable inputs: a gain-map cell runs one
+continuous protocol against the direct baseline (shared per column), a scan
+task a contiguous block of classified two-step runs.  Failed cells are
+recorded, never abort a sweep; results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -20,9 +21,10 @@ import numpy as np
 from .core import FieldVector, ParameterPoint, RateTriple, write_csv
 from .dynamics import IntegratorConfig
 from .errors import BallViolation, SingularGenerator
-from .mpemba import gain
+from .mpemba import classify_two_step, gain
 from .nonmarkov import boundary_curve, is_non_markovian
-from .protocols import DEFAULT_EPS, run_continuous, run_direct
+from .protocols import DEFAULT_EPS, run_continuous, run_direct, run_two_step_scan
+from .protocols import _attractors, _switch_times
 
 STATUS_OK = "ok"
 STATUS_TIMEOUT = "timeout"
@@ -147,21 +149,23 @@ def _cell(args):
     return res.tau, g, res.inconclusive, nm_flag, f_total, STATUS_OK
 
 
-def _run_cells(tasks, jobs: Optional[int], progress: Optional[Callable]):
-    results = [None] * len(tasks)
-    if jobs is not None and jobs <= 1:
-        for i, task in enumerate(tasks):
-            results[i] = _cell(task)
+def _workers(jobs: Optional[int]) -> int:
+    """Worker count of a ``jobs`` request: None means one per CPU."""
+    return 1 if jobs is not None and jobs <= 1 else jobs or os.cpu_count() or 1
+
+
+def _run_tasks(fn: Callable, tasks, jobs: Optional[int], progress: Optional[Callable]):
+    """``fn`` of every task, in task order: in this process with one worker
+    or a single task, else on one process pool, so ``fn`` must be a plain
+    top-level function and its tasks and results picklable."""
+    workers = max(1, min(_workers(jobs), len(tasks)))
+    results = []
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        chunk = max(1, len(tasks) // (8 * workers))
+        for out in pool.map(fn, tasks, chunksize=chunk) if pool else map(fn, tasks):
+            results.append(out)
             if progress:
-                progress(i + 1, len(tasks))
-        return results
-    workers = jobs or os.cpu_count() or 1
-    chunk = max(1, len(tasks) // (8 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for i, out in enumerate(pool.map(_cell, tasks, chunksize=chunk)):
-            results[i] = out
-            if progress:
-                progress(i + 1, len(tasks))
+                progress(len(results), len(tasks))
     return results
 
 
@@ -171,7 +175,7 @@ def _assemble(spec, kappas, seconds, columns, tasks, jobs, progress):
     shape = (len(kappas), len(seconds))
     tau_dir_col, col_status = zip(*columns)
     tau_cpm, gain, inconclusive, non_markovian, f_total, status = (
-        np.reshape(grid, shape) for grid in zip(*_run_cells(tasks, jobs, progress))
+        np.reshape(grid, shape) for grid in zip(*_run_tasks(_cell, tasks, jobs, progress))
     )
     return GainMap(
         spec=spec,
@@ -245,6 +249,41 @@ def sweep_kappa_omega(
     gm = _assemble(spec, kappas, omegas, columns, tasks, jobs, progress)
     gm.boundary = boundary_curve(spec.rates_s.as_array(), spec.rates_f.as_array(), kappas)
     return gm
+
+
+def _scan_block(args):
+    """The rows of one block of ``scan_two_step``; a plain top-level function
+    for pickling.  The direct baseline is deterministic, so every block
+    classifies against the same floats."""
+    pS, pA, pF, t_is, eps, cfg = args
+    baseline = run_direct(pS, pF, eps, cfg)
+    return [
+        (res.tau, classify_two_step(res, baseline).value)
+        if res.converged
+        else (None, STATUS_TIMEOUT)
+        for res in run_two_step_scan(pS, pA, pF, t_is, eps, cfg)
+    ]
+
+
+def scan_two_step(
+    pS: ParameterPoint,
+    pA: ParameterPoint,
+    pF: ParameterPoint,
+    t_is,
+    eps: float = DEFAULT_EPS,
+    cfg: IntegratorConfig = IntegratorConfig(),
+    jobs: Optional[int] = None,
+) -> List[Tuple[Optional[float], str]]:
+    """(tau, class) of each switch time in ``t_is``, in order, or (None,
+    "timeout") for a run that hit the time cap.  Switch times and endpoints
+    are checked before any worker starts; each worker gets one contiguous
+    block, as every block rebuilds both flows and the direct baseline."""
+    t_is = _switch_times(t_is, cfg)
+    _attractors(eps, pS, pA, pF)
+    n = max(1, min(_workers(jobs), len(t_is)))
+    cut = [len(t_is) * i // n for i in range(n + 1)]
+    blocks = [(pS, pA, pF, t_is[a:b], eps, cfg) for a, b in zip(cut, cut[1:])]
+    return [row for block in _run_tasks(_scan_block, blocks, jobs, None) for row in block]
 
 
 def gain_map_to_csv(gm: GainMap, path) -> None:

@@ -380,6 +380,85 @@ class TestSimulate:
         assert second["tau"] == first["tau"]
 
 
+class TestTwoStepScanJobs:
+    """The t_I scan's outputs do not depend on the number of workers."""
+
+    POINTS = {
+        "S": {"h": [0.0, 0.998, 0.062], "gamma": [0.0, 0.2, 0.0]},
+        "A": {"h": [0.0, 2.0, 2.0], "gamma": [1.0, 0.0, 0.0]},
+        "F": {"h": [0.0, -0.966, 0.258], "gamma": [0.0, 0.2, 0.0]},
+    }
+
+    def outputs(self, tmp_path, capsys, scan, jobs, *extra):
+        cfg = write_config(
+            tmp_path,
+            {
+                "schema": 1,
+                "points": self.POINTS,
+                "protocol": {"kind": "two-step", "t_i_scan": scan, "label": "scan"},
+            },
+        )
+        out_dir = tmp_path / f"jobs{jobs}"
+        code, out, err = run_cli(
+            capsys, "--config", cfg, "--output", str(out_dir), "--jobs", str(jobs),
+            *extra, "simulate",
+        )
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        return code, out, err, files
+
+    def test_outputs_byte_identical_across_jobs(self, tmp_path, capsys):
+        scan = {"start": 0.3, "stop": 2.5, "step": 0.35}
+        runs = [self.outputs(tmp_path, capsys, scan, jobs) for jobs in (1, 2, 3)]
+        code, out, _, files = runs[0]
+        assert code == 0
+        assert set(json.loads(out)["first_realizations"]) == {
+            "weak-type-A", "weak-type-B", "strong"
+        }
+        assert sorted(files) == [
+            "scan_direct_trajectory.csv",
+            "scan_result.json",
+            "scan_strong_trajectory.csv",
+            "scan_weak-type-A_trajectory.csv",
+            "scan_weak-type-B_trajectory.csv",
+        ]
+        for other in runs[1:]:
+            assert other[:2] == (code, out)
+            assert other[3] == files
+
+    def test_timeout_rows_identical_across_jobs(self, tmp_path, capsys):
+        # the direct run settles by t = 96.7 under the 100 cap; detours that
+        # switch at t_i >= 27.5 do not
+        scan = {"start": 20.0, "stop": 40.0, "step": 2.5}
+        runs = [
+            self.outputs(tmp_path, capsys, scan, jobs, "--t-cap", "100")
+            for jobs in (1, 2)
+        ]
+        code, out, _, files = runs[0]
+        assert code == 0
+        report = json.loads(out)
+        assert report["tau_direct"] == pytest.approx(75.072, abs=1e-3)
+        classes = [row["class"] for row in report["scan"]]
+        assert classes == ["no-effect"] * 3 + ["timeout"] * 6
+        assert all(row["tau"] is None for row in report["scan"] if row["class"] == "timeout")
+        assert runs[1][:2] == (code, out) and runs[1][3] == files
+
+    @pytest.mark.parametrize(
+        "scan, message",
+        [
+            ({"start": 0.0, "stop": 2.0, "step": 0.5}, "t_i_scan.start: must be > 0"),
+            ({"start": 50.0, "stop": 120.0, "step": 10.0}, "switching time must lie below the time cap"),
+        ],
+    )
+    def test_bad_scan_exits_1_before_the_pool(self, tmp_path, capsys, monkeypatch, scan, message):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr("pontus.sweep.ProcessPoolExecutor", no_pool)
+        code, out, err, _ = self.outputs(tmp_path, capsys, scan, 2, "--t-cap", "100")
+        assert code == 1 and out == ""
+        assert err == f"config error: {message}\n"
+
+
 class TestGainMap:
     def test_small_map(self, tmp_path, capsys):
         cfg = write_config(

@@ -9,11 +9,16 @@ from pontus import (
     FieldVector,
     GridAxis,
     IntegratorConfig,
+    ParameterPoint,
     RateTriple,
     SweepSpec,
+    classify_two_step,
     gain_map_sidecar,
     gain_map_to_csv,
     is_non_markovian,
+    run_direct,
+    run_two_step_scan,
+    scan_two_step,
     sweep_kappa_omega,
     sweep_kappa_theta,
 )
@@ -150,6 +155,47 @@ class TestDeterminism:
         np.testing.assert_array_equal(serial.f_total, parallel.f_total)
         np.testing.assert_array_equal(serial.inconclusive, parallel.inconclusive)
         assert serial.status == parallel.status
+
+
+class TestScanTwoStep:
+    """The pooled t_I scan against classifying the lazy scan by hand."""
+
+    # fig1's points; the 100 cap leaves the direct run (tau 75.07) converged
+    # while the runs switching at t_i >= 27.5 hit the cap
+    S = ParameterPoint(FieldVector(0.0, 0.998, 0.062), RateTriple(0.0, 0.2, 0.0), "S")
+    A = ParameterPoint(FieldVector(0.0, 2.0, 2.0), RateTriple(1.0, 0.0, 0.0), "A")
+    F = ParameterPoint(FieldVector(0.0, -0.966, 0.258), RateTriple(0.0, 0.2, 0.0), "F")
+    CFG = IntegratorConfig(t_cap=100.0)
+    T_IS = [0.3 + 0.35 * k for k in range(7)] + [25.0, 27.5, 28.0, 30.0]
+
+    def expected(self):
+        baseline = run_direct(self.S, self.F, cfg=self.CFG)
+        return [
+            (res.tau, classify_two_step(res, baseline).value)
+            if res.converged
+            else (None, "timeout")
+            for res in run_two_step_scan(self.S, self.A, self.F, self.T_IS, cfg=self.CFG)
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_match_the_lazy_scan(self, jobs):
+        want = self.expected()
+        got = scan_two_step(self.S, self.A, self.F, self.T_IS, cfg=self.CFG, jobs=jobs)
+        assert got == want
+        classes = {cls for _, cls in want}
+        assert {"weak-type-A", "weak-type-B", "strong", "timeout"} <= classes
+
+    def test_empty_scan(self):
+        assert scan_two_step(self.S, self.A, self.F, [], jobs=2) == []
+
+    @pytest.mark.parametrize("t_is", [[1.0, 0.0], [1.0, 100.0]])
+    def test_bad_switch_times_fail_before_the_pool(self, t_is, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr("pontus.sweep.ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="switching time"):
+            scan_two_step(self.S, self.A, self.F, t_is, cfg=self.CFG, jobs=2)
 
 
 class TestPinnedBytes:
