@@ -80,7 +80,6 @@ from .protocols import (
     run_continuous,
     run_direct,
     run_two_step,
-    run_two_step_scan,
 )
 from .sweep import (
     GainMap,

@@ -235,9 +235,9 @@ def cmd_steady_state(cfg, args, out_dir) -> int:
     return EXIT_OK
 
 
-def _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label, jobs):
-    """The classified t_I scan on ``jobs`` worker processes; each class's first
-    realization is rerun here, bit-identically, for its trajectory CSV."""
+def _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label):
+    """The classified t_I scan; each class's first realization is rerun in
+    full for its trajectory CSV."""
     scan = proto["t_i_scan"]
     _check_keys(scan, {"start", "stop", "step"}, "config.protocol.t_i_scan")
     start = _number(scan.get("start"), "t_i_scan.start", 0, True)
@@ -246,17 +246,14 @@ def _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label, jobs):
     pS = _parameter_point(cfg, "S")
     pA = _parameter_point(cfg, "A")
     pF = _parameter_point(cfg, "F")
-    baseline = run_direct(pS, pF, eps, integ)
-    if not baseline.converged:
-        raise NotConverged("direct baseline did not converge")
-
     t_is, t_i = [], start
     while t_i <= stop + 1e-12:
         t_is.append(t_i)
         t_i = round(t_i + step, 12)
 
+    baseline, scan_rows = scan_two_step(pS, pA, pF, t_is, eps, integ)
     first, rows = {}, []
-    for t_i, (tau, cls) in zip(t_is, scan_two_step(pS, pA, pF, t_is, eps, integ, jobs)):
+    for t_i, (tau, cls) in zip(t_is, scan_rows):
         rows.append({"t_i": t_i, "tau": tau, "class": cls})
         if cls not in first and cls not in ("no-effect", "timeout"):
             traj_file = f"{label}_{cls}_trajectory.csv"
@@ -304,7 +301,7 @@ def cmd_simulate(cfg, args, out_dir) -> int:
     with_baseline = bool(proto.get("with_baseline", False)) or args.with_baseline
 
     if kind == "two-step" and "t_i_scan" in proto:
-        return _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label, args.jobs)
+        return _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label)
 
     pS = _parameter_point(cfg, "S")
     pF = _parameter_point(cfg, "F")
@@ -563,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--t-cap", type=float, default=None, help="integration cap")
     parser.add_argument(
         "--jobs", type=int, default=os.cpu_count(),
-        help="worker processes for gain maps and t_I scans",
+        help="worker processes for gain maps",
     )
     parser.set_defaults(with_baseline=False)
     sub = parser.add_subparsers(dest="command", required=True)

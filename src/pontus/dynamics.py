@@ -141,9 +141,8 @@ class ConstantFlow:
 
     An evaluation splits into a table that depends on the times alone,
     e^{lam t} or the augmented exponentials, and its combination with the
-    start state (``sampler``).  ``run_until`` samples in chunks of
-    ``_CHUNK`` strides and keeps each chunk's table, built the first time a
-    run needs it, for every later run through the flow from any start state.
+    start state (``sampler``).  ``run_until`` samples one run in chunks of
+    ``_CHUNK`` strides; ``crossing_times`` bisects many runs at once.
     """
 
     _CHUNK = 1024
@@ -152,9 +151,8 @@ class ConstantFlow:
         self.g = g
         self.stride = stride
         self._modes = None
-        self._chunks = {}  # first stride index of a chunk -> its table
         # the table function closes over the drift's data, not over the
-        # flow, so a sampler does not keep the flow's chunk tables alive
+        # flow, so a sampler does not keep the flow alive
         aug = _augmented(g)
         self._table = lambda ts: expm(ts[:, None, None] * aug)
         try:
@@ -167,13 +165,16 @@ class ConstantFlow:
             self._table = lambda ts: np.exp(np.multiply.outer(ts, lam))
 
     def _combiner(self, r0: np.ndarray):
-        """Function from a table to the states of the run that starts at r0."""
+        """Function from a table to the states of the run that starts at r0;
+        for an (n, 3) stack of starts, row k of the table is run k's."""
         if self._modes is None:
-            return lambda e: e[:, :3, :3] @ r0 + e[:, :3, 3]
+            return lambda e: (e[:, :3, :3] @ r0[..., None])[..., 0] + e[:, :3, 3]
         r_ss, vec_t, coef = self._modes
-        w = (coef @ (r0 - r_ss))[:, None] * vec_t  # row j: c_j V[:, j]
+        w = (coef @ (r0 - r_ss).T).T[..., None] * vec_t  # row j: c_j V[:, j]
         # modes summed term by term, so no sample depends on the batch
-        return lambda z: r_ss + (z[:, :1] * w[0] + z[:, 1:2] * w[1] + z[:, 2:] * w[2]).real
+        return lambda z: r_ss + (
+            z[:, :1] * w[..., 0, :] + z[:, 1:2] * w[..., 1, :] + z[:, 2:] * w[..., 2, :]
+        ).real
 
     def sampler(self, r0: np.ndarray):
         """``states`` from r0 as a function of a float array of times alone;
@@ -219,17 +220,38 @@ class ConstantFlow:
         cap = int(np.floor(t_max / self.stride))
         pieces = [r]
         for first in range(1, cap + 1, self._CHUNK):
-            table = self._chunks.get(first)
-            if table is None:
-                ks = np.arange(first, first + self._CHUNK)
-                table = self._chunks[first] = self._table(ks * self.stride)
-            chunk = combine(table[: cap + 1 - first])  # the last chunk may be cut
+            ks = np.arange(first, min(first + self._CHUNK, cap + 1))
+            chunk = combine(self._table(ks * self.stride))
             hit = np.flatnonzero(trace_distances(chunk, target) < threshold)
             if len(hit):
                 pieces.append(chunk[: hit[0] + 1])
                 return np.concatenate(pieces), True
             pieces.append(chunk)
         return np.concatenate(pieces), False
+
+    def crossing_times(self, r0s, target: np.ndarray, level: float, t_max) -> np.ndarray:
+        """First time the trace distance to ``target`` of each run, from a
+        row of ``r0s``, falls below ``level``: 0 if it starts below, inf if
+        still at or above it at ``t_max`` (a float, or one per run).
+
+        All runs are bisected at once, 64 halvings of [0, t_max], far below
+        ``protocols.TAU_XTOL``.  The distance must never rise, as toward the
+        steady state of any flow with nonnegative rates: the drift's
+        symmetric part diag(2d, 2d, -(gamma_+ + gamma_-)), d <= 0, contracts
+        every r - r_ss.
+        """
+        r0s = np.array(r0s, dtype=float).reshape(-1, 3)
+        combine = self._combiner(r0s)
+        lo = np.zeros(len(r0s))
+        hi = lo + t_max
+        reached = trace_distances(combine(self._table(hi)), target) < level
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            hit = trace_distances(combine(self._table(mid)), target) < level
+            lo, hi = np.where(hit, lo, mid), np.where(hit, mid, hi)
+        hi[~reached] = np.inf
+        hi[trace_distances(r0s, target) < level] = 0.0
+        return hi
 
 
 # Quartic dense output with the optimal c_6 (Hairer, Norsett & Wanner,

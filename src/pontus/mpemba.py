@@ -123,9 +123,17 @@ def classify_two_step(
     _check_comparable(two_step, direct)
     if not (two_step.converged and direct.converged):
         raise NotConverged("both runs must have converged to classify them")
-    if two_step.tau >= direct.tau - 2.0 * TAU_XTOL:
+    return _two_step_class(
+        two_step.tau, direct.tau, lambda: two_step_distances(two_step, direct)
+    )
+
+
+def _two_step_class(tau: float, tau_dir: float, distances) -> TwoStepClass:
+    """``classify_two_step``'s rule, shared with t_I scans; ``distances()``,
+    the switch's (d_S, d_I, d_SF), is called only for a speed-up."""
+    if tau >= tau_dir - 2.0 * TAU_XTOL:
         return TwoStepClass.NO_EFFECT
-    d_s, d_i, d_sf = two_step_distances(two_step, direct)
+    d_s, d_i, d_sf = distances()
     if d_i < d_sf:
         return TwoStepClass.WEAK_TYPE_A
     if d_i < d_s:

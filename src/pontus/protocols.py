@@ -4,7 +4,8 @@ Each runner starts from the steady state of the initial parameters,
 monitors the trace distance to the final steady state, and extracts the
 relaxation time as the last time the distance settles below the cutoff.
 The direct quench and the two-step detour hold constant parameters in each
-stage and share one runner, the quench being its run without a detour;
+stage and share one single-run runner, the quench being its run without a
+detour (a t_I scan takes exact crossings instead: ``sweep.scan_two_step``);
 the continuous ramp is integrated adaptively.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -24,6 +25,7 @@ from .core import (
     RateTriple,
     Trajectory,
     distance_evaluator,
+    trace_distances,
     validate_endpoint,
 )
 from .dynamics import (
@@ -316,8 +318,7 @@ def run_direct(
     one F stage propagates through the exact closed-form flow; the trace
     distance to the F attractor decreases monotonically.
     """
-    (result,) = _constant_stage_runs(pS, pF, pF, [0.0], eps, cfg)
-    return result
+    return _constant_stage_run(pS, pF, pF, 0.0, eps, cfg)
 
 
 def run_two_step(
@@ -329,25 +330,8 @@ def run_two_step(
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> ProtocolResult:
     """Detour through the A environment until t_i, then relax toward F."""
-    (result,) = run_two_step_scan(pS, pA, pF, [t_i], eps, cfg)
-    return result
-
-
-def run_two_step_scan(
-    pS: ParameterPoint,
-    pA: ParameterPoint,
-    pF: ParameterPoint,
-    t_is: Sequence[float],
-    eps: float = DEFAULT_EPS,
-    cfg: IntegratorConfig = IntegratorConfig(),
-) -> Iterator[ProtocolResult]:
-    """Two-step runs for each switching time in ``t_is``, yielded in order.
-
-    The argument checks and the work independent of the switching time are
-    done before the first run (see ``_constant_stage_runs``).  Results are
-    produced lazily, so a long scan holds one trajectory at a time.
-    """
-    return _constant_stage_runs(pS, pA, pF, _switch_times(t_is, cfg), eps, cfg)
+    (t_i,) = _switch_times([t_i], cfg)
+    return _constant_stage_run(pS, pA, pF, t_i, eps, cfg)
 
 
 def _switch_times(t_is: Sequence[float], cfg: IntegratorConfig) -> List[float]:
@@ -361,76 +345,62 @@ def _switch_times(t_is: Sequence[float], cfg: IntegratorConfig) -> List[float]:
     return t_is
 
 
-def _constant_stage_runs(
+def _constant_stage_run(
     pS: ParameterPoint,
     pA: ParameterPoint,
     pF: ParameterPoint,
-    t_is: Sequence[float],
+    t_i: float,
     eps: float,
     cfg: IntegratorConfig,
-) -> Iterator[ProtocolResult]:
-    """Runs that hold the A parameters up to each switching time, then F's.
+) -> ProtocolResult:
+    """The run that holds the A parameters up to t_i, then F's.
 
-    Everything independent of the switching time is done once, before the
-    first run: the checks, the generators and steady states, both constant
-    flows, and the A-stage grid up to the largest switching time, whose
-    prefixes serve every run.  A run with t_i = 0 makes no detour: it is the
-    direct quench, and records no switch.  With pA the F point itself, F's
-    generator and flow serve the A stage too.
+    A run with t_i = 0 makes no detour: it is the direct quench, and records
+    no switch.  The F stage is sampled until the distance falls below eps/10
+    or the time cap; as the distance never rises there, the run has timed
+    out only if its last sample is still at or above eps.
     """
-    points = (pS, pF) if pA is pF else (pS, pA, pF)
-    gens, attractors = _attractors(eps, *points)
-    r0, target = attractors[0].as_array(), attractors[-1]
-    tgt = target.as_array()
+    gens, (r0, _, target) = _attractors(eps, pS, pA, pF)
+    r0, tgt = r0.as_array(), target.as_array()
 
     stride = cfg.sample_stride
-    flow_f = ConstantFlow(gens[-1], stride)
-    flow_a = flow_f if pA is pF else ConstantFlow(gens[1], stride)
+    flow_a = ConstantFlow(gens[1], stride)
+    flow_f = ConstantFlow(gens[2], stride)
     detour = flow_a.sampler(r0)
-    n_strides = [int(math.floor(t_i / stride + 1e-9)) for t_i in t_is]
-    grid_a = flow_a.grid(r0, max(n_strides, default=0))
-    rates_a, rates_f = pA.gamma.as_array(), pF.gamma.as_array()
+    n_a = int(math.floor(t_i / stride + 1e-9))
+    t_a = np.arange(n_a + 1) * stride
+    r_a = flow_a.grid(r0, n_a)
+    r_i = detour(np.array([t_i]))[0]
+    if abs(n_a * stride - t_i) >= 1e-9:
+        t_a = np.append(t_a, t_i)
+        r_a = np.vstack([r_a, r_i])
 
-    def one_run(t_i: float, n_a: int) -> ProtocolResult:
-        t_a = np.arange(n_a + 1) * stride
-        r_a = grid_a[: n_a + 1]
-        r_i = detour(np.array([t_i]))[0]
-        if abs(n_a * stride - t_i) >= 1e-9:
-            t_a = np.append(t_a, t_i)
-            r_a = np.vstack([r_a, r_i])
+    states_f, reached = flow_f.run_until(r_i, tgt, eps / 10.0, cfg.t_cap - t_i)
+    t_f = t_i + np.arange(len(states_f)) * stride
+    relax = flow_f.sampler(r_i)
 
-        states_f, reached = flow_f.run_until(r_i, tgt, eps / 10.0, cfg.t_cap - t_i)
-        t_f = t_i + np.arange(len(states_f)) * stride
-        relax = flow_f.sampler(r_i)
+    ts = np.concatenate([t_a, t_f[1:]])
+    rates = np.tile(pF.gamma.as_array(), (len(ts), 1))
+    rates[ts <= t_i] = pA.gamma.as_array()
 
-        ts = np.concatenate([t_a, t_f[1:]])
-        rates = np.tile(rates_f, (len(ts), 1))
-        rates[ts <= t_i] = rates_a
+    def states(ts: np.ndarray) -> np.ndarray:
+        out = np.empty((len(ts), 3))
+        before = ts <= t_i
+        out[before] = detour(ts[before])
+        out[~before] = relax(ts[~before] - t_i)
+        return out
 
-        def states(ts: np.ndarray) -> np.ndarray:
-            if len(ts) == 1:  # the root finder's calls: one stage, no masks
-                return detour(ts) if ts[0] <= t_i else relax(ts - t_i)
-            out = np.empty((len(ts), 3))
-            before = ts <= t_i
-            out[before] = detour(ts[before])
-            out[~before] = relax(ts[~before] - t_i)
-            return out
-
-        traj = Trajectory(
-            t=ts,
-            r=np.vstack([r_a, states_f[1:]]),
-            rates=rates,
-            target=target,
-            distance_of=distance_evaluator(states, tgt),
-            timed_out=not reached,
-        )
-        if t_i == 0:
-            return _result("direct", traj, pS, pF, eps)
-        return _result(
-            "two-step", traj, pS, pF, eps, t_intermediate=t_i, r_intermediate=r_i
-        )
-
-    return map(one_run, t_is, n_strides)
+    traj = Trajectory(
+        t=ts,
+        r=np.vstack([r_a, states_f[1:]]),
+        rates=rates,
+        target=target,
+        distance_of=distance_evaluator(states, tgt),
+        timed_out=not reached and bool(trace_distances(states_f[-1:], tgt)[0] >= eps),
+    )
+    if t_i == 0:
+        return _result("direct", traj, pS, pF, eps)
+    return _result("two-step", traj, pS, pF, eps, t_intermediate=t_i, r_intermediate=r_i)
 
 
 def run_continuous(

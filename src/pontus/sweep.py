@@ -1,9 +1,10 @@
-"""Parameter-plane sweeps of the gain function, and t_I scans, on one pool.
+"""Parameter-plane sweeps of the gain function, and t_I scans.
 
-Tasks are independent over immutable inputs: a gain-map cell runs one
-continuous protocol against the direct baseline (shared per column), a scan
-task a contiguous block of classified two-step runs.  Failed cells are
-recorded, never abort a sweep; results are bit-identical for any worker count.
+A gain-map cell runs one continuous protocol against the direct baseline
+(shared per column); cells are independent over immutable inputs and run on
+one process pool.  Failed cells are recorded, never abort a sweep; results
+are bit-identical for any worker count.  A t_I scan runs in this process:
+each row is one exact crossing of the contracting F stage.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import FieldVector, ParameterPoint, RateTriple, write_csv
-from .dynamics import IntegratorConfig
-from .errors import BallViolation, SingularGenerator
-from .mpemba import classify_two_step, gain
+from .core import FieldVector, ParameterPoint, RateTriple, trace_distances, write_csv
+from .dynamics import ConstantFlow, IntegratorConfig
+from .errors import BallViolation, NotConverged, SingularGenerator
+from .mpemba import _two_step_class, classify_two_step, gain
 from .nonmarkov import boundary_curve, is_non_markovian
-from .protocols import DEFAULT_EPS, run_continuous, run_direct, run_two_step_scan
+from .protocols import DEFAULT_EPS, ProtocolResult, run_continuous, run_direct, run_two_step
 from .protocols import _attractors, _switch_times
 
 STATUS_OK = "ok"
@@ -149,20 +150,15 @@ def _cell(args):
     return res.tau, g, res.inconclusive, nm_flag, f_total, STATUS_OK
 
 
-def _workers(jobs: Optional[int]) -> int:
-    """Worker count of a ``jobs`` request: None means one per CPU."""
-    return 1 if jobs is not None and jobs <= 1 else jobs or os.cpu_count() or 1
-
-
-def _run_tasks(fn: Callable, tasks, jobs: Optional[int], progress: Optional[Callable]):
-    """``fn`` of every task, in task order: in this process with one worker
-    or a single task, else on one process pool, so ``fn`` must be a plain
-    top-level function and its tasks and results picklable."""
-    workers = max(1, min(_workers(jobs), len(tasks)))
+def _run_tasks(tasks, jobs: Optional[int], progress: Optional[Callable]):
+    """``_cell`` of every task, in task order: on a pool of ``jobs`` worker
+    processes (None: one per CPU), or in this process for one worker or task."""
+    workers = 1 if jobs is not None and jobs <= 1 else jobs or os.cpu_count() or 1
+    workers = max(1, min(workers, len(tasks)))
     results = []
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         chunk = max(1, len(tasks) // (8 * workers))
-        for out in pool.map(fn, tasks, chunksize=chunk) if pool else map(fn, tasks):
+        for out in pool.map(_cell, tasks, chunksize=chunk) if pool else map(_cell, tasks):
             results.append(out)
             if progress:
                 progress(len(results), len(tasks))
@@ -175,7 +171,7 @@ def _assemble(spec, kappas, seconds, columns, tasks, jobs, progress):
     shape = (len(kappas), len(seconds))
     tau_dir_col, col_status = zip(*columns)
     tau_cpm, gain, inconclusive, non_markovian, f_total, status = (
-        np.reshape(grid, shape) for grid in zip(*_run_tasks(_cell, tasks, jobs, progress))
+        np.reshape(grid, shape) for grid in zip(*_run_tasks(tasks, jobs, progress))
     )
     return GainMap(
         spec=spec,
@@ -251,20 +247,6 @@ def sweep_kappa_omega(
     return gm
 
 
-def _scan_block(args):
-    """The rows of one block of ``scan_two_step``; a plain top-level function
-    for pickling.  The direct baseline is deterministic, so every block
-    classifies against the same floats."""
-    pS, pA, pF, t_is, eps, cfg = args
-    baseline = run_direct(pS, pF, eps, cfg)
-    return [
-        (res.tau, classify_two_step(res, baseline).value)
-        if res.converged
-        else (None, STATUS_TIMEOUT)
-        for res in run_two_step_scan(pS, pA, pF, t_is, eps, cfg)
-    ]
-
-
 def scan_two_step(
     pS: ParameterPoint,
     pA: ParameterPoint,
@@ -272,18 +254,40 @@ def scan_two_step(
     t_is,
     eps: float = DEFAULT_EPS,
     cfg: IntegratorConfig = IntegratorConfig(),
-    jobs: Optional[int] = None,
-) -> List[Tuple[Optional[float], str]]:
-    """(tau, class) of each switch time in ``t_is``, in order, or (None,
-    "timeout") for a run that hit the time cap.  Switch times and endpoints
-    are checked before any worker starts; each worker gets one contiguous
-    block, as every block rebuilds both flows and the direct baseline."""
+) -> Tuple[ProtocolResult, List[Tuple[Optional[float], str]]]:
+    """The direct baseline, and the (tau, class) of each switch time in
+    ``t_is`` in order, or (None, "timeout") for a run that hits the time cap;
+    NotConverged if the baseline does.
+
+    A run at or above eps at its switch crosses it once in its contracting
+    F stage: tau is t_i plus that crossing, a timeout past its last F
+    sample.  A run below eps at its switch is run and classified in full.
+    """
     t_is = _switch_times(t_is, cfg)
-    _attractors(eps, pS, pA, pF)
-    n = max(1, min(_workers(jobs), len(t_is)))
-    cut = [len(t_is) * i // n for i in range(n + 1)]
-    blocks = [(pS, pA, pF, t_is[a:b], eps, cfg) for a, b in zip(cut, cut[1:])]
-    return [row for block in _run_tasks(_scan_block, blocks, jobs, None) for row in block]
+    gens, (r0, _, target) = _attractors(eps, pS, pA, pF)
+    baseline = run_direct(pS, pF, eps, cfg)
+    if not baseline.converged:
+        raise NotConverged("direct baseline did not converge")
+    tgt = target.as_array()
+    ts = np.array(t_is, dtype=float)
+    r_i = ConstantFlow(gens[1]).states(r0.as_array(), ts)
+    d_s = float(baseline.trajectory.dist[0])
+    d_i = trace_distances(r_i, tgt).tolist()
+    d_sf = baseline.trajectory.distance_of(ts).tolist()
+    t_last = np.floor((cfg.t_cap - ts) / cfg.sample_stride) * cfg.sample_stride
+    taus = ts + ConstantFlow(gens[2]).crossing_times(r_i, tgt, eps, t_last)
+
+    rows = []
+    for t_i, tau, d_i_k, d_sf_k in zip(t_is, taus.tolist(), d_i, d_sf):
+        if d_i_k < eps:
+            res = run_two_step(pS, pA, pF, t_i, eps, cfg)
+            rows.append((res.tau, classify_two_step(res, baseline).value))
+        elif tau == math.inf:
+            rows.append((None, STATUS_TIMEOUT))
+        else:
+            cls = _two_step_class(tau, baseline.tau, lambda: (d_s, d_i_k, d_sf_k))
+            rows.append((tau, cls.value))
+    return baseline, rows
 
 
 def gain_map_to_csv(gm: GainMap, path) -> None:

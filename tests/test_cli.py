@@ -1,10 +1,16 @@
+import hashlib
+import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pontus import ParameterPoint, run_two_step
 from pontus.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 PLANAR_POINTS = {
     "S": {"h": [0.707, 0.707, 0.0], "gamma": [0.5, 0.1, 0.0]},
@@ -333,6 +339,15 @@ class TestSimulate:
         for info in out["first_realizations"].values():
             assert (tmp_path / info["trajectory_file"]).exists()
 
+    def test_fig1_settles_under_an_80_cap(self, tmp_path, capsys):
+        # the direct run is below eps from 75.07 on, below eps/10 only at 96.7
+        code, out, err = run_json(
+            capsys, "--config", str(CONFIGS / "fig1.json"), "--output", str(tmp_path),
+            "--t-cap", "80", "simulate",
+        )
+        assert code == 0, err
+        assert out["tau_direct"] == 75.07195599619169
+
     def test_round_trip_reproduces_tau(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -426,9 +441,9 @@ class TestTwoStepScanJobs:
             assert other[3] == files
 
     def test_timeout_rows_identical_across_jobs(self, tmp_path, capsys):
-        # the direct run settles by t = 96.7 under the 100 cap; detours that
-        # switch at t_i >= 27.5 do not
-        scan = {"start": 20.0, "stop": 40.0, "step": 2.5}
+        # under the 100 cap a row times out exactly where its crossing, taken
+        # from the uncapped run, lies past its last F sample: from t_i ~ 43.2
+        scan = {"start": 20.0, "stop": 50.0, "step": 2.5}
         runs = [
             self.outputs(tmp_path, capsys, scan, jobs, "--t-cap", "100")
             for jobs in (1, 2)
@@ -437,9 +452,14 @@ class TestTwoStepScanJobs:
         assert code == 0
         report = json.loads(out)
         assert report["tau_direct"] == pytest.approx(75.072, abs=1e-3)
+        s, a, f = (ParameterPoint.make(p["h"], p["gamma"]) for p in self.POINTS.values())
+        for row in report["scan"]:
+            tau = run_two_step(s, a, f, row["t_i"]).tau
+            last = row["t_i"] + math.floor((100.0 - row["t_i"]) / 0.05) * 0.05
+            assert (row["class"] == "timeout") == (tau > last), row
+            assert row["class"] != "timeout" or (row["tau"] is None and row["t_i"] >= 40)
         classes = [row["class"] for row in report["scan"]]
-        assert classes == ["no-effect"] * 3 + ["timeout"] * 6
-        assert all(row["tau"] is None for row in report["scan"] if row["class"] == "timeout")
+        assert classes == ["no-effect"] * 10 + ["timeout"] * 3
         assert runs[1][:2] == (code, out) and runs[1][3] == files
 
     @pytest.mark.parametrize(
@@ -457,6 +477,39 @@ class TestTwoStepScanJobs:
         code, out, err, _ = self.outputs(tmp_path, capsys, scan, 2, "--t-cap", "100")
         assert code == 1 and out == ""
         assert err == f"config error: {message}\n"
+
+
+class TestPinnedScan:
+    """sha256 of the fig1 scan's trajectory CSVs and its 600 classes,
+    recorded before the scan's rows came from exact crossings."""
+
+    CSV_SHA256 = {
+        "fig1_direct_trajectory.csv":
+            "1ffa950732afdd5104a7852bf4d495e127ee7921fef9d5e182a3f5bc4356b068",
+        "fig1_strong_trajectory.csv":
+            "be51b3bf0ec1bb7ac34cfc4a47f1f109d8cf40a490fc23d4905a08ba023d3306",
+        "fig1_weak-type-A_trajectory.csv":
+            "7c117b34eef95e9720ec8687e86108d8b433eb1f3afe4670982032481a62feea",
+        "fig1_weak-type-B_trajectory.csv":
+            "f8008a8ba1ca3efd0b6894626b0710cbd057d6048fd95147ef22963703436194",
+    }
+    CLASS_RUNS = [  # (class, run length) in switch-time order
+        ("no-effect", 6), ("weak-type-A", 17), ("weak-type-B", 18),
+        ("strong", 324), ("no-effect", 235),
+    ]
+
+    def test_fig1_scan(self, tmp_path, capsys):
+        code, out, _ = run_json(
+            capsys, "--config", str(CONFIGS / "fig1.json"), "--output", str(tmp_path),
+            "simulate",
+        )
+        assert code == 0
+        csvs = {p.name: p for p in tmp_path.glob("*.csv")}
+        assert {
+            name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in csvs.items()
+        } == self.CSV_SHA256
+        classes = [row["class"] for row in out["scan"]]
+        assert [(k, len(list(g))) for k, g in itertools.groupby(classes)] == self.CLASS_RUNS
 
 
 class TestGainMap:

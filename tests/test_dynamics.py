@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from pontus import (
     TOL_BALL,
@@ -224,7 +225,7 @@ class TestConstantFlow:
                 got, reached = flow.run_until(r0, target, 0.0, t_max)
                 assert not reached and len(got) == round(t_max / 0.05) + 1
                 assert np.array_equal(got, self._pointwise(flow, r0, len(got)))
-            for r0 in order:  # the tables now exist; reuse them for both starts
+            for r0 in order:  # a second run through the same flow
                 got, _ = flow.run_until(r0, target, 0.0, 60.0)
                 assert np.array_equal(got, self._pointwise(flow, r0, len(got)))
 
@@ -272,6 +273,54 @@ class TestConstantFlow:
             for t, r in zip(ts, got):
                 worst = max(worst, np.max(np.abs(r - self._augmented_route(g, r0, t))))
         assert worst <= 1e-10
+
+
+class TestCrossingTimes:
+    """``ConstantFlow.crossing_times`` on seeded random endpoint flows and a
+    defective drift, so both evaluation routes are covered."""
+
+    def test_random_endpoint_flows(self):
+        rng = np.random.default_rng(2026)
+        # a field of size a in the xy plane with pure dephasing 2a is
+        # defective, as in ((0.5, 0, 0), (0, 0, 1)); near it, the expm route
+        sizes, angles = rng.uniform(0.1, 2.0, 10), rng.uniform(0, 2 * math.pi, 10)
+        near_defective = [
+            ((a * math.cos(phi), a * math.sin(phi), 0.0), (0.0, 0.0, 2 * a * (1 + rel)))
+            for a, phi, rel in zip(sizes, angles, rng.uniform(-1e-9, 1e-9, 10))
+        ]
+        points = [((0.5, 0.0, 0.0), (0.0, 0.0, 1.0))] + near_defective + [
+            (
+                rng.normal(scale=rng.choice([0.1, 1.0, 3.0]), size=3),
+                rng.uniform(0.0, 2.0, 3) * (rng.uniform(size=3) > 0.25),
+            )
+            for _ in range(200)
+        ]
+        expm_route, worst = 0, 0.0
+        for h, gamma in points:
+            g = assemble_generator(ParameterPoint.make(h, gamma))
+            target = steady_state(g).as_array()
+            flow = ConstantFlow(g)
+            expm_route += flow._modes is None
+            r0 = rng.normal(size=3)
+            r0 *= rng.uniform(0.2, 1.0) / np.linalg.norm(r0)
+            ts = np.arange(0.0, 40.0, 0.01)
+            d = 0.5 * np.linalg.norm(flow.states(r0, ts) - target, axis=1)
+            assert np.all(np.diff(d) <= 1e-15), (h, gamma)  # never rises
+
+            def dist(t):
+                return 0.5 * np.linalg.norm(flow.state(r0, t) - target)
+
+            level = d[-1] + rng.uniform(0.05, 0.95) * (d[0] - d[-1])
+            k = int(np.flatnonzero(d < level)[0]) - 1  # d[k] >= level > d[k + 1]
+            root = brentq(lambda t: dist(t) - level, ts[k], ts[k + 1], xtol=1e-14)
+            near = target + 0.5 * level / d[0] * (r0 - target)  # starts below the level
+            got = flow.crossing_times(
+                [r0, r0, near], target, level, np.array([1e3, 0.5 * root, 1e3])
+            )
+            worst = max(worst, abs(got[0] - root))
+            assert got[1] == math.inf and got[2] <= 1e-9, (h, gamma)
+        assert expm_route == 11
+        assert worst <= 1e-9
 
 
 class TestSuperoperatorOracle:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pontus import (
+    BlochVector,
     ConstantFlow,
     ConstantSchedule,
     ExponentialCosineSchedule,
@@ -24,10 +25,10 @@ from pontus import (
     run_continuous,
     run_direct,
     run_two_step,
-    run_two_step_scan,
+    scan_two_step,
     steady_state,
+    trace_distance,
 )
-from pontus import dynamics
 from pontus.protocols import _refined_threshold_series
 
 PLANAR_S = ParameterPoint.make((0.707, 0.707, 0.0), (0.5, 0.1, 0.0), "S")
@@ -161,9 +162,16 @@ class TestRunDirect:
         res = run_direct(PLANAR_S, PLANAR_F, cfg=IntegratorConfig(t_cap=5.0))
         assert res.timed_out and not res.converged and res.tau is None
 
+    @pytest.mark.parametrize("t_cap", [80.0, 85.0, 90.0, 95.0])
+    def test_settled_run_is_no_timeout_below_the_stop_sample(self, t_cap):
+        # fig1's direct run settles at 75.07 but is below eps/10 only at 96.7
+        res = run_direct(DETOUR_S, DETOUR_F, cfg=IntegratorConfig(t_cap=t_cap))
+        assert res.timed_out is False and res.converged
+        assert res.tau == run_direct(DETOUR_S, DETOUR_F).tau
+
     def test_result_keeps_no_flow_alive(self):
-        # a timed-out run through 196 chunk tables: its distance evaluator
-        # must hold the drift's data, not the flow that owns the tables
+        # a timed-out run through 196 sample chunks: its distance evaluator
+        # must hold the drift's data, not the flow
         slow_f = ParameterPoint.make((0.707, 0.707, 0.0), (0.0, 2e-4, 0.0), "F")
         res = run_direct(PLANAR_S, slow_f)
         assert res.timed_out
@@ -322,6 +330,8 @@ class TestRunTwoStep:
 
 
 class TestRunTwoStepScan:
+    """The fig1 t_I scan of ``scan_two_step`` against single runs."""
+
     # fig1 (the DETOUR points), recorded with the previous stride-power-table
     # flow; the closed-form flow must reproduce them to 1e-9 relative
     TAU_DIRECT = 75.07195599618873
@@ -341,58 +351,53 @@ class TestRunTwoStepScan:
     def test_matches_recorded_fig1_taus(self):
         direct = run_direct(DETOUR_S, DETOUR_F)
         assert direct.tau == pytest.approx(self.TAU_DIRECT, rel=1e-9)
-        scan = run_two_step_scan(DETOUR_S, DETOUR_A, DETOUR_F, list(self.TAUS))
-        for (t_i, tau), res in zip(self.TAUS.items(), scan):
-            assert res.t_intermediate == t_i
-            assert res.tau == pytest.approx(tau, rel=1e-9), t_i
+        baseline, rows = scan_two_step(DETOUR_S, DETOUR_A, DETOUR_F, list(self.TAUS))
+        assert baseline.tau == direct.tau
+        for (t_i, tau), (row_tau, _) in zip(self.TAUS.items(), rows):
+            one = run_two_step(DETOUR_S, DETOUR_A, DETOUR_F, t_i)
+            assert one.t_intermediate == t_i
+            assert one.tau == pytest.approx(tau, rel=1e-9), t_i
+            assert row_tau == pytest.approx(tau, rel=1e-9), t_i
 
     def test_bit_identical_to_single_runs(self):
+        # an A point with F's values, switched after the direct tau: each run
+        # is below eps at its switch, so its row is the full run's, classified
+        a_as_f = ParameterPoint(DETOUR_F.h, DETOUR_F.gamma, "A")
         direct = run_direct(DETOUR_S, DETOUR_F)
-        t_is = [0.01, 0.35, 1.2, 2.1, 2.125, 7.3, 12.0]
-        scan = run_two_step_scan(DETOUR_S, DETOUR_A, DETOUR_F, t_is)
-        assert iter(scan) is scan  # lazy: one result at a time
-        for t_i, res in zip(t_is, scan):
-            one = run_two_step(DETOUR_S, DETOUR_A, DETOUR_F, t_i)
-            assert res.tau == one.tau
-            assert classify_two_step(res, direct) is classify_two_step(one, direct)
-            assert np.array_equal(res.r_intermediate, one.r_intermediate)
-            for field in ("t", "r", "dist", "rates"):
-                a = getattr(res.trajectory, field)
-                b = getattr(one.trajectory, field)
-                assert np.array_equal(a, b), (t_i, field)
+        t_is = [80.0, 90.0]
+        _, rows = scan_two_step(DETOUR_S, a_as_f, DETOUR_F, t_is)
+        want = []
+        for t_i in t_is:
+            one = run_two_step(DETOUR_S, a_as_f, DETOUR_F, t_i)
+            r_i = BlochVector.from_array(one.r_intermediate)
+            assert trace_distance(r_i, one.trajectory.target) < one.epsilon
+            want.append((one.tau, classify_two_step(one, direct).value))
+        assert rows == want
+        assert [cls for _, cls in rows] == ["no-effect", "no-effect"]
 
-    def test_fig1_scan_builds_each_f_chunk_table_once(self, monkeypatch):
-        # every run's F stage goes through the scan's one F flow, so each
-        # chunk's exp(k stride lam) table is built once per scan, not per run
-        chunk = ConstantFlow._CHUNK
+    def test_fig1_scan_calls_run_until_once(self, monkeypatch):
+        # every row comes from one exact crossing; only the direct baseline
+        # is sampled to eps/10
+        calls = []
+        run_until = ConstantFlow.run_until
 
-        class CountingNumpy:
-            """numpy, counting the exponentials of whole chunk tables."""
+        def counting(self, *args):
+            calls.append(args)
+            return run_until(self, *args)
 
-            chunk_tables = 0
-
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def exp(self, x, *args, **kwargs):
-                if np.shape(x)[:1] == (chunk,):
-                    CountingNumpy.chunk_tables += 1
-                return np.exp(x, *args, **kwargs)
-
-        monkeypatch.setattr(dynamics, "np", CountingNumpy())
+        monkeypatch.setattr(ConstantFlow, "run_until", counting)
         t_is = [round(0.05 * k, 10) for k in range(1, 601)]
-        runs = list(run_two_step_scan(DETOUR_S, DETOUR_A, DETOUR_F, t_is))
-        per_run = [
-            math.ceil(round((r.trajectory.t[-1] - r.t_intermediate) / 0.05) / chunk)
-            for r in runs
-        ]
-        assert sum(per_run) >= 1200  # chunk evaluations made by the runs
-        assert CountingNumpy.chunk_tables == max(per_run)
+        _, rows = scan_two_step(DETOUR_S, DETOUR_A, DETOUR_F, t_is)
+        assert len(rows) == 600 and len(calls) == 1
 
-    def test_rejects_bad_switch_times_before_running(self):
-        with pytest.raises(ValueError):
-            run_two_step_scan(DETOUR_S, DETOUR_A, DETOUR_F, [1.0, 0.0])
-        assert list(run_two_step_scan(DETOUR_S, DETOUR_A, DETOUR_F, [])) == []
+    def test_rejects_bad_switch_times_before_running(self, monkeypatch):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow was built")
+
+        monkeypatch.setattr("pontus.protocols.ConstantFlow", no_flow)
+        for t_i in (0.0, -1.0, 1e4):
+            with pytest.raises(ValueError, match="switching time"):
+                run_two_step(DETOUR_S, DETOUR_A, DETOUR_F, t_i)
 
 
 class TestRunContinuous:
@@ -490,7 +495,8 @@ class TestVectorisedDistance:
         t_is = [round(0.05 * k, 10) for k in range(1, 601)]
         direct = run_direct(DETOUR_S, DETOUR_F)
         n = self.n_checked(direct.trajectory, direct.epsilon)
-        for res in run_two_step_scan(DETOUR_S, DETOUR_A, DETOUR_F, t_is):
+        for t_i in t_is:
+            res = run_two_step(DETOUR_S, DETOUR_A, DETOUR_F, t_i)
             n += self.n_checked(res.trajectory, res.epsilon)
         assert n > 1000
 

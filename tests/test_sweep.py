@@ -17,7 +17,7 @@ from pontus import (
     gain_map_to_csv,
     is_non_markovian,
     run_direct,
-    run_two_step_scan,
+    run_two_step,
     scan_two_step,
     sweep_kappa_omega,
     sweep_kappa_theta,
@@ -158,44 +158,56 @@ class TestDeterminism:
 
 
 class TestScanTwoStep:
-    """The pooled t_I scan against classifying the lazy scan by hand."""
+    """The t_I scan's exact-crossing rows against full single runs."""
 
-    # fig1's points; the 100 cap leaves the direct run (tau 75.07) converged
-    # while the runs switching at t_i >= 27.5 hit the cap
+    # fig1's points; the 100 cap leaves the direct run (tau 75.07) and every
+    # detour that settles by t = 100 converged, while the run switching at
+    # t_i = 45 would settle near 101.8
     S = ParameterPoint(FieldVector(0.0, 0.998, 0.062), RateTriple(0.0, 0.2, 0.0), "S")
     A = ParameterPoint(FieldVector(0.0, 2.0, 2.0), RateTriple(1.0, 0.0, 0.0), "A")
     F = ParameterPoint(FieldVector(0.0, -0.966, 0.258), RateTriple(0.0, 0.2, 0.0), "F")
     CFG = IntegratorConfig(t_cap=100.0)
-    T_IS = [0.3 + 0.35 * k for k in range(7)] + [25.0, 27.5, 28.0, 30.0]
+    T_IS = [0.3 + 0.35 * k for k in range(7)] + [25.0, 27.5, 28.0, 30.0, 45.0]
 
-    def expected(self):
-        baseline = run_direct(self.S, self.F, cfg=self.CFG)
-        return [
-            (res.tau, classify_two_step(res, baseline).value)
-            if res.converged
-            else (None, "timeout")
-            for res in run_two_step_scan(self.S, self.A, self.F, self.T_IS, cfg=self.CFG)
-        ]
+    def lazy_scan(self):
+        """Each switch time run in full, one at a time."""
+        for t_i in self.T_IS:
+            yield t_i, run_two_step(self.S, self.A, self.F, t_i, cfg=self.CFG)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_rows_match_the_lazy_scan(self, jobs):
-        want = self.expected()
-        got = scan_two_step(self.S, self.A, self.F, self.T_IS, cfg=self.CFG, jobs=jobs)
-        assert got == want
-        classes = {cls for _, cls in want}
-        assert {"weak-type-A", "weak-type-B", "strong", "timeout"} <= classes
+    @pytest.mark.parametrize("batches", [1, 2])
+    def test_rows_match_the_lazy_scan(self, batches):
+        direct = run_direct(self.S, self.F, cfg=self.CFG)
+        whole = scan_two_step(self.S, self.A, self.F, self.T_IS, cfg=self.CFG)[1]
+        rows = []
+        for part in np.array_split(self.T_IS, batches):
+            baseline, part_rows = scan_two_step(
+                self.S, self.A, self.F, part.tolist(), cfg=self.CFG
+            )
+            assert baseline.tau == direct.tau
+            rows += part_rows
+        assert rows == whole
+        for (t_i, one), (tau, cls) in zip(self.lazy_scan(), rows):
+            if one.timed_out:
+                assert (tau, cls) == (None, "timeout"), t_i
+            else:
+                assert cls == classify_two_step(one, direct).value, t_i
+                assert tau == pytest.approx(one.tau, abs=1e-9), t_i
+        classes = [cls for _, cls in rows]
+        assert {"weak-type-A", "weak-type-B", "strong", "no-effect"} <= set(classes)
+        assert classes[-1] == "timeout" and classes.count("timeout") == 1
 
     def test_empty_scan(self):
-        assert scan_two_step(self.S, self.A, self.F, [], jobs=2) == []
+        assert scan_two_step(self.S, self.A, self.F, [])[1] == []
 
     @pytest.mark.parametrize("t_is", [[1.0, 0.0], [1.0, 100.0]])
-    def test_bad_switch_times_fail_before_the_pool(self, t_is, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
+    def test_bad_switch_times_raise_before_any_run(self, t_is, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run was started")
 
-        monkeypatch.setattr("pontus.sweep.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("pontus.sweep.run_direct", no_run)
+        monkeypatch.setattr("pontus.sweep.run_two_step", no_run)
         with pytest.raises(ValueError, match="switching time"):
-            scan_two_step(self.S, self.A, self.F, t_is, cfg=self.CFG, jobs=2)
+            scan_two_step(self.S, self.A, self.F, t_is, cfg=self.CFG)
 
 
 class TestPinnedBytes:
