@@ -60,6 +60,7 @@ from .protocols import (
 from .sweep import (
     GridAxis,
     SweepSpec,
+    available_cpus,
     gain_map_sidecar,
     gain_map_to_csv,
     scan_two_step,
@@ -559,8 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--t-cap", type=float, default=None, help="integration cap")
     parser.add_argument(
-        "--jobs", type=int, default=os.cpu_count(),
-        help="worker processes for gain maps",
+        "--jobs", type=int, default=available_cpus(),
+        help="worker processes for gain maps (default: the CPUs this process may use)",
     )
     parser.set_defaults(with_baseline=False)
     sub = parser.add_subparsers(dest="command", required=True)

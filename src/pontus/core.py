@@ -7,7 +7,7 @@ is the energy unit, times are measured in its inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -227,13 +227,32 @@ def validate_endpoint(p: ParameterPoint) -> ParameterPoint:
     return p
 
 
-def write_csv(path, header: str, row_format: str, rows: Iterable[Sequence]) -> None:
-    """Write a CSV file: the header line, then ``row_format % tuple(row)`` per row.
+#: Rows of a CSV file formatted by one ``%`` call of ``write_csv``.
+_CSV_BLOCK = 1024
 
-    Every number goes through one printf-style field such as ``%.17g``,
-    which round-trips a float exactly.
+
+def write_csv(path, header: str, columns: Sequence[np.ndarray]) -> None:
+    """Write a CSV file: the header line, then one line per row of ``columns``.
+
+    A float64 column is written as ``%.17g``, which round-trips a float
+    exactly, any other column (an object array of bytes) as ``%s``.  Rows go
+    out in blocks of ``_CSV_BLOCK``, each formatted by one ``%``; a column
+    whose values in a block are bitwise identical is formatted once, into the
+    block's format.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        line = row_format + "\n"
-        fh.writelines(line % tuple(row) for row in rows)
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            fields, varying = [], []
+            for col in columns:
+                block = col[start : start + _CSV_BLOCK]
+                spec, bits = b"%s", block
+                if block.dtype == np.float64:  # -0.0 == 0.0, but prints "-0"
+                    spec, bits = b"%.17g", block.view(np.int64)
+                if (bits == bits[0]).all():
+                    fields.append((spec % block[0]).replace(b"%", b"%%"))
+                else:
+                    fields.append(spec)
+                    varying.append(block)
+            values = np.column_stack(varying).ravel().tolist() if varying else ()
+            fh.write((b",".join(fields) + b"\n") * len(block) % tuple(values))

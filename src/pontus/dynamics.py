@@ -673,15 +673,10 @@ def velocity_field_grid(
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write the dense samples as CSV: t,rx,ry,rz,dist,gp,gm,gz."""
-    cols = np.column_stack([traj.t, traj.r, traj.dist, traj.rates])
-    write_csv(path, "t,rx,ry,rz,dist,gp,gm,gz", ",".join(["%.17g"] * 8), cols.tolist())
+    columns = [traj.t, *traj.r.T, traj.dist, *traj.rates.T]
+    write_csv(path, "t,rx,ry,rz,dist,gp,gm,gz", columns)
 
 
 def velocity_field_to_csv(rows: np.ndarray, path) -> None:
     """Write velocity-field samples as CSV: rx,ry,rz,vx,vy,vz,speed."""
-    write_csv(
-        path,
-        "rx,ry,rz,vx,vy,vz,speed",
-        ",".join(["%.17g"] * 7),
-        np.asarray(rows, dtype=float).tolist(),
-    )
+    write_csv(path, "rx,ry,rz,vx,vy,vz,speed", list(np.asarray(rows, dtype=float).T))

@@ -15,7 +15,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -97,6 +97,8 @@ class GainMap:
     non_markovian: np.ndarray
     status: List[List[str]]
     boundary: List[Tuple[float, Optional[float]]]
+    # the first exception message of each ``error:<Type>`` status, row-major
+    errors: Dict[str, str] = field(default_factory=dict)
 
     @property
     def shape(self):
@@ -121,7 +123,8 @@ def _direct_tau(pS: ParameterPoint, pF: ParameterPoint, spec: SweepSpec):
 def _cell(args):
     """One sweep cell; must stay a plain top-level function for pickling.
 
-    Returns (tau_cpm, gain, inconclusive, non_markovian, f_total, status);
+    Returns (tau_cpm, gain, inconclusive, non_markovian, f_total, status,
+    message), the message being the exception's for an ``error:`` status;
     the gain is ``mpemba.gain``'s, so a cell agrees with ``simulate`` on the
     same problem, a nan tau_dir (failed direct baseline) included.
     """
@@ -133,8 +136,8 @@ def _cell(args):
     else:
         nm_flag, f_total = False, 0.0
 
-    def failed(status):
-        return math.nan, math.nan, False, nm_flag, f_total, status
+    def failed(status, message=None):
+        return math.nan, math.nan, False, nm_flag, f_total, status, message
 
     try:
         res = run_continuous(pS, pF, kappa, omega, eps, cfg)
@@ -143,17 +146,25 @@ def _cell(args):
     except BallViolation:
         return failed("ball-violation")
     except Exception as exc:  # record, never abort the sweep
-        return failed(f"error:{type(exc).__name__}")
+        return failed(f"error:{type(exc).__name__}", str(exc))
     if not res.converged:
         return failed(STATUS_TIMEOUT)
     g = gain(tau_dir, res.tau).g
-    return res.tau, g, res.inconclusive, nm_flag, f_total, STATUS_OK
+    return res.tau, g, res.inconclusive, nm_flag, f_total, STATUS_OK, None
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_tasks(tasks, jobs: Optional[int], progress: Optional[Callable]):
     """``_cell`` of every task, in task order: on a pool of ``jobs`` worker
-    processes (None: one per CPU), or in this process for one worker or task."""
-    workers = 1 if jobs is not None and jobs <= 1 else jobs or os.cpu_count() or 1
+    processes (None: ``available_cpus()``), or in this process for one worker
+    or task."""
+    workers = 1 if jobs is not None and jobs <= 1 else jobs or available_cpus()
     workers = max(1, min(workers, len(tasks)))
     results = []
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
@@ -170,9 +181,18 @@ def _assemble(spec, kappas, seconds, columns, tasks, jobs, progress):
     ``columns`` holds each column's (tau_dir, status) of the direct run."""
     shape = (len(kappas), len(seconds))
     tau_dir_col, col_status = zip(*columns)
-    tau_cpm, gain, inconclusive, non_markovian, f_total, status = (
-        np.reshape(grid, shape) for grid in zip(*_run_tasks(tasks, jobs, progress))
+    *grids, cells, messages = zip(*_run_tasks(tasks, jobs, progress))
+    tau_cpm, gain, inconclusive, non_markovian, f_total = (
+        np.reshape(grid, shape) for grid in grids
     )
+    status = [
+        cell if col == STATUS_OK else f"direct-{col}"
+        for cell, col in zip(cells, col_status * shape[0])
+    ]
+    errors = {}
+    for cell, message in zip(status, messages):
+        if cell.startswith("error:"):
+            errors.setdefault(cell, message)
     return GainMap(
         spec=spec,
         kappa=np.asarray(kappas),
@@ -183,11 +203,9 @@ def _assemble(spec, kappas, seconds, columns, tasks, jobs, progress):
         f_total=f_total,
         inconclusive=inconclusive,
         non_markovian=non_markovian,
-        status=[
-            [cell if col == STATUS_OK else f"direct-{col}" for cell, col in zip(row, col_status)]
-            for row in status.tolist()
-        ],
+        status=[status[i : i + shape[1]] for i in range(0, len(status), shape[1])],
         boundary=[],
+        errors=errors,
     )
 
 
@@ -292,35 +310,34 @@ def scan_two_step(
 
 def gain_map_to_csv(gm: GainMap, path) -> None:
     """Row-major cell dump; booleans as true/false, failures in ``status``."""
-    flag = ("false", "true")
     n1, n2 = gm.shape
-    rows = (
-        (
-            gm.kappa[i],
-            gm.second[j],
-            gm.tau_dir[i, j],
-            gm.tau_cpm[i, j],
-            gm.gain[i, j],
-            flag[bool(gm.inconclusive[i, j])],
-            flag[bool(gm.non_markovian[i, j])],
-            gm.f_total[i, j],
-            gm.status[i][j],
-        )
-        for i in range(n1)
-        for j in range(n2)
-    )
+    flag = np.array([b"false", b"true"], dtype=object)  # object: stacks with floats as floats
+
+    def cells(a, dtype=float):
+        return np.asarray(a, dtype=dtype).ravel()
+
     write_csv(
         path,
         "axis1,axis2,tau_dir,tau_cpm,gain,inconclusive,non_markovian,f_total,status",
-        "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s,%.17g,%s",
-        rows,
+        [
+            np.repeat(cells(gm.kappa), n2),
+            np.tile(cells(gm.second), n1),
+            cells(gm.tau_dir),
+            cells(gm.tau_cpm),
+            cells(gm.gain),
+            flag[cells(gm.inconclusive, int)],
+            flag[cells(gm.non_markovian, int)],
+            cells(gm.f_total),
+            np.array([s.encode() for row in gm.status for s in row], dtype=object),
+        ],
     )
 
 
 def gain_map_sidecar(gm: GainMap) -> dict:
-    """JSON-ready description of the sweep, its cell-status counts and the boundary curve."""
+    """JSON-ready description of the sweep, its cell-status counts, the
+    boundary curve and, if any cell failed with an error, its ``errors``."""
     spec = gm.spec
-    return {
+    side = {
         "schema": 1,
         "sweep": {
             "kind": f"kappa-{spec.second_axis.name}",
@@ -335,3 +352,6 @@ def gain_map_sidecar(gm: GainMap) -> dict:
         "status_counts": dict(Counter(s for row in gm.status for s in row).most_common()),
         "boundary": [[k, w] for k, w in gm.boundary],
     }
+    if gm.errors:
+        side["errors"] = gm.errors
+    return side

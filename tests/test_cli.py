@@ -512,6 +512,47 @@ class TestPinnedScan:
         assert [(k, len(list(g))) for k, g in itertools.groupby(classes)] == self.CLASS_RUNS
 
 
+class TestPinnedFigures:
+    """sha256 of each fig2/fig3 ``simulate`` output (ramp trajectory, direct
+    trajectory, result JSON), recorded before the CSV writer formatted rows
+    in blocks."""
+
+    SHA256 = {
+        "fig2_k020": (
+            "9fd4c26f18cee0cabb8c8c1d84a5ed3dd5624d9d45281faf8ff8f27440291b1a",
+            "412988cf97d5bf9d7f7e154c193958c1a7ed427e8c7fdcf62f1c18942a7d0ae3",
+            "c68d114986a871d6f18059127666440a9087a780342d0c336ed2ec4a2c727fe8",
+        ),
+        "fig2_k0035": (
+            "cb9d2d8b7a785ea5218354a3d8cae191da9a77112b79257f55e62c8273d8b3f8",
+            "412988cf97d5bf9d7f7e154c193958c1a7ed427e8c7fdcf62f1c18942a7d0ae3",
+            "23747b1d68ef840f2e3a8a71acd8dcec0cf86ff2e8ff1f7e433a3996591c6e95",
+        ),
+        "fig3a": (
+            "306bc2c62ae4900384d0e29766cb9f045a11e2d6af70411d2affe2085d7dd8f6",
+            "1e5817b72da112e3cd68daec37b6195ab6fc37c38d1b5119d8ae226069ab2765",
+            "b2b7d877d396d30684f1441795206ef528272608c90259d1a545d659ddc64567",
+        ),
+        "fig3b": (
+            "9d7b8fe148a3d3b4dff755edf775032a19a70760946554725127ba32eb1f6d08",
+            "1e5817b72da112e3cd68daec37b6195ab6fc37c38d1b5119d8ae226069ab2765",
+            "bcb5c91bb36ee325205e2a8c75e834117b338d5714f8eb3dd76e03b5b7e50958",
+        ),
+    }
+
+    @pytest.mark.parametrize("label", sorted(SHA256))
+    def test_figure(self, label, tmp_path, capsys):
+        code, _, _ = run_cli(
+            capsys, "--config", str(CONFIGS / f"{label}.json"), "--output", str(tmp_path),
+            "simulate",
+        )
+        assert code == 0
+        names = ("_trajectory.csv", "_direct_trajectory.csv", "_result.json")
+        assert tuple(
+            hashlib.sha256((tmp_path / (label + n)).read_bytes()).hexdigest() for n in names
+        ) == self.SHA256[label]
+
+
 class TestGainMap:
     def test_small_map(self, tmp_path, capsys):
         cfg = write_config(
@@ -539,6 +580,31 @@ class TestGainMap:
         side = json.loads((tmp_path / "mini_gainmap.json").read_text())
         assert side["csv_file"] == "mini_gainmap.csv"
         assert len(side["boundary"]) == 3
+
+    def test_default_jobs_follow_cpu_affinity(self, tmp_path, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr("pontus.sweep.ProcessPoolExecutor", no_pool)
+        cfg = write_config(
+            tmp_path,
+            {
+                "schema": 1,
+                "sweep": {
+                    "kind": "kappa-theta",
+                    "rates_s": [0.75, 0.75, 0.75],
+                    "rates_f": [0.05, 0.1, 0.15],
+                    "kappa": {"min": 1.0, "max": 10.0, "n": 2},
+                    "theta": {"min": 0.5, "max": 1.0, "n": 2},
+                    "label": "one",
+                },
+            },
+        )
+        code, _, _ = run_cli(capsys, "--config", cfg, "--output", str(tmp_path), "gain-map")
+        assert code == 0
+        side = json.loads((tmp_path / "one_gainmap.json").read_text())
+        assert side["status_counts"] == {"ok": 4}
 
     def test_failed_cells_still_exit_zero(self, tmp_path, capsys):
         cfg = write_config(

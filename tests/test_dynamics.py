@@ -16,12 +16,18 @@ from pontus import (
     ConstantFlow,
     ConstantSchedule,
     ExponentialCosineSchedule,
+    FieldVector,
+    GainMap,
+    GridAxis,
     IntegratorConfig,
     ParameterPoint,
     PiecewiseTwoStepSchedule,
+    RateTriple,
     SingularGenerator,
+    SweepSpec,
     Trajectory,
     assemble_generator,
+    gain_map_to_csv,
     integrate,
     product_integration_oracle,
     propagate_constant,
@@ -35,7 +41,7 @@ from pontus import (
     velocity_field_grid,
     velocity_field_to_csv,
 )
-from pontus.core import distance_evaluator
+from pontus.core import _CSV_BLOCK, distance_evaluator
 
 PLANAR_S = ParameterPoint.make((0.707, 0.707, 0.0), (0.5, 0.1, 0.0), "S")
 PLANAR_F = ParameterPoint.make((0.707, 0.707, 0.0), (0.01, 0.05, 0.0), "F")
@@ -775,6 +781,74 @@ class TestExports:
         rows[: len(special), 3] = special
         velocity_field_to_csv(rows, path)
         assert path.read_bytes() == per_value("rx,ry,rz,vx,vy,vz,speed", rows)
+
+    SPECIALS = [np.nan, np.inf, -np.inf, 5e-324, 1e300, 1 / 3, -0.0, 0.0]
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1, 2, 3])  # rows: 1, B-1, B, B+1, 2B+1
+    def test_block_writer_matches_per_value_formatting(self, shift, tmp_path):
+        B = _CSV_BLOCK
+        n = {-1: 1, 0: B - 1, 1: B, 2: B + 1, 3: 2 * B + 1}[shift]
+        rng = np.random.default_rng(1300 + shift)
+        i = np.arange(n)
+        rows = np.column_stack([
+            rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n),  # varying
+            np.full(n, 0.25),  # constant
+            np.take(self.SPECIALS, (i // B + shift) % 8),  # changes at block edges
+            np.where(i % B == B // 2, -1e300, 1 / 3),  # changes inside a block
+            np.where(i == n - 1, -0.0, 0.0),  # "constant" with one signed zero
+            rng.choice(self.SPECIALS, size=n),
+            rng.choice([0.0, -0.0], size=n),
+        ])
+        path = tmp_path / "table.csv"
+        velocity_field_to_csv(rows, path)
+        lines = [",".join(format(v, ".17g") for v in row) for row in rows.tolist()]
+        expected = "\n".join(["rx,ry,rz,vx,vy,vz,speed"] + lines) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+    def test_block_writer_gain_map_matches_per_value_formatting(self, tmp_path):
+        B = _CSV_BLOCK
+        n1, n2 = 33, 64  # 2112 cells: three blocks, each spanning whole kappa rows
+        rng = np.random.default_rng(13)
+        spec = SweepSpec(
+            rates_s=RateTriple(0.75, 0.75, 0.75),
+            rates_f=RateTriple(0.05, 0.1, 0.15),
+            kappa_axis=GridAxis.log("kappa", 0.01, 100.0, n1),
+            second_axis=GridAxis.linear("omega", 0.0, 2.0, n2),
+            h=FieldVector(1.0, 0.0, 0.0),
+        )
+        statuses = ["ok", "timeout", "ball-violation", "error:ValueError", "direct-timeout"]
+        status = [[str(rng.choice(statuses)) for _ in range(n2)] for _ in range(n1)]
+        status[n1 - 1] = ["odd%s%%status"] * n2  # the last block: one row, constant
+        tau_cpm = rng.uniform(1.0, 100.0, (n1, n2))
+        tau_cpm[: B // n2] = np.nan  # the whole first block
+        tau_cpm[B // n2 :, 5] = np.nan
+        gm = GainMap(
+            spec=spec,
+            kappa=np.asarray(spec.kappa_axis.values),
+            second=np.asarray(spec.second_axis.values),
+            tau_dir=np.full((n1, n2), 75.07195599619169),
+            tau_cpm=tau_cpm,
+            gain=np.where(np.isnan(tau_cpm), np.nan, 75.07195599619169 / tau_cpm),
+            f_total=np.where(rng.random((n1, n2)) < 0.5, 0.0, rng.random((n1, n2))),
+            inconclusive=rng.random((n1, n2)) < 0.1,
+            non_markovian=np.tile(np.arange(n2) > 20, (n1, 1)),
+            status=status,
+            boundary=[],
+        )
+        path = tmp_path / "map.csv"
+        gain_map_to_csv(gm, path)
+        fmt = lambda x: format(float(x), ".17g")  # noqa: E731
+        lines = ["axis1,axis2,tau_dir,tau_cpm,gain,inconclusive,non_markovian,f_total,status"]
+        for a in range(n1):
+            for b in range(n2):
+                lines.append(",".join([
+                    fmt(gm.kappa[a]), fmt(gm.second[b]), fmt(gm.tau_dir[a, b]),
+                    fmt(gm.tau_cpm[a, b]), fmt(gm.gain[a, b]),
+                    "true" if gm.inconclusive[a, b] else "false",
+                    "true" if gm.non_markovian[a, b] else "false",
+                    fmt(gm.f_total[a, b]), gm.status[a][b],
+                ]))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_velocity_field_zero_speed_at_attractor(self):
         # balanced pumping parks the attractor at the origin, a grid point

@@ -1,10 +1,13 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+import pontus.sweep
 from pontus import (
     FieldVector,
     GridAxis,
@@ -22,6 +25,7 @@ from pontus import (
     sweep_kappa_omega,
     sweep_kappa_theta,
 )
+from pontus.sweep import available_cpus
 
 RATES_S = RateTriple(0.75, 0.75, 0.75)
 RATES_F = RateTriple(0.05, 0.1, 0.15)
@@ -155,6 +159,65 @@ class TestDeterminism:
         np.testing.assert_array_equal(serial.f_total, parallel.f_total)
         np.testing.assert_array_equal(serial.inconclusive, parallel.inconclusive)
         assert serial.status == parallel.status
+
+
+class TestWorkers:
+    def test_one_cpu_affinity_runs_in_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr("pontus.sweep.ProcessPoolExecutor", no_pool)
+        assert available_cpus() == 1
+        gm = sweep_kappa_omega(omega_spec(n_kappa=2, n_omega=2))
+        assert gm.status == [["ok", "ok"], ["ok", "ok"]]
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert available_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert available_cpus() == 1
+
+
+class TestCellErrors:
+    """An ``error:<Type>`` cell keeps its exception message in the sidecar."""
+
+    SPEC = SweepSpec(
+        rates_s=RATES_S,
+        rates_f=RATES_F,
+        kappa_axis=GridAxis("kappa", (5.0, 50.0)),
+        second_axis=GridAxis("omega", (0.0, 1.5)),
+        h=FieldVector(1.0, 0.0, 0.0),
+    )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_message_of_each_error_status(self, jobs, monkeypatch):
+        if jobs > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched runner reaches workers only through fork")
+        real = pontus.sweep.run_continuous
+        failing = {
+            (5.0, 1.5): ValueError("first"),
+            (50.0, 0.0): RuntimeError("third"),
+            (50.0, 1.5): ValueError("second"),
+        }
+
+        def flaky(pS, pF, kappa, omega, *args):
+            if (kappa, omega) in failing:
+                raise failing[kappa, omega]
+            return real(pS, pF, kappa, omega, *args)
+
+        monkeypatch.setattr(pontus.sweep, "run_continuous", flaky)
+        gm = sweep_kappa_omega(self.SPEC, jobs=jobs)
+        assert gm.status == [
+            ["ok", "error:ValueError"], ["error:RuntimeError", "error:ValueError"]
+        ]
+        side = gain_map_sidecar(gm)
+        assert side["errors"] == {"error:ValueError": "first", "error:RuntimeError": "third"}
+        assert side["status_counts"] == {"error:ValueError": 2, "ok": 1, "error:RuntimeError": 1}
+
+    def test_no_errors_key_without_error_cells(self):
+        assert "errors" not in gain_map_sidecar(sweep_kappa_omega(self.SPEC, jobs=1))
 
 
 class TestScanTwoStep:
