@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import fields
@@ -100,19 +101,18 @@ def _check_keys(obj, allowed, path):
 
 
 def _vec3(value, path):
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 3
-        or not all(isinstance(v, (int, float)) for v in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"{path}: expected a list of three numbers")
-    return np.asarray(value, dtype=float)
+    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(value)])
 
 
 def _number(value, path, minimum=None, strict=False):
+    """The one reader of a number, from a config value or a flag."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected a number")
     v = float(value)
+    if not math.isfinite(v):
+        raise ConfigError(f"{path}: must be finite")
     if minimum is not None and (v <= minimum if strict else v < minimum):
         op = ">" if strict else ">="
         raise ConfigError(f"{path}: must be {op} {minimum}")
@@ -135,21 +135,23 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _point(entry, path, label="custom") -> ParameterPoint:
+    """The one reader of a parameter point: an ``{"h", "gamma"}`` entry."""
+    _check_keys(entry, {"h", "gamma"}, path)
+    if "h" not in entry or "gamma" not in entry:
+        raise ConfigError(f"{path}: needs both h and gamma")
+    return ParameterPoint.make(
+        _vec3(entry["h"], f"{path}.h"), _vec3(entry["gamma"], f"{path}.gamma"), label
+    )
+
+
 def _parameter_point(cfg, name) -> ParameterPoint:
     points = cfg.get("points")
     if not isinstance(points, dict):
         raise ConfigError("config.points: missing or not an object")
     if name not in points:
         raise ConfigError(f"config.points: no point named {name!r}")
-    entry = points[name]
-    _check_keys(entry, {"h", "gamma"}, f"config.points.{name}")
-    if "h" not in entry or "gamma" not in entry:
-        raise ConfigError(f"config.points.{name}: needs both h and gamma")
-    return ParameterPoint(
-        FieldVector.from_array(_vec3(entry["h"], f"config.points.{name}.h")),
-        RateTriple.from_array(_vec3(entry["gamma"], f"config.points.{name}.gamma")),
-        name,
-    )
+    return _point(points[name], f"config.points.{name}", name)
 
 
 def _integrator(cfg, args) -> IntegratorConfig:
@@ -162,16 +164,14 @@ def _integrator(cfg, args) -> IntegratorConfig:
         if k in section and (section[k] is not None or k != "max_step")  # null: unbounded
     }
     if args.t_cap is not None:
-        kwargs["t_cap"] = args.t_cap
+        kwargs["t_cap"] = _number(args.t_cap, "--t-cap", 0, True)
     return IntegratorConfig(**kwargs)
 
 
 def _epsilon(cfg, args) -> float:
     if args.epsilon is not None:
-        return args.epsilon
-    if "epsilon" in cfg:
-        return _number(cfg["epsilon"], "config.epsilon", 0, True)
-    return DEFAULT_EPS
+        return _number(args.epsilon, "--epsilon", 0, True)
+    return _number(cfg.get("epsilon", DEFAULT_EPS), "config.epsilon", 0, True)
 
 
 def _axis(section, key, spacing_default, path) -> GridAxis:
@@ -249,6 +249,8 @@ def _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label):
     pF = _parameter_point(cfg, "F")
     t_is, t_i = [], start
     while t_i <= stop + 1e-12:
+        if t_i >= integ.t_cap:  # before a far stop fills the memory
+            raise ValueError("switching time must lie below the time cap")
         t_is.append(t_i)
         t_i = round(t_i + step, 12)
 
@@ -338,12 +340,11 @@ def cmd_simulate(cfg, args, out_dir) -> int:
             cls_info = {"gain": gv.g}
             if kind == "continuous":
                 cls_info["class"] = classify_continuous(res, baseline).value
-                cls_info["crossings"] = relevant_crossings(res, baseline)
             else:
                 cls_info["class"] = classify_two_step(res, baseline).value
                 d_s, d_i, d_sf = two_step_distances(res, baseline)
                 cls_info.update({"d_S": d_s, "d_I": d_i, "d_SF": d_sf})
-                cls_info["crossings"] = relevant_crossings(res, baseline)
+            cls_info["crossings"] = relevant_crossings(res, baseline)
             out["classification"] = cls_info
 
     out["config"] = {
@@ -361,57 +362,24 @@ def cmd_gain_map(cfg, args, out_dir) -> int:
     section = cfg.get("sweep")
     if section is None:
         raise ConfigError("config.sweep: required for gain-map")
-    _check_keys(
-        section,
-        {
-            "kind",
-            "rates_s",
-            "rates_f",
-            "h",
-            "kappa",
-            "theta",
-            "omega",
-            "label",
-        },
-        "config.sweep",
-    )
-    kind = section.get("kind")
+    kind = section.get("kind") if isinstance(section, dict) else None
     if kind not in ("kappa-theta", "kappa-omega"):
         raise ConfigError("config.sweep.kind: expected kappa-theta or kappa-omega")
-    rates_s = RateTriple.from_array(_vec3(section.get("rates_s"), "sweep.rates_s"))
-    rates_f = RateTriple.from_array(_vec3(section.get("rates_f"), "sweep.rates_f"))
-    kappa_axis = _axis(section, "kappa", "log", "config.sweep")
+    second = kind.removeprefix("kappa-")
+    own = {"theta"} if second == "theta" else {"omega", "h"}  # each kind's own keys
+    _check_keys(section, {"kind", "rates_s", "rates_f", "kappa", "label", *own}, "config.sweep")
+    spec = SweepSpec(
+        rates_s=RateTriple.from_array(_vec3(section.get("rates_s"), "sweep.rates_s")),
+        rates_f=RateTriple.from_array(_vec3(section.get("rates_f"), "sweep.rates_f")),
+        kappa_axis=_axis(section, "kappa", "log", "config.sweep"),
+        second_axis=_axis(section, second, "linear", "config.sweep"),
+        h=FieldVector.from_array(_vec3(section.get("h"), "sweep.h")) if "h" in own else None,
+        eps=_epsilon(cfg, args),
+        cfg=_integrator(cfg, args),
+    )
+    runner = sweep_kappa_theta if second == "theta" else sweep_kappa_omega
     label = section.get("label") or kind
-    eps = _epsilon(cfg, args)
-    integ = _integrator(cfg, args)
-
-    if kind == "kappa-theta":
-        second = _axis(section, "theta", "linear", "config.sweep")
-        spec = SweepSpec(
-            rates_s=rates_s,
-            rates_f=rates_f,
-            kappa_axis=kappa_axis,
-            second_axis=second,
-            eps=eps,
-            cfg=integ,
-        )
-        runner = sweep_kappa_theta
-    else:
-        if "h" not in section:
-            raise ConfigError("config.sweep.h: required for kappa-omega sweeps")
-        second = _axis(section, "omega", "linear", "config.sweep")
-        spec = SweepSpec(
-            rates_s=rates_s,
-            rates_f=rates_f,
-            kappa_axis=kappa_axis,
-            second_axis=second,
-            h=FieldVector.from_array(_vec3(section["h"], "sweep.h")),
-            eps=eps,
-            cfg=integ,
-        )
-        runner = sweep_kappa_omega
-
-    total_cells = len(kappa_axis.values) * len(second.values)
+    total_cells = len(spec.kappa_axis.values) * len(spec.second_axis.values)
 
     def progress(done, total):
         if done % max(1, total // 20) == 0 or done == total:
@@ -526,13 +494,7 @@ def cmd_velocity_field(cfg, args, out_dir) -> int:
     if isinstance(ref, str):
         p = _parameter_point(cfg, ref)
     else:
-        _check_keys(ref, {"h", "gamma"}, "config.velocity_field.point")
-        p = ParameterPoint(
-            FieldVector.from_array(_vec3(ref.get("h"), "velocity_field.point.h")),
-            RateTriple.from_array(
-                _vec3(ref.get("gamma"), "velocity_field.point.gamma")
-            ),
-        )
+        p = _point(ref, "config.velocity_field.point")
     spacing = _number(section.get("spacing", 0.05), "velocity_field.spacing", 0, True)
     max_radius = _number(
         section.get("max_radius", 1.0), "velocity_field.max_radius", 0, True

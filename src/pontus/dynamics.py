@@ -58,10 +58,12 @@ class IntegratorConfig:
     sample_stride: float = 0.05
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.t_cap <= 0 or self.sample_stride <= 0 or not self.max_step > 0:
-            raise ValueError("t_cap, sample_stride and max_step must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not (0 < self.t_cap < math.inf and 0 < self.sample_stride < math.inf):
+            raise ValueError("t_cap and sample_stride must be positive and finite")
+        if not self.max_step > 0:
+            raise ValueError("max_step must be positive")
 
     def as_dict(self) -> dict:
         """The settings as a config's ``integrator`` section, which reproduces

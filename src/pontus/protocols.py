@@ -135,8 +135,8 @@ class ExponentialCosineSchedule(_AffineRamp):
     omega: float
 
     def __post_init__(self):
-        if self.kappa < 0 or self.omega < 0:
-            raise ValueError("kappa and omega must be nonnegative")
+        if not (0 <= self.kappa < math.inf and 0 <= self.omega < math.inf):
+            raise ValueError("kappa and omega must be nonnegative and finite")
 
     @cached_property
     def parts(self):
@@ -298,8 +298,8 @@ def _result(
 def _attractors(eps: float, *points: ParameterPoint):
     """Generators and steady states of a run's parameter points, after the
     checks every runner makes: a positive cutoff and valid endpoints."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     for p in points:
         validate_endpoint(p)
     gens = [assemble_generator(p) for p in points]

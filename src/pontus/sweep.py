@@ -72,14 +72,18 @@ class SweepSpec:
     def __post_init__(self):
         if self.kappa_axis.name != "kappa":
             raise ValueError("first axis must be kappa")
-        if min(self.kappa_axis.values) <= 0:
-            raise ValueError("kappa must be positive")
+        if not all(0 < k < math.inf for k in self.kappa_axis.values):
+            raise ValueError("kappa must be positive and finite")
         if self.second_axis.name not in ("theta", "omega"):
             raise ValueError("second axis must be theta or omega")
         if self.second_axis.name == "omega" and self.h is None:
             raise ValueError("omega sweeps need a fixed field")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if self.second_axis.name == "omega" and not all(
+            0 <= w < math.inf for w in self.second_axis.values
+        ):
+            raise ValueError("omega must be nonnegative and finite")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
 
 
 @dataclass
@@ -129,12 +133,7 @@ def _cell(args):
     same problem, a nan tau_dir (failed direct baseline) included.
     """
     kappa, omega, pS, pF, eps, cfg, tau_dir = args
-    if omega > 0:
-        nm_flag, f_total = is_non_markovian(
-            pS.gamma.as_array(), pF.gamma.as_array(), kappa, omega
-        )
-    else:
-        nm_flag, f_total = False, 0.0
+    nm_flag, f_total = is_non_markovian(pS.gamma.as_array(), pF.gamma.as_array(), kappa, omega)
 
     def failed(status, message=None):
         return math.nan, math.nan, False, nm_flag, f_total, status, message

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pontus import ParameterPoint, run_two_step
+from pontus import ParameterPoint, run_direct, run_two_step, truncation_horizon
 from pontus.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -21,6 +21,23 @@ TILTED_POINTS = {
     "S": {"h": [0.183, 0.183, -0.966], "gamma": [0.5, 0.1, 0.0]},
     "F": {"h": [0.183, 0.183, -0.966], "gamma": [0.1, 0.5, 0.0]},
 }
+
+
+def theta_sweep(**extra):
+    return {
+        "kind": "kappa-theta",
+        "rates_s": [0.75, 0.75, 0.75],
+        "rates_f": [0.05, 0.1, 0.15],
+        "kappa": {"min": 0.1, "max": 1.0, "n": 2},
+        "theta": {"min": 0.1, "max": 1.0, "n": 2},
+        **extra,
+    }
+
+
+def omega_sweep(**extra):
+    sweep = dict(theta_sweep(), kind="kappa-omega", h=[1.0, 0.0, 0.0])
+    sweep["omega"] = sweep.pop("theta")
+    return {**sweep, **extra}
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -107,19 +124,8 @@ class TestConfigValidation:
         code, _, err = run_cli(capsys, "--config", cfg, "gain-map")
         assert code == 1 and "n" in err
 
-    @staticmethod
-    def theta_sweep(**extra):
-        return {
-            "kind": "kappa-theta",
-            "rates_s": [0.75, 0.75, 0.75],
-            "rates_f": [0.05, 0.1, 0.15],
-            "kappa": {"min": 0.1, "max": 1.0, "n": 2},
-            "theta": {"min": 0.1, "max": 1.0, "n": 2},
-            **extra,
-        }
-
     def test_log_axis_from_zero(self, tmp_path, capsys):
-        sweep = self.theta_sweep(kappa={"min": 0, "max": 1.0, "n": 3, "spacing": "log"})
+        sweep = theta_sweep(kappa={"min": 0, "max": 1.0, "n": 3, "spacing": "log"})
         cfg = write_config(tmp_path, {"schema": 1, "sweep": sweep})
         code, _, err = run_cli(capsys, "--config", cfg, "--output", str(tmp_path), "gain-map")
         assert code == 1 and err.startswith("config error:") and "log axis" in err
@@ -169,9 +175,121 @@ class TestConfigValidation:
         assert code == 1 and err.startswith("config error:") and "negative rate" in err
 
     def test_fixed_omega_is_unknown_key(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"schema": 1, "sweep": self.theta_sweep(omega_fixed=0.3)})
+        cfg = write_config(tmp_path, {"schema": 1, "sweep": theta_sweep(omega_fixed=0.3)})
         code, _, err = run_cli(capsys, "--config", cfg, "--output", str(tmp_path), "gain-map")
         assert code == 1 and err.startswith("config error:") and "omega_fixed" in err
+
+    @staticmethod
+    def refused_before_any_run(tmp_path, capsys, monkeypatch, payload, command):
+        """Run ``command`` on ``payload`` where no run may start; the exit
+        code, stdout, stderr, and whether the output directory stayed empty."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run was started")
+
+        for name in ("run_direct", "run_continuous", "run_two_step", "_run_tasks"):
+            monkeypatch.setattr(f"pontus.sweep.{name}", no_run)
+            monkeypatch.setattr(f"pontus.cli.{name}", no_run, raising=False)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "--config", write_config(tmp_path, payload), "--output", str(out_dir),
+            command,
+        )
+        return code, out, err, not any(out_dir.iterdir())
+
+    NAN, INF = math.nan, math.inf
+    RAMP = {"kind": "continuous", "kappa": 0.2, "omega": 0.0, "with_baseline": True}
+    NM = {"rates_s": [0.5, 0.1, 0.0], "rates_f": [0.1, 0.5, 0.0], "kappa": 0.1, "omega": 1.0}
+
+    @pytest.mark.parametrize("command, section, path", [
+        ("simulate", {"protocol": RAMP, "epsilon": NAN}, "config.epsilon"),
+        ("simulate", {"protocol": RAMP, "integrator": {"t_cap": INF}}, "integrator.t_cap"),
+        ("simulate", {"protocol": RAMP, "integrator": {"rel_tol": -INF}}, "integrator.rel_tol"),
+        ("simulate", {"protocol": RAMP, "integrator": {"max_step": INF}}, "integrator.max_step"),
+        ("simulate", {"protocol": dict(RAMP, kappa=NAN)}, "protocol.kappa"),
+        ("simulate", {"protocol": dict(RAMP, omega=INF)}, "protocol.omega"),
+        ("simulate", {"protocol": {"kind": "two-step", "t_i": NAN}}, "protocol.t_i"),
+        (
+            "simulate",
+            {"protocol": {"kind": "two-step", "t_i_scan": {"start": 1.0, "stop": INF, "step": 0.5}}},
+            "t_i_scan.stop",
+        ),
+        (
+            "simulate",
+            {"protocol": {"kind": "direct"}, "points": dict(PLANAR_POINTS, F={"h": [0.707, 0.707, 0.0], "gamma": [0.01, NAN, 0.0]})},
+            "config.points.F.gamma[1]",
+        ),
+        ("steady-state", {"points": {"F": {"h": [-INF, 0, 1], "gamma": [1, 0, 0]}}}, "config.points.F.h[0]"),
+        ("gain-map", {"sweep": theta_sweep(kappa={"min": NAN, "max": 1.0, "n": 2})}, "config.sweep.kappa.min"),
+        ("gain-map", {"sweep": theta_sweep(rates_s=[INF, 0.75, 0.75])}, "sweep.rates_s[0]"),
+        ("gain-map", {"sweep": omega_sweep(h=[NAN, 0.0, 0.0])}, "sweep.h[0]"),
+        ("gain-map", {"sweep": omega_sweep(omega={"min": 0.0, "max": INF, "n": 2})}, "config.sweep.omega.max"),
+        ("nm-measure", {"nm": dict(NM, kappa=INF)}, "nm.kappa"),
+        ("nm-measure", {"nm": dict(NM, omega=NAN)}, "nm.omega"),
+        ("nm-boundary", {"nm": dict(NM, kappa_grid={"min": 0.05, "max": INF, "n": 4})}, "config.nm.kappa_grid.max"),
+        ("velocity-field", {"velocity_field": {"spacing": NAN}}, "velocity_field.spacing"),
+        (
+            "velocity-field",
+            {"velocity_field": {"point": {"h": [0, 0, 1], "gamma": [1, 0, NAN]}}},
+            "config.velocity_field.point.gamma[2]",
+        ),
+    ])
+    def test_non_finite_config_numbers_are_refused(
+        self, tmp_path, capsys, monkeypatch, command, section, path
+    ):
+        # written as the non-standard JSON tokens NaN, Infinity and -Infinity
+        points = dict(PLANAR_POINTS, A={"h": [0.0, 2.0, 2.0], "gamma": [1.0, 0.0, 0.0]})
+        payload = {"schema": 1, "points": points, **section}
+        code, out, err, empty = self.refused_before_any_run(
+            tmp_path, capsys, monkeypatch, payload, command
+        )
+        assert (code, out, err, empty) == (1, "", f"config error: {path}: must be finite\n", True)
+
+    @pytest.mark.parametrize("flag", ["--epsilon", "--t-cap"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_flags_obey_their_config_keys_rule(self, tmp_path, capsys, flag, value):
+        cfg = write_config(
+            tmp_path, {"schema": 1, "points": PLANAR_POINTS, "protocol": {"kind": "direct"}}
+        )
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "--config", cfg, "--output", str(out_dir), f"{flag}={value}", "simulate"
+        )
+        rule = "must be > 0" if value == "0" else "must be finite"
+        assert (code, out, err) == (1, "", f"config error: {flag}: {rule}\n")
+        assert not any(out_dir.iterdir())
+
+    def test_epsilon_flag_overrides_the_config(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {"schema": 1, "points": PLANAR_POINTS, "protocol": {"kind": "direct"}, "epsilon": 1e-4},
+        )
+        code, out, _ = run_json(
+            capsys, "--config", cfg, "--output", str(tmp_path), "--epsilon", "1e-3", "simulate"
+        )
+        s, f = (ParameterPoint.make(p["h"], p["gamma"]) for p in PLANAR_POINTS.values())
+        assert code == 0
+        assert out["epsilon"] == out["config"]["epsilon"] == 1e-3
+        assert out["tau"] == run_direct(s, f, 1e-3).tau
+
+    @pytest.mark.parametrize("sweep, key", [
+        (theta_sweep(h=[1.0, 0.0, 0.0]), "h"),
+        (theta_sweep(omega={"min": 0.0, "max": 1.0, "n": 2}), "omega"),
+        (omega_sweep(theta={"min": 0.0, "max": 1.0, "n": 2}), "theta"),
+    ])
+    def test_sweep_takes_only_its_own_kinds_keys(self, tmp_path, capsys, monkeypatch, sweep, key):
+        code, out, err, empty = self.refused_before_any_run(
+            tmp_path, capsys, monkeypatch, {"schema": 1, "sweep": sweep}, "gain-map"
+        )
+        message = f"config error: config.sweep: unknown key(s) ['{key}']\n"
+        assert (code, out, err, empty) == (1, "", message, True)
+
+    def test_negative_omega_is_refused_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        sweep = omega_sweep(omega={"min": -1.0, "max": 1.0, "n": 3})
+        code, out, err, empty = self.refused_before_any_run(
+            tmp_path, capsys, monkeypatch, {"schema": 1, "sweep": sweep}, "gain-map"
+        )
+        message = "config error: omega must be nonnegative and finite\n"
+        assert (code, out, err, empty) == (1, "", message, True)
 
 
 class TestSimulate:
@@ -467,6 +585,8 @@ class TestTwoStepScanJobs:
         [
             ({"start": 0.0, "stop": 2.0, "step": 0.5}, "t_i_scan.start: must be > 0"),
             ({"start": 50.0, "stop": 120.0, "step": 10.0}, "switching time must lie below the time cap"),
+            # refused at the first switch time past the cap, not after 2e10 of them
+            ({"start": 1.0, "stop": 1e9, "step": 0.05}, "switching time must lie below the time cap"),
         ],
     )
     def test_bad_scan_exits_1_before_the_pool(self, tmp_path, capsys, monkeypatch, scan, message):
@@ -629,6 +749,20 @@ class TestGainMap:
         rows = (tmp_path / "sing_gainmap.csv").read_text().splitlines()[1:]
         assert all("direct-singular-generator" in r for r in rows)
 
+    def test_direct_timeout_marks_its_columns(self, tmp_path, capsys):
+        # under a cap of 5 no column's direct run settles
+        sweep = theta_sweep(kappa={"min": 1.0, "max": 100.0, "n": 2}, label="capped")
+        cfg = write_config(tmp_path, {"schema": 1, "sweep": sweep})
+        code, _, _ = run_cli(
+            capsys, "--config", cfg, "--output", str(tmp_path), "--jobs", "1", "--t-cap", "5",
+            "gain-map",
+        )
+        assert code == 0
+        side = json.loads((tmp_path / "capped_gainmap.json").read_text())
+        assert side["status_counts"] == {"direct-timeout": 4}
+        rows = [r.split(",") for r in (tmp_path / "capped_gainmap.csv").read_text().splitlines()[1:]]
+        assert [(r[2], r[4], r[8]) for r in rows] == [("nan", "nan", "direct-timeout")] * 4
+
 
 class TestNmCommands:
     CFG = {
@@ -664,6 +798,22 @@ class TestNmCommands:
         assert out["f_total"] == 0.0
         assert all(c["f_value"] == 0.0 for c in out["channels"])
 
+    def test_measure_vanishing_final_rate(self, tmp_path, capsys):
+        # every negative lobe of the plus channel is a window: the report lists
+        # those before the truncation horizon, the measure sums all of them
+        payload = json.loads(json.dumps(self.CFG))
+        payload["nm"]["rates_f"] = [0.0, 0.5, 0.0]
+        code, out, _ = run_json(capsys, "--config", write_config(tmp_path, payload), "nm-measure")
+        assert code == 0
+        plus = out["channels"][0]
+        horizon = truncation_horizon(0.5, 0.1)
+        assert plus["n_intervals"] == len(plus["intervals"]) == 47
+        assert plus["intervals"][-1][0] < horizon <= plus["intervals"][-1][0] + 2 * math.pi
+        q = 0.1 * math.pi
+        series = 0.5 / (0.01 + 1.0) * math.exp(-q / 2) / (1 - math.exp(-q))
+        assert plus["f_value"] == pytest.approx(series, rel=1e-13)
+        assert plus["f_quadrature"] == pytest.approx(series, abs=1e-8)
+
     def test_boundary_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.CFG)
         code, out, _ = run_json(capsys, "--config", cfg, "nm-boundary")
@@ -697,3 +847,26 @@ class TestVelocityField:
         assert lines[0] == "rx,ry,rz,vx,vy,vz,speed"
         data = np.loadtxt(lines[1:], delimiter=",")
         assert np.all(np.linalg.norm(data[:, :3], axis=1) < 0.25)
+
+    def test_inline_point_matches_the_named_one(self, tmp_path, capsys):
+        section = {"spacing": 0.1, "max_radius": 0.25}
+        for label, point in (("named", "F"), ("inline", PLANAR_POINTS["F"])):
+            cfg = write_config(
+                tmp_path,
+                {
+                    "schema": 1,
+                    "points": PLANAR_POINTS,
+                    "velocity_field": dict(section, point=point, label=label),
+                },
+            )
+            code, _, _ = run_cli(capsys, "--config", cfg, "--output", str(tmp_path), "velocity-field")
+            assert code == 0
+        named, inline = (tmp_path / f"{n}_velocity.csv" for n in ("named", "inline"))
+        assert inline.read_bytes() == named.read_bytes()
+
+    def test_inline_point_needs_h_and_gamma(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, {"schema": 1, "velocity_field": {"point": {"h": [0.0, 0.0, 1.0]}}}
+        )
+        code, _, err = run_cli(capsys, "--config", cfg, "--output", str(tmp_path), "velocity-field")
+        assert (code, err) == (1, "config error: config.velocity_field.point: needs both h and gamma\n")

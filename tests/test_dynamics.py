@@ -887,6 +887,18 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(max_step=0.0)
 
+    @pytest.mark.parametrize("key", ["rel_tol", "abs_tol", "t_cap", "sample_stride"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_settings(self, key, value):
+        # the cap and the stride size a run's sample grid, which must be finite
+        with pytest.raises(ValueError, match="finite"):
+            IntegratorConfig(**{key: value})
+
+    def test_max_step_may_stay_unbounded_but_not_nan(self):
+        assert IntegratorConfig(max_step=math.inf).max_step == math.inf
+        with pytest.raises(ValueError):
+            IntegratorConfig(max_step=math.nan)
+
     def test_as_dict_reproduces_the_config(self):
         default = IntegratorConfig().as_dict()
         assert list(default) == ["rel_tol", "abs_tol", "t_cap", "sample_stride"]

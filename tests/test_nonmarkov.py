@@ -303,6 +303,24 @@ class TestChannelReport:
             assert a < b
             assert gam(0.5 * (a + b)) < 0
 
+    def test_vanishing_final_rate_stops_at_the_truncation_horizon(self):
+        # every negative cosine lobe is a window, so the report lists those
+        # that start before the horizon, and the measure sums the whole series
+        g_s, kappa, omega = 0.5, 0.1, 1.0
+        rep = channel_report(g_s, 0.0, kappa, omega, "plus")
+        horizon = truncation_horizon(g_s, kappa)
+        lobes = [
+            ((2 * n - 1.5) * math.pi / omega, (2 * n - 0.5) * math.pi / omega)
+            for n in range(1, 1000)
+        ]
+        expected = tuple(lobe for lobe in lobes if lobe[0] < horizon)
+        assert rep.intervals == expected
+        assert rep.n_intervals == len(expected) == 47
+        assert lobes[len(expected)][0] >= horizon
+        q = kappa * math.pi / omega
+        series = g_s * omega / (kappa**2 + omega**2) * math.exp(-q / 2) / (1 - math.exp(-q))
+        assert rep.f_value == pytest.approx(series, rel=1e-13)
+
     def test_markovian_channel_reports_zero(self):
         rep = channel_report(0.5, 0.1, 0.5, 0.0, "z")
         assert rep.f_value == 0.0 and rep.n_intervals == 0

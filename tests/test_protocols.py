@@ -154,6 +154,18 @@ class TestRunDirect:
         assert res.converged
         assert abs(res.tau - 160.0) <= 16.0
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-4, math.nan, math.inf])
+    def test_rejects_a_cutoff_not_positive_and_finite(self, eps):
+        # every distance compares false against a NaN cutoff, so a run would
+        # read as settled at t = 0
+        for run in (
+            lambda: run_direct(PLANAR_S, PLANAR_F, eps),
+            lambda: run_two_step(DETOUR_S, DETOUR_A, DETOUR_F, 2.1, eps),
+            lambda: run_continuous(PLANAR_S, PLANAR_F, 0.2, 0.0, eps),
+        ):
+            with pytest.raises(ValueError, match="eps must be positive and finite"):
+                run()
+
     def test_distance_monotone_non_increasing(self):
         res = run_direct(PLANAR_S, PLANAR_F)
         assert np.all(np.diff(res.trajectory.dist) <= 1e-10)
@@ -426,6 +438,16 @@ class TestRunContinuous:
         other = ParameterPoint.make((0.5, 0.5, 0.1), (0.01, 0.05, 0.0), "F")
         with pytest.raises(ValueError):
             run_continuous(PLANAR_S, other, kappa=0.2, omega=0.0)
+
+    @pytest.mark.parametrize("kappa, omega", [
+        (math.nan, 0.0), (math.inf, 0.0), (0.2, math.nan), (0.2, math.inf), (0.2, -1.0),
+    ])
+    def test_rejects_non_finite_schedule(self, kappa, omega):
+        # with a NaN or infinite kappa the ramp's stop rule can never hold
+        with pytest.raises(ValueError, match="kappa and omega"):
+            run_continuous(PLANAR_S, PLANAR_F, kappa=kappa, omega=omega)
+        with pytest.raises(ValueError, match="kappa and omega"):
+            exp_cos(kappa, omega)
 
     def test_final_samples_satisfy_stop_rule(self):
         eps = 1e-4

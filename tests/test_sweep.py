@@ -71,16 +71,33 @@ class TestSpecValidation:
 
     def test_kappa_must_be_positive(self):
         # a kappa = 0 ramp never leaves the S rates, so its cells could only
-        # time out; the spec rejects it before any cell runs
-        for lo in (0.0, -0.5):
+        # time out; the spec rejects it, and an infinite one, before any cell runs
+        for values in ((0.0, 0.5, 1.0), (-0.5, 0.0, 1.0), (0.1, math.inf)):
             with pytest.raises(ValueError, match="kappa"):
                 SweepSpec(
                     rates_s=RATES_S,
                     rates_f=RATES_F,
-                    kappa_axis=GridAxis.linear("kappa", lo, 1.0, 4),
+                    kappa_axis=GridAxis("kappa", values),
                     second_axis=GridAxis.linear("omega", 0.0, 1.0, 3),
                     h=FieldVector(1.0, 0.0, 0.0),
                 )
+
+    @pytest.mark.parametrize("eps", [0.0, math.nan, math.inf])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            theta_spec(eps=eps)
+
+    @pytest.mark.parametrize("omegas", [(-1.0, 0.5), (-2.0, -1.0), (0.0, math.inf)])
+    def test_omega_axis_must_be_nonnegative_and_finite(self, omegas):
+        # the spec refuses a negative frequency before any cell runs
+        with pytest.raises(ValueError, match="omega must be nonnegative and finite"):
+            SweepSpec(
+                rates_s=RATES_S,
+                rates_f=RATES_F,
+                kappa_axis=GridAxis.log("kappa", 0.1, 10, 3),
+                second_axis=GridAxis("omega", omegas),
+                h=FieldVector(1.0, 0.0, 0.0),
+            )
 
     def test_theta_sweep_pins_omega_to_zero(self):
         # a spec carries no modulation frequency: theta cells run at omega = 0
