@@ -11,9 +11,6 @@ cosine lobe.
 import numpy as np
 
 from pontus import (
-    ExponentialCosineSchedule,
-    FieldVector,
-    RateTriple,
     boundary_curve,
     channel_report,
     is_non_markovian,
@@ -30,14 +27,7 @@ windows = negative_intervals(g_s, g_f, kappa, omega)
 print("  negative windows:", [(round(a, 3), round(b, 3)) for a, b in windows])
 
 closed = nm_measure_closed_form(g_s, g_f, kappa, omega)
-sched = ExponentialCosineSchedule(
-    gamma_s=RateTriple(g_s, 0, 0),
-    gamma_f=RateTriple(g_f, 0, 0),
-    h=FieldVector(0, 0, 0),
-    kappa=kappa,
-    omega=omega,
-)
-quad = nm_measure_quadrature(sched, "plus", T=200.0)
+quad = nm_measure_quadrature(g_s, g_f, kappa, omega, T=200.0)
 print(f"  measure, closed form: {closed:.12f}")
 print(f"  measure, quadrature:  {quad:.12f}  (|diff| = {abs(closed - quad):.1e})")
 

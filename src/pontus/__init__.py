@@ -1,10 +1,10 @@
 """Relaxation speed-up protocols for an open two-level system.
 
-The library propagates the affine Bloch equation under static, piecewise
-constant, and damped-cosine rate schedules, extracts cutoff-based
-relaxation times, classifies the resulting speed-ups, quantifies
-non-Markovianity of the schedules, and sweeps the gain over parameter
-planes.
+The library propagates the affine Bloch equation through constant stages
+(exact flows) and under its one rate schedule, the damped-cosine ramp
+(adaptive integration), extracts cutoff-based relaxation times, classifies
+the resulting speed-ups, quantifies non-Markovianity of the ramp's rates,
+and sweeps the gain over parameter planes.
 """
 
 from .core import (
@@ -70,12 +70,8 @@ from .nonmarkov import (
 )
 from .protocols import (
     DEFAULT_EPS,
-    ConstantSchedule,
     ExponentialCosineSchedule,
-    PiecewiseTwoStepSchedule,
     ProtocolResult,
-    RateSchedule,
-    rate_at,
     relaxation_time,
     run_continuous,
     run_direct,

@@ -53,7 +53,6 @@ from .nonmarkov import (
 )
 from .protocols import (
     DEFAULT_EPS,
-    ExponentialCosineSchedule,
     run_continuous,
     run_direct,
     run_two_step,
@@ -117,6 +116,25 @@ def _number(value, path, minimum=None, strict=False):
         op = ">" if strict else ">="
         raise ConfigError(f"{path}: must be {op} {minimum}")
     return v
+
+
+def _label(section, path, default):
+    """The one reader of an output label, the stem of the files a run writes
+    under ``--output``: a non-empty string without a path separator, not
+    ``.`` or ``..``; ``default`` when the key is absent."""
+    if "label" not in section:
+        return default
+    label = section["label"]
+    if (
+        not isinstance(label, str)
+        or label in ("", ".", "..")
+        or any(sep in label for sep in {"/", os.sep})
+    ):
+        raise ConfigError(
+            f"{path}.label: expected a file-name stem"
+            " (a non-empty string without a path separator, not . or ..)"
+        )
+    return label
 
 
 def load_config(path) -> dict:
@@ -252,7 +270,13 @@ def _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label):
         if t_i >= integ.t_cap:  # before a far stop fills the memory
             raise ValueError("switching time must lie below the time cap")
         t_is.append(t_i)
-        t_i = round(t_i + step, 12)
+        after = round(t_i + step, 12)
+        if after <= t_i:  # a step lost to the rounding would never end the scan
+            raise ConfigError(
+                f"t_i_scan.step: {step!r} does not move the switch time past"
+                f" {t_i!r} at 12 decimals"
+            )
+        t_i = after
 
     baseline, scan_rows = scan_two_step(pS, pA, pF, t_is, eps, integ)
     first, rows = {}, []
@@ -300,7 +324,7 @@ def cmd_simulate(cfg, args, out_dir) -> int:
         )
     eps = _epsilon(cfg, args)
     integ = _integrator(cfg, args)
-    label = proto.get("label") or kind
+    label = _label(proto, "protocol", kind)
     with_baseline = bool(proto.get("with_baseline", False)) or args.with_baseline
 
     if kind == "two-step" and "t_i_scan" in proto:
@@ -378,7 +402,7 @@ def cmd_gain_map(cfg, args, out_dir) -> int:
         cfg=_integrator(cfg, args),
     )
     runner = sweep_kappa_theta if second == "theta" else sweep_kappa_omega
-    label = section.get("label") or kind
+    label = _label(section, "sweep", kind)
     total_cells = len(spec.kappa_axis.values) * len(spec.second_axis.values)
 
     def progress(done, total):
@@ -421,20 +445,13 @@ def cmd_nm_measure(cfg, args, out_dir) -> int:
     kappa = _number(section.get("kappa"), "nm.kappa", 0, True)
     omega = _number(section.get("omega", 0.0), "nm.omega", 0)
 
-    schedule = ExponentialCosineSchedule(
-        gamma_s=RateTriple.from_array(rates_s),
-        gamma_f=RateTriple.from_array(rates_f),
-        h=FieldVector(0.0, 0.0, 0.0),
-        kappa=kappa,
-        omega=omega,
-    )
     dg = np.abs(rates_s - rates_f)
     channels = []
     total = 0.0
     for idx, name in enumerate(CHANNELS):
         rep = channel_report(rates_s[idx], rates_f[idx], kappa, omega, name)
         horizon = truncation_horizon(dg[idx], kappa) if dg[idx] > 0 else 1.0
-        quad_val = nm_measure_quadrature(schedule, name, horizon)
+        quad_val = nm_measure_quadrature(rates_s[idx], rates_f[idx], kappa, omega, horizon)
         channels.append(
             {
                 "channel": name,
@@ -499,7 +516,7 @@ def cmd_velocity_field(cfg, args, out_dir) -> int:
     max_radius = _number(
         section.get("max_radius", 1.0), "velocity_field.max_radius", 0, True
     )
-    label = section.get("label") or "velocity"
+    label = _label(section, "velocity_field", "velocity")
     rows = velocity_field_grid(assemble_generator(p), spacing, max_radius)
     path = out_dir / f"{label}_velocity.csv"
     velocity_field_to_csv(rows, path)

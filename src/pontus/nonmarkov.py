@@ -48,10 +48,13 @@ class NmChannelReport:
     intervals: Tuple[Tuple[float, float], ...]
 
 
-def nm_measure_quadrature(schedule, channel: str, T: float) -> float:
+def nm_measure_quadrature(
+    g_s: float, g_f: float, kappa: float, omega: float, T: float
+) -> float:
     """Accumulated negative-rate weight of one channel up to time T.
 
-    Pure quadrature of the schedule's instantaneous rates; shares nothing
+    Pure quadrature of the instantaneous rate
+    gamma(t) = g_f + (g_s - g_f) e^{-kappa t} cos(omega t); shares nothing
     with the closed-form route, so the two can cross-check each other.  The
     kinks of min(0, .) defeat the error estimator of adaptive rules, so the
     domain is first split at the rate's sign changes (located on a sample
@@ -61,15 +64,16 @@ def nm_measure_quadrature(schedule, channel: str, T: float) -> float:
     """
     if T <= 0:
         raise ValueError("horizon must be positive")
-    idx = CHANNELS.index(channel)
+    if not (0 <= kappa < math.inf and 0 <= omega < math.inf):
+        raise ValueError("kappa and omega must be nonnegative and finite")
+    dg = g_s - g_f
 
     def rate(t: float) -> float:
-        return float(schedule.rates(t)[idx])
+        return float(g_f + dg * (math.exp(-kappa * t) * math.cos(omega * t)))
 
-    omega = getattr(schedule, "omega", 0.0)
     n_segments = max(8, int(math.ceil(T * omega / math.pi)) + 1)
     grid = np.linspace(0.0, T, 128 * n_segments + 1)
-    neg = schedule.rates_array(grid)[:, idx] < 0.0
+    neg = g_f + (np.exp(-kappa * grid) * np.cos(omega * grid)) * dg < 0.0
     if not neg.any():
         return 0.0
     cuts = [0.0]

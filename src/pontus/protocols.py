@@ -6,7 +6,8 @@ relaxation time as the last time the distance settles below the cutoff.
 The direct quench and the two-step detour hold constant parameters in each
 stage and share one single-run runner, the quench being its run without a
 detour (a t_I scan takes exact crossings instead: ``sweep.scan_two_step``);
-the continuous ramp is integrated adaptively.
+the continuous ramp is integrated adaptively under the library's one rate
+schedule, ``ExponentialCosineSchedule``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -43,89 +44,16 @@ DEFAULT_EPS = 1e-4
 TAU_XTOL = 1e-9
 
 
-class _AffineRamp:
-    """Generator of the affine ramp form shared by every rate schedule.
-
-    Lambda(t) = lam_f + m(t) dlam and b(t) = b_f + m(t) db, with the four
-    arrays in ``parts`` and the scalar ramp ``m(t)``; ``integrate`` reads the
-    same two attributes.  ``envelope`` bounds the amplitude of an oscillating
-    rate modulation at a time; schedules without one leave it None.
-    """
-
-    envelope = None
-
-    def generator(self, t: float):
-        lam_f, b_f, dlam, db = self.parts
-        m = self.m(t)
-        return lam_f + m * dlam, b_f + m * db
-
-
 @dataclass(frozen=True)
-class ConstantSchedule(_AffineRamp):
-    """Time-independent parameters (m = 0)."""
-
-    point: ParameterPoint
-
-    @cached_property
-    def parts(self):
-        g = assemble_generator(self.point)
-        return g.Lambda, g.b, np.zeros((3, 3)), np.zeros(3)
-
-    def m(self, t: float) -> float:
-        return 0.0
-
-    def rates(self, t: float) -> np.ndarray:
-        return self.point.gamma.as_array()
-
-    def rates_array(self, ts: np.ndarray) -> np.ndarray:
-        return np.tile(self.point.gamma.as_array(), (len(ts), 1))
-
-    def settle_bound(self, t: float) -> float:
-        return 0.0
-
-
-@dataclass(frozen=True)
-class PiecewiseTwoStepSchedule(_AffineRamp):
-    """Auxiliary parameters up to the switching time, final parameters after
-    (m = 1 up to t_i, 0 after)."""
-
-    p_a: ParameterPoint
-    p_f: ParameterPoint
-    t_i: float
-
-    def __post_init__(self):
-        if self.t_i <= 0:
-            raise ValueError("switching time must be positive")
-
-    @cached_property
-    def parts(self):
-        ga = assemble_generator(self.p_a)
-        gf = assemble_generator(self.p_f)
-        return gf.Lambda, gf.b, ga.Lambda - gf.Lambda, ga.b - gf.b
-
-    def m(self, t: float) -> float:
-        return 1.0 if t <= self.t_i else 0.0
-
-    def rates(self, t: float) -> np.ndarray:
-        p = self.p_a if t <= self.t_i else self.p_f
-        return p.gamma.as_array()
-
-    def rates_array(self, ts: np.ndarray) -> np.ndarray:
-        out = np.tile(self.p_f.gamma.as_array(), (len(ts), 1))
-        out[np.asarray(ts) <= self.t_i] = self.p_a.gamma.as_array()
-        return out
-
-    def settle_bound(self, t: float) -> float:
-        return math.inf if t <= self.t_i else 0.0
-
-
-@dataclass(frozen=True)
-class ExponentialCosineSchedule(_AffineRamp):
+class ExponentialCosineSchedule:
     """Rates relax from start to final values under a damped cosine.
 
     gamma(t) = gamma_F + (gamma_S - gamma_F) exp(-kappa t) cos(omega t),
     channel by channel, with a static field.  For omega > 0 the
-    instantaneous rates may transiently turn negative.
+    instantaneous rates may transiently turn negative.  The generator takes
+    the affine ramp form Lambda(t) = lam_f + m(t) dlam, b(t) = b_f + m(t) db,
+    with the four arrays in ``parts`` and the scalar ramp ``m(t)``, the two
+    attributes ``integrate`` reads.
     """
 
     gamma_s: RateTriple
@@ -155,8 +83,11 @@ class ExponentialCosineSchedule(_AffineRamp):
     def m(self, t: float) -> float:
         return math.exp(-self.kappa * t) * math.cos(self.omega * t)
 
-    def rates(self, t: float) -> np.ndarray:
-        return self.gamma_f.as_array() + self._dg * self.m(t)
+    def generator(self, t: float):
+        """(Lambda(t), b(t)), for the oracles that freeze it at a time."""
+        lam_f, b_f, dlam, db = self.parts
+        m = self.m(t)
+        return lam_f + m * dlam, b_f + m * db
 
     def rates_array(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -170,16 +101,6 @@ class ExponentialCosineSchedule(_AffineRamp):
     def envelope(self) -> Optional[Callable[[float], float]]:
         """``settle_bound`` while the modulation oscillates (omega > 0)."""
         return self.settle_bound if self.omega > 0 else None
-
-
-RateSchedule = Union[ConstantSchedule, PiecewiseTwoStepSchedule, ExponentialCosineSchedule]
-
-
-def rate_at(s: RateSchedule, t: float) -> RateTriple:
-    """Instantaneous rate triple of a schedule at time t >= 0."""
-    if t < 0:
-        raise ValueError("schedules are defined for t >= 0")
-    return RateTriple.from_array(s.rates(t))
 
 
 @dataclass

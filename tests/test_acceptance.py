@@ -10,7 +10,6 @@ from scipy import ndimage
 
 from pontus import (
     BlochVector,
-    ExponentialCosineSchedule,
     FieldVector,
     GridAxis,
     ParameterPoint,
@@ -287,14 +286,7 @@ class TestCriterion7PropertySuites:
             omega = rng.uniform(0.0, 3.0)
             closed = nm_measure_closed_form(g_s, g_f, kappa, omega)
             horizon = max(5.0, math.log(max(g_s - g_f, 1e-6) * 1e8) / kappa)
-            sched = ExponentialCosineSchedule(
-                gamma_s=RateTriple(g_s, 0, 0),
-                gamma_f=RateTriple(g_f, 0, 0),
-                h=FieldVector(0, 0, 0),
-                kappa=kappa,
-                omega=omega,
-            )
-            quad_val = nm_measure_quadrature(sched, "plus", horizon)
+            quad_val = nm_measure_quadrature(g_s, g_f, kappa, omega, horizon)
             worst = max(worst, abs(closed - quad_val))
         report("7c", worst < 1e-8, f"max |closed - quadrature| = {worst:.2e} (<1e-8)")
 

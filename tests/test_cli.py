@@ -291,6 +291,35 @@ class TestConfigValidation:
         message = "config error: omega must be nonnegative and finite\n"
         assert (code, out, err, empty) == (1, "", message, True)
 
+    BAD_LABELS = ["../escaped", "a/b", ["a", 1], "", ".", "..", None]
+    LABEL_MESSAGE = (
+        "label: expected a file-name stem"
+        " (a non-empty string without a path separator, not . or ..)"
+    )
+
+    def refused_label(self, tmp_path, capsys, monkeypatch, payload, command, path):
+        code, out, err, empty = self.refused_before_any_run(
+            tmp_path, capsys, monkeypatch, payload, command
+        )
+        message = f"config error: {path}.{self.LABEL_MESSAGE}\n"
+        assert (code, out, err, empty) == (1, "", message, True)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
+
+    @pytest.mark.parametrize("label", BAD_LABELS)
+    def test_protocol_label_must_be_a_file_name(self, tmp_path, capsys, monkeypatch, label):
+        payload = {"schema": 1, "points": PLANAR_POINTS, "protocol": {"kind": "direct", "label": label}}
+        self.refused_label(tmp_path, capsys, monkeypatch, payload, "simulate", "protocol")
+
+    @pytest.mark.parametrize("label", BAD_LABELS)
+    def test_sweep_label_must_be_a_file_name(self, tmp_path, capsys, monkeypatch, label):
+        payload = {"schema": 1, "sweep": theta_sweep(label=label)}
+        self.refused_label(tmp_path, capsys, monkeypatch, payload, "gain-map", "sweep")
+
+    @pytest.mark.parametrize("label", BAD_LABELS)
+    def test_velocity_field_label_must_be_a_file_name(self, tmp_path, capsys, monkeypatch, label):
+        payload = {"schema": 1, "points": PLANAR_POINTS, "velocity_field": {"label": label}}
+        self.refused_label(tmp_path, capsys, monkeypatch, payload, "velocity-field", "velocity_field")
+
 
 class TestSimulate:
     def test_direct_reference(self, tmp_path, capsys):
@@ -587,6 +616,11 @@ class TestTwoStepScanJobs:
             ({"start": 50.0, "stop": 120.0, "step": 10.0}, "switching time must lie below the time cap"),
             # refused at the first switch time past the cap, not after 2e10 of them
             ({"start": 1.0, "stop": 1e9, "step": 0.05}, "switching time must lie below the time cap"),
+            # a step lost to rounding the switch times to 12 decimals
+            (
+                {"start": 1.0, "stop": 2.0, "step": 1e-13},
+                "t_i_scan.step: 1e-13 does not move the switch time past 1.0 at 12 decimals",
+            ),
         ],
     )
     def test_bad_scan_exits_1_before_the_pool(self, tmp_path, capsys, monkeypatch, scan, message):
@@ -594,8 +628,8 @@ class TestTwoStepScanJobs:
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr("pontus.sweep.ProcessPoolExecutor", no_pool)
-        code, out, err, _ = self.outputs(tmp_path, capsys, scan, 2, "--t-cap", "100")
-        assert code == 1 and out == ""
+        code, out, err, files = self.outputs(tmp_path, capsys, scan, 2, "--t-cap", "100")
+        assert code == 1 and out == "" and files == {}
         assert err == f"config error: {message}\n"
 
 
@@ -813,6 +847,18 @@ class TestNmCommands:
         series = 0.5 / (0.01 + 1.0) * math.exp(-q / 2) / (1 - math.exp(-q))
         assert plus["f_value"] == pytest.approx(series, rel=1e-13)
         assert plus["f_quadrature"] == pytest.approx(series, abs=1e-8)
+
+    # sha256 of the stdout, recorded before the quadrature took channel rates
+    MEASURE_SHA256 = "e4ef7c25a440015123a42bb9115dc862061a9489d47204ec1e7f12620fa26a26"
+
+    @pytest.mark.parametrize("figure", ["fig5a", "fig5b"])
+    def test_measure_stdout_is_pinned(self, figure, tmp_path, capsys):
+        code, out, _ = run_cli(
+            capsys, "--config", str(CONFIGS / f"{figure}.json"), "--output", str(tmp_path),
+            "nm-measure",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.MEASURE_SHA256
 
     def test_boundary_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.CFG)

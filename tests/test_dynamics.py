@@ -14,14 +14,12 @@ from pontus import (
     BallViolation,
     BlochVector,
     ConstantFlow,
-    ConstantSchedule,
     ExponentialCosineSchedule,
     FieldVector,
     GainMap,
     GridAxis,
     IntegratorConfig,
     ParameterPoint,
-    PiecewiseTwoStepSchedule,
     RateTriple,
     SingularGenerator,
     SweepSpec,
@@ -42,6 +40,7 @@ from pontus import (
     velocity_field_to_csv,
 )
 from pontus.core import _CSV_BLOCK, distance_evaluator
+from ramps import held, two_step_ramp
 
 PLANAR_S = ParameterPoint.make((0.707, 0.707, 0.0), (0.5, 0.1, 0.0), "S")
 PLANAR_F = ParameterPoint.make((0.707, 0.707, 0.0), (0.01, 0.05, 0.0), "F")
@@ -363,7 +362,7 @@ class TestSuperoperatorOracle:
 class TestIntegrate:
     def test_constant_schedule_matches_exact_flow(self):
         cfg = IntegratorConfig()
-        sched = ConstantSchedule(PLANAR_F)
+        sched = held(PLANAR_F)
         r0 = steady_state(assemble_generator(PLANAR_S))
         target = steady_state(assemble_generator(PLANAR_F))
         traj = integrate(sched, r0, target, cfg, eps=1e-4)
@@ -428,7 +427,7 @@ class TestIntegrate:
             )
 
         cfg = IntegratorConfig()
-        want = integrate(ConstantSchedule(PLANAR_F), r0, target, cfg, 1e-4, t_end=5.0)
+        want = integrate(held(PLANAR_F), r0, target, cfg, 1e-4, t_end=5.0)
         got = integrate(duck(g.Lambda, g.b, zero_lam, zero_b), r0, target, cfg, 1e-4, t_end=5.0)
         np.testing.assert_array_equal(got.r, want.r)
 
@@ -625,9 +624,10 @@ class TestRampProperties:
 def pinned_cases():
     """(name, schedule, r0, target, t_end) of the bit-identity guard.
 
-    m is a constant or a comparison in these schedules and the states come
-    from the pure-Python ``gauss_solve3``, so the inputs carry no libm or
-    LAPACK round-off: the fig1 points, then three seeded random generators.
+    m is a comparison in the detours and multiplies zero parts in the held
+    ramps, and the states come from the pure-Python ``gauss_solve3``, so the
+    inputs carry no libm or LAPACK round-off: the fig1 points, then three
+    seeded random generators.
     """
 
     def attractor(p):
@@ -638,16 +638,16 @@ def pinned_cases():
     a = ParameterPoint.make((0.0, 2.0, 2.0), (1.0, 0.0, 0.0))
     f = ParameterPoint.make((0.0, -0.966, 0.258), (0.0, 0.2, 0.0))
     runs = [
-        ("fig1-ti0.4", PiecewiseTwoStepSchedule(a, f, 0.4), s, f),
-        ("fig1-ti3.7", PiecewiseTwoStepSchedule(a, f, 3.7), s, f),
-        ("fig1-const", ConstantSchedule(f), s, f),
+        ("fig1-ti0.4", two_step_ramp(a, f, 0.4), s, f),
+        ("fig1-ti3.7", two_step_ramp(a, f, 3.7), s, f),
+        ("fig1-const", held(f), s, f),
     ]
     rng = np.random.default_rng(5)
     for k in range(3):
         h = rng.uniform(-1.0, 1.0, 3)
         s, a, f = (ParameterPoint.make(h, rng.uniform(lo, 1.0, 3)) for lo in (0.0, 0.0, 0.05))
-        runs.append((f"seed5-{k}", PiecewiseTwoStepSchedule(a, f, rng.uniform(0.5, 5.0)), s, f))
-        runs.append((f"seed5-{k}-const", ConstantSchedule(f), s, f))
+        runs.append((f"seed5-{k}", two_step_ramp(a, f, rng.uniform(0.5, 5.0)), s, f))
+        runs.append((f"seed5-{k}-const", held(f), s, f))
     return [
         (f"{name}-{mode}", sched, attractor(p_s), attractor(p_f), t_end)
         for name, sched, p_s, p_f in runs
@@ -719,7 +719,7 @@ class TestProductIntegrationOracle:
         assert product_integration_oracle(self.SCHED, r0, 0.0, 100) is r0
 
     def test_constant_schedule_is_exact(self):
-        sched = ConstantSchedule(PLANAR_F)
+        sched = held(PLANAR_F)
         r0 = steady_state(assemble_generator(PLANAR_S))
         for n in (1, 7):
             approx = product_integration_oracle(sched, r0, 5.0, n).as_array()
@@ -743,7 +743,7 @@ class TestProductIntegrationOracle:
 
 class TestExports:
     def test_trajectory_csv_round_trip(self, tmp_path):
-        sched = ConstantSchedule(PLANAR_F)
+        sched = held(PLANAR_F)
         r0 = steady_state(assemble_generator(PLANAR_S))
         target = steady_state(assemble_generator(PLANAR_F))
         traj = integrate(sched, r0, target, IntegratorConfig(), 1e-4, t_end=2.0)
@@ -908,7 +908,7 @@ class TestIntegratorConfig:
         assert IntegratorConfig(**capped.as_dict()) == capped
 
     def test_integrate_rejects_nonpositive_horizon(self):
-        sched = ConstantSchedule(PLANAR_F)
+        sched = held(PLANAR_F)
         r0 = steady_state(assemble_generator(PLANAR_S))
         target = steady_state(assemble_generator(PLANAR_F))
         with pytest.raises(ValueError):

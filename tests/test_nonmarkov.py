@@ -6,10 +6,7 @@ from scipy.optimize import brentq
 
 from pontus import (
     DivergentIntervalCount,
-    ExponentialCosineSchedule,
-    FieldVector,
     NoSolution,
-    RateTriple,
     boundary_curve,
     channel_boundary_omega,
     channel_report,
@@ -23,16 +20,6 @@ from pontus import (
 
 MAP_RATES_S = (0.75, 0.75, 0.75)
 MAP_RATES_F = (0.05, 0.1, 0.15)
-
-
-def exp_cos_schedule(gs, gf, kappa, omega):
-    return ExponentialCosineSchedule(
-        gamma_s=RateTriple.from_array(gs),
-        gamma_f=RateTriple.from_array(gf),
-        h=FieldVector(0, 0, 0),
-        kappa=kappa,
-        omega=omega,
-    )
 
 
 def rate_of(g_s, g_f, kappa, omega):
@@ -51,20 +38,24 @@ def sign_scan_intervals(g_s, g_f, kappa, omega, t_max, n=400000):
 
 class TestQuadrature:
     def test_nonnegative_schedule_measures_zero(self):
-        s = exp_cos_schedule((0.5, 0.3, 0.2), (0.1, 0.1, 0.1), kappa=0.5, omega=0.0)
-        for ch in ("plus", "minus", "z"):
-            assert nm_measure_quadrature(s, ch, 50.0) == 0.0
+        for g_s in (0.5, 0.3, 0.2):
+            assert nm_measure_quadrature(g_s, 0.1, 0.5, 0.0, 50.0) == 0.0
 
     def test_pure_decay_never_negative(self):
-        s = exp_cos_schedule((0.9, 0.0, 0.0), (0.2, 0.0, 0.0), kappa=0.05, omega=0.0)
-        assert nm_measure_quadrature(s, "plus", 400.0) == 0.0
+        assert nm_measure_quadrature(0.9, 0.2, 0.05, 0.0, 400.0) == 0.0
+
+    @pytest.mark.parametrize("kappa, omega", [
+        (math.nan, 1.0), (math.inf, 1.0), (-0.1, 1.0), (0.5, math.nan), (0.5, math.inf), (0.5, -1.0),
+    ])
+    def test_rejects_a_negative_or_non_finite_ramp(self, kappa, omega):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            nm_measure_quadrature(0.5, 0.1, kappa, omega, 50.0)
 
     def test_matches_fixed_order_composite_oracle(self):
         # frozen value from a 64-node Gauss-Legendre rule on 20000 uniform
         # segments for g_s=1, g_f=0, kappa=1, omega=10 on [0, 50]
         frozen = 0.3138659878
-        s = exp_cos_schedule((1.0, 0, 0), (0.0, 0, 0), kappa=1.0, omega=10.0)
-        assert nm_measure_quadrature(s, "plus", 50.0) == pytest.approx(
+        assert nm_measure_quadrature(1.0, 0.0, 1.0, 10.0, 50.0) == pytest.approx(
             frozen, abs=5e-9
         )
 
@@ -157,9 +148,8 @@ class TestClosedForm:
         assert nm_measure_closed_form(0.5, 0.1, 0.1, 0.0) == 0.0
 
     def test_reference_tuple_matches_quadrature(self):
-        s = exp_cos_schedule((0.5, 0, 0), (0.1, 0, 0), kappa=0.1, omega=1.0)
         closed = nm_measure_closed_form(0.5, 0.1, 0.1, 1.0)
-        quadrature = nm_measure_quadrature(s, "plus", 200.0)
+        quadrature = nm_measure_quadrature(0.5, 0.1, 0.1, 1.0, 200.0)
         assert closed == pytest.approx(quadrature, abs=1e-8)
 
     def test_strong_damping_kills_all_windows(self):
@@ -174,8 +164,7 @@ class TestClosedForm:
             omega = rng.uniform(0.0, 3.0)
             closed = nm_measure_closed_form(g_s, g_f, kappa, omega)
             horizon = max(5.0, math.log(max(g_s - g_f, 1e-6) * 1e8) / kappa)
-            s = exp_cos_schedule((g_s, 0, 0), (g_f, 0, 0), kappa, omega)
-            quadrature = nm_measure_quadrature(s, "plus", horizon)
+            quadrature = nm_measure_quadrature(g_s, g_f, kappa, omega, horizon)
             assert abs(closed - quadrature) < 1e-8
 
     def test_vanishing_final_rate_lobe_series(self):
@@ -192,8 +181,7 @@ class TestClosedForm:
             omega = rng.uniform(0.05, 3.0)
             closed = nm_measure_closed_form(dg, 0.0, kappa, omega)
             horizon = truncation_horizon(dg, kappa) + 10.0 / kappa
-            s = exp_cos_schedule((dg, 0, 0), (0.0, 0, 0), kappa, omega)
-            quadrature = nm_measure_quadrature(s, "plus", horizon)
+            quadrature = nm_measure_quadrature(dg, 0.0, kappa, omega, horizon)
             assert abs(closed - quadrature) < 1e-10, (dg, kappa, omega)
 
     def test_measure_nonnegative_and_zero_iff_no_windows(self):

@@ -9,18 +9,15 @@ import pytest
 from pontus import (
     BlochVector,
     ConstantFlow,
-    ConstantSchedule,
     ExponentialCosineSchedule,
     FieldVector,
     IntegratorConfig,
     NotConverged,
     ParameterPoint,
-    PiecewiseTwoStepSchedule,
     RateTriple,
     assemble_generator,
     classify_two_step,
     integrate,
-    rate_at,
     relaxation_time,
     run_continuous,
     run_direct,
@@ -30,6 +27,7 @@ from pontus import (
     trace_distance,
 )
 from pontus.protocols import _refined_threshold_series
+from ramps import held, two_step_ramp
 
 PLANAR_S = ParameterPoint.make((0.707, 0.707, 0.0), (0.5, 0.1, 0.0), "S")
 PLANAR_F = ParameterPoint.make((0.707, 0.707, 0.0), (0.01, 0.05, 0.0), "F")
@@ -52,9 +50,11 @@ def exp_cos(kappa, omega, gs=PLANAR_S, gf=PLANAR_F):
 
 
 class TestRateAt:
+    """The ramp's recorded rates at given times (``rates_array``)."""
+
     def test_starts_at_initial_rates(self):
         s = exp_cos(0.3, 1.7)
-        assert np.array_equal(rate_at(s, 0.0).as_array(), PLANAR_S.gamma.as_array())
+        assert np.array_equal(s.rates_array([0.0])[0], PLANAR_S.gamma.as_array())
 
     def test_damped_value(self):
         s = ExponentialCosineSchedule(
@@ -65,42 +65,63 @@ class TestRateAt:
             omega=0.0,
         )
         expected = 0.01 + 0.49 * math.exp(-1.0)  # = 0.190268...
-        assert rate_at(s, 5.0).gamma_plus == pytest.approx(expected, abs=1e-15)
+        assert s.rates_array([5.0])[0, 0] == pytest.approx(expected, abs=1e-15)
 
     def test_two_step_switches_after_t_i(self):
-        s = PiecewiseTwoStepSchedule(DETOUR_A, DETOUR_F, t_i=2.0)
-        assert np.array_equal(rate_at(s, 2.0).as_array(), DETOUR_A.gamma.as_array())
+        # the detour's rates are recorded with its trajectory: A's up to and
+        # at the switch, F's after it
+        traj = run_two_step(DETOUR_S, DETOUR_A, DETOUR_F, t_i=2.0).trajectory
+        before = traj.t <= 2.0
+        assert 2.0 in traj.t and not before.all()
         assert np.array_equal(
-            rate_at(s, 2.0 + 1e-12).as_array(), DETOUR_F.gamma.as_array()
+            traj.rates[before], np.tile(DETOUR_A.gamma.as_array(), (before.sum(), 1))
+        )
+        assert np.array_equal(
+            traj.rates[~before], np.tile(DETOUR_F.gamma.as_array(), ((~before).sum(), 1))
         )
 
     def test_negative_instants_under_oscillation(self):
         s = exp_cos(0.1, 1.0)
-        g = rate_at(s, math.pi)  # cosine trough
-        assert g.gamma_plus < 0
+        assert s.rates_array([math.pi])[0, 0] < 0  # cosine trough
 
-    def test_rejects_negative_times(self):
-        with pytest.raises(ValueError):
-            rate_at(exp_cos(0.2, 0.0), -1.0)
+    def test_oscillating_ramp_on_seeded_times(self):
+        rng = np.random.default_rng(17)
+        kappa, omega = 0.1, 1.0
+        s = exp_cos(kappa, omega)
+        ts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 60.0, 200))])
+        rates = s.rates_array(ts)
+        gs, gf = PLANAR_S.gamma.as_array(), PLANAR_F.gamma.as_array()
+        assert np.array_equal(rates[0], gs)
+        for t, row in zip(ts, rates):
+            want = gf + (gs - gf) * (math.exp(-kappa * t) * math.cos(omega * t))
+            assert np.allclose(row, want, rtol=0, atol=1e-15), t
+        trough = s.rates_array([math.pi / omega])[0]
+        assert trough[0] < 0 and np.array_equal(trough[2], 0.0)
+
+    def test_equal_endpoints_give_constant_rates(self):
+        rng = np.random.default_rng(23)
+        ts = rng.uniform(0.0, 100.0, 300)
+        for kappa, omega in ((0.3, 0.0), (1.0, 0.0), (7.0, 0.0), (0.2, 1.5)):
+            s = ExponentialCosineSchedule(
+                PLANAR_F.gamma, PLANAR_F.gamma, PLANAR_F.h, kappa, omega
+            )
+            want = np.tile(PLANAR_F.gamma.as_array(), (len(ts), 1))
+            assert np.array_equal(s.rates_array(ts), want)
+            assert s.settle_bound(0.0) == 0.0
 
 
 class TestScheduleProperties:
     def test_generators_follow_the_affine_ramp(self):
-        # every schedule is Lambda(t) = lam_f + m(t) dlam with the endpoint
-        # generators at m = 0 and m = 1
+        # Lambda(t) = lam_f + m(t) dlam with the endpoint generators at m = 0
+        # and m = 1
         def parts(p):
             g = assemble_generator(p)
             return g.Lambda, g.b
 
-        cases = [
-            (ConstantSchedule(PLANAR_F), [(0.0, PLANAR_F), (50.0, PLANAR_F)]),
-            (
-                PiecewiseTwoStepSchedule(DETOUR_A, DETOUR_F, t_i=2.0),
-                [(0.0, DETOUR_A), (2.0, DETOUR_A), (2.0 + 1e-12, DETOUR_F)],
-            ),
+        for sched, points in (
+            (held(PLANAR_F), [(0.0, PLANAR_F), (50.0, PLANAR_F)]),
             (exp_cos(0.3, 0.0), [(0.0, PLANAR_S)]),
-        ]
-        for sched, points in cases:
+        ):
             for t, p in points:
                 lam, b = sched.generator(t)
                 want_lam, want_b = parts(p)
@@ -108,12 +129,13 @@ class TestScheduleProperties:
                 assert np.allclose(b, want_b, rtol=0, atol=1e-15), (sched, t)
         s = exp_cos(0.3, 1.1)
         lam, b = s.generator(2.5)
-        want_lam, want_b = parts(ParameterPoint(PLANAR_S.h, rate_at(s, 2.5)))
+        rates = RateTriple.from_array(s.rates_array([2.5])[0])
+        want_lam, want_b = parts(ParameterPoint(PLANAR_S.h, rates))
         assert np.allclose(lam, want_lam, rtol=0, atol=1e-15)
         assert np.allclose(b, want_b, rtol=0, atol=1e-15)
 
     def test_integrated_two_step_matches_closed_form(self):
-        sched = PiecewiseTwoStepSchedule(DETOUR_A, DETOUR_F, t_i=2.0)
+        sched = two_step_ramp(DETOUR_A, DETOUR_F, t_i=2.0)
         r0 = steady_state(assemble_generator(DETOUR_S))
         target = steady_state(assemble_generator(DETOUR_F))
         cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12)
@@ -126,16 +148,18 @@ class TestScheduleProperties:
     def test_envelope_bounds_deviation_from_final(self):
         s = exp_cos(0.37, 2.1)
         dg = np.abs(PLANAR_S.gamma.as_array() - PLANAR_F.gamma.as_array())
-        for t in np.linspace(0, 40, 400):
-            dev = np.abs(s.rates(t) - PLANAR_F.gamma.as_array())
-            assert np.all(dev <= dg * math.exp(-0.37 * t) + 1e-15)
+        ts = np.linspace(0, 40, 400)
+        dev = np.abs(s.rates_array(ts) - PLANAR_F.gamma.as_array())
+        assert np.all(dev <= dg * np.exp(-0.37 * ts)[:, None] + 1e-15)
 
     def test_rates_array_matches_scalar_path(self):
+        # the recorded rates follow the scalar ramp m(t) that the stepper reads
         s = exp_cos(0.37, 2.1)
+        gs, gf = PLANAR_S.gamma.as_array(), PLANAR_F.gamma.as_array()
         ts = np.linspace(0, 10, 97)
         arr = s.rates_array(ts)
-        for k in (0, 13, 96):
-            assert np.allclose(arr[k], s.rates(ts[k]), atol=1e-15)
+        for k in range(len(ts)):
+            assert np.allclose(arr[k], gf + (gs - gf) * s.m(ts[k]), rtol=0, atol=1e-15)
 
 
 class TestRunDirect:

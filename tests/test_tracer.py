@@ -16,10 +16,7 @@ tracer = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracer)
 
 # targets whose code was gone before this check existed
-STALE = {
-    "pontus.dynamics.ConstantFlow.block",
-    "pontus.protocols.ExponentialCosineSchedule.generator",
-}
+STALE = {"pontus.dynamics.ConstantFlow.block"}
 
 
 def test_tracer_resolves_every_live_target():
