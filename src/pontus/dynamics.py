@@ -5,7 +5,8 @@ eigenmodes, or a matrix exponential where those are unusable.
 Time-dependent schedules go through an in-house adaptive Dormand-Prince 5(4)
 stepper specialised to the affine ramp form Lambda(t) = lam_f + m(t) dlam,
 b(t) = b_f + m(t) db that every schedule shares: scalar floats, stages that
-form the velocity inline from seven ramp coefficients and one call of m, the
+form the velocity inline from seven ramp coefficients and m, all of a step's
+m values from one schedule call, no builtin call in the step loop, the
 stop rule checked inline (its settle term only where it decides the sign),
 and the quartic dense-output coefficients of all steps built in one pass at
 the end.  It copies the initial step, error norm, step controller and event
@@ -313,14 +314,16 @@ def _rms3(a: float, b: float, c: float) -> float:
     return math.sqrt(a * a + b * b + c * c) / _SQRT3
 
 
-def _dormand_prince(coef, ramp, stop, y, t_bound, rtol, atol, max_step):
+def _dormand_prince(coef, ramp, ramp_stages, stop, y, t_bound, rtol, atol, max_step):
     """Adaptive Dormand-Prince 5(4) from t = 0, step for step as scipy's RK45,
     specialised to the affine ramp form.
 
     ``coef`` holds the entries L00, L11, L22, L01, L02, L12 and b_z of
-    (lam_f, b_f), then of (dlam, db); ``ramp`` is the schedule's scalar m.
-    Each stage calls m once, forms these seven f + m d and writes the
-    velocity ((L00 a + L01 b) + L02 c, (L11 b - L01 a) + L12 c,
+    (lam_f, b_f), then of (dlam, db); ``ramp`` is the schedule's scalar m,
+    for the initial step, and ``ramp_stages`` its ``m_stages``, called once
+    per attempted step for m at t + C2 h, ..., t + C5 h and t + h.  Each
+    stage forms these seven f + m d from its m and writes the velocity
+    ((L00 a + L01 b) + L02 c, (L11 b - L01 a) + L12 c,
     (L22 c - (L02 a + L12 b)) + b_z).  As IEEE negation is exact, these are
     the floats of the full sums (lam_f + m dlam) y + (b_f + m db) when the
     off-diagonal entries are antisymmetric and the x, y forcing is zero,
@@ -396,9 +399,11 @@ def _dormand_prince(coef, ramp, stop, y, t_bound, rtol, atol, max_step):
 
     steps = array("d")  # per accepted step: t, h, y, k1, k3, ..., k7
     pack_step = struct.Struct("23d").pack  # a third of array.extend's time per step
+    sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
+    w1, w2, w3 = abs(y1), abs(y2), abs(y3)  # then each step's |z|, as max(z, -z) gives it
     stopped = False
     while True:
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        min_step = 10 * (nextafter(t, inf) - t)
         if h_abs > max_step:
             h_abs = max_step
         elif h_abs < min_step:
@@ -409,46 +414,50 @@ def _dormand_prince(coef, ramp, stop, y, t_bound, rtol, atol, max_step):
                 raise StepSizeUnderflow(
                     "Required step size is less than spacing between numbers."
                 )
-            t_new = min(t + h_abs, t_bound)
+            t_new = t + h_abs
+            if t_new > t_bound:
+                t_new = t_bound
             h = h_abs = t_new - t
+            # stage 7 sits at t + h too and reuses m6
+            m2, m3, m4, m5, m6 = ramp_stages(t + C2 * h, t + C3 * h, t + C4 * h, t + C5 * h, t + h)
 
-            m = ramp(t + C2 * h)
-            l00, l11, l22, bz = f00 + m * d00, f11 + m * d11, f22 + m * d22, fz + m * dz
-            l01, l02, l12 = f01 + m * d01, f02 + m * d02, f12 + m * d12
+            l00, l11, l22 = f00 + m2 * d00, f11 + m2 * d11, f22 + m2 * d22
+            l01, l02, l12 = f01 + m2 * d01, f02 + m2 * d02, f12 + m2 * d12
+            bz = fz + m2 * dz
             a, b, c = y1 + k11 * A21 * h, y2 + k12 * A21 * h, y3 + k13 * A21 * h
             k21 = l00 * a + l01 * b + l02 * c
             k22 = l11 * b - l01 * a + l12 * c
             k23 = l22 * c - (l02 * a + l12 * b) + bz
-            m = ramp(t + C3 * h)
-            l00, l11, l22, bz = f00 + m * d00, f11 + m * d11, f22 + m * d22, fz + m * dz
-            l01, l02, l12 = f01 + m * d01, f02 + m * d02, f12 + m * d12
+            l00, l11, l22 = f00 + m3 * d00, f11 + m3 * d11, f22 + m3 * d22
+            l01, l02, l12 = f01 + m3 * d01, f02 + m3 * d02, f12 + m3 * d12
+            bz = fz + m3 * dz
             a = y1 + (k11 * A31 + k21 * A32) * h
             b = y2 + (k12 * A31 + k22 * A32) * h
             c = y3 + (k13 * A31 + k23 * A32) * h
             k31 = l00 * a + l01 * b + l02 * c
             k32 = l11 * b - l01 * a + l12 * c
             k33 = l22 * c - (l02 * a + l12 * b) + bz
-            m = ramp(t + C4 * h)
-            l00, l11, l22, bz = f00 + m * d00, f11 + m * d11, f22 + m * d22, fz + m * dz
-            l01, l02, l12 = f01 + m * d01, f02 + m * d02, f12 + m * d12
+            l00, l11, l22 = f00 + m4 * d00, f11 + m4 * d11, f22 + m4 * d22
+            l01, l02, l12 = f01 + m4 * d01, f02 + m4 * d02, f12 + m4 * d12
+            bz = fz + m4 * dz
             a = y1 + (k11 * A41 + k21 * A42 + k31 * A43) * h
             b = y2 + (k12 * A41 + k22 * A42 + k32 * A43) * h
             c = y3 + (k13 * A41 + k23 * A42 + k33 * A43) * h
             k41 = l00 * a + l01 * b + l02 * c
             k42 = l11 * b - l01 * a + l12 * c
             k43 = l22 * c - (l02 * a + l12 * b) + bz
-            m = ramp(t + C5 * h)
-            l00, l11, l22, bz = f00 + m * d00, f11 + m * d11, f22 + m * d22, fz + m * dz
-            l01, l02, l12 = f01 + m * d01, f02 + m * d02, f12 + m * d12
+            l00, l11, l22 = f00 + m5 * d00, f11 + m5 * d11, f22 + m5 * d22
+            l01, l02, l12 = f01 + m5 * d01, f02 + m5 * d02, f12 + m5 * d12
+            bz = fz + m5 * dz
             a = y1 + (k11 * A51 + k21 * A52 + k31 * A53 + k41 * A54) * h
             b = y2 + (k12 * A51 + k22 * A52 + k32 * A53 + k42 * A54) * h
             c = y3 + (k13 * A51 + k23 * A52 + k33 * A53 + k43 * A54) * h
             k51 = l00 * a + l01 * b + l02 * c
             k52 = l11 * b - l01 * a + l12 * c
             k53 = l22 * c - (l02 * a + l12 * b) + bz
-            m = ramp(t + h)  # stage 7 sits at t + h too and reuses this m
-            l00, l11, l22, bz = f00 + m * d00, f11 + m * d11, f22 + m * d22, fz + m * dz
-            l01, l02, l12 = f01 + m * d01, f02 + m * d02, f12 + m * d12
+            l00, l11, l22 = f00 + m6 * d00, f11 + m6 * d11, f22 + m6 * d22
+            l01, l02, l12 = f01 + m6 * d01, f02 + m6 * d02, f12 + m6 * d12
+            bz = fz + m6 * dz
             a = y1 + (k11 * A61 + k21 * A62 + k31 * A63 + k41 * A64 + k51 * A65) * h
             b = y2 + (k12 * A61 + k22 * A62 + k32 * A63 + k42 * A64 + k52 * A65) * h
             c = y3 + (k13 * A61 + k23 * A62 + k33 * A63 + k43 * A64 + k53 * A65) * h
@@ -463,37 +472,44 @@ def _dormand_prince(coef, ramp, stop, y, t_bound, rtol, atol, max_step):
             k73 = l22 * z3 - (l02 * z1 + l12 * z2) + bz
             nfev += 6
 
-            # _rms3 inline, with max(y, -y, z, -z) = max(|y|, |z|) in one call
+            # _rms3 inline, scaled by max(y, -y, z, -z) = max(|y|, |z|), the
+            # float of that max call up to the sign of a zero, which atol hides
+            v1 = -z1 if z1 < 0 else z1
+            v2 = -z2 if z2 < 0 else z2
+            v3 = -z3 if z3 < 0 else z3
             er1 = (k11 * E1 + k31 * E3 + k41 * E4 + k51 * E5 + k61 * E6 + k71 * E7) * h / (
-                atol + max(y1, -y1, z1, -z1) * rtol)
+                atol + (v1 if v1 > w1 else w1) * rtol)
             er2 = (k12 * E1 + k32 * E3 + k42 * E4 + k52 * E5 + k62 * E6 + k72 * E7) * h / (
-                atol + max(y2, -y2, z2, -z2) * rtol)
+                atol + (v2 if v2 > w2 else w2) * rtol)
             er3 = (k13 * E1 + k33 * E3 + k43 * E4 + k53 * E5 + k63 * E6 + k73 * E7) * h / (
-                atol + max(y3, -y3, z3, -z3) * rtol)
-            err = math.sqrt(er1 * er1 + er2 * er2 + er3 * er3) / _SQRT3
+                atol + (v3 if v3 > w3 else w3) * rtol)
+            err = sqrt(er1 * er1 + er2 * er2 + er3 * er3) / _SQRT3
+            # the controller's min and max as comparisons that pick the same operand
             if err < 1:
-                factor = MAX_FACTOR if err == 0 else min(MAX_FACTOR, SAFETY * err**ERR_EXP)
-                if rejected:  # no growth right after a rejection
-                    factor = min(1, factor)
-                h_abs *= factor
+                cap = 1 if rejected else MAX_FACTOR  # no growth right after a rejection
+                factor = cap if err == 0 else SAFETY * err**ERR_EXP
+                h_abs *= factor if factor < cap else cap
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * err**ERR_EXP)
+            factor = SAFETY * err**ERR_EXP
+            h_abs *= factor if factor > MIN_FACTOR else MIN_FACTOR
             rejected = True
             n_rejected += 1
 
         if z1 * z1 + z2 * z2 + z3 * z3 > _BALL_SQ:
             raise BallViolation(
                 f"trajectory left the Bloch ball at t = {t_new:.12g} "
-                f"(|r| = {math.sqrt(z1 * z1 + z2 * z2 + z3 * z3):.12g})"
+                f"(|r| = {sqrt(z1 * z1 + z2 * z2 + z3 * z3):.12g})"
             )
         steps.frombytes(pack_step(
             t, h, y1, y2, y3, k11, k12, k13, k31, k32, k33, k41, k42, k43,
             k51, k52, k53, k61, k62, k63, k71, k72, k73,
         ))
         if g_old is not None:
-            g_new = 0.5 * math.sqrt((z1 - g0) ** 2 + (z2 - g1) ** 2 + (z3 - g2) ** 2) - tol
+            g_new = 0.5 * sqrt((z1 - g0) ** 2 + (z2 - g1) ** 2 + (z3 - g2) ** 2) - tol
             if g_new <= 0:  # else positive whatever the settle term
-                g_new = max(g_new, settle(t_new) - eps)
+                u = settle(t_new) - eps
+                if u > g_new:
+                    g_new = u
             if (g_old <= 0 <= g_new) or (g_new <= 0 <= g_old):
                 step = _DenseOutput(steps[-23:], t_new)
                 t_new = brentq(
@@ -505,6 +521,7 @@ def _dormand_prince(coef, ramp, stop, y, t_bound, rtol, atol, max_step):
         if stopped or t >= t_bound:
             break
         y1, y2, y3 = z1, z2, z3
+        w1, w2, w3 = v1, v2, v3
         k11, k12, k13 = k71, k72, k73
 
     return _DenseOutput(steps, t), stopped, nfev, n_rejected
@@ -521,10 +538,12 @@ def integrate(
     """Solve r' = Lambda(t) r + b(t) under a rate schedule.
 
     The schedule supplies the affine ramp form Lambda(t) = lam_f + m(t) dlam,
-    b(t) = b_f + m(t) db through ``parts`` and the scalar ``m``; the
-    equation is stepped on plain floats by ``_dormand_prince``.  Both drifts
-    must be exactly antisymmetric off the diagonal and both forcings zero in
-    x and y, as ``assemble_generator`` builds them; ValueError otherwise.
+    b(t) = b_f + m(t) db through ``parts``, the scalar ``m`` and
+    ``m_stages(t2, ..., t6)``, the tuple of m at five times, each float as
+    ``m`` gives it; the equation is stepped on plain floats by
+    ``_dormand_prince``.  Both drifts must be exactly antisymmetric off the
+    diagonal and both forcings zero in x and y, as ``assemble_generator``
+    builds them; ValueError otherwise.
 
     Integration stops once the trace distance to ``target`` is below
     ``eps/10`` while the schedule's remaining deviation from its final
@@ -547,6 +566,7 @@ def integrate(
     dense, stopped, nfev, n_rejected = _dormand_prince(
         coef,
         schedule.m,
+        schedule.m_stages,
         None if t_end is not None else (tgt.tolist(), eps / 10.0, eps, schedule.settle_bound),
         y0.tolist(),
         cfg.t_cap if t_end is None else float(t_end),

@@ -52,8 +52,8 @@ class ExponentialCosineSchedule:
     channel by channel, with a static field.  For omega > 0 the
     instantaneous rates may transiently turn negative.  The generator takes
     the affine ramp form Lambda(t) = lam_f + m(t) dlam, b(t) = b_f + m(t) db,
-    with the four arrays in ``parts`` and the scalar ramp ``m(t)``, the two
-    attributes ``integrate`` reads.
+    with the four arrays in ``parts``, the scalar ramp ``m(t)`` and
+    ``m_stages``, m at five times: the three attributes ``integrate`` reads.
     """
 
     gamma_s: RateTriple
@@ -82,6 +82,14 @@ class ExponentialCosineSchedule:
 
     def m(self, t: float) -> float:
         return math.exp(-self.kappa * t) * math.cos(self.omega * t)
+
+    def m_stages(self, t2: float, t3: float, t4: float, t5: float, t6: float):
+        """m at the five stage times of one Dormand-Prince step, each float
+        as ``m`` computes it: the stepper's one schedule call per step."""
+        k, w, exp, cos = -self.kappa, self.omega, math.exp, math.cos
+        return (exp(k * t2) * cos(w * t2), exp(k * t3) * cos(w * t3),
+                exp(k * t4) * cos(w * t4), exp(k * t5) * cos(w * t5),
+                exp(k * t6) * cos(w * t6))
 
     def generator(self, t: float):
         """(Lambda(t), b(t)), for the oracles that freeze it at a time."""

@@ -24,6 +24,7 @@ def two_step_ramp(p_a, p_f, t_i):
     return types.SimpleNamespace(
         parts=(gf.Lambda, gf.b, ga.Lambda - gf.Lambda, ga.b - gf.b),
         m=lambda t: 1.0 if t <= t_i else 0.0,
+        m_stages=lambda *ts: tuple(1.0 if t <= t_i else 0.0 for t in ts),
         settle_bound=lambda t: math.inf if t <= t_i else 0.0,
         rates_array=lambda ts: np.where((np.asarray(ts) <= t_i)[:, None], rates_a, rates_f),
         envelope=None,

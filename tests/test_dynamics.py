@@ -421,6 +421,7 @@ class TestIntegrate:
             return types.SimpleNamespace(
                 parts=parts,
                 m=lambda t: 1.0,
+                m_stages=lambda *ts: (1.0,) * len(ts),
                 settle_bound=lambda t: 0.0,
                 rates_array=lambda ts: np.zeros((len(ts), 3)),
                 envelope=None,
@@ -671,8 +672,9 @@ class TestBitIdentity:
 
     The values were recorded from an earlier version of the stepper that
     took the same steps; any change to a float it produces shows here.
-    The damped-cosine ramps, whose m calls exp and cos, are covered by
-    ``TestSolveIvpOracle``.
+    These are the held and two-step ramps, whose m is a comparison or
+    multiplies zero parts.  The damped-cosine ramps, whose m calls exp and
+    cos, are pinned the same way by ``test_protocols.TestContinuousBitIdentity``.
     """
 
     PINNED = {

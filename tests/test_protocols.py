@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pontus import (
+    BallViolation,
     BlochVector,
     ConstantFlow,
     ExponentialCosineSchedule,
@@ -152,6 +153,21 @@ class TestScheduleProperties:
         dev = np.abs(s.rates_array(ts) - PLANAR_F.gamma.as_array())
         assert np.all(dev <= dg * np.exp(-0.37 * ts)[:, None] + 1e-15)
 
+    def test_stage_values_are_m_at_the_stage_times(self):
+        # m_stages gives the stepper m at a step's five stage times in one
+        # call; each value must be m's float at that time, bit for bit
+        rng = np.random.default_rng(16)
+        kappas = [0.0, 100.0, *10 ** rng.uniform(-2.0, 2.0, 38)]
+        for k, kappa in enumerate(kappas):
+            omega = 0.0 if k % 4 == 0 else float(rng.uniform(0.0, 2.0))
+            s = exp_cos(kappa, omega)
+            for _ in range(25):
+                t, h = rng.uniform(0.0, 900.0), 10 ** rng.uniform(-6.0, 1.0)
+                times = (t + 1 / 5 * h, t + 3 / 10 * h, t + 4 / 5 * h, t + 8 / 9 * h, t + h)
+                got = np.array(s.m_stages(*times))
+                want = np.array([s.m(x) for x in times])
+                assert got.tobytes() == want.tobytes(), (kappa, omega, t, h)
+
     def test_rates_array_matches_scalar_path(self):
         # the recorded rates follow the scalar ramp m(t) that the stepper reads
         s = exp_cos(0.37, 2.1)
@@ -291,9 +307,11 @@ class TestContinuousBitIdentity:
     """``run_continuous``'s outputs and step counters, pinned bit for bit.
 
     Recorded from the stepper that formed each stage's velocity from all
-    twelve coefficients of lam_f + m dlam and b_f + m db.  The ramp's m calls
-    libm's exp and cos, so, like the gain-map pins, these values hold for
-    the libm they were recorded with.
+    twelve coefficients of lam_f + m dlam and b_f + m db; the two cells of
+    the 12x12 fig5a map (its second kappa and omega, and kappa = 100) and
+    the ball-violation message from the stepper that called m once per
+    stage.  The ramp's m calls libm's exp and cos, so, like the gain-map
+    pins, these values hold for the libm they were recorded with.
     """
 
     FIG5A_S = ParameterPoint.make((1.0, 0.0, 0.0), (0.75, 0.75, 0.75), "S")
@@ -305,6 +323,8 @@ class TestContinuousBitIdentity:
         "fig3b": (TILTED_S, TILTED_F, 0.4, 0.45),
         "fig5a-k0.05-w1": (FIG5A_S, FIG5A_F, 0.05, 1.0),
         "fig5a-k0.01-w2": (FIG5A_S, FIG5A_F, 0.01, 2.0),
+        "fig5a-k0.023-w0.18": (FIG5A_S, FIG5A_F, 0.023101297000831605, 2 / 11),
+        "fig5a-k100-w1": (FIG5A_S, FIG5A_F, 100.0, 1.0),
     }
     PINNED = {
         "fig2_k020": ("ee6bdf1c53048b49", 59.07035817679941, False, 3, False, 6374, 1062, 0),
@@ -315,6 +335,10 @@ class TestContinuousBitIdentity:
         "fig5a-k0.01-w2": (
             "692b96874f23ecbf", 661.7345081661086, True, 19, False, 79148, 13183, 8,
         ),
+        "fig5a-k0.023-w0.18": (
+            "97cdee2d251605d3", 211.28974524859163, True, 11, False, 11438, 1894, 12,
+        ),
+        "fig5a-k100-w1": ("d65ad3d9eccfc6d9", 18.47907718326783, False, 1, False, 2036, 339, 0),
     }
 
     def test_pinned_outputs(self):
@@ -324,6 +348,13 @@ class TestContinuousBitIdentity:
             traj = res.trajectory
             got[name] = pin_direct(res) + (traj.nfev, traj.n_accepted, traj.n_rejected)
         assert got == self.PINNED
+
+    def test_pinned_ball_violation_message(self):
+        with pytest.raises(BallViolation) as info:
+            run_continuous(self.FIG5A_S, self.FIG5A_F, 0.01, 2 / 11)
+        assert str(info.value) == (
+            "trajectory left the Bloch ball at t = 19.5142333295 (|r| = 1.00448884955)"
+        )
 
 
 class TestRunTwoStep:
