@@ -1,8 +1,8 @@
 """Command-line interface: JSON-configured runs emitting CSV/JSON artifacts.
 
 Exit codes: 0 success, 1 configuration error, 2 singular generator,
-3 non-convergence, 4 a state that left the Bloch ball.  The environment
-variable PONTUS_LOG selects the log level.
+3 non-convergence (a step-size underflow included), 4 a state that left the
+Bloch ball.  The environment variable PONTUS_LOG selects the log level.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .errors import (
     NotConverged,
     PontusError,
     SingularGenerator,
+    StepSizeUnderflow,
 )
 from .mpemba import (
     classify_continuous,
@@ -374,7 +375,7 @@ def cmd_simulate(cfg, args, out_dir) -> int:
     out["config"] = {
         "schema": SCHEMA_VERSION,
         "points": {k: _point_dict(_parameter_point(cfg, k)) for k in cfg["points"]},
-        "protocol": dict(proto),
+        "protocol": {**proto, "with_baseline": True} if args.with_baseline else dict(proto),
         "epsilon": eps,
         "integrator": integ.as_dict(),
     }
@@ -594,7 +595,7 @@ def main(argv=None) -> int:
     except SingularGenerator as exc:
         print(f"singular generator: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except NotConverged as exc:
+    except (NotConverged, StepSizeUnderflow) as exc:
         print(f"not converged: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     except BallViolation as exc:

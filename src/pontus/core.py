@@ -23,8 +23,17 @@ def _require_finite(values, what: str) -> None:
         raise NonFinite(f"{what} must be finite, got {values}")
 
 
+class _Triple:
+    """Base of the three-float value types: ``from_array`` reads three numbers."""
+
+    @classmethod
+    def from_array(cls, arr):
+        a = np.asarray(arr, dtype=float)
+        return cls(float(a[0]), float(a[1]), float(a[2]))
+
+
 @dataclass(frozen=True)
-class BlochVector:
+class BlochVector(_Triple):
     """Point in the closed unit ball representing a two-level density matrix."""
 
     r_x: float
@@ -42,11 +51,6 @@ class BlochVector:
             object.__setattr__(self, "r_y", self.r_y / n)
             object.__setattr__(self, "r_z", self.r_z / n)
 
-    @classmethod
-    def from_array(cls, arr) -> "BlochVector":
-        a = np.asarray(arr, dtype=float)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
     def as_array(self) -> np.ndarray:
         return np.array([self.r_x, self.r_y, self.r_z])
 
@@ -55,7 +59,7 @@ class BlochVector:
 
 
 @dataclass(frozen=True)
-class FieldVector:
+class FieldVector(_Triple):
     """Control field h; the system Hamiltonian is h·sigma."""
 
     h_x: float
@@ -65,17 +69,12 @@ class FieldVector:
     def __post_init__(self):
         _require_finite((self.h_x, self.h_y, self.h_z), "field")
 
-    @classmethod
-    def from_array(cls, arr) -> "FieldVector":
-        a = np.asarray(arr, dtype=float)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
     def as_array(self) -> np.ndarray:
         return np.array([self.h_x, self.h_y, self.h_z])
 
 
 @dataclass(frozen=True)
-class RateTriple:
+class RateTriple(_Triple):
     """Rates of the excitation (+), relaxation (-), and pure-dephasing (z) channels.
 
     Endpoint definitions must be nonnegative (see ``validate_endpoint``);
@@ -88,11 +87,6 @@ class RateTriple:
 
     def __post_init__(self):
         _require_finite(self.as_array(), "rates")
-
-    @classmethod
-    def from_array(cls, arr) -> "RateTriple":
-        a = np.asarray(arr, dtype=float)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.gamma_plus, self.gamma_minus, self.gamma_z])

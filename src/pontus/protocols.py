@@ -4,10 +4,10 @@ Each runner starts from the steady state of the initial parameters,
 monitors the trace distance to the final steady state, and extracts the
 relaxation time as the last time the distance settles below the cutoff.
 The direct quench and the two-step detour hold constant parameters in each
-stage and share one single-run runner, the quench being its run without a
-detour (a t_I scan takes exact crossings instead: ``sweep.scan_two_step``);
-the continuous ramp is integrated adaptively under the library's one rate
-schedule, ``ExponentialCosineSchedule``.
+stage and are runs of one set-up, ``_ConstantStages``, the quench being its
+run without a detour; a t_I scan (``sweep.scan_two_step``) shares one set-up
+among its baseline and rows.  The continuous ramp is integrated adaptively
+under the library's one rate schedule, ``ExponentialCosineSchedule``.
 """
 
 from __future__ import annotations
@@ -243,11 +243,11 @@ def run_direct(
 ) -> ProtocolResult:
     """Sudden quench from the S steady state into the F environment.
 
-    The no-detour run of the two-step protocol's constant-stage runner: the
-    one F stage propagates through the exact closed-form flow; the trace
-    distance to the F attractor decreases monotonically.
+    The no-detour run of the constant-stage protocol: the one F stage
+    propagates through the exact closed-form flow; the trace distance to
+    the F attractor decreases monotonically.
     """
-    return _constant_stage_run(pS, pF, pF, 0.0, eps, cfg)
+    return _ConstantStages(pS, None, pF, eps, cfg).run()
 
 
 def run_two_step(
@@ -260,7 +260,7 @@ def run_two_step(
 ) -> ProtocolResult:
     """Detour through the A environment until t_i, then relax toward F."""
     (t_i,) = _switch_times([t_i], cfg)
-    return _constant_stage_run(pS, pA, pF, t_i, eps, cfg)
+    return _ConstantStages(pS, pA, pF, eps, cfg).run(t_i)
 
 
 def _switch_times(t_is: Sequence[float], cfg: IntegratorConfig) -> List[float]:
@@ -274,62 +274,66 @@ def _switch_times(t_is: Sequence[float], cfg: IntegratorConfig) -> List[float]:
     return t_is
 
 
-def _constant_stage_run(
-    pS: ParameterPoint,
-    pA: ParameterPoint,
-    pF: ParameterPoint,
-    t_i: float,
-    eps: float,
-    cfg: IntegratorConfig,
-) -> ProtocolResult:
-    """The run that holds the A parameters up to t_i, then F's.
-
-    A run with t_i = 0 makes no detour: it is the direct quench, and records
-    no switch.  The F stage is sampled until the distance falls below eps/10
-    or the time cap; as the distance never rises there, the run has timed
-    out only if its last sample is still at or above eps.
+class _ConstantStages:
+    """The set-up that every run of the constant-stage protocol from pS to pF
+    shares: the checked points' steady states and one ``ConstantFlow`` per
+    stage, F's and A's, or F's alone for the direct quench (``pA`` None).
     """
-    gens, (r0, _, target) = _attractors(eps, pS, pA, pF)
-    r0, tgt = r0.as_array(), target.as_array()
 
-    stride = cfg.sample_stride
-    flow_a = ConstantFlow(gens[1], stride)
-    flow_f = ConstantFlow(gens[2], stride)
-    detour = flow_a.sampler(r0)
-    n_a = int(math.floor(t_i / stride + 1e-9))
-    t_a = np.arange(n_a + 1) * stride
-    r_a = flow_a.grid(r0, n_a)
-    r_i = detour(np.array([t_i]))[0]
-    if abs(n_a * stride - t_i) >= 1e-9:
-        t_a = np.append(t_a, t_i)
-        r_a = np.vstack([r_a, r_i])
+    def __init__(self, pS, pA, pF, eps, cfg):
+        points = (pS, pF) if pA is None else (pS, pA, pF)
+        gens, (r0, *_, target) = _attractors(eps, *points)
+        self.pS, self.pA, self.pF, self.eps, self.cfg = pS, pA, pF, eps, cfg
+        self.r0, self.target, self.tgt = r0.as_array(), target, target.as_array()
+        self.flow_f = ConstantFlow(gens[-1], cfg.sample_stride)
+        self.flow_a = self.flow_f if pA is None else ConstantFlow(gens[1], cfg.sample_stride)
+        self.detour = self.flow_a.sampler(self.r0)  # the first stage's states
 
-    states_f, reached = flow_f.run_until(r_i, tgt, eps / 10.0, cfg.t_cap - t_i)
-    t_f = t_i + np.arange(len(states_f)) * stride
-    relax = flow_f.sampler(r_i)
+    def run(self, t_i: float = 0.0) -> ProtocolResult:
+        """The run that holds the A parameters up to t_i, then F's.
 
-    ts = np.concatenate([t_a, t_f[1:]])
-    rates = np.tile(pF.gamma.as_array(), (len(ts), 1))
-    rates[ts <= t_i] = pA.gamma.as_array()
+        The run at t_i = 0 makes no detour: it is the direct quench, records
+        no switch, and its t = 0 sample carries F's rates.  The F stage is
+        sampled until the distance falls below eps/10 or the time cap; as
+        the distance never rises there, the run has timed out only if its
+        last sample is still at or above eps.
+        """
+        r0, tgt, eps, stride = self.r0, self.tgt, self.eps, self.cfg.sample_stride
+        detour = self.detour
+        n_a = int(math.floor(t_i / stride + 1e-9))
+        t_a = np.arange(n_a + 1) * stride
+        r_a = self.flow_a.grid(r0, n_a)
+        r_i = detour(np.array([t_i]))[0]
+        if abs(n_a * stride - t_i) >= 1e-9:
+            t_a = np.append(t_a, t_i)
+            r_a = np.vstack([r_a, r_i])
 
-    def states(ts: np.ndarray) -> np.ndarray:
-        out = np.empty((len(ts), 3))
-        before = ts <= t_i
-        out[before] = detour(ts[before])
-        out[~before] = relax(ts[~before] - t_i)
-        return out
+        states_f, reached = self.flow_f.run_until(r_i, tgt, eps / 10.0, self.cfg.t_cap - t_i)
+        t_f = t_i + np.arange(len(states_f)) * stride
+        relax = self.flow_f.sampler(r_i)
 
-    traj = Trajectory(
-        t=ts,
-        r=np.vstack([r_a, states_f[1:]]),
-        rates=rates,
-        target=target,
-        distance_of=distance_evaluator(states, tgt),
-        timed_out=not reached and bool(trace_distances(states_f[-1:], tgt)[0] >= eps),
-    )
-    if t_i == 0:
-        return _result("direct", traj, pS, pF, eps)
-    return _result("two-step", traj, pS, pF, eps, t_intermediate=t_i, r_intermediate=r_i)
+        ts = np.concatenate([t_a, t_f[1:]])
+        rates = np.tile(self.pF.gamma.as_array(), (len(ts), 1))
+        if t_i > 0:
+            rates[ts <= t_i] = self.pA.gamma.as_array()
+
+        def states(ts: np.ndarray) -> np.ndarray:
+            out = np.empty((len(ts), 3))
+            before = ts <= t_i
+            out[before] = detour(ts[before])
+            out[~before] = relax(ts[~before] - t_i)
+            return out
+
+        traj = Trajectory(
+            t=ts,
+            r=np.vstack([r_a, states_f[1:]]),
+            rates=rates,
+            target=self.target,
+            distance_of=distance_evaluator(states, tgt),
+            timed_out=not reached and bool(trace_distances(states_f[-1:], tgt)[0] >= eps),
+        )
+        switch = {"t_intermediate": t_i, "r_intermediate": r_i} if t_i else {}
+        return _result("two-step" if t_i else "direct", traj, self.pS, self.pF, eps, **switch)
 
 
 def run_continuous(

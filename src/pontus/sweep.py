@@ -3,8 +3,8 @@
 A gain-map cell runs one continuous protocol against the direct baseline
 (shared per column); cells are independent over immutable inputs and run on
 one process pool.  Failed cells are recorded, never abort a sweep; results
-are bit-identical for any worker count.  A t_I scan runs in this process:
-each row is one exact crossing of the contracting F stage.
+are bit-identical for any worker count.  A t_I scan runs in this process,
+its baseline and every row on one set-up of the constant-stage protocol.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .core import FieldVector, ParameterPoint, RateTriple, trace_distances, write_csv
-from .dynamics import ConstantFlow, IntegratorConfig
+from .dynamics import IntegratorConfig
 from .errors import BallViolation, NotConverged, SingularGenerator
-from .mpemba import _two_step_class, classify_two_step, gain
+from .mpemba import _two_step_class, gain
 from .nonmarkov import boundary_curve, is_non_markovian
-from .protocols import DEFAULT_EPS, ProtocolResult, run_continuous, run_direct, run_two_step
-from .protocols import _attractors, _switch_times
+from .protocols import DEFAULT_EPS, ProtocolResult, run_continuous, run_direct
+from .protocols import _ConstantStages, _switch_times
 
 STATUS_OK = "ok"
 STATUS_TIMEOUT = "timeout"
@@ -276,34 +276,34 @@ def scan_two_step(
     ``t_is`` in order, or (None, "timeout") for a run that hits the time cap;
     NotConverged if the baseline does.
 
-    A run at or above eps at its switch crosses it once in its contracting
-    F stage: tau is t_i plus that crossing, a timeout past its last F
-    sample.  A run below eps at its switch is run and classified in full.
+    The baseline and every row are runs of one constant-stage set-up.  A
+    run at or above eps at its switch crosses it once in its contracting F
+    stage: tau is t_i plus that crossing, a timeout past its last F sample.
+    A run below eps at its switch takes its tau from its sampled run.  One
+    class rule grades every row from the distances at its switch.
     """
     t_is = _switch_times(t_is, cfg)
-    gens, (r0, _, target) = _attractors(eps, pS, pA, pF)
-    baseline = run_direct(pS, pF, eps, cfg)
+    stages = _ConstantStages(pS, pA, pF, eps, cfg)
+    baseline = stages.run()
     if not baseline.converged:
         raise NotConverged("direct baseline did not converge")
-    tgt = target.as_array()
     ts = np.array(t_is, dtype=float)
-    r_i = ConstantFlow(gens[1]).states(r0.as_array(), ts)
+    r_i = stages.detour(ts)
     d_s = float(baseline.trajectory.dist[0])
-    d_i = trace_distances(r_i, tgt).tolist()
+    d_i = trace_distances(r_i, stages.tgt).tolist()
     d_sf = baseline.trajectory.distance_of(ts).tolist()
     t_last = np.floor((cfg.t_cap - ts) / cfg.sample_stride) * cfg.sample_stride
-    taus = ts + ConstantFlow(gens[2]).crossing_times(r_i, tgt, eps, t_last)
+    taus = ts + stages.flow_f.crossing_times(r_i, stages.tgt, eps, t_last)
 
     rows = []
     for t_i, tau, d_i_k, d_sf_k in zip(t_is, taus.tolist(), d_i, d_sf):
-        if d_i_k < eps:
-            res = run_two_step(pS, pA, pF, t_i, eps, cfg)
-            rows.append((res.tau, classify_two_step(res, baseline).value))
+        if d_i_k < eps:  # settled in its A stage, so never timed out
+            tau = stages.run(t_i).tau
         elif tau == math.inf:
             rows.append((None, STATUS_TIMEOUT))
-        else:
-            cls = _two_step_class(tau, baseline.tau, lambda: (d_s, d_i_k, d_sf_k))
-            rows.append((tau, cls.value))
+            continue
+        cls = _two_step_class(tau, baseline.tau, lambda: (d_s, d_i_k, d_sf_k))
+        rows.append((tau, cls.value))
     return baseline, rows
 
 

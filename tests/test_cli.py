@@ -186,9 +186,11 @@ class TestConfigValidation:
         def no_run(*args, **kwargs):
             raise AssertionError("a run was started")
 
-        for name in ("run_direct", "run_continuous", "run_two_step", "_run_tasks"):
+        for name in ("run_direct", "run_continuous", "_run_tasks"):
             monkeypatch.setattr(f"pontus.sweep.{name}", no_run)
             monkeypatch.setattr(f"pontus.cli.{name}", no_run, raising=False)
+        # every constant-stage run, a t_I scan's included, builds a flow
+        monkeypatch.setattr("pontus.protocols.ConstantFlow", no_run)
         out_dir = tmp_path / "out"
         code, out, err = run_cli(
             capsys, "--config", write_config(tmp_path, payload), "--output", str(out_dir),
@@ -411,6 +413,59 @@ class TestSimulate:
         assert code == 4
         assert out == ""
         assert err.startswith("ball violation: trajectory left the Bloch ball at t = ")
+
+    def test_step_size_underflow_exits_3_without_a_trajectory(self, tmp_path, capsys):
+        # tolerances far below round-off leave the stepper no step it accepts
+        cfg = write_config(
+            tmp_path,
+            {
+                "schema": 1,
+                "points": {
+                    "S": {"h": [1.0, 0.0, 0.0], "gamma": [0.75, 0.75, 0.75]},
+                    "F": {"h": [1.0, 0.0, 0.0], "gamma": [0.05, 0.1, 0.15]},
+                },
+                "protocol": {"kind": "continuous", "kappa": 0.5, "omega": 1.0},
+                "integrator": {"abs_tol": 1e-300, "rel_tol": 1e-300, "t_cap": 50},
+            },
+        )
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "--config", cfg, "--output", str(out_dir), "simulate")
+        message = "not converged: Required step size is less than spacing between numbers.\n"
+        assert (code, out, err) == (3, "", message)
+        assert not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("protocol", [
+        {"kind": "two-step", "t_i": 3.0},
+        {"kind": "continuous", "kappa": 0.2, "omega": 0.0},
+    ])
+    def test_with_baseline_flag_matches_the_config_key(self, tmp_path, capsys, protocol):
+        points = dict(PLANAR_POINTS, A={"h": [0.0, 2.0, 2.0], "gamma": [1.0, 0.0, 0.0]})
+        runs = {}
+        for name, key, flags in [
+            ("flag", {}, ["--with-baseline"]),
+            ("key", {"with_baseline": True}, []),
+        ]:
+            payload = {"schema": 1, "points": points, "protocol": {**protocol, **key}}
+            cfg = write_config(tmp_path, payload, f"{name}.json")
+            out_dir = tmp_path / name
+            code, out, err = run_cli(
+                capsys, "--config", cfg, "--output", str(out_dir), "simulate", *flags
+            )
+            runs[name] = code, out, err, {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert runs["flag"] == runs["key"]
+        code, out, _, files = runs["flag"]
+        assert code == 0 and "classification" in json.loads(out)
+        stems = ("direct_trajectory.csv", "result.json", "trajectory.csv")
+        assert sorted(files) == [f"{protocol['kind']}_{stem}" for stem in stems]
+
+    def test_fig1_scan_builds_eight_flows(self, tmp_path, capsys, flow_builds):
+        # two for the scan, two for each class's first realization
+        code, out, _ = run_json(
+            capsys, "--config", str(CONFIGS / "fig1.json"), "--output", str(tmp_path),
+            "simulate",
+        )
+        assert code == 0 and len(out["first_realizations"]) == 3
+        assert len(flow_builds) == 8
 
     def test_settled_baseline_continuous(self, tmp_path, capsys):
         # S = F: both runs settle at their first sample, and the gain is 0/0

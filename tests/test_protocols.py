@@ -457,6 +457,24 @@ class TestRunTwoStepScan:
         _, rows = scan_two_step(DETOUR_S, DETOUR_A, DETOUR_F, t_is)
         assert len(rows) == 600 and len(calls) == 1
 
+    def test_direct_run_builds_one_flow(self, flow_builds):
+        run_direct(DETOUR_S, DETOUR_F)
+        assert len(flow_builds) == 1
+
+    def test_scan_builds_two_flows_with_rows_below_eps(self, flow_builds):
+        # A = F switched after the direct tau: every row is below eps at its
+        # switch, and all of them, and the baseline, share one set-up
+        a_as_f = ParameterPoint(DETOUR_F.h, DETOUR_F.gamma, "A")
+        direct = run_direct(DETOUR_S, DETOUR_F)
+        flow_builds.clear()  # the scan's builds only
+        t_is = [80.0 + 2.5 * k for k in range(8)]
+        baseline, rows = scan_two_step(DETOUR_S, a_as_f, DETOUR_F, t_is)
+        assert len(flow_builds) == 2
+        assert rows == [(direct.tau, "no-effect")] * 8
+        for name in ("t", "r", "rates", "dist"):
+            got, want = getattr(baseline.trajectory, name), getattr(direct.trajectory, name)
+            assert np.array_equal(got, want), name
+
     def test_rejects_bad_switch_times_before_running(self, monkeypatch):
         def no_flow(*args, **kwargs):
             raise AssertionError("a flow was built")

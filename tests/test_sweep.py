@@ -281,11 +281,10 @@ class TestScanTwoStep:
 
     @pytest.mark.parametrize("t_is", [[1.0, 0.0], [1.0, 100.0]])
     def test_bad_switch_times_raise_before_any_run(self, t_is, monkeypatch):
-        def no_run(*args, **kwargs):
-            raise AssertionError("a run was started")
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a flow was built")
 
-        monkeypatch.setattr("pontus.sweep.run_direct", no_run)
-        monkeypatch.setattr("pontus.sweep.run_two_step", no_run)
+        monkeypatch.setattr("pontus.protocols.ConstantFlow", no_flow)
         with pytest.raises(ValueError, match="switching time"):
             scan_two_step(self.S, self.A, self.F, t_is, cfg=self.CFG)
 
