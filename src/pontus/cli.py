@@ -54,6 +54,7 @@ from .nonmarkov import (
 )
 from .protocols import (
     DEFAULT_EPS,
+    _ConstantStages,
     run_continuous,
     run_direct,
     run_two_step,
@@ -61,10 +62,10 @@ from .protocols import (
 from .sweep import (
     GridAxis,
     SweepSpec,
+    _scan,
     available_cpus,
     gain_map_sidecar,
     gain_map_to_csv,
-    scan_two_step,
     sweep_kappa_omega,
     sweep_kappa_theta,
 )
@@ -257,7 +258,7 @@ def cmd_steady_state(cfg, args, out_dir) -> int:
 
 def _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label):
     """The classified t_I scan; each class's first realization is rerun in
-    full for its trajectory CSV."""
+    full on the scan's set-up for its trajectory CSV."""
     scan = proto["t_i_scan"]
     _check_keys(scan, {"start", "stop", "step"}, "config.protocol.t_i_scan")
     start = _number(scan.get("start"), "t_i_scan.start", 0, True)
@@ -279,13 +280,15 @@ def _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label):
             )
         t_i = after
 
-    baseline, scan_rows = scan_two_step(pS, pA, pF, t_is, eps, integ)
+    # every switch time is a float in (0, t_cap), as ``_scan`` needs
+    stages = _ConstantStages(pS, pA, pF, eps, integ)
+    baseline, scan_rows = _scan(stages, t_is)
     first, rows = {}, []
     for t_i, (tau, cls) in zip(t_is, scan_rows):
         rows.append({"t_i": t_i, "tau": tau, "class": cls})
         if cls not in first and cls not in ("no-effect", "timeout"):
             traj_file = f"{label}_{cls}_trajectory.csv"
-            res = run_two_step(pS, pA, pF, t_i, eps, integ)
+            res = stages.run(t_i)
             trajectory_to_csv(res.trajectory, out_dir / traj_file)
             first[cls] = {"t_i": t_i, "tau": tau, "trajectory_file": traj_file}
 

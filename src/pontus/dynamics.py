@@ -10,9 +10,12 @@ m values from one schedule call, no builtin call in the step loop, the
 stop rule checked inline (its settle term only where it decides the sign),
 and the quartic dense-output coefficients of all steps built in one pass at
 the end.  It copies the initial step, error norm, step controller and event
-location of scipy's RK45, whose steps it takes up to round-off.  Two
+location of scipy's RK45, whose steps it takes up to round-off; the event's
+root is found by the in-house Brent solver (``_roots.brentq``, bit for bit
+scipy's ``brentq``) on the step's quartic in plain floats.  Two
 independent oracles (a density-matrix-level rebuild of the generator and a
-time-ordered product integrator) cross-check both routes.
+time-ordered product integrator) cross-check both routes.  scipy is imported
+only by ``expm``, on its first call.
 """
 
 from __future__ import annotations
@@ -24,9 +27,8 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import brentq
 
+from ._roots import brentq
 from .core import (
     TOL_BALL,
     AffineGenerator,
@@ -46,6 +48,15 @@ _RESIDUAL_CAP = 1e-10
 #: like cond(V) times machine epsilon, so nearer a defective drift the
 #: augmented matrix exponential takes over.
 _EIGVEC_COND_CAP = 1e4
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm``, imported on the first call: only the rare
+    routes need it (a flow without usable eigenmodes, the product oracle),
+    so importing pontus loads no scipy."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 @dataclass(frozen=True)
@@ -310,6 +321,31 @@ class _DenseOutput:
         return self.y_old[k] + h[:, None] * poly
 
 
+def _step_interpolant(t0, h, ys, ks):
+    """One step's quartic interpolant on plain floats: from the step's start
+    t0, length h, start state ys and per component its stages 1, 3, ..., 7,
+    the function from a time to the state, each float as ``_DenseOutput``
+    gives it, as the same operations run in the same order."""
+    (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4) = (
+        (y, k1, *(k1 * p1 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6 + k7 * p7
+                  for p1, p3, p4, p5, p6, p7 in zip(_P1, _P3, _P4, _P5, _P6, _P7)))
+        for y, (k1, k3, k4, k5, k6, k7) in zip(ys, ks)
+    )
+
+    def at(s):
+        x = (s - t0) / h
+        x2 = x * x
+        x3 = x2 * x
+        x4 = x3 * x
+        return (
+            a0 + h * (a1 * x + a2 * x2 + a3 * x3 + a4 * x4),
+            b0 + h * (b1 * x + b2 * x2 + b3 * x3 + b4 * x4),
+            c0 + h * (c1 * x + c2 * x2 + c3 * x3 + c4 * x4),
+        )
+
+    return at
+
+
 def _rms3(a: float, b: float, c: float) -> float:
     return math.sqrt(a * a + b * b + c * c) / _SQRT3
 
@@ -511,10 +547,12 @@ def _dormand_prince(coef, ramp, ramp_stages, stop, y, t_bound, rtol, atol, max_s
                 if u > g_new:
                     g_new = u
             if (g_old <= 0 <= g_new) or (g_new <= 0 <= g_old):
-                step = _DenseOutput(steps[-23:], t_new)
-                t_new = brentq(
-                    lambda s: gap(s, *step([s])[0].tolist()), t, t_new, xtol=4 * _EPS, rtol=4 * _EPS
-                )
+                at = _step_interpolant(t, h, (y1, y2, y3), (
+                    (k11, k31, k41, k51, k61, k71),
+                    (k12, k32, k42, k52, k62, k72),
+                    (k13, k33, k43, k53, k63, k73),
+                ))
+                t_new = brentq(lambda s: gap(s, *at(s)), t, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
                 stopped = True
             g_old = g_new
         t = t_new

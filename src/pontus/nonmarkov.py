@@ -6,7 +6,9 @@ channel (through the antiderivative of the rate, or a geometric series over
 the cosine lobes when the final rate vanishes), with an adaptive quadrature
 as the independent cross-check, and the Markovian/non-Markovian boundary in
 the (kappa, omega) plane follows from a tangency condition on the first
-negative lobe.
+negative lobe.  Window edges and the tangency slope are roots found by the
+in-house Brent solver (``_roots.brentq``, bit for bit scipy's ``brentq``);
+scipy is imported only by the quadrature oracle.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
+from ._roots import brentq
 from .errors import DivergentIntervalCount, NoSolution
 
 CHANNELS = ("plus", "minus", "z")
@@ -60,8 +61,11 @@ def nm_measure_quadrature(
     domain is first split at the rate's sign changes (located on a sample
     grid dense enough that no sign window is skipped, and sharpened by
     bisection); the negative stretches are then smooth and integrate
-    reliably.
+    reliably.  The only caller of scipy's ``quad``, imported here, so that
+    importing pontus loads no scipy.
     """
+    from scipy.integrate import quad
+
     if T <= 0:
         raise ValueError("horizon must be positive")
     if not (0 <= kappa < math.inf and 0 <= omega < math.inf):

@@ -18,8 +18,8 @@ from functools import cached_property
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._roots import brentq
 from .core import (
     FieldVector,
     ParameterPoint,

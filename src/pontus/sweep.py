@@ -283,7 +283,13 @@ def scan_two_step(
     class rule grades every row from the distances at its switch.
     """
     t_is = _switch_times(t_is, cfg)
-    stages = _ConstantStages(pS, pA, pF, eps, cfg)
+    return _scan(_ConstantStages(pS, pA, pF, eps, cfg), t_is)
+
+
+def _scan(stages: _ConstantStages, t_is: List[float]):
+    """``scan_two_step`` on its set-up and checked switch times, for callers
+    that run more of the set-up, as ``simulate`` reruns a row in full."""
+    eps, cfg = stages.eps, stages.cfg
     baseline = stages.run()
     if not baseline.converged:
         raise NotConverged("direct baseline did not converge")

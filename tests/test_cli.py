@@ -458,14 +458,14 @@ class TestSimulate:
         stems = ("direct_trajectory.csv", "result.json", "trajectory.csv")
         assert sorted(files) == [f"{protocol['kind']}_{stem}" for stem in stems]
 
-    def test_fig1_scan_builds_eight_flows(self, tmp_path, capsys, flow_builds):
-        # two for the scan, two for each class's first realization
+    def test_fig1_scan_builds_two_flows(self, tmp_path, capsys, flow_builds):
+        # the scan's two; each class's first realization reruns on its set-up
         code, out, _ = run_json(
             capsys, "--config", str(CONFIGS / "fig1.json"), "--output", str(tmp_path),
             "simulate",
         )
         assert code == 0 and len(out["first_realizations"]) == 3
-        assert len(flow_builds) == 8
+        assert len(flow_builds) == 2
 
     def test_settled_baseline_continuous(self, tmp_path, capsys):
         # S = F: both runs settle at their first sample, and the gain is 0/0

@@ -1,0 +1,124 @@
+"""Importing pontus and running its figure commands loads no scipy.
+
+scipy serves only the rare routes: ``dynamics.expm`` (a flow without usable
+eigenmodes, the product oracle) and the quadrature oracle, each importing it
+on first use.  Every check of what a run loads runs in a fresh interpreter.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+CONFIGS = ROOT / "configs"
+
+_SCIPY = 'sorted(m for m in sys.modules if m.split(".")[0] == "scipy")'
+
+
+def loaded(tmp_path, body):
+    """The scipy modules loaded after ``body`` runs in a fresh interpreter
+    (in ``tmp_path``), and its printed value of ``before`` if it sets one."""
+    script = f"import json, sys\nbefore = None\n{body}\nprint(json.dumps([before, {_SCIPY}]))"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy(tmp_path):
+    assert loaded(tmp_path, "import pontus, pontus.cli") == [None, []]
+
+
+def _gain_map_config(tmp_path):
+    sweep = {
+        "kind": "kappa-omega",
+        "rates_s": [0.75, 0.75, 0.75],
+        "rates_f": [0.05, 0.1, 0.15],
+        "h": [1.0, 0.0, 0.0],
+        "kappa": {"min": 0.1, "max": 1.0, "n": 2},
+        "omega": {"min": 0.1, "max": 1.0, "n": 2},
+    }
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"schema": 1, "sweep": sweep}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "config, command",
+    [
+        ("fig1.json", ["simulate"]),
+        ("fig2_k020.json", ["simulate", "--with-baseline"]),
+        (None, ["--jobs", "1", "gain-map"]),  # a 2x2 map
+    ],
+    ids=["fig1-scan", "fig2-with-baseline", "gain-map-2x2"],
+)
+def test_figure_commands_load_no_scipy(tmp_path, config, command):
+    config = str(CONFIGS / config) if config else _gain_map_config(tmp_path)
+    argv = ["--config", config, "--output", str(tmp_path), *command]
+    body = (
+        "import contextlib, io\nfrom pontus.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0"
+    )
+    assert loaded(tmp_path, body) == [None, []]
+
+
+def test_defective_drift_loads_scipy_linalg_on_use(tmp_path):
+    body = f"""
+import numpy as np
+from pontus import ParameterPoint
+from pontus.dynamics import ConstantFlow, assemble_generator
+flow = ConstantFlow(assemble_generator(ParameterPoint.make((0.5, 0.0, 0.0), (0.0, 0.0, 1.0))))
+assert flow._modes is None  # the expm route
+before = {_SCIPY}
+r = flow.state(np.array([0.3, -0.5, 0.6]), 1.5)
+assert np.all(np.isfinite(r)) and np.linalg.norm(r) <= 1.0
+"""
+    before, after = loaded(tmp_path, body)
+    assert before == [] and "scipy.linalg" in after
+
+
+def test_quadrature_oracle_loads_scipy_integrate_on_use(tmp_path):
+    body = f"""
+from pontus.nonmarkov import nm_measure_closed_form, nm_measure_quadrature
+before = {_SCIPY}
+quad = nm_measure_quadrature(0.9, 0.1, 0.05, 1.0, 600.0)
+assert quad > 0 and abs(quad - nm_measure_closed_form(0.9, 0.1, 0.05, 1.0)) < 1e-8
+"""
+    before, after = loaded(tmp_path, body)
+    assert before == [] and "scipy.integrate" in after
+
+
+def _import_time_nodes(node):
+    """The statements of a module that run when it is imported: everything
+    but the bodies of functions and lambdas."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield child
+        yield from _import_time_nodes(child)
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "pontus").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy_at_import_time(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    offending = []
+    for node in _import_time_nodes(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        offending += [(node.lineno, n) for n in names if n.split(".")[0] == "scipy"]
+    assert offending == []
