@@ -762,6 +762,37 @@ class TestPinnedFigures:
         ) == self.SHA256[label]
 
 
+class TestWriterFastPath:
+    """The figure trajectories are formatted by the writer's numpy path alone:
+    no value goes to its per-value ``%.17g`` fallback, so a change that sends
+    them back there shows here even while every byte still matches."""
+
+    @pytest.mark.parametrize(
+        "config, command, files",
+        [("fig1", ["simulate"], 4), ("fig2_k0035", ["simulate", "--with-baseline"], 2)],
+    )
+    def test_no_value_takes_the_fallback(
+        self, config, command, files, tmp_path, capsys, monkeypatch
+    ):
+        import pontus.core
+
+        fallback, calls, sent = pontus.core._percent_g, [], []
+
+        def counted(values):
+            calls.append(len(values))
+            sent.extend(values)
+            return fallback(values)
+
+        monkeypatch.setattr(pontus.core, "_percent_g", counted)
+        code, _, _ = run_cli(
+            capsys, "--config", str(CONFIGS / f"{config}.json"), "--output", str(tmp_path),
+            *command,
+        )
+        assert code == 0
+        assert len(list(tmp_path.glob("*_trajectory.csv"))) == files
+        assert calls and sent == []
+
+
 class TestGainMap:
     def test_small_map(self, tmp_path, capsys):
         cfg = write_config(

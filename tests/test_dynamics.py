@@ -2,6 +2,8 @@ import hashlib
 import math
 import re
 import types
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ from pontus import (
     velocity_field_grid,
     velocity_field_to_csv,
 )
-from pontus.core import _CSV_BLOCK, distance_evaluator
+from pontus.core import _CSV_BLOCK, _g17_tables, distance_evaluator, write_csv
 from ramps import held, two_step_ramp
 
 PLANAR_S = ParameterPoint.make((0.707, 0.707, 0.0), (0.5, 0.1, 0.0), "S")
@@ -786,12 +788,46 @@ class TestExports:
 
     SPECIALS = [np.nan, np.inf, -np.inf, 5e-324, 1e300, 1 / 3, -0.0, 0.0]
 
+    @staticmethod
+    def ties(rng, per_k):
+        """Exact ties at the 17th digit: odd m / 2**k in [10**(17 - k), 10**(18 - k)),
+        whose decimal expansions have 18 significant digits, the last a 5."""
+        out = []
+        for k in range(3, 25):
+            lo, hi = -(-(10**17) * 2**k // 10**k), -(-(10**18) * 2**k // 10**k)
+            m = rng.integers(lo, hi, size=per_k) | 1
+            out.append(m[m < hi] / 2.0**k)
+        return np.concatenate(out)
+
+    @classmethod
+    def edges(cls):
+        """Where a %.17g formatter can go wrong: exact ties, every power of ten
+        in [1e-300, 1e300] and its neighbours up to 4 ulps away, integers near
+        2**53, 1e16 and 1e17, the grid k 0.05, and both edges of the writer's
+        fast range [1e-280, 1e280]."""
+        near = [np.array([float(f"1e{p}") for p in range(-300, 301)]), np.array([1e-280, 1e280])]
+        for ulps, center in ((4, near[0]), (8, near[1])):
+            up = down = center
+            for _ in range(ulps):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+                near += [up, down]
+        ints = [float(c + d) for c in (2**53, 10**16, 10**17) for d in range(-40, 41)]
+        grid = np.arange(-400, 401) * 0.05
+        values = np.concatenate([cls.ties(np.random.default_rng(19), 200), *near, ints, grid])
+        return np.concatenate([values, -values])
+
+    def test_ties_are_exact(self):
+        for v in self.ties(np.random.default_rng(19), 20).tolist():
+            digits = Decimal(v).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5, v
+
     @pytest.mark.parametrize("shift", [-1, 0, 1, 2, 3])  # rows: 1, B-1, B, B+1, 2B+1
     def test_block_writer_matches_per_value_formatting(self, shift, tmp_path):
         B = _CSV_BLOCK
         n = {-1: 1, 0: B - 1, 1: B, 2: B + 1, 3: 2 * B + 1}[shift]
         rng = np.random.default_rng(1300 + shift)
         i = np.arange(n)
+        edges = self.edges()
         rows = np.column_stack([
             rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n),  # varying
             np.full(n, 0.25),  # constant
@@ -800,16 +836,44 @@ class TestExports:
             np.where(i == n - 1, -0.0, 0.0),  # "constant" with one signed zero
             rng.choice(self.SPECIALS, size=n),
             rng.choice([0.0, -0.0], size=n),
+            np.take(edges, (i + 3 * B * (shift + 1)) % len(edges)),
+            rng.choice(edges, size=n),
         ])
+        header = ",".join(f"c{j}" for j in range(rows.shape[1]))
         path = tmp_path / "table.csv"
-        velocity_field_to_csv(rows, path)
+        write_csv(path, header, list(rows.T))
         lines = [",".join(format(v, ".17g") for v in row) for row in rows.tolist()]
-        expected = "\n".join(["rx,ry,rz,vx,vy,vz,speed"] + lines) + "\n"
-        assert path.read_bytes() == expected.encode()
+        assert path.read_bytes() == ("\n".join([header] + lines) + "\n").encode()
+
+    def test_writer_matches_per_value_formatting_on_a_million_values(self, tmp_path):
+        rng = np.random.default_rng(1901)
+        n = 1 << 20
+        edges, ties = self.edges(), self.ties(rng, 6000)
+        bits = rng.integers(0, 2**64, size=n // 2, dtype=np.uint64).view(np.float64)
+        sign = rng.choice([-1.0, 1.0], size=n)
+        log_uniform = sign * 10.0 ** rng.uniform(-300, 300, size=n)
+        values = np.concatenate([edges, ties, bits, log_uniform])[:n]
+        columns = list(values.reshape(8, -1))
+        path = tmp_path / "million.csv"
+        write_csv(path, "a,b,c,d,e,f,g,h", columns)
+        rows = zip(*(col.tolist() for col in columns))
+        lines = [b",".join(b"%.17g" % v for v in row) for row in rows]
+        assert path.read_bytes() == b"\n".join([b"a,b,c,d,e,f,g,h"] + lines) + b"\n"
+
+    def test_writer_of_no_rows_writes_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_csv(path, "t,rx", [np.empty(0), np.empty(0)])
+        assert path.read_bytes() == b"t,rx\n"
+
+    def test_power_table_is_exact(self):
+        hi, lo = _g17_tables()[:2]
+        for p, h, l in zip(range(-300, 301), hi.tolist(), lo.tolist()):
+            assert h == float(Fraction(10) ** p)  # the nearest double
+            assert l == float(Fraction(10) ** p - Fraction(h))  # the nearest double to the rest
 
     def test_block_writer_gain_map_matches_per_value_formatting(self, tmp_path):
         B = _CSV_BLOCK
-        n1, n2 = 33, 64  # 2112 cells: three blocks, each spanning whole kappa rows
+        n1, n2 = 33, 64  # 2112 cells: blocks of whole kappa rows
         rng = np.random.default_rng(13)
         spec = SweepSpec(
             rates_s=RateTriple(0.75, 0.75, 0.75),

@@ -39,6 +39,16 @@ def test_import_loads_no_scipy(tmp_path):
     assert loaded(tmp_path, "import pontus, pontus.cli") == [None, []]
 
 
+def test_import_and_writer_tables_load_no_fractions_or_decimal(tmp_path):
+    """The writer's power table is built from Python ints, on first use."""
+    exact = 'sorted(m for m in ("fractions", "decimal") if m in sys.modules)'
+    body = (
+        f"import pontus, pontus.cli\nbefore = {exact}\n"
+        f"pontus.core._g17_tables()\nassert {exact} == [], {exact}"
+    )
+    assert loaded(tmp_path, body) == [[], []]
+
+
 def _gain_map_config(tmp_path):
     sweep = {
         "kind": "kappa-omega",
