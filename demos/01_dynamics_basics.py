@@ -12,14 +12,12 @@ from pathlib import Path
 import numpy as np
 
 from pontus import (
-    BlochVector,
+    ConstantFlow,
     ParameterPoint,
     assemble_generator,
-    propagate_constant,
     steady_state,
     superoperator_oracle,
-    trace_distance,
-    velocity,
+    trace_distances,
     velocity_field_grid,
     velocity_field_to_csv,
 )
@@ -41,15 +39,16 @@ print("\nbalanced rates attractor:", steady_state(assemble_generator(p)).as_arra
 # pure relaxation along z: the closed-form solution r_z = -1 + 2 exp(-g t)
 p = ParameterPoint.make((0, 0, 0.5), (0.0, 0.2, 0.0))
 g = assemble_generator(p)
-north = BlochVector(0, 0, 1)
+north = np.array([0.0, 0.0, 1.0])
+flow = ConstantFlow(g)
 print("\nz-relaxation from the north pole (rate 0.2):")
 for t in (0.0, 5.0, 10.0, 20.0):
-    r = propagate_constant(g, north, t)
-    print(f"  t={t:5.1f}  r_z={r.r_z:+.6f}  analytic={-1 + 2 * np.exp(-0.2 * t):+.6f}")
+    r_z = flow.state(north, t)[2]
+    print(f"  t={t:5.1f}  r_z={r_z:+.6f}  analytic={-1 + 2 * np.exp(-0.2 * t):+.6f}")
 
-# the attractor is a fixed point of the velocity field
-rss = steady_state(g)
-print("\nspeed at the attractor:", np.linalg.norm(velocity(g, rss)))
+# the attractor is a fixed point of the velocity field Lambda r + b
+rss = steady_state(g).as_array()
+print("\nspeed at the attractor:", np.linalg.norm(g.Lambda @ rss + g.b))
 
 # the same generator, rebuilt from the 2x2 master equation, must agree
 p = ParameterPoint.make((0.707, 0.707, 0.0), (0.5, 0.1, 0.0))
@@ -58,9 +57,7 @@ o = superoperator_oracle(p)
 print("max |direct - superoperator| entry:", np.max(np.abs(a.Lambda - o.Lambda)))
 
 # trace distance between two-level states is half the Euclidean distance
-r1 = BlochVector(0, 0, 1)
-r2 = BlochVector(0, 0, -1)
-print("distance between the poles:", trace_distance(r1, r2))
+print("distance between the poles:", trace_distances(north[None, :], -north)[0])
 
 # export a velocity-field grid around the attractor for plotting
 rows = velocity_field_grid(a, spacing=0.1, max_radius=1.0)

@@ -23,7 +23,6 @@ from pontus import (
     run_direct,
     run_two_step,
     trajectory_to_csv,
-    two_step_distances,
 )
 
 out = Path(__file__).parent / "output"
@@ -47,7 +46,11 @@ for t_i in np.arange(0.05, 30.0, 0.05):
     if cls in found:
         continue
     found[cls] = res
-    d_s, d_i, d_sf = two_step_distances(res, direct)
+    # the distances the class is read from: the start's, and at the switch
+    # the detour's and the direct copy's
+    d_s = direct.trajectory.dist[0]
+    d_i = res.trajectory.distance_of(res.t_intermediate)
+    d_sf = direct.trajectory.distance_of(res.t_intermediate)
     print(
         f"  t_I={t_i:5.2f}  tau={res.tau:6.2f}  {cls:12s}"
         f"  d_S={d_s:.3f}  d_I={d_i:.3f}  d_SF={d_sf:.3f}"

@@ -15,7 +15,7 @@ from .core import (
     ParameterPoint,
     RateTriple,
     Trajectory,
-    trace_distance,
+    trace_distances,
     validate_endpoint,
 )
 from .dynamics import (
@@ -24,11 +24,9 @@ from .dynamics import (
     assemble_generator,
     integrate,
     product_integration_oracle,
-    propagate_constant,
     steady_state,
     superoperator_oracle,
     trajectory_to_csv,
-    velocity,
     velocity_field_grid,
     velocity_field_to_csv,
 )
@@ -53,7 +51,6 @@ from .mpemba import (
     count_crossings,
     gain,
     relevant_crossings,
-    two_step_distances,
 )
 from .nonmarkov import (
     CHANNELS,
@@ -72,7 +69,6 @@ from .protocols import (
     DEFAULT_EPS,
     ExponentialCosineSchedule,
     ProtocolResult,
-    relaxation_time,
     run_continuous,
     run_direct,
     run_two_step,

@@ -8,6 +8,7 @@ Bloch ball.  The environment variable PONTUS_LOG selects the log level.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -37,13 +38,7 @@ from .errors import (
     SingularGenerator,
     StepSizeUnderflow,
 )
-from .mpemba import (
-    classify_continuous,
-    classify_two_step,
-    gain,
-    relevant_crossings,
-    two_step_distances,
-)
+from .mpemba import _two_step_class, classify_continuous, gain, relevant_crossings
 from .nonmarkov import (
     CHANNELS,
     boundary_curve,
@@ -55,15 +50,14 @@ from .nonmarkov import (
 from .protocols import (
     DEFAULT_EPS,
     _ConstantStages,
+    _switch_times,
     run_continuous,
     run_direct,
-    run_two_step,
 )
 from .sweep import (
     GridAxis,
     SweepSpec,
     _scan,
-    available_cpus,
     gain_map_sidecar,
     gain_map_to_csv,
     sweep_kappa_omega,
@@ -257,8 +251,8 @@ def cmd_steady_state(cfg, args, out_dir) -> int:
 
 
 def _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label):
-    """The classified t_I scan; each class's first realization is rerun in
-    full on the scan's set-up for its trajectory CSV."""
+    """The classified t_I scan; each class's first realization is resampled
+    on the scan's set-up for its trajectory CSV."""
     scan = proto["t_i_scan"]
     _check_keys(scan, {"start", "stop", "step"}, "config.protocol.t_i_scan")
     start = _number(scan.get("start"), "t_i_scan.start", 0, True)
@@ -288,8 +282,7 @@ def _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label):
         rows.append({"t_i": t_i, "tau": tau, "class": cls})
         if cls not in first and cls not in ("no-effect", "timeout"):
             traj_file = f"{label}_{cls}_trajectory.csv"
-            res = stages.run(t_i)
-            trajectory_to_csv(res.trajectory, out_dir / traj_file)
+            trajectory_to_csv(stages.trajectory(t_i), out_dir / traj_file)
             first[cls] = {"t_i": t_i, "tau": tau, "trajectory_file": traj_file}
 
     base_file = f"{label}_direct_trajectory.csv"
@@ -337,29 +330,31 @@ def cmd_simulate(cfg, args, out_dir) -> int:
     pS = _parameter_point(cfg, "S")
     pF = _parameter_point(cfg, "F")
     params = {"S": _point_dict(pS), "F": _point_dict(pF)}
-    if kind == "direct":
-        res = run_direct(pS, pF, eps, integ)
-    elif kind == "two-step":
-        if "t_i" not in proto:
-            raise ConfigError("config.protocol: two-step needs t_i or t_i_scan")
-        pA = _parameter_point(cfg, "A")
-        t_i = _number(proto["t_i"], "protocol.t_i", 0, True)
-        params["A"] = _point_dict(pA)
-        params["t_i"] = t_i
-        res = run_two_step(pS, pA, pF, t_i, eps, integ)
-    else:
+    if kind == "continuous":
         kappa = _number(proto.get("kappa"), "protocol.kappa", 0, True)
         omega = _number(proto.get("omega", 0.0), "protocol.omega", 0)
         params["kappa"] = kappa
         params["omega"] = omega
         res = run_continuous(pS, pF, kappa, omega, eps, integ)
+    else:  # one constant-stage set-up for the run and its baseline
+        pA, t_i = None, 0.0
+        if kind == "two-step":
+            if "t_i" not in proto:
+                raise ConfigError("config.protocol: two-step needs t_i or t_i_scan")
+            pA = _parameter_point(cfg, "A")
+            t_i = _number(proto["t_i"], "protocol.t_i", 0, True)
+            params["A"] = _point_dict(pA)
+            params["t_i"] = t_i
+            (t_i,) = _switch_times([t_i], integ)
+        stages = _ConstantStages(pS, pA, pF, eps, integ)
+        res = stages.run(t_i)
 
     traj_file = f"{label}_trajectory.csv"
     trajectory_to_csv(res.trajectory, out_dir / traj_file)
     out = {"schema": SCHEMA_VERSION, **_result_dict(res, traj_file), "params": params}
 
     if with_baseline and kind != "direct":
-        baseline = run_direct(pS, pF, eps, integ)
+        baseline = run_direct(pS, pF, eps, integ) if kind == "continuous" else stages.run()
         base_file = f"{label}_direct_trajectory.csv"
         trajectory_to_csv(baseline.trajectory, out_dir / base_file)
         out["baseline"] = _result_dict(baseline, base_file)
@@ -369,9 +364,9 @@ def cmd_simulate(cfg, args, out_dir) -> int:
             if kind == "continuous":
                 cls_info["class"] = classify_continuous(res, baseline).value
             else:
-                cls_info["class"] = classify_two_step(res, baseline).value
-                d_s, d_i, d_sf = two_step_distances(res, baseline)
-                cls_info.update({"d_S": d_s, "d_I": d_i, "d_SF": d_sf})
+                _, (dist,) = stages.switches([t_i])
+                cls_info["class"] = _two_step_class(res.tau, baseline.tau, dist).value
+                cls_info.update(zip(("d_S", "d_I", "d_SF"), dist))
             cls_info["crossings"] = relevant_crossings(res, baseline)
             out["classification"] = cls_info
 
@@ -543,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--t-cap", type=float, default=None, help="integration cap")
     parser.add_argument(
-        "--jobs", type=int, default=available_cpus(),
+        "--jobs", type=int, default=None,
         help="worker processes for gain maps (default: the CPUs this process may use)",
     )
     parser.set_defaults(with_baseline=False)
@@ -566,6 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on the first ``main`` call
+
 _HANDLERS = {
     "steady-state": cmd_steady_state,
     "simulate": cmd_simulate,
@@ -582,9 +579,8 @@ def main(argv=None) -> int:
         level=getattr(logging, os.environ.get("PONTUS_LOG", "WARNING").upper(), logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:

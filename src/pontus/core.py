@@ -1,4 +1,6 @@
-"""Domain types for Bloch-ball dynamics of an open two-level system.
+"""Domain types for Bloch-ball dynamics of an open two-level system, with
+the trace distance (``trace_distances``, row by row), endpoint validation
+and the CSV writer.
 
 All quantities are dimensionless: the magnitude of the initial control field
 is the energy unit, times are measured in its inverse.
@@ -203,11 +205,6 @@ def trace_distances(r: np.ndarray, target: np.ndarray) -> np.ndarray:
     """
     x = r - target
     return 0.5 * np.sqrt(np.add.reduce(x * x, axis=1))
-
-
-def trace_distance(r1: BlochVector, r2: BlochVector) -> float:
-    """Trace distance between two-level states, half the Euclidean Bloch distance."""
-    return float(trace_distances(r1.as_array()[None, :], r2.as_array())[0])
 
 
 def validate_endpoint(p: ParameterPoint) -> ParameterPoint:

@@ -1,7 +1,8 @@
 """Generator assembly and propagation of the affine Bloch equation.
 
 Constant-parameter dynamics is propagated exactly through the drift's
-eigenmodes, or a matrix exponential where those are unusable.
+eigenmodes, or a matrix exponential where those are unusable
+(``ConstantFlow``).
 Time-dependent schedules go through an in-house adaptive Dormand-Prince 5(4)
 stepper specialised to the affine ramp form Lambda(t) = lam_f + m(t) dlam,
 b(t) = b_f + m(t) db that every schedule shares: scalar floats, stages that
@@ -115,25 +116,11 @@ def steady_state(g: AffineGenerator) -> BlochVector:
     return BlochVector.from_array(r)
 
 
-def velocity(g: AffineGenerator, r: BlochVector) -> np.ndarray:
-    """Instantaneous velocity Lambda r + b of the Bloch vector at r."""
-    return g.Lambda @ r.as_array() + g.b
-
-
 def _augmented(g: AffineGenerator) -> np.ndarray:
     m = np.zeros((4, 4))
     m[:3, :3] = g.Lambda
     m[:3, 3] = g.b
     return m
-
-
-def propagate_constant(g: AffineGenerator, r0: BlochVector, t: float) -> BlochVector:
-    """Exact state at time t under constant parameters (see ``ConstantFlow``)."""
-    if t < 0:
-        raise ValueError("propagation time must be nonnegative")
-    if t == 0.0:
-        return r0
-    return BlochVector.from_array(ConstantFlow(g).state(r0.as_array(), t))
 
 
 class ConstantFlow:

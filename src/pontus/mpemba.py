@@ -1,4 +1,9 @@
-"""Classification of relaxation speed-ups and the gain function."""
+"""Classification of relaxation speed-ups and the gain function.
+
+Every two-step class comes from one rule, ``_two_step_class``, fed with the
+switch's (d_S, d_I, d_SF): by the constant-stage set-up in scans and
+``simulate``, or by ``classify_two_step`` from a pair of results.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,6 @@ from enum import Enum
 
 import numpy as np
 
-from .core import trace_distances
 from .errors import NotConverged
 from .protocols import TAU_XTOL, ProtocolResult
 
@@ -97,43 +101,38 @@ def _check_comparable(engineered: ProtocolResult, direct: ProtocolResult) -> Non
         raise ValueError("results target different final states")
 
 
-def two_step_distances(two_step: ProtocolResult, direct: ProtocolResult):
-    """(d_S, d_I, d_SF): start distance, detour state at the switch, and the
-    direct-protocol state at the same instant, all measured to the target."""
-    if two_step.t_intermediate is None or two_step.r_intermediate is None:
-        raise ValueError("result does not carry a switching state")
-    tgt = direct.trajectory.target.as_array()
-    d_s = float(direct.trajectory.dist[0])
-    d_i = float(trace_distances(two_step.r_intermediate[None, :], tgt)[0])
-    d_sf = float(direct.trajectory.distance_of(two_step.t_intermediate))
-    return d_s, d_i, d_sf
-
-
 def classify_two_step(
     two_step: ProtocolResult, direct: ProtocolResult
 ) -> TwoStepClass:
     """Sort a two-step run into weak-A / weak-B / strong / no-effect.
 
     The detour is graded by where its switching state sits relative to the
-    direct trajectory at the same instant and to the starting distance; no
-    speed-up at all is reported as no-effect regardless of geometry.  Taus
-    within twice the root finder's tolerance of each other count as equal,
-    so a detour that changes nothing is no-effect whatever its round-off.
+    direct trajectory at the same instant and to the starting distance, each
+    read off the runs' own distance evaluators; no speed-up at all is
+    reported as no-effect regardless of geometry.
     """
     _check_comparable(two_step, direct)
+    t_i = two_step.t_intermediate
+    if t_i is None:
+        raise ValueError("result does not carry a switching time")
     if not (two_step.converged and direct.converged):
         raise NotConverged("both runs must have converged to classify them")
-    return _two_step_class(
-        two_step.tau, direct.tau, lambda: two_step_distances(two_step, direct)
+    distances = (
+        float(direct.trajectory.dist[0]),
+        two_step.trajectory.distance_of(t_i),
+        direct.trajectory.distance_of(t_i),
     )
+    return _two_step_class(two_step.tau, direct.tau, distances)
 
 
 def _two_step_class(tau: float, tau_dir: float, distances) -> TwoStepClass:
-    """``classify_two_step``'s rule, shared with t_I scans; ``distances()``,
-    the switch's (d_S, d_I, d_SF), is called only for a speed-up."""
+    """The one two-step class rule, from the run's and the direct quench's
+    taus and the switch's (d_S, d_I, d_SF).  Taus within twice the root
+    finder's tolerance of each other count as equal, so a detour that
+    changes nothing is no-effect whatever its round-off."""
     if tau >= tau_dir - 2.0 * TAU_XTOL:
         return TwoStepClass.NO_EFFECT
-    d_s, d_i, d_sf = distances()
+    d_s, d_i, d_sf = distances
     if d_i < d_sf:
         return TwoStepClass.WEAK_TYPE_A
     if d_i < d_s:

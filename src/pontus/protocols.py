@@ -5,9 +5,11 @@ monitors the trace distance to the final steady state, and extracts the
 relaxation time as the last time the distance settles below the cutoff.
 The direct quench and the two-step detour hold constant parameters in each
 stage and are runs of one set-up, ``_ConstantStages``, the quench being its
-run without a detour; a t_I scan (``sweep.scan_two_step``) shares one set-up
-among its baseline and rows.  The continuous ramp is integrated adaptively
-under the library's one rate schedule, ``ExponentialCosineSchedule``.
+run without a detour; a t_I scan (``sweep.scan_two_step``) and a single
+two-step ``simulate`` each share one set-up between the baseline and the
+detours, whose switch distances (``switches``) feed the one class rule.  The
+continuous ramp is integrated adaptively under the library's one rate
+schedule, ``ExponentialCosineSchedule``.
 """
 
 from __future__ import annotations
@@ -117,19 +119,17 @@ class ProtocolResult:
 
     ``tau``, ``inconclusive`` and ``n_threshold_crossings`` come from the
     threshold analysis of the trajectory; a run that hit the time cap keeps
-    None, False and 0.
+    None, False and 0.  A two-step run keeps its switch time,
+    ``t_intermediate``.
     """
 
     kind: str
     trajectory: Trajectory
-    p_start: ParameterPoint
-    p_final: ParameterPoint
     epsilon: float
     tau: Optional[float] = None
     inconclusive: bool = False
     n_threshold_crossings: int = 0
     t_intermediate: Optional[float] = None
-    r_intermediate: Optional[np.ndarray] = None
 
     @property
     def timed_out(self) -> bool:
@@ -193,30 +193,9 @@ def _threshold_analysis(traj: Trajectory, eps: float):
     return tau, inconclusive, int(len(flips))
 
 
-def relaxation_time(traj: Trajectory, eps: float):
-    """Cutoff-based relaxation time of a recorded trajectory.
-
-    Returns ``(tau, inconclusive)`` where ``tau`` is the last down-crossing
-    of the ``eps`` level, sharpened to better than 1e-6 in time by bracketed
-    root finding on the trajectory's distance evaluator.  The run counts as
-    inconclusive when the cutoff is reached while an oscillatory rate
-    modulation still exceeds ``eps``, so the crossing happens during a live
-    transient excursion.
-    """
-    tau, inconclusive, _ = _threshold_analysis(traj, eps)
-    return tau, inconclusive
-
-
-def _result(
-    kind: str,
-    traj: Trajectory,
-    pS: ParameterPoint,
-    pF: ParameterPoint,
-    eps: float,
-    **switch,
-) -> ProtocolResult:
+def _result(kind: str, traj: Trajectory, eps: float, **switch) -> ProtocolResult:
     """The record of one run, with its threshold analysis unless it timed out."""
-    res = ProtocolResult(kind, traj, pS, pF, eps, **switch)
+    res = ProtocolResult(kind, traj, eps, **switch)
     if not traj.timed_out:
         res.tau, res.inconclusive, res.n_threshold_crossings = _threshold_analysis(
             traj, eps
@@ -283,20 +262,38 @@ class _ConstantStages:
     def __init__(self, pS, pA, pF, eps, cfg):
         points = (pS, pF) if pA is None else (pS, pA, pF)
         gens, (r0, *_, target) = _attractors(eps, *points)
-        self.pS, self.pA, self.pF, self.eps, self.cfg = pS, pA, pF, eps, cfg
+        self.pA, self.pF, self.eps, self.cfg = pA, pF, eps, cfg
         self.r0, self.target, self.tgt = r0.as_array(), target, target.as_array()
         self.flow_f = ConstantFlow(gens[-1], cfg.sample_stride)
         self.flow_a = self.flow_f if pA is None else ConstantFlow(gens[1], cfg.sample_stride)
         self.detour = self.flow_a.sampler(self.r0)  # the first stage's states
+        self.quench = self.flow_f.sampler(self.r0)  # the direct quench's
+
+    def switches(self, t_is: Sequence[float]):
+        """The detour's states at the switch times ``t_is``, and the
+        (d_S, d_I, d_SF) of each switch by which ``mpemba._two_step_class``
+        grades it: the trace distances to the target of the start, of the
+        switch state and of the direct quench's state at the same time."""
+        ts = np.array(t_is, dtype=float)
+        r_i = self.detour(ts)
+        d_s = float(trace_distances(self.r0[None, :], self.tgt)[0])
+        d_i = trace_distances(r_i, self.tgt).tolist()
+        d_sf = trace_distances(self.quench(ts), self.tgt).tolist()
+        return r_i, [(d_s, a, b) for a, b in zip(d_i, d_sf)]
 
     def run(self, t_i: float = 0.0) -> ProtocolResult:
+        """``trajectory(t_i)`` with its threshold analysis; the run at t_i = 0
+        is the direct quench and records no switch."""
+        switch = {"t_intermediate": t_i} if t_i else {}
+        return _result("two-step" if t_i else "direct", self.trajectory(t_i), self.eps, **switch)
+
+    def trajectory(self, t_i: float = 0.0) -> Trajectory:
         """The run that holds the A parameters up to t_i, then F's.
 
-        The run at t_i = 0 makes no detour: it is the direct quench, records
-        no switch, and its t = 0 sample carries F's rates.  The F stage is
-        sampled until the distance falls below eps/10 or the time cap; as
-        the distance never rises there, the run has timed out only if its
-        last sample is still at or above eps.
+        The run at t_i = 0 makes no detour, and its t = 0 sample carries F's
+        rates.  The F stage is sampled until the distance falls below eps/10
+        or the time cap; as the distance never rises there, the run has
+        timed out only if its last sample is still at or above eps.
         """
         r0, tgt, eps, stride = self.r0, self.tgt, self.eps, self.cfg.sample_stride
         detour = self.detour
@@ -324,7 +321,7 @@ class _ConstantStages:
             out[~before] = relax(ts[~before] - t_i)
             return out
 
-        traj = Trajectory(
+        return Trajectory(
             t=ts,
             r=np.vstack([r_a, states_f[1:]]),
             rates=rates,
@@ -332,8 +329,6 @@ class _ConstantStages:
             distance_of=distance_evaluator(states, tgt),
             timed_out=not reached and bool(trace_distances(states_f[-1:], tgt)[0] >= eps),
         )
-        switch = {"t_intermediate": t_i, "r_intermediate": r_i} if t_i else {}
-        return _result("two-step" if t_i else "direct", traj, self.pS, self.pF, eps, **switch)
 
 
 def run_continuous(
@@ -358,4 +353,4 @@ def run_continuous(
     )
     _, (r0, target) = _attractors(eps, pS, pF)
     traj = integrate(schedule, r0, target, cfg, eps)
-    return _result("continuous", traj, pS, pF, eps)
+    return _result("continuous", traj, eps)

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import FieldVector, ParameterPoint, RateTriple, trace_distances, write_csv
+from .core import FieldVector, ParameterPoint, RateTriple, write_csv
 from .dynamics import IntegratorConfig
 from .errors import BallViolation, NotConverged, SingularGenerator
 from .mpemba import _two_step_class, gain
@@ -294,22 +294,18 @@ def _scan(stages: _ConstantStages, t_is: List[float]):
     if not baseline.converged:
         raise NotConverged("direct baseline did not converge")
     ts = np.array(t_is, dtype=float)
-    r_i = stages.detour(ts)
-    d_s = float(baseline.trajectory.dist[0])
-    d_i = trace_distances(r_i, stages.tgt).tolist()
-    d_sf = baseline.trajectory.distance_of(ts).tolist()
+    r_i, distances = stages.switches(ts)
     t_last = np.floor((cfg.t_cap - ts) / cfg.sample_stride) * cfg.sample_stride
     taus = ts + stages.flow_f.crossing_times(r_i, stages.tgt, eps, t_last)
 
     rows = []
-    for t_i, tau, d_i_k, d_sf_k in zip(t_is, taus.tolist(), d_i, d_sf):
-        if d_i_k < eps:  # settled in its A stage, so never timed out
+    for t_i, tau, dist in zip(t_is, taus.tolist(), distances):
+        if dist[1] < eps:  # settled in its A stage, so never timed out
             tau = stages.run(t_i).tau
         elif tau == math.inf:
             rows.append((None, STATUS_TIMEOUT))
             continue
-        cls = _two_step_class(tau, baseline.tau, lambda: (d_s, d_i_k, d_sf_k))
-        rows.append((tau, cls.value))
+        rows.append((tau, _two_step_class(tau, baseline.tau, dist).value))
     return baseline, rows
 
 

@@ -28,7 +28,7 @@ from pontus import (
     superoperator_oracle,
     sweep_kappa_omega,
     sweep_kappa_theta,
-    trace_distance,
+    trace_distances,
 )
 from pontus.dynamics import ConstantFlow
 
@@ -309,11 +309,13 @@ class TestCriterion7PropertySuites:
         pts *= rng.uniform(0, 1, size=3000)[:, None] ** (1 / 3)
         ok = True
         for k in range(1000):
-            a, b, c = (BlochVector.from_array(p) for p in pts[3 * k : 3 * k + 3])
-            dab = trace_distance(a, b)
-            ok = ok and dab == trace_distance(b, a)
-            ok = ok and trace_distance(a, a) == 0.0
-            ok = ok and dab <= trace_distance(a, c) + trace_distance(c, b) + 1e-15
+            a, b, c = (BlochVector.from_array(p).as_array() for p in pts[3 * k : 3 * k + 3])
+            dab = trace_distances(a[None, :], b)[0]
+            ok = ok and dab == trace_distances(b[None, :], a)[0]
+            ok = ok and trace_distances(a[None, :], a)[0] == 0.0
+            ok = ok and dab <= (
+                trace_distances(a[None, :], c)[0] + trace_distances(c[None, :], b)[0] + 1e-15
+            )
             ok = ok and 0.0 <= dab <= 1.0
         report("7e", ok, "metric axioms hold on 1000 random triples")
 

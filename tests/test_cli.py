@@ -467,6 +467,17 @@ class TestSimulate:
         assert code == 0 and len(out["first_realizations"]) == 3
         assert len(flow_builds) == 2
 
+    def test_two_step_with_baseline_builds_two_flows(self, tmp_path, capsys, flow_builds):
+        # the detour and its baseline are runs of one set-up: A's flow and F's
+        points = json.loads((CONFIGS / "fig1.json").read_text())["points"]
+        protocol = {"kind": "two-step", "t_i": 3.0}
+        cfg = write_config(tmp_path, {"schema": 1, "points": points, "protocol": protocol})
+        code, out, _ = run_json(
+            capsys, "--config", cfg, "--output", str(tmp_path), "simulate", "--with-baseline"
+        )
+        assert code == 0 and out["classification"]["class"] == "strong"
+        assert len(flow_builds) == 2
+
     def test_settled_baseline_continuous(self, tmp_path, capsys):
         # S = F: both runs settle at their first sample, and the gain is 0/0
         points = {"S": TILTED_POINTS["F"], "F": TILTED_POINTS["F"]}
@@ -762,6 +773,64 @@ class TestPinnedFigures:
         ) == self.SHA256[label]
 
 
+class TestPinnedTwoStep:
+    """sha256 of a single two-step ``simulate --with-baseline`` on fig1's
+    points (stdout, result JSON, detour and direct trajectory CSVs), one
+    switch time per class, recorded while the run and its baseline were
+    still built on separate set-ups and graded from the result pair."""
+
+    CASES = {  # t_i -> (class, stdout, result JSON, detour CSV, direct CSV)
+        0.35: (
+            "weak-type-A",
+            "e7a64470155e441bd302cf0fb9086c5eff07d9cc95a7d9be355cd2c27e030036",
+            "faa20058b0dc164017c22ebe17c470238f2613912a6cdf93bc903a4fa25d7dda",
+            "7c117b34eef95e9720ec8687e86108d8b433eb1f3afe4670982032481a62feea",
+            "1ffa950732afdd5104a7852bf4d495e127ee7921fef9d5e182a3f5bc4356b068",
+        ),
+        1.2: (
+            "weak-type-B",
+            "82637c960d0debedb0eeb908df64b622a6c9ba234492f9fbf9970bc98dafb857",
+            "4da7613a53389ceed6310805c6d4ad9706e96757655b864af6da094ba0abc6ab",
+            "f8008a8ba1ca3efd0b6894626b0710cbd057d6048fd95147ef22963703436194",
+            "1ffa950732afdd5104a7852bf4d495e127ee7921fef9d5e182a3f5bc4356b068",
+        ),
+        3.0: (
+            "strong",
+            "d166fed79c323616778cbc008b7645a72c98d57e6d803d974991b779c4a7bec5",
+            "53fc3d166cb8466a8b9ab7cbc0d1f94f9ac93d324bc5cb8d7793418eca78c70a",
+            "eb554cb7aefcf00f61ea64b6099de439121898a1f94a8a86d654305ed268e988",
+            "1ffa950732afdd5104a7852bf4d495e127ee7921fef9d5e182a3f5bc4356b068",
+        ),
+        # A = F, switched after the direct tau: below eps at the switch
+        80.0: (
+            "no-effect",
+            "c406ce165206b3f0c180cf6270b2841c2f4ccae5146bbc5d78b1777aebe80a9c",
+            "492a355d6cfca2ff026c10ba3fba7d75b241688cf0de99f147a9a56da1b9d66b",
+            "eea0bad86f39566548e6f572f074c85a6e3ac0378210dc690f712c137b61d1cb",
+            "1ffa950732afdd5104a7852bf4d495e127ee7921fef9d5e182a3f5bc4356b068",
+        ),
+    }
+
+    @pytest.mark.parametrize("t_i", sorted(CASES))
+    def test_two_step(self, t_i, tmp_path, capsys):
+        points = json.loads((CONFIGS / "fig1.json").read_text())["points"]
+        if t_i == 80.0:
+            points["A"] = points["F"]
+        protocol = {"kind": "two-step", "t_i": t_i}
+        cfg = write_config(tmp_path, {"schema": 1, "points": points, "protocol": protocol})
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli(
+            capsys, "--config", cfg, "--output", str(out_dir), "simulate", "--with-baseline"
+        )
+        assert code == 0
+        cls, *want = self.CASES[t_i]
+        assert json.loads(out)["classification"]["class"] == cls
+        names = ("two-step_result.json", "two-step_trajectory.csv", "two-step_direct_trajectory.csv")
+        assert [hashlib.sha256(out.encode()).hexdigest()] + [
+            hashlib.sha256((out_dir / n).read_bytes()).hexdigest() for n in names
+        ] == want
+
+
 class TestWriterFastPath:
     """The figure trajectories are formatted by the writer's numpy path alone:
     no value goes to its per-value ``%.17g`` fallback, so a change that sends
@@ -845,6 +914,31 @@ class TestGainMap:
         assert code == 0
         side = json.loads((tmp_path / "one_gainmap.json").read_text())
         assert side["status_counts"] == {"ok": 4}
+
+    def test_each_call_follows_its_own_affinity(self, tmp_path, capsys, monkeypatch):
+        # the parser is built once per process; --jobs resolves on each call
+        workers = []
+
+        class Pool:  # runs the cells in this process, recording its size
+            def __init__(self, n):
+                workers.append(n)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("pontus.sweep.ProcessPoolExecutor", Pool)
+        cfg = write_config(tmp_path, {"schema": 1, "sweep": theta_sweep(label="two")})
+        for cpus in ({0}, {0, 1, 2}):
+            monkeypatch.setattr("os.sched_getaffinity", lambda pid, c=cpus: c, raising=False)
+            code, _, _ = run_cli(capsys, "--config", cfg, "--output", str(tmp_path), "gain-map")
+            assert code == 0
+        assert workers == [3]
 
     def test_failed_cells_still_exit_zero(self, tmp_path, capsys):
         cfg = write_config(

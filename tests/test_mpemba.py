@@ -19,8 +19,8 @@ from pontus import (
     run_continuous,
     run_direct,
     run_two_step,
-    two_step_distances,
 )
+from pontus.core import distance_evaluator
 from pontus.mpemba import _shared_series
 
 PLANAR_S = ParameterPoint.make((0.707, 0.707, 0.0), (0.5, 0.1, 0.0), "S")
@@ -99,8 +99,9 @@ class TestCountCrossings:
         assert count_crossings(a, b) == 2
 
 
-def _fake_result(dists, target, t_i=None, r_i=None, tau=None, kind="two-step"):
-    """Synthetic converged result with a prescribed distance series."""
+def _fake_result(dists, target, t_i, r_i, tau):
+    """Synthetic converged two-step result with a prescribed distance series,
+    switched at t_i; its distance evaluator reads the constant state r_i."""
     n = len(dists)
     t = np.arange(n) * 0.05
     tgt = target.as_array()
@@ -111,18 +112,9 @@ def _fake_result(dists, target, t_i=None, r_i=None, tau=None, kind="two-step"):
         r=r,
         rates=np.zeros((n, 3)),
         target=target,
-        distance_of=lambda x: float(np.interp(x, t, dists)),
+        distance_of=distance_evaluator(lambda ts: np.tile(r_i, (len(ts), 1)), tgt),
     )
-    return ProtocolResult(
-        kind=kind,
-        trajectory=traj,
-        tau=tau,
-        p_start=DETOUR_S,
-        p_final=DETOUR_F,
-        epsilon=1e-4,
-        t_intermediate=t_i,
-        r_intermediate=r_i,
-    )
+    return ProtocolResult("two-step", traj, epsilon=1e-4, tau=tau, t_intermediate=t_i)
 
 
 class TestClassifyTwoStep:
@@ -146,8 +138,7 @@ class TestClassifyTwoStep:
         two = run_two_step(DETOUR_S, DETOUR_A, DETOUR_F, t_i=2.1)
         cls = classify_two_step(two, self.DIRECT)
         assert cls is TwoStepClass.STRONG
-        d_s, d_i, _ = two_step_distances(two, self.DIRECT)
-        assert d_i >= d_s
+        assert two.trajectory.distance_of(2.1) >= self.DIRECT.trajectory.dist[0]
 
     def test_unconverged_raises(self):
         from pontus import IntegratorConfig
@@ -175,8 +166,7 @@ class TestClassifyTwoStep:
                 tau=self.DIRECT.tau / 2,
             )
             assert classify_two_step(fake, self.DIRECT) is TwoStepClass.WEAK_TYPE_B
-            _, got_d_i, _ = two_step_distances(fake, self.DIRECT)
-            assert got_d_i == pytest.approx(d_i)
+            assert fake.trajectory.distance_of(1.0) == pytest.approx(d_i)
 
 
 class TestOffStrideSwitch:

@@ -8,7 +8,6 @@ import pytest
 
 from pontus import (
     BallViolation,
-    BlochVector,
     ConstantFlow,
     ExponentialCosineSchedule,
     FieldVector,
@@ -19,15 +18,14 @@ from pontus import (
     assemble_generator,
     classify_two_step,
     integrate,
-    relaxation_time,
     run_continuous,
     run_direct,
     run_two_step,
     scan_two_step,
     steady_state,
-    trace_distance,
 )
-from pontus.protocols import _refined_threshold_series
+from pontus.mpemba import _two_step_class
+from pontus.protocols import _ConstantStages, _refined_threshold_series, _threshold_analysis
 from ramps import held, two_step_ramp
 
 PLANAR_S = ParameterPoint.make((0.707, 0.707, 0.0), (0.5, 0.1, 0.0), "S")
@@ -387,7 +385,9 @@ class TestRunTwoStep:
         res = run_two_step(DETOUR_S, DETOUR_A, DETOUR_F, t_i=2.1)
         assert res.t_intermediate == 2.1
         k = np.searchsorted(res.trajectory.t, 2.1)
-        assert np.allclose(res.trajectory.r[k], res.r_intermediate, atol=1e-12)
+        r0 = steady_state(assemble_generator(DETOUR_S)).as_array()
+        r_i = ConstantFlow(assemble_generator(DETOUR_A)).state(r0, 2.1)
+        assert np.allclose(res.trajectory.r[k], r_i, atol=1e-12)
 
     def test_rejects_bad_switch_times(self):
         with pytest.raises(ValueError):
@@ -436,11 +436,27 @@ class TestRunTwoStepScan:
         want = []
         for t_i in t_is:
             one = run_two_step(DETOUR_S, a_as_f, DETOUR_F, t_i)
-            r_i = BlochVector.from_array(one.r_intermediate)
-            assert trace_distance(r_i, one.trajectory.target) < one.epsilon
+            assert one.trajectory.distance_of(t_i) < one.epsilon
             want.append((one.tau, classify_two_step(one, direct).value))
         assert rows == want
         assert [cls for _, cls in rows] == ["no-effect", "no-effect"]
+
+    @pytest.mark.parametrize("a_is_f", [False, True])
+    def test_setup_distances_match_the_result_pair(self, a_is_f):
+        # the set-up's (d_S, d_I, d_SF), as scans and single runs read them,
+        # bit for bit those that ``classify_two_step`` reads off the results
+        pA = ParameterPoint(DETOUR_F.h, DETOUR_F.gamma, "A") if a_is_f else DETOUR_A
+        rng = np.random.default_rng(23)
+        t_is = [*self.TAUS, *rng.uniform(0.01, 60.0, 200).tolist(), 80.0]
+        stages = _ConstantStages(DETOUR_S, pA, DETOUR_F, 1e-4, IntegratorConfig())
+        direct = stages.run()
+        _, triples = stages.switches(t_is)
+        for t_i, triple in zip(t_is, triples):
+            one = run_two_step(DETOUR_S, pA, DETOUR_F, t_i)
+            d_i, d_sf = one.trajectory.distance_of(t_i), direct.trajectory.distance_of(t_i)
+            assert triple == (direct.trajectory.dist[0], d_i, d_sf), t_i
+            cls = classify_two_step(one, direct)
+            assert cls is _two_step_class(one.tau, direct.tau, triple), t_i
 
     def test_fig1_scan_calls_run_until_once(self, monkeypatch):
         # every row comes from one exact crossing; only the direct baseline
@@ -534,19 +550,19 @@ class TestRunContinuous:
 class TestRelaxationTime:
     def test_monotone_exponential_series(self):
         res = run_direct(Z_S, Z_F)
-        tau, inconclusive = relaxation_time(res.trajectory, 1e-4)
+        tau, inconclusive, _ = _threshold_analysis(res.trajectory, 1e-4)
         assert tau == pytest.approx(TAU_Z, abs=1e-6)
         assert not inconclusive
 
     def test_series_entirely_below_cutoff(self):
         res = run_direct(PLANAR_S, PLANAR_S)
-        tau, inconclusive = relaxation_time(res.trajectory, 1e-4)
+        tau, inconclusive, _ = _threshold_analysis(res.trajectory, 1e-4)
         assert tau == 0.0 and not inconclusive
 
     def test_timed_out_trajectory_raises(self):
         res = run_direct(PLANAR_S, PLANAR_F, cfg=IntegratorConfig(t_cap=5.0))
         with pytest.raises(NotConverged):
-            relaxation_time(res.trajectory, 1e-4)
+            _threshold_analysis(res.trajectory, 1e-4)
 
     def test_oscillatory_crossing_is_inconclusive(self):
         # cutoff reached while the rate modulation is still above it
