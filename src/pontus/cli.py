@@ -83,7 +83,20 @@ _TOP_KEYS = {
     "sweep",
     "nm",
     "velocity_field",
-    "output",
+}
+
+# the sections whose keys depend on their kind: the kinds, as an unknown
+# kind's message names them, and the keys of each beside ``kind`` and ``label``
+_KINDS = {
+    "protocol": ("direct, two-step, or continuous", {
+        "direct": set(),
+        "two-step": {"t_i", "t_i_scan", "with_baseline"},
+        "continuous": {"kappa", "omega", "with_baseline"},
+    }),
+    "sweep": ("kappa-theta or kappa-omega", {
+        "kappa-theta": {"rates_s", "rates_f", "kappa", "theta"},
+        "kappa-omega": {"rates_s", "rates_f", "h", "kappa", "omega"},
+    }),
 }
 
 
@@ -93,6 +106,20 @@ def _check_keys(obj, allowed, path):
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
+
+
+def _kind_section(cfg, name, command):
+    """Config section ``name``, which ``command`` needs, and its kind, after
+    the one key rule of ``_KINDS``: a section takes only its kind's keys."""
+    section = cfg.get(name)
+    if section is None:
+        raise ConfigError(f"config.{name}: required for {command}")
+    expected, own = _KINDS[name]
+    kind = section.get("kind") if isinstance(section, dict) else None
+    if kind not in tuple(own):
+        raise ConfigError(f"config.{name}.kind: expected {expected}")
+    _check_keys(section, {"kind", "label", *own[kind]}, f"config.{name}")
+    return section, kind
 
 
 def _vec3(value, path):
@@ -258,9 +285,7 @@ def _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label):
     start = _number(scan.get("start"), "t_i_scan.start", 0, True)
     stop = _number(scan.get("stop"), "t_i_scan.stop", 0, True)
     step = _number(scan.get("step"), "t_i_scan.step", 0, True)
-    pS = _parameter_point(cfg, "S")
-    pA = _parameter_point(cfg, "A")
-    pF = _parameter_point(cfg, "F")
+    pS, pA, pF = (_parameter_point(cfg, k) for k in "SAF")
     t_is, t_i = [], start
     while t_i <= stop + 1e-12:
         if t_i >= integ.t_cap:  # before a far stop fills the memory
@@ -295,56 +320,43 @@ def _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label):
         "direct_trajectory_file": base_file,
         "first_realizations": first,
         "scan": rows,
-        "params": {
-            "S": _point_dict(pS),
-            "A": _point_dict(pA),
-            "F": _point_dict(pF),
-        },
+        "params": dict(zip("SAF", map(_point_dict, (pS, pA, pF)))),
     }
     _emit(report, out_dir / f"{label}_result.json")
     return EXIT_OK
 
 
 def cmd_simulate(cfg, args, out_dir) -> int:
-    proto = cfg.get("protocol")
-    if proto is None:
-        raise ConfigError("config.protocol: required for simulate")
-    _check_keys(
-        proto,
-        {"kind", "t_i", "t_i_scan", "kappa", "omega", "with_baseline", "label"},
-        "config.protocol",
-    )
-    kind = proto.get("kind")
-    if kind not in ("direct", "two-step", "continuous"):
+    proto, kind = _kind_section(cfg, "protocol", "simulate")
+    if kind == "two-step" and ("t_i" in proto) == ("t_i_scan" in proto):
         raise ConfigError(
-            "config.protocol.kind: expected direct, two-step, or continuous"
+            "config.protocol: two-step needs exactly one of t_i and t_i_scan"
         )
+    if (args.with_baseline or "with_baseline" in proto) and (
+        kind == "direct" or "t_i_scan" in proto
+    ):
+        raise ConfigError("with_baseline: not read by a direct run or a t_i scan")
     eps = _epsilon(cfg, args)
     integ = _integrator(cfg, args)
     label = _label(proto, "protocol", kind)
     with_baseline = bool(proto.get("with_baseline", False)) or args.with_baseline
 
-    if kind == "two-step" and "t_i_scan" in proto:
+    if "t_i_scan" in proto:
         return _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label)
 
     pS = _parameter_point(cfg, "S")
     pF = _parameter_point(cfg, "F")
     params = {"S": _point_dict(pS), "F": _point_dict(pF)}
     if kind == "continuous":
-        kappa = _number(proto.get("kappa"), "protocol.kappa", 0, True)
-        omega = _number(proto.get("omega", 0.0), "protocol.omega", 0)
-        params["kappa"] = kappa
-        params["omega"] = omega
-        res = run_continuous(pS, pF, kappa, omega, eps, integ)
+        params["kappa"] = _number(proto.get("kappa"), "protocol.kappa", 0, True)
+        params["omega"] = _number(proto.get("omega", 0.0), "protocol.omega", 0)
+        res = run_continuous(pS, pF, params["kappa"], params["omega"], eps, integ)
     else:  # one constant-stage set-up for the run and its baseline
         pA, t_i = None, 0.0
         if kind == "two-step":
-            if "t_i" not in proto:
-                raise ConfigError("config.protocol: two-step needs t_i or t_i_scan")
             pA = _parameter_point(cfg, "A")
             t_i = _number(proto["t_i"], "protocol.t_i", 0, True)
-            params["A"] = _point_dict(pA)
-            params["t_i"] = t_i
+            params.update(A=_point_dict(pA), t_i=t_i)
             (t_i,) = _switch_times([t_i], integ)
         stages = _ConstantStages(pS, pA, pF, eps, integ)
         res = stages.run(t_i)
@@ -353,7 +365,7 @@ def cmd_simulate(cfg, args, out_dir) -> int:
     trajectory_to_csv(res.trajectory, out_dir / traj_file)
     out = {"schema": SCHEMA_VERSION, **_result_dict(res, traj_file), "params": params}
 
-    if with_baseline and kind != "direct":
+    if with_baseline:
         baseline = run_direct(pS, pF, eps, integ) if kind == "continuous" else stages.run()
         base_file = f"{label}_direct_trajectory.csv"
         trajectory_to_csv(baseline.trajectory, out_dir / base_file)
@@ -382,21 +394,14 @@ def cmd_simulate(cfg, args, out_dir) -> int:
 
 
 def cmd_gain_map(cfg, args, out_dir) -> int:
-    section = cfg.get("sweep")
-    if section is None:
-        raise ConfigError("config.sweep: required for gain-map")
-    kind = section.get("kind") if isinstance(section, dict) else None
-    if kind not in ("kappa-theta", "kappa-omega"):
-        raise ConfigError("config.sweep.kind: expected kappa-theta or kappa-omega")
+    section, kind = _kind_section(cfg, "sweep", "gain-map")
     second = kind.removeprefix("kappa-")
-    own = {"theta"} if second == "theta" else {"omega", "h"}  # each kind's own keys
-    _check_keys(section, {"kind", "rates_s", "rates_f", "kappa", "label", *own}, "config.sweep")
     spec = SweepSpec(
         rates_s=RateTriple.from_array(_vec3(section.get("rates_s"), "sweep.rates_s")),
         rates_f=RateTriple.from_array(_vec3(section.get("rates_f"), "sweep.rates_f")),
         kappa_axis=_axis(section, "kappa", "log", "config.sweep"),
         second_axis=_axis(section, second, "linear", "config.sweep"),
-        h=FieldVector.from_array(_vec3(section.get("h"), "sweep.h")) if "h" in own else None,
+        h=FieldVector.from_array(_vec3(section.get("h"), "sweep.h")) if second == "omega" else None,
         eps=_epsilon(cfg, args),
         cfg=_integrator(cfg, args),
     )

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 from pontus import ParameterPoint, run_direct, run_two_step, truncation_horizon
-from pontus.cli import main
+from pontus.cli import _kind_section, load_config, main
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 PLANAR_POINTS = {
     "S": {"h": [0.707, 0.707, 0.0], "gamma": [0.5, 0.1, 0.0]},
@@ -180,9 +182,10 @@ class TestConfigValidation:
         assert code == 1 and err.startswith("config error:") and "omega_fixed" in err
 
     @staticmethod
-    def refused_before_any_run(tmp_path, capsys, monkeypatch, payload, command):
-        """Run ``command`` on ``payload`` where no run may start; the exit
-        code, stdout, stderr, and whether the output directory stayed empty."""
+    def refused_before_any_run(tmp_path, capsys, monkeypatch, payload, command, *flags):
+        """Run ``command`` (with its ``flags``) on ``payload`` where no run may
+        start; the exit code, stdout, stderr, and whether the output directory
+        stayed empty."""
         def no_run(*args, **kwargs):
             raise AssertionError("a run was started")
 
@@ -194,9 +197,9 @@ class TestConfigValidation:
         out_dir = tmp_path / "out"
         code, out, err = run_cli(
             capsys, "--config", write_config(tmp_path, payload), "--output", str(out_dir),
-            command,
+            command, *flags,
         )
-        return code, out, err, not any(out_dir.iterdir())
+        return code, out, err, not (out_dir.exists() and any(out_dir.iterdir()))
 
     NAN, INF = math.nan, math.inf
     RAMP = {"kind": "continuous", "kappa": 0.2, "omega": 0.0, "with_baseline": True}
@@ -284,6 +287,74 @@ class TestConfigValidation:
         )
         message = f"config error: config.sweep: unknown key(s) ['{key}']\n"
         assert (code, out, err, empty) == (1, "", message, True)
+
+    TWO_STEP = {"kind": "two-step", "t_i": 3.0}
+    SCAN = {"start": 1.0, "stop": 2.0, "step": 0.5}
+    SCAN_PROTOCOL = {"kind": "two-step", "t_i_scan": SCAN}
+    UNREAD_BASELINE = "with_baseline: not read by a direct run or a t_i scan"
+    FOREIGN = {"t_i": 3.0, "t_i_scan": SCAN, "kappa": 0.2, "omega": 0.0, "with_baseline": True}
+
+    @pytest.mark.parametrize("protocol, key", [
+        *(({"kind": "direct"}, key) for key in FOREIGN),
+        (TWO_STEP, "kappa"),
+        (TWO_STEP, "omega"),
+        (RAMP, "t_i"),
+        (RAMP, "t_i_scan"),
+    ])
+    def test_protocol_takes_only_its_own_kinds_keys(
+        self, tmp_path, capsys, monkeypatch, protocol, key
+    ):
+        payload = {"schema": 1, "points": PLANAR_POINTS, "protocol": {**protocol, key: self.FOREIGN[key]}}
+        code, out, err, empty = self.refused_before_any_run(
+            tmp_path, capsys, monkeypatch, payload, "simulate"
+        )
+        message = f"config error: config.protocol: unknown key(s) ['{key}']\n"
+        assert (code, out, err, empty) == (1, "", message, True)
+
+    @pytest.mark.parametrize("payload, flags, message", [
+        (
+            {"protocol": dict(TWO_STEP, t_i_scan=SCAN)}, [],
+            "config.protocol: two-step needs exactly one of t_i and t_i_scan",
+        ),
+        ({"protocol": TWO_STEP, "output": "out"}, [], "config: unknown key(s) ['output']"),
+        ({"protocol": {"kind": "direct"}}, ["--with-baseline"], UNREAD_BASELINE),
+        ({"protocol": SCAN_PROTOCOL}, ["--with-baseline"], UNREAD_BASELINE),
+        ({"protocol": {**SCAN_PROTOCOL, "with_baseline": False}}, [], UNREAD_BASELINE),
+    ])
+    def test_inputs_no_run_reads_are_refused(
+        self, tmp_path, capsys, monkeypatch, payload, flags, message
+    ):
+        points = dict(PLANAR_POINTS, A={"h": [0.0, 2.0, 2.0], "gamma": [1.0, 0.0, 0.0]})
+        code, out, err, empty = self.refused_before_any_run(
+            tmp_path, capsys, monkeypatch, {"schema": 1, "points": points, **payload},
+            "simulate", *flags,
+        )
+        assert (code, out, err, empty) == (1, "", f"config error: {message}\n", True)
+
+    def test_every_shipped_config_passes_the_key_rule(self, tmp_path):
+        # the repository's configs and the benchmark's, of every variant
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        configs = [json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))]
+        configs += map(workloads.figure_config, workloads.FIGURES)
+        for v in range(workloads.N_VARIANTS):
+            configs += [
+                workloads.ramp_map_config(v),
+                workloads.ramp_map_config(v, workloads.WARMUP_MAP_N),
+                workloads.ti_scan_config(v),
+                workloads.ti_scan_config(v, workloads.WARMUP_SCAN_STOP),
+            ]
+        kinds = set()
+        for cfg in configs:
+            assert load_config(write_config(tmp_path, cfg)) == cfg
+            for name in {"protocol", "sweep"} & set(cfg):
+                assert _kind_section(cfg, name, "run") == (cfg[name], cfg[name]["kind"])
+                kinds.add(cfg[name]["kind"])
+        assert len(configs) == 29
+        assert kinds == {"two-step", "continuous", "kappa-theta", "kappa-omega"}
 
     def test_negative_omega_is_refused_before_any_cell(self, tmp_path, capsys, monkeypatch):
         sweep = omega_sweep(omega={"min": -1.0, "max": 1.0, "n": 3})

@@ -30,3 +30,22 @@ def test_demo_exits_zero(script):
         timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
+
+
+def test_readme_library_example_runs():
+    # the python block under README's "Library" heading, as a user runs it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", block],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    converged, gain, cls, inconclusive = proc.stdout.splitlines()  # as its comments say
+    assert (converged, cls, inconclusive) == ("True False", "strong", "True True")
+    assert float(gain) == pytest.approx(1.62, abs=0.01)

@@ -25,6 +25,7 @@ from pontus import (
     sweep_kappa_omega,
     sweep_kappa_theta,
 )
+from pontus.protocols import TAU_XTOL
 from pontus.sweep import available_cpus
 
 RATES_S = RateTriple(0.75, 0.75, 0.75)
@@ -287,6 +288,73 @@ class TestScanTwoStep:
         monkeypatch.setattr("pontus.protocols.ConstantFlow", no_flow)
         with pytest.raises(ValueError, match="switching time"):
             scan_two_step(self.S, self.A, self.F, t_is, cfg=self.CFG)
+
+
+class TestScanRandomTriples:
+    """Scan rows against single runs on seeded random S/A/F triples.
+
+    A is drawn at random, or it is F sped up c-fold (c in [2, 20], field
+    and rates scaled together, so F's attractor), or it is that with its
+    field nudged so its attractor lies within eps of F's: that A stage
+    spirals across eps more than once.  Switch times every 0.09, under two
+    strides, put a row just past each of the A stage's down-crossings, so
+    rows below eps at their switch follow every crossing.  The time cap
+    times out the random detours that end far from F.
+    """
+
+    EPS = 1e-4
+    CFG = IntegratorConfig(t_cap=30.0)
+
+    @staticmethod
+    def point(rng, label, field=1.0, dephasing=True):
+        h = rng.normal(size=3)
+        h *= field * rng.uniform(0.5, 2.0) / np.linalg.norm(h)
+        return ParameterPoint.make(h, rng.uniform(0.02, 0.4, 3) * [1, 1, dephasing], label)
+
+    def triples(self):
+        rng = np.random.default_rng(5)
+        for family in [0, 1, 2]:
+            while True:  # a triple whose direct run settles under the cap
+                S = self.point(rng, "S")
+                F = self.point(rng, "F", *((10.0, False) if family == 2 else ()))
+                if run_direct(S, F, self.EPS, self.CFG).converged:
+                    break
+            if family == 0:
+                yield S, self.point(rng, "A"), F
+                continue
+            c, h, g = rng.uniform(2, 20), F.h.as_array(), F.gamma.as_array()
+            if family == 2:  # a nudge that moves the attractor by 1.9 eps
+                nudge = 1e-4 * rng.normal(size=3)
+                r_f, r_a = (
+                    run_direct(p, p, self.EPS, self.CFG).trajectory.r[0]
+                    for p in (F, ParameterPoint.make(h + nudge, g))
+                )
+                h = h + nudge * (1.9 * self.EPS / np.linalg.norm(r_a - r_f))
+            yield S, ParameterPoint.make(c * h, c * g, "A"), F
+
+    def test_rows_match_single_runs(self):
+        seen = {"settled": 0, "multi-crossing": 0, "timeout": 0}
+        for S, A, F in self.triples():
+            direct = run_direct(S, F, self.EPS, self.CFG)
+            t_is = np.arange(0.05, 28.5, 0.09).tolist()
+            baseline, rows = scan_two_step(S, A, F, t_is, self.EPS, self.CFG)
+            assert baseline.tau == direct.tau
+            for t_i, (tau, cls) in zip(t_is, rows):
+                one = run_two_step(S, A, F, t_i, self.EPS, self.CFG)
+                if one.timed_out:
+                    seen["timeout"] += 1
+                    assert (tau, cls) == (None, "timeout"), t_i
+                    continue
+                if one.trajectory.distance_of(t_i) < self.EPS:
+                    seen["settled"] += 1
+                    seen["multi-crossing"] += one.n_threshold_crossings > 2
+                    assert tau == one.tau, t_i
+                else:
+                    assert tau == pytest.approx(one.tau, abs=1e-9), t_i
+                # away from the no-effect boundary, tau = tau_dir - 2 TAU_XTOL
+                if abs(one.tau - direct.tau + 2 * TAU_XTOL) > 2 * TAU_XTOL:
+                    assert cls == classify_two_step(one, direct).value, t_i
+        assert all(seen.values()), seen
 
 
 class TestPinnedBytes:
