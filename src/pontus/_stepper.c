@@ -1,0 +1,253 @@
+/* The adaptive Dormand-Prince 5(4) step loop of pontus.dynamics._dormand_prince,
+ * compiled, for the ramp m(t) = exp(-kappa t) cos(omega t) of
+ * ExponentialCosineSchedule.
+ *
+ * Every expression is the Python stepper's, with the same operands in the
+ * same order, so both write the same floats: the initial step, the seven
+ * f + m d coefficients of each stage, the error norm and the controller, the
+ * Bloch-ball check and the stop rule's sign test.  The bit identity rests on
+ * IEEE double arithmetic with no fused multiply-add (-ffp-contract=off, no
+ * -ffast-math) and on the same libm calls that Python's math module makes;
+ * pontus._stepper builds the library so and checks it against the Python
+ * stepper before use.  The event's root, the dense output and the error
+ * messages stay in Python.
+ */
+#include <math.h>
+
+/* Python's x ** y calls libm's pow, and glibc's pow(x, 2.0) is not always
+ * x * x; called through a volatile pointer, the compiler cannot fold it. */
+static double (*volatile pow_)(double, double) = pow;
+
+/* Python's float ** 2.0 for a finite base: its special case of a zero base,
+ * then pow of the magnitude. */
+static double square(double x) { return x == 0.0 ? 0.0 : pow_(fabs(x), 2.0); }
+
+/* Slots of the state array that carries a run between calls. */
+enum { T, Y1, Y2, Y3, K1, K2, K3, W1, W2, W3, H_ABS, G_OLD, NFEV, N_REJECTED, T_NEW, NORM };
+
+/* Runs from t = 0 when `start` is set, else resumes from `s`.  `c` holds the
+ * 14 ramp coefficients (L00, L11, L22, L01, L02, L12, b_z of (lam_f, b_f),
+ * then of (dlam, db)); `stop` is NULL for a run to t_bound, or (target,
+ * tol, eps), with the settle term dg_max exp(-kappa t).  Appends one 23-double
+ * record (t, h, y, k1, k3, ..., k7) per accepted step to `steps`, at most
+ * `cap` per call, and counts them in *n.
+ *
+ * Returns 0 at t_bound; 1 when the stop function changed sign on the last
+ * record, which ends at s[T_NEW]; 2 when `steps` is full (call again to
+ * resume); -1 when the stop function is negative at t = 0; -2 when the step
+ * falls below 10 ulp of t; -3 when a step ends outside the ball, at s[T_NEW]
+ * with |r| = s[NORM]. */
+int pontus_dormand_prince(const double *c, double kappa, double omega, double dg_max,
+                          const double *stop, int start, double *s, double t_bound,
+                          double rtol, double atol, double max_step, double sqrt3,
+                          double ball_sq, double *steps, long cap, long *n)
+{
+    const double C2 = 1.0 / 5, C3 = 3.0 / 10, C4 = 4.0 / 5, C5 = 8.0 / 9;
+    const double A21 = 1.0 / 5;
+    const double A31 = 3.0 / 40, A32 = 9.0 / 40;
+    const double A41 = 44.0 / 45, A42 = -56.0 / 15, A43 = 32.0 / 9;
+    const double A51 = 19372.0 / 6561, A52 = -25360.0 / 2187, A53 = 64448.0 / 6561,
+                 A54 = -212.0 / 729;
+    const double A61 = 9017.0 / 3168, A62 = -355.0 / 33, A63 = 46732.0 / 5247,
+                 A64 = 49.0 / 176, A65 = -5103.0 / 18656;
+    const double B1 = 35.0 / 384, B3 = 500.0 / 1113, B4 = 125.0 / 192, B5 = -2187.0 / 6784,
+                 B6 = 11.0 / 84;
+    const double E1 = -71.0 / 57600, E3 = 71.0 / 16695, E4 = -71.0 / 1920,
+                 E5 = 17253.0 / 339200, E6 = -22.0 / 525, E7 = 1.0 / 40;
+    const double SAFETY = 0.9, MIN_FACTOR = 0.2, MAX_FACTOR = 10.0, ERR_EXP = -1.0 / 5;
+    const double f00 = c[0], f11 = c[1], f22 = c[2], f01 = c[3], f02 = c[4], f12 = c[5],
+                 fz = c[6], d00 = c[7], d11 = c[8], d22 = c[9], d01 = c[10], d02 = c[11],
+                 d12 = c[12], dz = c[13];
+    double g0 = 0, g1 = 0, g2 = 0, tol = 0, eps = 0;
+    if (stop) {
+        g0 = stop[0]; g1 = stop[1]; g2 = stop[2]; tol = stop[3]; eps = stop[4];
+    }
+    double t = s[T], y1 = s[Y1], y2 = s[Y2], y3 = s[Y3];
+    double k11 = s[K1], k12 = s[K2], k13 = s[K3], w1 = s[W1], w2 = s[W2], w3 = s[W3];
+    double h_abs = s[H_ABS], g_old = s[G_OLD], nfev = s[NFEV], n_rejected = s[N_REJECTED];
+    double m, l00, l11, l22, l01, l02, l12, bz;
+#define COEFFICIENTS(m) \
+    l00 = f00 + m * d00, l11 = f11 + m * d11, l22 = f22 + m * d22; \
+    l01 = f01 + m * d01, l02 = f02 + m * d02, l12 = f12 + m * d12; \
+    bz = fz + m * dz
+#define SLOPE(k1, k2, k3, a, b, c) \
+    k1 = l00 * a + l01 * b + l02 * c; \
+    k2 = l11 * b - l01 * a + l12 * c; \
+    k3 = l22 * c - (l02 * a + l12 * b) + bz
+
+    *n = 0;
+    if (start) {
+        t = 0.0;
+        if (stop) {
+            double d = 0.5 * sqrt(square(y1 - g0) + square(y2 - g1) + square(y3 - g2));
+            double u = dg_max * exp(-kappa * t) - eps;
+            g_old = d - tol;
+            if (u > g_old)
+                g_old = u;
+            if (g_old < 0.0)
+                return -1;
+        }
+        m = exp(-kappa * t) * cos(omega * t);
+        COEFFICIENTS(m);
+        SLOPE(k11, k12, k13, y1, y2, y3);
+
+        /* initial step (Hairer, Norsett & Wanner, sec. II.4) */
+        double s1 = atol + fabs(y1) * rtol, s2 = atol + fabs(y2) * rtol,
+               s3 = atol + fabs(y3) * rtol;
+        double a = y1 / s1, b = y2 / s2, cc = y3 / s3;
+        double d0 = sqrt(a * a + b * b + cc * cc) / sqrt3;
+        a = k11 / s1, b = k12 / s2, cc = k13 / s3;
+        double d1 = sqrt(a * a + b * b + cc * cc) / sqrt3;
+        double h0 = d0 < 1e-5 || d1 < 1e-5 ? 1e-6 : 0.01 * d0 / d1;
+        if (t_bound < h0)
+            h0 = t_bound;
+        double u1, u2, u3;
+        m = exp(-kappa * h0) * cos(omega * h0);
+        COEFFICIENTS(m);
+        a = y1 + h0 * k11, b = y2 + h0 * k12, cc = y3 + h0 * k13;
+        SLOPE(u1, u2, u3, a, b, cc);
+        a = (u1 - k11) / s1, b = (u2 - k12) / s2, cc = (u3 - k13) / s3;
+        double d2 = sqrt(a * a + b * b + cc * cc) / sqrt3 / h0;
+        double h1;
+        if (d1 <= 1e-15 && d2 <= 1e-15) {
+            h1 = h0 * 1e-3;
+            if (!(h1 > 1e-6))
+                h1 = 1e-6;
+        } else {
+            h1 = pow_(0.01 / (d2 > d1 ? d2 : d1), 1.0 / 5);
+        }
+        h_abs = 100 * h0;
+        if (h1 < h_abs)
+            h_abs = h1;
+        if (t_bound < h_abs)
+            h_abs = t_bound;
+        if (max_step < h_abs)
+            h_abs = max_step;
+        nfev = 2;
+        n_rejected = 0;
+        w1 = fabs(y1), w2 = fabs(y2), w3 = fabs(y3);
+    }
+
+    int code;
+    for (;;) {
+        if (*n == cap) {
+            code = 2;
+            break;
+        }
+        double min_step = 10 * (nextafter(t, INFINITY) - t);
+        if (h_abs > max_step)
+            h_abs = max_step;
+        else if (h_abs < min_step)
+            h_abs = min_step;
+        int rejected = 0;
+        double h, t_new, a, b, cc, z1, z2, z3, v1, v2, v3;
+        double k21, k22, k23, k31, k32, k33, k41, k42, k43, k51, k52, k53, k61, k62, k63,
+            k71, k72, k73;
+        for (;;) {
+            if (h_abs < min_step) {
+                s[NFEV] = nfev;
+                s[N_REJECTED] = n_rejected;
+                return -2;
+            }
+            t_new = t + h_abs;
+            if (t_new > t_bound)
+                t_new = t_bound;
+            h = h_abs = t_new - t;
+
+            m = exp(-kappa * (t + C2 * h)) * cos(omega * (t + C2 * h));
+            COEFFICIENTS(m);
+            a = y1 + k11 * A21 * h, b = y2 + k12 * A21 * h, cc = y3 + k13 * A21 * h;
+            SLOPE(k21, k22, k23, a, b, cc);
+            m = exp(-kappa * (t + C3 * h)) * cos(omega * (t + C3 * h));
+            COEFFICIENTS(m);
+            a = y1 + (k11 * A31 + k21 * A32) * h;
+            b = y2 + (k12 * A31 + k22 * A32) * h;
+            cc = y3 + (k13 * A31 + k23 * A32) * h;
+            SLOPE(k31, k32, k33, a, b, cc);
+            m = exp(-kappa * (t + C4 * h)) * cos(omega * (t + C4 * h));
+            COEFFICIENTS(m);
+            a = y1 + (k11 * A41 + k21 * A42 + k31 * A43) * h;
+            b = y2 + (k12 * A41 + k22 * A42 + k32 * A43) * h;
+            cc = y3 + (k13 * A41 + k23 * A42 + k33 * A43) * h;
+            SLOPE(k41, k42, k43, a, b, cc);
+            m = exp(-kappa * (t + C5 * h)) * cos(omega * (t + C5 * h));
+            COEFFICIENTS(m);
+            a = y1 + (k11 * A51 + k21 * A52 + k31 * A53 + k41 * A54) * h;
+            b = y2 + (k12 * A51 + k22 * A52 + k32 * A53 + k42 * A54) * h;
+            cc = y3 + (k13 * A51 + k23 * A52 + k33 * A53 + k43 * A54) * h;
+            SLOPE(k51, k52, k53, a, b, cc);
+            /* stage 7 sits at t + h too and reuses these coefficients */
+            m = exp(-kappa * (t + h)) * cos(omega * (t + h));
+            COEFFICIENTS(m);
+            a = y1 + (k11 * A61 + k21 * A62 + k31 * A63 + k41 * A64 + k51 * A65) * h;
+            b = y2 + (k12 * A61 + k22 * A62 + k32 * A63 + k42 * A64 + k52 * A65) * h;
+            cc = y3 + (k13 * A61 + k23 * A62 + k33 * A63 + k43 * A64 + k53 * A65) * h;
+            SLOPE(k61, k62, k63, a, b, cc);
+            z1 = y1 + h * (k11 * B1 + k31 * B3 + k41 * B4 + k51 * B5 + k61 * B6);
+            z2 = y2 + h * (k12 * B1 + k32 * B3 + k42 * B4 + k52 * B5 + k62 * B6);
+            z3 = y3 + h * (k13 * B1 + k33 * B3 + k43 * B4 + k53 * B5 + k63 * B6);
+            SLOPE(k71, k72, k73, z1, z2, z3);
+            nfev += 6;
+
+            /* the Python stepper's conditional magnitudes, -0.0 kept */
+            v1 = z1 < 0 ? -z1 : z1;
+            v2 = z2 < 0 ? -z2 : z2;
+            v3 = z3 < 0 ? -z3 : z3;
+            double er1 = (k11 * E1 + k31 * E3 + k41 * E4 + k51 * E5 + k61 * E6 + k71 * E7) * h
+                         / (atol + (v1 > w1 ? v1 : w1) * rtol);
+            double er2 = (k12 * E1 + k32 * E3 + k42 * E4 + k52 * E5 + k62 * E6 + k72 * E7) * h
+                         / (atol + (v2 > w2 ? v2 : w2) * rtol);
+            double er3 = (k13 * E1 + k33 * E3 + k43 * E4 + k53 * E5 + k63 * E6 + k73 * E7) * h
+                         / (atol + (v3 > w3 ? v3 : w3) * rtol);
+            double err = sqrt(er1 * er1 + er2 * er2 + er3 * er3) / sqrt3, factor;
+            if (err < 1) {
+                double top = rejected ? 1 : MAX_FACTOR;
+                factor = err == 0 ? top : SAFETY * pow_(err, ERR_EXP);
+                h_abs *= factor < top ? factor : top;
+                break;
+            }
+            factor = SAFETY * pow_(err, ERR_EXP);
+            h_abs *= factor > MIN_FACTOR ? factor : MIN_FACTOR;
+            rejected = 1;
+            n_rejected += 1;
+        }
+
+        if (z1 * z1 + z2 * z2 + z3 * z3 > ball_sq) {
+            s[T_NEW] = t_new;
+            s[NORM] = sqrt(z1 * z1 + z2 * z2 + z3 * z3);
+            code = -3;
+            break;
+        }
+        double rec[23] = {t, h, y1, y2, y3, k11, k12, k13, k31, k32, k33, k41, k42, k43,
+                          k51, k52, k53, k61, k62, k63, k71, k72, k73};
+        for (int j = 0; j < 23; j++)
+            steps[23 * *n + j] = rec[j];
+        *n += 1;
+        if (stop) {
+            double g_new = 0.5 * sqrt(square(z1 - g0) + square(z2 - g1) + square(z3 - g2)) - tol;
+            if (g_new <= 0) { /* else positive whatever the settle term */
+                double u = dg_max * exp(-kappa * t_new) - eps;
+                if (u > g_new)
+                    g_new = u;
+            }
+            if ((g_old <= 0 && 0 <= g_new) || (g_new <= 0 && 0 <= g_old)) {
+                s[T_NEW] = t_new;
+                code = 1;
+                break;
+            }
+            g_old = g_new;
+        }
+        t = t_new;
+        if (t >= t_bound) {
+            code = 0;
+            break;
+        }
+        y1 = z1, y2 = z2, y3 = z3;
+        w1 = v1, w2 = v2, w3 = v3;
+        k11 = k71, k12 = k72, k13 = k73;
+    }
+    s[T] = t, s[Y1] = y1, s[Y2] = y2, s[Y3] = y3, s[K1] = k11, s[K2] = k12, s[K3] = k13;
+    s[W1] = w1, s[W2] = w2, s[W3] = w3, s[H_ABS] = h_abs, s[G_OLD] = g_old;
+    s[NFEV] = nfev, s[N_REJECTED] = n_rejected;
+    return code;
+}

@@ -1,0 +1,103 @@
+"""Build, cache and load the compiled ramp stepper of ``_stepper.c``.
+
+On first use the kernel is compiled with the system C compiler, ``cc``, and
+cached beside this file in ``__pycache__``, as CPython caches bytecode.  The
+file name is keyed by the source, the compile command, the interpreter and
+the machine.  A library is compiled under a temporary name and moved into
+place only once it passes the known-answer check, so processes that race on
+a cold cache each load a checked kernel and leave one file.  A cached
+library is checked again on every load.  Where no compiler runs, the
+directory cannot be written or is world-writable, or no library passes,
+``kernel`` returns None and the Python stepper runs; the route is logged
+once, at INFO.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import logging
+import os
+import platform
+import stat
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("_stepper.c")
+#: No fused multiply-add and no -ffast-math: the kernel must round as Python does.
+COMMAND = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+_log = logging.getLogger(__name__)
+_D, _P = ctypes.c_double, ctypes.c_void_p
+_ARGTYPES = (_P, _D, _D, _D, _P, ctypes.c_int, _P, _D, _D, _D, _D, _D, _D, _P,
+             ctypes.c_long, ctypes.POINTER(ctypes.c_long))
+_UNTRIED = object()
+_kernel = _UNTRIED
+
+
+def kernel(check):
+    """The kernel function, or None for the Python route; loaded on the
+    first call of a process, and only if ``check(function)`` is true."""
+    global _kernel
+    if _kernel is _UNTRIED:
+        _kernel = _load(check)
+    return _kernel
+
+
+def cache_path() -> Path:
+    """Where this source's library is cached, for this interpreter and machine."""
+    import hashlib
+
+    key = hashlib.sha256()
+    for part in (SOURCE.read_bytes(), " ".join(COMMAND).encode(),
+                 sys.implementation.cache_tag.encode(), platform.machine().encode()):
+        key.update(part + b"\0")
+    return SOURCE.parent / "__pycache__" / f"_stepper.{key.hexdigest()[:16]}.so"
+
+
+def _open(path, check):
+    function = ctypes.CDLL(str(path)).pontus_dormand_prince
+    function.restype, function.argtypes = ctypes.c_int, _ARGTYPES
+    return function if check(function) else None
+
+
+def _build(path, check):
+    """Compile to a temporary file, check it and move it into place."""
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    try:
+        subprocess.run([*COMMAND, "-o", tmp, str(SOURCE), "-lm"],
+                       capture_output=True, check=True, timeout=300)
+        function = _open(tmp, check)
+        if function is not None:
+            os.replace(tmp, path)
+        return function
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _load(check):
+    function = None
+    try:
+        path = cache_path()
+        path.parent.mkdir(exist_ok=True)
+        if path.parent.stat().st_mode & stat.S_IWOTH:
+            raise PermissionError(f"{path.parent} is world-writable")
+        if path.exists():
+            try:
+                function, route = _open(path, check), "cached"
+            except (OSError, AttributeError):  # not this kernel's library: rebuilt below
+                pass
+        if function is None:
+            function, route = _build(path, check), "built"
+    except (OSError, subprocess.SubprocessError) as exc:
+        reason = exc
+    else:
+        if function is not None:
+            _log.info("ramp stepper: compiled kernel, %s %s", route, path)
+            return function
+        reason = "the compiled kernel failed its known-answer check"
+    _log.info("ramp stepper: Python (%s)", reason)
+    return None

@@ -13,7 +13,12 @@ and the quartic dense-output coefficients of all steps built in one pass at
 the end.  It copies the initial step, error norm, step controller and event
 location of scipy's RK45, whose steps it takes up to round-off; the event's
 root is found by the in-house Brent solver (``_roots.brentq``, bit for bit
-scipy's ``brentq``) on the step's quartic in plain floats.  Two
+scipy's ``brentq``) on the step's quartic in plain floats.  The damped-cosine
+ramp runs the same step loop compiled (``_stepper.c``, loaded by
+``_stepper.kernel``), which performs the same float operations in the same
+order and so writes the same step records; the event's root, the dense
+output and the error messages stay here, and the Python stepper serves
+every other schedule and every process where no kernel loads.  Two
 independent oracles (a density-matrix-level rebuild of the generator and a
 time-ordered product integrator) cross-check both routes.  scipy is imported
 only by ``expm``, on its first call.
@@ -21,6 +26,7 @@ only by ``expm``, on its first call.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import struct
 from array import array
@@ -29,6 +35,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _stepper
 from ._roots import brentq
 from .core import (
     TOL_BALL,
@@ -40,7 +47,7 @@ from .core import (
     trace_distances,
     write_csv,
 )
-from .errors import BallViolation, SingularGenerator, StepSizeUnderflow
+from .errors import BallViolation, PontusError, SingularGenerator, StepSizeUnderflow
 
 _COND_CAP = 1e12
 _RESIDUAL_CAP = 1e-10
@@ -337,6 +344,33 @@ def _rms3(a: float, b: float, c: float) -> float:
     return math.sqrt(a * a + b * b + c * c) / _SQRT3
 
 
+def _stop_function(stop):
+    """The stop function max(|y - target|/2 - tol, settle(t) - eps) of a
+    ``stop`` tuple, as a function of t and the state's three components."""
+    (g0, g1, g2), tol, eps, settle = stop
+
+    def gap(t, a, b, c):
+        d = 0.5 * math.sqrt((a - g0) ** 2 + (b - g1) ** 2 + (c - g2) ** 2)
+        return max(d - tol, settle(t) - eps)
+
+    return gap
+
+
+def _event_time(gap, record, t_end):
+    """Root of ``gap`` on the interpolant of one 23-float step record that
+    ends at ``t_end``: the time at which a run's stop rule ends it."""
+    t, h = record[0], record[1]
+    at = _step_interpolant(t, h, record[2:5], (record[5::3], record[6::3], record[7::3]))
+    return brentq(lambda s: gap(s, *at(s)), t, t_end, xtol=4 * _EPS, rtol=4 * _EPS)
+
+
+_UNDERFLOW = "Required step size is less than spacing between numbers."
+
+
+def _left_ball(t: float, norm: float) -> BallViolation:
+    return BallViolation(f"trajectory left the Bloch ball at t = {t:.12g} (|r| = {norm:.12g})")
+
+
 def _dormand_prince(coef, ramp, ramp_stages, stop, y, t_bound, rtol, atol, max_step):
     """Adaptive Dormand-Prince 5(4) from t = 0, step for step as scipy's RK45,
     specialised to the affine ramp form.
@@ -358,8 +392,9 @@ def _dormand_prince(coef, ramp, ramp_stages, stop, y, t_bound, rtol, atol, max_s
     positive; on a sign change (scipy's ``find_active_events`` rule) its
     root on that step's interpolant ends the run.
 
-    Returns ``(dense, stopped, nfev, n_rejected)``; dense is None when the
-    stop function is already negative at t = 0.  Raises StepSizeUnderflow
+    Returns ``(steps, t_final, stopped, nfev, n_rejected)``, with the step
+    records in an ``array("d")``; steps is None when the stop function is
+    already negative at t = 0.  Raises StepSizeUnderflow
     when the step falls below 10 ulp of t, and BallViolation as soon as an
     accepted step ends outside the Bloch ball.
     """
@@ -394,14 +429,10 @@ def _dormand_prince(coef, ramp, ramp_stages, stop, y, t_bound, rtol, atol, max_s
     g_old = None
     if stop is not None:
         (g0, g1, g2), tol, eps, settle = stop
-
-        def gap(t, a, b, c):
-            d = 0.5 * math.sqrt((a - g0) ** 2 + (b - g1) ** 2 + (c - g2) ** 2)
-            return max(d - tol, settle(t) - eps)
-
+        gap = _stop_function(stop)
         g_old = gap(t, y1, y2, y3)
         if g_old < 0.0:
-            return None, True, 0, 0
+            return None, 0.0, True, 0, 0
     k11, k12, k13 = slope(ramp(t), y1, y2, y3)
 
     # initial step (Hairer, Norsett & Wanner, sec. II.4)
@@ -434,9 +465,7 @@ def _dormand_prince(coef, ramp, ramp_stages, stop, y, t_bound, rtol, atol, max_s
         rejected = False
         while True:
             if h_abs < min_step:
-                raise StepSizeUnderflow(
-                    "Required step size is less than spacing between numbers."
-                )
+                raise StepSizeUnderflow(_UNDERFLOW)
             t_new = t + h_abs
             if t_new > t_bound:
                 t_new = t_bound
@@ -519,10 +548,7 @@ def _dormand_prince(coef, ramp, ramp_stages, stop, y, t_bound, rtol, atol, max_s
             n_rejected += 1
 
         if z1 * z1 + z2 * z2 + z3 * z3 > _BALL_SQ:
-            raise BallViolation(
-                f"trajectory left the Bloch ball at t = {t_new:.12g} "
-                f"(|r| = {sqrt(z1 * z1 + z2 * z2 + z3 * z3):.12g})"
-            )
+            raise _left_ball(t_new, sqrt(z1 * z1 + z2 * z2 + z3 * z3))
         steps.frombytes(pack_step(
             t, h, y1, y2, y3, k11, k12, k13, k31, k32, k33, k41, k42, k43,
             k51, k52, k53, k61, k62, k63, k71, k72, k73,
@@ -534,12 +560,7 @@ def _dormand_prince(coef, ramp, ramp_stages, stop, y, t_bound, rtol, atol, max_s
                 if u > g_new:
                     g_new = u
             if (g_old <= 0 <= g_new) or (g_new <= 0 <= g_old):
-                at = _step_interpolant(t, h, (y1, y2, y3), (
-                    (k11, k31, k41, k51, k61, k71),
-                    (k12, k32, k42, k52, k62, k72),
-                    (k13, k33, k43, k53, k63, k73),
-                ))
-                t_new = brentq(lambda s: gap(s, *at(s)), t, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
+                t_new = _event_time(gap, steps[-23:], t_new)
                 stopped = True
             g_old = g_new
         t = t_new
@@ -549,7 +570,97 @@ def _dormand_prince(coef, ramp, ramp_stages, stop, y, t_bound, rtol, atol, max_s
         w1, w2, w3 = v1, v2, v3
         k11, k12, k13 = k71, k72, k73
 
-    return _DenseOutput(steps, t), stopped, nfev, n_rejected
+    return steps, t, stopped, nfev, n_rejected
+
+
+#: Step records per call of the compiled kernel, which is resumed when they fill.
+_CHUNK = 4096
+
+
+def _compiled_steps(function, coef, sched, stop, y, t_bound, rtol, atol, max_step):
+    """``_dormand_prince`` through the compiled kernel ``function`` of
+    ``_stepper.c``, for the ``ExponentialCosineSchedule`` ``sched``: the
+    same records, counts and exceptions, with the step records in a numpy
+    array.  The kernel evaluates the ramp and the settle term from the
+    schedule's kappa, omega and dg_max; ``stop``'s settle, the same
+    function, serves the event root, which is found here as there."""
+    coef = np.array(coef, dtype=float)
+    target = None if stop is None else np.array([*stop[0], stop[1], stop[2]])
+    state = np.zeros(16)  # the slots of _stepper.c's enum
+    state[1:4] = y
+    n = ctypes.c_long()
+    chunks, code = [], 2
+    while code == 2:
+        buf = np.empty((_CHUNK, 23))
+        code = function(
+            coef.ctypes.data, sched.kappa, sched.omega, sched._dg_max,
+            None if target is None else target.ctypes.data,
+            not chunks, state.ctypes.data, t_bound, rtol, atol, max_step, _SQRT3, _BALL_SQ,
+            buf.ctypes.data, _CHUNK, ctypes.byref(n),
+        )
+        chunks.append(buf[: n.value])
+    if code == -1:
+        return None, 0.0, True, 0, 0
+    if code == -2:
+        raise StepSizeUnderflow(_UNDERFLOW)
+    if code == -3:
+        raise _left_ball(float(state[14]), float(state[15]))
+    steps = np.concatenate(chunks)
+    t = float(state[0])
+    if code == 1:
+        t = _event_time(_stop_function(stop), steps[-1].tolist(), float(state[14]))
+    return steps, t, code == 1, int(state[12]), int(state[13])
+
+
+def _kernel_agrees(function) -> bool:
+    """Known-answer check of a loaded kernel: a short stop-rule run and a
+    ``t_end`` run with a capped step must equal the Python stepper's bit
+    for bit, records, counts and stop time."""
+    from .protocols import ExponentialCosineSchedule
+
+    p_s = ParameterPoint.make((1.0, 0.0, 0.5), (0.9, 0.1, 0.3))
+    p_f = ParameterPoint.make((1.0, 0.0, 0.5), (0.05, 0.4, 0.0))
+    sched = ExponentialCosineSchedule(p_s.gamma, p_f.gamma, p_s.h, 0.7, 2.0)
+    # the coefficients of sched.parts, rounded, and F's attractor, found
+    # without the generator functions, whose calls perfbench's tracer counts
+    coef = [-0.225, -0.225, -0.45, -1.0, 0.0, -2.0, -0.35, -0.875, -0.875, -0.55, 0.0, 0.0, 0.0, 1.15]
+    lam_f = np.array([[-0.225, -1.0, 0.0], [1.0, -0.225, -2.0], [0.0, 2.0, -0.45]])
+    target = np.linalg.solve(lam_f, [0.0, 0.0, 0.35]).tolist()
+    y = [0.3, -0.2, 0.5]
+    for stop, t_bound, rtol, max_step in (
+        ((target, 0.005, 0.05, sched.settle_bound), 1e4, 1e-6, math.inf),
+        (None, 2.0, 1e-9, 0.25),
+    ):
+        args = (stop, y, t_bound, rtol, 1e-10, max_step)
+        want = _dormand_prince(coef, sched.m, sched.m_stages, *args)
+        try:
+            got = _compiled_steps(function, coef, sched, *args)
+        except (PontusError, ValueError, ctypes.ArgumentError):  # what a faulty kernel raises
+            return False
+        if bytes(want[0]) != bytes(got[0]) or want[1:] != got[1:]:
+            return False
+    return True
+
+
+def ramp_kernel():
+    """The checked compiled kernel that ``integrate`` steps an
+    ``ExponentialCosineSchedule`` with, or None for the Python stepper;
+    loaded on the first call of a process, so a caller about to fork
+    workers can load it once for all of them."""
+    return _stepper.kernel(_kernel_agrees)
+
+
+def _ramp_coefficients(parts) -> list:
+    """L00, L11, L22, L01, L02, L12, b_z of (lam_f, b_f), then of (dlam, db);
+    ValueError unless both drifts are antisymmetric off the diagonal and
+    both forcings zero in x and y."""
+    coef = []
+    for lam, b in (parts[:2], parts[2:]):
+        lam, b = np.asarray(lam, dtype=float), np.asarray(b, dtype=float)
+        if not np.array_equal(np.triu(lam, 1), -np.tril(lam, -1).T) or b[0] or b[1]:
+            raise ValueError("schedule parts need an antisymmetric precession and z forcing")
+        coef += lam[(0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2)].tolist() + [float(b[2])]
+    return coef
 
 
 def integrate(
@@ -566,7 +677,11 @@ def integrate(
     b(t) = b_f + m(t) db through ``parts``, the scalar ``m`` and
     ``m_stages(t2, ..., t6)``, the tuple of m at five times, each float as
     ``m`` gives it; the equation is stepped on plain floats by
-    ``_dormand_prince``.  Both drifts must be exactly antisymmetric off the
+    ``_dormand_prince``.  An ``ExponentialCosineSchedule`` is stepped
+    instead by the compiled kernel of ``_stepper.c`` where one loads
+    (``_stepper.kernel``), which writes the same step records bit for bit;
+    every other schedule, and every run where no kernel loads, takes the
+    Python stepper.  Both drifts must be exactly antisymmetric off the
     diagonal and both forcings zero in x and y, as ``assemble_generator``
     builds them; ValueError otherwise.
 
@@ -580,18 +695,12 @@ def integrate(
     """
     if t_end is not None and not t_end > 0:
         raise ValueError("t_end must be positive")
-    coef = []  # L00, L11, L22, L01, L02, L12, b_z of (lam_f, b_f), then (dlam, db)
-    for lam, b in (schedule.parts[:2], schedule.parts[2:]):
-        lam, b = np.asarray(lam, dtype=float), np.asarray(b, dtype=float)
-        if not np.array_equal(np.triu(lam, 1), -np.tril(lam, -1).T) or b[0] or b[1]:
-            raise ValueError("schedule parts need an antisymmetric precession and z forcing")
-        coef += lam[(0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2)].tolist() + [float(b[2])]
+    from .protocols import ExponentialCosineSchedule
+
+    coef = _ramp_coefficients(schedule.parts)
     tgt = target.as_array()
     y0 = r0.as_array()
-    dense, stopped, nfev, n_rejected = _dormand_prince(
-        coef,
-        schedule.m,
-        schedule.m_stages,
+    args = (
         None if t_end is not None else (tgt.tolist(), eps / 10.0, eps, schedule.settle_bound),
         y0.tolist(),
         cfg.t_cap if t_end is None else float(t_end),
@@ -600,7 +709,13 @@ def integrate(
         cfg.abs_tol,
         cfg.max_step,
     )
-    if dense is None:
+    kernel = ramp_kernel() if type(schedule) is ExponentialCosineSchedule else None
+    if kernel is None:
+        steps, t_stop, stopped, nfev, n_rejected = _dormand_prince(
+            coef, schedule.m, schedule.m_stages, *args)
+    else:
+        steps, t_stop, stopped, nfev, n_rejected = _compiled_steps(kernel, coef, schedule, *args)
+    if steps is None:
         # nothing to do: already settled at t = 0
         return Trajectory(
             t=np.array([0.0]),
@@ -611,7 +726,7 @@ def integrate(
             envelope=schedule.envelope,
         )
 
-    t_stop = float(dense.t_break[-1])
+    dense = _DenseOutput(steps, t_stop)
     ts = np.arange(0.0, t_stop, cfg.sample_stride)
     if t_stop - (ts[-1] if len(ts) else 0.0) > 1e-12:
         ts = np.append(ts, t_stop)

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .core import FieldVector, ParameterPoint, RateTriple, write_csv
-from .dynamics import IntegratorConfig
+from .dynamics import IntegratorConfig, ramp_kernel
 from .errors import BallViolation, NotConverged, SingularGenerator
 from .mpemba import _two_step_class, gain
 from .nonmarkov import boundary_curve, is_non_markovian
@@ -166,6 +166,8 @@ def _run_tasks(tasks, jobs: Optional[int], progress: Optional[Callable]):
     workers = 1 if jobs is not None and jobs <= 1 else jobs or available_cpus()
     workers = max(1, min(workers, len(tasks)))
     results = []
+    if workers > 1:
+        ramp_kernel()  # forked workers inherit the loaded kernel
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         chunk = max(1, len(tasks) // (8 * workers))
         for out in pool.map(_cell, tasks, chunksize=chunk) if pool else map(_cell, tasks):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from pontus import _stepper
 from pontus.dynamics import ConstantFlow
 
 
@@ -17,3 +18,9 @@ def flow_builds(monkeypatch):
 
     monkeypatch.setattr(ConstantFlow, "__init__", counting)
     return builds
+
+
+@pytest.fixture
+def python_route(monkeypatch):
+    """Forces the Python stepper: the kernel loader finds no kernel."""
+    monkeypatch.setattr(_stepper, "kernel", lambda check: None)

@@ -844,6 +844,11 @@ class TestPinnedFigures:
         ) == self.SHA256[label]
 
 
+@pytest.mark.usefixtures("python_route")
+class TestPinnedFiguresPythonRoute(TestPinnedFigures):
+    """The same pins with the Python stepper forced."""
+
+
 class TestPinnedTwoStep:
     """sha256 of a single two-step ``simulate --with-baseline`` on fig1's
     points (stdout, result JSON, detour and direct trajectory CSVs), one

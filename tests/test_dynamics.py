@@ -975,3 +975,8 @@ class TestIntegratorConfig:
         target = steady_state(assemble_generator(PLANAR_F))
         with pytest.raises(ValueError):
             integrate(sched, r0, target, IntegratorConfig(), 1e-4, t_end=0.0)
+
+
+@pytest.mark.usefixtures("python_route")
+class TestBitIdentityPythonRoute(TestBitIdentity):
+    """The same pins with the Python stepper forced."""

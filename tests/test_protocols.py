@@ -355,6 +355,11 @@ class TestContinuousBitIdentity:
         )
 
 
+@pytest.mark.usefixtures("python_route")
+class TestContinuousBitIdentityPythonRoute(TestContinuousBitIdentity):
+    """The same pins with the Python stepper forced."""
+
+
 class TestRunTwoStep:
     def test_small_detour_approaches_direct(self):
         direct = run_direct(DETOUR_S, DETOUR_F)

@@ -132,3 +132,44 @@ def test_no_module_imports_scipy_at_import_time(path):
             continue
         offending += [(node.lineno, n) for n in names if n.split(".")[0] == "scipy"]
     assert offending == []
+
+
+# Records, in a fresh interpreter, every subprocess started and every file
+# opened for writing whose name holds "_stepper" (the kernel cache).
+_WATCH = """
+import os
+events = []
+
+def _watch(event, args):
+    if event == "subprocess.Popen":
+        events.append([event, str(args[0])])
+    elif event == "open" and "_stepper" in str(args[0]) and isinstance(args[2], int) and (
+            args[2] & (os.O_WRONLY | os.O_RDWR | os.O_CREAT)):
+        events.append([event, str(args[0])])
+
+sys.addaudithook(_watch)
+"""
+
+
+def test_import_starts_no_subprocess_and_writes_no_cache(tmp_path):
+    body = _WATCH + (
+        "import pontus, pontus.cli\n"
+        "from pontus import _stepper\n"
+        "before = [events, _stepper._kernel is _stepper._UNTRIED]"
+    )
+    assert loaded(tmp_path, body) == [[[], True], []]
+
+
+def test_first_ramp_run_on_a_warm_cache_starts_no_subprocess(tmp_path):
+    from pontus import dynamics
+
+    if dynamics.ramp_kernel() is None:
+        pytest.skip("no compiled kernel loads here")
+    body = _WATCH + (
+        "from pontus import ParameterPoint, run_continuous, _stepper\n"
+        "s = ParameterPoint.make((1.0, 0.0, 0.0), (0.75, 0.75, 0.75))\n"
+        "f = ParameterPoint.make((1.0, 0.0, 0.0), (0.05, 0.1, 0.15))\n"
+        "run_continuous(s, f, 1.0, 0.5)\n"
+        "before = [events, _stepper._kernel is not None]"
+    )
+    assert loaded(tmp_path, body) == [[[], True], []]

@@ -1,0 +1,304 @@
+"""The compiled ramp stepper (``_stepper.c``) against the Python stepper.
+
+Both must write the same step records bit for bit, take the same counts and
+stop at the same time, and raise the same messages.  The loader must fall
+back to the Python stepper, and say so, wherever no checked kernel loads.
+"""
+
+import logging
+import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from pontus import (
+    BallViolation,
+    ExponentialCosineSchedule,
+    FieldVector,
+    IntegratorConfig,
+    ParameterPoint,
+    RateTriple,
+    SingularGenerator,
+    StepSizeUnderflow,
+    assemble_generator,
+    integrate,
+    run_continuous,
+    steady_state,
+)
+from pontus import _stepper, dynamics
+from pontus.protocols import DEFAULT_EPS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    """This checkout's kernel; the tests that need one skip without it."""
+    function = dynamics.ramp_kernel()
+    if function is None:
+        pytest.skip("no compiled kernel loads here")
+    return function
+
+
+def both_routes(kernel, sched, stop, y, t_bound, rtol, atol=1e-10, max_step=math.inf):
+    """(Python, kernel) results of one run, each (records, t_final, stopped,
+    nfev, n_rejected) with the records as bytes, or the exception message."""
+    coef = dynamics._ramp_coefficients(sched.parts)
+    args = (stop, y, t_bound, rtol, atol, max_step)
+    out = []
+    for run in (
+        lambda: dynamics._dormand_prince(coef, sched.m, sched.m_stages, *args),
+        lambda: dynamics._compiled_steps(kernel, coef, sched, *args),
+    ):
+        try:
+            steps, *rest = run()
+        except (BallViolation, StepSizeUnderflow) as exc:
+            out.append((type(exc).__name__, str(exc)))
+            continue
+        out.append((None if steps is None else memoryview(steps).tobytes(), *rest))
+    return out
+
+
+def random_case(rng):
+    """A ramp with kappa log-uniform in [1e-3, 1e3] and omega in [0, 3]; some
+    rate channels zero and some fields along an axis, whose precession
+    entries are then +-0.0."""
+    def rates():
+        g = rng.uniform(0.0, 1.5, 3)
+        g[rng.random(3) < 0.3] = 0.0
+        return RateTriple.from_array(g)
+
+    h = rng.uniform(-1.5, 1.5, 3)
+    if rng.random() < 0.4:
+        axis = rng.integers(3)
+        h = np.where(np.arange(3) == axis, h, rng.choice([0.0, -0.0], 3))
+    sched = ExponentialCosineSchedule(
+        rates(), rates(), FieldVector.from_array(h),
+        float(10 ** rng.uniform(-3, 3)), float(rng.uniform(0, 3)),
+    )
+    r0 = rng.normal(size=3)
+    r0 *= rng.uniform(0, 1) / np.linalg.norm(r0)
+    try:
+        target = steady_state(assemble_generator(ParameterPoint(sched.h, sched.gamma_f)))
+        target = target.as_array()
+    except SingularGenerator:
+        target = np.zeros(3)
+    return sched, r0.tolist(), target.tolist()
+
+
+class TestBitwiseAgainstPython:
+    def test_seeded_ramps(self, kernel):
+        """240 seeded ramps, each with a stop-rule run (cap 40) and a t_end
+        run, at rel_tol 1e-9 and 1e-12 in turn."""
+        rng = np.random.default_rng(23)
+        seen = {"stopped": 0, "capped": 0, "rejected": 0}
+        for i in range(240):
+            sched, y, target = random_case(rng)
+            eps = float(10 ** rng.uniform(-4, -1))
+            stop = (target, eps / 10.0, eps, sched.settle_bound)
+            tols = ((1e-9, 1e-12), (1e-12, 1e-9), (1e-9, 1e-9), (1e-12, 1e-12))[i % 4]
+            for run_stop, t_bound, rtol in ((stop, 40.0, tols[0]),
+                                            (None, float(rng.uniform(0.5, 8)), tols[1])):
+                want, got = both_routes(kernel, sched, run_stop, y, t_bound, rtol)
+                assert got == want, (i, sched, run_stop is None)
+                if want[0] not in ("BallViolation", "StepSizeUnderflow") and run_stop:
+                    seen["stopped" if want[2] else "capped"] += 1
+                    seen["rejected"] += want[4] > 0
+        assert all(seen.values()), seen
+
+    def test_resumes_across_a_full_buffer(self, kernel, monkeypatch):
+        monkeypatch.setattr(dynamics, "_CHUNK", 7)
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            sched, y, target = random_case(rng)
+            stop = (target, 1e-4, 1e-3, sched.settle_bound)
+            for run_stop, t_bound in ((stop, 30.0), (None, 5.0)):
+                want, got = both_routes(kernel, sched, run_stop, y, t_bound, 1e-9)
+                assert got == want
+
+    def test_settled_at_start(self, kernel):
+        sched = ExponentialCosineSchedule(RateTriple(0.5, 0.1, 0.0), RateTriple(0.5, 0.1, 0.0),
+                                          FieldVector(1.0, 0.0, 0.0), 0.5, 1.0)
+        stop = ([0.0, 0.0, 0.0], 0.1, 1.0, sched.settle_bound)
+        want, got = both_routes(kernel, sched, stop, [0.0, 0.0, 0.01], 10.0, 1e-9)
+        assert got == want == (None, 0.0, True, 0, 0)
+
+    # the 24 ball-violation cells of configs/fig5a.json's 30x30 map, as
+    # (kappa index, omega index) into its log and linear axes
+    FIG5A_BALL_CELLS = (
+        [(0, j) for j in range(2, 10)] + [(1, j) for j in range(2, 10)]
+        + [(2, j) for j in range(3, 9)] + [(3, 5), (3, 6)]
+    )
+
+    def test_fig5a_ball_violation_messages(self, kernel):
+        kappas = np.geomspace(0.01, 100.0, 30)
+        omegas = np.linspace(0.0, 2.0, 30)
+        s = ParameterPoint.make((1.0, 0.0, 0.0), (0.75, 0.75, 0.75))
+        f = ParameterPoint.make((1.0, 0.0, 0.0), (0.05, 0.1, 0.15))
+        r0 = steady_state(assemble_generator(s)).as_array().tolist()
+        target = steady_state(assemble_generator(f)).as_array().tolist()
+        for i, j in self.FIG5A_BALL_CELLS:
+            sched = ExponentialCosineSchedule(s.gamma, f.gamma, s.h, kappas[i], omegas[j])
+            stop = (target, DEFAULT_EPS / 10.0, DEFAULT_EPS, sched.settle_bound)
+            want, got = both_routes(kernel, sched, stop, r0, 1e4, 1e-9)
+            assert want[0] == "BallViolation" and got == want, (i, j)
+
+    def test_underflow_message(self, kernel):
+        s = ParameterPoint.make((1.0, 0.0, 0.0), (0.75, 0.75, 0.75))
+        f = ParameterPoint.make((1.0, 0.0, 0.0), (0.05, 0.1, 0.15))
+        sched = ExponentialCosineSchedule(s.gamma, f.gamma, s.h, 0.5, 1.0)
+        r0 = steady_state(assemble_generator(s)).as_array().tolist()
+        target = steady_state(assemble_generator(f)).as_array().tolist()
+        stop = (target, DEFAULT_EPS / 10.0, DEFAULT_EPS, sched.settle_bound)
+        want, got = both_routes(kernel, sched, stop, r0, 50.0, 100 * dynamics._EPS,
+                                atol=1e-300)
+        assert got == want == ("StepSizeUnderflow", dynamics._UNDERFLOW)
+
+
+class TestRoutes:
+    def test_a_ramp_takes_the_kernel(self, kernel, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the Python stepper ran")
+
+        monkeypatch.setattr(dynamics, "_dormand_prince", refuse)
+        sched = ExponentialCosineSchedule(RateTriple(0.5, 0.1, 0.0), RateTriple(0.01, 0.05, 0.0),
+                                          FieldVector(0.707, 0.707, 0.0), 0.2, 0.5)
+        r0 = steady_state(assemble_generator(ParameterPoint(sched.h, sched.gamma_s)))
+        target = steady_state(assemble_generator(ParameterPoint(sched.h, sched.gamma_f)))
+        assert integrate(sched, r0, target, IntegratorConfig(), 1e-4).n_accepted > 0
+
+    def test_python_route_fixture_runs_no_kernel(self, python_route, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(dynamics, "_compiled_steps", refuse)
+        s = ParameterPoint.make((1.0, 0.0, 0.0), (0.75, 0.75, 0.75))
+        f = ParameterPoint.make((1.0, 0.0, 0.0), (0.05, 0.1, 0.15))
+        assert run_continuous(s, f, 1.0, 0.5).tau > 0
+
+
+@pytest.fixture
+def cold_cache(tmp_path, monkeypatch):
+    """A loader that has tried nothing yet, with its source copied to
+    ``tmp_path`` so that its cache is ``tmp_path/__pycache__``."""
+    source = tmp_path / "_stepper.c"
+    shutil.copy(_stepper.SOURCE, source)
+    monkeypatch.setattr(_stepper, "SOURCE", source)
+    monkeypatch.setattr(_stepper, "_kernel", _stepper._UNTRIED)
+    return tmp_path / "__pycache__"
+
+
+def load(caplog):
+    """The loader's kernel and the routes it logged."""
+    with caplog.at_level(logging.INFO, logger="pontus._stepper"):
+        function = dynamics.ramp_kernel()
+    return function, [r.getMessage() for r in caplog.records if r.name == "pontus._stepper"]
+
+
+NO_CC = FileNotFoundError(2, "No such file or directory", "cc")
+
+
+def no_compiler(path, check):
+    raise NO_CC
+
+
+def cached_files(cache):
+    return sorted(p.name for p in cache.iterdir()) if cache.is_dir() else []
+
+
+class TestLoader:
+    @needs_cc
+    def test_cold_cache_compiles_once_then_loads(self, cold_cache, caplog, monkeypatch):
+        function, logs = load(caplog)
+        assert function is not None and logs == [
+            f"ramp stepper: compiled kernel, built {_stepper.cache_path()}"]
+        assert cached_files(cold_cache) == [_stepper.cache_path().name]
+        monkeypatch.setattr(_stepper, "_kernel", _stepper._UNTRIED)
+        monkeypatch.setattr(_stepper, "_build", no_compiler)  # must not be needed
+        caplog.clear()
+        function, logs = load(caplog)
+        assert function is not None and logs == [
+            f"ramp stepper: compiled kernel, cached {_stepper.cache_path()}"]
+
+    def test_missing_compiler_falls_back(self, cold_cache, caplog, monkeypatch):
+        monkeypatch.setattr(_stepper, "COMMAND", ("no-such-compiler", *_stepper.COMMAND[1:]))
+        function, logs = load(caplog)
+        assert function is None
+        assert len(logs) == 1 and logs[0].startswith("ramp stepper: Python (")
+        assert "no-such-compiler" in logs[0]
+        assert cached_files(cold_cache) == []
+
+    @needs_cc
+    def test_failed_compile_falls_back(self, cold_cache, caplog):
+        _stepper.SOURCE.write_text(_stepper.SOURCE.read_text() + "\n#error broken\n")
+        function, logs = load(caplog)
+        assert function is None
+        assert len(logs) == 1 and logs[0].startswith("ramp stepper: Python (Command ")
+        assert cached_files(cold_cache) == []
+
+    @needs_cc
+    def test_cached_library_failing_the_check_is_not_used(self, cold_cache, caplog,
+                                                          monkeypatch, tmp_path):
+        # a kernel with another controller safety factor, cached under the
+        # name of the true source
+        source = _stepper.SOURCE.read_text()
+        assert "SAFETY = 0.9" in source
+        wrong = tmp_path / "wrong.c"
+        wrong.write_text(source.replace("SAFETY = 0.9", "SAFETY = 0.8"))
+        cold_cache.mkdir()
+        path = _stepper.cache_path()
+        subprocess.run([*_stepper.COMMAND, "-o", str(path), str(wrong), "-lm"], check=True)
+        wrong_bytes = path.read_bytes()
+
+        with monkeypatch.context() as m:
+            m.setattr(_stepper, "_build", no_compiler)
+            function, logs = load(caplog)
+        assert function is None and logs == [f"ramp stepper: Python ({NO_CC})"]
+
+        monkeypatch.setattr(_stepper, "_kernel", _stepper._UNTRIED)
+        caplog.clear()
+        function, logs = load(caplog)  # rebuilt and replaced
+        assert logs == [f"ramp stepper: compiled kernel, built {path}"]
+        assert dynamics._kernel_agrees(function)
+        assert path.read_bytes() != wrong_bytes
+        assert cached_files(cold_cache) == [path.name]
+
+    @needs_cc
+    def test_unloadable_cached_file_is_rebuilt(self, cold_cache, caplog):
+        cold_cache.mkdir()
+        path = _stepper.cache_path()
+        path.write_bytes(b"not a shared library")
+        function, logs = load(caplog)
+        assert function is not None and logs == [f"ramp stepper: compiled kernel, built {path}"]
+        assert cached_files(cold_cache) == [path.name]
+
+    def test_world_writable_cache_is_refused(self, cold_cache, caplog):
+        cold_cache.mkdir()
+        cold_cache.chmod(0o777)
+        function, logs = load(caplog)
+        assert function is None
+        assert logs == [f"ramp stepper: Python ({cold_cache} is world-writable)"]
+        assert cached_files(cold_cache) == []
+
+    @needs_cc
+    def test_racing_processes_leave_one_library(self, cold_cache):
+        script = (
+            "import sys\nfrom pathlib import Path\n"
+            f"sys.path.insert(0, {str(SRC)!r})\n"
+            "from pontus import _stepper, dynamics\n"
+            f"_stepper.SOURCE = Path({str(_stepper.SOURCE)!r})\n"
+            "print(dynamics.ramp_kernel() is not None)\n"
+        )
+        procs = [subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                                  text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+                 for _ in range(2)]
+        outs = [p.communicate(timeout=300)[0] for p in procs]
+        assert [p.returncode for p in procs] == [0, 0]
+        assert outs == ["True\n", "True\n"]
+        assert cached_files(cold_cache) == [_stepper.cache_path().name]

@@ -398,6 +398,11 @@ class TestPinnedBytes:
         )
 
 
+@pytest.mark.usefixtures("python_route")
+class TestPinnedBytesPythonRoute(TestPinnedBytes):
+    """The same pins with the Python stepper forced."""
+
+
 class TestFailureHandling:
     def test_timeout_cells_are_marked_not_fatal(self):
         # cap far above the direct time (~60) but far below the settling
