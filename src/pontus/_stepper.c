@@ -9,8 +9,9 @@
  * IEEE double arithmetic with no fused multiply-add (-ffp-contract=off, no
  * -ffast-math) and on the same libm calls that Python's math module makes;
  * pontus._stepper builds the library so and checks it against the Python
- * stepper before use.  The event's root, the dense output and the error
- * messages stay in Python.
+ * stepper before use.  pontus_dense_output evaluates the quartic dense output
+ * of the step records as pontus.dynamics._DenseOutput does, float for float.
+ * The event's root and the error messages stay in Python.
  */
 #include <math.h>
 
@@ -250,4 +251,61 @@ int pontus_dormand_prince(const double *c, double kappa, double omega, double dg
     s[W1] = w1, s[W2] = w2, s[W3] = w3, s[H_ABS] = h_abs, s[G_OLD] = g_old;
     s[NFEV] = nfev, s[N_REJECTED] = n_rejected;
     return code;
+}
+
+/* The quartic dense output of the n >= 1 step records `steps`, ending at
+ * t_final, at the m times `ts`: the states, into the m x 3 array `out`.  A
+ * time is served by step k = searchsorted(t_break, t, "left") - 1, clipped to
+ * the steps, where t_break holds the step starts and t_final (a NaN time last,
+ * as numpy sorts it), and that step's interpolant y + h (q1 x + q2 x^2 + q3 x^3
+ * + q4 x^4), x = (t - t_k) / h, with q1 = k1 and q2..q4 the stages weighted by
+ * P's columns (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6): each
+ * float as pontus.dynamics._DenseOutput forms it, in the same order. */
+void pontus_dense_output(const double *steps, long n, double t_final, const double *ts, long m,
+                         double *out)
+{
+    static const double P1[3] = {-8048581381.0 / 2820520608, 8663915743.0 / 2820520608,
+                                 -12715105075.0 / 11282082432};
+    static const double P3[3] = {131558114200.0 / 32700410799, -68118460800.0 / 10900136933,
+                                 87487479700.0 / 32700410799};
+    static const double P4[3] = {-1754552775.0 / 470086768, 14199869525.0 / 1410260304,
+                                 -10690763975.0 / 1880347072};
+    static const double P5[3] = {127303824393.0 / 49829197408, -318862633887.0 / 49829197408,
+                                 701980252875.0 / 199316789632};
+    static const double P6[3] = {-282668133.0 / 205662961, 2019193451.0 / 616988883,
+                                 -1453857185.0 / 822651844};
+    static const double P7[3] = {40617522.0 / 29380423, -110615467.0 / 29380423,
+                                 69997945.0 / 29380423};
+    const double *r = steps;
+    double q[3][4];
+    long last = -1;
+    for (long i = 0; i < m; i++) {
+        double t = ts[i];
+        long lo = 0, hi = n + 1;
+        while (lo < hi) {
+            long mid = lo + (hi - lo) / 2;
+            double b = mid < n ? steps[23 * mid] : t_final;
+            if (b < t || (t != t && b == b))
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        long k = lo - 1 < 0 ? 0 : lo - 1 > n - 1 ? n - 1 : lo - 1;
+        if (k != last) {
+            r = steps + 23 * k;
+            for (int c = 0; c < 3; c++) {
+                double k1 = r[5 + c], k3 = r[8 + c], k4 = r[11 + c], k5 = r[14 + c],
+                       k6 = r[17 + c], k7 = r[20 + c];
+                q[c][0] = k1;
+                for (int j = 0; j < 3; j++)
+                    q[c][j + 1] = k1 * P1[j] + k3 * P3[j] + k4 * P4[j] + k5 * P5[j]
+                                  + k6 * P6[j] + k7 * P7[j];
+            }
+            last = k;
+        }
+        double h = r[1], x = (t - r[0]) / h, x2 = x * x, x3 = x2 * x;
+        for (int c = 0; c < 3; c++)
+            out[3 * i + c] = r[2 + c] + h * (q[c][0] * x + q[c][1] * x2 + q[c][2] * x3
+                                             + q[c][3] * (x3 * x));
+    }
 }

@@ -1,4 +1,4 @@
-"""Build, cache and load the compiled ramp stepper of ``_stepper.c``.
+"""Build, cache and load the compiled ramp stepper and dense output of ``_stepper.c``.
 
 On first use the kernel is compiled with the system C compiler, ``cc``, and
 cached beside this file in ``__pycache__``, as CPython caches bytecode.  The
@@ -23,6 +23,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 SOURCE = Path(__file__).with_name("_stepper.c")
 #: No fused multiply-add and no -ffast-math: the kernel must round as Python does.
@@ -30,15 +31,25 @@ COMMAND = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 _log = logging.getLogger(__name__)
 _D, _P = ctypes.c_double, ctypes.c_void_p
-_ARGTYPES = (_P, _D, _D, _D, _P, ctypes.c_int, _P, _D, _D, _D, _D, _D, _D, _P,
-             ctypes.c_long, ctypes.POINTER(ctypes.c_long))
+_L = ctypes.c_long
+_STEPS_ARGTYPES = (_P, _D, _D, _D, _P, ctypes.c_int, _P, _D, _D, _D, _D, _D, _D, _P, _L,
+                   ctypes.POINTER(_L))
+_DENSE_ARGTYPES = (_P, _L, _D, _P, _L, _P)
 _UNTRIED = object()
 _kernel = _UNTRIED
 
 
+class Kernel(NamedTuple):
+    """The library's two functions: ``steps``, pontus_dormand_prince, and
+    ``dense``, pontus_dense_output."""
+
+    steps: Callable
+    dense: Callable
+
+
 def kernel(check):
-    """The kernel function, or None for the Python route; loaded on the
-    first call of a process, and only if ``check(function)`` is true."""
+    """The ``Kernel``, or None for the Python route; loaded on the first call
+    of a process, and only if ``check(kernel)`` is true."""
     global _kernel
     if _kernel is _UNTRIED:
         _kernel = _load(check)
@@ -57,9 +68,11 @@ def cache_path() -> Path:
 
 
 def _open(path, check):
-    function = ctypes.CDLL(str(path)).pontus_dormand_prince
-    function.restype, function.argtypes = ctypes.c_int, _ARGTYPES
-    return function if check(function) else None
+    library = ctypes.CDLL(str(path))
+    found = Kernel(library.pontus_dormand_prince, library.pontus_dense_output)
+    found.steps.restype, found.steps.argtypes = ctypes.c_int, _STEPS_ARGTYPES
+    found.dense.restype, found.dense.argtypes = None, _DENSE_ARGTYPES
+    return found if check(found) else None
 
 
 def _build(path, check):
@@ -69,17 +82,17 @@ def _build(path, check):
     try:
         subprocess.run([*COMMAND, "-o", tmp, str(SOURCE), "-lm"],
                        capture_output=True, check=True, timeout=300)
-        function = _open(tmp, check)
-        if function is not None:
+        found = _open(tmp, check)
+        if found is not None:
             os.replace(tmp, path)
-        return function
+        return found
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
 def _load(check):
-    function = None
+    found = None
     try:
         path = cache_path()
         path.parent.mkdir(exist_ok=True)
@@ -87,17 +100,17 @@ def _load(check):
             raise PermissionError(f"{path.parent} is world-writable")
         if path.exists():
             try:
-                function, route = _open(path, check), "cached"
+                found, route = _open(path, check), "cached"
             except (OSError, AttributeError):  # not this kernel's library: rebuilt below
                 pass
-        if function is None:
-            function, route = _build(path, check), "built"
+        if found is None:
+            found, route = _build(path, check), "built"
     except (OSError, subprocess.SubprocessError) as exc:
         reason = exc
     else:
-        if function is not None:
+        if found is not None:
             _log.info("ramp stepper: compiled kernel, %s %s", route, path)
-            return function
+            return found
         reason = "the compiled kernel failed its known-answer check"
     _log.info("ramp stepper: Python (%s)", reason)
     return None

@@ -579,11 +579,25 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=getattr(logging, os.environ.get("PONTUS_LOG", "WARNING").upper(), logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    """Runs one command; its log lines go to this call's ``sys.stderr``, at
+    the level that PONTUS_LOG names at this call (default WARNING)."""
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    package = logging.getLogger("pontus")
+    level, propagate = package.level, package.propagate
+    package.addHandler(handler)
+    package.setLevel(
+        getattr(logging, os.environ.get("PONTUS_LOG", "WARNING").upper(), logging.WARNING))
+    package.propagate = False  # a root handler would print each line again
+    try:
+        return _run(argv)
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(level)
+        package.propagate = propagate
+
+
+def _run(argv) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap

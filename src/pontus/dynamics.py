@@ -10,17 +10,19 @@ form the velocity inline from seven ramp coefficients and m, all of a step's
 m values from one schedule call, no builtin call in the step loop, the
 stop rule checked inline (its settle term only where it decides the sign),
 and the quartic dense-output coefficients of all steps built in one pass at
-the end.  It copies the initial step, error norm, step controller and event
-location of scipy's RK45, whose steps it takes up to round-off; the event's
-root is found by the in-house Brent solver (``_roots.brentq``, bit for bit
-scipy's ``brentq``) on the step's quartic in plain floats.  The damped-cosine
-ramp runs the same step loop compiled (``_stepper.c``, loaded by
-``_stepper.kernel``), which performs the same float operations in the same
-order and so writes the same step records; the event's root, the dense
-output and the error messages stay here, and the Python stepper serves
-every other schedule and every process where no kernel loads.  Two
-independent oracles (a density-matrix-level rebuild of the generator and a
-time-ordered product integrator) cross-check both routes.  scipy is imported
+the end (``_DenseOutput``).  It copies the initial step, error norm, step
+controller and event location of scipy's RK45, whose steps it takes up to
+round-off; the event's root is found by the in-house Brent solver
+(``_roots.brentq``, bit for bit scipy's ``brentq``) on the step's quartic in
+plain floats.  The damped-cosine ramp runs the same step loop compiled
+(``_stepper.c``, loaded by ``_stepper.kernel``), which performs the same
+float operations in the same order and so writes the same step records, and
+evaluates their dense output at any times as ``_DenseOutput`` does, float
+for float, without its coefficient table; the event's root and the error
+messages stay here, and the Python stepper and ``_DenseOutput`` serve every
+other schedule and every process where no kernel loads.  Two independent
+oracles (a density-matrix-level rebuild of the generator and a time-ordered
+product integrator) cross-check both routes.  scipy is imported
 only by ``expm``, on its first call.
 """
 
@@ -577,11 +579,11 @@ def _dormand_prince(coef, ramp, ramp_stages, stop, y, t_bound, rtol, atol, max_s
 _CHUNK = 4096
 
 
-def _compiled_steps(function, coef, sched, stop, y, t_bound, rtol, atol, max_step):
-    """``_dormand_prince`` through the compiled kernel ``function`` of
-    ``_stepper.c``, for the ``ExponentialCosineSchedule`` ``sched``: the
-    same records, counts and exceptions, with the step records in a numpy
-    array.  The kernel evaluates the ramp and the settle term from the
+def _compiled_steps(kernel, coef, sched, stop, y, t_bound, rtol, atol, max_step):
+    """``_dormand_prince`` through the compiled stepper of ``_stepper.c``
+    (``kernel.steps``), for the ``ExponentialCosineSchedule`` ``sched``: the
+    same records, counts and exceptions, with the step records in an (n, 23)
+    numpy array.  The kernel evaluates the ramp and the settle term from the
     schedule's kappa, omega and dg_max; ``stop``'s settle, the same
     function, serves the event root, which is found here as there."""
     coef = np.array(coef, dtype=float)
@@ -592,7 +594,7 @@ def _compiled_steps(function, coef, sched, stop, y, t_bound, rtol, atol, max_ste
     chunks, code = [], 2
     while code == 2:
         buf = np.empty((_CHUNK, 23))
-        code = function(
+        code = kernel.steps(
             coef.ctypes.data, sched.kappa, sched.omega, sched._dg_max,
             None if target is None else target.ctypes.data,
             not chunks, state.ctypes.data, t_bound, rtol, atol, max_step, _SQRT3, _BALL_SQ,
@@ -612,10 +614,31 @@ def _compiled_steps(function, coef, sched, stop, y, t_bound, rtol, atol, max_ste
     return steps, t, code == 1, int(state[12]), int(state[13])
 
 
-def _kernel_agrees(function) -> bool:
+def _compiled_dense(kernel, steps, t_final):
+    """``_DenseOutput(steps, t_final)`` through the compiled evaluator of
+    ``_stepper.c`` (``kernel.dense``): the same floats at every time, with no
+    coefficient table built."""
+    steps = np.ascontiguousarray(steps, dtype=float).reshape(-1, 23)
+    if not len(steps):
+        raise ValueError("no step records")
+    t_final, address = float(t_final), steps.ctypes.data
+
+    def dense(ts) -> np.ndarray:
+        ts = np.ascontiguousarray(ts, dtype=float)
+        out = np.empty((len(ts), 3))
+        # len(steps) also keeps the records alive as long as the evaluator
+        kernel.dense(address, len(steps), t_final, ts.ctypes.data, len(ts), out.ctypes.data)
+        return out
+
+    return dense
+
+
+def _kernel_agrees(kernel) -> bool:
     """Known-answer check of a loaded kernel: a short stop-rule run and a
     ``t_end`` run with a capped step must equal the Python stepper's bit
-    for bit, records, counts and stop time."""
+    for bit, records, counts and stop time, and so must the dense output at
+    t = 0, the stride grid, every step's start and end, and times past the
+    last step."""
     from .protocols import ExponentialCosineSchedule
 
     p_s = ParameterPoint.make((1.0, 0.0, 0.5), (0.9, 0.1, 0.3))
@@ -634,17 +657,24 @@ def _kernel_agrees(function) -> bool:
         args = (stop, y, t_bound, rtol, 1e-10, max_step)
         want = _dormand_prince(coef, sched.m, sched.m_stages, *args)
         try:
-            got = _compiled_steps(function, coef, sched, *args)
+            got = _compiled_steps(kernel, coef, sched, *args)
+            if bytes(want[0]) != bytes(got[0]) or want[1:] != got[1:]:
+                return False
+            steps, t = got[:2]
+            ts = np.concatenate([np.arange(0.0, t, 0.05), steps[:, 0], steps[:, 0] + steps[:, 1],
+                                 [t, t + 1.0]])
+            want = _DenseOutput(steps, t)(ts)
+            if want.tobytes() != _compiled_dense(kernel, steps, t)(ts).tobytes():
+                return False
         except (PontusError, ValueError, ctypes.ArgumentError):  # what a faulty kernel raises
-            return False
-        if bytes(want[0]) != bytes(got[0]) or want[1:] != got[1:]:
             return False
     return True
 
 
 def ramp_kernel():
-    """The checked compiled kernel that ``integrate`` steps an
-    ``ExponentialCosineSchedule`` with, or None for the Python stepper;
+    """The checked compiled kernel (``_stepper.Kernel``) with which
+    ``integrate`` steps an ``ExponentialCosineSchedule`` and evaluates its
+    dense output, or None for the Python stepper and ``_DenseOutput``;
     loaded on the first call of a process, so a caller about to fork
     workers can load it once for all of them."""
     return _stepper.kernel(_kernel_agrees)
@@ -677,13 +707,14 @@ def integrate(
     b(t) = b_f + m(t) db through ``parts``, the scalar ``m`` and
     ``m_stages(t2, ..., t6)``, the tuple of m at five times, each float as
     ``m`` gives it; the equation is stepped on plain floats by
-    ``_dormand_prince``.  An ``ExponentialCosineSchedule`` is stepped
-    instead by the compiled kernel of ``_stepper.c`` where one loads
-    (``_stepper.kernel``), which writes the same step records bit for bit;
-    every other schedule, and every run where no kernel loads, takes the
-    Python stepper.  Both drifts must be exactly antisymmetric off the
-    diagonal and both forcings zero in x and y, as ``assemble_generator``
-    builds them; ValueError otherwise.
+    ``_dormand_prince`` and sampled through ``_DenseOutput``.  An
+    ``ExponentialCosineSchedule``, which caches its ``coefficients``, is
+    stepped and sampled instead by the compiled kernel of ``_stepper.c``
+    where one loads (``_stepper.kernel``), which writes the same step records
+    and samples bit for bit; every other schedule, and every run where no
+    kernel loads, takes the Python route.  Both drifts must be exactly
+    antisymmetric off the diagonal and both forcings zero in x and y, as
+    ``assemble_generator`` builds them; ValueError otherwise.
 
     Integration stops once the trace distance to ``target`` is below
     ``eps/10`` while the schedule's remaining deviation from its final
@@ -697,7 +728,8 @@ def integrate(
         raise ValueError("t_end must be positive")
     from .protocols import ExponentialCosineSchedule
 
-    coef = _ramp_coefficients(schedule.parts)
+    cosine = type(schedule) is ExponentialCosineSchedule
+    coef = schedule.coefficients if cosine else _ramp_coefficients(schedule.parts)
     tgt = target.as_array()
     y0 = r0.as_array()
     args = (
@@ -709,7 +741,7 @@ def integrate(
         cfg.abs_tol,
         cfg.max_step,
     )
-    kernel = ramp_kernel() if type(schedule) is ExponentialCosineSchedule else None
+    kernel = ramp_kernel() if cosine else None
     if kernel is None:
         steps, t_stop, stopped, nfev, n_rejected = _dormand_prince(
             coef, schedule.m, schedule.m_stages, *args)
@@ -726,7 +758,10 @@ def integrate(
             envelope=schedule.envelope,
         )
 
-    dense = _DenseOutput(steps, t_stop)
+    if kernel is None:
+        dense, n_accepted = _DenseOutput(steps, t_stop), len(steps) // 23
+    else:
+        dense, n_accepted = _compiled_dense(kernel, steps, t_stop), len(steps)
     ts = np.arange(0.0, t_stop, cfg.sample_stride)
     if t_stop - (ts[-1] if len(ts) else 0.0) > 1e-12:
         ts = np.append(ts, t_stop)
@@ -748,7 +783,7 @@ def integrate(
         timed_out=(t_end is None and not stopped),
         envelope=schedule.envelope,
         nfev=nfev,
-        n_accepted=len(dense.h),
+        n_accepted=n_accepted,
         n_rejected=n_rejected,
     )
 

@@ -220,20 +220,32 @@ def markov_boundary_alpha(g_s: float, g_f: float) -> float:
 def channel_boundary_omega(g_s: float, g_f: float, kappa: float) -> Optional[float]:
     """Least omega at which a channel turns non-Markovian, None if it never
     does.  A vanishing final rate makes any oscillation non-Markovian."""
-    if g_f == 0 and g_s > 0:
-        return 0.0
-    try:
-        return kappa / markov_boundary_alpha(g_s, g_f)
-    except NoSolution:
-        return None
+    return _least_boundary_omega(_boundary_slopes([g_s], [g_f]), kappa)
 
 
-def _least_boundary_omega(gs, gf, kappa: float) -> Optional[float]:
-    """Least ``channel_boundary_omega`` over the channels, None if every
-    channel stays Markovian."""
-    bounds = [channel_boundary_omega(float(a), float(b), kappa) for a, b in zip(gs, gf)]
-    finite = [w for w in bounds if w is not None]
-    return min(finite) if finite else None
+def _boundary_slopes(rates_s: Sequence[float], rates_f: Sequence[float]) -> list:
+    """Per channel, the alpha of its boundary omega = kappa / alpha
+    (``markov_boundary_alpha``), which does not depend on kappa: inf for a
+    vanishing final rate, which any oscillation makes non-Markovian, and None
+    for a channel that never turns non-Markovian."""
+    slopes = []
+    for g_s, g_f in zip(rates_s, rates_f):
+        g_s, g_f = float(g_s), float(g_f)
+        if g_f == 0 and g_s > 0:
+            slopes.append(math.inf)
+            continue
+        try:
+            slopes.append(markov_boundary_alpha(g_s, g_f))
+        except NoSolution:
+            slopes.append(None)
+    return slopes
+
+
+def _least_boundary_omega(slopes, kappa: float) -> Optional[float]:
+    """Least ``channel_boundary_omega`` over the channels of ``slopes``
+    (``_boundary_slopes``), None if every channel stays Markovian."""
+    bounds = [0.0 if a == math.inf else kappa / a for a in slopes if a is not None]
+    return min(bounds) if bounds else None
 
 
 def is_non_markovian(
@@ -244,13 +256,19 @@ def is_non_markovian(
 ):
     """Whether the three-channel schedule breaks Markovianity, plus the total
     accumulated measure over all channels."""
+    return _non_markovian(rates_s, rates_f, kappa, omega, None)
+
+
+def _non_markovian(rates_s, rates_f, kappa: float, omega: float, slopes):
+    """``is_non_markovian`` on the rates' ``_boundary_slopes``, found here
+    when ``slopes`` is None; a sweep over kappa and omega finds them once."""
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     gs = np.asarray(rates_s, dtype=float)
     gf = np.asarray(rates_f, dtype=float)
     if omega == 0:
         return False, 0.0
-    least = _least_boundary_omega(gs, gf, kappa)
+    least = _least_boundary_omega(_boundary_slopes(gs, gf) if slopes is None else slopes, kappa)
     flag = least is not None and omega > least
     total = sum(
         nm_measure_closed_form(float(a), float(b), kappa, omega)
@@ -290,6 +308,5 @@ def boundary_curve(
 ) -> list:
     """Samples (kappa, omega_min) of the least non-Markovian frequency over
     all channels; omega_min is None where every channel stays Markovian."""
-    gs = np.asarray(rates_s, dtype=float)
-    gf = np.asarray(rates_f, dtype=float)
-    return [(float(kap), _least_boundary_omega(gs, gf, float(kap))) for kap in kappas]
+    slopes = _boundary_slopes(rates_s, rates_f)
+    return [(float(kap), _least_boundary_omega(slopes, float(kap))) for kap in kappas]

@@ -9,11 +9,13 @@ run without a detour; a t_I scan (``sweep.scan_two_step``) and a single
 two-step ``simulate`` each share one set-up between the baseline and the
 detours, whose switch distances (``switches``) feed the one class rule.  The
 continuous ramp is integrated adaptively under the library's one rate
-schedule, ``ExponentialCosineSchedule``.
+schedule, ``ExponentialCosineSchedule``; its runs share one set-up,
+``_Ramp``, across kappa and omega, which a gain map builds once per map.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,6 +36,7 @@ from .core import (
 from .dynamics import (
     ConstantFlow,
     IntegratorConfig,
+    _ramp_coefficients,
     assemble_generator,
     integrate,
     steady_state,
@@ -55,7 +58,11 @@ class ExponentialCosineSchedule:
     instantaneous rates may transiently turn negative.  The generator takes
     the affine ramp form Lambda(t) = lam_f + m(t) dlam, b(t) = b_f + m(t) db,
     with the four arrays in ``parts``, the scalar ramp ``m(t)`` and
-    ``m_stages``, m at five times: the three attributes ``integrate`` reads.
+    ``m_stages``, m at five times: the three attributes ``integrate`` reads
+    from any schedule.  From this one it reads ``coefficients``, the 14
+    floats of ``parts`` that its steppers use, in place of ``parts``.  Both,
+    and the rate differences, do not depend on kappa and omega; ``at``
+    shares them.
     """
 
     gamma_s: RateTriple
@@ -75,12 +82,26 @@ class ExponentialCosineSchedule:
         return gf.Lambda, gf.b, gs.Lambda - gf.Lambda, gs.b - gf.b
 
     @cached_property
+    def coefficients(self) -> list:
+        """``dynamics._ramp_coefficients`` of ``parts``."""
+        return _ramp_coefficients(self.parts)
+
+    @cached_property
     def _dg(self) -> np.ndarray:
         return self.gamma_s.as_array() - self.gamma_f.as_array()
 
     @cached_property
     def _dg_max(self) -> float:
         return float(np.max(np.abs(self._dg)))
+
+    def at(self, kappa: float, omega: float) -> "ExponentialCosineSchedule":
+        """This ramp at another kappa and omega.  The copy shares this one's
+        ``parts``, ``coefficients`` and rate differences, which do not depend
+        on them; this one builds them on its first call."""
+        other = dataclasses.replace(self, kappa=kappa, omega=omega)
+        for name in ("parts", "coefficients", "_dg", "_dg_max"):
+            other.__dict__[name] = getattr(self, name)
+        return other
 
     def m(self, t: float) -> float:
         return math.exp(-self.kappa * t) * math.cos(self.omega * t)
@@ -346,11 +367,28 @@ def run_continuous(
     quench; kappa -> 0 is the quasi-static limit and will exhaust the time
     cap.
     """
-    if np.max(np.abs(pS.h.as_array() - pF.h.as_array())) > 1e-12:
-        raise ValueError("the continuous protocol requires a static field")
-    schedule = ExponentialCosineSchedule(
-        gamma_s=pS.gamma, gamma_f=pF.gamma, h=pS.h, kappa=kappa, omega=omega
-    )
-    _, (r0, target) = _attractors(eps, pS, pF)
-    traj = integrate(schedule, r0, target, cfg, eps)
-    return _result("continuous", traj, eps)
+    return _Ramp(pS, pF, eps, cfg).run(kappa, omega)
+
+
+class _Ramp:
+    """The set-up that every continuous run from pS to pF shares, whatever
+    its kappa and omega: the checked endpoints, both attractors, and a
+    schedule whose generator parts, coefficients and rate differences each
+    run's schedule shares (``ExponentialCosineSchedule.at``).  A gain map
+    builds one per map, or per column of a kappa-theta map.
+    """
+
+    def __init__(self, pS, pF, eps, cfg):
+        if np.max(np.abs(pS.h.as_array() - pF.h.as_array())) > 1e-12:
+            raise ValueError("the continuous protocol requires a static field")
+        _, (self.r0, self.target) = _attractors(eps, pS, pF)
+        self.schedule = ExponentialCosineSchedule(pS.gamma, pF.gamma, pS.h, 0.0, 0.0)
+        # what each run's schedule shares, built here, not in each pool worker
+        self.schedule.coefficients, self.schedule._dg_max
+        self.eps, self.cfg = eps, cfg
+
+    def run(self, kappa: float, omega: float) -> ProtocolResult:
+        """The run at kappa and omega, with its threshold analysis."""
+        schedule = self.schedule.at(kappa, omega)
+        traj = integrate(schedule, self.r0, self.target, self.cfg, self.eps)
+        return _result("continuous", traj, self.eps)

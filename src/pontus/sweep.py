@@ -1,10 +1,13 @@
 """Parameter-plane sweeps of the gain function, and t_I scans.
 
 A gain-map cell runs one continuous protocol against the direct baseline
-(shared per column); cells are independent over immutable inputs and run on
-one process pool.  Failed cells are recorded, never abort a sweep; results
-are bit-identical for any worker count.  A t_I scan runs in this process,
-its baseline and every row on one set-up of the constant-stage protocol.
+(shared per column); the ramp's set-up and the channels' tangency slopes,
+which do not depend on the cell's kappa and omega, are built once per map
+(per column of a kappa-theta map).  Cells are independent over immutable
+inputs and run on one process pool.  Failed cells are recorded, never abort
+a sweep; results are bit-identical for any worker count.  A t_I scan runs in
+this process, its baseline and every row on one set-up of the constant-stage
+protocol.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from .core import FieldVector, ParameterPoint, RateTriple, write_csv
 from .dynamics import IntegratorConfig, ramp_kernel
 from .errors import BallViolation, NotConverged, SingularGenerator
 from .mpemba import _two_step_class, gain
-from .nonmarkov import boundary_curve, is_non_markovian
-from .protocols import DEFAULT_EPS, ProtocolResult, run_continuous, run_direct
-from .protocols import _ConstantStages, _switch_times
+from .nonmarkov import _boundary_slopes, _non_markovian, boundary_curve
+from .protocols import DEFAULT_EPS, ProtocolResult, run_direct
+from .protocols import _ConstantStages, _Ramp, _switch_times
 
 STATUS_OK = "ok"
 STATUS_TIMEOUT = "timeout"
@@ -124,6 +127,18 @@ def _direct_tau(pS: ParameterPoint, pF: ParameterPoint, spec: SweepSpec):
     return res.tau, STATUS_OK
 
 
+def _column(pS: ParameterPoint, pF: ParameterPoint, spec: SweepSpec, slopes=None):
+    """What the cells of one column share: the ramp's set-up (``_Ramp``), or
+    the exception that building it raised, which each cell records as
+    ``run_continuous`` would raise it there; both rate triples; and their
+    ``_boundary_slopes``, or None where every cell has omega = 0."""
+    try:
+        ramp = _Ramp(pS, pF, spec.eps, spec.cfg)
+    except Exception as exc:  # recorded by every cell, never aborts the sweep
+        ramp = exc
+    return ramp, pS.gamma.as_array(), pF.gamma.as_array(), slopes
+
+
 def _cell(args):
     """One sweep cell; must stay a plain top-level function for pickling.
 
@@ -132,14 +147,16 @@ def _cell(args):
     the gain is ``mpemba.gain``'s, so a cell agrees with ``simulate`` on the
     same problem, a nan tau_dir (failed direct baseline) included.
     """
-    kappa, omega, pS, pF, eps, cfg, tau_dir = args
-    nm_flag, f_total = is_non_markovian(pS.gamma.as_array(), pF.gamma.as_array(), kappa, omega)
+    kappa, omega, (ramp, rates_s, rates_f, slopes), tau_dir = args
+    nm_flag, f_total = _non_markovian(rates_s, rates_f, kappa, omega, slopes)
 
     def failed(status, message=None):
         return math.nan, math.nan, False, nm_flag, f_total, status, message
 
     try:
-        res = run_continuous(pS, pF, kappa, omega, eps, cfg)
+        if isinstance(ramp, Exception):
+            raise ramp.with_traceback(None)
+        res = ramp.run(kappa, omega)
     except SingularGenerator:
         return failed("singular-generator")
     except BallViolation:
@@ -231,10 +248,11 @@ def sweep_kappa_theta(
         for h in map(_field_for_theta, thetas)
     ]
     columns = [_direct_tau(pS, pF, spec) for pS, pF in points]
+    shared = [_column(pS, pF, spec) for pS, pF in points]
     tasks = [
-        (kap, 0.0, pS, pF, spec.eps, spec.cfg, tau)
+        (kap, 0.0, column, tau)
         for kap in kappas
-        for (pS, pF), (tau, _) in zip(points, columns)
+        for column, (tau, _) in zip(shared, columns)
     ]
     return _assemble(spec, kappas, thetas, columns, tasks, jobs, progress)
 
@@ -257,12 +275,12 @@ def sweep_kappa_omega(
     pS = ParameterPoint(spec.h, spec.rates_s, "S")
     pF = ParameterPoint(spec.h, spec.rates_f, "F")
     tau, status = _direct_tau(pS, pF, spec)
-    tasks = [
-        (kap, om, pS, pF, spec.eps, spec.cfg, tau) for kap in kappas for om in omegas
-    ]
+    rates_s, rates_f = spec.rates_s.as_array(), spec.rates_f.as_array()
+    column = _column(pS, pF, spec, _boundary_slopes(rates_s, rates_f))
+    tasks = [(kap, om, column, tau) for kap in kappas for om in omegas]
     columns = [(tau, status)] * len(omegas)
     gm = _assemble(spec, kappas, omegas, columns, tasks, jobs, progress)
-    gm.boundary = boundary_curve(spec.rates_s.as_array(), spec.rates_f.as_array(), kappas)
+    gm.boundary = boundary_curve(rates_s, rates_f, kappas)
     return gm
 
 

@@ -1,8 +1,10 @@
 """Fixtures shared by the test modules."""
 
+import sys
+
 import pytest
 
-from pontus import _stepper
+from pontus import _stepper, dynamics
 from pontus.dynamics import ConstantFlow
 
 
@@ -24,3 +26,22 @@ def flow_builds(monkeypatch):
 def python_route(monkeypatch):
     """Forces the Python stepper: the kernel loader finds no kernel."""
     monkeypatch.setattr(_stepper, "kernel", lambda check: None)
+
+
+@pytest.fixture
+def generator_calls(monkeypatch):
+    """The list to which each ``assemble_generator`` and ``steady_state`` call
+    in this process appends the function's name, wherever pontus looks the
+    function up."""
+    calls = []
+    for original in (dynamics.assemble_generator, dynamics.steady_state):
+        def counting(*args, _original=original):
+            calls.append(_original.__name__)
+            return _original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name == "pontus" or name.startswith("pontus."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counting)
+    return calls

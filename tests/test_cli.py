@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import itertools
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -84,6 +87,27 @@ class TestSteadyState:
         code, _, err = run_cli(capsys, "--config", cfg, "steady-state")
         assert code == 2
         assert "singular" in err.lower()
+
+
+def test_each_call_logs_to_its_own_stderr(tmp_path, monkeypatch):
+    monkeypatch.setenv("PONTUS_LOG", "info")
+    cfg = write_config(tmp_path, {"schema": 1, "sweep": omega_sweep()})
+    # a process whose root logger already has a handler gets each line once
+    elsewhere = logging.StreamHandler(io.StringIO())
+    logging.getLogger().addHandler(elsewhere)
+    captured = []
+    try:
+        for run in range(2):
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(["--config", cfg, "--output", str(tmp_path / str(run)), "--jobs", "1",
+                             "gain-map"])
+            assert code == 0
+            captured.append(err.getvalue())
+    finally:
+        logging.getLogger().removeHandler(elsewhere)
+    for err in captured:
+        assert err.count("INFO pontus.cli: sweep kappa-omega over 4 cells\n") == 1
+    assert elsewhere.stream.getvalue() == ""
 
 
 class TestConfigValidation:
@@ -189,11 +213,13 @@ class TestConfigValidation:
         def no_run(*args, **kwargs):
             raise AssertionError("a run was started")
 
-        for name in ("run_direct", "run_continuous", "_run_tasks"):
-            monkeypatch.setattr(f"pontus.sweep.{name}", no_run)
+        for name in ("run_direct", "run_continuous", "_Ramp", "_run_tasks"):
+            monkeypatch.setattr(f"pontus.sweep.{name}", no_run, raising=False)
             monkeypatch.setattr(f"pontus.cli.{name}", no_run, raising=False)
-        # every constant-stage run, a t_I scan's included, builds a flow
+        # every constant-stage run, a t_I scan's included, builds a flow, and
+        # every continuous run a ramp set-up
         monkeypatch.setattr("pontus.protocols.ConstantFlow", no_run)
+        monkeypatch.setattr("pontus.protocols._Ramp", no_run)
         out_dir = tmp_path / "out"
         code, out, err = run_cli(
             capsys, "--config", write_config(tmp_path, payload), "--output", str(out_dir),

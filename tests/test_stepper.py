@@ -1,10 +1,12 @@
 """The compiled ramp stepper (``_stepper.c``) against the Python stepper.
 
 Both must write the same step records bit for bit, take the same counts and
-stop at the same time, and raise the same messages.  The loader must fall
+stop at the same time, and raise the same messages; the compiled dense output
+must give ``_DenseOutput``'s floats at every time.  The loader must fall
 back to the Python stepper, and say so, wherever no checked kernel loads.
 """
 
+import ctypes
 import logging
 import math
 import os
@@ -92,24 +94,30 @@ def random_case(rng):
     return sched, r0.tolist(), target.tolist()
 
 
+def seeded_runs():
+    """240 seeded ramps, each with a stop-rule run (cap 40) and a t_end run,
+    at rel_tol 1e-9 and 1e-12 in turn: (index, schedule, stop, y, t_bound,
+    rtol) of each run."""
+    rng = np.random.default_rng(23)
+    for i in range(240):
+        sched, y, target = random_case(rng)
+        eps = float(10 ** rng.uniform(-4, -1))
+        stop = (target, eps / 10.0, eps, sched.settle_bound)
+        tols = ((1e-9, 1e-12), (1e-12, 1e-9), (1e-9, 1e-9), (1e-12, 1e-12))[i % 4]
+        for run_stop, t_bound, rtol in ((stop, 40.0, tols[0]),
+                                        (None, float(rng.uniform(0.5, 8)), tols[1])):
+            yield i, sched, run_stop, y, t_bound, rtol
+
+
 class TestBitwiseAgainstPython:
     def test_seeded_ramps(self, kernel):
-        """240 seeded ramps, each with a stop-rule run (cap 40) and a t_end
-        run, at rel_tol 1e-9 and 1e-12 in turn."""
-        rng = np.random.default_rng(23)
         seen = {"stopped": 0, "capped": 0, "rejected": 0}
-        for i in range(240):
-            sched, y, target = random_case(rng)
-            eps = float(10 ** rng.uniform(-4, -1))
-            stop = (target, eps / 10.0, eps, sched.settle_bound)
-            tols = ((1e-9, 1e-12), (1e-12, 1e-9), (1e-9, 1e-9), (1e-12, 1e-12))[i % 4]
-            for run_stop, t_bound, rtol in ((stop, 40.0, tols[0]),
-                                            (None, float(rng.uniform(0.5, 8)), tols[1])):
-                want, got = both_routes(kernel, sched, run_stop, y, t_bound, rtol)
-                assert got == want, (i, sched, run_stop is None)
-                if want[0] not in ("BallViolation", "StepSizeUnderflow") and run_stop:
-                    seen["stopped" if want[2] else "capped"] += 1
-                    seen["rejected"] += want[4] > 0
+        for i, sched, stop, y, t_bound, rtol in seeded_runs():
+            want, got = both_routes(kernel, sched, stop, y, t_bound, rtol)
+            assert got == want, (i, sched, stop is None)
+            if want[0] not in ("BallViolation", "StepSizeUnderflow") and stop:
+                seen["stopped" if want[2] else "capped"] += 1
+                seen["rejected"] += want[4] > 0
         assert all(seen.values()), seen
 
     def test_resumes_across_a_full_buffer(self, kernel, monkeypatch):
@@ -161,6 +169,58 @@ class TestBitwiseAgainstPython:
         assert got == want == ("StepSizeUnderflow", dynamics._UNDERFLOW)
 
 
+class TestDenseOutput:
+    def test_seeded_ramps(self, kernel):
+        """On the seeded runs' records: the stride grid up to t_final, t = 0,
+        every step's start and end, seeded random times, and times past the
+        last step, in one shuffled batch and one at a time."""
+        rng = np.random.default_rng(25)
+        runs = 0
+        for i, sched, stop, y, t_bound, rtol in seeded_runs():
+            coef = dynamics._ramp_coefficients(sched.parts)
+            try:
+                steps, t_final, *_ = dynamics._compiled_steps(
+                    kernel, coef, sched, stop, y, t_bound, rtol, 1e-10, math.inf)
+            except (BallViolation, StepSizeUnderflow):
+                continue
+            if steps is None:
+                continue
+            starts = steps[:, 0]
+            ts = np.concatenate([
+                np.arange(0.0, t_final, 0.05), [0.0, t_final], starts, starts + steps[:, 1],
+                rng.uniform(0.0, t_final, 20), t_final + rng.uniform(0.0, 5.0, 3),
+            ])
+            rng.shuffle(ts)
+            want = dynamics._DenseOutput(steps, t_final)
+            got = dynamics._compiled_dense(kernel, steps, t_final)
+            assert got(ts).tobytes() == want(ts).tobytes(), i
+            one = ts[:5]
+            assert np.concatenate([got(one[k:k + 1]) for k in range(5)]).tobytes() == (
+                want(one).tobytes()), i
+            runs += 1
+        assert runs > 400
+
+    def test_known_answer_check_covers_the_evaluator(self, kernel, generator_calls):
+        def one_ulp_off(steps, n, t_final, ts, m, out):
+            kernel.dense(steps, n, t_final, ts, m, out)
+            first = ctypes.c_double.from_address(out)
+            first.value = math.nextafter(first.value, math.inf)
+
+        assert dynamics._kernel_agrees(kernel)
+        assert not dynamics._kernel_agrees(kernel._replace(dense=one_ulp_off))
+        assert generator_calls == []  # so perfbench's traced counts repeat
+
+
+@needs_cc
+def test_source_compiles_without_warnings(tmp_path):
+    result = subprocess.run(
+        [*_stepper.COMMAND, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "kernel.so"),
+         str(_stepper.SOURCE), "-lm"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 class TestRoutes:
     def test_a_ramp_takes_the_kernel(self, kernel, monkeypatch):
         def refuse(*args):
@@ -178,6 +238,7 @@ class TestRoutes:
             raise AssertionError("the kernel ran")
 
         monkeypatch.setattr(dynamics, "_compiled_steps", refuse)
+        monkeypatch.setattr(dynamics, "_compiled_dense", refuse)
         s = ParameterPoint.make((1.0, 0.0, 0.0), (0.75, 0.75, 0.75))
         f = ParameterPoint.make((1.0, 0.0, 0.0), (0.05, 0.1, 0.15))
         assert run_continuous(s, f, 1.0, 0.5).tau > 0

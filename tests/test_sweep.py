@@ -19,13 +19,14 @@ from pontus import (
     gain_map_sidecar,
     gain_map_to_csv,
     is_non_markovian,
+    run_continuous,
     run_direct,
     run_two_step,
     scan_two_step,
     sweep_kappa_omega,
     sweep_kappa_theta,
 )
-from pontus.protocols import TAU_XTOL
+from pontus.protocols import TAU_XTOL, _Ramp
 from pontus.sweep import available_cpus
 
 RATES_S = RateTriple(0.75, 0.75, 0.75)
@@ -167,16 +168,62 @@ class TestOmegaSweep:
         assert np.all(self.GM.f_total[~flagged] == 0.0)
 
 
+def map_fields(gm):
+    """Every field of a gain map, its arrays as bytes."""
+    arrays = (gm.tau_dir, gm.tau_cpm, gm.gain, gm.f_total, gm.inconclusive, gm.non_markovian)
+    return [a.tobytes() for a in arrays] + [gm.status, gm.errors, gm.boundary]
+
+
 class TestDeterminism:
     def test_worker_count_does_not_change_results(self):
-        spec = omega_spec(n_kappa=3, n_omega=2)
-        serial = sweep_kappa_omega(spec, jobs=1)
-        parallel = sweep_kappa_omega(spec, jobs=2)
-        np.testing.assert_array_equal(serial.tau_cpm, parallel.tau_cpm)
-        np.testing.assert_array_equal(serial.gain, parallel.gain)
-        np.testing.assert_array_equal(serial.f_total, parallel.f_total)
-        np.testing.assert_array_equal(serial.inconclusive, parallel.inconclusive)
-        assert serial.status == parallel.status
+        """Bit for bit, on both sweep kinds."""
+        for sweep, spec in ((sweep_kappa_omega, omega_spec(n_kappa=3, n_omega=2)),
+                            (sweep_kappa_theta, theta_spec(n_kappa=3, n_theta=2))):
+            assert map_fields(sweep(spec, jobs=1)) == map_fields(sweep(spec, jobs=2))
+
+
+class TestSetUpOncePerMap:
+    """A map builds its ramp's set-up once, a kappa-theta map once per
+    column, and its cells equal standalone runs bit for bit."""
+
+    @staticmethod
+    def calls(sweep, spec, generator_calls):
+        generator_calls.clear()
+        sweep(spec, jobs=1)
+        return list(generator_calls)
+
+    def test_kappa_omega_count_does_not_grow_with_cells(self, generator_calls):
+        small = self.calls(sweep_kappa_omega, omega_spec(2, 2), generator_calls)
+        large = self.calls(sweep_kappa_omega, omega_spec(3, 3), generator_calls)
+        assert small and large == small
+
+    def test_kappa_theta_count_grows_by_column(self, generator_calls):
+        base = self.calls(sweep_kappa_theta, theta_spec(2, 2), generator_calls)
+        assert self.calls(sweep_kappa_theta, theta_spec(3, 2), generator_calls) == base
+        wider = self.calls(sweep_kappa_theta, theta_spec(2, 3), generator_calls)
+        assert base and len(wider) == len(base) * 3 // 2
+
+    def test_cells_equal_standalone_runs(self):
+        spec = omega_spec(3, 3)
+        gm = sweep_kappa_omega(spec, jobs=1)
+        pS = ParameterPoint(spec.h, spec.rates_s)
+        pF = ParameterPoint(spec.h, spec.rates_f)
+        for i, j in ((0, 0), (1, 2), (2, 1)):
+            kappa, omega = gm.kappa[i], gm.second[j]
+            res = run_continuous(pS, pF, kappa, omega, spec.eps, spec.cfg)
+            assert gm.status[i][j] == "ok"
+            assert np.float64(res.tau).tobytes() == gm.tau_cpm[i, j].tobytes()
+            assert res.inconclusive == gm.inconclusive[i, j]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_set_up_is_recorded_by_every_cell(self, jobs, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("no set-up")
+
+        monkeypatch.setattr(pontus.sweep, "_Ramp", broken)
+        gm = sweep_kappa_omega(omega_spec(2, 2), jobs=jobs)
+        assert gm.status == [["error:RuntimeError"] * 2] * 2
+        assert gm.errors == {"error:RuntimeError": "no set-up"}
 
 
 class TestWorkers:
@@ -213,19 +260,19 @@ class TestCellErrors:
     def test_first_message_of_each_error_status(self, jobs, monkeypatch):
         if jobs > 1 and multiprocessing.get_start_method() != "fork":
             pytest.skip("the patched runner reaches workers only through fork")
-        real = pontus.sweep.run_continuous
+        real = _Ramp.run
         failing = {
             (5.0, 1.5): ValueError("first"),
             (50.0, 0.0): RuntimeError("third"),
             (50.0, 1.5): ValueError("second"),
         }
 
-        def flaky(pS, pF, kappa, omega, *args):
+        def flaky(self, kappa, omega):
             if (kappa, omega) in failing:
                 raise failing[kappa, omega]
-            return real(pS, pF, kappa, omega, *args)
+            return real(self, kappa, omega)
 
-        monkeypatch.setattr(pontus.sweep, "run_continuous", flaky)
+        monkeypatch.setattr(_Ramp, "run", flaky)
         gm = sweep_kappa_omega(self.SPEC, jobs=jobs)
         assert gm.status == [
             ["ok", "error:ValueError"], ["error:RuntimeError", "error:ValueError"]
