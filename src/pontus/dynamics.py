@@ -3,26 +3,27 @@
 Constant-parameter dynamics is propagated exactly through the drift's
 eigenmodes, or a matrix exponential where those are unusable
 (``ConstantFlow``).
-Time-dependent schedules go through an in-house adaptive Dormand-Prince 5(4)
-stepper specialised to the affine ramp form Lambda(t) = lam_f + m(t) dlam,
-b(t) = b_f + m(t) db that every schedule shares: scalar floats, stages that
-form the velocity inline from seven ramp coefficients and m, all of a step's
-m values from one schedule call, no builtin call in the step loop, the
-stop rule checked inline (its settle term only where it decides the sign),
-and the quartic dense-output coefficients of all steps built in one pass at
-the end (``_DenseOutput``).  It copies the initial step, error norm, step
-controller and event location of scipy's RK45, whose steps it takes up to
-round-off; the event's root is found by the in-house Brent solver
-(``_roots.brentq``, bit for bit scipy's ``brentq``) on the step's quartic in
-plain floats.  The damped-cosine ramp runs the same step loop compiled
-(``_stepper.c``, loaded by ``_stepper.kernel``), which performs the same
-float operations in the same order and so writes the same step records, and
-evaluates their dense output at any times as ``_DenseOutput`` does, float
-for float, without its coefficient table; the event's root and the error
-messages stay here, and the Python stepper and ``_DenseOutput`` serve every
-other schedule and every process where no kernel loads.  Two independent
-oracles (a density-matrix-level rebuild of the generator and a time-ordered
-product integrator) cross-check both routes.  scipy is imported
+The library's one time-dependent schedule, the damped-cosine ramp
+(``protocols.ExponentialCosineSchedule``), goes through an in-house adaptive
+Dormand-Prince 5(4) stepper specialised to its affine form
+Lambda(t) = lam_f + m(t) dlam, b(t) = b_f + m(t) db with
+m(t) = exp(-kappa t) cos(omega t): scalar floats, stages that form the
+velocity inline from seven ramp coefficients and m, no builtin call in the
+step loop but the ramp's exp and cos, the stop rule checked inline (its
+settle term only where it decides the sign), and the quartic dense-output
+coefficients of all steps built in one pass at the end (``_DenseOutput``).
+It copies the initial step, error norm, step controller and event location
+of scipy's RK45, whose steps it takes up to round-off; the event's root is
+found by the in-house Brent solver (``_roots.brentq``, bit for bit scipy's
+``brentq``) on the step's quartic in plain floats.  The same step loop runs
+compiled (``_stepper.c``, loaded by ``_stepper.kernel``) with the same
+arguments; it performs the same float operations in the same order and so
+writes the same step records, and evaluates their dense output at any times
+as ``_DenseOutput`` does, float for float, without its coefficient table.
+The event's root and the error messages stay here, and the Python stepper
+and ``_DenseOutput`` serve every process where no kernel loads.  Two
+independent oracles (a density-matrix-level rebuild of the generator and a
+time-ordered product integrator) cross-check both routes.  scipy is imported
 only by ``expm``, on its first call.
 """
 
@@ -346,14 +347,15 @@ def _rms3(a: float, b: float, c: float) -> float:
     return math.sqrt(a * a + b * b + c * c) / _SQRT3
 
 
-def _stop_function(stop):
-    """The stop function max(|y - target|/2 - tol, settle(t) - eps) of a
-    ``stop`` tuple, as a function of t and the state's three components."""
-    (g0, g1, g2), tol, eps, settle = stop
+def _stop_function(stop, kappa, dg_max):
+    """The stop function max(|y - target|/2 - tol, dg_max exp(-kappa t) - eps)
+    of a ``stop`` tuple (target, tol, eps), as a function of t and the
+    state's three components."""
+    (g0, g1, g2), tol, eps = stop
 
     def gap(t, a, b, c):
         d = 0.5 * math.sqrt((a - g0) ** 2 + (b - g1) ** 2 + (c - g2) ** 2)
-        return max(d - tol, settle(t) - eps)
+        return max(d - tol, dg_max * math.exp(-kappa * t) - eps)
 
     return gap
 
@@ -373,26 +375,25 @@ def _left_ball(t: float, norm: float) -> BallViolation:
     return BallViolation(f"trajectory left the Bloch ball at t = {t:.12g} (|r| = {norm:.12g})")
 
 
-def _dormand_prince(coef, ramp, ramp_stages, stop, y, t_bound, rtol, atol, max_step):
+def _dormand_prince(coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol, max_step):
     """Adaptive Dormand-Prince 5(4) from t = 0, step for step as scipy's RK45,
-    specialised to the affine ramp form.
+    for the damped-cosine ramp.
 
     ``coef`` holds the entries L00, L11, L22, L01, L02, L12 and b_z of
-    (lam_f, b_f), then of (dlam, db); ``ramp`` is the schedule's scalar m,
-    for the initial step, and ``ramp_stages`` its ``m_stages``, called once
-    per attempted step for m at t + C2 h, ..., t + C5 h and t + h.  Each
-    stage forms these seven f + m d from its m and writes the velocity
+    (lam_f, b_f), then of (dlam, db), and m = exp(-kappa t) cos(omega t).
+    Each stage forms these seven f + m d from its m and writes the velocity
     ((L00 a + L01 b) + L02 c, (L11 b - L01 a) + L12 c,
     (L22 c - (L02 a + L12 b)) + b_z).  As IEEE negation is exact, these are
-    the floats of the full sums (lam_f + m dlam) y + (b_f + m db) when the
-    off-diagonal entries are antisymmetric and the x, y forcing is zero,
-    which ``integrate`` checks, save the sign of an exactly zero sum; stage
-    7 shares stage 6's time, so it reuses that m.  ``stop`` is None (run to
-    ``t_bound``) or ``(target, tol, eps, settle)`` for the stop function
-    max(|y - target|/2 - tol, settle(t) - eps), whose sign is checked after
-    every accepted step, calling settle only when the first term is not
-    positive; on a sign change (scipy's ``find_active_events`` rule) its
-    root on that step's interpolant ends the run.
+    the floats of the full sums (lam_f + m dlam) y + (b_f + m db), since
+    ``assemble_generator`` builds every drift antisymmetric off the diagonal
+    and every forcing zero in x and y, save the sign of an exactly zero sum;
+    stage 7 shares stage 6's time, so it reuses that m.  ``stop`` is None
+    (run to ``t_bound``) or ``(target, tol, eps)`` for the stop function
+    max(|y - target|/2 - tol, dg_max exp(-kappa t) - eps), whose sign is
+    checked after every accepted step, with the settle term evaluated only
+    when the first term is not positive; on a sign change (scipy's
+    ``find_active_events`` rule) its root on that step's interpolant ends
+    the run.  ``_compiled_steps`` takes the same arguments after its kernel.
 
     Returns ``(steps, t_final, stopped, nfev, n_rejected)``, with the step
     records in an ``array("d")``; steps is None when the stop function is
@@ -418,6 +419,7 @@ def _dormand_prince(coef, ramp, ramp_stages, stop, y, t_bound, rtol, atol, max_s
     )
     SAFETY, MIN_FACTOR, MAX_FACTOR, ERR_EXP = 0.9, 0.2, 10.0, -1 / 5
     f00, f11, f22, f01, f02, f12, fz, d00, d11, d22, d01, d02, d12, dz = coef
+    exp, cos = math.exp, math.cos
 
     def slope(m, a, b, c):
         return (
@@ -430,12 +432,12 @@ def _dormand_prince(coef, ramp, ramp_stages, stop, y, t_bound, rtol, atol, max_s
     y1, y2, y3 = y
     g_old = None
     if stop is not None:
-        (g0, g1, g2), tol, eps, settle = stop
-        gap = _stop_function(stop)
+        (g0, g1, g2), tol, eps = stop
+        gap = _stop_function(stop, kappa, dg_max)
         g_old = gap(t, y1, y2, y3)
         if g_old < 0.0:
             return None, 0.0, True, 0, 0
-    k11, k12, k13 = slope(ramp(t), y1, y2, y3)
+    k11, k12, k13 = slope(exp(-kappa * t) * cos(omega * t), y1, y2, y3)
 
     # initial step (Hairer, Norsett & Wanner, sec. II.4)
     s1, s2, s3 = atol + abs(y1) * rtol, atol + abs(y2) * rtol, atol + abs(y3) * rtol
@@ -443,7 +445,8 @@ def _dormand_prince(coef, ramp, ramp_stages, stop, y, t_bound, rtol, atol, max_s
     d1 = _rms3(k11 / s1, k12 / s2, k13 / s3)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound)
-    u1, u2, u3 = slope(ramp(h0), y1 + h0 * k11, y2 + h0 * k12, y3 + h0 * k13)
+    m = exp(-kappa * h0) * cos(omega * h0)
+    u1, u2, u3 = slope(m, y1 + h0 * k11, y2 + h0 * k12, y3 + h0 * k13)
     d2 = _rms3((u1 - k11) / s1, (u2 - k12) / s2, (u3 - k13) / s3) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -473,7 +476,12 @@ def _dormand_prince(coef, ramp, ramp_stages, stop, y, t_bound, rtol, atol, max_s
                 t_new = t_bound
             h = h_abs = t_new - t
             # stage 7 sits at t + h too and reuses m6
-            m2, m3, m4, m5, m6 = ramp_stages(t + C2 * h, t + C3 * h, t + C4 * h, t + C5 * h, t + h)
+            t2, t3, t4, t5, t6 = t + C2 * h, t + C3 * h, t + C4 * h, t + C5 * h, t + h
+            m2 = exp(-kappa * t2) * cos(omega * t2)
+            m3 = exp(-kappa * t3) * cos(omega * t3)
+            m4 = exp(-kappa * t4) * cos(omega * t4)
+            m5 = exp(-kappa * t5) * cos(omega * t5)
+            m6 = exp(-kappa * t6) * cos(omega * t6)
 
             l00, l11, l22 = f00 + m2 * d00, f11 + m2 * d11, f22 + m2 * d22
             l01, l02, l12 = f01 + m2 * d01, f02 + m2 * d02, f12 + m2 * d12
@@ -558,7 +566,7 @@ def _dormand_prince(coef, ramp, ramp_stages, stop, y, t_bound, rtol, atol, max_s
         if g_old is not None:
             g_new = 0.5 * sqrt((z1 - g0) ** 2 + (z2 - g1) ** 2 + (z3 - g2) ** 2) - tol
             if g_new <= 0:  # else positive whatever the settle term
-                u = settle(t_new) - eps
+                u = dg_max * exp(-kappa * t_new) - eps
                 if u > g_new:
                     g_new = u
             if (g_old <= 0 <= g_new) or (g_new <= 0 <= g_old):
@@ -579,13 +587,12 @@ def _dormand_prince(coef, ramp, ramp_stages, stop, y, t_bound, rtol, atol, max_s
 _CHUNK = 4096
 
 
-def _compiled_steps(kernel, coef, sched, stop, y, t_bound, rtol, atol, max_step):
-    """``_dormand_prince`` through the compiled stepper of ``_stepper.c``
-    (``kernel.steps``), for the ``ExponentialCosineSchedule`` ``sched``: the
-    same records, counts and exceptions, with the step records in an (n, 23)
-    numpy array.  The kernel evaluates the ramp and the settle term from the
-    schedule's kappa, omega and dg_max; ``stop``'s settle, the same
-    function, serves the event root, which is found here as there."""
+def _compiled_steps(kernel, coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol,
+                    max_step):
+    """``_dormand_prince`` with the same arguments, through the compiled
+    stepper of ``_stepper.c`` (``kernel.steps``): the same records, counts
+    and exceptions, with the step records in an (n, 23) numpy array.  The
+    event's root is found here, on the same stop function as there."""
     coef = np.array(coef, dtype=float)
     target = None if stop is None else np.array([*stop[0], stop[1], stop[2]])
     state = np.zeros(16)  # the slots of _stepper.c's enum
@@ -595,7 +602,7 @@ def _compiled_steps(kernel, coef, sched, stop, y, t_bound, rtol, atol, max_step)
     while code == 2:
         buf = np.empty((_CHUNK, 23))
         code = kernel.steps(
-            coef.ctypes.data, sched.kappa, sched.omega, sched._dg_max,
+            coef.ctypes.data, kappa, omega, dg_max,
             None if target is None else target.ctypes.data,
             not chunks, state.ctypes.data, t_bound, rtol, atol, max_step, _SQRT3, _BALL_SQ,
             buf.ctypes.data, _CHUNK, ctypes.byref(n),
@@ -610,7 +617,8 @@ def _compiled_steps(kernel, coef, sched, stop, y, t_bound, rtol, atol, max_step)
     steps = np.concatenate(chunks)
     t = float(state[0])
     if code == 1:
-        t = _event_time(_stop_function(stop), steps[-1].tolist(), float(state[14]))
+        t = _event_time(_stop_function(stop, kappa, dg_max), steps[-1].tolist(),
+                        float(state[14]))
     return steps, t, code == 1, int(state[12]), int(state[13])
 
 
@@ -639,25 +647,22 @@ def _kernel_agrees(kernel) -> bool:
     for bit, records, counts and stop time, and so must the dense output at
     t = 0, the stride grid, every step's start and end, and times past the
     last step."""
-    from .protocols import ExponentialCosineSchedule
-
-    p_s = ParameterPoint.make((1.0, 0.0, 0.5), (0.9, 0.1, 0.3))
-    p_f = ParameterPoint.make((1.0, 0.0, 0.5), (0.05, 0.4, 0.0))
-    sched = ExponentialCosineSchedule(p_s.gamma, p_f.gamma, p_s.h, 0.7, 2.0)
-    # the coefficients of sched.parts, rounded, and F's attractor, found
-    # without the generator functions, whose calls perfbench's tracer counts
+    # the coefficients and dg_max of the ramp from rates (0.9, 0.1, 0.3) to
+    # (0.05, 0.4, 0.0) in the field (1, 0, 0.5), rounded, and F's attractor,
+    # found without the generator functions, whose calls perfbench's tracer
+    # counts
     coef = [-0.225, -0.225, -0.45, -1.0, 0.0, -2.0, -0.35, -0.875, -0.875, -0.55, 0.0, 0.0, 0.0, 1.15]
     lam_f = np.array([[-0.225, -1.0, 0.0], [1.0, -0.225, -2.0], [0.0, 2.0, -0.45]])
     target = np.linalg.solve(lam_f, [0.0, 0.0, 0.35]).tolist()
     y = [0.3, -0.2, 0.5]
     for stop, t_bound, rtol, max_step in (
-        ((target, 0.005, 0.05, sched.settle_bound), 1e4, 1e-6, math.inf),
+        ((target, 0.005, 0.05), 1e4, 1e-6, math.inf),
         (None, 2.0, 1e-9, 0.25),
     ):
-        args = (stop, y, t_bound, rtol, 1e-10, max_step)
-        want = _dormand_prince(coef, sched.m, sched.m_stages, *args)
+        args = (coef, 0.7, 2.0, 0.85, stop, y, t_bound, rtol, 1e-10, max_step)
+        want = _dormand_prince(*args)
         try:
-            got = _compiled_steps(kernel, coef, sched, *args)
+            got = _compiled_steps(kernel, *args)
             if bytes(want[0]) != bytes(got[0]) or want[1:] != got[1:]:
                 return False
             steps, t = got[:2]
@@ -680,19 +685,6 @@ def ramp_kernel():
     return _stepper.kernel(_kernel_agrees)
 
 
-def _ramp_coefficients(parts) -> list:
-    """L00, L11, L22, L01, L02, L12, b_z of (lam_f, b_f), then of (dlam, db);
-    ValueError unless both drifts are antisymmetric off the diagonal and
-    both forcings zero in x and y."""
-    coef = []
-    for lam, b in (parts[:2], parts[2:]):
-        lam, b = np.asarray(lam, dtype=float), np.asarray(b, dtype=float)
-        if not np.array_equal(np.triu(lam, 1), -np.tril(lam, -1).T) or b[0] or b[1]:
-            raise ValueError("schedule parts need an antisymmetric precession and z forcing")
-        coef += lam[(0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2)].tolist() + [float(b[2])]
-    return coef
-
-
 def integrate(
     schedule,
     r0: BlochVector,
@@ -701,20 +693,14 @@ def integrate(
     eps: float,
     t_end: Optional[float] = None,
 ) -> Trajectory:
-    """Solve r' = Lambda(t) r + b(t) under a rate schedule.
+    """Solve r' = Lambda(t) r + b(t) under a damped-cosine ramp.
 
-    The schedule supplies the affine ramp form Lambda(t) = lam_f + m(t) dlam,
-    b(t) = b_f + m(t) db through ``parts``, the scalar ``m`` and
-    ``m_stages(t2, ..., t6)``, the tuple of m at five times, each float as
-    ``m`` gives it; the equation is stepped on plain floats by
-    ``_dormand_prince`` and sampled through ``_DenseOutput``.  An
-    ``ExponentialCosineSchedule``, which caches its ``coefficients``, is
-    stepped and sampled instead by the compiled kernel of ``_stepper.c``
-    where one loads (``_stepper.kernel``), which writes the same step records
-    and samples bit for bit; every other schedule, and every run where no
-    kernel loads, takes the Python route.  Both drifts must be exactly
-    antisymmetric off the diagonal and both forcings zero in x and y, as
-    ``assemble_generator`` builds them; ValueError otherwise.
+    ``schedule`` is an ``ExponentialCosineSchedule``; the steppers read its
+    ``coefficients``, ``kappa``, ``omega`` and ``_dg_max``.  The equation is
+    stepped and sampled by the compiled kernel of ``_stepper.c`` where one
+    loads (``_stepper.kernel``), else by ``_dormand_prince`` and
+    ``_DenseOutput``, which write the same step records and samples bit for
+    bit.
 
     Integration stops once the trace distance to ``target`` is below
     ``eps/10`` while the schedule's remaining deviation from its final
@@ -724,16 +710,13 @@ def integrate(
     fixed horizon instead.  A run whose state leaves the Bloch ball raises
     BallViolation at the first step that ends outside it.
     """
-    if t_end is not None and not t_end > 0:
-        raise ValueError("t_end must be positive")
-    from .protocols import ExponentialCosineSchedule
-
-    cosine = type(schedule) is ExponentialCosineSchedule
-    coef = schedule.coefficients if cosine else _ramp_coefficients(schedule.parts)
+    if t_end is not None and not 0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
     tgt = target.as_array()
     y0 = r0.as_array()
     args = (
-        None if t_end is not None else (tgt.tolist(), eps / 10.0, eps, schedule.settle_bound),
+        schedule.coefficients, schedule.kappa, schedule.omega, schedule._dg_max,
+        None if t_end is not None else (tgt.tolist(), eps / 10.0, eps),
         y0.tolist(),
         cfg.t_cap if t_end is None else float(t_end),
         # below about 100 eps the controller could not meet the tolerance
@@ -741,12 +724,11 @@ def integrate(
         cfg.abs_tol,
         cfg.max_step,
     )
-    kernel = ramp_kernel() if cosine else None
+    kernel = ramp_kernel()
     if kernel is None:
-        steps, t_stop, stopped, nfev, n_rejected = _dormand_prince(
-            coef, schedule.m, schedule.m_stages, *args)
+        steps, t_stop, stopped, nfev, n_rejected = _dormand_prince(*args)
     else:
-        steps, t_stop, stopped, nfev, n_rejected = _compiled_steps(kernel, coef, schedule, *args)
+        steps, t_stop, stopped, nfev, n_rejected = _compiled_steps(kernel, *args)
     if steps is None:
         # nothing to do: already settled at t = 0
         return Trajectory(

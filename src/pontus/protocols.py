@@ -36,7 +36,6 @@ from .core import (
 from .dynamics import (
     ConstantFlow,
     IntegratorConfig,
-    _ramp_coefficients,
     assemble_generator,
     integrate,
     steady_state,
@@ -57,12 +56,12 @@ class ExponentialCosineSchedule:
     channel by channel, with a static field.  For omega > 0 the
     instantaneous rates may transiently turn negative.  The generator takes
     the affine ramp form Lambda(t) = lam_f + m(t) dlam, b(t) = b_f + m(t) db,
-    with the four arrays in ``parts``, the scalar ramp ``m(t)`` and
-    ``m_stages``, m at five times: the three attributes ``integrate`` reads
-    from any schedule.  From this one it reads ``coefficients``, the 14
-    floats of ``parts`` that its steppers use, in place of ``parts``.  Both,
-    and the rate differences, do not depend on kappa and omega; ``at``
-    shares them.
+    with the four arrays in ``parts`` and the scalar ramp ``m(t)``.
+    ``integrate`` reads ``coefficients``, the 14 floats of ``parts`` that its
+    steppers use, with kappa, omega and the settle term's scale
+    ``_dg_max``, and computes m itself.  ``parts``, ``coefficients`` and
+    the rate differences do not depend on kappa and omega; ``at`` shares
+    them.
     """
 
     gamma_s: RateTriple
@@ -83,8 +82,13 @@ class ExponentialCosineSchedule:
 
     @cached_property
     def coefficients(self) -> list:
-        """``dynamics._ramp_coefficients`` of ``parts``."""
-        return _ramp_coefficients(self.parts)
+        """L00, L11, L22, L01, L02, L12 and b_z of (lam_f, b_f), then of
+        (dlam, db): all of ``parts``, as ``assemble_generator`` builds every
+        drift antisymmetric off the diagonal and every forcing zero in x and
+        y, and both endpoints share the field."""
+        index = (0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2)
+        lam_f, b_f, dlam, db = self.parts
+        return [*lam_f[index].tolist(), float(b_f[2]), *dlam[index].tolist(), float(db[2])]
 
     @cached_property
     def _dg(self) -> np.ndarray:
@@ -105,14 +109,6 @@ class ExponentialCosineSchedule:
 
     def m(self, t: float) -> float:
         return math.exp(-self.kappa * t) * math.cos(self.omega * t)
-
-    def m_stages(self, t2: float, t3: float, t4: float, t5: float, t6: float):
-        """m at the five stage times of one Dormand-Prince step, each float
-        as ``m`` computes it: the stepper's one schedule call per step."""
-        k, w, exp, cos = -self.kappa, self.omega, math.exp, math.cos
-        return (exp(k * t2) * cos(w * t2), exp(k * t3) * cos(w * t3),
-                exp(k * t4) * cos(w * t4), exp(k * t5) * cos(w * t5),
-                exp(k * t6) * cos(w * t6))
 
     def generator(self, t: float):
         """(Lambda(t), b(t)), for the oracles that freeze it at a time."""

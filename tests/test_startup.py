@@ -134,6 +134,39 @@ def test_no_module_imports_scipy_at_import_time(path):
     assert offending == []
 
 
+def _package_imports(path, modules):
+    """The modules of ``modules`` that the pontus module at ``path`` imports,
+    at import time or inside a function; the package itself is
+    ``__init__``."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level in (0, 1):
+            module = node.module if node.level == 0 else ".".join(
+                filter(None, ["pontus", node.module]))
+            # "from . import x" imports the module x, if there is one
+            names += [f"{module}.{alias.name}" for alias in node.names]
+    found = set()
+    for parts in (name.split(".") + [""] for name in names):
+        if parts[0] == "pontus":
+            found.add(parts[1] if parts[1] in modules else "__init__")
+    return found - {path.stem}
+
+
+def test_package_import_graph_has_no_cycle():
+    paths = {p.stem: p for p in (SRC / "pontus").glob("*.py")}
+    graph = {name: _package_imports(path, paths) for name, path in paths.items()}
+    order = []  # modules whose imports are all placed, dependencies first
+    while len(order) < len(graph):
+        ready = sorted(m for m in graph if m not in order and graph[m] <= set(order))
+        assert ready, {m: sorted(graph[m] - set(order)) for m in graph if m not in order}
+        order += ready
+    assert order.index("core") < order.index("dynamics") < order.index("protocols")
+    assert order.index("protocols") < min(order.index("mpemba"), order.index("sweep"))
+    assert max(order.index("mpemba"), order.index("sweep")) < order.index("cli")
+
+
 # Records, in a fresh interpreter, every subprocess started and every file
 # opened for writing whose name holds "_stepper" (the kernel cache).
 _WATCH = """

@@ -48,15 +48,20 @@ def kernel():
     return function
 
 
-def both_routes(kernel, sched, stop, y, t_bound, rtol, atol=1e-10, max_step=math.inf):
-    """(Python, kernel) results of one run, each (records, t_final, stopped,
-    nfev, n_rejected) with the records as bytes, or the exception message."""
-    coef = dynamics._ramp_coefficients(sched.parts)
-    args = (stop, y, t_bound, rtol, atol, max_step)
+def ramp_args(sched, stop, y, t_bound, rtol, atol=1e-10, max_step=math.inf):
+    """The steppers' one argument tuple for a run under ``sched``."""
+    return (sched.coefficients, sched.kappa, sched.omega, sched._dg_max,
+            stop, y, t_bound, rtol, atol, max_step)
+
+
+def both_routes(kernel, args):
+    """(Python, kernel) results of one argument tuple, each (records,
+    t_final, stopped, nfev, n_rejected) with the records as bytes, or the
+    exception message."""
     out = []
     for run in (
-        lambda: dynamics._dormand_prince(coef, sched.m, sched.m_stages, *args),
-        lambda: dynamics._compiled_steps(kernel, coef, sched, *args),
+        lambda: dynamics._dormand_prince(*args),
+        lambda: dynamics._compiled_steps(kernel, *args),
     ):
         try:
             steps, *rest = run()
@@ -102,7 +107,7 @@ def seeded_runs():
     for i in range(240):
         sched, y, target = random_case(rng)
         eps = float(10 ** rng.uniform(-4, -1))
-        stop = (target, eps / 10.0, eps, sched.settle_bound)
+        stop = (target, eps / 10.0, eps)
         tols = ((1e-9, 1e-12), (1e-12, 1e-9), (1e-9, 1e-9), (1e-12, 1e-12))[i % 4]
         for run_stop, t_bound, rtol in ((stop, 40.0, tols[0]),
                                         (None, float(rng.uniform(0.5, 8)), tols[1])):
@@ -113,7 +118,7 @@ class TestBitwiseAgainstPython:
     def test_seeded_ramps(self, kernel):
         seen = {"stopped": 0, "capped": 0, "rejected": 0}
         for i, sched, stop, y, t_bound, rtol in seeded_runs():
-            want, got = both_routes(kernel, sched, stop, y, t_bound, rtol)
+            want, got = both_routes(kernel, ramp_args(sched, stop, y, t_bound, rtol))
             assert got == want, (i, sched, stop is None)
             if want[0] not in ("BallViolation", "StepSizeUnderflow") and stop:
                 seen["stopped" if want[2] else "capped"] += 1
@@ -125,16 +130,16 @@ class TestBitwiseAgainstPython:
         rng = np.random.default_rng(7)
         for _ in range(10):
             sched, y, target = random_case(rng)
-            stop = (target, 1e-4, 1e-3, sched.settle_bound)
+            stop = (target, 1e-4, 1e-3)
             for run_stop, t_bound in ((stop, 30.0), (None, 5.0)):
-                want, got = both_routes(kernel, sched, run_stop, y, t_bound, 1e-9)
+                want, got = both_routes(kernel, ramp_args(sched, run_stop, y, t_bound, 1e-9))
                 assert got == want
 
     def test_settled_at_start(self, kernel):
         sched = ExponentialCosineSchedule(RateTriple(0.5, 0.1, 0.0), RateTriple(0.5, 0.1, 0.0),
                                           FieldVector(1.0, 0.0, 0.0), 0.5, 1.0)
-        stop = ([0.0, 0.0, 0.0], 0.1, 1.0, sched.settle_bound)
-        want, got = both_routes(kernel, sched, stop, [0.0, 0.0, 0.01], 10.0, 1e-9)
+        stop = ([0.0, 0.0, 0.0], 0.1, 1.0)
+        want, got = both_routes(kernel, ramp_args(sched, stop, [0.0, 0.0, 0.01], 10.0, 1e-9))
         assert got == want == (None, 0.0, True, 0, 0)
 
     # the 24 ball-violation cells of configs/fig5a.json's 30x30 map, as
@@ -153,8 +158,8 @@ class TestBitwiseAgainstPython:
         target = steady_state(assemble_generator(f)).as_array().tolist()
         for i, j in self.FIG5A_BALL_CELLS:
             sched = ExponentialCosineSchedule(s.gamma, f.gamma, s.h, kappas[i], omegas[j])
-            stop = (target, DEFAULT_EPS / 10.0, DEFAULT_EPS, sched.settle_bound)
-            want, got = both_routes(kernel, sched, stop, r0, 1e4, 1e-9)
+            stop = (target, DEFAULT_EPS / 10.0, DEFAULT_EPS)
+            want, got = both_routes(kernel, ramp_args(sched, stop, r0, 1e4, 1e-9))
             assert want[0] == "BallViolation" and got == want, (i, j)
 
     def test_underflow_message(self, kernel):
@@ -163,9 +168,9 @@ class TestBitwiseAgainstPython:
         sched = ExponentialCosineSchedule(s.gamma, f.gamma, s.h, 0.5, 1.0)
         r0 = steady_state(assemble_generator(s)).as_array().tolist()
         target = steady_state(assemble_generator(f)).as_array().tolist()
-        stop = (target, DEFAULT_EPS / 10.0, DEFAULT_EPS, sched.settle_bound)
-        want, got = both_routes(kernel, sched, stop, r0, 50.0, 100 * dynamics._EPS,
-                                atol=1e-300)
+        stop = (target, DEFAULT_EPS / 10.0, DEFAULT_EPS)
+        want, got = both_routes(kernel, ramp_args(sched, stop, r0, 50.0, 100 * dynamics._EPS,
+                                                  atol=1e-300))
         assert got == want == ("StepSizeUnderflow", dynamics._UNDERFLOW)
 
 
@@ -177,10 +182,9 @@ class TestDenseOutput:
         rng = np.random.default_rng(25)
         runs = 0
         for i, sched, stop, y, t_bound, rtol in seeded_runs():
-            coef = dynamics._ramp_coefficients(sched.parts)
             try:
                 steps, t_final, *_ = dynamics._compiled_steps(
-                    kernel, coef, sched, stop, y, t_bound, rtol, 1e-10, math.inf)
+                    kernel, *ramp_args(sched, stop, y, t_bound, rtol))
             except (BallViolation, StepSizeUnderflow):
                 continue
             if steps is None:
