@@ -11,6 +11,8 @@
  * pontus._stepper builds the library so and checks it against the Python
  * stepper before use.  pontus_dense_output evaluates the quartic dense output
  * of the step records as pontus.dynamics._DenseOutput does, float for float.
+ * pontus_nm_total is the non-Markov measure of pontus._measure.measure_total,
+ * its Brent root steps, lobe loop and sums included, float for float too.
  * The event's root and the error messages stay in Python.
  */
 #include <math.h>
@@ -308,4 +310,158 @@ void pontus_dense_output(const double *steps, long n, double t_final, const doub
             out[3 * i + c] = r[2 + c] + h * (q[c][0] * x + q[c][1] * x2 + q[c][2] * x3
                                              + q[c][3] * (x3 * x));
     }
+}
+
+/* f(t) = exp(-kappa t) cos(omega t) + c, a channel's rate over its modulation
+ * g_s - g_f (c = g_f / (g_s - g_f)), as pontus._measure.negative_intervals
+ * evaluates it. */
+static double damped_rate(double kappa, double omega, double c, double t)
+{
+    return exp(-kappa * t) * cos(omega * t) + c;
+}
+
+/* pontus._roots.brentq of damped_rate on [a, b] with xtol 1e-12 and its
+ * default rtol and maxiter, step for step: 0 with the root in *root, or -1
+ * where brentq raises (a NaN value, no sign change, no convergence). */
+static int brentq(double kappa, double omega, double c, double a, double b, double *root)
+{
+    const double xtol = 1e-12, rtol = 4 * 2.220446049250313e-16;
+    double xpre = a, xcur = b, xblk = 0.0, fblk = 0.0, spre = 0.0, scur = 0.0, x, f;
+    double fpre = damped_rate(kappa, omega, c, xpre), fcur;
+    if (fpre != fpre)
+        return -1;
+    fcur = damped_rate(kappa, omega, c, xcur);
+    if (fcur != fcur)
+        return -1;
+    if (fpre == 0) {
+        *root = xpre;
+        return 0;
+    }
+    if (fcur == 0) {
+        *root = xcur;
+        return 0;
+    }
+    if (copysign(1.0, fpre) == copysign(1.0, fcur))
+        return -1;
+    for (int i = 0; i < 100; i++) {
+        if (fpre != 0 && fcur != 0 && copysign(1.0, fpre) != copysign(1.0, fcur)) {
+            xblk = xpre, fblk = fpre;
+            spre = scur = xcur - xpre;
+        }
+        if (fabs(fblk) < fabs(fcur)) {
+            x = xcur, f = fcur;
+            xpre = xcur, xcur = xblk, xblk = x;
+            fpre = fcur, fcur = fblk, fblk = f;
+        }
+        double delta = (xtol + rtol * fabs(xcur)) / 2;
+        double sbis = (xblk - xcur) / 2;
+        if (fcur == 0 || fabs(sbis) < delta) {
+            *root = xcur;
+            return 0;
+        }
+        int good = 0; /* 0 where the Python's stry stays None */
+        double stry = 0.0;
+        if (fabs(spre) > delta && fabs(fcur) < fabs(fpre)) {
+            if (xpre == xblk) { /* interpolate */
+                double den = fcur - fpre;
+                if (den != 0) {
+                    stry = -fcur * (xcur - xpre) / den;
+                    good = 1;
+                }
+            } else if (xpre != xcur && xblk != xcur) { /* extrapolate */
+                double dpre = (fpre - fcur) / (xpre - xcur);
+                double dblk = (fblk - fcur) / (xblk - xcur);
+                double den = dblk * dpre * (fblk - fpre);
+                if (den != 0) {
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den;
+                    good = 1;
+                }
+            }
+        }
+        double bound = 3 * fabs(sbis) - delta; /* Python's min(|spre|, bound) */
+        if (!(bound < fabs(spre)))
+            bound = fabs(spre);
+        if (good && 2 * fabs(stry) < bound) { /* good short step */
+            spre = scur, scur = stry;
+        } else { /* bisect */
+            spre = scur = sbis;
+        }
+        xpre = xcur, fpre = fcur;
+        if (fabs(scur) > delta)
+            xcur += scur;
+        else
+            xcur += sbis > 0 ? delta : -delta;
+        fcur = damped_rate(kappa, omega, c, xcur);
+        if (fcur != fcur)
+            return -1;
+    }
+    return -1;
+}
+
+/* The antiderivative of the rate g_f + dg exp(-kappa t) cos(omega t) without
+ * its exp(-kappa t) cos(omega t) term, which is the same at both edges of a
+ * window and cancels. */
+static double antiderivative(double g_f, double dg, double kappa, double omega, double k2w2,
+                             double t)
+{
+    return g_f * t + dg * omega / k2w2 * exp(-kappa * t) * sin(omega * t);
+}
+
+/* pontus._measure.nm_measure_closed_form of one channel, for finite
+ * kappa > 0 and omega > 0: 0 with the measure in *out, or -1 where the Python
+ * raises.  The g_f = 0 geometric series, else the antiderivative's sum over
+ * the windows of negative_intervals' lobe loop, added left to right. */
+static int nm_channel(double g_s, double g_f, double kappa, double omega, double *out)
+{
+    const double PI = 3.141592653589793;
+    double dg = g_s - g_f, k2w2 = kappa * kappa + omega * omega;
+    if (g_f == 0 && dg > 0) {
+        double q = kappa * PI / omega;
+        *out = dg * omega / k2w2 * exp(-0.5 * q) / -expm1(-q);
+        return 0;
+    }
+    if (g_s < 0 || g_f < 0)
+        return -1;
+    *out = 0.0;
+    if (dg <= 0)
+        return 0;
+    double c = g_f / dg, sum = 0.0, shift = atan2(kappa, omega);
+    if (c >= 1.0)
+        return 0;
+    int windows = 0;
+    for (long n = 1;; n++) {
+        double lo = (2 * n - 1.5) * PI / omega, hi = (2 * n - 0.5) * PI / omega;
+        if (exp(-kappa * lo) < c)
+            break;
+        double t_min = ((2 * n - 1) * PI - shift) / omega, t1, t2;
+        if (damped_rate(kappa, omega, c, t_min) < 0.0) {
+            if (brentq(kappa, omega, c, lo, t_min, &t1) || brentq(kappa, omega, c, t_min, hi, &t2))
+                return -1;
+            sum += antiderivative(g_f, dg, kappa, omega, k2w2, t2)
+                   - antiderivative(g_f, dg, kappa, omega, k2w2, t1);
+            windows = 1;
+        }
+    }
+    if (windows)
+        *out = -sum;
+    return 0;
+}
+
+/* pontus._measure.measure_total: the non-Markov measure summed left to right
+ * over the n channels of rates gs -> gf.  Returns 0 with the total in *out,
+ * or -1 where the Python route must run: kappa or omega not finite and
+ * positive, a rate not finite, or a channel on which the Python raises. */
+int pontus_nm_total(const double *gs, const double *gf, long n, double kappa, double omega,
+                    double *out)
+{
+    if (!(kappa > 0 && kappa < INFINITY && omega > 0 && omega < INFINITY))
+        return -1;
+    double total = 0.0, value;
+    for (long i = 0; i < n; i++) {
+        if (!isfinite(gs[i]) || !isfinite(gf[i]) || nm_channel(gs[i], gf[i], kappa, omega, &value))
+            return -1;
+        total += value;
+    }
+    *out = total;
+    return 0;
 }

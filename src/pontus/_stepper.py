@@ -1,4 +1,5 @@
-"""Build, cache and load the compiled ramp stepper and dense output of ``_stepper.c``.
+"""Build, cache and load the kernel library of ``_stepper.c``: the compiled ramp
+stepper, its dense output and the non-Markov measure.
 
 On first use the kernel is compiled with the system C compiler, ``cc``, and
 cached beside this file in ``__pycache__``, as CPython caches bytecode.  The
@@ -8,8 +9,8 @@ place only once it passes the known-answer check, so processes that race on
 a cold cache each load a checked kernel and leave one file.  A cached
 library is checked again on every load.  Where no compiler runs, the
 directory cannot be written or is world-writable, or no library passes,
-``kernel`` returns None and the Python stepper runs; the route is logged
-once, at INFO.
+``kernel`` returns None and the Python stepper and measure run; the route is
+logged once, at INFO.
 """
 
 from __future__ import annotations
@@ -35,16 +36,18 @@ _L = ctypes.c_long
 _STEPS_ARGTYPES = (_P, _D, _D, _D, _P, ctypes.c_int, _P, _D, _D, _D, _D, _D, _D, _P, _L,
                    ctypes.POINTER(_L))
 _DENSE_ARGTYPES = (_P, _L, _D, _P, _L, _P)
+_NM_TOTAL_ARGTYPES = (_P, _P, _L, _D, _D, ctypes.POINTER(_D))
 _UNTRIED = object()
 _kernel = _UNTRIED
 
 
 class Kernel(NamedTuple):
-    """The library's two functions: ``steps``, pontus_dormand_prince, and
-    ``dense``, pontus_dense_output."""
+    """The library's three functions: ``steps``, pontus_dormand_prince,
+    ``dense``, pontus_dense_output, and ``nm_total``, pontus_nm_total."""
 
     steps: Callable
     dense: Callable
+    nm_total: Callable
 
 
 def kernel(check):
@@ -69,9 +72,11 @@ def cache_path() -> Path:
 
 def _open(path, check):
     library = ctypes.CDLL(str(path))
-    found = Kernel(library.pontus_dormand_prince, library.pontus_dense_output)
+    found = Kernel(library.pontus_dormand_prince, library.pontus_dense_output,
+                   library.pontus_nm_total)
     found.steps.restype, found.steps.argtypes = ctypes.c_int, _STEPS_ARGTYPES
     found.dense.restype, found.dense.argtypes = None, _DENSE_ARGTYPES
+    found.nm_total.restype, found.nm_total.argtypes = ctypes.c_int, _NM_TOTAL_ARGTYPES
     return found if check(found) else None
 
 

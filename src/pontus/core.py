@@ -143,7 +143,9 @@ class Trajectory:
     recorded span (see ``distance_evaluator``); it backs sub-sample
     bisection of threshold crossings.  ``dist``, the trace distance of each
     sample to the target, is derived from ``r`` and ``target`` on
-    construction (``trace_distances``).  ``envelope``, set only for an
+    construction (``trace_distances``).  ``rates``, the (n, 3) rates at the
+    sample times, is computed by ``rates_of`` from ``t`` when first read, as
+    only the trajectory CSV reads it.  ``envelope``, set only for an
     oscillating rate modulation, bounds the modulation's amplitude at a
     time (the schedule's ``envelope``).  ``nfev``, ``n_accepted`` and
     ``n_rejected`` count the right-hand-side calls and the accepted and
@@ -153,7 +155,7 @@ class Trajectory:
 
     t: np.ndarray
     r: np.ndarray
-    rates: np.ndarray
+    rates_of: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
     dist: np.ndarray = field(init=False)
     target: BlochVector
     distance_of: Callable = field(repr=False, compare=False)
@@ -168,12 +170,15 @@ class Trajectory:
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
         self.r = np.asarray(self.r, dtype=float)
-        self.rates = np.asarray(self.rates, dtype=float)
-        if not (len(self.t) == len(self.r) == len(self.rates)):
+        if len(self.t) != len(self.r):
             raise ValueError("sample arrays must share one length")
         if len(self.t) > 1 and not np.all(np.diff(self.t) > 0):
             raise ValueError("sample times must be strictly increasing")
         self.dist = trace_distances(self.r, self.target.as_array())
+
+    @functools.cached_property
+    def rates(self) -> np.ndarray:
+        return np.asarray(self.rates_of(self.t), dtype=float)
 
     def __len__(self) -> int:
         return len(self.t)

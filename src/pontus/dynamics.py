@@ -39,6 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import _stepper
+from ._measure import compiled_total, measure_total
 from ._roots import brentq
 from .core import (
     TOL_BALL,
@@ -646,7 +647,8 @@ def _kernel_agrees(kernel) -> bool:
     ``t_end`` run with a capped step must equal the Python stepper's bit
     for bit, records, counts and stop time, and so must the dense output at
     t = 0, the stride grid, every step's start and end, and times past the
-    last step."""
+    last step, and the non-Markov measure of a channel with 13 windows, one
+    with a vanishing final rate and one that never turns negative."""
     # the coefficients and dg_max of the ramp from rates (0.9, 0.1, 0.3) to
     # (0.05, 0.4, 0.0) in the field (1, 0, 0.5), rounded, and F's attractor,
     # found without the generator functions, whose calls perfbench's tracer
@@ -655,13 +657,14 @@ def _kernel_agrees(kernel) -> bool:
     lam_f = np.array([[-0.225, -1.0, 0.0], [1.0, -0.225, -2.0], [0.0, 2.0, -0.45]])
     target = np.linalg.solve(lam_f, [0.0, 0.0, 0.35]).tolist()
     y = [0.3, -0.2, 0.5]
-    for stop, t_bound, rtol, max_step in (
-        ((target, 0.005, 0.05), 1e4, 1e-6, math.inf),
-        (None, 2.0, 1e-9, 0.25),
-    ):
-        args = (coef, 0.7, 2.0, 0.85, stop, y, t_bound, rtol, 1e-10, max_step)
-        want = _dormand_prince(*args)
-        try:
+    measure = ((0.75, 0.9, 0.3), (0.05, 0.0, 0.5), 0.05, 1.5)
+    try:
+        for stop, t_bound, rtol, max_step in (
+            ((target, 0.005, 0.05), 1e4, 1e-6, math.inf),
+            (None, 2.0, 1e-9, 0.25),
+        ):
+            args = (coef, 0.7, 2.0, 0.85, stop, y, t_bound, rtol, 1e-10, max_step)
+            want = _dormand_prince(*args)
             got = _compiled_steps(kernel, *args)
             if bytes(want[0]) != bytes(got[0]) or want[1:] != got[1:]:
                 return False
@@ -671,15 +674,17 @@ def _kernel_agrees(kernel) -> bool:
             want = _DenseOutput(steps, t)(ts)
             if want.tobytes() != _compiled_dense(kernel, steps, t)(ts).tobytes():
                 return False
-        except (PontusError, ValueError, ctypes.ArgumentError):  # what a faulty kernel raises
-            return False
-    return True
+        got = compiled_total(kernel, *measure)
+        return got is not None and got.hex() == measure_total(*measure).hex()
+    except (PontusError, ValueError, ctypes.ArgumentError):  # what a faulty kernel raises
+        return False
 
 
 def ramp_kernel():
     """The checked compiled kernel (``_stepper.Kernel``) with which
     ``integrate`` steps an ``ExponentialCosineSchedule`` and evaluates its
-    dense output, or None for the Python stepper and ``_DenseOutput``;
+    dense output, and ``nonmarkov`` computes the non-Markov measure, or None
+    for the Python stepper, ``_DenseOutput`` and ``_measure.measure_total``;
     loaded on the first call of a process, so a caller about to fork
     workers can load it once for all of them."""
     return _stepper.kernel(_kernel_agrees)
@@ -734,7 +739,7 @@ def integrate(
         return Trajectory(
             t=np.array([0.0]),
             r=y0[None, :],
-            rates=schedule.rates_array(np.array([0.0])),
+            rates_of=schedule.rates_array,
             target=target,
             distance_of=distance_evaluator(lambda ts: np.tile(y0, (len(ts), 1)), tgt),
             envelope=schedule.envelope,
@@ -759,7 +764,7 @@ def integrate(
     return Trajectory(
         t=ts,
         r=rs,
-        rates=schedule.rates_array(ts),
+        rates_of=schedule.rates_array,
         target=target,
         distance_of=distance_evaluator(dense, tgt),
         timed_out=(t_end is None and not stopped),

@@ -3,12 +3,16 @@
 A channel contributes whenever its instantaneous rate turns negative.  The
 accumulated weight of the negative windows admits a closed form on every
 channel (through the antiderivative of the rate, or a geometric series over
-the cosine lobes when the final rate vanishes), with an adaptive quadrature
-as the independent cross-check, and the Markovian/non-Markovian boundary in
-the (kappa, omega) plane follows from a tangency condition on the first
-negative lobe.  Window edges and the tangency slope are roots found by the
-in-house Brent solver (``_roots.brentq``, bit for bit scipy's ``brentq``);
-scipy is imported only by the quadrature oracle.
+the cosine lobes when the final rate vanishes; ``_measure``, re-exported
+here), with an adaptive quadrature as the independent cross-check, and the
+Markovian/non-Markovian boundary in the (kappa, omega) plane follows from a
+tangency condition on the first negative lobe.  Window edges and the
+tangency slope are roots found by the in-house Brent solver
+(``_roots.brentq``, bit for bit scipy's ``brentq``); scipy is imported only
+by the quadrature oracle.  The three-channel measure of ``is_non_markovian``
+and of every gain-map cell is computed by the compiled kernel library
+(``_stepper.c``, loaded by ``dynamics.ramp_kernel``) where one loads, with
+the same floats as the Python closed form, which runs everywhere else.
 """
 
 from __future__ import annotations
@@ -20,7 +24,15 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._measure import (
+    _lobes,
+    compiled_total,
+    measure_total,
+    negative_intervals,
+    nm_measure_closed_form,
+)
 from ._roots import brentq
+from .dynamics import ramp_kernel
 from .errors import DivergentIntervalCount, NoSolution
 
 CHANNELS = ("plus", "minus", "z")
@@ -106,87 +118,6 @@ def nm_measure_quadrature(
     return total
 
 
-def _lobes(omega: float):
-    """(n, start, end) of the negative cosine lobes
-    ((2n - 1.5) pi / omega, (2n - 0.5) pi / omega), n = 1, 2, ..."""
-    for n in itertools.count(1):
-        yield n, (2 * n - 1.5) * math.pi / omega, (2 * n - 0.5) * math.pi / omega
-
-
-def negative_intervals(
-    g_s: float, g_f: float, kappa: float, omega: float
-) -> list:
-    """Time windows where gamma(t) = g_f + (g_s - g_f) e^{-kt} cos(wt) < 0.
-
-    Each window is bracketed inside one negative cosine lobe and its
-    endpoints are the roots of the rate, located to 1e-12.
-    """
-    if kappa <= 0 and omega <= 0:
-        raise ValueError("at least one of kappa, omega must be positive")
-    if g_s < 0 or g_f < 0:
-        raise ValueError("endpoint rates must be nonnegative")
-    dg = g_s - g_f
-    if omega == 0 or dg <= 0:
-        # monotone approach from above (or from below with nonnegative
-        # start): the rate never changes sign
-        return []
-    if g_f == 0:
-        raise DivergentIntervalCount(
-            "vanishing final rate: every negative lobe contributes"
-        )
-    c = g_f / dg
-    if c >= 1.0:
-        return []
-    if kappa == 0:
-        raise DivergentIntervalCount(
-            "undamped modulation: negative lobes repeat forever"
-        )
-
-    def f(t: float) -> float:
-        return math.exp(-kappa * t) * math.cos(omega * t) + c
-
-    out = []
-    for n, lo, hi in _lobes(omega):
-        if math.exp(-kappa * lo) < c:
-            break  # envelope can no longer reach the threshold
-        t_min = ((2 * n - 1) * math.pi - math.atan2(kappa, omega)) / omega
-        if f(t_min) < 0.0:
-            t1 = brentq(f, lo, t_min, xtol=1e-12)
-            t2 = brentq(f, t_min, hi, xtol=1e-12)
-            out.append((float(t1), float(t2)))
-    return out
-
-
-def nm_measure_closed_form(
-    g_s: float, g_f: float, kappa: float, omega: float
-) -> float:
-    """Total negative-rate weight of one channel over all times.
-
-    Sums the antiderivative of the rate across the negative windows; the
-    damped-cosine part of the antiderivative is the same constant at both
-    window edges (the rate vanishes there) and cancels, leaving the linear
-    term proportional to the final rate plus the sine part.  When the final
-    rate vanishes every cosine lobe is a window, |sin| = 1 at its edges, and
-    the sum over the lobes is the geometric series
-    dg omega / (kappa^2 + omega^2) e^{-q/2} / (1 - e^{-q}), q = kappa pi / omega.
-    """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    dg = g_s - g_f
-    k2w2 = kappa * kappa + omega * omega
-    if g_f == 0 and dg > 0 and omega > 0:
-        q = kappa * math.pi / omega
-        return dg * omega / k2w2 * math.exp(-0.5 * q) / -math.expm1(-q)
-    intervals = negative_intervals(g_s, g_f, kappa, omega)
-
-    def antiderivative(t: float) -> float:
-        return g_f * t + dg * omega / k2w2 * math.exp(-kappa * t) * math.sin(
-            omega * t
-        )
-
-    return -sum(antiderivative(t2) - antiderivative(t1) for t1, t2 in intervals)
-
-
 def markov_boundary_alpha(g_s: float, g_f: float) -> float:
     """Slope parameter of the per-channel boundary omega(kappa) = kappa/alpha.
 
@@ -261,7 +192,10 @@ def is_non_markovian(
 
 def _non_markovian(rates_s, rates_f, kappa: float, omega: float, slopes):
     """``is_non_markovian`` on the rates' ``_boundary_slopes``, found here
-    when ``slopes`` is None; a sweep over kappa and omega finds them once."""
+    when ``slopes`` is None; a sweep over kappa and omega finds them once.
+    The measure is the compiled kernel's (``_measure.compiled_total``) where
+    one loads, else, or where the kernel declines, ``measure_total``'s: the
+    same float."""
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     gs = np.asarray(rates_s, dtype=float)
@@ -270,10 +204,10 @@ def _non_markovian(rates_s, rates_f, kappa: float, omega: float, slopes):
         return False, 0.0
     least = _least_boundary_omega(_boundary_slopes(gs, gf) if slopes is None else slopes, kappa)
     flag = least is not None and omega > least
-    total = sum(
-        nm_measure_closed_form(float(a), float(b), kappa, omega)
-        for a, b in zip(gs, gf)
-    )
+    kernel = ramp_kernel()
+    total = None if kernel is None else compiled_total(kernel, gs, gf, kappa, omega)
+    if total is None:
+        total = measure_total(gs, gf, kappa, omega)
     return flag, float(total)
 
 

@@ -327,9 +327,13 @@ class _ConstantStages:
         relax = self.flow_f.sampler(r_i)
 
         ts = np.concatenate([t_a, t_f[1:]])
-        rates = np.tile(self.pF.gamma.as_array(), (len(ts), 1))
-        if t_i > 0:
-            rates[ts <= t_i] = self.pA.gamma.as_array()
+        pA, pF = self.pA, self.pF  # not self, whose flows the result must not keep
+
+        def rates_of(ts: np.ndarray) -> np.ndarray:
+            rates = np.tile(pF.gamma.as_array(), (len(ts), 1))
+            if t_i > 0:
+                rates[ts <= t_i] = pA.gamma.as_array()
+            return rates
 
         def states(ts: np.ndarray) -> np.ndarray:
             out = np.empty((len(ts), 3))
@@ -341,7 +345,7 @@ class _ConstantStages:
         return Trajectory(
             t=ts,
             r=np.vstack([r_a, states_f[1:]]),
-            rates=rates,
+            rates_of=rates_of,
             target=self.target,
             distance_of=distance_evaluator(states, tgt),
             timed_out=not reached and bool(trace_distances(states_f[-1:], tgt)[0] >= eps),

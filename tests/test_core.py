@@ -143,7 +143,7 @@ class TestTrajectory:
             Trajectory(
                 t=np.array([0.0, 0.0]),
                 r=r,
-                rates=np.zeros((2, 3)),
+                rates_of=lambda ts: np.zeros((len(ts), 3)),
                 target=tgt,
                 distance_of=lambda t: 0.0,
             )
@@ -155,7 +155,7 @@ class TestTrajectory:
         traj = Trajectory(
             t=np.arange(257) * 0.05,
             r=r,
-            rates=np.zeros((257, 3)),
+            rates_of=lambda ts: np.zeros((len(ts), 3)),
             target=tgt,
             distance_of=lambda t: 0.0,
         )
@@ -171,7 +171,7 @@ class TestTrajectory:
             Trajectory(
                 t=np.array([0.0, 0.05]),
                 r=np.zeros((3, 3)),
-                rates=np.zeros((2, 3)),
+                rates_of=lambda ts: np.zeros((len(ts), 3)),
                 target=BlochVector(0, 0, 0),
                 distance_of=lambda t: 0.0,
             )

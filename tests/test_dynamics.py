@@ -476,7 +476,7 @@ def scipy_rk45(schedule, r0, target, cfg, eps, t_end=None):
     traj = Trajectory(
         t=ts,
         r=rs,
-        rates=schedule.rates_array(ts),
+        rates_of=schedule.rates_array,
         target=target,
         distance_of=distance_evaluator(lambda t: sol.sol(t).T, tgt),
         timed_out=(t_end is None and sol.status == 0),

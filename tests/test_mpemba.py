@@ -110,7 +110,7 @@ def _fake_result(dists, target, t_i, r_i, tau):
     traj = Trajectory(
         t=t,
         r=r,
-        rates=np.zeros((n, 3)),
+        rates_of=lambda ts: np.zeros((len(ts), 3)),
         target=target,
         distance_of=distance_evaluator(lambda ts: np.tile(r_i, (len(ts), 1)), tgt),
     )

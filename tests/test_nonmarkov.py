@@ -28,9 +28,8 @@ def rate_of(g_s, g_f, kappa, omega):
 
 def sign_scan_intervals(g_s, g_f, kappa, omega, t_max, n=400000):
     """Independent oracle: negative windows located by a dense sign scan."""
-    gam = rate_of(g_s, g_f, kappa, omega)
     ts = np.linspace(0.0, t_max, n)
-    neg = np.array([gam(t) for t in ts]) < 0
+    neg = g_f + (g_s - g_f) * np.exp(-kappa * ts) * np.cos(omega * ts) < 0
     starts = np.nonzero(~neg[:-1] & neg[1:])[0]
     ends = np.nonzero(neg[:-1] & ~neg[1:])[0]
     return list(zip(ts[starts], ts[ends]))

@@ -80,6 +80,36 @@ class TestRateAt:
             traj.rates[~before], np.tile(DETOUR_F.gamma.as_array(), ((~before).sum(), 1))
         )
 
+    @pytest.mark.parametrize("route", ["kernel", "python"])
+    def test_rates_are_built_when_first_read(self, route, request):
+        # each run's rates table is the one that it built on construction:
+        # the schedule's rates at the sample times, or F's rates tiled with
+        # A's up to and at the switch
+        if route == "python":
+            request.getfixturevalue("python_route")
+        sched = exp_cos(0.2, 0.5)
+        target = steady_state(assemble_generator(PLANAR_F))
+        settled = held(PLANAR_F)
+        runs = [
+            (run_continuous(PLANAR_S, PLANAR_F, 0.2, 0.5).trajectory, sched.rates_array),
+            (integrate(settled, target, target, IntegratorConfig(), 1e-4), settled.rates_array),
+        ]
+        for t_i in (0.0, 2.0, 2.01):
+            def tiled(ts, t_i=t_i):
+                rates = np.tile(DETOUR_F.gamma.as_array(), (len(ts), 1))
+                if t_i > 0:
+                    rates[ts <= t_i] = DETOUR_A.gamma.as_array()
+                return rates
+
+            runs.append((_ConstantStages(DETOUR_S, DETOUR_A, DETOUR_F, 1e-4,
+                                         IntegratorConfig()).trajectory(t_i), tiled))
+        assert len(runs[1][0]) == 1
+        for traj, rates_of in runs:
+            assert "rates" not in vars(traj)
+            want = rates_of(traj.t)
+            assert traj.rates.dtype == want.dtype and traj.rates.tobytes() == want.tobytes()
+            assert traj.rates is traj.rates
+
     def test_negative_instants_under_oscillation(self):
         s = exp_cos(0.1, 1.0)
         assert s.rates_array([math.pi])[0, 0] < 0  # cosine trough

@@ -1,12 +1,14 @@
-"""The compiled ramp stepper (``_stepper.c``) against the Python stepper.
+"""The compiled kernel library (``_stepper.c``) against the Python routes.
 
-Both must write the same step records bit for bit, take the same counts and
-stop at the same time, and raise the same messages; the compiled dense output
-must give ``_DenseOutput``'s floats at every time.  The loader must fall
-back to the Python stepper, and say so, wherever no checked kernel loads.
+Both steppers must write the same step records bit for bit, take the same
+counts and stop at the same time, and raise the same messages; the compiled
+dense output must give ``_DenseOutput``'s floats at every time, and the
+compiled non-Markov measure ``_non_markovian``'s.  The loader must fall back
+to the Python routes, and say so, wherever no checked kernel loads.
 """
 
 import ctypes
+import json
 import logging
 import math
 import os
@@ -32,10 +34,11 @@ from pontus import (
     run_continuous,
     steady_state,
 )
-from pontus import _stepper, dynamics
+from pontus import _measure, _stepper, dynamics, is_non_markovian, negative_intervals, nonmarkov
 from pontus.protocols import DEFAULT_EPS
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
@@ -212,6 +215,66 @@ class TestDenseOutput:
 
         assert dynamics._kernel_agrees(kernel)
         assert not dynamics._kernel_agrees(kernel._replace(dense=one_ulp_off))
+        assert generator_calls == []  # so perfbench's traced counts repeat
+
+
+def measure_cases():
+    """(rates_s, rates_f, kappa, omega): the rates of configs fig4a, fig4b,
+    fig5a and fig5b on a 12x12 grid of kappa in [0.01, 100] (log) and omega
+    in [0, 2], then 2,000 seeded triples with kappa log-uniform in
+    [1e-3, 1e3], omega in [0, 5] and a fifth of the final rates zero."""
+    kappas, omegas = np.geomspace(0.01, 100.0, 12), np.linspace(0.0, 2.0, 12)
+    for name in ("fig4a", "fig4b", "fig5a", "fig5b"):
+        sweep = json.loads((ROOT / "configs" / f"{name}.json").read_text())["sweep"]
+        for kappa in kappas:
+            for omega in omegas:
+                yield sweep["rates_s"], sweep["rates_f"], float(kappa), float(omega)
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        rates_s, rates_f = rng.uniform(0.0, 1.5, 3), rng.uniform(0.0, 1.5, 3)
+        rates_f[rng.random(3) < 0.2] = 0.0
+        yield rates_s, rates_f, float(10 ** rng.uniform(-3, 3)), float(rng.uniform(0.0, 5.0))
+
+
+class TestMeasure:
+    def test_matches_the_python_route(self, kernel, monkeypatch):
+        cases = list(measure_cases())
+        got = [nonmarkov._non_markovian(*case, None) for case in cases]
+        compiled = [_measure.compiled_total(kernel, *case) for case in cases]
+        monkeypatch.setattr(nonmarkov, "ramp_kernel", lambda: None)
+        want = [nonmarkov._non_markovian(*case, None) for case in cases]
+        seen = {"vanishing final rate": 0, "several windows": 0}
+        for case, (flag, total), direct, (want_flag, want_total) in zip(cases, got, compiled, want):
+            assert flag == want_flag and total.hex() == want_total.hex(), case
+            rates_s, rates_f, kappa, omega = case
+            if omega > 0:
+                assert direct is not None and direct.hex() == want_total.hex(), case
+                for g_s, g_f in zip(rates_s, rates_f):
+                    if g_f == 0 < g_s:
+                        seen["vanishing final rate"] += 1
+                    elif seen["several windows"] < 20 and kappa > 0.05:
+                        seen["several windows"] += len(negative_intervals(g_s, g_f, kappa, omega)) > 1
+        assert seen["vanishing final rate"] > 100 and seen["several windows"] == 20, seen
+
+    def test_declines_where_the_python_raises(self, kernel):
+        negative = ((0.75, -0.1, 0.75), (0.05, 0.1, 0.15))
+        assert _measure.compiled_total(kernel, *negative, 0.5, 1.0) is None
+        with pytest.raises(ValueError, match="endpoint rates must be nonnegative"):
+            is_non_markovian(*negative, 0.5, 1.0)
+        rates = ((0.75, 0.75, 0.75), (0.05, 0.1, 0.15))
+        assert _measure.compiled_total(kernel, *rates, 0.5, 1.0) is not None
+        for kappa, omega in ((math.inf, 1.0), (0.5, math.nan), (0.5, -1.0), (0.5, 0.0)):
+            assert _measure.compiled_total(kernel, *rates, kappa, omega) is None
+
+    def test_known_answer_check_covers_the_measure(self, kernel, generator_calls):
+        def one_ulp_off(gs, gf, n, kappa, omega, out):
+            code = kernel.nm_total(gs, gf, n, kappa, omega, out)
+            out._obj.value = math.nextafter(out._obj.value, math.inf)
+            return code
+
+        assert dynamics._kernel_agrees(kernel)
+        assert not dynamics._kernel_agrees(kernel._replace(nm_total=one_ulp_off))
+        assert not dynamics._kernel_agrees(kernel._replace(nm_total=lambda *args: -1))
         assert generator_calls == []  # so perfbench's traced counts repeat
 
 

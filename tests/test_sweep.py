@@ -9,6 +9,7 @@ import pytest
 
 import pontus.sweep
 from pontus import (
+    ExponentialCosineSchedule,
     FieldVector,
     GridAxis,
     IntegratorConfig,
@@ -214,6 +215,21 @@ class TestSetUpOncePerMap:
             assert gm.status[i][j] == "ok"
             assert np.float64(res.tau).tobytes() == gm.tau_cpm[i, j].tobytes()
             assert res.inconclusive == gm.inconclusive[i, j]
+
+    @pytest.mark.parametrize("route", ["kernel", "python"])
+    def test_cells_build_no_rates_table(self, route, request, monkeypatch):
+        if route == "python":
+            request.getfixturevalue("python_route")
+        maps = ((sweep_kappa_omega, omega_spec(3, 3)), (sweep_kappa_theta, theta_spec(3, 2)))
+        want = [map_fields(sweep(spec, jobs=1)) for sweep, spec in maps]
+
+        def refuse(self, ts):
+            raise AssertionError("a cell built a rates table")
+
+        monkeypatch.setattr(ExponentialCosineSchedule, "rates_array", refuse)
+        got = [sweep(spec, jobs=1) for sweep, spec in maps]
+        assert [map_fields(gm) for gm in got] == want
+        assert all(cell == "ok" for gm in got for row in gm.status for cell in row)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_set_up_is_recorded_by_every_cell(self, jobs, monkeypatch):
