@@ -32,6 +32,14 @@ def _lobes(omega: float):
         yield n, (2 * n - 1.5) * math.pi / omega, (2 * n - 0.5) * math.pi / omega
 
 
+def _check_modulation(kappa: float, omega: float) -> None:
+    """ValueError unless kappa and omega are finite and nonnegative: the lobe
+    loop never ends on a NaN omega and walks to negative times on a negative
+    one."""
+    if not (0 <= kappa < math.inf and 0 <= omega < math.inf):
+        raise ValueError("kappa and omega must be nonnegative and finite")
+
+
 def negative_intervals(
     g_s: float, g_f: float, kappa: float, omega: float
 ) -> list:
@@ -40,6 +48,7 @@ def negative_intervals(
     Each window is bracketed inside one negative cosine lobe and its
     endpoints are the roots of the rate, located to 1e-12.
     """
+    _check_modulation(kappa, omega)
     if kappa <= 0 and omega <= 0:
         raise ValueError("at least one of kappa, omega must be positive")
     if g_s < 0 or g_f < 0:
@@ -91,6 +100,7 @@ def nm_measure_closed_form(
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
+    _check_modulation(kappa, omega)
     dg = g_s - g_f
     k2w2 = kappa * kappa + omega * omega
     if g_f == 0 and dg > 0 and omega > 0:

@@ -5,17 +5,23 @@
  * Every expression is the Python stepper's, with the same operands in the
  * same order, so both write the same floats: the initial step, the seven
  * f + m d coefficients of each stage, the error norm and the controller, the
- * Bloch-ball check and the stop rule's sign test.  The bit identity rests on
- * IEEE double arithmetic with no fused multiply-add (-ffp-contract=off, no
- * -ffast-math) and on the same libm calls that Python's math module makes;
- * pontus._stepper builds the library so and checks it against the Python
- * stepper before use.  pontus_dense_output evaluates the quartic dense output
- * of the step records as pontus.dynamics._DenseOutput does, float for float.
- * pontus_nm_total is the non-Markov measure of pontus._measure.measure_total,
- * its Brent root steps, lobe loop and sums included, float for float too.
- * The event's root and the error messages stay in Python.
+ * Bloch-ball check, the stop rule's sign test and its root on the last step.
+ * The bit identity rests on IEEE double arithmetic with no fused multiply-add
+ * (-ffp-contract=off, no -ffast-math) and on the same libm calls that
+ * Python's math module makes; pontus._stepper builds the library so and
+ * checks it against the Python before use.  pontus_dense_output evaluates the
+ * quartic dense output of the step records as pontus.dynamics._DenseOutput
+ * does, float for float.  pontus_cell is what a gain-map cell reads of a run:
+ * integrate's stride samples and their ball check, and
+ * pontus.dynamics._threshold_analysis of them, its refined series, crossings
+ * and tau included.  pontus_nm_total is the non-Markov measure of
+ * pontus._measure.measure_total, its lobe loop and sums included.  One Brent
+ * routine, pontus._roots.brentq step for step, finds every root: the stop
+ * rule's, tau and the measure's window edges.  The error messages stay in
+ * Python, which maps each return code to its exception.
  */
 #include <math.h>
+#include <stdlib.h>
 
 /* Python's x ** y calls libm's pow, and glibc's pow(x, 2.0) is not always
  * x * x; called through a volatile pointer, the compiler cannot fold it. */
@@ -28,6 +34,175 @@ static double square(double x) { return x == 0.0 ? 0.0 : pow_(fabs(x), 2.0); }
 /* Slots of the state array that carries a run between calls. */
 enum { T, Y1, Y2, Y3, K1, K2, K3, W1, W2, W3, H_ABS, G_OLD, NFEV, N_REJECTED, T_NEW, NORM };
 
+/* pontus._roots._RTOL: brentq's default and least rtol, 4 machine epsilons. */
+static const double RTOL = 4 * 2.220446049250313e-16;
+
+/* A function of a time and its fixed arguments, whose root brentq finds. */
+typedef double (*function)(const void *args, double t);
+
+/* pontus._roots.brentq of f on [a, b], with maxiter 100, step for step: 0
+ * with the root in *root, or -1 where brentq raises (a NaN value, no sign
+ * change, no convergence). */
+static int brentq(function f, const void *args, double a, double b, double xtol, double rtol,
+                  double *root)
+{
+    double xpre = a, xcur = b, xblk = 0.0, fblk = 0.0, spre = 0.0, scur = 0.0, x, fx;
+    double fpre = f(args, xpre), fcur;
+    if (fpre != fpre)
+        return -1;
+    fcur = f(args, xcur);
+    if (fcur != fcur)
+        return -1;
+    if (fpre == 0) {
+        *root = xpre;
+        return 0;
+    }
+    if (fcur == 0) {
+        *root = xcur;
+        return 0;
+    }
+    if (copysign(1.0, fpre) == copysign(1.0, fcur))
+        return -1;
+    for (int i = 0; i < 100; i++) {
+        if (fpre != 0 && fcur != 0 && copysign(1.0, fpre) != copysign(1.0, fcur)) {
+            xblk = xpre, fblk = fpre;
+            spre = scur = xcur - xpre;
+        }
+        if (fabs(fblk) < fabs(fcur)) {
+            x = xcur, fx = fcur;
+            xpre = xcur, xcur = xblk, xblk = x;
+            fpre = fcur, fcur = fblk, fblk = fx;
+        }
+        double delta = (xtol + rtol * fabs(xcur)) / 2;
+        double sbis = (xblk - xcur) / 2;
+        if (fcur == 0 || fabs(sbis) < delta) {
+            *root = xcur;
+            return 0;
+        }
+        int good = 0; /* 0 where the Python's stry stays None */
+        double stry = 0.0;
+        if (fabs(spre) > delta && fabs(fcur) < fabs(fpre)) {
+            if (xpre == xblk) { /* interpolate */
+                double den = fcur - fpre;
+                if (den != 0) {
+                    stry = -fcur * (xcur - xpre) / den;
+                    good = 1;
+                }
+            } else if (xpre != xcur && xblk != xcur) { /* extrapolate */
+                double dpre = (fpre - fcur) / (xpre - xcur);
+                double dblk = (fblk - fcur) / (xblk - xcur);
+                double den = dblk * dpre * (fblk - fpre);
+                if (den != 0) {
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den;
+                    good = 1;
+                }
+            }
+        }
+        double bound = 3 * fabs(sbis) - delta; /* Python's min(|spre|, bound) */
+        if (!(bound < fabs(spre)))
+            bound = fabs(spre);
+        if (good && 2 * fabs(stry) < bound) { /* good short step */
+            spre = scur, scur = stry;
+        } else { /* bisect */
+            spre = scur = sbis;
+        }
+        xpre = xcur, fpre = fcur;
+        if (fabs(scur) > delta)
+            xcur += scur;
+        else
+            xcur += sbis > 0 ? delta : -delta;
+        fcur = f(args, xcur);
+        if (fcur != fcur)
+            return -1;
+    }
+    return -1;
+}
+
+/* The quartic dense output of the n >= 1 step records `steps`, ending at
+ * t_final, at the m times `ts`: the states, into the m x 3 array `out`.  A
+ * time is served by step k = searchsorted(t_break, t, "left") - 1, clipped to
+ * the steps, where t_break holds the step starts and t_final (a NaN time last,
+ * as numpy sorts it), and that step's interpolant y + h (q1 x + q2 x^2 + q3 x^3
+ * + q4 x^4), x = (t - t_k) / h, with q1 = k1 and q2..q4 the stages weighted by
+ * P's columns (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6): each
+ * float as pontus.dynamics._DenseOutput forms it, in the same order. */
+void pontus_dense_output(const double *steps, long n, double t_final, const double *ts, long m,
+                         double *out)
+{
+    static const double P1[3] = {-8048581381.0 / 2820520608, 8663915743.0 / 2820520608,
+                                 -12715105075.0 / 11282082432};
+    static const double P3[3] = {131558114200.0 / 32700410799, -68118460800.0 / 10900136933,
+                                 87487479700.0 / 32700410799};
+    static const double P4[3] = {-1754552775.0 / 470086768, 14199869525.0 / 1410260304,
+                                 -10690763975.0 / 1880347072};
+    static const double P5[3] = {127303824393.0 / 49829197408, -318862633887.0 / 49829197408,
+                                 701980252875.0 / 199316789632};
+    static const double P6[3] = {-282668133.0 / 205662961, 2019193451.0 / 616988883,
+                                 -1453857185.0 / 822651844};
+    static const double P7[3] = {40617522.0 / 29380423, -110615467.0 / 29380423,
+                                 69997945.0 / 29380423};
+    const double *r = steps;
+    double q[3][4];
+    long last = -1;
+    for (long i = 0; i < m; i++) {
+        double t = ts[i];
+        long lo = 0, hi = n + 1;
+        /* at or past the last time's step: the next few breaks first, then
+         * a binary search */
+        if (last >= 0 && r[0] < t) {
+            lo = last + 1;
+            while (lo <= n && lo <= last + 8 && (lo < n ? steps[23 * lo] : t_final) < t)
+                lo++;
+            if (lo <= last + 8)
+                hi = lo;
+        }
+        while (lo < hi) {
+            long mid = lo + (hi - lo) / 2;
+            double b = mid < n ? steps[23 * mid] : t_final;
+            if (b < t || (t != t && b == b))
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        long k = lo - 1 < 0 ? 0 : lo - 1 > n - 1 ? n - 1 : lo - 1;
+        if (k != last) {
+            r = steps + 23 * k;
+            for (int c = 0; c < 3; c++) {
+                double k1 = r[5 + c], k3 = r[8 + c], k4 = r[11 + c], k5 = r[14 + c],
+                       k6 = r[17 + c], k7 = r[20 + c];
+                q[c][0] = k1;
+                for (int j = 0; j < 3; j++)
+                    q[c][j + 1] = k1 * P1[j] + k3 * P3[j] + k4 * P4[j] + k5 * P5[j]
+                                  + k6 * P6[j] + k7 * P7[j];
+            }
+            last = k;
+        }
+        double h = r[1], x = (t - r[0]) / h, x2 = x * x, x3 = x2 * x;
+        for (int c = 0; c < 3; c++)
+            out[3 * i + c] = r[2 + c] + h * (q[c][0] * x + q[c][1] * x2 + q[c][2] * x3
+                                             + q[c][3] * (x3 * x));
+    }
+}
+
+/* pontus.dynamics._stop_function on the interpolant of one step record: the
+ * stop function max(|y - target|/2 - tol, dg_max exp(-kappa t) - eps) with
+ * `stop` = (target, tol, eps). */
+struct stop_rule {
+    const double *record, *stop;
+    double kappa, dg_max;
+};
+
+static double stop_gap(const void *args, double t)
+{
+    const struct stop_rule *a = args;
+    const double *g = a->stop;
+    double y[3];
+    pontus_dense_output(a->record, 1, t, &t, 1, y);
+    double d = 0.5 * sqrt(square(y[0] - g[0]) + square(y[1] - g[1]) + square(y[2] - g[2])) - g[3];
+    double u = a->dg_max * exp(-a->kappa * t) - g[4];
+    return u > d ? u : d;
+}
+
 /* Runs from t = 0 when `start` is set, else resumes from `s`.  `c` holds the
  * 14 ramp coefficients (L00, L11, L22, L01, L02, L12, b_z of (lam_f, b_f),
  * then of (dlam, db)); `stop` is NULL for a run to t_bound, or (target,
@@ -36,10 +211,11 @@ enum { T, Y1, Y2, Y3, K1, K2, K3, W1, W2, W3, H_ABS, G_OLD, NFEV, N_REJECTED, T_
  * `cap` per call, and counts them in *n.
  *
  * Returns 0 at t_bound; 1 when the stop function changed sign on the last
- * record, which ends at s[T_NEW]; 2 when `steps` is full (call again to
- * resume); -1 when the stop function is negative at t = 0; -2 when the step
- * falls below 10 ulp of t; -3 when a step ends outside the ball, at s[T_NEW]
- * with |r| = s[NORM]. */
+ * record, which ends at s[T_NEW], with its root on that record's interpolant
+ * (pontus.dynamics._event_time) in s[T]; 2 when `steps` is full (call again
+ * to resume); -1 when the stop function is negative at t = 0; -2 when the
+ * step falls below 10 ulp of t; -3 when a step ends outside the ball, at
+ * s[T_NEW] with |r| = s[NORM]; -4 as 1, but where brentq finds no root. */
 int pontus_dormand_prince(const double *c, double kappa, double omega, double dg_max,
                           const double *stop, int start, double *s, double t_bound,
                           double rtol, double atol, double max_step, double sqrt3,
@@ -234,8 +410,9 @@ int pontus_dormand_prince(const double *c, double kappa, double omega, double dg
                     g_new = u;
             }
             if ((g_old <= 0 && 0 <= g_new) || (g_new <= 0 && 0 <= g_old)) {
+                struct stop_rule rule = {steps + 23 * (*n - 1), stop, kappa, dg_max};
                 s[T_NEW] = t_new;
-                code = 1;
+                code = brentq(stop_gap, &rule, t, t_new, RTOL, RTOL, &t) ? -4 : 1;
                 break;
             }
             g_old = g_new;
@@ -255,147 +432,162 @@ int pontus_dormand_prince(const double *c, double kappa, double omega, double dg
     return code;
 }
 
-/* The quartic dense output of the n >= 1 step records `steps`, ending at
- * t_final, at the m times `ts`: the states, into the m x 3 array `out`.  A
- * time is served by step k = searchsorted(t_break, t, "left") - 1, clipped to
- * the steps, where t_break holds the step starts and t_final (a NaN time last,
- * as numpy sorts it), and that step's interpolant y + h (q1 x + q2 x^2 + q3 x^3
- * + q4 x^4), x = (t - t_k) / h, with q1 = k1 and q2..q4 the stages weighted by
- * P's columns (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6): each
- * float as pontus.dynamics._DenseOutput forms it, in the same order. */
-void pontus_dense_output(const double *steps, long n, double t_final, const double *ts, long m,
-                         double *out)
+/* The trace distance of y to the target g, as pontus.core.trace_distances
+ * sums it. */
+static double distance(const double *y, const double *g)
 {
-    static const double P1[3] = {-8048581381.0 / 2820520608, 8663915743.0 / 2820520608,
-                                 -12715105075.0 / 11282082432};
-    static const double P3[3] = {131558114200.0 / 32700410799, -68118460800.0 / 10900136933,
-                                 87487479700.0 / 32700410799};
-    static const double P4[3] = {-1754552775.0 / 470086768, 14199869525.0 / 1410260304,
-                                 -10690763975.0 / 1880347072};
-    static const double P5[3] = {127303824393.0 / 49829197408, -318862633887.0 / 49829197408,
-                                 701980252875.0 / 199316789632};
-    static const double P6[3] = {-282668133.0 / 205662961, 2019193451.0 / 616988883,
-                                 -1453857185.0 / 822651844};
-    static const double P7[3] = {40617522.0 / 29380423, -110615467.0 / 29380423,
-                                 69997945.0 / 29380423};
-    const double *r = steps;
-    double q[3][4];
-    long last = -1;
-    for (long i = 0; i < m; i++) {
-        double t = ts[i];
-        long lo = 0, hi = n + 1;
-        while (lo < hi) {
-            long mid = lo + (hi - lo) / 2;
-            double b = mid < n ? steps[23 * mid] : t_final;
-            if (b < t || (t != t && b == b))
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        long k = lo - 1 < 0 ? 0 : lo - 1 > n - 1 ? n - 1 : lo - 1;
-        if (k != last) {
-            r = steps + 23 * k;
-            for (int c = 0; c < 3; c++) {
-                double k1 = r[5 + c], k3 = r[8 + c], k4 = r[11 + c], k5 = r[14 + c],
-                       k6 = r[17 + c], k7 = r[20 + c];
-                q[c][0] = k1;
-                for (int j = 0; j < 3; j++)
-                    q[c][j + 1] = k1 * P1[j] + k3 * P3[j] + k4 * P4[j] + k5 * P5[j]
-                                  + k6 * P6[j] + k7 * P7[j];
-            }
-            last = k;
-        }
-        double h = r[1], x = (t - r[0]) / h, x2 = x * x, x3 = x2 * x;
-        for (int c = 0; c < 3; c++)
-            out[3 * i + c] = r[2 + c] + h * (q[c][0] * x + q[c][1] * x2 + q[c][2] * x3
-                                             + q[c][3] * (x3 * x));
+    double a = y[0] - g[0], b = y[1] - g[1], c = y[2] - g[2];
+    return 0.5 * sqrt(a * a + b * b + c * c);
+}
+
+/* The dense output's distance to the target less eps at t: the function
+ * whose root on the last downward crossing is tau. */
+struct run {
+    const double *steps, *stop;
+    long n;
+    double t_final;
+};
+
+static double distance_gap(const void *args, double t)
+{
+    const struct run *a = args;
+    double y[3];
+    pontus_dense_output(a->steps, a->n, a->t_final, &t, 1, y);
+    return distance(y, a->stop) - a->stop[4];
+}
+
+/* The crossings of eps by a series fed one point at a time, in time order:
+ * their count, and the bracket (lo, hi) of the last downward one. */
+struct crossings {
+    double eps, t, lo, hi;
+    long count;
+    int above, any, down; /* above: -1 before the first point */
+};
+
+static void visit(struct crossings *c, double t, double d)
+{
+    int above = d >= c->eps;
+    if (c->above >= 0 && above != c->above) {
+        c->count++;
+        if (c->above)
+            c->lo = c->t, c->hi = t, c->down = 1;
     }
+    c->any |= above, c->above = above, c->t = t;
+}
+
+/* np.sign(b - a) as -1, 0 or 1, and 2 for NaN. */
+static int slope(double a, double b)
+{
+    double s = b - a;
+    return s > 0 ? 1 : s < 0 ? -1 : s == 0 ? 0 : 2;
+}
+
+/* Whether the slope changes sign from sample j to j + 1 of d, as the
+ * Python's slope[j] != slope[j + 1] tells it, NaN unequal to all. */
+static int reversal(const double *d, long j)
+{
+    int a = slope(d[j], d[j + 1]);
+    return a == 2 || a != slope(d[j + 1], d[j + 2]);
+}
+
+/* What a gain-map cell reads of the stop-rule run of the n >= 1 step
+ * records `steps` that ends at t_final, stopped there by its stop rule or
+ * else at the time cap; `stop` holds (target, tol, eps).  First
+ * pontus.dynamics.integrate's samples: np.arange(0, t_final, stride) (i
+ * stride each), then t_final where it lies more than 1e-12 past the last,
+ * and the largest |r| among them (a NaN if any is one), checked against
+ * `ball`.  Then, on a stopped run, pontus.dynamics._threshold_analysis: the
+ * series of _refined_threshold_series, which adds 8 points j step + t_k,
+ * step = (t_k+1 - t_k) / 9, to each interval inside the band (eps/4, 4 eps)
+ * that straddles eps or next to which the slope reverses (they lie in
+ * [t_k, t_k+1], and one equal to a sample has its distance, so the order of
+ * such ties does not matter); its crossings of eps; tau, brentq's root with
+ * `xtol` on the last downward one; and whether dg_max exp(-kappa tau) still
+ * exceeds eps at omega > 0.  Each float as the Python forms it, in the same
+ * order.
+ *
+ * Returns 0 with tau, the inconclusive flag and the crossing count in
+ * out[0..2] (all 0 where no point reaches eps); 1 for a run that hit the
+ * time cap; -1 when a sample lies outside the ball; -2 when the series never
+ * falls back below eps; -3 where the Python must run instead: no sample, no
+ * memory, or no root found.  out[3] holds the largest |r| but on -3. */
+int pontus_cell(const double *steps, long n, double t_final, int stopped, const double *stop,
+                double kappa, double omega, double dg_max, double stride, double ball,
+                double xtol, double *out)
+{
+    enum { CHUNK = 64 };
+    const double eps = stop[4], lo = eps / 4.0, hi = 4.0 * eps;
+    double count = ceil(t_final / stride);
+    if (!(count < 1e15))
+        return -3;
+    long m = count > 0 ? (long)count : 0;
+    long total = m + (t_final - (m ? (double)(m - 1) * stride : 0.0) > 1e-12);
+    double *d = total ? malloc(total * sizeof *d) : NULL, ts[CHUNK], y[3 * CHUNK];
+    double worst = -INFINITY;
+    if (d == NULL)
+        return -3;
+    out[0] = out[1] = out[2] = 0.0;
+#define SAMPLE(i) ((i) < m ? (double)(i) * stride : t_final)
+    for (long i = 0; i < total; i += CHUNK) {
+        long k = total - i < CHUNK ? total - i : CHUNK;
+        for (long j = 0; j < k; j++)
+            ts[j] = SAMPLE(i + j);
+        pontus_dense_output(steps, n, t_final, ts, k, y);
+        for (long j = 0; j < k; j++) {
+            const double *r = y + 3 * j;
+            double norm = sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2]);
+            if (norm > worst || norm != norm)
+                worst = norm;
+            d[i + j] = distance(r, stop);
+        }
+    }
+    out[3] = worst;
+    int code = worst > ball ? -1 : !stopped;
+    struct crossings c = {eps, 0.0, 0.0, 0.0, 0, -1, 0, 0};
+    for (long i = 0; code == 0 && i < total; i++) {
+        /* the interval from sample i - 1 to i */
+        double t = SAMPLE(i), a = d[i > 0 ? i - 1 : 0], b = d[i];
+        int refine = i > 0 && total >= 3 && a == a && b == b && (a < b ? a : b) < hi
+                     && (a < b ? b : a) > lo
+                     && ((a >= eps) != (b >= eps) || (i < total - 1 && reversal(d, i - 1))
+                         || (i > 1 && reversal(d, i - 2)));
+        if (!refine) {
+            visit(&c, t, b);
+            continue;
+        }
+        double t0 = SAMPLE(i - 1), step = (t - t0) / 9, sub[8], z[24];
+        for (int j = 0; j < 8; j++)
+            sub[j] = (j + 1) * step + t0;
+        pontus_dense_output(steps, n, t_final, sub, 8, z);
+        for (int j = 0; j < 8; j++)
+            visit(&c, sub[j], distance(z + 3 * j, stop));
+        visit(&c, t, b);
+    }
+#undef SAMPLE
+    free(d);
+    if (code != 0 || !c.any)
+        return code;
+    if (!c.down)
+        return -2;
+    struct run run = {steps, stop, n, t_final};
+    if (brentq(distance_gap, &run, c.lo, c.hi, xtol, RTOL, out))
+        return -3;
+    out[1] = omega > 0 && dg_max * exp(-kappa * out[0]) > eps;
+    out[2] = (double)c.count;
+    return 0;
 }
 
 /* f(t) = exp(-kappa t) cos(omega t) + c, a channel's rate over its modulation
  * g_s - g_f (c = g_f / (g_s - g_f)), as pontus._measure.negative_intervals
  * evaluates it. */
-static double damped_rate(double kappa, double omega, double c, double t)
-{
-    return exp(-kappa * t) * cos(omega * t) + c;
-}
+struct rate {
+    double kappa, omega, c;
+};
 
-/* pontus._roots.brentq of damped_rate on [a, b] with xtol 1e-12 and its
- * default rtol and maxiter, step for step: 0 with the root in *root, or -1
- * where brentq raises (a NaN value, no sign change, no convergence). */
-static int brentq(double kappa, double omega, double c, double a, double b, double *root)
+static double damped_rate(const void *args, double t)
 {
-    const double xtol = 1e-12, rtol = 4 * 2.220446049250313e-16;
-    double xpre = a, xcur = b, xblk = 0.0, fblk = 0.0, spre = 0.0, scur = 0.0, x, f;
-    double fpre = damped_rate(kappa, omega, c, xpre), fcur;
-    if (fpre != fpre)
-        return -1;
-    fcur = damped_rate(kappa, omega, c, xcur);
-    if (fcur != fcur)
-        return -1;
-    if (fpre == 0) {
-        *root = xpre;
-        return 0;
-    }
-    if (fcur == 0) {
-        *root = xcur;
-        return 0;
-    }
-    if (copysign(1.0, fpre) == copysign(1.0, fcur))
-        return -1;
-    for (int i = 0; i < 100; i++) {
-        if (fpre != 0 && fcur != 0 && copysign(1.0, fpre) != copysign(1.0, fcur)) {
-            xblk = xpre, fblk = fpre;
-            spre = scur = xcur - xpre;
-        }
-        if (fabs(fblk) < fabs(fcur)) {
-            x = xcur, f = fcur;
-            xpre = xcur, xcur = xblk, xblk = x;
-            fpre = fcur, fcur = fblk, fblk = f;
-        }
-        double delta = (xtol + rtol * fabs(xcur)) / 2;
-        double sbis = (xblk - xcur) / 2;
-        if (fcur == 0 || fabs(sbis) < delta) {
-            *root = xcur;
-            return 0;
-        }
-        int good = 0; /* 0 where the Python's stry stays None */
-        double stry = 0.0;
-        if (fabs(spre) > delta && fabs(fcur) < fabs(fpre)) {
-            if (xpre == xblk) { /* interpolate */
-                double den = fcur - fpre;
-                if (den != 0) {
-                    stry = -fcur * (xcur - xpre) / den;
-                    good = 1;
-                }
-            } else if (xpre != xcur && xblk != xcur) { /* extrapolate */
-                double dpre = (fpre - fcur) / (xpre - xcur);
-                double dblk = (fblk - fcur) / (xblk - xcur);
-                double den = dblk * dpre * (fblk - fpre);
-                if (den != 0) {
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / den;
-                    good = 1;
-                }
-            }
-        }
-        double bound = 3 * fabs(sbis) - delta; /* Python's min(|spre|, bound) */
-        if (!(bound < fabs(spre)))
-            bound = fabs(spre);
-        if (good && 2 * fabs(stry) < bound) { /* good short step */
-            spre = scur, scur = stry;
-        } else { /* bisect */
-            spre = scur = sbis;
-        }
-        xpre = xcur, fpre = fcur;
-        if (fabs(scur) > delta)
-            xcur += scur;
-        else
-            xcur += sbis > 0 ? delta : -delta;
-        fcur = damped_rate(kappa, omega, c, xcur);
-        if (fcur != fcur)
-            return -1;
-    }
-    return -1;
+    const struct rate *r = args;
+    return exp(-r->kappa * t) * cos(r->omega * t) + r->c;
 }
 
 /* The antiderivative of the rate g_f + dg exp(-kappa t) cos(omega t) without
@@ -426,6 +618,7 @@ static int nm_channel(double g_s, double g_f, double kappa, double omega, double
     if (dg <= 0)
         return 0;
     double c = g_f / dg, sum = 0.0, shift = atan2(kappa, omega);
+    struct rate rate = {kappa, omega, c};
     if (c >= 1.0)
         return 0;
     int windows = 0;
@@ -434,8 +627,9 @@ static int nm_channel(double g_s, double g_f, double kappa, double omega, double
         if (exp(-kappa * lo) < c)
             break;
         double t_min = ((2 * n - 1) * PI - shift) / omega, t1, t2;
-        if (damped_rate(kappa, omega, c, t_min) < 0.0) {
-            if (brentq(kappa, omega, c, lo, t_min, &t1) || brentq(kappa, omega, c, t_min, hi, &t2))
+        if (damped_rate(&rate, t_min) < 0.0) {
+            if (brentq(damped_rate, &rate, lo, t_min, 1e-12, RTOL, &t1)
+                || brentq(damped_rate, &rate, t_min, hi, 1e-12, RTOL, &t2))
                 return -1;
             sum += antiderivative(g_f, dg, kappa, omega, k2w2, t2)
                    - antiderivative(g_f, dg, kappa, omega, k2w2, t1);

@@ -1,5 +1,6 @@
 """Build, cache and load the kernel library of ``_stepper.c``: the compiled ramp
-stepper, its dense output and the non-Markov measure.
+stepper, its dense output, a gain-map cell's analysis of a run and the
+non-Markov measure.
 
 On first use the kernel is compiled with the system C compiler, ``cc``, and
 cached beside this file in ``__pycache__``, as CPython caches bytecode.  The
@@ -9,8 +10,8 @@ place only once it passes the known-answer check, so processes that race on
 a cold cache each load a checked kernel and leave one file.  A cached
 library is checked again on every load.  Where no compiler runs, the
 directory cannot be written or is world-writable, or no library passes,
-``kernel`` returns None and the Python stepper and measure run; the route is
-logged once, at INFO.
+``kernel`` returns None and the Python stepper, analysis and measure run; the
+route is logged once, at INFO.
 """
 
 from __future__ import annotations
@@ -36,17 +37,22 @@ _L = ctypes.c_long
 _STEPS_ARGTYPES = (_P, _D, _D, _D, _P, ctypes.c_int, _P, _D, _D, _D, _D, _D, _D, _P, _L,
                    ctypes.POINTER(_L))
 _DENSE_ARGTYPES = (_P, _L, _D, _P, _L, _P)
+_CELL_ARGTYPES = (_P, _L, _D, ctypes.c_int, _P, _D, _D, _D, _D, _D, _D, _P)
 _NM_TOTAL_ARGTYPES = (_P, _P, _L, _D, _D, ctypes.POINTER(_D))
 _UNTRIED = object()
 _kernel = _UNTRIED
 
 
 class Kernel(NamedTuple):
-    """The library's three functions: ``steps``, pontus_dormand_prince,
-    ``dense``, pontus_dense_output, and ``nm_total``, pontus_nm_total."""
+    """The library's four functions: ``steps``, pontus_dormand_prince, which
+    also finds the stop rule's root; ``dense``, pontus_dense_output;
+    ``cell``, pontus_cell, a gain-map cell's samples, ball check and
+    threshold analysis of a run's step records; and ``nm_total``,
+    pontus_nm_total."""
 
     steps: Callable
     dense: Callable
+    cell: Callable
     nm_total: Callable
 
 
@@ -73,9 +79,10 @@ def cache_path() -> Path:
 def _open(path, check):
     library = ctypes.CDLL(str(path))
     found = Kernel(library.pontus_dormand_prince, library.pontus_dense_output,
-                   library.pontus_nm_total)
+                   library.pontus_cell, library.pontus_nm_total)
     found.steps.restype, found.steps.argtypes = ctypes.c_int, _STEPS_ARGTYPES
     found.dense.restype, found.dense.argtypes = None, _DENSE_ARGTYPES
+    found.cell.restype, found.cell.argtypes = ctypes.c_int, _CELL_ARGTYPES
     found.nm_total.restype, found.nm_total.argtypes = ctypes.c_int, _NM_TOTAL_ARGTYPES
     return found if check(found) else None
 

@@ -1,27 +1,22 @@
-"""Generator assembly and propagation of the affine Bloch equation.
+"""Generator assembly and propagation of the affine Bloch equation, and the
+threshold analysis of a run.
 
 Constant-parameter dynamics is propagated exactly through the drift's
 eigenmodes, or a matrix exponential where those are unusable
-(``ConstantFlow``).
-The library's one time-dependent schedule, the damped-cosine ramp
-(``protocols.ExponentialCosineSchedule``), goes through an in-house adaptive
-Dormand-Prince 5(4) stepper specialised to its affine form
+(``ConstantFlow``).  The library's one time-dependent schedule, the
+damped-cosine ramp (``protocols.ExponentialCosineSchedule``), goes through an
+in-house adaptive Dormand-Prince 5(4) stepper specialised to its affine form
 Lambda(t) = lam_f + m(t) dlam, b(t) = b_f + m(t) db with
-m(t) = exp(-kappa t) cos(omega t): scalar floats, stages that form the
-velocity inline from seven ramp coefficients and m, no builtin call in the
-step loop but the ramp's exp and cos, the stop rule checked inline (its
-settle term only where it decides the sign), and the quartic dense-output
-coefficients of all steps built in one pass at the end (``_DenseOutput``).
-It copies the initial step, error norm, step controller and event location
-of scipy's RK45, whose steps it takes up to round-off; the event's root is
-found by the in-house Brent solver (``_roots.brentq``, bit for bit scipy's
-``brentq``) on the step's quartic in plain floats.  The same step loop runs
-compiled (``_stepper.c``, loaded by ``_stepper.kernel``) with the same
-arguments; it performs the same float operations in the same order and so
-writes the same step records, and evaluates their dense output at any times
-as ``_DenseOutput`` does, float for float, without its coefficient table.
-The event's root and the error messages stay here, and the Python stepper
-and ``_DenseOutput`` serve every process where no kernel loads.  Two
+m(t) = exp(-kappa t) cos(omega t): scalar floats, the stages formed inline,
+the stop rule checked inline, and the quartic dense output of all steps
+built in one pass (``_DenseOutput``).  It copies the initial step, error
+norm, controller and event location of scipy's RK45; the event's root is
+found by the in-house Brent solver (``_roots.brentq``, bit for bit scipy's).
+The compiled kernel (``_stepper.c``, loaded by ``_stepper.kernel``) repeats
+these float operations in the same order: the step loop with the event's
+root, the dense output at any times, and a gain-map cell's samples, ball
+check and ``_threshold_analysis`` (``_analysed``), with no Trajectory built.
+The Python routes serve every process where no kernel loads.  Two
 independent oracles (a density-matrix-level rebuild of the generator and a
 time-ordered product integrator) cross-check both routes.  scipy is imported
 only by ``expm``, on its first call.
@@ -51,7 +46,7 @@ from .core import (
     trace_distances,
     write_csv,
 )
-from .errors import BallViolation, PontusError, SingularGenerator, StepSizeUnderflow
+from .errors import BallViolation, NotConverged, PontusError, SingularGenerator, StepSizeUnderflow
 
 _COND_CAP = 1e12
 _RESIDUAL_CAP = 1e-10
@@ -278,6 +273,8 @@ _P5 = (127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 1
 _P6 = (-282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844)
 _P7 = (40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423)
 _EPS = float(np.finfo(float).eps)
+#: Absolute time tolerance of the root finder that sharpens tau.
+TAU_XTOL = 1e-9
 _SQRT3 = 3**0.5
 _BALL_SQ = (1.0 + TOL_BALL) ** 2
 
@@ -319,31 +316,6 @@ class _DenseOutput:
         return self.y_old[k] + h[:, None] * poly
 
 
-def _step_interpolant(t0, h, ys, ks):
-    """One step's quartic interpolant on plain floats: from the step's start
-    t0, length h, start state ys and per component its stages 1, 3, ..., 7,
-    the function from a time to the state, each float as ``_DenseOutput``
-    gives it, as the same operations run in the same order."""
-    (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4) = (
-        (y, k1, *(k1 * p1 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6 + k7 * p7
-                  for p1, p3, p4, p5, p6, p7 in zip(_P1, _P3, _P4, _P5, _P6, _P7)))
-        for y, (k1, k3, k4, k5, k6, k7) in zip(ys, ks)
-    )
-
-    def at(s):
-        x = (s - t0) / h
-        x2 = x * x
-        x3 = x2 * x
-        x4 = x3 * x
-        return (
-            a0 + h * (a1 * x + a2 * x2 + a3 * x3 + a4 * x4),
-            b0 + h * (b1 * x + b2 * x2 + b3 * x3 + b4 * x4),
-            c0 + h * (c1 * x + c2 * x2 + c3 * x3 + c4 * x4),
-        )
-
-    return at
-
-
 def _rms3(a: float, b: float, c: float) -> float:
     return math.sqrt(a * a + b * b + c * c) / _SQRT3
 
@@ -364,9 +336,9 @@ def _stop_function(stop, kappa, dg_max):
 def _event_time(gap, record, t_end):
     """Root of ``gap`` on the interpolant of one 23-float step record that
     ends at ``t_end``: the time at which a run's stop rule ends it."""
-    t, h = record[0], record[1]
-    at = _step_interpolant(t, h, record[2:5], (record[5::3], record[6::3], record[7::3]))
-    return brentq(lambda s: gap(s, *at(s)), t, t_end, xtol=4 * _EPS, rtol=4 * _EPS)
+    at = _DenseOutput(record, t_end)
+    return brentq(lambda s: gap(s, *at([s])[0].tolist()), float(at.t_break[0]), t_end,
+                  xtol=4 * _EPS, rtol=4 * _EPS)
 
 
 _UNDERFLOW = "Required step size is less than spacing between numbers."
@@ -374,6 +346,10 @@ _UNDERFLOW = "Required step size is less than spacing between numbers."
 
 def _left_ball(t: float, norm: float) -> BallViolation:
     return BallViolation(f"trajectory left the Bloch ball at t = {t:.12g} (|r| = {norm:.12g})")
+
+
+def _sampled_outside(worst: float) -> BallViolation:
+    return BallViolation(f"trajectory left the Bloch ball (max sampled |r| = {worst:.12g})")
 
 
 def _dormand_prince(coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol, max_step):
@@ -591,9 +567,9 @@ _CHUNK = 4096
 def _compiled_steps(kernel, coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol,
                     max_step):
     """``_dormand_prince`` with the same arguments, through the compiled
-    stepper of ``_stepper.c`` (``kernel.steps``): the same records, counts
-    and exceptions, with the step records in an (n, 23) numpy array.  The
-    event's root is found here, on the same stop function as there."""
+    stepper of ``_stepper.c`` (``kernel.steps``), which also finds the
+    event's root: the same records, counts, stop time and exceptions, with
+    the step records in an (n, 23) numpy array."""
     coef = np.array(coef, dtype=float)
     target = None if stop is None else np.array([*stop[0], stop[1], stop[2]])
     state = np.zeros(16)  # the slots of _stepper.c's enum
@@ -615,12 +591,11 @@ def _compiled_steps(kernel, coef, kappa, omega, dg_max, stop, y, t_bound, rtol, 
         raise StepSizeUnderflow(_UNDERFLOW)
     if code == -3:
         raise _left_ball(float(state[14]), float(state[15]))
-    steps = np.concatenate(chunks)
+    steps = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     t = float(state[0])
-    if code == 1:
-        t = _event_time(_stop_function(stop, kappa, dg_max), steps[-1].tolist(),
-                        float(state[14]))
-    return steps, t, code == 1, int(state[12]), int(state[13])
+    if code == -4:  # the kernel's root search failed: the Python's raises its error
+        t = _event_time(_stop_function(stop, kappa, dg_max), steps[-1:], float(state[14]))
+    return steps, t, code != 0, int(state[12]), int(state[13])
 
 
 def _compiled_dense(kernel, steps, t_final):
@@ -647,8 +622,10 @@ def _kernel_agrees(kernel) -> bool:
     ``t_end`` run with a capped step must equal the Python stepper's bit
     for bit, records, counts and stop time, and so must the dense output at
     t = 0, the stride grid, every step's start and end, and times past the
-    last step, and the non-Markov measure of a channel with 13 windows, one
-    with a vanishing final rate and one that never turns negative."""
+    last step, the cell analysis of the stop-rule run, which crosses eps 5
+    times with 15 refined intervals and ends inconclusive, and the
+    non-Markov measure of a channel with 13 windows, one with a vanishing
+    final rate and one that never turns negative."""
     # the coefficients and dg_max of the ramp from rates (0.9, 0.1, 0.3) to
     # (0.05, 0.4, 0.0) in the field (1, 0, 0.5), rounded, and F's attractor,
     # found without the generator functions, whose calls perfbench's tracer
@@ -656,14 +633,14 @@ def _kernel_agrees(kernel) -> bool:
     coef = [-0.225, -0.225, -0.45, -1.0, 0.0, -2.0, -0.35, -0.875, -0.875, -0.55, 0.0, 0.0, 0.0, 1.15]
     lam_f = np.array([[-0.225, -1.0, 0.0], [1.0, -0.225, -2.0], [0.0, 2.0, -0.45]])
     target = np.linalg.solve(lam_f, [0.0, 0.0, 0.35]).tolist()
-    y = [0.3, -0.2, 0.5]
+    y, eps = [0.3, -0.2, 0.5], 0.0087
     measure = ((0.75, 0.9, 0.3), (0.05, 0.0, 0.5), 0.05, 1.5)
     try:
-        for stop, t_bound, rtol, max_step in (
-            ((target, 0.005, 0.05), 1e4, 1e-6, math.inf),
-            (None, 2.0, 1e-9, 0.25),
+        for kappa, omega, stop, t_bound, rtol, max_step in (
+            (0.3, 1.0, (target, eps / 10.0, eps), 1e4, 1e-6, math.inf),
+            (0.7, 2.0, None, 2.0, 1e-9, 0.25),
         ):
-            args = (coef, 0.7, 2.0, 0.85, stop, y, t_bound, rtol, 1e-10, max_step)
+            args = (coef, kappa, omega, 0.85, stop, y, t_bound, rtol, 1e-10, max_step)
             want = _dormand_prince(*args)
             got = _compiled_steps(kernel, *args)
             if bytes(want[0]) != bytes(got[0]) or want[1:] != got[1:]:
@@ -671,9 +648,15 @@ def _kernel_agrees(kernel) -> bool:
             steps, t = got[:2]
             ts = np.concatenate([np.arange(0.0, t, 0.05), steps[:, 0], steps[:, 0] + steps[:, 1],
                                  [t, t + 1.0]])
-            want = _DenseOutput(steps, t)(ts)
-            if want.tobytes() != _compiled_dense(kernel, steps, t)(ts).tobytes():
+            dense = _DenseOutput(steps, t)
+            if dense(ts).tobytes() != _compiled_dense(kernel, steps, t)(ts).tobytes():
                 return False
+            if stop:  # and so must the cell analysis of the stop-rule run
+                traj = Trajectory(*_samples(dense, t, 0.05), None, BlochVector(*target),
+                                  distance_evaluator(dense, np.array(target)),
+                                  envelope=lambda s: 0.85 * math.exp(-0.3 * s))
+                if _analysed(kernel, args, 0.05) != _threshold_analysis(traj, eps):
+                    return False
         got = compiled_total(kernel, *measure)
         return got is not None and got.hex() == measure_total(*measure).hex()
     except (PontusError, ValueError, ctypes.ArgumentError):  # what a faulty kernel raises
@@ -688,6 +671,35 @@ def ramp_kernel():
     loaded on the first call of a process, so a caller about to fork
     workers can load it once for all of them."""
     return _stepper.kernel(_kernel_agrees)
+
+
+def _ramp_args(schedule, r0: BlochVector, target: BlochVector, cfg: IntegratorConfig,
+               eps: float, t_end: Optional[float] = None) -> tuple:
+    """The steppers' argument tuple for ``integrate``'s run."""
+    return (
+        schedule.coefficients, schedule.kappa, schedule.omega, schedule._dg_max,
+        None if t_end is not None else (target.as_array().tolist(), eps / 10.0, eps),
+        r0.as_array().tolist(),
+        cfg.t_cap if t_end is None else float(t_end),
+        # below about 100 eps the controller could not meet the tolerance
+        max(cfg.rel_tol, 100 * _EPS),
+        cfg.abs_tol,
+        cfg.max_step,
+    )
+
+
+def _samples(dense, t_stop: float, stride: float):
+    """A run's sample times, the stride grid up to ``t_stop`` and t_stop
+    itself, and the states there; BallViolation if one lies outside the
+    ball, as the steppers checked only the step ends."""
+    ts = np.arange(0.0, t_stop, stride)
+    if t_stop - (ts[-1] if len(ts) else 0.0) > 1e-12:
+        ts = np.append(ts, t_stop)
+    rs = dense(ts)
+    worst = float(np.max(np.linalg.norm(rs, axis=1)))
+    if worst > 1.0 + TOL_BALL:
+        raise _sampled_outside(worst)
+    return ts, rs
 
 
 def integrate(
@@ -705,7 +717,9 @@ def integrate(
     stepped and sampled by the compiled kernel of ``_stepper.c`` where one
     loads (``_stepper.kernel``), else by ``_dormand_prince`` and
     ``_DenseOutput``, which write the same step records and samples bit for
-    bit.
+    bit.  A gain-map cell, which reads only the run's threshold analysis,
+    takes it from ``_analysed`` instead where the kernel loads, with no
+    samples or Trajectory built.
 
     Integration stops once the trace distance to ``target`` is below
     ``eps/10`` while the schedule's remaining deviation from its final
@@ -719,48 +733,21 @@ def integrate(
         raise ValueError("t_end must be positive and finite")
     tgt = target.as_array()
     y0 = r0.as_array()
-    args = (
-        schedule.coefficients, schedule.kappa, schedule.omega, schedule._dg_max,
-        None if t_end is not None else (tgt.tolist(), eps / 10.0, eps),
-        y0.tolist(),
-        cfg.t_cap if t_end is None else float(t_end),
-        # below about 100 eps the controller could not meet the tolerance
-        max(cfg.rel_tol, 100 * _EPS),
-        cfg.abs_tol,
-        cfg.max_step,
-    )
+    args = _ramp_args(schedule, r0, target, cfg, eps, t_end)
     kernel = ramp_kernel()
     if kernel is None:
         steps, t_stop, stopped, nfev, n_rejected = _dormand_prince(*args)
     else:
         steps, t_stop, stopped, nfev, n_rejected = _compiled_steps(kernel, *args)
-    if steps is None:
-        # nothing to do: already settled at t = 0
-        return Trajectory(
-            t=np.array([0.0]),
-            r=y0[None, :],
-            rates_of=schedule.rates_array,
-            target=target,
-            distance_of=distance_evaluator(lambda ts: np.tile(y0, (len(ts), 1)), tgt),
-            envelope=schedule.envelope,
-        )
-
-    if kernel is None:
-        dense, n_accepted = _DenseOutput(steps, t_stop), len(steps) // 23
+    if steps is None:  # nothing to do: already settled at t = 0
+        dense, n_accepted = (lambda ts: np.tile(y0, (len(ts), 1))), 0
+        ts, rs = np.array([0.0]), y0[None, :]
     else:
-        dense, n_accepted = _compiled_dense(kernel, steps, t_stop), len(steps)
-    ts = np.arange(0.0, t_stop, cfg.sample_stride)
-    if t_stop - (ts[-1] if len(ts) else 0.0) > 1e-12:
-        ts = np.append(ts, t_stop)
-    rs = dense(ts)
-
-    # the stepper checked every step end; the interpolated samples remain
-    worst = float(np.max(np.linalg.norm(rs, axis=1)))
-    if worst > 1.0 + TOL_BALL:
-        raise BallViolation(
-            f"trajectory left the Bloch ball (max sampled |r| = {worst:.12g})"
-        )
-
+        if kernel is None:
+            dense, n_accepted = _DenseOutput(steps, t_stop), len(steps) // 23
+        else:
+            dense, n_accepted = _compiled_dense(kernel, steps, t_stop), len(steps)
+        ts, rs = _samples(dense, t_stop, cfg.sample_stride)
     return Trajectory(
         t=ts,
         r=rs,
@@ -773,6 +760,78 @@ def integrate(
         n_accepted=n_accepted,
         n_rejected=n_rejected,
     )
+
+
+def _refined_threshold_series(traj: Trajectory, eps: float):
+    """Sample series with extra evaluator points near the cutoff.
+
+    A sub-stride excursion across the threshold needs a turning point next
+    to the cutoff level, so only straddling intervals and slope reversals
+    inside the threshold band are subdivided.
+    """
+    t, d = traj.t, traj.dist
+    if len(t) < 3:
+        return t, d
+    lo_band, hi_band = eps / 4.0, 4.0 * eps
+    in_band = (np.minimum(d[:-1], d[1:]) < hi_band) & (np.maximum(d[:-1], d[1:]) > lo_band)
+    straddle = (d[:-1] >= eps) != (d[1:] >= eps)
+    slope = np.sign(np.diff(d))
+    turning = np.zeros(len(d) - 1, dtype=bool)
+    reversal = slope[:-1] != slope[1:]
+    turning[:-1] |= reversal  # extremum may hide on either side of the
+    turning[1:] |= reversal  # sample where the slope flips
+    refine = in_band & (straddle | turning)
+    if not refine.any():
+        return t, d
+    k = np.nonzero(refine)[0]
+    step = (t[k + 1] - t[k]) / 9  # linspace's own points, j * step + start
+    sub = (np.arange(1, 9) * step[:, None] + t[k][:, None]).ravel()
+    ts = np.concatenate([t, sub])
+    order = np.argsort(ts, kind="stable")
+    return ts[order], np.concatenate([d, traj.distance_of(sub)])[order]
+
+
+_UNSETTLED = "distance never settled below the cutoff"
+
+
+def _threshold_analysis(traj: Trajectory, eps: float):
+    """(tau, inconclusive, n_crossings) of a converged trajectory."""
+    if traj.timed_out:
+        raise NotConverged("trajectory hit the time cap before settling below the cutoff")
+    ts, ds = _refined_threshold_series(traj, eps)
+    above = ds >= eps
+    if not above.any():
+        return 0.0, False, 0
+    flips = np.nonzero(above[:-1] != above[1:])[0]
+    down = flips[above[flips]]
+    if len(down) == 0:
+        raise NotConverged(_UNSETTLED)
+    k = int(down[-1])
+    tau = float(brentq(lambda x: traj.distance_of(x) - eps, ts[k], ts[k + 1], xtol=TAU_XTOL))
+    inconclusive = traj.envelope is not None and traj.envelope(tau) > eps
+    return tau, inconclusive, int(len(flips))
+
+
+def _analysed(kernel, args, stride: float):
+    """``_threshold_analysis`` of ``integrate``'s run of the stop-rule
+    argument tuple ``args``, raising as they raise, tau None on a timeout:
+    the compiled analysis of its step records (``kernel.cell``), which builds
+    no samples or Trajectory; None where it declines, for the Python."""
+    kappa, omega, dg_max, (target, tol, eps) = args[1:5]
+    steps, t_stop, stopped, *_ = _compiled_steps(kernel, *args)
+    if steps is None:  # settled at t = 0
+        return 0.0, False, 0
+    stop, out = np.array([*target, tol, eps]), np.empty(4)
+    code = kernel.cell(steps.ctypes.data, len(steps), t_stop, stopped, stop.ctypes.data, kappa,
+                       omega, dg_max, stride, 1.0 + TOL_BALL, TAU_XTOL, out.ctypes.data)
+    tau, inconclusive, crossings, worst = out.tolist()
+    if code == -1:
+        raise _sampled_outside(worst)
+    if code == -2:
+        raise NotConverged(_UNSETTLED)
+    if code == -3:
+        return None
+    return (tau, inconclusive > 0, int(crossings)) if code == 0 else (None, False, 0)
 
 
 def product_integration_oracle(

@@ -14,8 +14,9 @@ from enum import Enum
 
 import numpy as np
 
+from .dynamics import TAU_XTOL
 from .errors import NotConverged
-from .protocols import TAU_XTOL, ProtocolResult
+from .protocols import ProtocolResult
 
 log = logging.getLogger(__name__)
 

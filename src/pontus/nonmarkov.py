@@ -25,6 +25,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._measure import (
+    _check_modulation,
     _lobes,
     compiled_total,
     measure_total,
@@ -198,6 +199,7 @@ def _non_markovian(rates_s, rates_f, kappa: float, omega: float, slopes):
     same float."""
     if kappa <= 0:
         raise ValueError("kappa must be positive")
+    _check_modulation(kappa, omega)
     gs = np.asarray(rates_s, dtype=float)
     gf = np.asarray(rates_f, dtype=float)
     if omega == 0:

@@ -23,7 +23,6 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ._roots import brentq
 from .core import (
     FieldVector,
     ParameterPoint,
@@ -36,16 +35,17 @@ from .core import (
 from .dynamics import (
     ConstantFlow,
     IntegratorConfig,
+    _analysed,
+    _ramp_args,
+    _threshold_analysis,
     assemble_generator,
     integrate,
+    ramp_kernel,
     steady_state,
 )
-from .errors import NotConverged
 
 #: Default trace-distance cutoff below which states count as indistinguishable.
 DEFAULT_EPS = 1e-4
-#: Absolute time tolerance of the root finder that sharpens tau.
-TAU_XTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -155,59 +155,6 @@ class ProtocolResult:
     @property
     def converged(self) -> bool:
         return not self.trajectory.timed_out
-
-
-def _refined_threshold_series(traj: Trajectory, eps: float):
-    """Sample series with extra evaluator points near the cutoff.
-
-    A sub-stride excursion across the threshold needs a turning point next
-    to the cutoff level, so only straddling intervals and slope reversals
-    inside the threshold band are subdivided.
-    """
-    t, d = traj.t, traj.dist
-    if len(t) < 3:
-        return t, d
-    lo_band, hi_band = eps / 4.0, 4.0 * eps
-    in_band = (np.minimum(d[:-1], d[1:]) < hi_band) & (
-        np.maximum(d[:-1], d[1:]) > lo_band
-    )
-    straddle = (d[:-1] >= eps) != (d[1:] >= eps)
-    slope = np.sign(np.diff(d))
-    turning = np.zeros(len(d) - 1, dtype=bool)
-    reversal = slope[:-1] != slope[1:]
-    turning[:-1] |= reversal  # extremum may hide on either side of the
-    turning[1:] |= reversal  # sample where the slope flips
-    refine = in_band & (straddle | turning)
-    if not refine.any():
-        return t, d
-    k = np.nonzero(refine)[0]
-    step = (t[k + 1] - t[k]) / 9  # linspace's own points, j * step + start
-    sub = (np.arange(1, 9) * step[:, None] + t[k][:, None]).ravel()
-    ts = np.concatenate([t, sub])
-    order = np.argsort(ts, kind="stable")
-    return ts[order], np.concatenate([d, traj.distance_of(sub)])[order]
-
-
-def _threshold_analysis(traj: Trajectory, eps: float):
-    """(tau, inconclusive, n_crossings) of a converged trajectory."""
-    if traj.timed_out:
-        raise NotConverged(
-            "trajectory hit the time cap before settling below the cutoff"
-        )
-    ts, ds = _refined_threshold_series(traj, eps)
-    above = ds >= eps
-    if not above.any():
-        return 0.0, False, 0
-    flips = np.nonzero(above[:-1] != above[1:])[0]
-    down = flips[above[flips]]
-    if len(down) == 0:
-        raise NotConverged("distance never settled below the cutoff")
-    k = int(down[-1])
-    tau = float(
-        brentq(lambda x: traj.distance_of(x) - eps, ts[k], ts[k + 1], xtol=TAU_XTOL)
-    )
-    inconclusive = traj.envelope is not None and traj.envelope(tau) > eps
-    return tau, inconclusive, int(len(flips))
 
 
 def _result(kind: str, traj: Trajectory, eps: float, **switch) -> ProtocolResult:
@@ -367,7 +314,7 @@ def run_continuous(
     quench; kappa -> 0 is the quasi-static limit and will exhaust the time
     cap.
     """
-    return _Ramp(pS, pF, eps, cfg).run(kappa, omega)
+    return _Ramp(pS, pF, eps, cfg).result(kappa, omega)
 
 
 class _Ramp:
@@ -375,7 +322,8 @@ class _Ramp:
     its kappa and omega: the checked endpoints, both attractors, and a
     schedule whose generator parts, coefficients and rate differences each
     run's schedule shares (``ExponentialCosineSchedule.at``).  A gain map
-    builds one per map, or per column of a kappa-theta map.
+    builds one per map, or per column of a kappa-theta map, and its cells
+    read ``run``; ``result`` is the full record that ``simulate`` writes.
     """
 
     def __init__(self, pS, pF, eps, cfg):
@@ -387,8 +335,20 @@ class _Ramp:
         self.schedule.coefficients, self.schedule._dg_max
         self.eps, self.cfg = eps, cfg
 
-    def run(self, kappa: float, omega: float) -> ProtocolResult:
-        """The run at kappa and omega, with its threshold analysis."""
-        schedule = self.schedule.at(kappa, omega)
-        traj = integrate(schedule, self.r0, self.target, self.cfg, self.eps)
+    def result(self, kappa: float, omega: float) -> ProtocolResult:
+        """The run at kappa and omega, its trajectory and threshold analysis."""
+        traj = integrate(self.schedule.at(kappa, omega), self.r0, self.target, self.cfg, self.eps)
         return _result("continuous", traj, self.eps)
+
+    def run(self, kappa: float, omega: float):
+        """``result``'s tau, inconclusive and n_threshold_crossings, raising
+        as it raises, all a gain-map cell reads: where the kernel loads, from
+        the compiled analysis of the run (``dynamics._analysed``), which
+        builds no Trajectory, unless it declines the run."""
+        kernel, schedule = ramp_kernel(), self.schedule.at(kappa, omega)
+        args = _ramp_args(schedule, self.r0, self.target, self.cfg, self.eps)
+        found = kernel and _analysed(kernel, args, self.cfg.sample_stride)
+        if found:
+            return found
+        res = self.result(kappa, omega)
+        return res.tau, res.inconclusive, res.n_threshold_crossings

@@ -1,7 +1,9 @@
 """Parameter-plane sweeps of the gain function, and t_I scans.
 
 A gain-map cell runs one continuous protocol against the direct baseline
-(shared per column); the ramp's set-up and the channels' tangency slopes,
+(shared per column) and reads only its tau and inconclusive flag
+(``_Ramp.run``), which the compiled kernel computes from the run's step
+records where it loads; the ramp's set-up and the channels' tangency slopes,
 which do not depend on the cell's kappa and omega, are built once per map
 (per column of a kappa-theta map).  Cells are independent over immutable
 inputs and run on one process pool.  Failed cells are recorded, never abort
@@ -156,17 +158,16 @@ def _cell(args):
     try:
         if isinstance(ramp, Exception):
             raise ramp.with_traceback(None)
-        res = ramp.run(kappa, omega)
+        tau, inconclusive, _ = ramp.run(kappa, omega)
     except SingularGenerator:
         return failed("singular-generator")
     except BallViolation:
         return failed("ball-violation")
     except Exception as exc:  # record, never abort the sweep
         return failed(f"error:{type(exc).__name__}", str(exc))
-    if not res.converged:
+    if tau is None:
         return failed(STATUS_TIMEOUT)
-    g = gain(tau_dir, res.tau).g
-    return res.tau, g, res.inconclusive, nm_flag, f_total, STATUS_OK, None
+    return tau, gain(tau_dir, tau).g, inconclusive, nm_flag, f_total, STATUS_OK, None
 
 
 def available_cpus() -> int:

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -311,3 +312,43 @@ class TestChannelReport:
     def test_markovian_channel_reports_zero(self):
         rep = channel_report(0.5, 0.1, 0.5, 0.0, "z")
         assert rep.f_value == 0.0 and rep.n_intervals == 0
+
+
+@pytest.fixture
+def deadline():
+    """Fails a test that runs for more than 10 s instead of letting it hang."""
+
+    def expire(signum, frame):
+        pytest.fail("no answer within 10 s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+BAD_MODULATIONS = [
+    *((bad, omega) for bad in (math.nan, math.inf, -math.inf, -0.5) for omega in (0.0, 1.0)),
+    *((0.5, bad) for bad in (math.nan, math.inf, -math.inf, -1.0)),
+]
+
+
+class TestBadModulation:
+    """A NaN omega once looped forever in ``negative_intervals`` and a
+    negative one walked to negative times until ``math.exp`` overflowed:
+    every entry point refuses a kappa or an omega that is not finite and
+    nonnegative, at once."""
+
+    @pytest.mark.parametrize("kappa, omega", BAD_MODULATIONS)
+    @pytest.mark.parametrize("function", [
+        lambda k, w: negative_intervals(0.75, 0.05, k, w),
+        lambda k, w: nm_measure_closed_form(0.75, 0.05, k, w),
+        lambda k, w: nm_measure_closed_form(0.75, 0.0, k, w),
+        lambda k, w: channel_report(0.75, 0.05, k, w, "plus"),
+        lambda k, w: is_non_markovian(MAP_RATES_S, MAP_RATES_F, k, w),
+    ], ids=["negative_intervals", "closed_form", "closed_form_vanishing", "channel_report",
+            "is_non_markovian"])
+    def test_refused(self, function, kappa, omega, deadline):
+        with pytest.raises(ValueError, match="kappa"):
+            function(kappa, omega)

@@ -25,8 +25,9 @@ from pontus import (
     scan_two_step,
     steady_state,
 )
+from pontus.dynamics import _refined_threshold_series, _threshold_analysis
 from pontus.mpemba import _two_step_class
-from pontus.protocols import _ConstantStages, _refined_threshold_series, _threshold_analysis
+from pontus.protocols import _ConstantStages
 from ramps import held
 
 PLANAR_S = ParameterPoint.make((0.707, 0.707, 0.0), (0.5, 0.1, 0.0), "S")

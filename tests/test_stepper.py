@@ -2,7 +2,8 @@
 
 Both steppers must write the same step records bit for bit, take the same
 counts and stop at the same time, and raise the same messages; the compiled
-dense output must give ``_DenseOutput``'s floats at every time, and the
+dense output must give ``_DenseOutput``'s floats at every time, the compiled
+cell analysis ``integrate`` and ``_threshold_analysis``'s results, and the
 compiled non-Markov measure ``_non_markovian``'s.  The loader must fall back
 to the Python routes, and say so, wherever no checked kernel loads.
 """
@@ -15,6 +16,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,20 +24,27 @@ import pytest
 
 from pontus import (
     BallViolation,
+    BlochVector,
     ExponentialCosineSchedule,
     FieldVector,
+    GridAxis,
     IntegratorConfig,
     ParameterPoint,
+    PontusError,
     RateTriple,
     SingularGenerator,
     StepSizeUnderflow,
+    SweepSpec,
     assemble_generator,
     integrate,
     run_continuous,
     steady_state,
 )
 from pontus import _measure, _stepper, dynamics, is_non_markovian, negative_intervals, nonmarkov
-from pontus.protocols import DEFAULT_EPS
+from pontus import sweep
+from pontus.core import Trajectory, distance_evaluator
+from pontus.protocols import DEFAULT_EPS, _Ramp
+from pontus.sweep import _field_for_theta
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -218,6 +227,219 @@ class TestDenseOutput:
         assert generator_calls == []  # so perfbench's traced counts repeat
 
 
+def analysis_cases():
+    """(schedule, r0, target, cfg, eps) of a gain-map cell's run: the seeded
+    ramps' stop-rule runs (cap 40) at the strides 0.05, 0.037 and 0.2 in
+    turn; the cells of configs fig4a, fig4b, fig5a and fig5b on a 12x12 grid
+    of their axes; a run settled at t = 0; and 12 seeded pure states that
+    precess at zero rates."""
+    for i, sched, stop, y, t_bound, rtol in seeded_runs():
+        if stop is not None:
+            target, _, eps = stop
+            stride = (0.05, 0.037, 0.2)[i % 3]
+            cfg = IntegratorConfig(rel_tol=rtol, t_cap=t_bound, sample_stride=stride)
+            yield sched, BlochVector(*y), BlochVector(*target), cfg, eps
+    for name in ("fig4a", "fig4b", "fig5a", "fig5b"):
+        section = json.loads((ROOT / "configs" / f"{name}.json").read_text())["sweep"]
+        second = section["kind"].removeprefix("kappa-")
+        kappas = np.geomspace(section["kappa"]["min"], section["kappa"]["max"], 12)
+        for x in np.linspace(section[second]["min"], section[second]["max"], 12):
+            h = FieldVector(*section["h"]) if second == "omega" else _field_for_theta(x)
+            s, f = (ParameterPoint(h, RateTriple(*section[k])) for k in ("rates_s", "rates_f"))
+            ramp = _Ramp(s, f, DEFAULT_EPS, IntegratorConfig())
+            omega = float(x) if second == "omega" else 0.0
+            for kappa in kappas:
+                sched = ramp.schedule.at(float(kappa), omega)
+                yield sched, ramp.r0, ramp.target, ramp.cfg, ramp.eps
+    sched = ExponentialCosineSchedule(RateTriple(0.5, 0.1, 0.0), RateTriple(0.5, 0.1, 0.0),
+                                      FieldVector(1.0, 0.0, 0.0), 0.5, 1.0)
+    yield sched, BlochVector(0.0, 0.0, 0.01), BlochVector(0.0, 0.0, 0.0), IntegratorConfig(), 1.0
+    # pure states precessing at zero rates, whose samples leave the ball
+    # between step ends that stay inside it
+    rng, zero = np.random.default_rng(28), RateTriple(0.0, 0.0, 0.0)
+    for _ in range(12):
+        sched = ExponentialCosineSchedule(zero, zero, FieldVector(*rng.uniform(-1.5, 1.5, 3)),
+                                          0.5, 1.0)
+        r0 = rng.normal(size=3)
+        cfg = IntegratorConfig(rel_tol=float(10 ** rng.uniform(-9, -6)), t_cap=40.0)
+        yield sched, BlochVector(*r0 / np.linalg.norm(r0)), BlochVector(0.0, 0.0, 0.0), cfg, 0.01
+
+
+def compiled_analysis(kernel, sched, r0, target, cfg, eps):
+    """The compiled cell analysis of a run, never declined."""
+    found = dynamics._analysed(kernel, dynamics._ramp_args(sched, r0, target, cfg, eps),
+                               cfg.sample_stride)
+    assert found is not None
+    return found
+
+
+def python_analysis(sched, r0, target, cfg, eps):
+    """``integrate`` and ``_threshold_analysis`` of a run, tau None on a
+    timeout, and the number of intervals that the refined series splits."""
+    traj = integrate(sched, r0, target, cfg, eps)
+    if traj.timed_out:
+        return (None, False, 0), 0
+    refined = len(dynamics._refined_threshold_series(traj, eps)[0]) - len(traj.t)
+    return dynamics._threshold_analysis(traj, eps), refined // 8
+
+
+def outcome(run):
+    """(tau as hex or None, inconclusive, crossings) of ``run()``, or its
+    exception's type and message."""
+    try:
+        tau, inconclusive, crossings = run()
+    except PontusError as exc:
+        return type(exc).__name__, str(exc)
+    return None if tau is None else tau.hex(), inconclusive, crossings
+
+
+class TestCellAnalysis:
+    def test_matches_the_python_route(self, kernel, monkeypatch):
+        cases = list(analysis_cases())
+        got = [outcome(lambda c=c: compiled_analysis(kernel, *c)) for c in cases]
+        monkeypatch.setattr(_stepper, "kernel", lambda check: None)
+        refined = {}
+
+        def python(case):
+            found, refined[id(case)] = python_analysis(*case)
+            return found
+
+        want = [outcome(lambda c=c: python(c)) for c in cases]
+        seen = Counter()
+        for case, g, w in zip(cases, got, want):
+            assert g == w, case
+            if w[0] == "BallViolation":
+                seen["sampled ball violation"] += "max sampled" in w[1]
+            elif w[0] is None:
+                seen["timeout"] += 1
+            elif w[0] == (0.0).hex():
+                seen["settled at t = 0"] += w[2] == 0
+            else:
+                seen["refined"] += refined[id(case)] > 0
+                seen["several crossings"] += w[2] > 1
+                seen["inconclusive"] += w[1]
+        assert len(seen) == 6 and all(seen.values()), seen
+
+    def test_a_sample_exactly_at_eps(self, kernel, monkeypatch):
+        """A sample whose distance equals eps counts as at or above it, as
+        ``ds >= eps`` counts it: fig5a's rates at kappa 0.5, omega 2, whose
+        sampled distance peaks at t = 4.85 between refined points below that
+        peak, with eps set to it, which adds two crossings."""
+        s = ParameterPoint.make((1.0, 0.0, 0.0), (0.75, 0.75, 0.75))
+        f = ParameterPoint.make((1.0, 0.0, 0.0), (0.05, 0.1, 0.15))
+        d = _Ramp(s, f, DEFAULT_EPS, IntegratorConfig()).result(0.5, 2.0).trajectory.dist
+        assert d[96] < d[97] > d[98]
+        ramp = _Ramp(s, f, float(d[97]), IntegratorConfig())
+        got = compiled_analysis(kernel, ramp.schedule.at(0.5, 2.0), ramp.r0, ramp.target,
+                                ramp.cfg, ramp.eps)
+        monkeypatch.setattr(_stepper, "kernel", lambda check: None)
+        res = ramp.result(0.5, 2.0)
+        ts, ds = dynamics._refined_threshold_series(res.trajectory, ramp.eps)
+        k = int(np.flatnonzero(ts == res.trajectory.t[97])[0])
+        assert list(ds[k - 1:k + 2] >= ramp.eps) == [False, True, False]
+        assert ds[k] == ramp.eps and res.n_threshold_crossings == 4
+        assert (got[0].hex(), *got[1:]) == (res.tau.hex(), res.inconclusive,
+                                            res.n_threshold_crossings)
+
+    def test_nan_samples_follow_numpy(self, kernel):
+        """Step records with a NaN stage and records whose states leave the
+        ball: the largest sampled |r| is NaN, as ``np.max`` gives it, so no
+        BallViolation, and NaN distances never refine or count as above eps."""
+        rng, runs = np.random.default_rng(30), 0
+        for i, sched, stop, y, t_bound, rtol in seeded_runs():
+            if stop is None or i % 8:
+                continue
+            args = ramp_args(sched, stop, y, t_bound, rtol)
+            try:
+                steps, t, stopped, *_ = dynamics._compiled_steps(kernel, *args)
+            except (BallViolation, StepSizeUnderflow):
+                continue
+            if steps is None or len(steps) < 6:
+                continue
+            # the steps of two distinct samples: one gets a NaN stage, the
+            # other a start far outside the ball
+            k = np.searchsorted(steps[:, 0], rng.choice(np.arange(0.0, t, 0.05), 2, False)) - 1
+            if k[0] == k[1]:
+                continue
+            steps = steps.copy()
+            steps[max(k[0], 0), 5 + rng.integers(18)] = math.nan
+            steps[max(k[1], 0), 2:5] = (2.0, 0.0, 0.0)
+            target, tol, eps = stop
+            stop_array, out = np.array([*target, tol, eps]), np.empty(4)
+            code = kernel.cell(steps.ctypes.data, len(steps), t, stopped, stop_array.ctypes.data,
+                               sched.kappa, sched.omega, sched._dg_max, 0.05,
+                               1.0 + dynamics.TOL_BALL, dynamics.TAU_XTOL, out.ctypes.data)
+            dense = dynamics._DenseOutput(steps, t)
+            ts, rs = dynamics._samples(dense, t, 0.05)
+            assert math.isnan(out[3]) and math.isnan(np.max(np.linalg.norm(rs, axis=1)))
+            traj = Trajectory(ts, rs, None, BlochVector(*target),
+                              distance_evaluator(dense, np.array(target)),
+                              timed_out=not stopped, envelope=sched.envelope)
+            if not stopped:
+                assert code == 1
+                continue
+            try:
+                want = dynamics._threshold_analysis(traj, eps)
+            except (ValueError, RuntimeError):  # brentq met a NaN: the kernel declines
+                assert code == -3
+                continue
+            assert code == 0 and (out[0].hex(), bool(out[1]), int(out[2])) == (
+                want[0].hex(), want[1], want[2])
+            runs += 1
+        assert runs > 5
+
+    def test_sub_stride_double_crossing_is_missed_on_both_routes(self, kernel, python_route):
+        """The fig5a cell at kappa = 0.0189, omega = 1.241 crosses 21 times at
+        the stride 0.005, and its refinement rule finds 19 at 0.05: the
+        compiled analysis repeats that rule, not an exact count."""
+        s = ParameterPoint.make((1.0, 0.0, 0.0), (0.75, 0.75, 0.75))
+        f = ParameterPoint.make((1.0, 0.0, 0.0), (0.05, 0.1, 0.15))
+        kappa, omega = float(np.geomspace(0.01, 100.0, 30)[2]), float(np.linspace(0.0, 2.0, 30)[18])
+        ramp = _Ramp(s, f, DEFAULT_EPS, IntegratorConfig())
+        res = ramp.result(kappa, omega)
+        got = compiled_analysis(kernel, ramp.schedule.at(kappa, omega), ramp.r0, ramp.target,
+                                ramp.cfg, ramp.eps)
+        assert res.n_threshold_crossings == got[2] == 19
+        assert (res.tau.hex(), res.inconclusive) == (got[0].hex(), got[1])
+        fine = _Ramp(s, f, DEFAULT_EPS, IntegratorConfig(sample_stride=0.005)).result(kappa, omega)
+        assert fine.n_threshold_crossings == 21
+
+    def test_cells_build_no_trajectory(self, kernel, monkeypatch):
+        spec = SweepSpec(RateTriple(0.75, 0.75, 0.75), RateTriple(0.05, 0.1, 0.15),
+                         GridAxis.log("kappa", 0.01, 100.0, 5),
+                         GridAxis.linear("omega", 0.0, 2.0, 5), FieldVector(1.0, 0.0, 0.0))
+        s, f = (ParameterPoint(spec.h, rates) for rates in (spec.rates_s, spec.rates_f))
+        column = sweep._column(s, f, spec, nonmarkov._boundary_slopes(spec.rates_s.as_array(),
+                                                                      spec.rates_f.as_array()))
+        tasks = [(k, w, column, 20.0)
+                 for k in spec.kappa_axis.values for w in spec.second_axis.values]
+        want = [sweep._cell(task) for task in tasks]
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a cell built a Trajectory")
+
+        monkeypatch.setattr(Trajectory, "__init__", refuse)
+        assert repr([sweep._cell(task) for task in tasks]) == repr(want)
+        assert {cell[5] for cell in want} == {"ok", "ball-violation"}
+
+    def test_known_answer_check_covers_the_analysis(self, kernel, generator_calls):
+        def one_ulp_off(*args):
+            code = kernel.cell(*args)
+            tau = ctypes.c_double.from_address(args[-1])
+            tau.value = math.nextafter(tau.value, math.inf)
+            return code
+
+        def one_crossing_less(*args):
+            code = kernel.cell(*args)
+            ctypes.c_double.from_address(args[-1] + 16).value -= 1
+            return code
+
+        assert dynamics._kernel_agrees(kernel)
+        for wrong in (one_ulp_off, one_crossing_less, lambda *args: -3):
+            assert not dynamics._kernel_agrees(kernel._replace(cell=wrong))
+        assert generator_calls == []  # so perfbench's traced counts repeat
+
+
 def measure_cases():
     """(rates_s, rates_f, kappa, omega): the rates of configs fig4a, fig4b,
     fig5a and fig5b on a 12x12 grid of kappa in [0.01, 100] (log) and omega
@@ -281,8 +503,8 @@ class TestMeasure:
 @needs_cc
 def test_source_compiles_without_warnings(tmp_path):
     result = subprocess.run(
-        [*_stepper.COMMAND, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "kernel.so"),
-         str(_stepper.SOURCE), "-lm"],
+        [*_stepper.COMMAND, "-Wall", "-Wextra", "-Wpedantic", "-Werror",
+         "-o", str(tmp_path / "kernel.so"), str(_stepper.SOURCE), "-lm"],
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr

@@ -27,7 +27,8 @@ from pontus import (
     sweep_kappa_omega,
     sweep_kappa_theta,
 )
-from pontus.protocols import TAU_XTOL, _Ramp
+from pontus.dynamics import TAU_XTOL
+from pontus.protocols import _Ramp
 from pontus.sweep import available_cpus
 
 RATES_S = RateTriple(0.75, 0.75, 0.75)
