@@ -9,10 +9,11 @@
  * The bit identity rests on IEEE double arithmetic with no fused multiply-add
  * (-ffp-contract=off, no -ffast-math) and on the same libm calls that
  * Python's math module makes; pontus._stepper builds the library so and
- * checks it against the Python before use.  pontus_dense_output evaluates the
- * quartic dense output of the step records as pontus.dynamics._DenseOutput
- * does, float for float.  pontus_cell is what a gain-map cell reads of a run:
- * integrate's stride samples and their ball check, and
+ * checks it against the Python before use.  pontus_cell is the rest of a
+ * run that Python's Trajectory and threshold analysis read: the states and
+ * distances at the sample times that pontus.dynamics._sample_times lays out,
+ * from the quartic dense output of the step records as
+ * pontus.dynamics._DenseOutput evaluates it, float for float, and
  * pontus.dynamics._threshold_analysis of them, its refined series, crossings
  * and tau included.  pontus_nm_total is the non-Markov measure of
  * pontus._measure.measure_total, its lobe loop and sums included.  One Brent
@@ -21,7 +22,6 @@
  * Python, which maps each return code to its exception.
  */
 #include <math.h>
-#include <stdlib.h>
 
 /* Python's x ** y calls libm's pow, and glibc's pow(x, 2.0) is not always
  * x * x; called through a volatile pointer, the compiler cannot fold it. */
@@ -126,8 +126,8 @@ static int brentq(function f, const void *args, double a, double b, double xtol,
  * + q4 x^4), x = (t - t_k) / h, with q1 = k1 and q2..q4 the stages weighted by
  * P's columns (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6): each
  * float as pontus.dynamics._DenseOutput forms it, in the same order. */
-void pontus_dense_output(const double *steps, long n, double t_final, const double *ts, long m,
-                         double *out)
+static void pontus_dense_output(const double *steps, long n, double t_final, const double *ts,
+                                long m, double *out)
 {
     static const double P1[3] = {-8048581381.0 / 2820520608, 8663915743.0 / 2820520608,
                                  -12715105075.0 / 11282082432};
@@ -490,14 +490,14 @@ static int reversal(const double *d, long j)
     return a == 2 || a != slope(d[j + 1], d[j + 2]);
 }
 
-/* What a gain-map cell reads of the stop-rule run of the n >= 1 step
- * records `steps` that ends at t_final, stopped there by its stop rule or
- * else at the time cap; `stop` holds (target, tol, eps).  First
- * pontus.dynamics.integrate's samples: np.arange(0, t_final, stride) (i
- * stride each), then t_final where it lies more than 1e-12 past the last,
- * and the largest |r| among them (a NaN if any is one), checked against
- * `ball`.  Then, on a stopped run, pontus.dynamics._threshold_analysis: the
- * series of _refined_threshold_series, which adds 8 points j step + t_k,
+/* What a ramp run's Trajectory and threshold analysis read of its n >= 1
+ * step records `steps`, which end at t_final, stopped there by the stop rule
+ * or else not; `stop` holds (target, tol, eps).  First its samples at the
+ * m >= 1 increasing times `ts`, laid out by the caller: their states into
+ * the m x 3 array `r`, their distances to the target into `d`, and the
+ * largest |r| among them (a NaN if any is one) into out[3], for the caller's
+ * ball check.  Then, on a stopped run, pontus.dynamics._threshold_analysis:
+ * the series of _refined_threshold_series, which adds 8 points j step + t_k,
  * step = (t_k+1 - t_k) / 9, to each interval inside the band (eps/4, 4 eps)
  * that straddles eps or next to which the slope reverses (they lie in
  * [t_k, t_k+1], and one equal to a sample has its distance, so the order of
@@ -507,55 +507,40 @@ static int reversal(const double *d, long j)
  * order.
  *
  * Returns 0 with tau, the inconclusive flag and the crossing count in
- * out[0..2] (all 0 where no point reaches eps); 1 for a run that hit the
- * time cap; -1 when a sample lies outside the ball; -2 when the series never
- * falls back below eps; -3 where the Python must run instead: no sample, no
- * memory, or no root found.  out[3] holds the largest |r| but on -3. */
+ * out[0..2] (all 0 where no point reaches eps); 1 for a run not stopped;
+ * -3 where the Python analysis must run to raise its error: the series never
+ * falls back below eps, or brentq finds no root. */
 int pontus_cell(const double *steps, long n, double t_final, int stopped, const double *stop,
-                double kappa, double omega, double dg_max, double stride, double ball,
-                double xtol, double *out)
+                double kappa, double omega, double dg_max, const double *ts, long m, double xtol,
+                double *r, double *d, double *out)
 {
-    enum { CHUNK = 64 };
     const double eps = stop[4], lo = eps / 4.0, hi = 4.0 * eps;
-    double count = ceil(t_final / stride);
-    if (!(count < 1e15))
-        return -3;
-    long m = count > 0 ? (long)count : 0;
-    long total = m + (t_final - (m ? (double)(m - 1) * stride : 0.0) > 1e-12);
-    double *d = total ? malloc(total * sizeof *d) : NULL, ts[CHUNK], y[3 * CHUNK];
     double worst = -INFINITY;
-    if (d == NULL)
-        return -3;
-    out[0] = out[1] = out[2] = 0.0;
-#define SAMPLE(i) ((i) < m ? (double)(i) * stride : t_final)
-    for (long i = 0; i < total; i += CHUNK) {
-        long k = total - i < CHUNK ? total - i : CHUNK;
-        for (long j = 0; j < k; j++)
-            ts[j] = SAMPLE(i + j);
-        pontus_dense_output(steps, n, t_final, ts, k, y);
-        for (long j = 0; j < k; j++) {
-            const double *r = y + 3 * j;
-            double norm = sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2]);
-            if (norm > worst || norm != norm)
-                worst = norm;
-            d[i + j] = distance(r, stop);
-        }
+    pontus_dense_output(steps, n, t_final, ts, m, r);
+    for (long i = 0; i < m; i++) {
+        const double *y = r + 3 * i;
+        double norm = sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]);
+        if (norm > worst || norm != norm)
+            worst = norm;
+        d[i] = distance(y, stop);
     }
+    out[0] = out[1] = out[2] = 0.0;
     out[3] = worst;
-    int code = worst > ball ? -1 : !stopped;
+    if (!stopped)
+        return 1;
     struct crossings c = {eps, 0.0, 0.0, 0.0, 0, -1, 0, 0};
-    for (long i = 0; code == 0 && i < total; i++) {
+    for (long i = 0; i < m; i++) {
         /* the interval from sample i - 1 to i */
-        double t = SAMPLE(i), a = d[i > 0 ? i - 1 : 0], b = d[i];
-        int refine = i > 0 && total >= 3 && a == a && b == b && (a < b ? a : b) < hi
+        double t = ts[i], a = d[i > 0 ? i - 1 : 0], b = d[i];
+        int refine = i > 0 && m >= 3 && a == a && b == b && (a < b ? a : b) < hi
                      && (a < b ? b : a) > lo
-                     && ((a >= eps) != (b >= eps) || (i < total - 1 && reversal(d, i - 1))
+                     && ((a >= eps) != (b >= eps) || (i < m - 1 && reversal(d, i - 1))
                          || (i > 1 && reversal(d, i - 2)));
         if (!refine) {
             visit(&c, t, b);
             continue;
         }
-        double t0 = SAMPLE(i - 1), step = (t - t0) / 9, sub[8], z[24];
+        double t0 = ts[i - 1], step = (t - t0) / 9, sub[8], z[24];
         for (int j = 0; j < 8; j++)
             sub[j] = (j + 1) * step + t0;
         pontus_dense_output(steps, n, t_final, sub, 8, z);
@@ -563,14 +548,10 @@ int pontus_cell(const double *steps, long n, double t_final, int stopped, const 
             visit(&c, sub[j], distance(z + 3 * j, stop));
         visit(&c, t, b);
     }
-#undef SAMPLE
-    free(d);
-    if (code != 0 || !c.any)
-        return code;
-    if (!c.down)
-        return -2;
+    if (!c.any)
+        return 0;
     struct run run = {steps, stop, n, t_final};
-    if (brentq(distance_gap, &run, c.lo, c.hi, xtol, RTOL, out))
+    if (!c.down || brentq(distance_gap, &run, c.lo, c.hi, xtol, RTOL, out))
         return -3;
     out[1] = omega > 0 && dg_max * exp(-kappa * out[0]) > eps;
     out[2] = (double)c.count;

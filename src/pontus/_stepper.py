@@ -1,6 +1,6 @@
 """Build, cache and load the kernel library of ``_stepper.c``: the compiled ramp
-stepper, its dense output, a gain-map cell's analysis of a run and the
-non-Markov measure.
+stepper, a ramp run's samples and threshold analysis, and the non-Markov
+measure.
 
 On first use the kernel is compiled with the system C compiler, ``cc``, and
 cached beside this file in ``__pycache__``, as CPython caches bytecode.  The
@@ -36,22 +36,20 @@ _D, _P = ctypes.c_double, ctypes.c_void_p
 _L = ctypes.c_long
 _STEPS_ARGTYPES = (_P, _D, _D, _D, _P, ctypes.c_int, _P, _D, _D, _D, _D, _D, _D, _P, _L,
                    ctypes.POINTER(_L))
-_DENSE_ARGTYPES = (_P, _L, _D, _P, _L, _P)
-_CELL_ARGTYPES = (_P, _L, _D, ctypes.c_int, _P, _D, _D, _D, _D, _D, _D, _P)
+_CELL_ARGTYPES = (_P, _L, _D, ctypes.c_int, _P, _D, _D, _D, _P, _L, _D, _P, _P, _P)
 _NM_TOTAL_ARGTYPES = (_P, _P, _L, _D, _D, ctypes.POINTER(_D))
 _UNTRIED = object()
 _kernel = _UNTRIED
 
 
 class Kernel(NamedTuple):
-    """The library's four functions: ``steps``, pontus_dormand_prince, which
-    also finds the stop rule's root; ``dense``, pontus_dense_output;
-    ``cell``, pontus_cell, a gain-map cell's samples, ball check and
-    threshold analysis of a run's step records; and ``nm_total``,
+    """The library's three functions: ``steps``, pontus_dormand_prince, which
+    also finds the stop rule's root; ``cell``, pontus_cell, a run's states
+    and distances at the sample times it is given, and the threshold analysis
+    of a stopped run, from its step records; and ``nm_total``,
     pontus_nm_total."""
 
     steps: Callable
-    dense: Callable
     cell: Callable
     nm_total: Callable
 
@@ -78,10 +76,8 @@ def cache_path() -> Path:
 
 def _open(path, check):
     library = ctypes.CDLL(str(path))
-    found = Kernel(library.pontus_dormand_prince, library.pontus_dense_output,
-                   library.pontus_cell, library.pontus_nm_total)
+    found = Kernel(library.pontus_dormand_prince, library.pontus_cell, library.pontus_nm_total)
     found.steps.restype, found.steps.argtypes = ctypes.c_int, _STEPS_ARGTYPES
-    found.dense.restype, found.dense.argtypes = None, _DENSE_ARGTYPES
     found.cell.restype, found.cell.argtypes = ctypes.c_int, _CELL_ARGTYPES
     found.nm_total.restype, found.nm_total.argtypes = ctypes.c_int, _NM_TOTAL_ARGTYPES
     return found if check(found) else None

@@ -298,6 +298,11 @@ def _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label):
                 f" {t_i!r} at 12 decimals"
             )
         t_i = after
+    if not t_is:
+        raise ConfigError(
+            f"t_i_scan.stop: {stop!r} lies below t_i_scan.start {start!r}, so the scan has"
+            " no switch time"
+        )
 
     # every switch time is a float in (0, t_cap), as ``_scan`` needs
     stages = _ConstantStages(pS, pA, pF, eps, integ)

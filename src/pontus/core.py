@@ -150,7 +150,9 @@ class Trajectory:
     time (the schedule's ``envelope``).  ``nfev``, ``n_accepted`` and
     ``n_rejected`` count the right-hand-side calls and the accepted and
     rejected steps of the adaptive integrator, and stay 0 for runs that do
-    not use it.
+    not use it.  ``analysis`` is the threshold analysis (tau, inconclusive,
+    n_crossings) at the run's eps where the integrator made it with the
+    samples, else None.
     """
 
     t: np.ndarray
@@ -166,6 +168,7 @@ class Trajectory:
     nfev: int = 0
     n_accepted: int = 0
     n_rejected: int = 0
+    analysis: Optional[tuple] = None
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
@@ -219,7 +222,7 @@ def validate_endpoint(p: ParameterPoint) -> ParameterPoint:
     _require_finite(g, f"rates of endpoint {p.label!r}")
     if np.any(g < 0):
         raise NegativeEndpointRate(
-            f"endpoint {p.label!r} has negative rate(s) {tuple(g)}"
+            f"endpoint {p.label!r} has negative rate(s) {tuple(g.tolist())}"
         )
     return p
 

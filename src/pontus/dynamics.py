@@ -14,12 +14,13 @@ norm, controller and event location of scipy's RK45; the event's root is
 found by the in-house Brent solver (``_roots.brentq``, bit for bit scipy's).
 The compiled kernel (``_stepper.c``, loaded by ``_stepper.kernel``) repeats
 these float operations in the same order: the step loop with the event's
-root, the dense output at any times, and a gain-map cell's samples, ball
-check and ``_threshold_analysis`` (``_analysed``), with no Trajectory built.
-The Python routes serve every process where no kernel loads.  Two
-independent oracles (a density-matrix-level rebuild of the generator and a
-time-ordered product integrator) cross-check both routes.  scipy is imported
-only by ``expm``, on its first call.
+root, then in one call the dense output at the sample times that Python
+lays out (``_sample_times``) and ``_threshold_analysis`` of them, so one
+run of ``_ramp_run`` serves both ``integrate``'s Trajectory and a gain-map
+cell, which builds none.  The Python routes serve every process where no
+kernel loads.  Two independent oracles (a density-matrix-level rebuild of
+the generator and a time-ordered product integrator) cross-check both
+routes.  scipy is imported only by ``expm``, on its first call.
 """
 
 from __future__ import annotations
@@ -598,32 +599,13 @@ def _compiled_steps(kernel, coef, kappa, omega, dg_max, stop, y, t_bound, rtol, 
     return steps, t, code != 0, int(state[12]), int(state[13])
 
 
-def _compiled_dense(kernel, steps, t_final):
-    """``_DenseOutput(steps, t_final)`` through the compiled evaluator of
-    ``_stepper.c`` (``kernel.dense``): the same floats at every time, with no
-    coefficient table built."""
-    steps = np.ascontiguousarray(steps, dtype=float).reshape(-1, 23)
-    if not len(steps):
-        raise ValueError("no step records")
-    t_final, address = float(t_final), steps.ctypes.data
-
-    def dense(ts) -> np.ndarray:
-        ts = np.ascontiguousarray(ts, dtype=float)
-        out = np.empty((len(ts), 3))
-        # len(steps) also keeps the records alive as long as the evaluator
-        kernel.dense(address, len(steps), t_final, ts.ctypes.data, len(ts), out.ctypes.data)
-        return out
-
-    return dense
-
-
 def _kernel_agrees(kernel) -> bool:
     """Known-answer check of a loaded kernel: a short stop-rule run and a
     ``t_end`` run with a capped step must equal the Python stepper's bit
-    for bit, records, counts and stop time, and so must the dense output at
-    t = 0, the stride grid, every step's start and end, and times past the
-    last step, the cell analysis of the stop-rule run, which crosses eps 5
-    times with 15 refined intervals and ends inconclusive, and the
+    for bit, records, counts and stop time; so must the cell's states on
+    each run's stride grid, and at every step's start and end of the
+    ``t_end`` run, and its analysis of the stop-rule run, which crosses eps
+    5 times with 15 refined intervals and ends inconclusive; and so must the
     non-Markov measure of a channel with 13 windows, one with a vanishing
     final rate and one that never turns negative."""
     # the coefficients and dg_max of the ramp from rates (0.9, 0.1, 0.3) to
@@ -645,17 +627,20 @@ def _kernel_agrees(kernel) -> bool:
             got = _compiled_steps(kernel, *args)
             if bytes(want[0]) != bytes(got[0]) or want[1:] != got[1:]:
                 return False
-            steps, t = got[:2]
-            ts = np.concatenate([np.arange(0.0, t, 0.05), steps[:, 0], steps[:, 0] + steps[:, 1],
-                                 [t, t + 1.0]])
+            steps, t, stopped = got[:3]
+            ts = _sample_times(t, 0.05)
+            if stop is None:
+                ts = np.sort(np.concatenate([ts, steps[:, 0], steps[:, 0] + steps[:, 1]]))
             dense = _DenseOutput(steps, t)
-            if dense(ts).tobytes() != _compiled_dense(kernel, steps, t)(ts).tobytes():
+            rs, _, found = _cell(kernel, steps, t, stopped, ts, kappa, omega, 0.85,
+                                 (target, eps / 10.0, eps))
+            if rs.tobytes() != dense(ts).tobytes():
                 return False
-            if stop:  # and so must the cell analysis of the stop-rule run
-                traj = Trajectory(*_samples(dense, t, 0.05), None, BlochVector(*target),
+            if stop:  # and so must the analysis of the stop-rule run
+                traj = Trajectory(ts, rs, None, BlochVector(*target),
                                   distance_evaluator(dense, np.array(target)),
                                   envelope=lambda s: 0.85 * math.exp(-0.3 * s))
-                if _analysed(kernel, args, 0.05) != _threshold_analysis(traj, eps):
+                if found != _threshold_analysis(traj, eps):
                     return False
         got = compiled_total(kernel, *measure)
         return got is not None and got.hex() == measure_total(*measure).hex()
@@ -665,9 +650,10 @@ def _kernel_agrees(kernel) -> bool:
 
 def ramp_kernel():
     """The checked compiled kernel (``_stepper.Kernel``) with which
-    ``integrate`` steps an ``ExponentialCosineSchedule`` and evaluates its
-    dense output, and ``nonmarkov`` computes the non-Markov measure, or None
-    for the Python stepper, ``_DenseOutput`` and ``_measure.measure_total``;
+    ``_ramp_run`` steps, samples and analyses an ``ExponentialCosineSchedule``
+    run, and ``nonmarkov`` computes the non-Markov measure, or None for the
+    Python stepper, ``_DenseOutput``, ``_threshold_analysis`` and
+    ``_measure.measure_total``;
     loaded on the first call of a process, so a caller about to fork
     workers can load it once for all of them."""
     return _stepper.kernel(_kernel_agrees)
@@ -688,18 +674,74 @@ def _ramp_args(schedule, r0: BlochVector, target: BlochVector, cfg: IntegratorCo
     )
 
 
-def _samples(dense, t_stop: float, stride: float):
-    """A run's sample times, the stride grid up to ``t_stop`` and t_stop
-    itself, and the states there; BallViolation if one lies outside the
-    ball, as the steppers checked only the step ends."""
+def _sample_times(t_stop: float, stride: float) -> np.ndarray:
+    """A run's sample times, on both routes: the stride grid up to
+    ``t_stop``, and t_stop itself where it lies more than 1e-12 past the
+    grid."""
     ts = np.arange(0.0, t_stop, stride)
     if t_stop - (ts[-1] if len(ts) else 0.0) > 1e-12:
         ts = np.append(ts, t_stop)
-    rs = dense(ts)
-    worst = float(np.max(np.linalg.norm(rs, axis=1)))
-    if worst > 1.0 + TOL_BALL:
-        raise _sampled_outside(worst)
-    return ts, rs
+    return ts
+
+
+def _cell(kernel, steps, t_stop, stopped, ts, kappa, omega, dg_max, stop):
+    """``kernel.cell`` of a run's (n, 23) step records, which end at
+    ``t_stop``: (states, worst, found), the states at the sample times
+    ``ts``, the largest |r| among them, and ``_threshold_analysis`` at the
+    ``stop`` tuple's (target, tol, eps) of a ``stopped`` run, None for a run
+    not stopped or where the kernel declines."""
+    target, tol, eps = stop
+    stop = np.array([*target, tol, eps])
+    rs, d, out = np.empty((len(ts), 3)), np.empty(len(ts)), np.empty(4)
+    code = kernel.cell(steps.ctypes.data, len(steps), t_stop, stopped, stop.ctypes.data, kappa,
+                       omega, dg_max, ts.ctypes.data, len(ts), TAU_XTOL, rs.ctypes.data,
+                       d.ctypes.data, out.ctypes.data)
+    tau, inconclusive, crossings, worst = out.tolist()
+    return rs, worst, ((tau, inconclusive > 0, int(crossings)) if code == 0 else None)
+
+
+def _ramp_run(schedule, r0: BlochVector, target: BlochVector, cfg: IntegratorConfig,
+              eps: float, t_end: Optional[float] = None) -> dict:
+    """``integrate``'s run, as the fields of its Trajectory, which a gain-map
+    cell reads with no Trajectory built.
+
+    Where the kernel loads, one ``kernel.steps`` sequence and one
+    ``kernel.cell`` call give the samples and, for a stopped run, the
+    ``analysis`` that ``_threshold_analysis`` would make of them; the
+    Trajectory's ``distance_of`` then builds ``_DenseOutput`` on each call,
+    as only ``mpemba`` and the Python analysis of a run that the kernel
+    declined call it.
+    Else ``_dormand_prince`` and ``_DenseOutput`` give the samples, and
+    ``analysis`` stays None but for a run settled at t = 0.
+    """
+    if t_end is not None and not 0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
+    tgt, y0 = target.as_array(), r0.as_array()
+    args = _ramp_args(schedule, r0, target, cfg, eps, t_end)
+    kernel = ramp_kernel()
+    if kernel is None:
+        steps, t_stop, stopped, nfev, n_rejected = _dormand_prince(*args)
+    else:
+        steps, t_stop, stopped, nfev, n_rejected = _compiled_steps(kernel, *args)
+    if steps is None:  # nothing to do: already settled at t = 0
+        dense, n_accepted, found = (lambda ts: np.tile(y0, (len(ts), 1))), 0, (0.0, False, 0)
+        ts, rs = np.array([0.0]), y0[None, :]
+    else:
+        ts = _sample_times(t_stop, cfg.sample_stride)
+        if kernel is None:
+            dense, n_accepted, found = _DenseOutput(steps, t_stop), len(steps) // 23, None
+            rs = dense(ts)
+            worst = float(np.max(np.linalg.norm(rs, axis=1)))
+        else:
+            dense, n_accepted = (lambda ts: _DenseOutput(steps, t_stop)(ts)), len(steps)
+            rs, worst, found = _cell(kernel, steps, t_stop, stopped, ts, *args[1:4],
+                                     (tgt.tolist(), eps / 10.0, eps))
+        if worst > 1.0 + TOL_BALL:  # the steppers checked only the step ends
+            raise _sampled_outside(worst)
+    return dict(t=ts, r=rs, rates_of=schedule.rates_array, target=target,
+                distance_of=distance_evaluator(dense, tgt), timed_out=t_end is None and not stopped,
+                envelope=schedule.envelope, nfev=nfev, n_accepted=n_accepted,
+                n_rejected=n_rejected, analysis=found)
 
 
 def integrate(
@@ -717,9 +759,8 @@ def integrate(
     stepped and sampled by the compiled kernel of ``_stepper.c`` where one
     loads (``_stepper.kernel``), else by ``_dormand_prince`` and
     ``_DenseOutput``, which write the same step records and samples bit for
-    bit.  A gain-map cell, which reads only the run's threshold analysis,
-    takes it from ``_analysed`` instead where the kernel loads, with no
-    samples or Trajectory built.
+    bit (``_ramp_run``).  On the kernel route the Trajectory of a stopped
+    run carries the kernel's threshold analysis of its samples.
 
     Integration stops once the trace distance to ``target`` is below
     ``eps/10`` while the schedule's remaining deviation from its final
@@ -727,39 +768,10 @@ def integrate(
     contraction toward the target and no further threshold crossing can
     occur.  Passing ``t_end`` disables the stop rule and integrates the
     fixed horizon instead.  A run whose state leaves the Bloch ball raises
-    BallViolation at the first step that ends outside it.
+    BallViolation at the first step that ends outside it, or else at its
+    samples.
     """
-    if t_end is not None and not 0 < t_end < math.inf:
-        raise ValueError("t_end must be positive and finite")
-    tgt = target.as_array()
-    y0 = r0.as_array()
-    args = _ramp_args(schedule, r0, target, cfg, eps, t_end)
-    kernel = ramp_kernel()
-    if kernel is None:
-        steps, t_stop, stopped, nfev, n_rejected = _dormand_prince(*args)
-    else:
-        steps, t_stop, stopped, nfev, n_rejected = _compiled_steps(kernel, *args)
-    if steps is None:  # nothing to do: already settled at t = 0
-        dense, n_accepted = (lambda ts: np.tile(y0, (len(ts), 1))), 0
-        ts, rs = np.array([0.0]), y0[None, :]
-    else:
-        if kernel is None:
-            dense, n_accepted = _DenseOutput(steps, t_stop), len(steps) // 23
-        else:
-            dense, n_accepted = _compiled_dense(kernel, steps, t_stop), len(steps)
-        ts, rs = _samples(dense, t_stop, cfg.sample_stride)
-    return Trajectory(
-        t=ts,
-        r=rs,
-        rates_of=schedule.rates_array,
-        target=target,
-        distance_of=distance_evaluator(dense, tgt),
-        timed_out=(t_end is None and not stopped),
-        envelope=schedule.envelope,
-        nfev=nfev,
-        n_accepted=n_accepted,
-        n_rejected=n_rejected,
-    )
+    return Trajectory(**_ramp_run(schedule, r0, target, cfg, eps, t_end))
 
 
 def _refined_threshold_series(traj: Trajectory, eps: float):
@@ -810,28 +822,6 @@ def _threshold_analysis(traj: Trajectory, eps: float):
     tau = float(brentq(lambda x: traj.distance_of(x) - eps, ts[k], ts[k + 1], xtol=TAU_XTOL))
     inconclusive = traj.envelope is not None and traj.envelope(tau) > eps
     return tau, inconclusive, int(len(flips))
-
-
-def _analysed(kernel, args, stride: float):
-    """``_threshold_analysis`` of ``integrate``'s run of the stop-rule
-    argument tuple ``args``, raising as they raise, tau None on a timeout:
-    the compiled analysis of its step records (``kernel.cell``), which builds
-    no samples or Trajectory; None where it declines, for the Python."""
-    kappa, omega, dg_max, (target, tol, eps) = args[1:5]
-    steps, t_stop, stopped, *_ = _compiled_steps(kernel, *args)
-    if steps is None:  # settled at t = 0
-        return 0.0, False, 0
-    stop, out = np.array([*target, tol, eps]), np.empty(4)
-    code = kernel.cell(steps.ctypes.data, len(steps), t_stop, stopped, stop.ctypes.data, kappa,
-                       omega, dg_max, stride, 1.0 + TOL_BALL, TAU_XTOL, out.ctypes.data)
-    tau, inconclusive, crossings, worst = out.tolist()
-    if code == -1:
-        raise _sampled_outside(worst)
-    if code == -2:
-        raise NotConverged(_UNSETTLED)
-    if code == -3:
-        return None
-    return (tau, inconclusive > 0, int(crossings)) if code == 0 else (None, False, 0)
 
 
 def product_integration_oracle(

@@ -35,12 +35,10 @@ from .core import (
 from .dynamics import (
     ConstantFlow,
     IntegratorConfig,
-    _analysed,
-    _ramp_args,
+    _ramp_run,
     _threshold_analysis,
     assemble_generator,
     integrate,
-    ramp_kernel,
     steady_state,
 )
 
@@ -158,12 +156,12 @@ class ProtocolResult:
 
 
 def _result(kind: str, traj: Trajectory, eps: float, **switch) -> ProtocolResult:
-    """The record of one run, with its threshold analysis unless it timed out."""
+    """The record of one run, with its threshold analysis unless it timed out:
+    the one its integrator made, else ``_threshold_analysis``'s."""
     res = ProtocolResult(kind, traj, eps, **switch)
     if not traj.timed_out:
-        res.tau, res.inconclusive, res.n_threshold_crossings = _threshold_analysis(
-            traj, eps
-        )
+        res.tau, res.inconclusive, res.n_threshold_crossings = (
+            traj.analysis or _threshold_analysis(traj, eps))
     return res
 
 
@@ -324,6 +322,7 @@ class _Ramp:
     run's schedule shares (``ExponentialCosineSchedule.at``).  A gain map
     builds one per map, or per column of a kappa-theta map, and its cells
     read ``run``; ``result`` is the full record that ``simulate`` writes.
+    Both come from one run of ``dynamics._ramp_run``.
     """
 
     def __init__(self, pS, pF, eps, cfg):
@@ -342,13 +341,10 @@ class _Ramp:
 
     def run(self, kappa: float, omega: float):
         """``result``'s tau, inconclusive and n_threshold_crossings, raising
-        as it raises, all a gain-map cell reads: where the kernel loads, from
-        the compiled analysis of the run (``dynamics._analysed``), which
-        builds no Trajectory, unless it declines the run."""
-        kernel, schedule = ramp_kernel(), self.schedule.at(kappa, omega)
-        args = _ramp_args(schedule, self.r0, self.target, self.cfg, self.eps)
-        found = kernel and _analysed(kernel, args, self.cfg.sample_stride)
-        if found:
-            return found
-        res = self.result(kappa, omega)
-        return res.tau, res.inconclusive, res.n_threshold_crossings
+        as it raises, all a gain-map cell reads, from the same run
+        (``dynamics._ramp_run``); its Trajectory is built only where the
+        integrator made no analysis, for ``_threshold_analysis``."""
+        run = _ramp_run(self.schedule.at(kappa, omega), self.r0, self.target, self.cfg, self.eps)
+        if run["timed_out"]:
+            return None, False, 0
+        return run["analysis"] or _threshold_analysis(Trajectory(**run), self.eps)

@@ -2,14 +2,14 @@
 
 A gain-map cell runs one continuous protocol against the direct baseline
 (shared per column) and reads only its tau and inconclusive flag
-(``_Ramp.run``), which the compiled kernel computes from the run's step
-records where it loads; the ramp's set-up and the channels' tangency slopes,
-which do not depend on the cell's kappa and omega, are built once per map
-(per column of a kappa-theta map).  Cells are independent over immutable
-inputs and run on one process pool.  Failed cells are recorded, never abort
-a sweep; results are bit-identical for any worker count.  A t_I scan runs in
-this process, its baseline and every row on one set-up of the constant-stage
-protocol.
+(``_Ramp.run``), which the compiled kernel computes with the run's samples
+where it loads, with no Trajectory built; the ramp's set-up and the
+channels' tangency slopes, which do not depend on the cell's kappa and
+omega, are built once per map (per column of a kappa-theta map).  Cells
+are independent over immutable inputs and run on one process pool.  Failed
+cells are recorded, never abort a sweep; results are bit-identical for any
+worker count.  A t_I scan runs in this process, its baseline and every row
+on one set-up of the constant-stage protocol.
 """
 
 from __future__ import annotations

@@ -198,7 +198,8 @@ class TestConfigValidation:
             tmp_path, {"schema": 1, "points": points, "protocol": {"kind": "direct"}}
         )
         code, _, err = run_cli(capsys, "--config", cfg, "--output", str(tmp_path), "simulate")
-        assert code == 1 and err.startswith("config error:") and "negative rate" in err
+        assert (code, err) == (
+            1, "config error: endpoint 'F' has negative rate(s) (-0.01, 0.05, 0.0)\n")
 
     def test_fixed_omega_is_unknown_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema": 1, "sweep": theta_sweep(omega_fixed=0.3)})
@@ -346,6 +347,10 @@ class TestConfigValidation:
         ({"protocol": {"kind": "direct"}}, ["--with-baseline"], UNREAD_BASELINE),
         ({"protocol": SCAN_PROTOCOL}, ["--with-baseline"], UNREAD_BASELINE),
         ({"protocol": {**SCAN_PROTOCOL, "with_baseline": False}}, [], UNREAD_BASELINE),
+        (
+            {"protocol": {**SCAN_PROTOCOL, "t_i_scan": {"start": 2.0, "stop": 1.0, "step": 0.5}}},
+            [], "t_i_scan.stop: 1.0 lies below t_i_scan.start 2.0, so the scan has no switch time",
+        ),
     ])
     def test_inputs_no_run_reads_are_refused(
         self, tmp_path, capsys, monkeypatch, payload, flags, message

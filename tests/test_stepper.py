@@ -2,10 +2,12 @@
 
 Both steppers must write the same step records bit for bit, take the same
 counts and stop at the same time, and raise the same messages; the compiled
-dense output must give ``_DenseOutput``'s floats at every time, the compiled
-cell analysis ``integrate`` and ``_threshold_analysis``'s results, and the
-compiled non-Markov measure ``_non_markovian``'s.  The loader must fall back
-to the Python routes, and say so, wherever no checked kernel loads.
+cell must give ``_DenseOutput``'s floats at every time up to a run's end and
+``integrate`` and ``_threshold_analysis``'s results, with one stepped run and
+no Python analysis unless it declines, and the compiled non-Markov measure
+``_non_markovian``'s.  The loader must fall back to the Python routes, and
+say so, wherever no checked kernel loads; it binds every function that the
+source exports.
 """
 
 import ctypes
@@ -13,6 +15,7 @@ import json
 import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -41,7 +44,7 @@ from pontus import (
     steady_state,
 )
 from pontus import _measure, _stepper, dynamics, is_non_markovian, negative_intervals, nonmarkov
-from pontus import sweep
+from pontus import protocols, sweep
 from pontus.core import Trajectory, distance_evaluator
 from pontus.protocols import DEFAULT_EPS, _Ramp
 from pontus.sweep import _field_for_theta
@@ -186,11 +189,19 @@ class TestBitwiseAgainstPython:
         assert got == want == ("StepSizeUnderflow", dynamics._UNDERFLOW)
 
 
+def cell_states(kernel, steps, t_final, ts):
+    """The compiled cell's states at the sorted times ``ts`` of a run not
+    stopped."""
+    return dynamics._cell(kernel, steps, t_final, False, ts, 0.5, 1.0, 1.0,
+                          ([0.0, 0.0, 0.0], 0.1, 1.0))[0]
+
+
 class TestDenseOutput:
     def test_seeded_ramps(self, kernel):
-        """On the seeded runs' records: the stride grid up to t_final, t = 0,
-        every step's start and end, seeded random times, and times past the
-        last step, in one shuffled batch and one at a time."""
+        """On the seeded runs' records, through the compiled cell: the stride
+        grid up to t_final, t = 0, t_final, every step's start and end and
+        seeded random times up to t_final, sorted, in one batch and one at a
+        time."""
         rng = np.random.default_rng(25)
         runs = 0
         for i, sched, stop, y, t_bound, rtol in seeded_runs():
@@ -202,28 +213,27 @@ class TestDenseOutput:
             if steps is None:
                 continue
             starts = steps[:, 0]
-            ts = np.concatenate([
+            ts = np.sort(np.concatenate([
                 np.arange(0.0, t_final, 0.05), [0.0, t_final], starts, starts + steps[:, 1],
-                rng.uniform(0.0, t_final, 20), t_final + rng.uniform(0.0, 5.0, 3),
-            ])
-            rng.shuffle(ts)
+                rng.uniform(0.0, t_final, 20),
+            ]))
             want = dynamics._DenseOutput(steps, t_final)
-            got = dynamics._compiled_dense(kernel, steps, t_final)
-            assert got(ts).tobytes() == want(ts).tobytes(), i
-            one = ts[:5]
-            assert np.concatenate([got(one[k:k + 1]) for k in range(5)]).tobytes() == (
-                want(one).tobytes()), i
+            assert cell_states(kernel, steps, t_final, ts).tobytes() == want(ts).tobytes(), i
+            one = ts[rng.choice(len(ts), 5)]
+            assert np.concatenate([cell_states(kernel, steps, t_final, one[k:k + 1])
+                                   for k in range(5)]).tobytes() == want(one).tobytes(), i
             runs += 1
         assert runs > 400
 
     def test_known_answer_check_covers_the_evaluator(self, kernel, generator_calls):
-        def one_ulp_off(steps, n, t_final, ts, m, out):
-            kernel.dense(steps, n, t_final, ts, m, out)
-            first = ctypes.c_double.from_address(out)
+        def one_ulp_off(*args):
+            code = kernel.cell(*args)
+            first = ctypes.c_double.from_address(args[-3])  # the first sample's x
             first.value = math.nextafter(first.value, math.inf)
+            return code
 
         assert dynamics._kernel_agrees(kernel)
-        assert not dynamics._kernel_agrees(kernel._replace(dense=one_ulp_off))
+        assert not dynamics._kernel_agrees(kernel._replace(cell=one_ulp_off))
         assert generator_calls == []  # so perfbench's traced counts repeat
 
 
@@ -265,12 +275,14 @@ def analysis_cases():
         yield sched, BlochVector(*r0 / np.linalg.norm(r0)), BlochVector(0.0, 0.0, 0.0), cfg, 0.01
 
 
-def compiled_analysis(kernel, sched, r0, target, cfg, eps):
-    """The compiled cell analysis of a run, never declined."""
-    found = dynamics._analysed(kernel, dynamics._ramp_args(sched, r0, target, cfg, eps),
-                               cfg.sample_stride)
-    assert found is not None
-    return found
+def compiled_analysis(sched, r0, target, cfg, eps):
+    """The compiled analysis of a run, tau None on a timeout, never
+    declined."""
+    run = dynamics._ramp_run(sched, r0, target, cfg, eps)
+    if run["timed_out"]:
+        return None, False, 0
+    assert run["analysis"] is not None
+    return run["analysis"]
 
 
 def python_analysis(sched, r0, target, cfg, eps):
@@ -293,10 +305,34 @@ def outcome(run):
     return None if tau is None else tau.hex(), inconclusive, crossings
 
 
+def nan_record_cases(kernel):
+    """(schedule, stop, y, steps, t_final, stopped) of every eighth seeded
+    stop-rule run, its records altered at the steps of two distinct samples:
+    one gets a NaN stage, the other a start far outside the ball."""
+    rng = np.random.default_rng(30)
+    for i, sched, stop, y, t_bound, rtol in seeded_runs():
+        if stop is None or i % 8:
+            continue
+        try:
+            steps, t, stopped, *_ = dynamics._compiled_steps(
+                kernel, *ramp_args(sched, stop, y, t_bound, rtol))
+        except (BallViolation, StepSizeUnderflow):
+            continue
+        if steps is None or len(steps) < 6:
+            continue
+        k = np.searchsorted(steps[:, 0], rng.choice(np.arange(0.0, t, 0.05), 2, False)) - 1
+        if k[0] == k[1]:
+            continue
+        steps = steps.copy()
+        steps[max(k[0], 0), 5 + rng.integers(18)] = math.nan
+        steps[max(k[1], 0), 2:5] = (2.0, 0.0, 0.0)
+        yield sched, stop, y, steps, t, stopped
+
+
 class TestCellAnalysis:
     def test_matches_the_python_route(self, kernel, monkeypatch):
         cases = list(analysis_cases())
-        got = [outcome(lambda c=c: compiled_analysis(kernel, *c)) for c in cases]
+        got = [outcome(lambda c=c: compiled_analysis(*c)) for c in cases]
         monkeypatch.setattr(_stepper, "kernel", lambda check: None)
         refined = {}
 
@@ -330,8 +366,8 @@ class TestCellAnalysis:
         d = _Ramp(s, f, DEFAULT_EPS, IntegratorConfig()).result(0.5, 2.0).trajectory.dist
         assert d[96] < d[97] > d[98]
         ramp = _Ramp(s, f, float(d[97]), IntegratorConfig())
-        got = compiled_analysis(kernel, ramp.schedule.at(0.5, 2.0), ramp.r0, ramp.target,
-                                ramp.cfg, ramp.eps)
+        got = compiled_analysis(ramp.schedule.at(0.5, 2.0), ramp.r0, ramp.target, ramp.cfg,
+                                ramp.eps)
         monkeypatch.setattr(_stepper, "kernel", lambda check: None)
         res = ramp.result(0.5, 2.0)
         ts, ds = dynamics._refined_threshold_series(res.trajectory, ramp.eps)
@@ -345,50 +381,57 @@ class TestCellAnalysis:
         """Step records with a NaN stage and records whose states leave the
         ball: the largest sampled |r| is NaN, as ``np.max`` gives it, so no
         BallViolation, and NaN distances never refine or count as above eps."""
-        rng, runs = np.random.default_rng(30), 0
-        for i, sched, stop, y, t_bound, rtol in seeded_runs():
-            if stop is None or i % 8:
-                continue
-            args = ramp_args(sched, stop, y, t_bound, rtol)
-            try:
-                steps, t, stopped, *_ = dynamics._compiled_steps(kernel, *args)
-            except (BallViolation, StepSizeUnderflow):
-                continue
-            if steps is None or len(steps) < 6:
-                continue
-            # the steps of two distinct samples: one gets a NaN stage, the
-            # other a start far outside the ball
-            k = np.searchsorted(steps[:, 0], rng.choice(np.arange(0.0, t, 0.05), 2, False)) - 1
-            if k[0] == k[1]:
-                continue
-            steps = steps.copy()
-            steps[max(k[0], 0), 5 + rng.integers(18)] = math.nan
-            steps[max(k[1], 0), 2:5] = (2.0, 0.0, 0.0)
-            target, tol, eps = stop
-            stop_array, out = np.array([*target, tol, eps]), np.empty(4)
-            code = kernel.cell(steps.ctypes.data, len(steps), t, stopped, stop_array.ctypes.data,
-                               sched.kappa, sched.omega, sched._dg_max, 0.05,
-                               1.0 + dynamics.TOL_BALL, dynamics.TAU_XTOL, out.ctypes.data)
+        runs = 0
+        for sched, stop, _, steps, t, stopped in nan_record_cases(kernel):
+            ts = dynamics._sample_times(t, 0.05)
+            rs, worst, found = dynamics._cell(kernel, steps, t, stopped, ts, sched.kappa,
+                                              sched.omega, sched._dg_max, stop)
             dense = dynamics._DenseOutput(steps, t)
-            ts, rs = dynamics._samples(dense, t, 0.05)
-            assert math.isnan(out[3]) and math.isnan(np.max(np.linalg.norm(rs, axis=1)))
-            traj = Trajectory(ts, rs, None, BlochVector(*target),
+            assert math.isnan(worst) and math.isnan(np.max(np.linalg.norm(dense(ts), axis=1)))
+            target, _, eps = stop
+            traj = Trajectory(ts, dense(ts), None, BlochVector(*target),
                               distance_evaluator(dense, np.array(target)),
                               timed_out=not stopped, envelope=sched.envelope)
             if not stopped:
-                assert code == 1
+                assert found is None
                 continue
             try:
                 want = dynamics._threshold_analysis(traj, eps)
             except (ValueError, RuntimeError):  # brentq met a NaN: the kernel declines
-                assert code == -3
+                assert found is None
                 continue
-            assert code == 0 and (out[0].hex(), bool(out[1]), int(out[2])) == (
-                want[0].hex(), want[1], want[2])
+            assert (found[0].hex(), *found[1:]) == (want[0].hex(), *want[1:])
             runs += 1
         assert runs > 5
 
-    def test_sub_stride_double_crossing_is_missed_on_both_routes(self, kernel, python_route):
+    def test_a_declined_analysis_raises_the_python_message(self, kernel, monkeypatch):
+        """A cell whose NaN records fail the kernel's root search records the
+        Python route's error, from the samples of its one stepped run."""
+        declined = 0
+        for sched, stop, y, steps, t, stopped in list(nan_record_cases(kernel)):
+            target, _, eps = stop
+            ramp = object.__new__(_Ramp)  # the set-up of this run's start and target
+            vars(ramp).update(schedule=sched, r0=BlochVector(*y), target=BlochVector(*target),
+                              eps=eps, cfg=IntegratorConfig())
+            column = (ramp, sched.gamma_s.as_array(), sched.gamma_f.as_array(), None)
+            task, calls = (sched.kappa, sched.omega, column, 20.0), []
+
+            def records(*args):
+                calls.append(1)
+                return steps, t, stopped, 0, 0
+
+            monkeypatch.setattr(dynamics, "_compiled_steps", records)
+            got, stepped = sweep._cell(task), len(calls)
+            with monkeypatch.context() as python:
+                python.setattr(_stepper, "kernel", lambda check: None)
+                python.setattr(dynamics, "_dormand_prince", records)
+                want = sweep._cell(task)
+            if want[5].startswith("error:"):
+                assert (got[5:], stepped) == (want[5:], 1)
+                declined += 1
+        assert declined > 0
+
+    def test_sub_stride_double_crossing_is_missed_on_both_routes(self, kernel, monkeypatch):
         """The fig5a cell at kappa = 0.0189, omega = 1.241 crosses 21 times at
         the stride 0.005, and its refinement rule finds 19 at 0.05: the
         compiled analysis repeats that rule, not an exact count."""
@@ -396,9 +439,10 @@ class TestCellAnalysis:
         f = ParameterPoint.make((1.0, 0.0, 0.0), (0.05, 0.1, 0.15))
         kappa, omega = float(np.geomspace(0.01, 100.0, 30)[2]), float(np.linspace(0.0, 2.0, 30)[18])
         ramp = _Ramp(s, f, DEFAULT_EPS, IntegratorConfig())
+        got = compiled_analysis(ramp.schedule.at(kappa, omega), ramp.r0, ramp.target, ramp.cfg,
+                                ramp.eps)
+        monkeypatch.setattr(_stepper, "kernel", lambda check: None)
         res = ramp.result(kappa, omega)
-        got = compiled_analysis(kernel, ramp.schedule.at(kappa, omega), ramp.r0, ramp.target,
-                                ramp.cfg, ramp.eps)
         assert res.n_threshold_crossings == got[2] == 19
         assert (res.tau.hex(), res.inconclusive) == (got[0].hex(), got[1])
         fine = _Ramp(s, f, DEFAULT_EPS, IntegratorConfig(sample_stride=0.005)).result(kappa, omega)
@@ -422,6 +466,36 @@ class TestCellAnalysis:
         assert repr([sweep._cell(task) for task in tasks]) == repr(want)
         assert {cell[5] for cell in want} == {"ok", "ball-violation"}
 
+    def test_ramp_runs_step_once_with_no_python_analysis(self, kernel, monkeypatch):
+        """``run_continuous`` and a gain-map cell run the compiled steps and
+        the cell once per run, and ``_threshold_analysis`` never."""
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        analysis = counted("analysis", dynamics._threshold_analysis)
+        monkeypatch.setattr(dynamics, "_threshold_analysis", analysis)
+        monkeypatch.setattr(protocols, "_threshold_analysis", analysis)
+        monkeypatch.setattr(dynamics, "_compiled_steps", counted("steps", dynamics._compiled_steps))
+        monkeypatch.setattr(_stepper, "_kernel", kernel._replace(cell=counted("cell", kernel.cell)))
+        s = ParameterPoint.make((1.0, 0.0, 0.0), (0.75, 0.75, 0.75))
+        f = ParameterPoint.make((1.0, 0.0, 0.0), (0.05, 0.1, 0.15))
+        runs = [run_continuous(s, f, kappa, omega, cfg=IntegratorConfig(t_cap=60.0))
+                for kappa, omega in ((1.0, 0.5), (0.3, 1.5), (5.0, 0.0), (0.02, 0.0))]
+        assert {res.timed_out for res in runs} == {True, False}
+        assert calls == {"steps": 4, "cell": 4}
+        calls.clear()
+        ramp = _Ramp(s, f, DEFAULT_EPS, IntegratorConfig())
+        column = (ramp, s.gamma.as_array(), f.gamma.as_array(), None)
+        cells = [sweep._cell((kappa, omega, column, 20.0))
+                 for kappa in (0.05, 0.5, 5.0) for omega in (0.0, 0.7, 1.4)]
+        assert {cell[5] for cell in cells} == {"ok"}
+        assert calls == {"steps": 9, "cell": 9}
+
     def test_known_answer_check_covers_the_analysis(self, kernel, generator_calls):
         def one_ulp_off(*args):
             code = kernel.cell(*args)
@@ -435,7 +509,7 @@ class TestCellAnalysis:
             return code
 
         assert dynamics._kernel_agrees(kernel)
-        for wrong in (one_ulp_off, one_crossing_less, lambda *args: -3):
+        for wrong in (one_ulp_off, one_crossing_less, lambda *args: kernel.cell(*args) or -3):
             assert not dynamics._kernel_agrees(kernel._replace(cell=wrong))
         assert generator_calls == []  # so perfbench's traced counts repeat
 
@@ -500,6 +574,15 @@ class TestMeasure:
         assert generator_calls == []  # so perfbench's traced counts repeat
 
 
+def test_the_loader_binds_every_exported_function():
+    """The non-static ``pontus_*`` functions that ``_stepper.c`` defines are
+    those that ``_stepper.py`` binds, so none is left exported unused."""
+    exported = re.findall(r"^(?!static\b)\w[\w \t*]*?\b(pontus_\w+)\(", _stepper.SOURCE.read_text(),
+                          re.M)
+    bound = re.findall(r"\blibrary\.(pontus_\w+)", Path(_stepper.__file__).read_text())
+    assert set(exported) == set(bound) and len(bound) == len(_stepper.Kernel._fields)
+
+
 @needs_cc
 def test_source_compiles_without_warnings(tmp_path):
     result = subprocess.run(
@@ -527,7 +610,7 @@ class TestRoutes:
             raise AssertionError("the kernel ran")
 
         monkeypatch.setattr(dynamics, "_compiled_steps", refuse)
-        monkeypatch.setattr(dynamics, "_compiled_dense", refuse)
+        monkeypatch.setattr(dynamics, "_cell", refuse)
         s = ParameterPoint.make((1.0, 0.0, 0.0), (0.75, 0.75, 0.75))
         f = ParameterPoint.make((1.0, 0.0, 0.0), (0.05, 0.1, 0.15))
         assert run_continuous(s, f, 1.0, 0.5).tau > 0
