@@ -1,27 +1,24 @@
-/* The adaptive Dormand-Prince 5(4) step loop of pontus.dynamics._dormand_prince,
- * compiled, for the ramp m(t) = exp(-kappa t) cos(omega t) of
- * ExponentialCosineSchedule.
+/* The compiled kernel of pontus: the adaptive Dormand-Prince 5(4) step loop of
+ * pontus.dynamics._dormand_prince for the ramp m(t) = exp(-kappa t)
+ * cos(omega t) of ExponentialCosineSchedule (pontus_dormand_prince), the
+ * samples and threshold analysis of its runs (pontus_cell), the non-Markov
+ * measure (pontus_nm_total) and the CSV writer's rows (pontus_csv_rows).
  *
- * Every expression is the Python stepper's, with the same operands in the
- * same order, so both write the same floats: the initial step, the seven
- * f + m d coefficients of each stage, the error norm and the controller, the
- * Bloch-ball check, the stop rule's sign test and its root on the last step.
+ * Every expression is the Python's, with the same operands in the same order,
+ * so both write the same floats: the stepper's initial step, stage
+ * coefficients, error norm, controller, ball check and stop rule included.
  * The bit identity rests on IEEE double arithmetic with no fused multiply-add
- * (-ffp-contract=off, no -ffast-math) and on the same libm calls that
- * Python's math module makes; pontus._stepper builds the library so and
- * checks it against the Python before use.  pontus_cell is the rest of a
- * run that Python's Trajectory and threshold analysis read: the states and
- * distances at the sample times that pontus.dynamics._sample_times lays out,
- * from the quartic dense output of the step records as
- * pontus.dynamics._DenseOutput evaluates it, float for float, and
- * pontus.dynamics._threshold_analysis of them, its refined series, crossings
- * and tau included.  pontus_nm_total is the non-Markov measure of
- * pontus._measure.measure_total, its lobe loop and sums included.  One Brent
- * routine, pontus._roots.brentq step for step, finds every root: the stop
- * rule's, tau and the measure's window edges.  The error messages stay in
- * Python, which maps each return code to its exception.
+ * (-ffp-contract=off, no -ffast-math), which the writer's double-double
+ * product also needs, and on the same libm calls that Python's math module
+ * makes; pontus._stepper builds the library so and checks it against the
+ * Python before use.  One Brent routine, pontus._roots.brentq step for step,
+ * finds every root.  The error messages stay in Python, which maps each
+ * return code to its exception.
  */
 #include <math.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 /* Python's x ** y calls libm's pow, and glibc's pow(x, 2.0) is not always
  * x * x; called through a volatile pointer, the compiler cannot fold it. */
@@ -639,4 +636,95 @@ int pontus_nm_total(const double *gs, const double *gf, long n, double kappa, do
     }
     *out = total;
     return 0;
+}
+
+/* "00" to "99": the two digits of each number below 100. */
+static const char PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* Python's b"%.17g" % x into s, in at most 24 bytes and a NUL; returns the
+ * bytes but the NUL.  The digits N = round(|x| 10^p), p = 16 - e, e =
+ * floor(log10 |x|), are Dekker's exact product of |x| and hi[p], the double
+ * nearest 10^p (Veltkamp's split by 2^27 + 1), plus |x| lo[p], the rest of
+ * 10^p: good to about 3e-15 of a unit.  snprintf formats a value whose
+ * fraction there is within 1e-9 of 1/2, and |x| outside [1e-280, 1e280], but
+ * no NaN, which it writes "-nan" where Python writes "nan".  Then %g's layout:
+ * fixed for -4 <= e < 17, no trailing zeros or bare dot. */
+static int g17(double x, const double *hi, const double *lo, char *s)
+{
+    double a = fabs(x);
+    char *p = s, d[17];
+    if (x != x)
+        return memcpy(s, "nan", 3), 3;
+    if (!(a >= 1e-280 && a <= 1e280))
+        return snprintf(s, 25, "%.17g", x);
+    int e = (int)floor(log10(a)), k = 17; /* one off next to a power of ten: */
+    if (a > hi[301 + e] || (a == hi[301 + e] && lo[301 + e] >= 0)) /* a >= 10^(e + 1) */
+        e++;
+    else if (a < hi[300 + e] || (a == hi[300 + e] && lo[300 + e] > 0)) /* a < 10^e */
+        e--;
+    double th = hi[316 - e], tl = lo[316 - e], ca = 134217729.0 * a, ct = 134217729.0 * th;
+    double ah = ca - (ca - a), bh = ct - (ct - th), al = a - ah, bl = th - bh, ph = a * th;
+    double pl = ((ah * bh - ph) + ah * bl + al * bh) + al * bl + a * tl, r = floor(pl + 0.5);
+    if (fabs(pl - r) > 0.5 - 1e-9)
+        return snprintf(s, 25, "%.17g", x);
+    long long n = (long long)ph + (long long)r; /* in [1e16, 1e17] */
+    if (n == 100000000000000000LL)
+        n = 10000000000000000LL, e++;
+    for (int i = 15; i > 0; i -= 2, n /= 100)
+        memcpy(d + i, PAIRS + 2 * (n % 100), 2);
+    d[0] = (char)('0' + n);
+    while (d[k - 1] == '0')
+        k--;
+    /* the dot follows digit `point`, after `lead` digits */
+    int point = e >= -4 && e < 17 ? e : 0, lead = point < 0 ? 0 : point + 1;
+    if (x < 0)
+        *p++ = '-';
+    if (point < 0) /* "0." and -e - 1 zeros */
+        memcpy(p, "0.000", 5), p += 1 - point;
+    memcpy(p, d, lead);
+    p += lead;
+    if (k > lead) {
+        if (lead)
+            *p++ = '.';
+        memcpy(p, d + lead, k - lead);
+        p += k - lead;
+    }
+    return (int)(p - s) + (point == e ? 0 : sprintf(p, "e%+03d", e));
+}
+
+/* pontus.dynamics.write_csv's rows start to start + count - 1 into `out`, 25
+ * bytes per float and width + 1 per bytes value, each value followed by a comma
+ * or, last in its row, a newline; returns the bytes written.  Column j is
+ * (address, stride, width) in cols[3 j...]: a float64 where its width is 0,
+ * formatted by g17 or, where its bits repeat the row before's, copied; else
+ * `width` bytes, copied up to the first NUL. */
+long pontus_csv_rows(const intptr_t *cols, int ncols, long start, long count, const double *hi,
+                     const double *lo, char *out)
+{
+    char *p = out, *last[ncols]; /* each float's text in the row before */
+    int size[ncols];
+    for (long i = start; i < start + count; i++) {
+        for (int j = 0; j < ncols; j++) {
+            const intptr_t *c = cols + 3 * j, stride = c[1], width = c[2];
+            const char *v = (const char *)c[0] + i * stride;
+            if (width == 0 && i > start && !memcmp(v, v - stride, sizeof(double))) {
+                memcpy(p, last[j], size[j]);
+                last[j] = p;
+                p += size[j];
+            } else if (width == 0) {
+                double x;
+                memcpy(&x, v, sizeof x);
+                last[j] = p;
+                p += size[j] = g17(x, hi, lo, p);
+            } else {
+                for (intptr_t b = 0; b < width && v[b]; b++)
+                    *p++ = v[b];
+            }
+            *p++ = j < ncols - 1 ? ',' : '\n';
+        }
+    }
+    return (long)(p - out);
 }

@@ -1,17 +1,17 @@
 """Build, cache and load the kernel library of ``_stepper.c``: the compiled ramp
-stepper, a ramp run's samples and threshold analysis, and the non-Markov
-measure.
+stepper, a ramp run's samples and threshold analysis, the non-Markov measure
+and the CSV writer's rows.
 
 On first use the kernel is compiled with the system C compiler, ``cc``, and
 cached beside this file in ``__pycache__``, as CPython caches bytecode.  The
 file name is keyed by the source, the compile command, the interpreter and
-the machine.  A library is compiled under a temporary name and moved into
-place only once it passes the known-answer check, so processes that race on
-a cold cache each load a checked kernel and leave one file.  A cached
-library is checked again on every load.  Where no compiler runs, the
-directory cannot be written or is world-writable, or no library passes,
-``kernel`` returns None and the Python stepper, analysis and measure run; the
-route is logged once, at INFO.
+the machine, through a 64-bit zlib checksum, which loads no OpenSSL.  A
+library is compiled under a temporary name and moved into place only once it
+passes the known-answer check, so processes that race on a cold cache each
+load a checked kernel and leave one file.  A cached library is checked again
+on every load.  Where no compiler runs, the directory cannot be written or is
+world-writable, or no library passes, ``kernel`` returns None and the Python
+stepper, analysis, measure and writer run; the route is logged once, at INFO.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -43,15 +44,16 @@ _kernel = _UNTRIED
 
 
 class Kernel(NamedTuple):
-    """The library's three functions: ``steps``, pontus_dormand_prince, which
+    """The library's four functions: ``steps``, pontus_dormand_prince, which
     also finds the stop rule's root; ``cell``, pontus_cell, a run's states
     and distances at the sample times it is given, and the threshold analysis
-    of a stopped run, from its step records; and ``nm_total``,
-    pontus_nm_total."""
+    of a stopped run, from its step records; ``nm_total``, pontus_nm_total;
+    and ``csv_rows``, pontus_csv_rows, a block of CSV rows."""
 
     steps: Callable
     cell: Callable
     nm_total: Callable
+    csv_rows: Callable
 
 
 def kernel(check):
@@ -64,22 +66,22 @@ def kernel(check):
 
 
 def cache_path() -> Path:
-    """Where this source's library is cached, for this interpreter and machine."""
-    import hashlib
-
-    key = hashlib.sha256()
-    for part in (SOURCE.read_bytes(), " ".join(COMMAND).encode(),
-                 sys.implementation.cache_tag.encode(), platform.machine().encode()):
-        key.update(part + b"\0")
-    return SOURCE.parent / "__pycache__" / f"_stepper.{key.hexdigest()[:16]}.so"
+    """Where this source's library is cached, for this interpreter and machine;
+    the key is its parts' CRC-32 and Adler-32."""
+    key = b"\0".join((SOURCE.read_bytes(), " ".join(COMMAND).encode(),
+                      sys.implementation.cache_tag.encode(), platform.machine().encode()))
+    name = f"_stepper.{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
+    return SOURCE.parent / "__pycache__" / name
 
 
 def _open(path, check):
     library = ctypes.CDLL(str(path))
-    found = Kernel(library.pontus_dormand_prince, library.pontus_cell, library.pontus_nm_total)
+    found = Kernel(library.pontus_dormand_prince, library.pontus_cell, library.pontus_nm_total,
+                   library.pontus_csv_rows)
     found.steps.restype, found.steps.argtypes = ctypes.c_int, _STEPS_ARGTYPES
     found.cell.restype, found.cell.argtypes = ctypes.c_int, _CELL_ARGTYPES
     found.nm_total.restype, found.nm_total.argtypes = ctypes.c_int, _NM_TOTAL_ARGTYPES
+    found.csv_rows.restype, found.csv_rows.argtypes = _L, (_P, ctypes.c_int, _L, _L, _P, _P, _P)
     return found if check(found) else None
 
 
@@ -117,8 +119,8 @@ def _load(check):
         reason = exc
     else:
         if found is not None:
-            _log.info("ramp stepper: compiled kernel, %s %s", route, path)
+            _log.info("kernel: compiled, %s %s", route, path)
             return found
         reason = "the compiled kernel failed its known-answer check"
-    _log.info("ramp stepper: Python (%s)", reason)
+    _log.info("kernel: Python (%s)", reason)
     return None

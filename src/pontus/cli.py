@@ -624,6 +624,11 @@ def _run(argv) -> int:
     except BallViolation as exc:
         print(f"ball violation: {exc}", file=sys.stderr)
         return EXIT_BALL_VIOLATION
+    except OSError as exc:  # the output directory or a file in it
+        if exc.filename is None:
+            raise
+        print(f"output error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

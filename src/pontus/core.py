@@ -1,6 +1,6 @@
 """Domain types for Bloch-ball dynamics of an open two-level system, with
-the trace distance (``trace_distances``, row by row), endpoint validation
-and the CSV writer.
+the trace distance (``trace_distances``, row by row) and endpoint
+validation.
 
 All quantities are dimensionless: the magnitude of the initial control field
 is the energy unit, times are measured in its inverse.
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -225,153 +225,3 @@ def validate_endpoint(p: ParameterPoint) -> ParameterPoint:
             f"endpoint {p.label!r} has negative rate(s) {tuple(g.tolist())}"
         )
     return p
-
-
-#: Rows of a CSV file formatted together by ``write_csv``.
-_CSV_BLOCK = 512
-
-
-def write_csv(path, header: str, columns: Sequence[np.ndarray]) -> None:
-    """Write a CSV file: the header line, then one line per row of ``columns``.
-
-    A float64 column is written byte for byte as ``%.17g`` writes it, which
-    round-trips a float, any other column (an object array of bytes) as its
-    bytes.  Rows go out in blocks of ``_CSV_BLOCK``: one uint8 matrix with a
-    fixed slot per value, written with its NUL padding deleted.  A column
-    constant (bitwise) in a block is formatted once.  Floats are formatted by
-    numpy (``_format_floats``), the 17 digits being |x| 10**(16 - e) rounded,
-    as a double-double; ``%.17g`` itself formats a value whose fraction there
-    is within 1e-9 of 1/2 and any nonzero |x| outside [1e-280, 1e280].
-    """
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for start in range(0, len(columns[0]), _CSV_BLOCK):
-            fh.write(_csv_block([col[start : start + _CSV_BLOCK] for col in columns]))
-
-
-def _csv_block(blocks) -> bytearray:
-    """The bytes of one block of rows, given each column's block."""
-    once = []
-    for block in blocks:  # -0.0 == 0.0, but prints "-0": compare bits
-        bits = block.view(np.int64) if block.dtype == np.float64 else block
-        once.append(block[:1] if (bits == bits[0]).all() else block)
-    floats = [block for block in once if block.dtype == np.float64] or [np.empty(0)]  # or none
-    text = iter(np.split(_format_floats(np.concatenate(floats)), np.cumsum([*map(len, floats)])))
-    slots = [
-        next(text) if block.dtype == np.float64
-        else np.asarray(block, dtype=bytes).view(np.uint8).reshape(len(block), -1)
-        for block in once
-    ]
-    slots = [slot[:, slot[0] > 0] if len(slot) == 1 else slot for slot in slots]  # once: unpadded
-    ends = np.cumsum([slot.shape[1] + 1 for slot in slots])  # each slot and its separator
-    out = bytearray(len(blocks[0]) * int(ends[-1]))
-    matrix = np.frombuffer(out, np.uint8).reshape(len(blocks[0]), -1)
-    for slot, end in zip(slots, ends):
-        matrix[:, end - 1 - slot.shape[1] : end - 1] = slot
-        matrix[:, end - 1] = ord(",")
-    matrix[:, -1] = ord("\n")
-    return out.translate(None, b"\0")
-
-
-@functools.cache
-def _g17_tables():
-    """Tables of ``_format_floats``, built on first use: 10**p for |p| <= 300
-    as a double-double (from Python ints); per four-digit group its ASCII,
-    each digit followed by 0xFF, and per place of the group the digit count
-    up to its last nonzero digit; word 0 per sign and "0.000" prefix; word 5
-    per exponent; the AND masks of a row per digit count and dot position."""
-    hi, lo = [], []
-    for p in range(-300, 301):  # int / int rounds once, to the nearest double
-        num, den = 10 ** max(p, 0), 10 ** max(-p, 0)
-        m, s = (num / den).as_integer_ratio()
-        hi.append(m / s)
-        lo.append((num * s - m * den) / (den * s))
-    spread = np.full((10, 10, 10, 10, 4, 2), 255, np.uint8)  # flat index: the group
-    ndigits = np.ones((4, 10, 10, 10, 10), np.uint8)  # per place and group; 1: a zero group
-    for k in range(4):  # a group's k-th digit, and the count where it is the last nonzero
-        spread[..., k, 0] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - k))
-        count = np.arange(2 + k, 18 + k, 4, dtype=np.uint8).reshape(4, 1, 1, 1, 1)
-        ndigits[(slice(None),) * (k + 1) + (slice(1, None),)] = count
-    masks = b"".join(  # keep k digits, a dot after digit d
-        b"\xff" * 6 + bytes(c for j in range(17) for c in (255 * (j < k), 46 * (j == d)))
-        + b"\xff" * 8
-        for k in range(18) for d in range(-1, 17)
-    )
-    heads = [sign + b"0.000"[:n] for sign in (b"", b"-") for n in (0, 2, 3, 4, 5)]
-    return (
-        np.array(hi),
-        np.array(lo),
-        spread.reshape(10000, 8).view("<u8").ravel(),
-        ndigits.ravel(),
-        np.array(heads, "S8").view("<u8"),
-        np.array([b""] + [b"e%+03d" % e for e in range(-320, 321)], "S8").view("<u8"),
-        np.frombuffer(masks, "<u8").reshape(-1, 6).T.copy(),
-    )
-
-
-def _scaled(a, e, hi, lo):
-    """a * 10**(16 - e) as an unevaluated sum of two doubles: Dekker's exact
-    product of a and the double nearest 10**(16 - e), plus a times the rest."""
-    th, tl = hi[316 - e], lo[316 - e]
-    ca, ct = 134217729.0 * a, 134217729.0 * th  # Veltkamp's split by 2**27 + 1
-    ah, bh = ca - (ca - a), ct - (ct - th)
-    al, bl, ph = a - ah, th - bh, a * th
-    return ph, ((ah * bh - ph) + ah * bl + al * bh) + al * bl + a * tl
-
-
-def _percent_g(values) -> list:
-    """``%.17g`` of each value, one at a time: ``_format_floats``' fallback."""
-    return [b"%.17g" % v for v in values]
-
-
-def _significand(x: np.ndarray, hi, lo):
-    """N = round(|x| 10**(16 - e)) in [1e16, 1e17) and the decimal exponent
-    e, as int64 (0 and 0 for a zero), and the indices of the values left to
-    ``_percent_g`` (see ``write_csv``).  The product is good to about 3e-15."""
-    a = np.abs(x)
-    fast = (a >= 1e-280) & (a <= 1e280)
-    a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    ph, pl = _scaled(a, e, hi, lo)
-    shift = ((ph > 1e17) | ((ph == 1e17) & (pl >= 0))).astype(np.int64)
-    shift -= (ph < 1e16) | ((ph == 1e16) & (pl < 0))
-    if shift.any():  # log10 was one off, next to a power of ten
-        e += shift
-        ph, pl = _scaled(a, e, hi, lo)
-    r = np.floor(pl + 0.5)
-    n = ph.astype(np.int64) + r.astype(np.int64)
-    carry = n == 10**17
-    n[carry], e[carry] = 10**16, e[carry] + 1
-    n[x == 0] = 0  # and e is 0: |x| was taken as 1
-    return n, e, np.flatnonzero((~fast & (x != 0)) | (np.abs(pl - r) > 0.5 - 1e-9))
-
-
-def _format_floats(x: np.ndarray) -> np.ndarray:
-    """The bytes of ``b"%.17g" % v`` for each value of ``x``, NUL-padded to
-    one 48-byte row each, or 40 if no value needs an exponent.
-
-    ``%g``'s rules: fixed notation for -4 <= e < 17, no trailing zeros or
-    bare dot, at least two exponent digits.  A row is six little-endian
-    words: the sign, the "0.000" of a fixed e < 0 and the first digit; the
-    other 16 digits; the exponent.  A byte for the dot follows each digit.
-    """
-    hi, lo, quad, ndigits, heads, suffix, masks = _g17_tables()
-    n, e, slow = _significand(x, hi, lo)
-    top = n // 10**8
-    halves = np.array([top - top // 10**8 * 10**8, n - top * 10**8])
-    quads = np.empty((4, len(x)), np.intp)
-    quads[::2] = halves // 10**4
-    quads[1::2] = halves - quads[::2] * 10**4
-    count = np.take(ndigits, quads + np.array([[0], [10000], [20000], [30000]])).max(axis=0)
-    fixed = (e >= -4) & (e < 17)
-    point = np.where(fixed, e, 0).clip(-1)  # the dot follows this digit, if any does
-    dot = np.where(count > point + 1, point, -1)
-    words = np.take(masks, np.maximum(count, point + 1) * 18 + dot + 1, axis=1)
-    head = np.take(heads, np.signbit(x) * 5 + np.where(fixed & (e < 0), -e, 0))
-    words[0] &= head | ((top // 10**8).astype("<u8") + 0xFF30) << 48
-    words[1:5] &= np.take(quad, quads)
-    words[5] &= np.take(suffix, np.where(fixed, 0, e + 321))
-    out = np.ascontiguousarray(words[: 5 if fixed.all() else 6].T).view(np.uint8)
-    fallback = np.array(_percent_g(x[slow].tolist()), f"S{out.shape[1]}")
-    out[slow] = fallback.view(np.uint8).reshape(-1, out.shape[1])
-    return out

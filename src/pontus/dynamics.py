@@ -1,5 +1,5 @@
-"""Generator assembly and propagation of the affine Bloch equation, and the
-threshold analysis of a run.
+"""Generator assembly and propagation of the affine Bloch equation, the
+threshold analysis of a run and the CSV writer.
 
 Constant-parameter dynamics is propagated exactly through the drift's
 eigenmodes, or a matrix exponential where those are unusable
@@ -26,11 +26,12 @@ routes.  scipy is imported only by ``expm``, on its first call.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import struct
 from array import array
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .core import (
     Trajectory,
     distance_evaluator,
     trace_distances,
-    write_csv,
 )
 from .errors import BallViolation, NotConverged, PontusError, SingularGenerator, StepSizeUnderflow
 
@@ -607,7 +607,9 @@ def _kernel_agrees(kernel) -> bool:
     ``t_end`` run, and its analysis of the stop-rule run, which crosses eps
     5 times with 15 refined intervals and ends inconclusive; and so must the
     non-Markov measure of a channel with 13 windows, one with a vanishing
-    final rate and one that never turns negative."""
+    final rate and one that never turns negative; and so must the writer's
+    rows of values where a ``%.17g`` formatter can go wrong, beside a bytes
+    column that holds a %."""
     # the coefficients and dg_max of the ramp from rates (0.9, 0.1, 0.3) to
     # (0.05, 0.4, 0.0) in the field (1, 0, 0.5), rounded, and F's attractor,
     # found without the generator functions, whose calls perfbench's tracer
@@ -617,7 +619,14 @@ def _kernel_agrees(kernel) -> bool:
     target = np.linalg.solve(lam_f, [0.0, 0.0, 0.35]).tolist()
     y, eps = [0.3, -0.2, 0.5], 0.0087
     measure = ((0.75, 0.9, 0.3), (0.05, 0.0, 0.5), 0.05, 1.5)
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, math.copysign(math.nan, -1.0), 5e-324,
+              154043743710274.125, 1.2345678901234567e-05, 0.00012345678901234567,
+              1.2345678901234567e16, 1.2345678901234567e17] + [
+        math.nextafter(v, d) for v in (1e-280, 1e280) for d in (0.0, v, math.inf)]
+    columns = [np.array(values), np.array(values[::-1]), np.array([b"50%", b"", b"ok"] * 6, "S")]
     try:
+        if b"".join(_csv_rows(columns, kernel)) != b"".join(_csv_rows(columns, None)):
+            return False
         for kappa, omega, stop, t_bound, rtol, max_step in (
             (0.3, 1.0, (target, eps / 10.0, eps), 1e4, 1e-6, math.inf),
             (0.7, 2.0, None, 2.0, 1e-9, 0.25),
@@ -651,12 +660,58 @@ def _kernel_agrees(kernel) -> bool:
 def ramp_kernel():
     """The checked compiled kernel (``_stepper.Kernel``) with which
     ``_ramp_run`` steps, samples and analyses an ``ExponentialCosineSchedule``
-    run, and ``nonmarkov`` computes the non-Markov measure, or None for the
-    Python stepper, ``_DenseOutput``, ``_threshold_analysis`` and
-    ``_measure.measure_total``;
-    loaded on the first call of a process, so a caller about to fork
-    workers can load it once for all of them."""
+    run, ``nonmarkov`` computes the non-Markov measure and ``write_csv``
+    writes its rows, or None for their Python routes; loaded on the first
+    call of a process, so a caller about to fork workers can load it once
+    for all of them."""
     return _stepper.kernel(_kernel_agrees)
+
+
+#: Rows of a CSV file that one call of the kernel's writer writes.
+_CSV_BLOCK = 512
+
+
+@functools.cache
+def _powers_of_ten():
+    """10**p for |p| <= 300 as a double-double (hi, lo), built from Python
+    ints on first use: the nearest double, and the nearest double to the rest."""
+    table = []
+    for p in range(-300, 301):  # int / int rounds once, to the nearest double
+        num, den = 10 ** max(p, 0), 10 ** max(-p, 0)
+        m, s = (num / den).as_integer_ratio()
+        table.append((m / s, (num * s - m * den) / (den * s)))
+    return np.array(table).T.copy()
+
+
+def write_csv(path, header: str, columns: Sequence[np.ndarray]) -> None:
+    """Write a CSV file: the header line, then one line per row of ``columns``,
+    a float64 as ``b"%.17g" % v`` writes it, which round-trips a float, and
+    a fixed-width bytes value (numpy ``S``) as its bytes."""
+    if any(len(col) != len(columns[0]) or not (col.dtype == np.float64 or col.dtype.kind == "S")
+           for col in columns):
+        raise ValueError("CSV columns must be float64 or bytes arrays of one length")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        fh.writelines(_csv_rows(columns, ramp_kernel()))
+
+
+def _csv_rows(columns, kernel):
+    """The rows of ``columns`` in chunks of bytes: per ``_CSV_BLOCK`` rows, the
+    bytes that ``kernel.csv_rows`` writes, given each column's address,
+    stride and width (0 for floats); or, with no kernel, each row by ``%``."""
+    floats, n = [col.dtype == np.float64 for col in columns], len(columns[0])
+    if kernel is None:
+        line = b",".join(b"%.17g" if f else b"%s" for f in floats) + b"\n"
+        yield from (line % row for row in zip(*(col.tolist() for col in columns)))
+        return
+    cols = np.array([(col.ctypes.data, col.strides[0], 0 if f else col.itemsize)
+                     for f, col in zip(floats, columns)], np.intp)
+    hi, lo = _powers_of_ten()
+    buf = np.empty(_CSV_BLOCK * int(np.where(cols[:, 2], cols[:, 2] + 1, 25).sum()), np.uint8)
+    for start in range(0, n, _CSV_BLOCK):
+        size = kernel.csv_rows(cols.ctypes.data, len(cols), start, min(_CSV_BLOCK, n - start),
+                               hi.ctypes.data, lo.ctypes.data, buf.ctypes.data)
+        yield buf[:size].tobytes()
 
 
 def _ramp_args(schedule, r0: BlochVector, target: BlochVector, cfg: IntegratorConfig,

@@ -24,8 +24,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import FieldVector, ParameterPoint, RateTriple, write_csv
-from .dynamics import IntegratorConfig, ramp_kernel
+from .core import FieldVector, ParameterPoint, RateTriple
+from .dynamics import IntegratorConfig, ramp_kernel, write_csv
 from .errors import BallViolation, NotConverged, SingularGenerator
 from .mpemba import _two_step_class, gain
 from .nonmarkov import _boundary_slopes, _non_markovian, boundary_curve
@@ -333,7 +333,6 @@ def _scan(stages: _ConstantStages, t_is: List[float]):
 def gain_map_to_csv(gm: GainMap, path) -> None:
     """Row-major cell dump; booleans as true/false, failures in ``status``."""
     n1, n2 = gm.shape
-    flag = np.array([b"false", b"true"], dtype=object)  # object: stacks with floats as floats
 
     def cells(a, dtype=float):
         return np.asarray(a, dtype=dtype).ravel()
@@ -347,10 +346,10 @@ def gain_map_to_csv(gm: GainMap, path) -> None:
             cells(gm.tau_dir),
             cells(gm.tau_cpm),
             cells(gm.gain),
-            flag[cells(gm.inconclusive, int)],
-            flag[cells(gm.non_markovian, int)],
+            np.where(cells(gm.inconclusive, bool), b"true", b"false"),
+            np.where(cells(gm.non_markovian, bool), b"true", b"false"),
             cells(gm.f_total),
-            np.array([s.encode() for row in gm.status for s in row], dtype=object),
+            np.array([s.encode() for row in gm.status for s in row]),
         ],
     )
 

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import importlib.util
 import io
@@ -6,6 +7,7 @@ import itertools
 import json
 import logging
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -423,6 +425,30 @@ class TestConfigValidation:
     def test_velocity_field_label_must_be_a_file_name(self, tmp_path, capsys, monkeypatch, label):
         payload = {"schema": 1, "points": PLANAR_POINTS, "velocity_field": {"label": label}}
         self.refused_label(tmp_path, capsys, monkeypatch, payload, "velocity-field", "velocity_field")
+
+
+class TestOutputErrors:
+    """An output that cannot be written is one stderr line naming its path,
+    exit 1, no traceback."""
+
+    @staticmethod
+    def message(code, path):
+        error = OSError(code, os.strerror(code), str(path))
+        return f"output error: cannot write output: {error}\n"
+
+    def test_output_naming_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, out, err = run_cli(capsys, "--config", str(CONFIGS / "fig3a.json"),
+                                 "--output", str(taken), "simulate")
+        assert (code, out, err) == (1, "", self.message(errno.EEXIST, taken))
+
+    def test_output_file_that_is_a_directory(self, tmp_path, capsys):
+        blocked = tmp_path / "fig3a_trajectory.csv"
+        blocked.mkdir()
+        code, out, err = run_cli(capsys, "--config", str(CONFIGS / "fig3a.json"),
+                                 "--output", str(tmp_path), "simulate")
+        assert (code, out, err) == (1, "", self.message(errno.EISDIR, blocked))
 
 
 class TestSimulate:
@@ -939,34 +965,61 @@ class TestPinnedTwoStep:
 
 
 class TestWriterFastPath:
-    """The figure trajectories are formatted by the writer's numpy path alone:
-    no value goes to its per-value ``%.17g`` fallback, so a change that sends
-    them back there shows here even while every byte still matches."""
+    """Each route has one writer path: on the kernel route the kernel's writer
+    writes every row of the figure trajectories and none goes to ``%``, under
+    ``python_route`` ``%`` writes every row."""
 
-    @pytest.mark.parametrize(
+    CASES = pytest.mark.parametrize(
         "config, command, files",
         [("fig1", ["simulate"], 4), ("fig2_k0035", ["simulate", "--with-baseline"], 2)],
     )
-    def test_no_value_takes_the_fallback(
-        self, config, command, files, tmp_path, capsys, monkeypatch
-    ):
-        import pontus.core
 
-        fallback, calls, sent = pontus.core._percent_g, [], []
+    def written(self, capsys, monkeypatch, tmp_path, config, command):
+        """Runs the command; the rows its trajectory CSVs hold, the rows that
+        the kernel's writer wrote, and per file whether it went to ``%``."""
+        from pontus import _stepper, dynamics
 
-        def counted(values):
-            calls.append(len(values))
-            sent.extend(values)
-            return fallback(values)
+        kernel, rows, by_percent = _stepper._kernel, [], []
+        csv_rows = dynamics._csv_rows
 
-        monkeypatch.setattr(pontus.core, "_percent_g", counted)
+        def counted(*args):
+            rows.append(args[3])  # the block's row count
+            return kernel.csv_rows(*args)
+
+        def spied(columns, found):
+            by_percent.append(found is None)
+            return csv_rows(columns, found)
+
+        if isinstance(kernel, _stepper.Kernel):
+            monkeypatch.setattr(_stepper, "_kernel", kernel._replace(csv_rows=counted))
+        monkeypatch.setattr(dynamics, "_csv_rows", spied)
         code, _, _ = run_cli(
             capsys, "--config", str(CONFIGS / f"{config}.json"), "--output", str(tmp_path),
             *command,
         )
         assert code == 0
-        assert len(list(tmp_path.glob("*_trajectory.csv"))) == files
-        assert calls and sent == []
+        paths = list(tmp_path.glob("*_trajectory.csv"))
+        return sum(len(p.read_bytes().splitlines()) - 1 for p in paths), sum(rows), by_percent
+
+    @CASES
+    def test_no_value_takes_the_fallback(
+        self, config, command, files, tmp_path, capsys, monkeypatch
+    ):
+        from pontus import dynamics
+
+        if dynamics.ramp_kernel() is None:
+            pytest.skip("no compiled kernel loads here")
+        total, by_kernel, by_percent = self.written(capsys, monkeypatch, tmp_path, config,
+                                                    command)
+        assert total > 1000 and by_kernel == total and by_percent == [False] * files
+
+    @CASES
+    def test_python_route_formats_every_row_by_percent(
+        self, config, command, files, tmp_path, capsys, monkeypatch, python_route
+    ):
+        total, by_kernel, by_percent = self.written(capsys, monkeypatch, tmp_path, config,
+                                                    command)
+        assert total > 1000 and by_kernel == 0 and by_percent == [True] * files
 
 
 class TestGainMap:

@@ -39,7 +39,8 @@ from pontus import (
     velocity_field_to_csv,
 )
 from pontus import dynamics
-from pontus.core import _CSV_BLOCK, _g17_tables, distance_evaluator, write_csv
+from pontus.core import distance_evaluator
+from pontus.dynamics import _CSV_BLOCK, _powers_of_ten, write_csv
 from pontus.protocols import _threshold_analysis
 from ramps import held
 
@@ -888,8 +889,18 @@ class TestExports:
         write_csv(path, "t,rx", [np.empty(0), np.empty(0)])
         assert path.read_bytes() == b"t,rx\n"
 
+    @pytest.mark.parametrize("columns", [
+        [np.zeros(3), np.zeros(2)],  # the kernel would read past the shorter
+        [np.zeros(3), np.arange(3)],  # neither float64 nor bytes
+        [np.zeros(3), np.zeros(3, np.float32)],
+    ])
+    def test_writer_refuses_columns_it_cannot_write(self, columns, tmp_path):
+        with pytest.raises(ValueError, match="float64 or bytes arrays of one length"):
+            write_csv(tmp_path / "bad.csv", "a,b", columns)
+        assert not (tmp_path / "bad.csv").exists()
+
     def test_power_table_is_exact(self):
-        hi, lo = _g17_tables()[:2]
+        hi, lo = _powers_of_ten()
         for p, h, l in zip(range(-300, 301), hi.tolist(), lo.tolist()):
             assert h == float(Fraction(10) ** p)  # the nearest double
             assert l == float(Fraction(10) ** p - Fraction(h))  # the nearest double to the rest
@@ -965,6 +976,12 @@ class TestExports:
         ring = rows[np.abs(rho - 0.2) < 1e-12]
         assert len(ring) >= 4
         assert np.ptp(ring[:, 6]) < 1e-13
+
+
+@pytest.mark.usefixtures("python_route")
+class TestExportsPythonRoute(TestExports):
+    """The same writer tests, on the same data, with every row formatted by
+    ``%``."""
 
 
 class TestIntegratorConfig:

@@ -1,8 +1,11 @@
-"""Importing pontus and running its figure commands loads no scipy.
+"""Importing pontus and running its figure commands loads no scipy, and
+the figure commands load no OpenSSL.
 
 scipy serves only the rare routes: ``dynamics.expm`` (a flow without usable
 eigenmodes, the product oracle) and the quadrature oracle, each importing it
-on first use.  Every check of what a run loads runs in a fresh interpreter.
+on first use.  The kernel's cache key is a zlib checksum, not a ``hashlib``
+digest, whose import loads OpenSSL's ``_hashlib``.  Every check of what a run
+loads runs in a fresh interpreter.
 """
 
 import ast
@@ -44,7 +47,7 @@ def test_import_and_writer_tables_load_no_fractions_or_decimal(tmp_path):
     exact = 'sorted(m for m in ("fractions", "decimal") if m in sys.modules)'
     body = (
         f"import pontus, pontus.cli\nbefore = {exact}\n"
-        f"pontus.core._g17_tables()\nassert {exact} == [], {exact}"
+        f"pontus.dynamics._powers_of_ten()\nassert {exact} == [], {exact}"
     )
     assert loaded(tmp_path, body) == [[], []]
 
@@ -73,14 +76,16 @@ def _gain_map_config(tmp_path):
     ids=["fig1-scan", "fig2-with-baseline", "gain-map-2x2"],
 )
 def test_figure_commands_load_no_scipy(tmp_path, config, command):
+    """Nor OpenSSL: ``before`` is whether ``_hashlib`` loaded."""
     config = str(CONFIGS / config) if config else _gain_map_config(tmp_path)
     argv = ["--config", config, "--output", str(tmp_path), *command]
     body = (
         "import contextlib, io\nfrom pontus.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 0"
+        f"    assert main({argv!r}) == 0\n"
+        'before = "_hashlib" in sys.modules'
     )
-    assert loaded(tmp_path, body) == [None, []]
+    assert loaded(tmp_path, body) == [False, []]
 
 
 def test_defective_drift_loads_scipy_linalg_on_use(tmp_path):

@@ -574,6 +574,19 @@ class TestMeasure:
         assert generator_calls == []  # so perfbench's traced counts repeat
 
 
+class TestWriter:
+    def test_known_answer_check_covers_the_writer(self, kernel, generator_calls):
+        def one_byte_off(*args):
+            size = kernel.csv_rows(*args)
+            first = ctypes.c_char.from_address(args[-1])  # the block's first byte
+            first.value = b"#"
+            return size
+
+        assert dynamics._kernel_agrees(kernel)
+        assert not dynamics._kernel_agrees(kernel._replace(csv_rows=one_byte_off))
+        assert generator_calls == []  # so perfbench's traced counts repeat
+
+
 def test_the_loader_binds_every_exported_function():
     """The non-static ``pontus_*`` functions that ``_stepper.c`` defines are
     those that ``_stepper.py`` binds, so none is left exported unused."""
@@ -650,20 +663,20 @@ class TestLoader:
     def test_cold_cache_compiles_once_then_loads(self, cold_cache, caplog, monkeypatch):
         function, logs = load(caplog)
         assert function is not None and logs == [
-            f"ramp stepper: compiled kernel, built {_stepper.cache_path()}"]
+            f"kernel: compiled, built {_stepper.cache_path()}"]
         assert cached_files(cold_cache) == [_stepper.cache_path().name]
         monkeypatch.setattr(_stepper, "_kernel", _stepper._UNTRIED)
         monkeypatch.setattr(_stepper, "_build", no_compiler)  # must not be needed
         caplog.clear()
         function, logs = load(caplog)
         assert function is not None and logs == [
-            f"ramp stepper: compiled kernel, cached {_stepper.cache_path()}"]
+            f"kernel: compiled, cached {_stepper.cache_path()}"]
 
     def test_missing_compiler_falls_back(self, cold_cache, caplog, monkeypatch):
         monkeypatch.setattr(_stepper, "COMMAND", ("no-such-compiler", *_stepper.COMMAND[1:]))
         function, logs = load(caplog)
         assert function is None
-        assert len(logs) == 1 and logs[0].startswith("ramp stepper: Python (")
+        assert len(logs) == 1 and logs[0].startswith("kernel: Python (")
         assert "no-such-compiler" in logs[0]
         assert cached_files(cold_cache) == []
 
@@ -672,7 +685,7 @@ class TestLoader:
         _stepper.SOURCE.write_text(_stepper.SOURCE.read_text() + "\n#error broken\n")
         function, logs = load(caplog)
         assert function is None
-        assert len(logs) == 1 and logs[0].startswith("ramp stepper: Python (Command ")
+        assert len(logs) == 1 and logs[0].startswith("kernel: Python (Command ")
         assert cached_files(cold_cache) == []
 
     @needs_cc
@@ -692,12 +705,12 @@ class TestLoader:
         with monkeypatch.context() as m:
             m.setattr(_stepper, "_build", no_compiler)
             function, logs = load(caplog)
-        assert function is None and logs == [f"ramp stepper: Python ({NO_CC})"]
+        assert function is None and logs == [f"kernel: Python ({NO_CC})"]
 
         monkeypatch.setattr(_stepper, "_kernel", _stepper._UNTRIED)
         caplog.clear()
         function, logs = load(caplog)  # rebuilt and replaced
-        assert logs == [f"ramp stepper: compiled kernel, built {path}"]
+        assert logs == [f"kernel: compiled, built {path}"]
         assert dynamics._kernel_agrees(function)
         assert path.read_bytes() != wrong_bytes
         assert cached_files(cold_cache) == [path.name]
@@ -708,15 +721,31 @@ class TestLoader:
         path = _stepper.cache_path()
         path.write_bytes(b"not a shared library")
         function, logs = load(caplog)
-        assert function is not None and logs == [f"ramp stepper: compiled kernel, built {path}"]
+        assert function is not None and logs == [f"kernel: compiled, built {path}"]
         assert cached_files(cold_cache) == [path.name]
+
+    def test_cache_name_changes_with_each_keyed_part(self, cold_cache, monkeypatch):
+        other = cold_cache.parent / "other.c"
+        other.write_bytes(_stepper.SOURCE.read_bytes() + b"\n")
+        paths = [_stepper.cache_path()]
+        for target, name, value in (
+            (_stepper, "SOURCE", other),
+            (_stepper, "COMMAND", (*_stepper.COMMAND, "-g")),
+            (sys.implementation, "cache_tag", "another-interpreter"),
+            (_stepper.platform, "machine", lambda: "another-machine"),
+        ):
+            with monkeypatch.context() as m:
+                m.setattr(target, name, value)
+                paths.append(_stepper.cache_path())
+        assert len(set(paths)) == 5 and {p.parent for p in paths} == {cold_cache}
+        assert all(re.fullmatch(r"_stepper\.[0-9a-f]{16}\.so", p.name) for p in paths)
 
     def test_world_writable_cache_is_refused(self, cold_cache, caplog):
         cold_cache.mkdir()
         cold_cache.chmod(0o777)
         function, logs = load(caplog)
         assert function is None
-        assert logs == [f"ramp stepper: Python ({cold_cache} is world-writable)"]
+        assert logs == [f"kernel: Python ({cold_cache} is world-writable)"]
         assert cached_files(cold_cache) == []
 
     @needs_cc
