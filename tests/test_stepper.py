@@ -4,10 +4,11 @@ Both steppers must write the same step records bit for bit, take the same
 counts and stop at the same time, and raise the same messages; the compiled
 cell must give ``_DenseOutput``'s floats at every time up to a run's end and
 ``integrate`` and ``_threshold_analysis``'s results, with one stepped run and
-no Python analysis unless it declines, and the compiled non-Markov measure
-``_non_markovian``'s.  The loader must fall back to the Python routes, and
-say so, wherever no checked kernel loads; it binds every function that the
-source exports.
+no Python analysis unless it declines, the compiled non-Markov measure
+``_non_markovian``'s, and the compiled CSV rows the ``%`` rows.  The loader
+must fall back to the Python routes, and say so, wherever no checked kernel
+loads; it binds every function that the source exports, and keys its cache
+by each of the source, the command, the interpreter and the machine.
 """
 
 import ctypes
