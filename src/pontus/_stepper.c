@@ -1,7 +1,8 @@
 /* The compiled kernel of pontus: the adaptive Dormand-Prince 5(4) step loop of
  * pontus.dynamics._dormand_prince for the ramp m(t) = exp(-kappa t)
- * cos(omega t) of ExponentialCosineSchedule (pontus_dormand_prince), the
- * samples and threshold analysis of its runs (pontus_cell), the non-Markov
+ * cos(omega t) of ExponentialCosineSchedule (pontus_dormand_prince), its
+ * dense output (pontus_dense_output), the samples and threshold analysis of
+ * its runs, chunk by chunk of step records (pontus_cell), the non-Markov
  * measure (pontus_nm_total) and the CSV writer's rows (pontus_csv_rows).
  *
  * Every expression is the Python's, with the same operands in the same order,
@@ -123,7 +124,7 @@ static int brentq(function f, const void *args, double a, double b, double xtol,
  * + q4 x^4), x = (t - t_k) / h, with q1 = k1 and q2..q4 the stages weighted by
  * P's columns (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6): each
  * float as pontus.dynamics._DenseOutput forms it, in the same order. */
-static void pontus_dense_output(const double *steps, long n, double t_final, const double *ts,
+void pontus_dense_output(const double *steps, long n, double t_final, const double *ts,
                                 long m, double *out)
 {
     static const double P1[3] = {-8048581381.0 / 2820520608, 8663915743.0 / 2820520608,
@@ -438,7 +439,7 @@ static double distance(const double *y, const double *g)
 }
 
 /* The dense output's distance to the target less eps at t: the function
- * whose root on the last downward crossing is tau. */
+ * whose root on a downward crossing is tau. */
 struct run {
     const double *steps, *stop;
     long n;
@@ -453,23 +454,42 @@ static double distance_gap(const void *args, double t)
     return distance(y, a->stop) - a->stop[4];
 }
 
-/* The crossings of eps by a series fed one point at a time, in time order:
- * their count, and the bracket (lo, hi) of the last downward one. */
-struct crossings {
-    double eps, t, lo, hi;
-    long count;
-    int above, any, down; /* above: -1 before the first point */
+/* What the analysis of a run carries from one chunk of its step records to
+ * the next, in the caller's array of 16 doubles, all 0 before the first: the
+ * results (tau, the inconclusive flag, the crossing count and the largest
+ * sampled |r|); the number of samples taken; the last two samples' times and
+ * the last three's distances, newest first; and the crossing series: its
+ * last point's time, that point's side of eps (0 before the first point, 1
+ * below, 2 at or above), whether any point reached eps, and the last
+ * downward crossing: whether its root was found (1), not found (-1), not
+ * yet sought (2) or there is none (0), and its bracket. */
+struct cell {
+    double tau, inconclusive, crossings, worst;
+    double next, t1, t2, d1, d2, d3;
+    double t, side, any, root, lo, hi;
 };
 
-static void visit(struct crossings *c, double t, double d)
+/* The crossing series' next point, in time order: a crossing of eps counts,
+ * and a downward one brackets its root. */
+static void visit(struct cell *c, double eps, double t, double d)
 {
-    int above = d >= c->eps;
-    if (c->above >= 0 && above != c->above) {
-        c->count++;
-        if (c->above)
-            c->lo = c->t, c->hi = t, c->down = 1;
+    int above = d >= eps;
+    if (c->side > 0 && above != (c->side > 1)) {
+        c->crossings++;
+        if (c->side > 1)
+            c->root = 2, c->lo = c->t, c->hi = t;
     }
-    c->any |= above, c->above = above, c->t = t;
+    c->any = c->any || above;
+    c->side = above ? 2 : 1;
+    c->t = t;
+}
+
+/* tau: brentq's root with `xtol` on the bracket of the last downward
+ * crossing, where not yet sought, while `run` holds its records. */
+static void root(struct cell *c, const struct run *run, double xtol)
+{
+    if (c->root == 2)
+        c->root = brentq(distance_gap, run, c->lo, c->hi, xtol, RTOL, &c->tau) ? -1 : 1;
 }
 
 /* np.sign(b - a) as -1, 0 or 1, and 2 for NaN. */
@@ -479,79 +499,130 @@ static int slope(double a, double b)
     return s > 0 ? 1 : s < 0 ? -1 : s == 0 ? 0 : 2;
 }
 
-/* Whether the slope changes sign from sample j to j + 1 of d, as the
+/* Whether the slope of the distances a, b, c changes sign at b, as the
  * Python's slope[j] != slope[j + 1] tells it, NaN unequal to all. */
-static int reversal(const double *d, long j)
+static int reverses(double a, double b, double c)
 {
-    int a = slope(d[j], d[j + 1]);
-    return a == 2 || a != slope(d[j + 1], d[j + 2]);
+    int s = slope(a, b);
+    return s == 2 || s != slope(b, c);
 }
 
-/* What a ramp run's Trajectory and threshold analysis read of its n >= 1
- * step records `steps`, which end at t_final, stopped there by the stop rule
- * or else not; `stop` holds (target, tol, eps).  First its samples at the
- * m >= 1 increasing times `ts`, laid out by the caller: their states into
- * the m x 3 array `r`, their distances to the target into `d`, and the
- * largest |r| among them (a NaN if any is one) into out[3], for the caller's
- * ball check.  Then, on a stopped run, pontus.dynamics._threshold_analysis:
- * the series of _refined_threshold_series, which adds 8 points j step + t_k,
- * step = (t_k+1 - t_k) / 9, to each interval inside the band (eps/4, 4 eps)
- * that straddles eps or next to which the slope reverses (they lie in
- * [t_k, t_k+1], and one equal to a sample has its distance, so the order of
- * such ties does not matter); its crossings of eps; tau, brentq's root with
+/* The crossing series from sample t0, at distance a, to the next sample t,
+ * at b: _refined_threshold_series' 8 points j step + t0, step = (t - t0) / 9,
+ * where the interval lies inside the band (eps/4, 4 eps) and straddles eps
+ * or is `turning` (the slope reverses at either end), then t.  The points lie
+ * in [t0, t], and one equal to a sample has its distance, so the order of
+ * such ties does not matter. */
+static void interval(struct cell *c, const struct run *run, double t0, double t, double a,
+                     double b, int turning)
+{
+    const double eps = run->stop[4];
+    if (a == a && b == b && (a < b ? a : b) < 4.0 * eps && (a < b ? b : a) > eps / 4.0
+        && ((a >= eps) != (b >= eps) || turning)) {
+        double step = (t - t0) / 9, sub[8], z[24];
+        for (int j = 0; j < 8; j++)
+            sub[j] = (j + 1) * step + t0;
+        pontus_dense_output(run->steps, run->n, run->t_final, sub, 8, z);
+        for (int j = 0; j < 8; j++)
+            visit(c, eps, sub[j], distance(z + 3 * j, run->stop));
+    }
+    visit(c, eps, t, b);
+}
+
+/* The next sample, at t in state y: the largest |r| (a NaN if any is one);
+ * its state and distance into the m x 3 array r and into d, if given; and
+ * the crossing series up to the sample before, whose interval's refinement
+ * needs this one's distance. */
+static void sample(struct cell *c, const struct run *run, double t, const double *y, double *r,
+                   double *d, long m)
+{
+    long j = (long)c->next;
+    double norm = sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]), dj = distance(y, run->stop);
+    if (norm > c->worst || norm != norm)
+        c->worst = norm;
+    if (r && j < m) {
+        memcpy(r + 3 * j, y, 3 * sizeof *y);
+        d[j] = dj;
+    }
+    if (j == 1)
+        visit(c, run->stop[4], c->t1, c->d1);
+    else if (j > 1)
+        interval(c, run, c->t2, c->t1, c->d2, c->d1,
+                 reverses(c->d2, c->d1, dj) || (j > 2 && reverses(c->d3, c->d2, c->d1)));
+    c->next = j + 1;
+    c->t2 = c->t1, c->t1 = t;
+    c->d3 = c->d2, c->d2 = c->d1, c->d1 = dj;
+}
+
+/* What a ramp run's Trajectory and threshold analysis read of it, from its
+ * step records in chunks, in time order, as they come from the stepper:
+ * here the *n >= 1 records `steps` that end at t_end, where the run resumes
+ * (`end` 0), ends at its time bound (1) or is stopped by the stop rule (2);
+ * `stop` holds (target, tol, eps) and `c` the analysis so far.
+ *
+ * First the samples at np.arange(0, t_final, stride), which holds i stride,
+ * and at t_final where it lies more than 1e-12 past that grid
+ * (pontus.dynamics._sample_times): those up to t_end that np.arange's count
+ * for t_end holds, all that are left on the last chunk.  Their states and
+ * distances go into the m x 3 array r and into d, if given.  Then, on a
+ * stopped run, pontus.dynamics._threshold_analysis: the crossings of eps of
+ * the series that _refined_threshold_series refines; tau, brentq's root with
  * `xtol` on the last downward one; and whether dg_max exp(-kappa tau) still
  * exceeds eps at omega > 0.  Each float as the Python forms it, in the same
  * order.
  *
- * Returns 0 with tau, the inconclusive flag and the crossing count in
- * out[0..2] (all 0 where no point reaches eps); 1 for a run not stopped;
- * -3 where the Python analysis must run to raise its error: the series never
- * falls back below eps, or brentq finds no root. */
-int pontus_cell(const double *steps, long n, double t_final, int stopped, const double *stop,
-                double kappa, double omega, double dg_max, const double *ts, long m, double xtol,
-                double *r, double *d, double *out)
+ * Returns 2 for a run that resumes, with the records that the pending
+ * interval still needs, from the one that serves its first sample, moved to
+ * the front of `steps` and counted in *n; the root of the chunk's last
+ * downward crossing, if any, is found first, while its records are there.  Then 1 for a run not stopped; else
+ * 0 with the results in c (all 0 where no point reaches eps), or -3 where the
+ * Python analysis must run to raise its error: the series never falls back
+ * below eps, or brentq finds no root. */
+int pontus_cell(double *state, double *steps, long *n, double t_end, int end, const double *stop,
+                double kappa, double omega, double dg_max, double stride, double xtol, double *r,
+                double *d, long m)
 {
-    const double eps = stop[4], lo = eps / 4.0, hi = 4.0 * eps;
-    double worst = -INFINITY;
-    pontus_dense_output(steps, n, t_final, ts, m, r);
-    for (long i = 0; i < m; i++) {
-        const double *y = r + 3 * i;
-        double norm = sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2]);
-        if (norm > worst || norm != norm)
-            worst = norm;
-        d[i] = distance(y, stop);
-    }
-    out[0] = out[1] = out[2] = 0.0;
-    out[3] = worst;
-    if (!stopped)
-        return 1;
-    struct crossings c = {eps, 0.0, 0.0, 0.0, 0, -1, 0, 0};
-    for (long i = 0; i < m; i++) {
-        /* the interval from sample i - 1 to i */
-        double t = ts[i], a = d[i > 0 ? i - 1 : 0], b = d[i];
-        int refine = i > 0 && m >= 3 && a == a && b == b && (a < b ? a : b) < hi
-                     && (a < b ? b : a) > lo
-                     && ((a >= eps) != (b >= eps) || (i < m - 1 && reversal(d, i - 1))
-                         || (i > 1 && reversal(d, i - 2)));
-        if (!refine) {
-            visit(&c, t, b);
-            continue;
+    struct cell *c = (struct cell *)state;
+    const struct run run = {steps, stop, *n, t_end};
+    double count = ceil(t_end / stride), ts[64], ys[192];
+    int k;
+    do {
+        k = 0;
+        for (double i = c->next; k < 64 && i < count && (end || i * stride <= t_end); i++)
+            ts[k++] = i * stride;
+        if (k < 64 && end && c->next + k == count && t_end - (count - 1) * stride > 1e-12)
+            ts[k++] = t_end;
+        pontus_dense_output(steps, *n, t_end, ts, k, ys);
+        for (int j = 0; j < k; j++)
+            sample(c, &run, ts[j], ys + 3 * j, r, d, m);
+    } while (k == 64);
+    if (!end) {
+        root(c, &run, xtol);
+        long lo = 0, hi = *n;
+        while (lo < hi) {
+            long mid = lo + (hi - lo) / 2;
+            if (steps[23 * mid] < c->t2)
+                lo = mid + 1;
+            else
+                hi = mid;
         }
-        double t0 = ts[i - 1], step = (t - t0) / 9, sub[8], z[24];
-        for (int j = 0; j < 8; j++)
-            sub[j] = (j + 1) * step + t0;
-        pontus_dense_output(steps, n, t_final, sub, 8, z);
-        for (int j = 0; j < 8; j++)
-            visit(&c, sub[j], distance(z + 3 * j, stop));
-        visit(&c, t, b);
+        lo = lo > 0 ? lo - 1 : 0;
+        *n -= lo;
+        memmove(steps, steps + 23 * lo, 23 * *n * sizeof *steps);
+        return 2;
     }
-    if (!c.any)
+    if (c->next < 3)
+        visit(c, stop[4], c->t1, c->d1);
+    else
+        interval(c, &run, c->t2, c->t1, c->d2, c->d1, reverses(c->d3, c->d2, c->d1));
+    if (end == 1)
+        return 1;
+    if (!c->any)
         return 0;
-    struct run run = {steps, stop, n, t_final};
-    if (!c.down || brentq(distance_gap, &run, c.lo, c.hi, xtol, RTOL, out))
+    root(c, &run, xtol);
+    if (c->root != 1)
         return -3;
-    out[1] = omega > 0 && dg_max * exp(-kappa * out[0]) > eps;
-    out[2] = (double)c.count;
+    c->inconclusive = omega > 0 && dg_max * exp(-kappa * c->tau) > stop[4];
     return 0;
 }
 

@@ -1,6 +1,6 @@
 """Build, cache and load the kernel library of ``_stepper.c``: the compiled ramp
-stepper, a ramp run's samples and threshold analysis, the non-Markov measure
-and the CSV writer's rows.
+stepper and its dense output, a ramp run's samples and threshold analysis, the
+non-Markov measure and the CSV writer's rows.
 
 On first use the kernel is compiled with the system C compiler, ``cc``, and
 cached beside this file in ``__pycache__``, as CPython caches bytecode.  The
@@ -8,10 +8,13 @@ file name is keyed by the source, the compile command, the interpreter and
 the machine, through a 64-bit zlib checksum, which loads no OpenSSL.  A
 library is compiled under a temporary name and moved into place only once it
 passes the known-answer check, so processes that race on a cold cache each
-load a checked kernel and leave one file.  A cached library is checked again
-on every load.  Where no compiler runs, the directory cannot be written or is
-world-writable, or no library passes, ``kernel`` returns None and the Python
-stepper, analysis, measure and writer run; the route is logged once, at INFO.
+load a checked kernel and leave one file; a build then removes the libraries
+of other keys, which no run of this source loads again.  A process loads the
+kernel once, under a lock, whichever of its threads asks first.  A cached
+library is checked again on every load.  Where no compiler runs, the
+directory cannot be written or is world-writable, or no library passes,
+``kernel`` returns None and the Python stepper, analysis, measure and writer
+run; the route is logged once, at INFO.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import zlib
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -37,20 +41,27 @@ _D, _P = ctypes.c_double, ctypes.c_void_p
 _L = ctypes.c_long
 _STEPS_ARGTYPES = (_P, _D, _D, _D, _P, ctypes.c_int, _P, _D, _D, _D, _D, _D, _D, _P, _L,
                    ctypes.POINTER(_L))
-_CELL_ARGTYPES = (_P, _L, _D, ctypes.c_int, _P, _D, _D, _D, _P, _L, _D, _P, _P, _P)
+_CELL_ARGTYPES = (_P, _P, ctypes.POINTER(_L), _D, ctypes.c_int, _P, _D, _D, _D, _D, _D, _P, _P,
+                  _L)
+_DENSE_ARGTYPES = (_P, _L, _D, _P, _L, _P)
 _NM_TOTAL_ARGTYPES = (_P, _P, _L, _D, _D, ctypes.POINTER(_D))
 _UNTRIED = object()
 _kernel = _UNTRIED
+_loading = threading.Lock()
 
 
 class Kernel(NamedTuple):
-    """The library's four functions: ``steps``, pontus_dormand_prince, which
-    also finds the stop rule's root; ``cell``, pontus_cell, a run's states
-    and distances at the sample times it is given, and the threshold analysis
-    of a stopped run, from its step records; ``nm_total``, pontus_nm_total;
-    and ``csv_rows``, pontus_csv_rows, a block of CSV rows."""
+    """The library's five functions: ``steps``, pontus_dormand_prince, which
+    also finds the stop rule's root; ``dense``, pontus_dense_output, the
+    states at given times from a run's step records; ``cell``, pontus_cell, a
+    run's samples on its stride grid, their states and distances, and the
+    threshold analysis of a stopped run, from its step records chunk by
+    chunk; ``nm_total``, pontus_nm_total; and ``csv_rows``, pontus_csv_rows,
+    a block of CSV rows.  Each writes only to the buffers it is given and
+    releases the GIL while it runs (``ctypes.CDLL``)."""
 
     steps: Callable
+    dense: Callable
     cell: Callable
     nm_total: Callable
     csv_rows: Callable
@@ -58,10 +69,13 @@ class Kernel(NamedTuple):
 
 def kernel(check):
     """The ``Kernel``, or None for the Python route; loaded on the first call
-    of a process, and only if ``check(kernel)`` is true."""
+    of a process, and only if ``check(kernel)`` is true.  Threads that call
+    it at once wait for one load and get its result."""
     global _kernel
     if _kernel is _UNTRIED:
-        _kernel = _load(check)
+        with _loading:
+            if _kernel is _UNTRIED:
+                _kernel = _load(check)
     return _kernel
 
 
@@ -76,9 +90,10 @@ def cache_path() -> Path:
 
 def _open(path, check):
     library = ctypes.CDLL(str(path))
-    found = Kernel(library.pontus_dormand_prince, library.pontus_cell, library.pontus_nm_total,
-                   library.pontus_csv_rows)
+    found = Kernel(library.pontus_dormand_prince, library.pontus_dense_output, library.pontus_cell,
+                   library.pontus_nm_total, library.pontus_csv_rows)
     found.steps.restype, found.steps.argtypes = ctypes.c_int, _STEPS_ARGTYPES
+    found.dense.restype, found.dense.argtypes = None, _DENSE_ARGTYPES
     found.cell.restype, found.cell.argtypes = ctypes.c_int, _CELL_ARGTYPES
     found.nm_total.restype, found.nm_total.argtypes = ctypes.c_int, _NM_TOTAL_ARGTYPES
     found.csv_rows.restype, found.csv_rows.argtypes = _L, (_P, ctypes.c_int, _L, _L, _P, _P, _P)
@@ -86,7 +101,8 @@ def _open(path, check):
 
 
 def _build(path, check):
-    """Compile to a temporary file, check it and move it into place."""
+    """Compile to a temporary file, check it and move it into place, then
+    remove the cached libraries of other keys."""
     fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
     os.close(fd)
     try:
@@ -95,6 +111,9 @@ def _build(path, check):
         found = _open(tmp, check)
         if found is not None:
             os.replace(tmp, path)
+            for stale in path.parent.glob("_stepper.*.so"):
+                if stale != path:
+                    stale.unlink(missing_ok=True)  # another process may have removed it
         return found
     finally:
         if os.path.exists(tmp):

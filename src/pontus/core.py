@@ -143,9 +143,10 @@ class Trajectory:
     recorded span (see ``distance_evaluator``); it backs sub-sample
     bisection of threshold crossings.  ``dist``, the trace distance of each
     sample to the target, is derived from ``r`` and ``target`` on
-    construction (``trace_distances``).  ``rates``, the (n, 3) rates at the
-    sample times, is computed by ``rates_of`` from ``t`` when first read, as
-    only the trajectory CSV reads it.  ``envelope``, set only for an
+    construction (``trace_distances``) unless the integrator gives it, as
+    the compiled kernel does, with the same floats.  ``rates``, the (n, 3)
+    rates at the sample times, is computed by ``rates_of`` from ``t`` when
+    first read, as only the trajectory CSV reads it.  ``envelope``, set only for an
     oscillating rate modulation, bounds the modulation's amplitude at a
     time (the schedule's ``envelope``).  ``nfev``, ``n_accepted`` and
     ``n_rejected`` count the right-hand-side calls and the accepted and
@@ -158,7 +159,6 @@ class Trajectory:
     t: np.ndarray
     r: np.ndarray
     rates_of: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
-    dist: np.ndarray = field(init=False)
     target: BlochVector
     distance_of: Callable = field(repr=False, compare=False)
     timed_out: bool = False
@@ -169,6 +169,7 @@ class Trajectory:
     n_accepted: int = 0
     n_rejected: int = 0
     analysis: Optional[tuple] = None
+    dist: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
@@ -177,7 +178,8 @@ class Trajectory:
             raise ValueError("sample arrays must share one length")
         if len(self.t) > 1 and not np.all(np.diff(self.t) > 0):
             raise ValueError("sample times must be strictly increasing")
-        self.dist = trace_distances(self.r, self.target.as_array())
+        if self.dist is None:
+            self.dist = trace_distances(self.r, self.target.as_array())
 
     @functools.cached_property
     def rates(self) -> np.ndarray:

@@ -14,10 +14,12 @@ norm, controller and event location of scipy's RK45; the event's root is
 found by the in-house Brent solver (``_roots.brentq``, bit for bit scipy's).
 The compiled kernel (``_stepper.c``, loaded by ``_stepper.kernel``) repeats
 these float operations in the same order: the step loop with the event's
-root, then in one call the dense output at the sample times that Python
-lays out (``_sample_times``) and ``_threshold_analysis`` of them, so one
-run of ``_ramp_run`` serves both ``integrate``'s Trajectory and a gain-map
-cell, which builds none.  The Python routes serve every process where no
+root, then the dense output at a run's samples (``_sample_times``) and
+``_threshold_analysis`` of them, fed one chunk of step records after
+another.  ``integrate``'s run (``_ramp_run``) keeps its records and feeds
+them as one chunk; a gain-map cell's (``_ramp_cell``) keeps only the few
+that its analysis still needs, in a reused buffer of its thread, and
+builds no Trajectory.  The Python routes serve every process where no
 kernel loads.  Two independent oracles (a density-matrix-level rebuild of
 the generator and a time-ordered product integrator) cross-check both
 routes.  scipy is imported only by ``expm``, on its first call.
@@ -29,6 +31,7 @@ import ctypes
 import functools
 import math
 import struct
+import threading
 from array import array
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -561,63 +564,92 @@ def _dormand_prince(coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol, ma
     return steps, t, stopped, nfev, n_rejected
 
 
-#: Step records per call of the compiled kernel, which is resumed when they fill.
+#: Step records per call of the compiled stepper, which is resumed when they
+#: fill: a chunk of the records that ``integrate`` keeps, or the rows of a
+#: thread's buffer that a gain-map cell's run steps into (``_record_buffer``).
 _CHUNK = 4096
+#: The doubles of ``_stepper.c``'s struct cell, a run's analysis between chunks.
+_CELL_SLOTS = 16
+_records = threading.local()
 
 
-def _compiled_steps(kernel, coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol,
-                    max_step):
-    """``_dormand_prince`` with the same arguments, through the compiled
-    stepper of ``_stepper.c`` (``kernel.steps``), which also finds the
-    event's root: the same records, counts, stop time and exceptions, with
-    the step records in an (n, 23) numpy array."""
+def _resumable(kernel, coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol, max_step):
+    """The run of ``_dormand_prince``'s arguments on the compiled stepper of
+    ``_stepper.c`` (``kernel.steps``), which also finds the event's root: a
+    function that runs it on, from where it last stopped, into the rows of
+    a C-contiguous (rows, 23) array and returns the stepper's code and the
+    records written; and the array of the run's state."""
     coef = np.array(coef, dtype=float)
     target = None if stop is None else np.array([*stop[0], stop[1], stop[2]])
     state = np.zeros(16)  # the slots of _stepper.c's enum
     state[1:4] = y
     n = ctypes.c_long()
-    chunks, code = [], 2
-    while code == 2:
-        buf = np.empty((_CHUNK, 23))
+
+    def resume(rows):
         code = kernel.steps(
             coef.ctypes.data, kappa, omega, dg_max,
             None if target is None else target.ctypes.data,
-            not chunks, state.ctypes.data, t_bound, rtol, atol, max_step, _SQRT3, _BALL_SQ,
-            buf.ctypes.data, _CHUNK, ctypes.byref(n),
-        )
-        chunks.append(buf[: n.value])
-    if code == -1:
-        return None, 0.0, True, 0, 0
+            not state[12], state.ctypes.data, t_bound, rtol, atol, max_step, _SQRT3, _BALL_SQ,
+            rows.ctypes.data, len(rows), ctypes.byref(n),
+        )  # it starts the run while it has made no right-hand-side call
+        return code, n.value
+
+    return resume, state
+
+
+def _run_end(code, state, last, stop, kappa, dg_max):
+    """The time at which a compiled run ends, from the code of its last
+    ``kernel.steps`` call (not -1), its state and its last step record
+    ``last``; or the Python stepper's exception."""
     if code == -2:
         raise StepSizeUnderflow(_UNDERFLOW)
     if code == -3:
         raise _left_ball(float(state[14]), float(state[15]))
-    steps = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    t = float(state[0])
     if code == -4:  # the kernel's root search failed: the Python's raises its error
-        t = _event_time(_stop_function(stop, kappa, dg_max), steps[-1:], float(state[14]))
+        return _event_time(_stop_function(stop, kappa, dg_max), last, float(state[14]))
+    return float(state[0])
+
+
+def _compiled_steps(kernel, coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol,
+                    max_step):
+    """``_dormand_prince`` with the same arguments, through the compiled
+    stepper (``_resumable``): the same records, counts, stop time and
+    exceptions, with the step records in an (n, 23) numpy array."""
+    resume, state = _resumable(kernel, coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol,
+                               max_step)
+    chunks, code = [], 2
+    while code == 2:
+        buf = np.empty((_CHUNK, 23))
+        code, n = resume(buf)
+        chunks.append(buf[:n])
+    if code == -1:
+        return None, 0.0, True, 0, 0
+    steps = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    t = _run_end(code, state, steps[-1:], stop, kappa, dg_max)
     return steps, t, code != 0, int(state[12]), int(state[13])
 
 
 def _kernel_agrees(kernel) -> bool:
     """Known-answer check of a loaded kernel: a short stop-rule run and a
     ``t_end`` run with a capped step must equal the Python stepper's bit
-    for bit, records, counts and stop time; so must the cell's states on
-    each run's stride grid, and at every step's start and end of the
-    ``t_end`` run, and its analysis of the stop-rule run, which crosses eps
-    5 times with 15 refined intervals and ends inconclusive; and so must the
-    non-Markov measure of a channel with 13 windows, one with a vanishing
-    final rate and one that never turns negative; and so must the writer's
-    rows of values where a ``%.17g`` formatter can go wrong, beside a bytes
-    column that holds a %."""
+    for bit, records, counts and stop time; so must the dense output at
+    every step's start and end, the cell's states and distances on each
+    run's stride grid and its largest |r|, and its analysis of the stop-rule
+    run, which crosses eps 5 times with 15 refined intervals and ends
+    inconclusive, also where the run comes in chunks of 8 records; and so
+    must the non-Markov measure of a channel with 13 windows, one with a
+    vanishing final rate and one that never turns negative; and so must the
+    writer's rows of values where a ``%.17g`` formatter can go wrong, beside
+    a bytes column that holds a %."""
     # the coefficients and dg_max of the ramp from rates (0.9, 0.1, 0.3) to
     # (0.05, 0.4, 0.0) in the field (1, 0, 0.5), rounded, and F's attractor,
     # found without the generator functions, whose calls perfbench's tracer
     # counts
     coef = [-0.225, -0.225, -0.45, -1.0, 0.0, -2.0, -0.35, -0.875, -0.875, -0.55, 0.0, 0.0, 0.0, 1.15]
     lam_f = np.array([[-0.225, -1.0, 0.0], [1.0, -0.225, -2.0], [0.0, 2.0, -0.45]])
-    target = np.linalg.solve(lam_f, [0.0, 0.0, 0.35]).tolist()
+    target = np.linalg.solve(lam_f, [0.0, 0.0, 0.35])
     y, eps = [0.3, -0.2, 0.5], 0.0087
+    rule = (target.tolist(), eps / 10.0, eps)
     measure = ((0.75, 0.9, 0.3), (0.05, 0.0, 0.5), 0.05, 1.5)
     values = [0.0, -0.0, math.inf, -math.inf, math.nan, math.copysign(math.nan, -1.0), 5e-324,
               154043743710274.125, 1.2345678901234567e-05, 0.00012345678901234567,
@@ -628,7 +660,7 @@ def _kernel_agrees(kernel) -> bool:
         if b"".join(_csv_rows(columns, kernel)) != b"".join(_csv_rows(columns, None)):
             return False
         for kappa, omega, stop, t_bound, rtol, max_step in (
-            (0.3, 1.0, (target, eps / 10.0, eps), 1e4, 1e-6, math.inf),
+            (0.3, 1.0, rule, 1e4, 1e-6, math.inf),
             (0.7, 2.0, None, 2.0, 1e-9, 0.25),
         ):
             args = (coef, kappa, omega, 0.85, stop, y, t_bound, rtol, 1e-10, max_step)
@@ -637,19 +669,24 @@ def _kernel_agrees(kernel) -> bool:
             if bytes(want[0]) != bytes(got[0]) or want[1:] != got[1:]:
                 return False
             steps, t, stopped = got[:3]
-            ts = _sample_times(t, 0.05)
-            if stop is None:
-                ts = np.sort(np.concatenate([ts, steps[:, 0], steps[:, 0] + steps[:, 1]]))
             dense = _DenseOutput(steps, t)
-            rs, _, found = _cell(kernel, steps, t, stopped, ts, kappa, omega, 0.85,
-                                 (target, eps / 10.0, eps))
-            if rs.tobytes() != dense(ts).tobytes():
+            ends = np.concatenate([steps[:, 0], steps[:, 0] + steps[:, 1]])
+            if _dense(kernel, steps, t, ends).tobytes() != dense(ends).tobytes():
                 return False
-            if stop:  # and so must the analysis of the stop-rule run
+            ts = _sample_times(t, 0.05)
+            rs, ds, worst, found = _samples(kernel, steps, t, stopped, len(ts), kappa, omega, 0.85,
+                                            rule, 0.05)
+            if (rs.tobytes() != dense(ts).tobytes()
+                    or ds.tobytes() != trace_distances(rs, target).tobytes()
+                    or worst != np.max(np.linalg.norm(rs, axis=1))):
+                return False
+            if stop:  # and so must the analysis of the stop-rule run, in chunks too
                 traj = Trajectory(ts, rs, None, BlochVector(*target),
-                                  distance_evaluator(dense, np.array(target)),
+                                  distance_evaluator(dense, target),
                                   envelope=lambda s: 0.85 * math.exp(-0.3 * s))
                 if found != _threshold_analysis(traj, eps):
+                    return False
+                if _compiled_cell(kernel, args, 0.05, chunk=8) != (True, worst, found):
                     return False
         got = compiled_total(kernel, *measure)
         return got is not None and got.hex() == measure_total(*measure).hex()
@@ -659,11 +696,11 @@ def _kernel_agrees(kernel) -> bool:
 
 def ramp_kernel():
     """The checked compiled kernel (``_stepper.Kernel``) with which
-    ``_ramp_run`` steps, samples and analyses an ``ExponentialCosineSchedule``
-    run, ``nonmarkov`` computes the non-Markov measure and ``write_csv``
-    writes its rows, or None for their Python routes; loaded on the first
-    call of a process, so a caller about to fork workers can load it once
-    for all of them."""
+    ``_ramp_run`` and ``_ramp_cell`` step, sample and analyse an
+    ``ExponentialCosineSchedule`` run, ``nonmarkov`` computes the
+    non-Markov measure and ``write_csv`` writes its rows, or None for their
+    Python routes; loaded once per process, by the first call of any of its
+    threads."""
     return _stepper.kernel(_kernel_agrees)
 
 
@@ -739,35 +776,130 @@ def _sample_times(t_stop: float, stride: float) -> np.ndarray:
     return ts
 
 
-def _cell(kernel, steps, t_stop, stopped, ts, kappa, omega, dg_max, stop):
-    """``kernel.cell`` of a run's (n, 23) step records, which end at
-    ``t_stop``: (states, worst, found), the states at the sample times
-    ``ts``, the largest |r| among them, and ``_threshold_analysis`` at the
-    ``stop`` tuple's (target, tol, eps) of a ``stopped`` run, None for a run
-    not stopped or where the kernel declines."""
+def _record_buffer(rows, keep=None):
+    """This thread's buffer of step records, which each gain-map cell that it
+    runs reuses: at least ``rows`` rows; a new one, which begins with the
+    rows ``keep``, where the old one is shorter."""
+    buf = getattr(_records, "steps", None)
+    if buf is None or len(buf) < rows:
+        buf = _records.steps = np.empty((rows, 23))
+        if keep is not None:
+            buf[: len(keep)] = keep
+    return buf
+
+
+def _cell(kernel, cell, steps, n, t_end, end, stop, kappa, omega, dg_max, stride, rs=None,
+          ds=None):
+    """``kernel.cell`` (pontus_cell) of the first ``n.value`` rows of
+    ``steps``, step records that end at ``t_end``, where their run resumes
+    (``end`` 0), ends at its time bound (1) or is stopped (2): the samples
+    on the ``stride`` grid that they serve, their states and distances into
+    ``rs`` and ``ds`` where given, and the analysis at the ``stop`` array's
+    (target, tol, eps), carried in ``cell``.  Returns the kernel's code;
+    where the run resumes, n.value counts the records kept at the front of
+    ``steps`` for its next chunk."""
+    out = (None, None, 0) if rs is None else (rs.ctypes.data, ds.ctypes.data, len(rs))
+    return kernel.cell(cell.ctypes.data, steps.ctypes.data, ctypes.byref(n), t_end, end,
+                       stop.ctypes.data, kappa, omega, dg_max, stride, TAU_XTOL, *out)
+
+
+def _found(cell, code):
+    """``_threshold_analysis``'s (tau, inconclusive, n_crossings) from the
+    ``cell`` array of a stopped run's finished analysis, None where the
+    kernel declined it (``code`` -3)."""
+    tau, inconclusive, crossings = cell[:3].tolist()
+    return (tau, inconclusive > 0, int(crossings)) if code == 0 else None
+
+
+def _samples(kernel, steps, t_stop, stopped, m, kappa, omega, dg_max, stop, stride):
+    """``kernel.cell`` of all of a run's (n, 23) step records, which end at
+    ``t_stop``, as one chunk: (states, distances, worst, found), the states
+    and distances to the target of its m samples (``_sample_times``), the
+    largest |r| among them, and ``_threshold_analysis`` at the ``stop``
+    tuple's (target, tol, eps) of a ``stopped`` run, None for a run not
+    stopped or where the kernel declines."""
     target, tol, eps = stop
     stop = np.array([*target, tol, eps])
-    rs, d, out = np.empty((len(ts), 3)), np.empty(len(ts)), np.empty(4)
-    code = kernel.cell(steps.ctypes.data, len(steps), t_stop, stopped, stop.ctypes.data, kappa,
-                       omega, dg_max, ts.ctypes.data, len(ts), TAU_XTOL, rs.ctypes.data,
-                       d.ctypes.data, out.ctypes.data)
-    tau, inconclusive, crossings, worst = out.tolist()
-    return rs, worst, ((tau, inconclusive > 0, int(crossings)) if code == 0 else None)
+    cell, rs, ds = np.zeros(_CELL_SLOTS), np.empty((m, 3)), np.empty(m)
+    code = _cell(kernel, cell, steps, ctypes.c_long(len(steps)), t_stop, 2 if stopped else 1, stop,
+                 kappa, omega, dg_max, stride, rs, ds)
+    if cell[4] != m:  # a kernel that lays out another grid, which _kernel_agrees refuses
+        raise ValueError(f"the kernel took {cell[4]:g} samples, not {m}")
+    return rs, ds, float(cell[3]), _found(cell, code)
+
+
+def _compiled_cell(kernel, args, stride, chunk=_CHUNK):
+    """The compiled run of ``_dormand_prince``'s argument tuple ``args``, with
+    its stop rule, as a gain-map cell reads it: (stopped, worst, found), as
+    ``_samples`` gives them for the run's records.
+
+    The run steps ``chunk`` rows at a time into this thread's buffer
+    (``_record_buffer``), and ``kernel.cell`` takes the samples and the
+    analysis of each chunk as it comes.  Only the records that the interval
+    it has yet to refine needs are kept for the next, so the run's memory
+    does not grow with its length; where they fill half the rows, the rows
+    double.  ``chunk`` changes no result.
+    """
+    kappa, omega, dg_max, stop = args[1:5]
+    resume, state = _resumable(kernel, *args)
+    target, tol, eps = stop
+    rule = np.array([*target, tol, eps])
+    buf, rows, n = _record_buffer(chunk), chunk, ctypes.c_long(0)
+    cell, code = np.zeros(_CELL_SLOTS), 2
+    while code == 2:
+        code, written = resume(buf[n.value : rows])
+        if code == -1:  # settled at t = 0
+            return True, 0.0, (0.0, False, 0)
+        n.value += written
+        t_end = _run_end(code, state, buf[n.value - 1 : n.value], stop, kappa, dg_max)
+        end = 0 if code == 2 else 1 if code == 0 else 2
+        analysed = _cell(kernel, cell, buf, n, t_end, end, rule, kappa, omega, dg_max, stride)
+        if code == 2 and 2 * n.value > rows:
+            rows *= 2
+            buf = _record_buffer(rows, buf[: n.value])
+    return code != 0, float(cell[3]), _found(cell, analysed)
+
+
+def _ramp_cell(schedule, r0: BlochVector, target: BlochVector, cfg: IntegratorConfig,
+               eps: float):
+    """A gain-map cell's run on the kernel route (``_compiled_cell``):
+    (tau, inconclusive, n_crossings) of ``integrate``'s run, as
+    ``_threshold_analysis`` finds them, or (None, False, 0) for a run that
+    times out, raising as ``_ramp_run`` raises; None where no kernel loads or
+    where it declines the analysis, for the caller to run the records that
+    ``_ramp_run`` keeps."""
+    kernel = ramp_kernel()
+    if kernel is None:
+        return None
+    stopped, worst, found = _compiled_cell(kernel, _ramp_args(schedule, r0, target, cfg, eps),
+                                           cfg.sample_stride)
+    if worst > 1.0 + TOL_BALL:  # the stepper checked only the step ends
+        raise _sampled_outside(worst)
+    return found if stopped else (None, False, 0)
+
+
+def _dense(kernel, steps, t_final, ts):
+    """``_DenseOutput(steps, t_final)(ts)`` through ``kernel.dense``: the same
+    floats."""
+    ts = np.ascontiguousarray(ts, dtype=float)
+    out = np.empty((len(ts), 3))
+    kernel.dense(steps.ctypes.data, len(steps), t_final, ts.ctypes.data, len(ts), out.ctypes.data)
+    return out
 
 
 def _ramp_run(schedule, r0: BlochVector, target: BlochVector, cfg: IntegratorConfig,
               eps: float, t_end: Optional[float] = None) -> dict:
-    """``integrate``'s run, as the fields of its Trajectory, which a gain-map
-    cell reads with no Trajectory built.
+    """``integrate``'s run, as the fields of its Trajectory; a gain-map cell
+    whose analysis the kernel declines (``_ramp_cell``) builds one from them.
 
     Where the kernel loads, one ``kernel.steps`` sequence and one
-    ``kernel.cell`` call give the samples and, for a stopped run, the
-    ``analysis`` that ``_threshold_analysis`` would make of them; the
-    Trajectory's ``distance_of`` then builds ``_DenseOutput`` on each call,
-    as only ``mpemba`` and the Python analysis of a run that the kernel
-    declined call it.
-    Else ``_dormand_prince`` and ``_DenseOutput`` give the samples, and
-    ``analysis`` stays None but for a run settled at t = 0.
+    ``kernel.cell`` call, over all the records as one chunk, give the
+    samples, their distances and, for a stopped run, the ``analysis`` that
+    ``_threshold_analysis`` would make of them; the Trajectory's
+    ``distance_of`` evaluates ``kernel.dense``.
+    Else ``_dormand_prince`` and ``_DenseOutput`` give the samples, the
+    Trajectory computes their distances, and ``analysis`` stays None but for
+    a run settled at t = 0.
     """
     if t_end is not None and not 0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
@@ -778,6 +910,7 @@ def _ramp_run(schedule, r0: BlochVector, target: BlochVector, cfg: IntegratorCon
         steps, t_stop, stopped, nfev, n_rejected = _dormand_prince(*args)
     else:
         steps, t_stop, stopped, nfev, n_rejected = _compiled_steps(kernel, *args)
+    dist = None
     if steps is None:  # nothing to do: already settled at t = 0
         dense, n_accepted, found = (lambda ts: np.tile(y0, (len(ts), 1))), 0, (0.0, False, 0)
         ts, rs = np.array([0.0]), y0[None, :]
@@ -788,12 +921,12 @@ def _ramp_run(schedule, r0: BlochVector, target: BlochVector, cfg: IntegratorCon
             rs = dense(ts)
             worst = float(np.max(np.linalg.norm(rs, axis=1)))
         else:
-            dense, n_accepted = (lambda ts: _DenseOutput(steps, t_stop)(ts)), len(steps)
-            rs, worst, found = _cell(kernel, steps, t_stop, stopped, ts, *args[1:4],
-                                     (tgt.tolist(), eps / 10.0, eps))
+            dense, n_accepted = functools.partial(_dense, kernel, steps, t_stop), len(steps)
+            rs, dist, worst, found = _samples(kernel, steps, t_stop, stopped, len(ts), *args[1:4],
+                                              (tgt.tolist(), eps / 10.0, eps), cfg.sample_stride)
         if worst > 1.0 + TOL_BALL:  # the steppers checked only the step ends
             raise _sampled_outside(worst)
-    return dict(t=ts, r=rs, rates_of=schedule.rates_array, target=target,
+    return dict(t=ts, r=rs, dist=dist, rates_of=schedule.rates_array, target=target,
                 distance_of=distance_evaluator(dense, tgt), timed_out=t_end is None and not stopped,
                 envelope=schedule.envelope, nfev=nfev, n_accepted=n_accepted,
                 n_rejected=n_rejected, analysis=found)

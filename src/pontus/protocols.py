@@ -35,6 +35,7 @@ from .core import (
 from .dynamics import (
     ConstantFlow,
     IntegratorConfig,
+    _ramp_cell,
     _ramp_run,
     _threshold_analysis,
     assemble_generator,
@@ -322,7 +323,6 @@ class _Ramp:
     run's schedule shares (``ExponentialCosineSchedule.at``).  A gain map
     builds one per map, or per column of a kappa-theta map, and its cells
     read ``run``; ``result`` is the full record that ``simulate`` writes.
-    Both come from one run of ``dynamics._ramp_run``.
     """
 
     def __init__(self, pS, pF, eps, cfg):
@@ -330,7 +330,8 @@ class _Ramp:
             raise ValueError("the continuous protocol requires a static field")
         _, (self.r0, self.target) = _attractors(eps, pS, pF)
         self.schedule = ExponentialCosineSchedule(pS.gamma, pF.gamma, pS.h, 0.0, 0.0)
-        # what each run's schedule shares, built here, not in each pool worker
+        # what each run's schedule shares, built here, before any of a map's
+        # worker threads reads it
         self.schedule.coefficients, self.schedule._dg_max
         self.eps, self.cfg = eps, cfg
 
@@ -341,10 +342,15 @@ class _Ramp:
 
     def run(self, kappa: float, omega: float):
         """``result``'s tau, inconclusive and n_threshold_crossings, raising
-        as it raises, all a gain-map cell reads, from the same run
-        (``dynamics._ramp_run``); its Trajectory is built only where the
-        integrator made no analysis, for ``_threshold_analysis``."""
-        run = _ramp_run(self.schedule.at(kappa, omega), self.r0, self.target, self.cfg, self.eps)
-        if run["timed_out"]:
-            return None, False, 0
-        return run["analysis"] or _threshold_analysis(Trajectory(**run), self.eps)
+        as it raises, all a gain-map cell reads: from the compiled run that
+        keeps no records (``dynamics._ramp_cell``), else from ``result``'s
+        run (``dynamics._ramp_run``), whose Trajectory is built only where
+        the integrator made no analysis, for ``_threshold_analysis``."""
+        args = (self.schedule.at(kappa, omega), self.r0, self.target, self.cfg, self.eps)
+        found = _ramp_cell(*args)
+        if found is None:  # no kernel, or it declined the analysis
+            run = _ramp_run(*args)
+            if run["timed_out"]:
+                return None, False, 0
+            found = run["analysis"] or _threshold_analysis(Trajectory(**run), self.eps)
+        return found

@@ -6,10 +6,12 @@ A gain-map cell runs one continuous protocol against the direct baseline
 where it loads, with no Trajectory built; the ramp's set-up and the
 channels' tangency slopes, which do not depend on the cell's kappa and
 omega, are built once per map (per column of a kappa-theta map).  Cells
-are independent over immutable inputs and run on one process pool.  Failed
-cells are recorded, never abort a sweep; results are bit-identical for any
-worker count.  A t_I scan runs in this process, its baseline and every row
-on one set-up of the constant-stage protocol.
+are independent over immutable inputs and run on a pool of threads: a
+cell runs almost all of its time in the compiled kernel, which releases
+the GIL, and writes only to buffers of its own, its thread's reused step
+records included.  Failed cells are recorded, never abort a sweep; results
+are bit-identical for any worker count.  A t_I scan runs in this thread,
+its baseline and every row on one set-up of the constant-stage protocol.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -142,7 +144,7 @@ def _column(pS: ParameterPoint, pF: ParameterPoint, spec: SweepSpec, slopes=None
 
 
 def _cell(args):
-    """One sweep cell; must stay a plain top-level function for pickling.
+    """One sweep cell.
 
     Returns (tau_cpm, gain, inconclusive, non_markovian, f_total, status,
     message), the message being the exception's for an ``error:`` status;
@@ -179,16 +181,14 @@ def available_cpus() -> int:
 
 def _run_tasks(tasks, jobs: Optional[int], progress: Optional[Callable]):
     """``_cell`` of every task, in task order: on a pool of ``jobs`` worker
-    processes (None: ``available_cpus()``), or in this process for one worker
+    threads (None: ``available_cpus()``), or in this thread for one worker
     or task."""
     workers = 1 if jobs is not None and jobs <= 1 else jobs or available_cpus()
     workers = max(1, min(workers, len(tasks)))
     results = []
-    if workers > 1:
-        ramp_kernel()  # forked workers inherit the loaded kernel
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        chunk = max(1, len(tasks) // (8 * workers))
-        for out in pool.map(_cell, tasks, chunksize=chunk) if pool else map(_cell, tasks):
+    ramp_kernel()  # loaded here, not by a worker that the others wait for
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for out in pool.map(_cell, tasks) if pool else map(_cell, tasks):
             results.append(out)
             if progress:
                 progress(len(results), len(tasks))

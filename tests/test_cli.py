@@ -8,6 +8,7 @@ import json
 import logging
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -821,7 +822,7 @@ class TestTwoStepScanJobs:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr("pontus.sweep.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("pontus.sweep.ThreadPoolExecutor", no_pool)
         code, out, err, files = self.outputs(tmp_path, capsys, scan, 2, "--t-cap", "100")
         assert code == 1 and out == "" and files == {}
         assert err == f"config error: {message}\n"
@@ -1050,12 +1051,40 @@ class TestGainMap:
         assert side["csv_file"] == "mini_gainmap.csv"
         assert len(side["boundary"]) == 3
 
+    @pytest.mark.parametrize("route", ["kernel", "python"])
+    def test_outputs_byte_identical_across_threads(self, tmp_path, capsys, request, route):
+        """A 4x4 fig5a map, with ball-violation and inconclusive cells, writes
+        the same bytes and messages at --jobs 1, 2 and 3, on both routes,
+        while the interpreter switches threads every microsecond."""
+        if route == "python":
+            request.getfixturevalue("python_route")
+        sweep = omega_sweep(kappa={"min": 0.01, "max": 10.0, "n": 4},
+                            omega={"min": 0.0, "max": 1.5, "n": 4}, label="threads")
+        cfg = write_config(tmp_path, {"schema": 1, "sweep": sweep})
+        outputs, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for jobs in (1, 2, 3):
+                out = tmp_path / f"jobs{jobs}"
+                code, stdout, stderr = run_cli(capsys, "--config", cfg, "--output", str(out),
+                                               "--jobs", str(jobs), "gain-map")
+                files = {path.name: path.read_bytes() for path in out.iterdir()}
+                outputs.append((code, stdout, stderr.replace(str(out), "OUT"), files))
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        side = json.loads(outputs[0][3]["threads_gainmap.json"])
+        assert set(side["status_counts"]) == {"ok", "ball-violation"}
+        csv = outputs[0][3]["threads_gainmap.csv"].decode()
+        rows = [line.split(",") for line in csv.splitlines()]
+        assert "true" in {row[rows[0].index("inconclusive")] for row in rows[1:]}
+
     def test_default_jobs_follow_cpu_affinity(self, tmp_path, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr("pontus.sweep.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("pontus.sweep.ThreadPoolExecutor", no_pool)
         cfg = write_config(
             tmp_path,
             {
@@ -1089,10 +1118,10 @@ class TestGainMap:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize):
+            def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr("pontus.sweep.ProcessPoolExecutor", Pool)
+        monkeypatch.setattr("pontus.sweep.ThreadPoolExecutor", Pool)
         cfg = write_config(tmp_path, {"schema": 1, "sweep": theta_sweep(label="two")})
         for cpus in ({0}, {0, 1, 2}):
             monkeypatch.setattr("os.sched_getaffinity", lambda pid, c=cpus: c, raising=False)

@@ -2,13 +2,16 @@
 
 Both steppers must write the same step records bit for bit, take the same
 counts and stop at the same time, and raise the same messages; the compiled
-cell must give ``_DenseOutput``'s floats at every time up to a run's end and
-``integrate`` and ``_threshold_analysis``'s results, with one stepped run and
-no Python analysis unless it declines, the compiled non-Markov measure
+dense output must give ``_DenseOutput``'s floats at every time up to a run's
+end, and the compiled cell ``integrate`` and ``_threshold_analysis``'s
+results, with one stepped run and no Python analysis unless it declines,
+whatever the chunks its records come in, and with a gain-map cell's memory
+bounded whatever its run's length; the compiled non-Markov measure must give
 ``_non_markovian``'s, and the compiled CSV rows the ``%`` rows.  The loader
 must fall back to the Python routes, and say so, wherever no checked kernel
-loads; it binds every function that the source exports, and keys its cache
-by each of the source, the command, the interpreter and the machine.
+loads; it binds every function that the source exports, keys its cache by
+each of the source, the command, the interpreter and the machine, removes
+the libraries of other keys, and loads once for threads that ask at once.
 """
 
 import ctypes
@@ -20,6 +23,8 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -191,15 +196,13 @@ class TestBitwiseAgainstPython:
 
 
 def cell_states(kernel, steps, t_final, ts):
-    """The compiled cell's states at the sorted times ``ts`` of a run not
-    stopped."""
-    return dynamics._cell(kernel, steps, t_final, False, ts, 0.5, 1.0, 1.0,
-                          ([0.0, 0.0, 0.0], 0.1, 1.0))[0]
+    """The compiled dense output's states at the times ``ts``."""
+    return dynamics._dense(kernel, steps, t_final, ts)
 
 
 class TestDenseOutput:
     def test_seeded_ramps(self, kernel):
-        """On the seeded runs' records, through the compiled cell: the stride
+        """On the seeded runs' records, through ``kernel.dense``: the stride
         grid up to t_final, t = 0, t_final, every step's start and end and
         seeded random times up to t_final, sorted, in one batch and one at a
         time."""
@@ -227,14 +230,18 @@ class TestDenseOutput:
         assert runs > 400
 
     def test_known_answer_check_covers_the_evaluator(self, kernel, generator_calls):
-        def one_ulp_off(*args):
-            code = kernel.cell(*args)
-            first = ctypes.c_double.from_address(args[-3])  # the first sample's x
-            first.value = math.nextafter(first.value, math.inf)
-            return code
+        def one_ulp_off(function, out):
+            def wrong(*args):
+                code = function(*args)
+                if args[out] is not None:  # the first state's x
+                    first = ctypes.c_double.from_address(args[out])
+                    first.value = math.nextafter(first.value, math.inf)
+                return code
+            return wrong
 
         assert dynamics._kernel_agrees(kernel)
-        assert not dynamics._kernel_agrees(kernel._replace(cell=one_ulp_off))
+        assert not dynamics._kernel_agrees(kernel._replace(dense=one_ulp_off(kernel.dense, -1)))
+        assert not dynamics._kernel_agrees(kernel._replace(cell=one_ulp_off(kernel.cell, -3)))
         assert generator_calls == []  # so perfbench's traced counts repeat
 
 
@@ -330,6 +337,28 @@ def nan_record_cases(kernel):
         yield sched, stop, y, steps, t, stopped
 
 
+def whole_record_cell(kernel, args, stride):
+    """(stopped, worst, found) of a cell's run from all its records at once,
+    as ``integrate`` analyses them (``_samples``)."""
+    steps, t, stopped, *_ = dynamics._compiled_steps(kernel, *args)
+    if steps is None:
+        return True, 0.0, (0.0, False, 0)
+    ts = dynamics._sample_times(t, stride)
+    _, _, worst, found = dynamics._samples(kernel, steps, t, stopped, len(ts), *args[1:4], args[4],
+                                           stride)
+    return stopped, worst, found
+
+
+def cell_outcome(run):
+    """(stopped, worst as hex, found with its tau as hex) of ``run()``, or its
+    exception's type and message."""
+    try:
+        stopped, worst, found = run()
+    except PontusError as exc:
+        return type(exc).__name__, str(exc)
+    return stopped, worst.hex(), found and (found[0].hex(), *found[1:])
+
+
 class TestCellAnalysis:
     def test_matches_the_python_route(self, kernel, monkeypatch):
         cases = list(analysis_cases())
@@ -356,6 +385,39 @@ class TestCellAnalysis:
                 seen["several crossings"] += w[2] > 1
                 seen["inconclusive"] += w[1]
         assert len(seen) == 6 and all(seen.values()), seen
+
+    @pytest.mark.parametrize("chunk", [8, 64, dynamics._CHUNK])
+    def test_chunked_runs_equal_the_whole_records(self, kernel, chunk, monkeypatch):
+        """Every case's run, analysed as its records come ``chunk`` at a
+        time, equals the analysis of all its records at once, bit for bit,
+        worst |r| and exceptions included; so runs of several chunks, and of
+        chunks that double where the records kept fill half of them."""
+        calls = []
+        cell, buffer = dynamics._cell, dynamics._record_buffer
+
+        def counted(*args):
+            calls.append("chunk")
+            return cell(*args)
+
+        def recording(rows, keep=None):
+            calls.append("grown" if keep is not None else "buffer")
+            return buffer(rows, keep)
+
+        monkeypatch.setattr(dynamics, "_cell", counted)
+        monkeypatch.setattr(dynamics, "_record_buffer", recording)
+        seen = Counter()
+        for sched, r0, target, cfg, eps in analysis_cases():
+            args = dynamics._ramp_args(sched, r0, target, cfg, eps)
+            want = cell_outcome(lambda: whole_record_cell(kernel, args, cfg.sample_stride))
+            calls.clear()
+            got = cell_outcome(lambda: dynamics._compiled_cell(kernel, args, cfg.sample_stride,
+                                                               chunk))
+            assert got == want, (sched, cfg)
+            seen[want[0]] += 1
+            seen["several chunks"] += calls.count("chunk") > 1
+            seen["grown"] += "grown" in calls
+        assert seen[True] > 500 and seen[False] and seen["BallViolation"], seen
+        assert seen["several chunks"] and (chunk > 8 or seen["grown"] > 100), seen
 
     def test_a_sample_exactly_at_eps(self, kernel, monkeypatch):
         """A sample whose distance equals eps counts as at or above it, as
@@ -385,8 +447,8 @@ class TestCellAnalysis:
         runs = 0
         for sched, stop, _, steps, t, stopped in nan_record_cases(kernel):
             ts = dynamics._sample_times(t, 0.05)
-            rs, worst, found = dynamics._cell(kernel, steps, t, stopped, ts, sched.kappa,
-                                              sched.omega, sched._dg_max, stop)
+            _, _, worst, found = dynamics._samples(kernel, steps, t, stopped, len(ts), sched.kappa,
+                                                   sched.omega, sched._dg_max, stop, 0.05)
             dense = dynamics._DenseOutput(steps, t)
             assert math.isnan(worst) and math.isnan(np.max(np.linalg.norm(dense(ts), axis=1)))
             target, _, eps = stop
@@ -407,7 +469,8 @@ class TestCellAnalysis:
 
     def test_a_declined_analysis_raises_the_python_message(self, kernel, monkeypatch):
         """A cell whose NaN records fail the kernel's root search records the
-        Python route's error, from the samples of its one stepped run."""
+        Python route's error, from the samples of its run stepped again with
+        its records kept."""
         declined = 0
         for sched, stop, y, steps, t, stopped in list(nan_record_cases(kernel)):
             target, _, eps = stop
@@ -417,18 +480,29 @@ class TestCellAnalysis:
             column = (ramp, sched.gamma_s.as_array(), sched.gamma_f.as_array(), None)
             task, calls = (sched.kappa, sched.omega, column, 20.0), []
 
-            def records(*args):
+            def stepper(kernel, *args):
+                """A compiled stepper that writes these records."""
                 calls.append(1)
+                state, left = np.zeros(16), [steps]
+
+                def resume(rows):
+                    part, left[0] = left[0][: len(rows)], left[0][len(rows):]
+                    rows[: len(part)], state[0] = part, t
+                    return 2 if len(left[0]) else 1 if stopped else 0, len(part)
+
+                return resume, state
+
+            def records(*args):
                 return steps, t, stopped, 0, 0
 
-            monkeypatch.setattr(dynamics, "_compiled_steps", records)
+            monkeypatch.setattr(dynamics, "_resumable", stepper)
             got, stepped = sweep._cell(task), len(calls)
             with monkeypatch.context() as python:
                 python.setattr(_stepper, "kernel", lambda check: None)
                 python.setattr(dynamics, "_dormand_prince", records)
                 want = sweep._cell(task)
             if want[5].startswith("error:"):
-                assert (got[5:], stepped) == (want[5:], 1)
+                assert (got[5:], stepped) == (want[5:], 2)
                 declined += 1
         assert declined > 0
 
@@ -469,7 +543,9 @@ class TestCellAnalysis:
 
     def test_ramp_runs_step_once_with_no_python_analysis(self, kernel, monkeypatch):
         """``run_continuous`` and a gain-map cell run the compiled steps and
-        the cell once per run, and ``_threshold_analysis`` never."""
+        the cell once per run of fewer steps than a chunk, and
+        ``_threshold_analysis`` never; a cell never keeps its records in
+        ``_compiled_steps``."""
         calls = Counter()
 
         def counted(name, function):
@@ -481,14 +557,16 @@ class TestCellAnalysis:
         analysis = counted("analysis", dynamics._threshold_analysis)
         monkeypatch.setattr(dynamics, "_threshold_analysis", analysis)
         monkeypatch.setattr(protocols, "_threshold_analysis", analysis)
-        monkeypatch.setattr(dynamics, "_compiled_steps", counted("steps", dynamics._compiled_steps))
-        monkeypatch.setattr(_stepper, "_kernel", kernel._replace(cell=counted("cell", kernel.cell)))
+        monkeypatch.setattr(dynamics, "_compiled_steps", counted("kept", dynamics._compiled_steps))
+        counting = kernel._replace(steps=counted("steps", kernel.steps),
+                                   cell=counted("cell", kernel.cell))
+        monkeypatch.setattr(_stepper, "_kernel", counting)
         s = ParameterPoint.make((1.0, 0.0, 0.0), (0.75, 0.75, 0.75))
         f = ParameterPoint.make((1.0, 0.0, 0.0), (0.05, 0.1, 0.15))
         runs = [run_continuous(s, f, kappa, omega, cfg=IntegratorConfig(t_cap=60.0))
                 for kappa, omega in ((1.0, 0.5), (0.3, 1.5), (5.0, 0.0), (0.02, 0.0))]
         assert {res.timed_out for res in runs} == {True, False}
-        assert calls == {"steps": 4, "cell": 4}
+        assert calls == {"kept": 4, "steps": 4, "cell": 4}
         calls.clear()
         ramp = _Ramp(s, f, DEFAULT_EPS, IntegratorConfig())
         column = (ramp, s.gamma.as_array(), f.gamma.as_array(), None)
@@ -497,20 +575,49 @@ class TestCellAnalysis:
         assert {cell[5] for cell in cells} == {"ok"}
         assert calls == {"steps": 9, "cell": 9}
 
+    def test_a_cell_keeps_no_records(self, kernel):
+        """The kappa = 0.01, omega = 2 cell of the 12x12 fig5a grid steps
+        13,183 times (2.4 MB of records), yet its run peaks below 1 MB beside
+        its thread's reused buffer of records."""
+        s = ParameterPoint.make((1.0, 0.0, 0.0), (0.75, 0.75, 0.75))
+        f = ParameterPoint.make((1.0, 0.0, 0.0), (0.05, 0.1, 0.15))
+        ramp = _Ramp(s, f, DEFAULT_EPS, IntegratorConfig())
+        kappa, omega = float(np.geomspace(0.01, 100.0, 12)[0]), float(np.linspace(0.0, 2.0, 12)[-1])
+        args = dynamics._ramp_args(ramp.schedule.at(kappa, omega), ramp.r0, ramp.target, ramp.cfg,
+                                   ramp.eps)
+        assert len(dynamics._compiled_steps(kernel, *args)[0]) == 13183
+        want = ramp.run(kappa, omega)  # which also makes this thread's buffer
+        tracemalloc.start()
+        try:
+            got = ramp.run(kappa, omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want and want[2] == 19
+        assert peak < 1_000_000, peak
+
     def test_known_answer_check_covers_the_analysis(self, kernel, generator_calls):
         def one_ulp_off(*args):
             code = kernel.cell(*args)
-            tau = ctypes.c_double.from_address(args[-1])
+            tau = ctypes.c_double.from_address(args[0])
             tau.value = math.nextafter(tau.value, math.inf)
             return code
 
         def one_crossing_less(*args):
             code = kernel.cell(*args)
-            ctypes.c_double.from_address(args[-1] + 16).value -= 1
+            ctypes.c_double.from_address(args[0] + 16).value -= 1
+            return code
+
+        def distance_one_ulp_off(*args):
+            code = kernel.cell(*args)
+            if args[-2] is not None:
+                first = ctypes.c_double.from_address(args[-2])
+                first.value = math.nextafter(first.value, math.inf)
             return code
 
         assert dynamics._kernel_agrees(kernel)
-        for wrong in (one_ulp_off, one_crossing_less, lambda *args: kernel.cell(*args) or -3):
+        for wrong in (one_ulp_off, one_crossing_less, lambda *args: kernel.cell(*args) or -3,
+                      distance_one_ulp_off):
             assert not dynamics._kernel_agrees(kernel._replace(cell=wrong))
         assert generator_calls == []  # so perfbench's traced counts repeat
 
@@ -748,6 +855,54 @@ class TestLoader:
         assert function is None
         assert logs == [f"kernel: Python ({cold_cache} is world-writable)"]
         assert cached_files(cold_cache) == []
+
+    @needs_cc
+    def test_threads_share_one_load(self, cold_cache, monkeypatch):
+        """Two threads that ask a fresh loader for the kernel at once build
+        and check the library once and get the same Kernel."""
+        builds, got = [], [None, None]
+        build = _stepper._build
+
+        def counting(path, check):
+            builds.append(path)
+            return build(path, check)
+
+        monkeypatch.setattr(_stepper, "_build", counting)
+        start = threading.Barrier(2)
+
+        def first_call(i):
+            start.wait(timeout=60)
+            got[i] = dynamics.ramp_kernel()
+
+        threads = [threading.Thread(target=first_call, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+        assert not any(thread.is_alive() for thread in threads)
+        assert builds == [_stepper.cache_path()]
+        assert got[0] is not None and got[0] is got[1]
+
+    @needs_cc
+    def test_a_build_removes_the_other_keys_libraries(self, cold_cache, caplog, monkeypatch):
+        """Only the current key's library stays, and a stale one that another
+        process removes first is no error; other files stay."""
+        cold_cache.mkdir()
+        stale = [cold_cache / f"_stepper.{digit * 16}.so" for digit in "01"]
+        for path in stale:
+            path.write_bytes(b"an old kernel")
+        (cold_cache / "other.so").write_bytes(b"")
+        unlink = Path.unlink
+
+        def raced(path, missing_ok=False):
+            if path == stale[1]:
+                os.remove(path)  # as another process that pruned first
+            unlink(path, missing_ok=missing_ok)
+
+        monkeypatch.setattr(Path, "unlink", raced)
+        function, logs = load(caplog)
+        assert function is not None and logs == [f"kernel: compiled, built {_stepper.cache_path()}"]
+        assert cached_files(cold_cache) == sorted([_stepper.cache_path().name, "other.so"])
 
     @needs_cc
     def test_racing_processes_leave_one_library(self, cold_cache):

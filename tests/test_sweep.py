@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 
 import numpy as np
@@ -249,7 +248,7 @@ class TestWorkers:
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr("pontus.sweep.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("pontus.sweep.ThreadPoolExecutor", no_pool)
         assert available_cpus() == 1
         gm = sweep_kappa_omega(omega_spec(n_kappa=2, n_omega=2))
         assert gm.status == [["ok", "ok"], ["ok", "ok"]]
@@ -275,8 +274,6 @@ class TestCellErrors:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_first_message_of_each_error_status(self, jobs, monkeypatch):
-        if jobs > 1 and multiprocessing.get_start_method() != "fork":
-            pytest.skip("the patched runner reaches workers only through fork")
         real = _Ramp.run
         failing = {
             (5.0, 1.5): ValueError("first"),
