@@ -636,7 +636,7 @@ def _kernel_agrees(kernel) -> bool:
     every step's start and end, the cell's states and distances on each
     run's stride grid and its largest |r|, and its analysis of the stop-rule
     run, which crosses eps 5 times with 15 refined intervals and ends
-    inconclusive, also where the run comes in chunks of 8 records; and so
+    inconclusive, also on a 0.5 grid in chunks of 8 records; and so
     must the non-Markov measure of a channel with 13 windows, one with a
     vanishing final rate and one that never turns negative; and so must the
     writer's rows of values where a ``%.17g`` formatter can go wrong, beside
@@ -686,7 +686,11 @@ def _kernel_agrees(kernel) -> bool:
                                   envelope=lambda s: 0.85 * math.exp(-0.3 * s))
                 if found != _threshold_analysis(traj, eps):
                     return False
-                if _compiled_cell(kernel, args, 0.05, chunk=8) != (True, worst, found):
+                # on a grid whose intervals span several steps, whose
+                # records the chunks must carry over
+                ts = _sample_times(t, 0.5)
+                whole = _samples(kernel, steps, t, stopped, len(ts), kappa, omega, 0.85, rule, 0.5)
+                if _compiled_cell(kernel, args, 0.5, chunk=8) != (True, *whole[2:]):
                     return False
         got = compiled_total(kernel, *measure)
         return got is not None and got.hex() == measure_total(*measure).hex()

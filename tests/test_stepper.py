@@ -615,9 +615,15 @@ class TestCellAnalysis:
                 first.value = math.nextafter(first.value, math.inf)
             return code
 
+        def keeps_no_records(*args):
+            code = kernel.cell(*args)
+            if code == 2:  # a resumed run: none of its records carried over
+                args[2]._obj.value = 0
+            return code
+
         assert dynamics._kernel_agrees(kernel)
         for wrong in (one_ulp_off, one_crossing_less, lambda *args: kernel.cell(*args) or -3,
-                      distance_one_ulp_off):
+                      distance_one_ulp_off, keeps_no_records):
             assert not dynamics._kernel_agrees(kernel._replace(cell=wrong))
         assert generator_calls == []  # so perfbench's traced counts repeat
 
