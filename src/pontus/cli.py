@@ -549,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--t-cap", type=float, default=None, help="integration cap")
     parser.add_argument(
         "--jobs", type=int, default=None,
-        help="worker threads for gain maps (default: the CPUs this process may use)",
+        help="worker threads for gain maps, at most the CPUs this process may run on "
+             "(default: all of them)",
     )
     parser.set_defaults(with_baseline=False)
     sub = parser.add_subparsers(dest="command", required=True)

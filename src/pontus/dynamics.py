@@ -16,13 +16,14 @@ The compiled kernel (``_stepper.c``, loaded by ``_stepper.kernel``) repeats
 these float operations in the same order: the step loop with the event's
 root, then the dense output at a run's samples (``_sample_times``) and
 ``_threshold_analysis`` of them, fed one chunk of step records after
-another.  ``integrate``'s run (``_ramp_run``) keeps its records and feeds
-them as one chunk; a gain-map cell's (``_ramp_cell``) keeps only the few
-that its analysis still needs, in a reused buffer of its thread, and
-builds no Trajectory.  The Python routes serve every process where no
-kernel loads.  Two independent oracles (a density-matrix-level rebuild of
-the generator and a time-ordered product integrator) cross-check both
-routes.  scipy is imported only by ``expm``, on its first call.
+another.  ``integrate`` keeps its run's records and feeds them as one
+chunk; a gain-map cell's run (``_ramp_cell``) keeps only the few that its
+analysis still needs, in a reused buffer of its thread, and builds no
+Trajectory.  Both steppers return their records as one (n, 23) array.
+The Python routes serve every process where no kernel loads.  Two
+independent oracles (a density-matrix-level rebuild of the generator and
+a time-ordered product integrator) cross-check both routes.  scipy is
+imported only by ``expm``, on its first call.
 """
 
 from __future__ import annotations
@@ -281,11 +282,14 @@ _EPS = float(np.finfo(float).eps)
 TAU_XTOL = 1e-9
 _SQRT3 = 3**0.5
 _BALL_SQ = (1.0 + TOL_BALL) ** 2
+#: The doubles of one step record, a row of both steppers' (n, _RECORD)
+#: arrays: t, h, y, k1, k3, ..., k7.
+_RECORD = 23
 
 
 class _DenseOutput:
-    """Quartic interpolants of the accepted steps, from the stepper's 23-float
-    step records (t, h, y, k1, k3, ..., k7) and ending at ``t_final``.
+    """Quartic interpolants of the accepted steps, from the steppers' (n, 23)
+    step records (``_RECORD``) and ending at ``t_final``.
 
     Q = K^T P is formed for all steps at once, elementwise and term by term
     in stage order, so no coefficient depends on a BLAS kernel.  A time is
@@ -294,9 +298,8 @@ class _DenseOutput:
     depend on the other times.
     """
 
-    def __init__(self, steps, t_final):
-        a = np.frombuffer(steps).reshape(-1, 23)
-        k1, k3, k4, k5, k6, k7 = (a[:, j : j + 3] for j in range(5, 23, 3))
+    def __init__(self, a, t_final):
+        k1, k3, k4, k5, k6, k7 = (a[:, j : j + 3] for j in range(5, _RECORD, 3))
         self.t_break = np.append(a[:, 0], t_final)
         self.h = a[:, 1]
         self.y_old = a[:, 2:5]
@@ -338,8 +341,9 @@ def _stop_function(stop, kappa, dg_max):
 
 
 def _event_time(gap, record, t_end):
-    """Root of ``gap`` on the interpolant of one 23-float step record that
-    ends at ``t_end``: the time at which a run's stop rule ends it."""
+    """Root of ``gap`` on the interpolant of one step record, a (1, 23)
+    array, that ends at ``t_end``: the time at which a run's stop rule ends
+    it."""
     at = _DenseOutput(record, t_end)
     return brentq(lambda s: gap(s, *at([s])[0].tolist()), float(at.t_break[0]), t_end,
                   xtol=4 * _EPS, rtol=4 * _EPS)
@@ -377,7 +381,7 @@ def _dormand_prince(coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol, ma
     the run.  ``_compiled_steps`` takes the same arguments after its kernel.
 
     Returns ``(steps, t_final, stopped, nfev, n_rejected)``, with the step
-    records in an ``array("d")``; steps is None when the stop function is
+    records in an (n, 23) array; steps is None when the stop function is
     already negative at t = 0.  Raises StepSizeUnderflow
     when the step falls below 10 ulp of t, and BallViolation as soon as an
     accepted step ends outside the Bloch ball.
@@ -438,7 +442,7 @@ def _dormand_prince(coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol, ma
     n_rejected = 0
 
     steps = array("d")  # per accepted step: t, h, y, k1, k3, ..., k7
-    pack_step = struct.Struct("23d").pack  # a third of array.extend's time per step
+    pack_step = struct.Struct(f"{_RECORD}d").pack  # a third of array.extend's time per step
     sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
     w1, w2, w3 = abs(y1), abs(y2), abs(y3)  # then each step's |z|, as max(z, -z) gives it
     stopped = False
@@ -551,7 +555,7 @@ def _dormand_prince(coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol, ma
                 if u > g_new:
                     g_new = u
             if (g_old <= 0 <= g_new) or (g_new <= 0 <= g_old):
-                t_new = _event_time(gap, steps[-23:], t_new)
+                t_new = _event_time(gap, np.reshape(steps[-_RECORD:], (1, _RECORD)), t_new)
                 stopped = True
             g_old = g_new
         t = t_new
@@ -561,7 +565,7 @@ def _dormand_prince(coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol, ma
         w1, w2, w3 = v1, v2, v3
         k11, k12, k13 = k71, k72, k73
 
-    return steps, t, stopped, nfev, n_rejected
+    return np.frombuffer(steps).reshape(-1, _RECORD), t, stopped, nfev, n_rejected
 
 
 #: Step records per call of the compiled stepper, which is resumed when they
@@ -614,12 +618,12 @@ def _compiled_steps(kernel, coef, kappa, omega, dg_max, stop, y, t_bound, rtol, 
                     max_step):
     """``_dormand_prince`` with the same arguments, through the compiled
     stepper (``_resumable``): the same records, counts, stop time and
-    exceptions, with the step records in an (n, 23) numpy array."""
+    exceptions."""
     resume, state = _resumable(kernel, coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol,
                                max_step)
     chunks, code = [], 2
     while code == 2:
-        buf = np.empty((_CHUNK, 23))
+        buf = np.empty((_CHUNK, _RECORD))
         code, n = resume(buf)
         chunks.append(buf[:n])
     if code == -1:
@@ -636,7 +640,9 @@ def _kernel_agrees(kernel) -> bool:
     every step's start and end, the cell's states and distances on each
     run's stride grid and its largest |r|, and its analysis of the stop-rule
     run, which crosses eps 5 times with 15 refined intervals and ends
-    inconclusive, also on a 0.5 grid in chunks of 8 records; and so
+    inconclusive, and on a 0.5 grid, where 2 of its 3 crossings lie in an
+    interval that only the lookahead of a slope reversal at its end refines,
+    also in chunks of 8 records; and so
     must the non-Markov measure of a channel with 13 windows, one with a
     vanishing final rate and one that never turns negative; and so must the
     writer's rows of values where a ``%.17g`` formatter can go wrong, beside
@@ -666,7 +672,7 @@ def _kernel_agrees(kernel) -> bool:
             args = (coef, kappa, omega, 0.85, stop, y, t_bound, rtol, 1e-10, max_step)
             want = _dormand_prince(*args)
             got = _compiled_steps(kernel, *args)
-            if bytes(want[0]) != bytes(got[0]) or want[1:] != got[1:]:
+            if want[0].tobytes() != got[0].tobytes() or want[1:] != got[1:]:
                 return False
             steps, t, stopped = got[:3]
             dense = _DenseOutput(steps, t)
@@ -680,16 +686,18 @@ def _kernel_agrees(kernel) -> bool:
                     or ds.tobytes() != trace_distances(rs, target).tobytes()
                     or worst != np.max(np.linalg.norm(rs, axis=1))):
                 return False
-            if stop:  # and so must the analysis of the stop-rule run, in chunks too
-                traj = Trajectory(ts, rs, None, BlochVector(*target),
-                                  distance_evaluator(dense, target),
-                                  envelope=lambda s: 0.85 * math.exp(-0.3 * s))
-                if found != _threshold_analysis(traj, eps):
-                    return False
-                # on a grid whose intervals span several steps, whose
-                # records the chunks must carry over
-                ts = _sample_times(t, 0.5)
-                whole = _samples(kernel, steps, t, stopped, len(ts), kappa, omega, 0.85, rule, 0.5)
+            if stop:  # and so must the stop-rule run's analysis, also on a grid
+                # whose intervals span several steps, in chunks that must
+                # carry their records over
+                coarse = _sample_times(t, 0.5)
+                whole = _samples(kernel, steps, t, stopped, len(coarse), kappa, omega, 0.85, rule,
+                                 0.5)
+                for ts, rs, found in ((ts, rs, found), (coarse, whole[0], whole[3])):
+                    traj = Trajectory(ts, rs, None, BlochVector(*target),
+                                      distance_evaluator(dense, target),
+                                      envelope=lambda s: 0.85 * math.exp(-0.3 * s))
+                    if found != _threshold_analysis(traj, eps):
+                        return False
                 if _compiled_cell(kernel, args, 0.5, chunk=8) != (True, *whole[2:]):
                     return False
         got = compiled_total(kernel, *measure)
@@ -700,7 +708,7 @@ def _kernel_agrees(kernel) -> bool:
 
 def ramp_kernel():
     """The checked compiled kernel (``_stepper.Kernel``) with which
-    ``_ramp_run`` and ``_ramp_cell`` step, sample and analyse an
+    ``integrate`` and ``_ramp_cell`` step, sample and analyse an
     ``ExponentialCosineSchedule`` run, ``nonmarkov`` computes the
     non-Markov measure and ``write_csv`` writes its rows, or None for their
     Python routes; loaded once per process, by the first call of any of its
@@ -786,7 +794,7 @@ def _record_buffer(rows, keep=None):
     rows ``keep``, where the old one is shorter."""
     buf = getattr(_records, "steps", None)
     if buf is None or len(buf) < rows:
-        buf = _records.steps = np.empty((rows, 23))
+        buf = _records.steps = np.empty((rows, _RECORD))
         if keep is not None:
             buf[: len(keep)] = keep
     return buf
@@ -799,18 +807,13 @@ def _cell(kernel, cell, steps, n, t_end, end, stop, kappa, omega, dg_max, stride
     (``end`` 0), ends at its time bound (1) or is stopped (2): the samples
     on the ``stride`` grid that they serve, their states and distances into
     ``rs`` and ``ds`` where given, and the analysis at the ``stop`` array's
-    (target, tol, eps), carried in ``cell``.  Returns the kernel's code;
-    where the run resumes, n.value counts the records kept at the front of
-    ``steps`` for its next chunk."""
+    (target, tol, eps), carried in ``cell``.  Returns the analysis's (tau,
+    inconclusive, n_crossings) once a stopped run's is done, else None, also
+    where the kernel declines it; where the run resumes, n.value counts the
+    records kept at the front of ``steps`` for its next chunk."""
     out = (None, None, 0) if rs is None else (rs.ctypes.data, ds.ctypes.data, len(rs))
-    return kernel.cell(cell.ctypes.data, steps.ctypes.data, ctypes.byref(n), t_end, end,
+    code = kernel.cell(cell.ctypes.data, steps.ctypes.data, ctypes.byref(n), t_end, end,
                        stop.ctypes.data, kappa, omega, dg_max, stride, TAU_XTOL, *out)
-
-
-def _found(cell, code):
-    """``_threshold_analysis``'s (tau, inconclusive, n_crossings) from the
-    ``cell`` array of a stopped run's finished analysis, None where the
-    kernel declined it (``code`` -3)."""
     tau, inconclusive, crossings = cell[:3].tolist()
     return (tau, inconclusive > 0, int(crossings)) if code == 0 else None
 
@@ -825,11 +828,11 @@ def _samples(kernel, steps, t_stop, stopped, m, kappa, omega, dg_max, stop, stri
     target, tol, eps = stop
     stop = np.array([*target, tol, eps])
     cell, rs, ds = np.zeros(_CELL_SLOTS), np.empty((m, 3)), np.empty(m)
-    code = _cell(kernel, cell, steps, ctypes.c_long(len(steps)), t_stop, 2 if stopped else 1, stop,
-                 kappa, omega, dg_max, stride, rs, ds)
+    found = _cell(kernel, cell, steps, ctypes.c_long(len(steps)), t_stop, 2 if stopped else 1,
+                  stop, kappa, omega, dg_max, stride, rs, ds)
     if cell[4] != m:  # a kernel that lays out another grid, which _kernel_agrees refuses
         raise ValueError(f"the kernel took {cell[4]:g} samples, not {m}")
-    return rs, ds, float(cell[3]), _found(cell, code)
+    return rs, ds, float(cell[3]), found
 
 
 def _compiled_cell(kernel, args, stride, chunk=_CHUNK):
@@ -857,11 +860,11 @@ def _compiled_cell(kernel, args, stride, chunk=_CHUNK):
         n.value += written
         t_end = _run_end(code, state, buf[n.value - 1 : n.value], stop, kappa, dg_max)
         end = 0 if code == 2 else 1 if code == 0 else 2
-        analysed = _cell(kernel, cell, buf, n, t_end, end, rule, kappa, omega, dg_max, stride)
+        found = _cell(kernel, cell, buf, n, t_end, end, rule, kappa, omega, dg_max, stride)
         if code == 2 and 2 * n.value > rows:
             rows *= 2
             buf = _record_buffer(rows, buf[: n.value])
-    return code != 0, float(cell[3]), _found(cell, analysed)
+    return code != 0, float(cell[3]), found
 
 
 def _ramp_cell(schedule, r0: BlochVector, target: BlochVector, cfg: IntegratorConfig,
@@ -869,9 +872,9 @@ def _ramp_cell(schedule, r0: BlochVector, target: BlochVector, cfg: IntegratorCo
     """A gain-map cell's run on the kernel route (``_compiled_cell``):
     (tau, inconclusive, n_crossings) of ``integrate``'s run, as
     ``_threshold_analysis`` finds them, or (None, False, 0) for a run that
-    times out, raising as ``_ramp_run`` raises; None where no kernel loads or
-    where it declines the analysis, for the caller to run the records that
-    ``_ramp_run`` keeps."""
+    times out, raising as ``integrate`` raises; None where no kernel loads
+    or where it declines the analysis, for the caller to run ``integrate``
+    and the Python analysis."""
     kernel = ramp_kernel()
     if kernel is None:
         return None
@@ -891,68 +894,19 @@ def _dense(kernel, steps, t_final, ts):
     return out
 
 
-def _ramp_run(schedule, r0: BlochVector, target: BlochVector, cfg: IntegratorConfig,
-              eps: float, t_end: Optional[float] = None) -> dict:
-    """``integrate``'s run, as the fields of its Trajectory; a gain-map cell
-    whose analysis the kernel declines (``_ramp_cell``) builds one from them.
-
-    Where the kernel loads, one ``kernel.steps`` sequence and one
-    ``kernel.cell`` call, over all the records as one chunk, give the
-    samples, their distances and, for a stopped run, the ``analysis`` that
-    ``_threshold_analysis`` would make of them; the Trajectory's
-    ``distance_of`` evaluates ``kernel.dense``.
-    Else ``_dormand_prince`` and ``_DenseOutput`` give the samples, the
-    Trajectory computes their distances, and ``analysis`` stays None but for
-    a run settled at t = 0.
-    """
-    if t_end is not None and not 0 < t_end < math.inf:
-        raise ValueError("t_end must be positive and finite")
-    tgt, y0 = target.as_array(), r0.as_array()
-    args = _ramp_args(schedule, r0, target, cfg, eps, t_end)
-    kernel = ramp_kernel()
-    if kernel is None:
-        steps, t_stop, stopped, nfev, n_rejected = _dormand_prince(*args)
-    else:
-        steps, t_stop, stopped, nfev, n_rejected = _compiled_steps(kernel, *args)
-    dist = None
-    if steps is None:  # nothing to do: already settled at t = 0
-        dense, n_accepted, found = (lambda ts: np.tile(y0, (len(ts), 1))), 0, (0.0, False, 0)
-        ts, rs = np.array([0.0]), y0[None, :]
-    else:
-        ts = _sample_times(t_stop, cfg.sample_stride)
-        if kernel is None:
-            dense, n_accepted, found = _DenseOutput(steps, t_stop), len(steps) // 23, None
-            rs = dense(ts)
-            worst = float(np.max(np.linalg.norm(rs, axis=1)))
-        else:
-            dense, n_accepted = functools.partial(_dense, kernel, steps, t_stop), len(steps)
-            rs, dist, worst, found = _samples(kernel, steps, t_stop, stopped, len(ts), *args[1:4],
-                                              (tgt.tolist(), eps / 10.0, eps), cfg.sample_stride)
-        if worst > 1.0 + TOL_BALL:  # the steppers checked only the step ends
-            raise _sampled_outside(worst)
-    return dict(t=ts, r=rs, dist=dist, rates_of=schedule.rates_array, target=target,
-                distance_of=distance_evaluator(dense, tgt), timed_out=t_end is None and not stopped,
-                envelope=schedule.envelope, nfev=nfev, n_accepted=n_accepted,
-                n_rejected=n_rejected, analysis=found)
-
-
-def integrate(
-    schedule,
-    r0: BlochVector,
-    target: BlochVector,
-    cfg: IntegratorConfig,
-    eps: float,
-    t_end: Optional[float] = None,
-) -> Trajectory:
+def integrate(schedule, r0: BlochVector, target: BlochVector, cfg: IntegratorConfig, eps: float,
+              t_end: Optional[float] = None) -> Trajectory:
     """Solve r' = Lambda(t) r + b(t) under a damped-cosine ramp.
 
     ``schedule`` is an ``ExponentialCosineSchedule``; the steppers read its
-    ``coefficients``, ``kappa``, ``omega`` and ``_dg_max``.  The equation is
-    stepped and sampled by the compiled kernel of ``_stepper.c`` where one
-    loads (``_stepper.kernel``), else by ``_dormand_prince`` and
-    ``_DenseOutput``, which write the same step records and samples bit for
-    bit (``_ramp_run``).  On the kernel route the Trajectory of a stopped
-    run carries the kernel's threshold analysis of its samples.
+    ``coefficients``, ``kappa``, ``omega`` and ``_dg_max``.  Where the
+    compiled kernel of ``_stepper.c`` loads (``_stepper.kernel``), it steps
+    the run, and one ``kernel.cell`` call over all its records gives the
+    samples, their distances and, for a stopped run, the ``analysis`` that
+    ``_threshold_analysis`` would make of them; ``distance_of`` evaluates
+    ``kernel.dense``.  Else ``_dormand_prince`` and ``_DenseOutput`` give
+    the same records and samples bit for bit, and ``analysis`` stays None
+    but for a run settled at t = 0.
 
     Integration stops once the trace distance to ``target`` is below
     ``eps/10`` while the schedule's remaining deviation from its final
@@ -963,7 +917,36 @@ def integrate(
     BallViolation at the first step that ends outside it, or else at its
     samples.
     """
-    return Trajectory(**_ramp_run(schedule, r0, target, cfg, eps, t_end))
+    if t_end is not None and not 0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
+    tgt, y0 = target.as_array(), r0.as_array()
+    args = _ramp_args(schedule, r0, target, cfg, eps, t_end)
+    kernel = ramp_kernel()
+    if kernel is None:
+        steps, t_stop, stopped, nfev, n_rejected = _dormand_prince(*args)
+    else:
+        steps, t_stop, stopped, nfev, n_rejected = _compiled_steps(kernel, *args)
+    dist = found = None
+    if steps is None:  # nothing to do: already settled at t = 0
+        dense, found = (lambda ts: np.tile(y0, (len(ts), 1))), (0.0, False, 0)
+        ts, rs = np.array([0.0]), y0[None, :]
+    else:
+        ts = _sample_times(t_stop, cfg.sample_stride)
+        if kernel is None:
+            dense = _DenseOutput(steps, t_stop)
+            rs = dense(ts)
+            worst = float(np.max(np.linalg.norm(rs, axis=1)))
+        else:
+            dense = functools.partial(_dense, kernel, steps, t_stop)
+            rs, dist, worst, found = _samples(kernel, steps, t_stop, stopped, len(ts), *args[1:4],
+                                              (tgt.tolist(), eps / 10.0, eps), cfg.sample_stride)
+        if worst > 1.0 + TOL_BALL:  # the steppers checked only the step ends
+            raise _sampled_outside(worst)
+    return Trajectory(t=ts, r=rs, dist=dist, rates_of=schedule.rates_array, target=target,
+                      distance_of=distance_evaluator(dense, tgt),
+                      timed_out=t_end is None and not stopped, envelope=schedule.envelope,
+                      nfev=nfev, n_accepted=0 if steps is None else len(steps),
+                      n_rejected=n_rejected, analysis=found)
 
 
 def _refined_threshold_series(traj: Trajectory, eps: float):

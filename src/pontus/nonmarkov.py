@@ -49,6 +49,8 @@ def truncation_horizon(dg: float, kappa: float) -> float:
     """Time beyond which a modulation of amplitude |dg| damped at rate kappa
     carries less than ``_TAIL_TOL`` weight: the T of |dg| e^{-kappa T} / kappa
     = _TAIL_TOL."""
+    if not kappa > 0:
+        raise ValueError("kappa must be positive")
     return math.log(abs(dg) / (kappa * _TAIL_TOL)) / kappa
 
 
@@ -219,6 +221,7 @@ def channel_report(
     """Per-channel summary: measure, window count, and the windows."""
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
+    f_value = nm_measure_closed_form(g_s, g_f, kappa, omega)  # first: it refuses kappa <= 0
     try:
         intervals = tuple(negative_intervals(g_s, g_f, kappa, omega))
     except DivergentIntervalCount:
@@ -230,7 +233,6 @@ def channel_report(
                 lambda lobe: lobe[1] < horizon, _lobes(omega)
             )
         )
-    f_value = nm_measure_closed_form(g_s, g_f, kappa, omega)
     return NmChannelReport(
         channel=channel,
         f_value=float(f_value),

@@ -36,7 +36,6 @@ from .dynamics import (
     ConstantFlow,
     IntegratorConfig,
     _ramp_cell,
-    _ramp_run,
     _threshold_analysis,
     assemble_generator,
     integrate,
@@ -209,7 +208,7 @@ def _switch_times(t_is: Sequence[float], cfg: IntegratorConfig) -> List[float]:
     """The switching times as floats, each checked to lie in (0, t_cap)."""
     t_is = [float(t_i) for t_i in t_is]
     for t_i in t_is:
-        if t_i <= 0:
+        if not t_i > 0:  # NaN too
             raise ValueError("switching time must be positive")
         if t_i >= cfg.t_cap:
             raise ValueError("switching time must lie below the time cap")
@@ -343,14 +342,10 @@ class _Ramp:
     def run(self, kappa: float, omega: float):
         """``result``'s tau, inconclusive and n_threshold_crossings, raising
         as it raises, all a gain-map cell reads: from the compiled run that
-        keeps no records (``dynamics._ramp_cell``), else from ``result``'s
-        run (``dynamics._ramp_run``), whose Trajectory is built only where
-        the integrator made no analysis, for ``_threshold_analysis``."""
-        args = (self.schedule.at(kappa, omega), self.r0, self.target, self.cfg, self.eps)
-        found = _ramp_cell(*args)
-        if found is None:  # no kernel, or it declined the analysis
-            run = _ramp_run(*args)
-            if run["timed_out"]:
-                return None, False, 0
-            found = run["analysis"] or _threshold_analysis(Trajectory(**run), self.eps)
+        keeps no records (``dynamics._ramp_cell``), else, where no kernel
+        loads or it declines the analysis, from ``result`` itself."""
+        found = _ramp_cell(self.schedule.at(kappa, omega), self.r0, self.target, self.cfg, self.eps)
+        if found is None:
+            res = self.result(kappa, omega)
+            found = res.tau, res.inconclusive, res.n_threshold_crossings
         return found

@@ -181,10 +181,11 @@ def available_cpus() -> int:
 
 def _run_tasks(tasks, jobs: Optional[int], progress: Optional[Callable]):
     """``_cell`` of every task, in task order: on a pool of ``jobs`` worker
-    threads (None: ``available_cpus()``), or in this thread for one worker
-    or task."""
-    workers = 1 if jobs is not None and jobs <= 1 else jobs or available_cpus()
-    workers = max(1, min(workers, len(tasks)))
+    threads (None: ``available_cpus()``), at most ``available_cpus()``, as
+    each thread keeps its own step-record buffer and more threads than CPUs
+    only add memory; or in this thread for one worker or task."""
+    cpus = available_cpus()
+    workers = max(1, min(cpus if jobs is None else jobs, cpus, len(tasks)))
     results = []
     ramp_kernel()  # loaded here, not by a worker that the others wait for
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:

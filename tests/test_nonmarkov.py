@@ -313,6 +313,16 @@ class TestChannelReport:
         rep = channel_report(0.5, 0.1, 0.5, 0.0, "z")
         assert rep.f_value == 0.0 and rep.n_intervals == 0
 
+    def test_zero_kappa_is_refused(self):
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            channel_report(0.75, 0.05, 0.0, 1.0, "plus")
+
+
+@pytest.mark.parametrize("kappa", [0.0, -0.1, math.nan])
+def test_truncation_horizon_refuses_a_kappa_that_is_not_positive(kappa):
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        truncation_horizon(0.5, kappa)
+
 
 @pytest.fixture
 def deadline():

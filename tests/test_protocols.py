@@ -422,6 +422,10 @@ class TestRunTwoStep:
         with pytest.raises(ValueError):
             run_two_step(DETOUR_S, DETOUR_A, DETOUR_F, t_i=1e5)
 
+    def test_rejects_a_nan_switch_time(self):
+        with pytest.raises(ValueError, match="switching time must be positive"):
+            run_two_step(DETOUR_S, DETOUR_A, DETOUR_F, t_i=math.nan)
+
 
 class TestRunTwoStepScan:
     """The fig1 t_I scan of ``scan_two_step`` against single runs."""

@@ -156,6 +156,33 @@ class TestBitwiseAgainstPython:
                 want, got = both_routes(kernel, ramp_args(sched, run_stop, y, t_bound, 1e-9))
                 assert got == want
 
+    def test_trajectories_on_both_routes(self, kernel, monkeypatch):
+        """``integrate`` of the seeded runs: the same samples and the same
+        counts, ``n_accepted`` included, on both routes, or the same
+        exception."""
+        def cases():
+            for i, sched, stop, y, t_bound, rtol in seeded_runs():
+                target, eps = (stop[0], stop[2]) if stop else ([0.0, 0.0, 0.0], 1e-4)
+                cfg = IntegratorConfig(rel_tol=rtol, t_cap=t_bound if stop else 1e4)
+                yield (sched, BlochVector(*y), BlochVector(*target), cfg, eps,
+                       None if stop else t_bound)
+
+        def run(case):
+            try:
+                traj = integrate(*case)
+            except PontusError as exc:
+                return type(exc).__name__, str(exc)
+            return (traj.t.tobytes(), traj.r.tobytes(), traj.timed_out, traj.nfev,
+                    traj.n_accepted, traj.n_rejected)
+
+        runs = list(cases())
+        got = [run(case) for case in runs]
+        monkeypatch.setattr(_stepper, "kernel", lambda check: None)
+        want = [run(case) for case in runs]
+        for case, g, w in zip(runs, got, want):
+            assert g == w, case
+        assert sum(len(w) == 6 and w[4] > 0 for w in want) > 400
+
     def test_settled_at_start(self, kernel):
         sched = ExponentialCosineSchedule(RateTriple(0.5, 0.1, 0.0), RateTriple(0.5, 0.1, 0.0),
                                           FieldVector(1.0, 0.0, 0.0), 0.5, 1.0)
@@ -286,11 +313,11 @@ def analysis_cases():
 def compiled_analysis(sched, r0, target, cfg, eps):
     """The compiled analysis of a run, tau None on a timeout, never
     declined."""
-    run = dynamics._ramp_run(sched, r0, target, cfg, eps)
-    if run["timed_out"]:
+    traj = integrate(sched, r0, target, cfg, eps)
+    if traj.timed_out:
         return None, False, 0
-    assert run["analysis"] is not None
-    return run["analysis"]
+    assert traj.analysis is not None
+    return traj.analysis
 
 
 def python_analysis(sched, r0, target, cfg, eps):
@@ -627,6 +654,23 @@ class TestCellAnalysis:
             assert not dynamics._kernel_agrees(kernel._replace(cell=wrong))
         assert generator_calls == []  # so perfbench's traced counts repeat
 
+    @needs_cc
+    def test_known_answer_check_refuses_a_kernel_without_the_lookahead(self, tmp_path,
+                                                                       generator_calls):
+        """A kernel whose crossing series refines no interval for a slope
+        reversal at its end, seen only with the next sample's distance,
+        misses crossings that the Python analysis counts."""
+        source = _stepper.SOURCE.read_text()
+        lookahead = "reverses(c->d2, c->d1, dj) || "
+        assert source.count(lookahead) == 1
+        mutant = tmp_path / "mutant.c"
+        mutant.write_text(source.replace(lookahead, ""))
+        library = tmp_path / "mutant.so"
+        subprocess.run([*_stepper.COMMAND, "-o", str(library), str(mutant), "-lm"], check=True)
+        assert _stepper._open(library, lambda found: True) is not None
+        assert _stepper._open(library, dynamics._kernel_agrees) is None
+        assert generator_calls == []  # so perfbench's traced counts repeat
+
 
 def measure_cases():
     """(rates_s, rates_f, kappa, omega): the rates of configs fig4a, fig4b,
@@ -731,6 +775,31 @@ class TestRoutes:
         r0 = steady_state(assemble_generator(ParameterPoint(sched.h, sched.gamma_s)))
         target = steady_state(assemble_generator(ParameterPoint(sched.h, sched.gamma_f)))
         assert integrate(sched, r0, target, IntegratorConfig(), 1e-4).n_accepted > 0
+
+    def test_a_cell_with_no_kernel_reads_the_result(self, python_route):
+        """With no kernel, ``_Ramp.run`` gives ``result``'s tau,
+        inconclusive flag and crossing count bit for bit, or raises its
+        exception: on a timeout, a run settled at t = 0, a run that crosses
+        eps and a ball violation."""
+        s = ParameterPoint.make((1.0, 0.0, 0.0), (0.75, 0.75, 0.75))
+        f = ParameterPoint.make((1.0, 0.0, 0.0), (0.05, 0.1, 0.15))
+        ramp = _Ramp(s, f, DEFAULT_EPS, IntegratorConfig())
+        cases = {
+            "timeout": (_Ramp(s, f, DEFAULT_EPS, IntegratorConfig(t_cap=5.0)), 0.02, 0.0),
+            "settled": (_Ramp(f, f, DEFAULT_EPS, IntegratorConfig()), 0.5, 1.0),
+            "crossing": (ramp, 1.0, 0.5),
+            "ball": (ramp, 0.01, float(np.linspace(0.0, 2.0, 30)[2])),
+        }
+
+        def result(ramp, kappa, omega):
+            res = ramp.result(kappa, omega)
+            return res.tau, res.inconclusive, res.n_threshold_crossings
+
+        got = {name: outcome(lambda: ramp.run(k, w)) for name, (ramp, k, w) in cases.items()}
+        want = {name: outcome(lambda: result(*case)) for name, case in cases.items()}
+        assert got == want
+        assert want["timeout"] == (None, False, 0) and want["settled"] == ((0.0).hex(), False, 0)
+        assert want["crossing"][2] > 0 and want["ball"][0] == "BallViolation"
 
     def test_python_route_fixture_runs_no_kernel(self, python_route, monkeypatch):
         def refuse(*args):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -253,6 +254,21 @@ class TestWorkers:
         gm = sweep_kappa_omega(omega_spec(n_kappa=2, n_omega=2))
         assert gm.status == [["ok", "ok"], ["ok", "ok"]]
 
+    @pytest.mark.parametrize("jobs, workers", [(64, 3), (2, 2), (None, 3)])
+    def test_workers_are_capped_at_the_cpus(self, jobs, workers, monkeypatch):
+        """Each worker thread keeps its own step-record buffer, so a pool
+        larger than the CPUs would only add memory."""
+        sizes = []
+
+        def recording(n):
+            sizes.append(n)
+            return ThreadPoolExecutor(n)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr("pontus.sweep.ThreadPoolExecutor", recording)
+        gm = sweep_kappa_omega(omega_spec(n_kappa=4, n_omega=3), jobs=jobs)
+        assert sizes == [workers] and gm.shape == (4, 3)
+
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -341,7 +357,7 @@ class TestScanTwoStep:
     def test_empty_scan(self):
         assert scan_two_step(self.S, self.A, self.F, [])[1] == []
 
-    @pytest.mark.parametrize("t_is", [[1.0, 0.0], [1.0, 100.0]])
+    @pytest.mark.parametrize("t_is", [[1.0, 0.0], [1.0, 100.0], [1.0, math.nan, 3.0]])
     def test_bad_switch_times_raise_before_any_run(self, t_is, monkeypatch):
         def no_flow(*args, **kwargs):
             raise AssertionError("a flow was built")
