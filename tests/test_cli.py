@@ -1052,12 +1052,15 @@ class TestGainMap:
         assert len(side["boundary"]) == 3
 
     @pytest.mark.parametrize("route", ["kernel", "python"])
-    def test_outputs_byte_identical_across_threads(self, tmp_path, capsys, request, route):
+    def test_outputs_byte_identical_across_threads(self, tmp_path, capsys, request, route,
+                                                   monkeypatch):
         """A 4x4 fig5a map, with ball-violation and inconclusive cells, writes
         the same bytes and messages at --jobs 1, 2 and 3, on both routes,
-        while the interpreter switches threads every microsecond."""
+        while the interpreter switches threads every microsecond; three CPUs
+        are reported, so that --jobs 3 runs three threads."""
         if route == "python":
             request.getfixturevalue("python_route")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         sweep = omega_sweep(kappa={"min": 0.01, "max": 10.0, "n": 4},
                             omega={"min": 0.0, "max": 1.5, "n": 4}, label="threads")
         cfg = write_config(tmp_path, {"schema": 1, "sweep": sweep})
