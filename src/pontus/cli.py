@@ -549,8 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--t-cap", type=float, default=None, help="integration cap")
     parser.add_argument(
         "--jobs", type=int, default=None,
-        help="worker threads for gain maps, at most the CPUs this process may run on "
-             "(default: all of them)",
+        help="worker threads for gain maps, at least 1 and at most the CPUs this process "
+             "may run on (default: all of them)",
     )
     parser.set_defaults(with_baseline=False)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -609,6 +609,8 @@ def _run(argv) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
+        if args.jobs is not None and args.jobs < 1:
+            raise ConfigError("--jobs: must be at least 1")
         cfg = load_config(args.config)
         out_dir = Path(args.output)
         out_dir.mkdir(parents=True, exist_ok=True)

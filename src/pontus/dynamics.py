@@ -19,8 +19,8 @@ root, then the dense output at a run's samples (``_sample_times``) and
 another.  ``integrate`` keeps its run's records and feeds them as one
 chunk; a gain-map cell's run (``_ramp_cell``) keeps only the few that its
 analysis still needs, in a reused buffer of its thread, and builds no
-Trajectory.  Both steppers return their records as one (n, 23) array.
-The Python routes serve every process where no kernel loads.  Two
+schedule or Trajectory.  Both steppers return their records as one (n, 23)
+array.  The Python routes serve every process where no kernel loads.  Two
 independent oracles (a density-matrix-level rebuild of the generator and
 a time-ordered product integrator) cross-check both routes.  scipy is
 imported only by ``expm``, on its first call.
@@ -127,13 +127,6 @@ def steady_state(g: AffineGenerator) -> BlochVector:
     return BlochVector.from_array(r)
 
 
-def _augmented(g: AffineGenerator) -> np.ndarray:
-    m = np.zeros((4, 4))
-    m[:3, :3] = g.Lambda
-    m[:3, 3] = g.b
-    return m
-
-
 class ConstantFlow:
     """Exact flow of r' = Lambda r + b, at arbitrary times or on a stride grid.
 
@@ -165,7 +158,8 @@ class ConstantFlow:
         self._modes = None
         # the table function closes over the drift's data, not over the
         # flow, so a sampler does not keep the flow alive
-        aug = _augmented(g)
+        aug = np.zeros((4, 4))
+        aug[:3, :3], aug[:3, 3] = g.Lambda, g.b
         self._table = lambda ts: expm(ts[:, None, None] * aug)
         try:
             r_ss = steady_state(g).as_array()
@@ -325,6 +319,11 @@ class _DenseOutput:
 
 def _rms3(a: float, b: float, c: float) -> float:
     return math.sqrt(a * a + b * b + c * c) / _SQRT3
+
+
+def _settle_level(eps: float) -> float:
+    """The distance to the target below which a run with cutoff eps may stop."""
+    return eps / 10.0
 
 
 def _stop_function(stop, kappa, dg_max):
@@ -577,14 +576,20 @@ _CELL_SLOTS = 16
 _records = threading.local()
 
 
-def _resumable(kernel, coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol, max_step):
-    """The run of ``_dormand_prince``'s arguments on the compiled stepper of
-    ``_stepper.c`` (``kernel.steps``), which also finds the event's root: a
-    function that runs it on, from where it last stopped, into the rows of
-    a C-contiguous (rows, 23) array and returns the stepper's code and the
-    records written; and the array of the run's state."""
+def _stop_array(stop) -> Optional[np.ndarray]:
+    """A stop tuple (target, tol, eps) as the kernel reads it: 5 doubles."""
+    return None if stop is None else np.array([*stop[0], stop[1], stop[2]])
+
+
+def _resumable(kernel, args, rule):
+    """The run of ``_dormand_prince``'s argument tuple on the compiled stepper
+    of ``_stepper.c`` (``kernel.steps``), which also finds the event's root,
+    with its stop tuple as ``rule`` (``_stop_array``): a function that runs
+    it on, from where it last stopped, into the rows of a C-contiguous
+    (rows, 23) array and returns the stepper's code and the records
+    written; and the array of the run's state."""
+    coef, kappa, omega, dg_max, _, y, t_bound, rtol, atol, max_step = args
     coef = np.array(coef, dtype=float)
-    target = None if stop is None else np.array([*stop[0], stop[1], stop[2]])
     state = np.zeros(16)  # the slots of _stepper.c's enum
     state[1:4] = y
     n = ctypes.c_long()
@@ -592,7 +597,7 @@ def _resumable(kernel, coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol,
     def resume(rows):
         code = kernel.steps(
             coef.ctypes.data, kappa, omega, dg_max,
-            None if target is None else target.ctypes.data,
+            None if rule is None else rule.ctypes.data,
             not state[12], state.ctypes.data, t_bound, rtol, atol, max_step, _SQRT3, _BALL_SQ,
             rows.ctypes.data, len(rows), ctypes.byref(n),
         )  # it starts the run while it has made no right-hand-side call
@@ -601,26 +606,24 @@ def _resumable(kernel, coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol,
     return resume, state
 
 
-def _run_end(code, state, last, stop, kappa, dg_max):
-    """The time at which a compiled run ends, from the code of its last
-    ``kernel.steps`` call (not -1), its state and its last step record
-    ``last``; or the Python stepper's exception."""
+def _run_end(code, state, last, args):
+    """The time at which the compiled run of ``args`` ends, from the code of
+    its last ``kernel.steps`` call (not -1), its state and its last step
+    record ``last``; or the Python stepper's exception."""
     if code == -2:
         raise StepSizeUnderflow(_UNDERFLOW)
     if code == -3:
         raise _left_ball(float(state[14]), float(state[15]))
     if code == -4:  # the kernel's root search failed: the Python's raises its error
-        return _event_time(_stop_function(stop, kappa, dg_max), last, float(state[14]))
+        return _event_time(_stop_function(args[4], args[1], args[3]), last, float(state[14]))
     return float(state[0])
 
 
-def _compiled_steps(kernel, coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol,
-                    max_step):
+def _compiled_steps(kernel, *args):
     """``_dormand_prince`` with the same arguments, through the compiled
     stepper (``_resumable``): the same records, counts, stop time and
     exceptions."""
-    resume, state = _resumable(kernel, coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol,
-                               max_step)
+    resume, state = _resumable(kernel, args, _stop_array(args[4]))
     chunks, code = [], 2
     while code == 2:
         buf = np.empty((_CHUNK, _RECORD))
@@ -629,7 +632,7 @@ def _compiled_steps(kernel, coef, kappa, omega, dg_max, stop, y, t_bound, rtol, 
     if code == -1:
         return None, 0.0, True, 0, 0
     steps = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    t = _run_end(code, state, steps[-1:], stop, kappa, dg_max)
+    t = _run_end(code, state, steps[-1:], args)
     return steps, t, code != 0, int(state[12]), int(state[13])
 
 
@@ -655,7 +658,7 @@ def _kernel_agrees(kernel) -> bool:
     lam_f = np.array([[-0.225, -1.0, 0.0], [1.0, -0.225, -2.0], [0.0, 2.0, -0.45]])
     target = np.linalg.solve(lam_f, [0.0, 0.0, 0.35])
     y, eps = [0.3, -0.2, 0.5], 0.0087
-    rule = (target.tolist(), eps / 10.0, eps)
+    rule = (target.tolist(), _settle_level(eps), eps)
     measure = ((0.75, 0.9, 0.3), (0.05, 0.0, 0.5), 0.05, 1.5)
     values = [0.0, -0.0, math.inf, -math.inf, math.nan, math.copysign(math.nan, -1.0), 5e-324,
               154043743710274.125, 1.2345678901234567e-05, 0.00012345678901234567,
@@ -708,11 +711,10 @@ def _kernel_agrees(kernel) -> bool:
 
 def ramp_kernel():
     """The checked compiled kernel (``_stepper.Kernel``) with which
-    ``integrate`` and ``_ramp_cell`` step, sample and analyse an
-    ``ExponentialCosineSchedule`` run, ``nonmarkov`` computes the
-    non-Markov measure and ``write_csv`` writes its rows, or None for their
-    Python routes; loaded once per process, by the first call of any of its
-    threads."""
+    ``integrate`` and ``_ramp_cell`` step, sample and analyse a ramp's run,
+    ``nonmarkov`` computes the non-Markov measure and ``write_csv`` writes
+    its rows, or None for their Python routes; loaded once per process, by
+    the first call of any of its threads."""
     return _stepper.kernel(_kernel_agrees)
 
 
@@ -768,7 +770,7 @@ def _ramp_args(schedule, r0: BlochVector, target: BlochVector, cfg: IntegratorCo
     """The steppers' argument tuple for ``integrate``'s run."""
     return (
         schedule.coefficients, schedule.kappa, schedule.omega, schedule._dg_max,
-        None if t_end is not None else (target.as_array().tolist(), eps / 10.0, eps),
+        None if t_end is not None else (target.as_array().tolist(), _settle_level(eps), eps),
         r0.as_array().tolist(),
         cfg.t_cap if t_end is None else float(t_end),
         # below about 100 eps the controller could not meet the tolerance
@@ -825,11 +827,9 @@ def _samples(kernel, steps, t_stop, stopped, m, kappa, omega, dg_max, stop, stri
     largest |r| among them, and ``_threshold_analysis`` at the ``stop``
     tuple's (target, tol, eps) of a ``stopped`` run, None for a run not
     stopped or where the kernel declines."""
-    target, tol, eps = stop
-    stop = np.array([*target, tol, eps])
     cell, rs, ds = np.zeros(_CELL_SLOTS), np.empty((m, 3)), np.empty(m)
     found = _cell(kernel, cell, steps, ctypes.c_long(len(steps)), t_stop, 2 if stopped else 1,
-                  stop, kappa, omega, dg_max, stride, rs, ds)
+                  _stop_array(stop), kappa, omega, dg_max, stride, rs, ds)
     if cell[4] != m:  # a kernel that lays out another grid, which _kernel_agrees refuses
         raise ValueError(f"the kernel took {cell[4]:g} samples, not {m}")
     return rs, ds, float(cell[3]), found
@@ -847,10 +847,8 @@ def _compiled_cell(kernel, args, stride, chunk=_CHUNK):
     does not grow with its length; where they fill half the rows, the rows
     double.  ``chunk`` changes no result.
     """
-    kappa, omega, dg_max, stop = args[1:5]
-    resume, state = _resumable(kernel, *args)
-    target, tol, eps = stop
-    rule = np.array([*target, tol, eps])
+    rule = _stop_array(args[4])  # the stepper's and the cell's
+    resume, state = _resumable(kernel, args, rule)
     buf, rows, n = _record_buffer(chunk), chunk, ctypes.c_long(0)
     cell, code = np.zeros(_CELL_SLOTS), 2
     while code == 2:
@@ -858,28 +856,27 @@ def _compiled_cell(kernel, args, stride, chunk=_CHUNK):
         if code == -1:  # settled at t = 0
             return True, 0.0, (0.0, False, 0)
         n.value += written
-        t_end = _run_end(code, state, buf[n.value - 1 : n.value], stop, kappa, dg_max)
+        t_end = _run_end(code, state, buf[n.value - 1 : n.value], args)
         end = 0 if code == 2 else 1 if code == 0 else 2
-        found = _cell(kernel, cell, buf, n, t_end, end, rule, kappa, omega, dg_max, stride)
+        found = _cell(kernel, cell, buf, n, t_end, end, rule, *args[1:4], stride)
         if code == 2 and 2 * n.value > rows:
             rows *= 2
             buf = _record_buffer(rows, buf[: n.value])
     return code != 0, float(cell[3]), found
 
 
-def _ramp_cell(schedule, r0: BlochVector, target: BlochVector, cfg: IntegratorConfig,
-               eps: float):
-    """A gain-map cell's run on the kernel route (``_compiled_cell``):
-    (tau, inconclusive, n_crossings) of ``integrate``'s run, as
-    ``_threshold_analysis`` finds them, or (None, False, 0) for a run that
-    times out, raising as ``integrate`` raises; None where no kernel loads
-    or where it declines the analysis, for the caller to run ``integrate``
-    and the Python analysis."""
+def _ramp_cell(args, stride: float):
+    """A gain-map cell's run on the kernel route (``_compiled_cell``) of
+    ``integrate``'s stepper arguments ``args`` (``_ramp_args``), sampled at
+    ``stride``: (tau, inconclusive, n_crossings) as ``_threshold_analysis``
+    finds them, or (None, False, 0) for a run that times out, raising as
+    ``integrate`` raises; None where no kernel loads or where it declines
+    the analysis, for the caller to run ``integrate`` and the Python
+    analysis."""
     kernel = ramp_kernel()
     if kernel is None:
         return None
-    stopped, worst, found = _compiled_cell(kernel, _ramp_args(schedule, r0, target, cfg, eps),
-                                           cfg.sample_stride)
+    stopped, worst, found = _compiled_cell(kernel, args, stride)
     if worst > 1.0 + TOL_BALL:  # the stepper checked only the step ends
         raise _sampled_outside(worst)
     return found if stopped else (None, False, 0)
@@ -922,10 +919,8 @@ def integrate(schedule, r0: BlochVector, target: BlochVector, cfg: IntegratorCon
     tgt, y0 = target.as_array(), r0.as_array()
     args = _ramp_args(schedule, r0, target, cfg, eps, t_end)
     kernel = ramp_kernel()
-    if kernel is None:
-        steps, t_stop, stopped, nfev, n_rejected = _dormand_prince(*args)
-    else:
-        steps, t_stop, stopped, nfev, n_rejected = _compiled_steps(kernel, *args)
+    stepper = _dormand_prince if kernel is None else functools.partial(_compiled_steps, kernel)
+    steps, t_stop, stopped, nfev, n_rejected = stepper(*args)
     dist = found = None
     if steps is None:  # nothing to do: already settled at t = 0
         dense, found = (lambda ts: np.tile(y0, (len(ts), 1))), (0.0, False, 0)
@@ -939,7 +934,8 @@ def integrate(schedule, r0: BlochVector, target: BlochVector, cfg: IntegratorCon
         else:
             dense = functools.partial(_dense, kernel, steps, t_stop)
             rs, dist, worst, found = _samples(kernel, steps, t_stop, stopped, len(ts), *args[1:4],
-                                              (tgt.tolist(), eps / 10.0, eps), cfg.sample_stride)
+                                              (tgt.tolist(), _settle_level(eps), eps),
+                                              cfg.sample_stride)
         if worst > 1.0 + TOL_BALL:  # the steppers checked only the step ends
             raise _sampled_outside(worst)
     return Trajectory(t=ts, r=rs, dist=dist, rates_of=schedule.rates_array, target=target,
@@ -1068,8 +1064,8 @@ def velocity_field_grid(
 
     Returns rows (rx, ry, rz, vx, vy, vz, speed).
     """
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    if not 0 < spacing < math.inf:
+        raise ValueError("spacing must be positive and finite")
     axis = np.arange(-max_radius, max_radius + 0.5 * spacing, spacing)
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])

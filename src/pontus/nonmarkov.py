@@ -49,8 +49,10 @@ def truncation_horizon(dg: float, kappa: float) -> float:
     """Time beyond which a modulation of amplitude |dg| damped at rate kappa
     carries less than ``_TAIL_TOL`` weight: the T of |dg| e^{-kappa T} / kappa
     = _TAIL_TOL."""
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
+    if not 0 < kappa < math.inf:
+        raise ValueError("kappa must be positive and finite")
+    if not 0 < abs(dg) < math.inf:
+        raise ValueError("dg must be nonzero and finite")
     return math.log(abs(dg) / (kappa * _TAIL_TOL)) / kappa
 
 
@@ -81,10 +83,9 @@ def nm_measure_quadrature(
     """
     from scipy.integrate import quad
 
-    if T <= 0:
-        raise ValueError("horizon must be positive")
-    if not (0 <= kappa < math.inf and 0 <= omega < math.inf):
-        raise ValueError("kappa and omega must be nonnegative and finite")
+    if not 0 < T < math.inf:
+        raise ValueError("horizon T must be positive and finite")
+    _check_modulation(kappa, omega)
     dg = g_s - g_f
 
     def rate(t: float) -> float:

@@ -10,19 +10,20 @@ two-step ``simulate`` each share one set-up between the baseline and the
 detours, whose switch distances (``switches``) feed the one class rule.  The
 continuous ramp is integrated adaptively under the library's one rate
 schedule, ``ExponentialCosineSchedule``; its runs share one set-up,
-``_Ramp``, across kappa and omega, which a gain map builds once per map.
+``_Ramp``, across kappa and omega, which a gain map builds once per map
+and whose cells each pass it only their kappa and omega.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from ._measure import _check_modulation
 from .core import (
     FieldVector,
     ParameterPoint,
@@ -35,7 +36,9 @@ from .core import (
 from .dynamics import (
     ConstantFlow,
     IntegratorConfig,
+    _ramp_args,
     _ramp_cell,
+    _settle_level,
     _threshold_analysis,
     assemble_generator,
     integrate,
@@ -58,8 +61,7 @@ class ExponentialCosineSchedule:
     ``integrate`` reads ``coefficients``, the 14 floats of ``parts`` that its
     steppers use, with kappa, omega and the settle term's scale
     ``_dg_max``, and computes m itself.  ``parts``, ``coefficients`` and
-    the rate differences do not depend on kappa and omega; ``at`` shares
-    them.
+    the rate differences do not depend on kappa and omega.
     """
 
     gamma_s: RateTriple
@@ -69,8 +71,7 @@ class ExponentialCosineSchedule:
     omega: float
 
     def __post_init__(self):
-        if not (0 <= self.kappa < math.inf and 0 <= self.omega < math.inf):
-            raise ValueError("kappa and omega must be nonnegative and finite")
+        _check_modulation(self.kappa, self.omega)
 
     @cached_property
     def parts(self):
@@ -95,15 +96,6 @@ class ExponentialCosineSchedule:
     @cached_property
     def _dg_max(self) -> float:
         return float(np.max(np.abs(self._dg)))
-
-    def at(self, kappa: float, omega: float) -> "ExponentialCosineSchedule":
-        """This ramp at another kappa and omega.  The copy shares this one's
-        ``parts``, ``coefficients`` and rate differences, which do not depend
-        on them; this one builds them on its first call."""
-        other = dataclasses.replace(self, kappa=kappa, omega=omega)
-        for name in ("parts", "coefficients", "_dg", "_dg_max"):
-            other.__dict__[name] = getattr(self, name)
-        return other
 
     def m(self, t: float) -> float:
         return math.exp(-self.kappa * t) * math.cos(self.omega * t)
@@ -267,7 +259,8 @@ class _ConstantStages:
             t_a = np.append(t_a, t_i)
             r_a = np.vstack([r_a, r_i])
 
-        states_f, reached = self.flow_f.run_until(r_i, tgt, eps / 10.0, self.cfg.t_cap - t_i)
+        states_f, reached = self.flow_f.run_until(r_i, tgt, _settle_level(eps),
+                                                  self.cfg.t_cap - t_i)
         t_f = t_i + np.arange(len(states_f)) * stride
         relax = self.flow_f.sampler(r_i)
 
@@ -317,11 +310,12 @@ def run_continuous(
 
 class _Ramp:
     """The set-up that every continuous run from pS to pF shares, whatever
-    its kappa and omega: the checked endpoints, both attractors, and a
-    schedule whose generator parts, coefficients and rate differences each
-    run's schedule shares (``ExponentialCosineSchedule.at``).  A gain map
-    builds one per map, or per column of a kappa-theta map, and its cells
-    read ``run``; ``result`` is the full record that ``simulate`` writes.
+    its kappa and omega: the checked endpoints, both attractors, a schedule
+    at kappa = omega = 0 and its run's stepper arguments, packed once
+    (``dynamics._ramp_args``).  A gain map builds one per map, or per column
+    of a kappa-theta map, whose cells read ``run``: it puts their kappa and
+    omega into that read-only tuple and builds no schedule.  ``result`` is
+    the full record that ``simulate`` writes.
     """
 
     def __init__(self, pS, pF, eps, cfg):
@@ -329,14 +323,13 @@ class _Ramp:
             raise ValueError("the continuous protocol requires a static field")
         _, (self.r0, self.target) = _attractors(eps, pS, pF)
         self.schedule = ExponentialCosineSchedule(pS.gamma, pF.gamma, pS.h, 0.0, 0.0)
-        # what each run's schedule shares, built here, before any of a map's
-        # worker threads reads it
-        self.schedule.coefficients, self.schedule._dg_max
         self.eps, self.cfg = eps, cfg
+        self.args = _ramp_args(self.schedule, self.r0, self.target, cfg, eps)
 
     def result(self, kappa: float, omega: float) -> ProtocolResult:
         """The run at kappa and omega, its trajectory and threshold analysis."""
-        traj = integrate(self.schedule.at(kappa, omega), self.r0, self.target, self.cfg, self.eps)
+        schedule = replace(self.schedule, kappa=kappa, omega=omega)
+        traj = integrate(schedule, self.r0, self.target, self.cfg, self.eps)
         return _result("continuous", traj, self.eps)
 
     def run(self, kappa: float, omega: float):
@@ -344,7 +337,8 @@ class _Ramp:
         as it raises, all a gain-map cell reads: from the compiled run that
         keeps no records (``dynamics._ramp_cell``), else, where no kernel
         loads or it declines the analysis, from ``result`` itself."""
-        found = _ramp_cell(self.schedule.at(kappa, omega), self.r0, self.target, self.cfg, self.eps)
+        _check_modulation(kappa, omega)
+        found = _ramp_cell((self.args[0], kappa, omega, *self.args[3:]), self.cfg.sample_stride)
         if found is None:
             res = self.result(kappa, omega)
             found = res.tau, res.inconclusive, res.n_threshold_crossings

@@ -3,15 +3,16 @@
 A gain-map cell runs one continuous protocol against the direct baseline
 (shared per column) and reads only its tau and inconclusive flag
 (``_Ramp.run``), which the compiled kernel computes with the run's samples
-where it loads, with no Trajectory built; the ramp's set-up and the
-channels' tangency slopes, which do not depend on the cell's kappa and
-omega, are built once per map (per column of a kappa-theta map).  Cells
-are independent over immutable inputs and run on a pool of threads: a
-cell runs almost all of its time in the compiled kernel, which releases
-the GIL, and writes only to buffers of its own, its thread's reused step
-records included.  Failed cells are recorded, never abort a sweep; results
-are bit-identical for any worker count.  A t_I scan runs in this thread,
-its baseline and every row on one set-up of the constant-stage protocol.
+where it loads, with no schedule or Trajectory built; the ramp's set-up
+and the channels' tangency slopes, which do not depend on the cell's
+kappa and omega, are built once per map (per column of a kappa-theta
+map).  Cells pass only their kappa and omega to immutable inputs and run
+on a pool of threads: a cell runs almost all of its time in the compiled
+kernel, which releases the GIL, and writes only to buffers of its own,
+its thread's reused step records included.  Failed cells are recorded,
+never abort a sweep; results are bit-identical for any worker count.  A
+t_I scan runs in this thread, its baseline and every row on one set-up of
+the constant-stage protocol.
 """
 
 from __future__ import annotations
@@ -179,13 +180,23 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _axes(spec: SweepSpec, second: str, jobs: Optional[int]):
+    """The kappas and second-axis values of a map, once ``spec`` is a
+    ``second`` map and ``jobs``, if given, at least 1."""
+    if spec.second_axis.name != second:
+        raise ValueError(f"spec's second axis is not {second}")
+    if jobs is not None and jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    return list(spec.kappa_axis.values), list(spec.second_axis.values)
+
+
 def _run_tasks(tasks, jobs: Optional[int], progress: Optional[Callable]):
     """``_cell`` of every task, in task order: on a pool of ``jobs`` worker
     threads (None: ``available_cpus()``), at most ``available_cpus()``, as
     each thread keeps its own step-record buffer and more threads than CPUs
     only add memory; or in this thread for one worker or task."""
     cpus = available_cpus()
-    workers = max(1, min(cpus if jobs is None else jobs, cpus, len(tasks)))
+    workers = min(cpus if jobs is None else jobs, cpus, len(tasks))
     results = []
     ramp_kernel()  # loaded here, not by a worker that the others wait for
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
@@ -241,10 +252,7 @@ def sweep_kappa_theta(
     baseline is therefore recomputed once per column.  Every cell is
     Markovian (omega = 0), so the map carries no boundary.
     """
-    if spec.second_axis.name != "theta":
-        raise ValueError("spec's second axis is not theta")
-    kappas = list(spec.kappa_axis.values)
-    thetas = list(spec.second_axis.values)
+    kappas, thetas = _axes(spec, "theta", jobs)
     points = [
         (ParameterPoint(h, spec.rates_s, "S"), ParameterPoint(h, spec.rates_f, "F"))
         for h in map(_field_for_theta, thetas)
@@ -270,10 +278,7 @@ def sweep_kappa_omega(
     tangency boundary are flagged non-Markovian and the boundary curve is
     attached for overlay plots.
     """
-    if spec.second_axis.name != "omega":
-        raise ValueError("spec's second axis is not omega")
-    kappas = list(spec.kappa_axis.values)
-    omegas = list(spec.second_axis.values)
+    kappas, omegas = _axes(spec, "omega", jobs)
     pS = ParameterPoint(spec.h, spec.rates_s, "S")
     pF = ParameterPoint(spec.h, spec.rates_f, "F")
     tau, status = _direct_tau(pS, pF, spec)

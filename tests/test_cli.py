@@ -390,6 +390,22 @@ class TestConfigValidation:
         assert len(configs) == 29
         assert kinds == {"two-step", "continuous", "kappa-theta", "kappa-omega"}
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_are_refused_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                       jobs):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run was started")
+
+        for name in ("run_direct", "_Ramp", "_run_tasks"):
+            monkeypatch.setattr(f"pontus.sweep.{name}", no_run)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "--config", write_config(tmp_path, {"schema": 1, "sweep": omega_sweep()}),
+            "--output", str(out_dir), "--jobs", jobs, "gain-map",
+        )
+        assert (code, out, err) == (1, "", "config error: --jobs: must be at least 1\n")
+        assert not out_dir.exists()
+
     def test_negative_omega_is_refused_before_any_cell(self, tmp_path, capsys, monkeypatch):
         sweep = omega_sweep(omega={"min": -1.0, "max": 1.0, "n": 3})
         code, out, err, empty = self.refused_before_any_run(

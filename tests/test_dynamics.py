@@ -978,6 +978,12 @@ class TestExports:
         assert np.ptp(ring[:, 6]) < 1e-13
 
 
+@pytest.mark.parametrize("spacing", [0.0, -0.1, math.nan, math.inf])
+def test_velocity_field_refuses_a_spacing_that_is_not_positive_and_finite(spacing):
+    with pytest.raises(ValueError, match="spacing must be positive and finite"):
+        velocity_field_grid(assemble_generator(PLANAR_F), spacing)
+
+
 @pytest.mark.usefixtures("python_route")
 class TestExportsPythonRoute(TestExports):
     """The same writer tests, on the same data, with every row formatted by

@@ -51,6 +51,11 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="nonnegative and finite"):
             nm_measure_quadrature(0.5, 0.1, kappa, omega, 50.0)
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_horizon_that_is_not_positive_and_finite(self, horizon):
+        with pytest.raises(ValueError, match="horizon T must be positive and finite"):
+            nm_measure_quadrature(0.5, 0.1, 0.5, 1.0, horizon)
+
     def test_matches_fixed_order_composite_oracle(self):
         # frozen value from a 64-node Gauss-Legendre rule on 20000 uniform
         # segments for g_s=1, g_f=0, kappa=1, omega=10 on [0, 50]
@@ -318,10 +323,17 @@ class TestChannelReport:
             channel_report(0.75, 0.05, 0.0, 1.0, "plus")
 
 
-@pytest.mark.parametrize("kappa", [0.0, -0.1, math.nan])
+@pytest.mark.parametrize("kappa", [0.0, -0.1, math.nan, math.inf])
 def test_truncation_horizon_refuses_a_kappa_that_is_not_positive(kappa):
     with pytest.raises(ValueError, match="kappa must be positive"):
         truncation_horizon(0.5, kappa)
+
+
+@pytest.mark.parametrize("dg", [0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_truncation_horizon_refuses_an_amplitude_that_is_zero_or_not_finite(dg):
+    """No math domain error, nan or inf: a zero amplitude has no tail to cut."""
+    with pytest.raises(ValueError, match="dg must be nonzero and finite"):
+        truncation_horizon(dg, 1.0)
 
 
 @pytest.fixture

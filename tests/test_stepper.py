@@ -294,7 +294,7 @@ def analysis_cases():
             ramp = _Ramp(s, f, DEFAULT_EPS, IntegratorConfig())
             omega = float(x) if second == "omega" else 0.0
             for kappa in kappas:
-                sched = ramp.schedule.at(float(kappa), omega)
+                sched = ExponentialCosineSchedule(s.gamma, f.gamma, h, float(kappa), omega)
                 yield sched, ramp.r0, ramp.target, ramp.cfg, ramp.eps
     sched = ExponentialCosineSchedule(RateTriple(0.5, 0.1, 0.0), RateTriple(0.5, 0.1, 0.0),
                                       FieldVector(1.0, 0.0, 0.0), 0.5, 1.0)
@@ -456,8 +456,8 @@ class TestCellAnalysis:
         d = _Ramp(s, f, DEFAULT_EPS, IntegratorConfig()).result(0.5, 2.0).trajectory.dist
         assert d[96] < d[97] > d[98]
         ramp = _Ramp(s, f, float(d[97]), IntegratorConfig())
-        got = compiled_analysis(ramp.schedule.at(0.5, 2.0), ramp.r0, ramp.target, ramp.cfg,
-                                ramp.eps)
+        got = compiled_analysis(ExponentialCosineSchedule(s.gamma, f.gamma, s.h, 0.5, 2.0),
+                                ramp.r0, ramp.target, ramp.cfg, ramp.eps)
         monkeypatch.setattr(_stepper, "kernel", lambda check: None)
         res = ramp.result(0.5, 2.0)
         ts, ds = dynamics._refined_threshold_series(res.trajectory, ramp.eps)
@@ -502,8 +502,9 @@ class TestCellAnalysis:
         for sched, stop, y, steps, t, stopped in list(nan_record_cases(kernel)):
             target, _, eps = stop
             ramp = object.__new__(_Ramp)  # the set-up of this run's start and target
-            vars(ramp).update(schedule=sched, r0=BlochVector(*y), target=BlochVector(*target),
-                              eps=eps, cfg=IntegratorConfig())
+            r0, tgt, cfg = BlochVector(*y), BlochVector(*target), IntegratorConfig()
+            vars(ramp).update(schedule=sched, r0=r0, target=tgt, eps=eps, cfg=cfg,
+                              args=dynamics._ramp_args(sched, r0, tgt, cfg, eps))
             column = (ramp, sched.gamma_s.as_array(), sched.gamma_f.as_array(), None)
             task, calls = (sched.kappa, sched.omega, column, 20.0), []
 
@@ -541,8 +542,8 @@ class TestCellAnalysis:
         f = ParameterPoint.make((1.0, 0.0, 0.0), (0.05, 0.1, 0.15))
         kappa, omega = float(np.geomspace(0.01, 100.0, 30)[2]), float(np.linspace(0.0, 2.0, 30)[18])
         ramp = _Ramp(s, f, DEFAULT_EPS, IntegratorConfig())
-        got = compiled_analysis(ramp.schedule.at(kappa, omega), ramp.r0, ramp.target, ramp.cfg,
-                                ramp.eps)
+        got = compiled_analysis(ExponentialCosineSchedule(s.gamma, f.gamma, s.h, kappa, omega),
+                                ramp.r0, ramp.target, ramp.cfg, ramp.eps)
         monkeypatch.setattr(_stepper, "kernel", lambda check: None)
         res = ramp.result(kappa, omega)
         assert res.n_threshold_crossings == got[2] == 19
@@ -610,8 +611,8 @@ class TestCellAnalysis:
         f = ParameterPoint.make((1.0, 0.0, 0.0), (0.05, 0.1, 0.15))
         ramp = _Ramp(s, f, DEFAULT_EPS, IntegratorConfig())
         kappa, omega = float(np.geomspace(0.01, 100.0, 12)[0]), float(np.linspace(0.0, 2.0, 12)[-1])
-        args = dynamics._ramp_args(ramp.schedule.at(kappa, omega), ramp.r0, ramp.target, ramp.cfg,
-                                   ramp.eps)
+        args = dynamics._ramp_args(ExponentialCosineSchedule(s.gamma, f.gamma, s.h, kappa, omega),
+                                   ramp.r0, ramp.target, ramp.cfg, ramp.eps)
         assert len(dynamics._compiled_steps(kernel, *args)[0]) == 13183
         want = ramp.run(kappa, omega)  # which also makes this thread's buffer
         tracemalloc.start()

@@ -27,7 +27,7 @@ from pontus import (
     sweep_kappa_omega,
     sweep_kappa_theta,
 )
-from pontus.dynamics import TAU_XTOL
+from pontus.dynamics import TAU_XTOL, ramp_kernel
 from pontus.protocols import _Ramp
 from pontus.sweep import available_cpus
 
@@ -231,6 +231,41 @@ class TestSetUpOncePerMap:
         got = [sweep(spec, jobs=1) for sweep, spec in maps]
         assert [map_fields(gm) for gm in got] == want
         assert all(cell == "ok" for gm in got for row in gm.status for cell in row)
+
+    @pytest.mark.parametrize("sweep, spec, schedules", [
+        (sweep_kappa_omega, omega_spec(12, 12), 1),
+        (sweep_kappa_theta, theta_spec(6, 5), 5),
+    ])
+    def test_kernel_route_builds_one_schedule_per_set_up(self, sweep, spec, schedules,
+                                                         monkeypatch):
+        """A cell passes only its kappa and omega to its set-up's packed
+        stepper arguments: a map builds one schedule per ramp set-up, not
+        one per cell."""
+        if ramp_kernel() is None:
+            pytest.skip("no compiled kernel loads here")
+        built, check = [], ExponentialCosineSchedule.__post_init__
+
+        def counted(self):
+            built.append((self.kappa, self.omega))
+            check(self)
+
+        monkeypatch.setattr(ExponentialCosineSchedule, "__post_init__", counted)
+        gm = sweep(spec, jobs=2)
+        assert "ok" in {cell for row in gm.status for cell in row}
+        assert built == [(0.0, 0.0)] * schedules
+
+    @pytest.mark.parametrize("sweep, spec", [
+        (sweep_kappa_omega, omega_spec()), (sweep_kappa_theta, theta_spec()),
+    ])
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_are_refused_before_any_run(self, sweep, spec, jobs, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run was started")
+
+        monkeypatch.setattr(pontus.sweep, "run_direct", no_run)
+        monkeypatch.setattr(pontus.sweep, "_Ramp", no_run)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            sweep(spec, jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_set_up_is_recorded_by_every_cell(self, jobs, monkeypatch):
