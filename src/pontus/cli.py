@@ -47,13 +47,7 @@ from .nonmarkov import (
     nm_measure_quadrature,
     truncation_horizon,
 )
-from .protocols import (
-    DEFAULT_EPS,
-    _ConstantStages,
-    _switch_times,
-    run_continuous,
-    run_direct,
-)
+from .protocols import DEFAULT_EPS, _ConstantStages, _Ramp, _switch_times
 from .sweep import (
     GridAxis,
     SweepSpec,
@@ -355,7 +349,8 @@ def cmd_simulate(cfg, args, out_dir) -> int:
     if kind == "continuous":
         params["kappa"] = _number(proto.get("kappa"), "protocol.kappa", 0, True)
         params["omega"] = _number(proto.get("omega", 0.0), "protocol.omega", 0)
-        res = run_continuous(pS, pF, params["kappa"], params["omega"], eps, integ)
+        ramp = _Ramp(pS, pF, eps, integ)  # the baseline runs its direct quench
+        res, stages = ramp.result(params["kappa"], params["omega"]), ramp.direct
     else:  # one constant-stage set-up for the run and its baseline
         pA, t_i = None, 0.0
         if kind == "two-step":
@@ -371,7 +366,7 @@ def cmd_simulate(cfg, args, out_dir) -> int:
     out = {"schema": SCHEMA_VERSION, **_result_dict(res, traj_file), "params": params}
 
     if with_baseline:
-        baseline = run_direct(pS, pF, eps, integ) if kind == "continuous" else stages.run()
+        baseline = stages.run()
         base_file = f"{label}_direct_trajectory.csv"
         trajectory_to_csv(baseline.trajectory, out_dir / base_file)
         out["baseline"] = _result_dict(baseline, base_file)
@@ -459,7 +454,8 @@ def cmd_nm_measure(cfg, args, out_dir) -> int:
     total = 0.0
     for idx, name in enumerate(CHANNELS):
         rep = channel_report(rates_s[idx], rates_f[idx], kappa, omega, name)
-        horizon = truncation_horizon(dg[idx], kappa) if dg[idx] > 0 else 1.0
+        # a channel with no tail to truncate is integrated over t <= 1
+        horizon = (truncation_horizon(dg[idx], kappa) if dg[idx] > 0 else 0.0) or 1.0
         quad_val = nm_measure_quadrature(rates_s[idx], rates_f[idx], kappa, omega, horizon)
         channels.append(
             {
@@ -550,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs", type=int, default=None,
         help="worker threads for gain maps, at least 1 and at most the CPUs this process "
-             "may run on (default: all of them)",
+             "may run on (default: all of them); one where no compiled kernel loads",
     )
     parser.set_defaults(with_baseline=False)
     sub = parser.add_subparsers(dest="command", required=True)

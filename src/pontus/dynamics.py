@@ -1066,6 +1066,8 @@ def velocity_field_grid(
     """
     if not 0 < spacing < math.inf:
         raise ValueError("spacing must be positive and finite")
+    if not 0 < max_radius < math.inf:
+        raise ValueError("max_radius must be positive and finite")
     axis = np.arange(-max_radius, max_radius + 0.5 * spacing, spacing)
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])

@@ -48,12 +48,13 @@ _QUAD_TOL = 1e-10
 def truncation_horizon(dg: float, kappa: float) -> float:
     """Time beyond which a modulation of amplitude |dg| damped at rate kappa
     carries less than ``_TAIL_TOL`` weight: the T of |dg| e^{-kappa T} / kappa
-    = _TAIL_TOL."""
+    = _TAIL_TOL, or 0.0 where |dg| <= kappa _TAIL_TOL, whose whole tail
+    carries no more."""
     if not 0 < kappa < math.inf:
         raise ValueError("kappa must be positive and finite")
     if not 0 < abs(dg) < math.inf:
         raise ValueError("dg must be nonzero and finite")
-    return math.log(abs(dg) / (kappa * _TAIL_TOL)) / kappa
+    return max(0.0, math.log(abs(dg) / (kappa * _TAIL_TOL)) / kappa)
 
 
 @dataclass(frozen=True)

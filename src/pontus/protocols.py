@@ -11,7 +11,10 @@ detours, whose switch distances (``switches``) feed the one class rule.  The
 continuous ramp is integrated adaptively under the library's one rate
 schedule, ``ExponentialCosineSchedule``; its runs share one set-up,
 ``_Ramp``, across kappa and omega, which a gain map builds once per map
-and whose cells each pass it only their kappa and omega.
+and whose cells each pass it only their kappa and omega.  A ramp's set-up
+holds its pair's direct quench, a ``_ConstantStages`` whose attractors the
+ramp runs between, so a gain map or a ``simulate`` with a baseline reads
+its direct quench from the same set-up.
 """
 
 from __future__ import annotations
@@ -157,17 +160,6 @@ def _result(kind: str, traj: Trajectory, eps: float, **switch) -> ProtocolResult
     return res
 
 
-def _attractors(eps: float, *points: ParameterPoint):
-    """Generators and steady states of a run's parameter points, after the
-    checks every runner makes: a positive cutoff and valid endpoints."""
-    if not 0 < eps < math.inf:
-        raise ValueError("eps must be positive and finite")
-    for p in points:
-        validate_endpoint(p)
-    gens = [assemble_generator(p) for p in points]
-    return gens, [steady_state(g) for g in gens]
-
-
 def run_direct(
     pS: ParameterPoint,
     pF: ParameterPoint,
@@ -209,15 +201,23 @@ def _switch_times(t_is: Sequence[float], cfg: IntegratorConfig) -> List[float]:
 
 class _ConstantStages:
     """The set-up that every run of the constant-stage protocol from pS to pF
-    shares: the checked points' steady states and one ``ConstantFlow`` per
-    stage, F's and A's, or F's alone for the direct quench (``pA`` None).
+    shares, after the checks every runner makes (a positive cutoff, valid
+    endpoints): the points' steady states, ``start`` and ``target``, and one
+    ``ConstantFlow`` per stage, F's and A's, or F's alone for the direct
+    quench (``pA`` None), which is also the baseline that a ``_Ramp`` from
+    pS to pF holds.
     """
 
     def __init__(self, pS, pA, pF, eps, cfg):
+        if not 0 < eps < math.inf:
+            raise ValueError("eps must be positive and finite")
         points = (pS, pF) if pA is None else (pS, pA, pF)
-        gens, (r0, *_, target) = _attractors(eps, *points)
+        for p in points:
+            validate_endpoint(p)
+        gens = [assemble_generator(p) for p in points]
+        self.start, *_, self.target = [steady_state(g) for g in gens]
         self.pA, self.pF, self.eps, self.cfg = pA, pF, eps, cfg
-        self.r0, self.target, self.tgt = r0.as_array(), target, target.as_array()
+        self.r0, self.tgt = self.start.as_array(), self.target.as_array()
         self.flow_f = ConstantFlow(gens[-1], cfg.sample_stride)
         self.flow_a = self.flow_f if pA is None else ConstantFlow(gens[1], cfg.sample_stride)
         self.detour = self.flow_a.sampler(self.r0)  # the first stage's states
@@ -310,18 +310,21 @@ def run_continuous(
 
 class _Ramp:
     """The set-up that every continuous run from pS to pF shares, whatever
-    its kappa and omega: the checked endpoints, both attractors, a schedule
-    at kappa = omega = 0 and its run's stepper arguments, packed once
-    (``dynamics._ramp_args``).  A gain map builds one per map, or per column
-    of a kappa-theta map, whose cells read ``run``: it puts their kappa and
-    omega into that read-only tuple and builds no schedule.  ``result`` is
-    the full record that ``simulate`` writes.
+    its kappa and omega: its pair's direct quench (``direct``, the
+    ``_ConstantStages`` of pS and pF, whose start and target the ramp runs
+    between), a schedule at kappa = omega = 0 and its run's stepper
+    arguments, packed once (``dynamics._ramp_args``).  A gain map builds one
+    per map, or per column of a kappa-theta map, and reads its baseline from
+    ``direct``; its cells read ``run``, which puts their kappa and omega into
+    that read-only tuple and builds no schedule, and never touch ``direct``.
+    ``result`` is the full record that ``simulate`` writes.
     """
 
     def __init__(self, pS, pF, eps, cfg):
         if np.max(np.abs(pS.h.as_array() - pF.h.as_array())) > 1e-12:
             raise ValueError("the continuous protocol requires a static field")
-        _, (self.r0, self.target) = _attractors(eps, pS, pF)
+        self.direct = _ConstantStages(pS, None, pF, eps, cfg)
+        self.r0, self.target = self.direct.start, self.direct.target
         self.schedule = ExponentialCosineSchedule(pS.gamma, pF.gamma, pS.h, 0.0, 0.0)
         self.eps, self.cfg = eps, cfg
         self.args = _ramp_args(self.schedule, self.r0, self.target, cfg, eps)

@@ -6,13 +6,15 @@ A gain-map cell runs one continuous protocol against the direct baseline
 where it loads, with no schedule or Trajectory built; the ramp's set-up
 and the channels' tangency slopes, which do not depend on the cell's
 kappa and omega, are built once per map (per column of a kappa-theta
-map).  Cells pass only their kappa and omega to immutable inputs and run
-on a pool of threads: a cell runs almost all of its time in the compiled
-kernel, which releases the GIL, and writes only to buffers of its own,
-its thread's reused step records included.  Failed cells are recorded,
-never abort a sweep; results are bit-identical for any worker count.  A
-t_I scan runs in this thread, its baseline and every row on one set-up of
-the constant-stage protocol.
+map), and the column's direct baseline is a run of the direct quench that
+the ramp's set-up holds (``_Ramp.direct``).  Cells pass only their kappa
+and omega to immutable inputs and, where the kernel loads, run on a pool
+of threads: a cell runs almost all of its time in the compiled kernel,
+which releases the GIL, and writes only to buffers of its own, its
+thread's reused step records included.  Failed cells are recorded, never
+abort a sweep; results are bit-identical for any worker count.  A t_I scan
+runs in this thread, its baseline and every row on one set-up of the
+constant-stage protocol.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from .dynamics import IntegratorConfig, ramp_kernel, write_csv
 from .errors import BallViolation, NotConverged, SingularGenerator
 from .mpemba import _two_step_class, gain
 from .nonmarkov import _boundary_slopes, _non_markovian, boundary_curve
-from .protocols import DEFAULT_EPS, ProtocolResult, run_direct
-from .protocols import _ConstantStages, _Ramp, _switch_times
+from .protocols import DEFAULT_EPS, ProtocolResult, _ConstantStages, _Ramp, _switch_times
 
 STATUS_OK = "ok"
 STATUS_TIMEOUT = "timeout"
@@ -121,27 +122,21 @@ def _field_for_theta(theta: float) -> FieldVector:
     return FieldVector(math.sin(theta), 0.0, math.cos(theta))
 
 
-def _direct_tau(pS: ParameterPoint, pF: ParameterPoint, spec: SweepSpec):
-    """(tau_dir, status) of the direct problem of one column."""
-    try:
-        res = run_direct(pS, pF, spec.eps, spec.cfg)
-    except SingularGenerator:
-        return math.nan, "singular-generator"
-    if not res.converged:
-        return math.nan, STATUS_TIMEOUT
-    return res.tau, STATUS_OK
-
-
 def _column(pS: ParameterPoint, pF: ParameterPoint, spec: SweepSpec, slopes=None):
-    """What the cells of one column share: the ramp's set-up (``_Ramp``), or
-    the exception that building it raised, which each cell records as
-    ``run_continuous`` would raise it there; both rate triples; and their
-    ``_boundary_slopes``, or None where every cell has omega = 0."""
+    """The (tau_dir, status) of one column's direct quench, and what its
+    cells share: the ramp's set-up (``_Ramp``), whose ``direct`` gives that
+    quench, or the SingularGenerator that building it raised, which each
+    cell records as ``run_continuous`` would raise it there; both rate
+    triples; and their ``_boundary_slopes``, or None where every cell has
+    omega = 0.  Any other exception of the set-up ends the sweep."""
     try:
         ramp = _Ramp(pS, pF, spec.eps, spec.cfg)
-    except Exception as exc:  # recorded by every cell, never aborts the sweep
-        ramp = exc
-    return ramp, pS.gamma.as_array(), pF.gamma.as_array(), slopes
+    except SingularGenerator as exc:  # recorded by every cell, never aborts the sweep
+        ramp, direct = exc, (math.nan, "singular-generator")
+    else:
+        res = ramp.direct.run()
+        direct = (res.tau, STATUS_OK) if res.converged else (math.nan, STATUS_TIMEOUT)
+    return direct, (ramp, pS.gamma.as_array(), pF.gamma.as_array(), slopes)
 
 
 def _cell(args):
@@ -194,11 +189,12 @@ def _run_tasks(tasks, jobs: Optional[int], progress: Optional[Callable]):
     """``_cell`` of every task, in task order: on a pool of ``jobs`` worker
     threads (None: ``available_cpus()``), at most ``available_cpus()``, as
     each thread keeps its own step-record buffer and more threads than CPUs
-    only add memory; or in this thread for one worker or task."""
+    only add memory; or in this thread for one worker or task, or where no
+    kernel loads, as Python cells would only queue for the GIL on threads."""
     cpus = available_cpus()
-    workers = min(cpus if jobs is None else jobs, cpus, len(tasks))
+    # the kernel loads here, not in a worker that the others wait for
+    workers = 1 if ramp_kernel() is None else min(cpus if jobs is None else jobs, cpus, len(tasks))
     results = []
-    ramp_kernel()  # loaded here, not by a worker that the others wait for
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for out in pool.map(_cell, tasks) if pool else map(_cell, tasks):
             results.append(out)
@@ -253,18 +249,16 @@ def sweep_kappa_theta(
     Markovian (omega = 0), so the map carries no boundary.
     """
     kappas, thetas = _axes(spec, "theta", jobs)
-    points = [
-        (ParameterPoint(h, spec.rates_s, "S"), ParameterPoint(h, spec.rates_f, "F"))
+    directs, shared = zip(*(
+        _column(ParameterPoint(h, spec.rates_s, "S"), ParameterPoint(h, spec.rates_f, "F"), spec)
         for h in map(_field_for_theta, thetas)
-    ]
-    columns = [_direct_tau(pS, pF, spec) for pS, pF in points]
-    shared = [_column(pS, pF, spec) for pS, pF in points]
+    ))
     tasks = [
         (kap, 0.0, column, tau)
         for kap in kappas
-        for column, (tau, _) in zip(shared, columns)
+        for column, (tau, _) in zip(shared, directs)
     ]
-    return _assemble(spec, kappas, thetas, columns, tasks, jobs, progress)
+    return _assemble(spec, kappas, thetas, directs, tasks, jobs, progress)
 
 
 def sweep_kappa_omega(
@@ -281,12 +275,10 @@ def sweep_kappa_omega(
     kappas, omegas = _axes(spec, "omega", jobs)
     pS = ParameterPoint(spec.h, spec.rates_s, "S")
     pF = ParameterPoint(spec.h, spec.rates_f, "F")
-    tau, status = _direct_tau(pS, pF, spec)
     rates_s, rates_f = spec.rates_s.as_array(), spec.rates_f.as_array()
-    column = _column(pS, pF, spec, _boundary_slopes(rates_s, rates_f))
-    tasks = [(kap, om, column, tau) for kap in kappas for om in omegas]
-    columns = [(tau, status)] * len(omegas)
-    gm = _assemble(spec, kappas, omegas, columns, tasks, jobs, progress)
+    direct, column = _column(pS, pF, spec, _boundary_slopes(rates_s, rates_f))
+    tasks = [(kap, om, column, direct[0]) for kap in kappas for om in omegas]
+    gm = _assemble(spec, kappas, omegas, [direct] * len(omegas), tasks, jobs, progress)
     gm.boundary = boundary_curve(rates_s, rates_f, kappas)
     return gm
 

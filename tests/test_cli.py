@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pontus import ParameterPoint, run_direct, run_two_step, truncation_horizon
+from pontus import (
+    ParameterPoint,
+    nm_measure_quadrature,
+    run_direct,
+    run_two_step,
+    truncation_horizon,
+)
 from pontus.cli import _kind_section, load_config, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -396,7 +402,7 @@ class TestConfigValidation:
         def no_run(*args, **kwargs):
             raise AssertionError("a run was started")
 
-        for name in ("run_direct", "_Ramp", "_run_tasks"):
+        for name in ("_Ramp", "_run_tasks"):  # a column's direct run builds its _Ramp
             monkeypatch.setattr(f"pontus.sweep.{name}", no_run)
         out_dir = tmp_path / "out"
         code, out, err = run_cli(
@@ -405,6 +411,13 @@ class TestConfigValidation:
         )
         assert (code, out, err) == (1, "", "config error: --jobs: must be at least 1\n")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("sweep", [theta_sweep, omega_sweep])
+    def test_negative_endpoint_rate_is_a_config_error(self, sweep, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"schema": 1, "sweep": sweep(rates_f=[-0.01, 0.1, 0.15])})
+        code, out, err = run_cli(capsys, "--config", cfg, "--output", str(tmp_path), "gain-map")
+        assert (code, out, err) == (
+            1, "", "config error: endpoint 'F' has negative rate(s) (-0.01, 0.1, 0.15)\n")
 
     def test_negative_omega_is_refused_before_any_cell(self, tmp_path, capsys, monkeypatch):
         sweep = omega_sweep(omega={"min": -1.0, "max": 1.0, "n": 3})
@@ -622,6 +635,17 @@ class TestSimulate:
         )
         assert code == 0 and out["classification"]["class"] == "strong"
         assert len(flow_builds) == 2
+
+    def test_continuous_with_baseline_solves_three_steady_states(
+            self, tmp_path, capsys, generator_calls, flow_builds):
+        # the ramp and its baseline are runs of one set-up: S's and F's
+        # attractors, and F's flow
+        code, out, _ = run_json(
+            capsys, "--config", str(CONFIGS / "fig3b.json"), "--output", str(tmp_path),
+            "simulate",
+        )
+        assert code == 0 and "classification" in out
+        assert generator_calls.count("steady_state") == 3 and len(flow_builds) == 1
 
     def test_settled_baseline_continuous(self, tmp_path, capsys):
         # S = F: both runs settle at their first sample, and the gain is 0/0
@@ -1141,6 +1165,7 @@ class TestGainMap:
                 return map(fn, tasks)
 
         monkeypatch.setattr("pontus.sweep.ThreadPoolExecutor", Pool)
+        monkeypatch.setattr("pontus.sweep.ramp_kernel", lambda: "a kernel")  # threads need one
         cfg = write_config(tmp_path, {"schema": 1, "sweep": theta_sweep(label="two")})
         for cpus in ({0}, {0, 1, 2}):
             monkeypatch.setattr("os.sched_getaffinity", lambda pid, c=cpus: c, raising=False)
@@ -1235,6 +1260,18 @@ class TestNmCommands:
         series = 0.5 / (0.01 + 1.0) * math.exp(-q / 2) / (1 - math.exp(-q))
         assert plus["f_value"] == pytest.approx(series, rel=1e-13)
         assert plus["f_quadrature"] == pytest.approx(series, abs=1e-8)
+
+    def test_measure_a_channel_that_barely_moves(self, tmp_path, capsys):
+        # |dg| = 1e-14 lies below kappa * 1e-12, so the channel has no tail to
+        # truncate and is integrated over the horizon of a channel with dg = 0
+        payload = json.loads(json.dumps(self.CFG))
+        payload["nm"].update(rates_s=[0.3, 0.2, 0.1], rates_f=[0.29999999999999, 0.2, 0.1])
+        code, out, _ = run_json(capsys, "--config", write_config(tmp_path, payload), "nm-measure")
+        assert code == 0
+        plus, minus = out["channels"][:2]
+        assert plus["f_quadrature"] == nm_measure_quadrature(0.3, 0.29999999999999, 0.1, 1.0, 1.0)
+        assert minus["f_quadrature"] == nm_measure_quadrature(0.2, 0.2, 0.1, 1.0, 1.0)
+        assert out["f_total"] == 0.0
 
     # sha256 of the stdout, recorded before the quadrature took channel rates
     MEASURE_SHA256 = "e4ef7c25a440015123a42bb9115dc862061a9489d47204ec1e7f12620fa26a26"

@@ -984,6 +984,12 @@ def test_velocity_field_refuses_a_spacing_that_is_not_positive_and_finite(spacin
         velocity_field_grid(assemble_generator(PLANAR_F), spacing)
 
 
+@pytest.mark.parametrize("max_radius", [0.0, -0.5, math.nan, math.inf])
+def test_velocity_field_refuses_a_radius_that_is_not_positive_and_finite(max_radius):
+    with pytest.raises(ValueError, match="max_radius must be positive and finite"):
+        velocity_field_grid(assemble_generator(PLANAR_F), 0.25, max_radius)
+
+
 @pytest.mark.usefixtures("python_route")
 class TestExportsPythonRoute(TestExports):
     """The same writer tests, on the same data, with every row formatted by

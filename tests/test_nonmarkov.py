@@ -336,6 +336,13 @@ def test_truncation_horizon_refuses_an_amplitude_that_is_zero_or_not_finite(dg):
         truncation_horizon(dg, 1.0)
 
 
+@pytest.mark.parametrize("dg", [1e-14, -1e-14, 1e-12])
+def test_truncation_horizon_is_zero_for_an_amplitude_within_the_tail_tolerance(dg):
+    """|dg| <= kappa * 1e-12 carries no more than the tolerance from t = 0 on:
+    the horizon is 0, not a time before it."""
+    assert truncation_horizon(dg, 1.0) == 0.0
+
+
 @pytest.fixture
 def deadline():
     """Fails a test that runs for more than 10 s instead of letting it hang."""

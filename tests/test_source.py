@@ -1,6 +1,8 @@
 """The package's source keeps no orphan helper: every module-level private
 function or class of ``src/pontus`` is referenced somewhere in the package
-besides its definition, so a helper does not outlive its last caller."""
+besides its definition, so a helper does not outlive its last caller; and
+every name that a module other than ``__init__.py`` imports is read in that
+module, so an import does not outlive its last use."""
 
 import ast
 from pathlib import Path
@@ -32,3 +34,25 @@ def test_every_private_helper_is_referenced():
 def test_an_orphan_is_found():
     tree = ast.parse("def _used():\n    pass\n\n\ndef _orphan():\n    _used()\n")
     assert private_definitions(tree) - references(tree) == {"_orphan"}
+
+
+def unread_imports(tree):
+    """The names that a module's imports bind and its code never reads."""
+    bound = {(alias.asname or alias.name).partition(".")[0]
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_import_is_read():
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    unread = sorted(f"{path.name}: {name}" for path in modules
+                    for name in unread_imports(ast.parse(path.read_text())))
+    assert len(modules) > 10 and unread == []
+
+
+def test_an_unread_import_is_found():
+    tree = ast.parse("from __future__ import annotations\nimport os.path\n"
+                     "from m import a, b as c\n\n\ndef f():\n    import d\n    return c(os)\n")
+    assert unread_imports(tree) == {"a", "d"}

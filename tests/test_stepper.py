@@ -556,8 +556,8 @@ class TestCellAnalysis:
                          GridAxis.log("kappa", 0.01, 100.0, 5),
                          GridAxis.linear("omega", 0.0, 2.0, 5), FieldVector(1.0, 0.0, 0.0))
         s, f = (ParameterPoint(spec.h, rates) for rates in (spec.rates_s, spec.rates_f))
-        column = sweep._column(s, f, spec, nonmarkov._boundary_slopes(spec.rates_s.as_array(),
-                                                                      spec.rates_f.as_array()))
+        slopes = nonmarkov._boundary_slopes(spec.rates_s.as_array(), spec.rates_f.as_array())
+        _, column = sweep._column(s, f, spec, slopes)
         tasks = [(k, w, column, 20.0)
                  for k in spec.kappa_axis.values for w in spec.second_axis.values]
         want = [sweep._cell(task) for task in tasks]

@@ -28,6 +28,7 @@ from pontus import (
     sweep_kappa_theta,
 )
 from pontus.dynamics import TAU_XTOL, ramp_kernel
+from pontus.errors import SingularGenerator
 from pontus.protocols import _Ramp
 from pontus.sweep import available_cpus
 
@@ -262,20 +263,43 @@ class TestSetUpOncePerMap:
         def no_run(*args, **kwargs):
             raise AssertionError("a run was started")
 
-        monkeypatch.setattr(pontus.sweep, "run_direct", no_run)
-        monkeypatch.setattr(pontus.sweep, "_Ramp", no_run)
+        monkeypatch.setattr(pontus.sweep, "_Ramp", no_run)  # a column's direct run too
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             sweep(spec, jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_set_up_is_recorded_by_every_cell(self, jobs, monkeypatch):
         def broken(*args):
-            raise RuntimeError("no set-up")
+            raise SingularGenerator("no set-up")
 
         monkeypatch.setattr(pontus.sweep, "_Ramp", broken)
         gm = sweep_kappa_omega(omega_spec(2, 2), jobs=jobs)
-        assert gm.status == [["error:RuntimeError"] * 2] * 2
-        assert gm.errors == {"error:RuntimeError": "no set-up"}
+        assert gm.status == [["direct-singular-generator"] * 2] * 2
+        assert np.all(np.isnan(gm.tau_dir)) and gm.errors == {}
+
+    @pytest.mark.parametrize("sweep, spec", [
+        (sweep_kappa_omega, omega_spec(2, 2)), (sweep_kappa_theta, theta_spec(2, 2)),
+    ])
+    def test_any_other_set_up_error_ends_the_sweep(self, sweep, spec, monkeypatch):
+        """As the column's direct quench, which shares the set-up, raises it."""
+        def broken(*args):
+            raise RuntimeError("no set-up")
+
+        monkeypatch.setattr(pontus.sweep, "_Ramp", broken)
+        with pytest.raises(RuntimeError, match="no set-up"):
+            sweep(spec, jobs=1)
+
+    @pytest.mark.parametrize("sweep, spec, columns", [
+        (sweep_kappa_omega, omega_spec(3, 3), 1),
+        (sweep_kappa_theta, theta_spec(2, 2), 2),
+        (sweep_kappa_theta, theta_spec(2, 3), 3),
+    ])
+    def test_a_column_and_its_direct_quench_solve_three_steady_states(
+            self, sweep, spec, columns, generator_calls):
+        """S's and F's attractors and the F flow's, once per column: the
+        ramp and its direct baseline share one set-up."""
+        calls = self.calls(sweep, spec, generator_calls)
+        assert calls.count("steady_state") == 3 * columns
 
 
 class TestWorkers:
@@ -301,8 +325,21 @@ class TestWorkers:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr("pontus.sweep.ThreadPoolExecutor", recording)
+        monkeypatch.setattr("pontus.sweep.ramp_kernel", lambda: "a kernel")  # threads need one
         gm = sweep_kappa_omega(omega_spec(n_kappa=4, n_omega=3), jobs=jobs)
         assert sizes == [workers] and gm.shape == (4, 3)
+
+    @pytest.mark.usefixtures("python_route")
+    def test_python_route_runs_in_process(self, monkeypatch):
+        """With no kernel a cell runs Python, which threads would only run
+        one at a time under the GIL."""
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr("pontus.sweep.ThreadPoolExecutor", no_pool)
+        gm = sweep_kappa_omega(omega_spec(n_kappa=2, n_omega=2), jobs=2)
+        assert gm.status == [["ok", "ok"], ["ok", "ok"]]
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
