@@ -31,6 +31,8 @@ static double square(double x) { return x == 0.0 ? 0.0 : pow_(fabs(x), 2.0); }
 
 /* Slots of the state array that carries a run between calls. */
 enum { T, Y1, Y2, Y3, K1, K2, K3, W1, W2, W3, H_ABS, G_OLD, NFEV, N_REJECTED, T_NEW, NORM };
+/* The doubles of one step record: t, h, y, k1, k3, ..., k7 (dynamics._RECORD). */
+enum { RECORD = 23 };
 
 /* pontus._roots._RTOL: brentq's default and least rtol, 4 machine epsilons. */
 static const double RTOL = 4 * 2.220446049250313e-16;
@@ -149,14 +151,14 @@ void pontus_dense_output(const double *steps, long n, double t_final, const doub
          * a binary search */
         if (last >= 0 && r[0] < t) {
             lo = last + 1;
-            while (lo <= n && lo <= last + 8 && (lo < n ? steps[23 * lo] : t_final) < t)
+            while (lo <= n && lo <= last + 8 && (lo < n ? steps[RECORD * lo] : t_final) < t)
                 lo++;
             if (lo <= last + 8)
                 hi = lo;
         }
         while (lo < hi) {
             long mid = lo + (hi - lo) / 2;
-            double b = mid < n ? steps[23 * mid] : t_final;
+            double b = mid < n ? steps[RECORD * mid] : t_final;
             if (b < t || (t != t && b == b))
                 lo = mid + 1;
             else
@@ -164,7 +166,7 @@ void pontus_dense_output(const double *steps, long n, double t_final, const doub
         }
         long k = lo - 1 < 0 ? 0 : lo - 1 > n - 1 ? n - 1 : lo - 1;
         if (k != last) {
-            r = steps + 23 * k;
+            r = steps + RECORD * k;
             for (int c = 0; c < 3; c++) {
                 double k1 = r[5 + c], k3 = r[8 + c], k4 = r[11 + c], k5 = r[14 + c],
                        k6 = r[17 + c], k7 = r[20 + c];
@@ -204,7 +206,7 @@ static double stop_gap(const void *args, double t)
 /* Runs from t = 0 when `start` is set, else resumes from `s`.  `c` holds the
  * 14 ramp coefficients (L00, L11, L22, L01, L02, L12, b_z of (lam_f, b_f),
  * then of (dlam, db)); `stop` is NULL for a run to t_bound, or (target,
- * tol, eps), with the settle term dg_max exp(-kappa t).  Appends one 23-double
+ * tol, eps), with the settle term dg_max exp(-kappa t).  Appends one RECORD-double
  * record (t, h, y, k1, k3, ..., k7) per accepted step to `steps`, at most
  * `cap` per call, and counts them in *n.
  *
@@ -395,10 +397,10 @@ int pontus_dormand_prince(const double *c, double kappa, double omega, double dg
             code = -3;
             break;
         }
-        double rec[23] = {t, h, y1, y2, y3, k11, k12, k13, k31, k32, k33, k41, k42, k43,
-                          k51, k52, k53, k61, k62, k63, k71, k72, k73};
-        for (int j = 0; j < 23; j++)
-            steps[23 * *n + j] = rec[j];
+        double rec[RECORD] = {t, h, y1, y2, y3, k11, k12, k13, k31, k32, k33, k41, k42, k43,
+                              k51, k52, k53, k61, k62, k63, k71, k72, k73};
+        for (int j = 0; j < RECORD; j++)
+            steps[RECORD * *n + j] = rec[j];
         *n += 1;
         if (stop) {
             double g_new = 0.5 * sqrt(square(z1 - g0) + square(z2 - g1) + square(z3 - g2)) - tol;
@@ -408,7 +410,7 @@ int pontus_dormand_prince(const double *c, double kappa, double omega, double dg
                     g_new = u;
             }
             if ((g_old <= 0 && 0 <= g_new) || (g_new <= 0 && 0 <= g_old)) {
-                struct stop_rule rule = {steps + 23 * (*n - 1), stop, kappa, dg_max};
+                struct stop_rule rule = {steps + RECORD * (*n - 1), stop, kappa, dg_max};
                 s[T_NEW] = t_new;
                 code = brentq(stop_gap, &rule, t, t_new, RTOL, RTOL, &t) ? -4 : 1;
                 break;
@@ -601,14 +603,14 @@ int pontus_cell(double *state, double *steps, long *n, double t_end, int end, co
         long lo = 0, hi = *n;
         while (lo < hi) {
             long mid = lo + (hi - lo) / 2;
-            if (steps[23 * mid] < c->t2)
+            if (steps[RECORD * mid] < c->t2)
                 lo = mid + 1;
             else
                 hi = mid;
         }
         lo = lo > 0 ? lo - 1 : 0;
         *n -= lo;
-        memmove(steps, steps + 23 * lo, 23 * *n * sizeof *steps);
+        memmove(steps, steps + RECORD * lo, RECORD * *n * sizeof *steps);
         return 2;
     }
     if (c->next < 3)

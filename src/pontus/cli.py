@@ -163,7 +163,7 @@ def load_config(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _check_keys(cfg, _TOP_KEYS, "config")
-    if cfg.get("schema") != SCHEMA_VERSION:
+    if cfg.get("schema") != SCHEMA_VERSION or isinstance(cfg.get("schema"), bool):
         raise ConfigError(
             f"config.schema: expected {SCHEMA_VERSION}, got {cfg.get('schema')!r}"
         )
@@ -335,16 +335,19 @@ def cmd_simulate(cfg, args, out_dir) -> int:
         kind == "direct" or "t_i_scan" in proto
     ):
         raise ConfigError("with_baseline: not read by a direct run or a t_i scan")
+    if not isinstance(proto.get("with_baseline", False), bool):
+        raise ConfigError("config.protocol.with_baseline: expected true or false")
     eps = _epsilon(cfg, args)
     integ = _integrator(cfg, args)
     label = _label(proto, "protocol", kind)
-    with_baseline = bool(proto.get("with_baseline", False)) or args.with_baseline
+    with_baseline = proto.get("with_baseline", False) or args.with_baseline
 
     if "t_i_scan" in proto:
         return _simulate_two_step_scan(cfg, proto, eps, integ, out_dir, label)
 
     pS = _parameter_point(cfg, "S")
     pF = _parameter_point(cfg, "F")
+    points = {k: _point_dict(_parameter_point(cfg, k)) for k in cfg["points"]}
     params = {"S": _point_dict(pS), "F": _point_dict(pF)}
     if kind == "continuous":
         params["kappa"] = _number(proto.get("kappa"), "protocol.kappa", 0, True)
@@ -384,7 +387,7 @@ def cmd_simulate(cfg, args, out_dir) -> int:
 
     out["config"] = {
         "schema": SCHEMA_VERSION,
-        "points": {k: _point_dict(_parameter_point(cfg, k)) for k in cfg["points"]},
+        "points": points,
         "protocol": {**proto, "with_baseline": True} if args.with_baseline else dict(proto),
         "epsilon": eps,
         "integrator": integ.as_dict(),

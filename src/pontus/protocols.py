@@ -202,10 +202,10 @@ def _switch_times(t_is: Sequence[float], cfg: IntegratorConfig) -> List[float]:
 class _ConstantStages:
     """The set-up that every run of the constant-stage protocol from pS to pF
     shares, after the checks every runner makes (a positive cutoff, valid
-    endpoints): the points' steady states, ``start`` and ``target``, and one
+    points): S's and F's steady states, ``start`` and ``target``, and one
     ``ConstantFlow`` per stage, F's and A's, or F's alone for the direct
     quench (``pA`` None), which is also the baseline that a ``_Ramp`` from
-    pS to pF holds.
+    pS to pF holds.  A detour stage needs only its flow, not an attractor.
     """
 
     def __init__(self, pS, pA, pF, eps, cfg):
@@ -215,24 +215,23 @@ class _ConstantStages:
         for p in points:
             validate_endpoint(p)
         gens = [assemble_generator(p) for p in points]
-        self.start, *_, self.target = [steady_state(g) for g in gens]
+        self.start, self.target = steady_state(gens[0]), steady_state(gens[-1])
         self.pA, self.pF, self.eps, self.cfg = pA, pF, eps, cfg
         self.r0, self.tgt = self.start.as_array(), self.target.as_array()
         self.flow_f = ConstantFlow(gens[-1], cfg.sample_stride)
         self.flow_a = self.flow_f if pA is None else ConstantFlow(gens[1], cfg.sample_stride)
         self.detour = self.flow_a.sampler(self.r0)  # the first stage's states
-        self.quench = self.flow_f.sampler(self.r0)  # the direct quench's
 
     def switches(self, t_is: Sequence[float]):
         """The detour's states at the switch times ``t_is``, and the
         (d_S, d_I, d_SF) of each switch by which ``mpemba._two_step_class``
         grades it: the trace distances to the target of the start, of the
-        switch state and of the direct quench's state at the same time."""
+        switch state and of the direct quench's, sampled here, at that time."""
         ts = np.array(t_is, dtype=float)
         r_i = self.detour(ts)
         d_s = float(trace_distances(self.r0[None, :], self.tgt)[0])
         d_i = trace_distances(r_i, self.tgt).tolist()
-        d_sf = trace_distances(self.quench(ts), self.tgt).tolist()
+        d_sf = trace_distances(self.flow_f.sampler(self.r0)(ts), self.tgt).tolist()
         return r_i, [(d_s, a, b) for a, b in zip(d_i, d_sf)]
 
     def run(self, t_i: float = 0.0) -> ProtocolResult:

@@ -125,14 +125,13 @@ def _field_for_theta(theta: float) -> FieldVector:
 def _column(pS: ParameterPoint, pF: ParameterPoint, spec: SweepSpec, slopes=None):
     """The (tau_dir, status) of one column's direct quench, and what its
     cells share: the ramp's set-up (``_Ramp``), whose ``direct`` gives that
-    quench, or the SingularGenerator that building it raised, which each
-    cell records as ``run_continuous`` would raise it there; both rate
-    triples; and their ``_boundary_slopes``, or None where every cell has
-    omega = 0.  Any other exception of the set-up ends the sweep."""
+    quench, or None where it raised SingularGenerator; both rate triples;
+    and their ``_boundary_slopes``, or None where every cell has omega = 0.
+    Any other exception of the set-up ends the sweep."""
     try:
         ramp = _Ramp(pS, pF, spec.eps, spec.cfg)
-    except SingularGenerator as exc:  # recorded by every cell, never aborts the sweep
-        ramp, direct = exc, (math.nan, "singular-generator")
+    except SingularGenerator:  # recorded by every cell, never aborts the sweep
+        ramp, direct = None, (math.nan, "singular-generator")
     else:
         res = ramp.direct.run()
         direct = (res.tau, STATUS_OK) if res.converged else (math.nan, STATUS_TIMEOUT)
@@ -143,8 +142,9 @@ def _cell(args):
     """One sweep cell.
 
     Returns (tau_cpm, gain, inconclusive, non_markovian, f_total, status,
-    message), the message being the exception's for an ``error:`` status;
-    the gain is ``mpemba.gain``'s, so a cell agrees with ``simulate`` on the
+    message), the message being the exception's for an ``error:`` status,
+    and ``singular-generator`` with no run for a column with no set-up; the
+    gain is ``mpemba.gain``'s, so a cell agrees with ``simulate`` on the
     same problem, a nan tau_dir (failed direct baseline) included.
     """
     kappa, omega, (ramp, rates_s, rates_f, slopes), tau_dir = args
@@ -153,12 +153,10 @@ def _cell(args):
     def failed(status, message=None):
         return math.nan, math.nan, False, nm_flag, f_total, status, message
 
-    try:
-        if isinstance(ramp, Exception):
-            raise ramp.with_traceback(None)
-        tau, inconclusive, _ = ramp.run(kappa, omega)
-    except SingularGenerator:
+    if ramp is None:
         return failed("singular-generator")
+    try:
+        tau, inconclusive, _ = ramp.run(kappa, omega)
     except BallViolation:
         return failed("ball-violation")
     except Exception as exc:  # record, never abort the sweep

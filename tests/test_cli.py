@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from pontus import (
+    ConstantFlow,
     ParameterPoint,
     nm_measure_quadrature,
     run_direct,
@@ -55,8 +56,11 @@ def omega_sweep(**extra):
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
+    """The path of ``payload`` written as JSON, or as it is if a str, or of no
+    file if None."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    if payload is not None:
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -239,6 +243,7 @@ class TestConfigValidation:
 
     NAN, INF = math.nan, math.inf
     RAMP = {"kind": "continuous", "kappa": 0.2, "omega": 0.0, "with_baseline": True}
+    TWO_STEP_AT_3 = {"kind": "two-step", "t_i": 3.0}
     NM = {"rates_s": [0.5, 0.1, 0.0], "rates_f": [0.1, 0.5, 0.0], "kappa": 0.1, "omega": 1.0}
 
     @pytest.mark.parametrize("command, section, path", [
@@ -370,6 +375,70 @@ class TestConfigValidation:
             "simulate", *flags,
         )
         assert (code, out, err, empty) == (1, "", f"config error: {message}\n", True)
+
+    @pytest.mark.parametrize("payload, command, message", [
+        ({"protocol": RAMP, "integrator": 5}, "simulate", "config.integrator: expected an object"),
+        ({}, "gain-map", "config.sweep: required for gain-map"),
+        ({}, "simulate", "config.protocol: required for simulate"),
+        (
+            {"protocol": {"kind": "ramp"}}, "simulate",
+            "config.protocol.kind: expected direct, two-step, or continuous",
+        ),
+        ({"protocol": {"kind": "direct"}, "points": None}, "simulate",
+         "config.points: missing or not an object"),
+        ({"protocol": TWO_STEP_AT_3, "points": PLANAR_POINTS}, "simulate",
+         "config.points: no point named 'A'"),
+        ({"sweep": {k: v for k, v in theta_sweep().items() if k != "theta"}}, "gain-map",
+         "config.sweep: missing axis 'theta'"),
+        ({"sweep": theta_sweep(kappa={"min": 0.1, "max": 1.0, "n": 2, "spacing": "cubic"})},
+         "gain-map", "config.sweep.kappa.spacing: expected 'log' or 'linear'"),
+        ({}, "nm-measure", "config.nm: required for nm subcommands"),
+        ({"nm": NM}, "nm-boundary", "config.nm.kappa_grid: required for nm-boundary"),
+        ({}, "velocity-field", "config.velocity_field: required for velocity-field"),
+        ({"protocol": RAMP, "schema": True}, "simulate", "config.schema: expected 1, got True"),
+        *(
+            ({"protocol": dict(protocol, with_baseline=value)}, "simulate",
+             "config.protocol.with_baseline: expected true or false")
+            for protocol, value in [(TWO_STEP_AT_3, "false"), (RAMP, 1), (RAMP, None)]
+        ),
+    ])
+    def test_missing_or_malformed_inputs_are_refused(
+        self, tmp_path, capsys, monkeypatch, payload, command, message
+    ):
+        points = dict(PLANAR_POINTS, A={"h": [0.0, 2.0, 2.0], "gamma": [1.0, 0.0, 0.0]})
+        payload = {"schema": 1, "points": points, **payload}
+        if payload["points"] is None:
+            del payload["points"]
+        code, out, err, empty = self.refused_before_any_run(
+            tmp_path, capsys, monkeypatch, payload, command
+        )
+        assert (code, out, err, empty) == (1, "", f"config error: {message}\n", True)
+
+    @pytest.mark.parametrize("payload, prefix", [
+        ('{"schema": 1,', "config error: config is not valid JSON: "),
+        (None, "config error: cannot read config: "),
+    ])
+    def test_a_config_that_cannot_be_read_is_refused(
+        self, tmp_path, capsys, monkeypatch, payload, prefix
+    ):
+        code, out, err, empty = self.refused_before_any_run(
+            tmp_path, capsys, monkeypatch, payload, "simulate"
+        )
+        assert (code, out, empty) == (1, "", True) and err.startswith(prefix)
+
+    def test_a_malformed_point_that_no_run_reads_is_refused(self, tmp_path, capsys,
+                                                            monkeypatch):
+        payload = json.loads((CONFIGS / "fig3b.json").read_text())
+        payload["points"]["X"] = {"h": [0, 0], "gamma": [1, 0, 0]}
+        code, out, err, empty = self.refused_before_any_run(
+            tmp_path, capsys, monkeypatch, payload, "simulate"
+        )
+        message = "config error: config.points.X.h: expected a list of three numbers\n"
+        assert (code, out, err, empty) == (1, "", message, True)
+
+    def test_help_exits_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0 and out.startswith("usage: pontus")
 
     def test_every_shipped_config_passes_the_key_rule(self, tmp_path):
         # the repository's configs and the benchmark's, of every variant
@@ -616,17 +685,21 @@ class TestSimulate:
         stems = ("direct_trajectory.csv", "result.json", "trajectory.csv")
         assert sorted(files) == [f"{protocol['kind']}_{stem}" for stem in stems]
 
-    def test_fig1_scan_builds_two_flows(self, tmp_path, capsys, flow_builds):
-        # the scan's two; each class's first realization reruns on its set-up
+    def test_fig1_scan_builds_two_flows(self, tmp_path, capsys, flow_builds, generator_calls):
+        # the scan's two; each class's first realization reruns on its set-up;
+        # S's and F's attractors and each flow's are solved, but not A's,
+        # which no run reads
         code, out, _ = run_json(
             capsys, "--config", str(CONFIGS / "fig1.json"), "--output", str(tmp_path),
             "simulate",
         )
         assert code == 0 and len(out["first_realizations"]) == 3
-        assert len(flow_builds) == 2
+        assert len(flow_builds) == 2 and generator_calls.count("steady_state") == 4
 
-    def test_two_step_with_baseline_builds_two_flows(self, tmp_path, capsys, flow_builds):
-        # the detour and its baseline are runs of one set-up: A's flow and F's
+    def test_two_step_with_baseline_builds_two_flows(self, tmp_path, capsys, flow_builds,
+                                                     generator_calls):
+        # the detour and its baseline are runs of one set-up: A's flow and F's,
+        # and S's and F's attractors
         points = json.loads((CONFIGS / "fig1.json").read_text())["points"]
         protocol = {"kind": "two-step", "t_i": 3.0}
         cfg = write_config(tmp_path, {"schema": 1, "points": points, "protocol": protocol})
@@ -634,18 +707,54 @@ class TestSimulate:
             capsys, "--config", cfg, "--output", str(tmp_path), "simulate", "--with-baseline"
         )
         assert code == 0 and out["classification"]["class"] == "strong"
-        assert len(flow_builds) == 2
+        assert len(flow_builds) == 2 and generator_calls.count("steady_state") == 4
+
+    @pytest.mark.parametrize("flags", [[], ["--with-baseline"]])
+    def test_rate_free_detour(self, tmp_path, capsys, flags):
+        # an A without an attractor: its stage precesses the state about h
+        points = json.loads((CONFIGS / "fig1.json").read_text())["points"]
+        points["A"]["gamma"] = [0.0, 0.0, 0.0]
+        protocol = {"kind": "two-step", "t_i": 0.5}
+        cfg = write_config(tmp_path, {"schema": 1, "points": points, "protocol": protocol})
+        code, out, err = run_json(
+            capsys, "--config", cfg, "--output", str(tmp_path), "simulate", *flags
+        )
+        assert (code, err) == (0, "")
+        assert out["tau"] == pytest.approx(73.7209, abs=1e-4)
+        if flags:
+            assert out["classification"]["class"] == "weak-type-A"
+
+    def test_scan_whose_baseline_times_out_exits_3(self, tmp_path, capsys):
+        points = json.loads((CONFIGS / "fig1.json").read_text())["points"]
+        protocol = {"kind": "two-step", "t_i_scan": {"start": 0.5, "stop": 5.0, "step": 0.5}}
+        cfg = write_config(tmp_path, {"schema": 1, "points": points, "protocol": protocol})
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "--config", cfg, "--output", str(out_dir), "--t-cap", "10", "simulate"
+        )
+        assert (code, out, err) == (3, "", "not converged: direct baseline did not converge\n")
 
     def test_continuous_with_baseline_solves_three_steady_states(
-            self, tmp_path, capsys, generator_calls, flow_builds):
+            self, tmp_path, capsys, generator_calls, flow_builds, monkeypatch):
         # the ramp and its baseline are runs of one set-up: S's and F's
-        # attractors, and F's flow
+        # attractors, and F's flow, whose samplers are the set-up's detour,
+        # which the quench runs, and the baseline's first-stage grid and
+        # relaxation
+        samplers = []
+        sampler = ConstantFlow.sampler
+
+        def counting(self, r0):
+            samplers.append(r0)
+            return sampler(self, r0)
+
+        monkeypatch.setattr(ConstantFlow, "sampler", counting)
         code, out, _ = run_json(
             capsys, "--config", str(CONFIGS / "fig3b.json"), "--output", str(tmp_path),
             "simulate",
         )
         assert code == 0 and "classification" in out
         assert generator_calls.count("steady_state") == 3 and len(flow_builds) == 1
+        assert len(samplers) == 3
 
     def test_settled_baseline_continuous(self, tmp_path, capsys):
         # S = F: both runs settle at their first sample, and the gain is 0/0

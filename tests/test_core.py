@@ -119,6 +119,10 @@ class TestValidateEndpoint:
 
 
 class TestAffineGenerator:
+    def test_requires_three_components(self):
+        with pytest.raises(ValueError, match="generator must be a 3x3 matrix plus a 3-vector"):
+            AffineGenerator(np.eye(2), np.zeros(2))
+
     def test_requires_equal_transverse_damping(self):
         lam = np.diag([-1.0, -2.0, -3.0])
         with pytest.raises(ValueError):

@@ -51,6 +51,10 @@ class TestGain:
         assert math.isnan(gain(math.nan, 0.0).g)
         assert math.isnan(gain(math.nan, 12.5).g)
 
+    def test_rejects_a_negative_time(self):
+        with pytest.raises(ValueError, match="relaxation times must be nonnegative"):
+            gain(-1, 1)
+
     def test_scale_covariance(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
@@ -97,6 +101,10 @@ class TestCountCrossings:
         # a repeated same-side dip returns to contact: no extra crossing
         b[400:410] -= 1e-6
         assert count_crossings(a, b) == 2
+
+    def test_rejects_grids_of_different_lengths(self):
+        with pytest.raises(ValueError, match="series must share one grid"):
+            count_crossings(self.GRID, self.GRID[:-1])
 
 
 def _fake_result(dists, target, t_i, r_i, tau):
@@ -146,6 +154,18 @@ class TestClassifyTwoStep:
         slow = run_two_step(DETOUR_S, DETOUR_A, DETOUR_F, 2.0, cfg=IntegratorConfig(t_cap=5.0))
         with pytest.raises(NotConverged):
             classify_two_step(slow, self.DIRECT)
+
+    def test_rejects_results_that_do_not_compare(self):
+        two = run_two_step(DETOUR_S, DETOUR_A, DETOUR_F, t_i=1.2)
+        cases = [
+            (two, two, "baseline result must come from the direct protocol"),
+            (two, run_direct(DETOUR_S, DETOUR_F, 1e-3), "results were produced with different cutoffs"),
+            (two, run_direct(DETOUR_S, DETOUR_A), "results target different final states"),
+            (self.DIRECT, self.DIRECT, "result does not carry a switching time"),
+        ]
+        for engineered, direct, message in cases:
+            with pytest.raises(ValueError, match=message):
+                classify_two_step(engineered, direct)
 
     def test_depends_only_on_distances(self):
         # two synthetic runs whose switch states differ as vectors but agree
@@ -242,3 +262,12 @@ class TestClassifyContinuous:
             classify_continuous(self.DIRECT, self.DIRECT)
             is ContinuousClass.NO_EFFECT
         )
+
+    def test_timed_out_run_raises(self):
+        from pontus import IntegratorConfig
+
+        cpm = run_continuous(PLANAR_S, PLANAR_F, kappa=0.035, omega=0.0,
+                             cfg=IntegratorConfig(t_cap=50.0))
+        assert cpm.timed_out
+        with pytest.raises(NotConverged, match="both runs must have converged to classify them"):
+            classify_continuous(cpm, self.DIRECT)

@@ -124,6 +124,10 @@ class TestNegativeIntervals:
         with pytest.raises(DivergentIntervalCount):
             negative_intervals(0.5, 0.1, 0.0, 1.0)
 
+    def test_an_unmodulated_ramp_is_refused(self):
+        with pytest.raises(ValueError, match="at least one of kappa, omega must be positive"):
+            negative_intervals(0.5, 0.1, 0.0, 0.0)
+
     def test_interval_count_bounds(self):
         # the naive floor estimate misses the extremum offset inside each
         # lobe; the exact per-lobe condition gives the sharp count
@@ -321,6 +325,10 @@ class TestChannelReport:
     def test_zero_kappa_is_refused(self):
         with pytest.raises(ValueError, match="kappa must be positive"):
             channel_report(0.75, 0.05, 0.0, 1.0, "plus")
+
+    def test_unknown_channel_is_refused(self):
+        with pytest.raises(ValueError, match="unknown channel 'x'"):
+            channel_report(0.5, 0.1, 0.1, 1.0, "x")
 
 
 @pytest.mark.parametrize("kappa", [0.0, -0.1, math.nan, math.inf])

@@ -25,6 +25,7 @@ from pontus import (
     scan_two_step,
     steady_state,
 )
+from pontus.core import Trajectory, distance_evaluator
 from pontus.dynamics import _refined_threshold_series, _threshold_analysis
 from pontus.mpemba import _two_step_class
 from pontus.protocols import _ConstantStages
@@ -531,6 +532,51 @@ class TestRunTwoStepScan:
             with pytest.raises(ValueError, match="switching time"):
                 run_two_step(DETOUR_S, DETOUR_A, DETOUR_F, t_i)
 
+    def test_a_baseline_that_times_out_ends_the_scan(self):
+        t_is = [0.5 * k for k in range(1, 11)]
+        with pytest.raises(NotConverged, match="direct baseline did not converge"):
+            scan_two_step(DETOUR_S, DETOUR_A, DETOUR_F, t_is, cfg=IntegratorConfig(t_cap=10.0))
+
+
+# a rate-free A, whose drift precesses about h and has no attractor, and an A
+# that dephases along its field, whose field axis is a line of fixed points
+FREE_A = ParameterPoint.make((0.0, 2.0, 2.0), (0.0, 0.0, 0.0), "A")
+DEPHASING_A = ParameterPoint.make((0.0, 0.0, 0.7), (0.0, 0.0, 0.5), "A")
+
+
+def precessed(r, h, t):
+    """r turned about h by the angle 2|h|t (Rodrigues' formula), the solution
+    of r' = 2 h x r that a rate-free drift gives."""
+    k = np.asarray(h) / np.linalg.norm(h)
+    angle = 2 * np.linalg.norm(h) * t
+    return (r * math.cos(angle) + np.cross(k, r) * math.sin(angle)
+            + k * (k @ r) * (1 - math.cos(angle)))
+
+
+class TestDetourWithoutAttractor:
+    """A detour stage needs only its flow: a two-step run through an A point
+    with no steady state runs, its detour propagated exactly."""
+
+    def test_rate_free_detour_precesses(self):
+        res = run_two_step(DETOUR_S, FREE_A, DETOUR_F, 1.3)
+        assert res.converged and res.t_intermediate == 1.3
+        traj = res.trajectory
+        k = int(np.searchsorted(traj.t, 1.3 - 1e-9))
+        r0 = steady_state(assemble_generator(DETOUR_S)).as_array()
+        want = precessed(r0, FREE_A.h.as_array(), traj.t[k])
+        assert np.max(np.abs(traj.r[k] - want)) < 1e-12
+        assert abs(np.linalg.norm(traj.r[k]) - np.linalg.norm(r0)) < 1e-12
+
+    def test_rate_free_scan_classifies_every_row(self):
+        baseline, rows = scan_two_step(DETOUR_S, FREE_A, DETOUR_F, [0.5, 1.0, 1.5, 2.0])
+        assert baseline.tau == pytest.approx(75.0720, abs=1e-4)
+        assert [cls for _, cls in rows] == ["weak-type-A", "weak-type-B", "no-effect", "weak-type-B"]
+        assert rows[0][0] == pytest.approx(73.7209, abs=1e-4)
+
+    def test_dephasing_along_the_field_runs(self):
+        res = run_two_step(DETOUR_S, DEPHASING_A, DETOUR_F, 2.0)
+        assert res.converged and res.tau == pytest.approx(74.7703, abs=1e-4)
+
 
 class TestRunContinuous:
     def test_sudden_limit_recovers_direct(self):
@@ -594,6 +640,17 @@ class TestRelaxationTime:
         res = run_direct(PLANAR_S, PLANAR_F, cfg=IntegratorConfig(t_cap=5.0))
         with pytest.raises(NotConverged):
             _threshold_analysis(res.trajectory, 1e-4)
+
+    def test_a_distance_that_never_settles_raises(self):
+        # a converged run whose distance stays at 0.25, far above the cutoff
+        state = np.array([0.5, 0.0, 0.0])
+        traj = Trajectory(
+            t=[0.0, 1.0, 2.0], r=np.tile(state, (3, 1)), rates_of=None,
+            target=BlochVector(0.0, 0.0, 0.0),
+            distance_of=distance_evaluator(lambda ts: np.tile(state, (len(ts), 1)), np.zeros(3)),
+        )
+        with pytest.raises(NotConverged, match="distance never settled below the cutoff"):
+            _threshold_analysis(traj, 1e-4)
 
     def test_oscillatory_crossing_is_inconclusive(self):
         # cutoff reached while the rate modulation is still above it

@@ -15,6 +15,7 @@ the libraries of other keys, and loads once for threads that ask at once.
 """
 
 import ctypes
+import itertools
 import json
 import logging
 import math
@@ -26,6 +27,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +211,30 @@ class TestBitwiseAgainstPython:
             stop = (target, DEFAULT_EPS / 10.0, DEFAULT_EPS)
             want, got = both_routes(kernel, ramp_args(sched, stop, r0, 1e4, 1e-9))
             assert want[0] == "BallViolation" and got == want, (i, j)
+
+    def test_steps_clamped_to_max_step(self, kernel):
+        """Every other seeded stop-rule run of the first 40 ramps, its step
+        capped at 0.5: the controller grows some step past the cap, which
+        the next step clamps to it."""
+        clamped = 0
+        for i, sched, stop, y, t_bound, rtol in itertools.islice(seeded_runs(), 0, 80, 2):
+            want, got = both_routes(kernel, ramp_args(sched, stop, y, t_bound, rtol, max_step=0.5))
+            assert got == want, i
+            if isinstance(want[0], bytes):
+                steps = np.frombuffer(want[0]).reshape(-1, dynamics._RECORD)
+                clamped += bool(np.any(steps[1:, 1] == 0.5))
+        assert clamped
+
+    def test_zero_slope_start(self, kernel):
+        """Equal pumping rates at both ends: no forcing, both attractors at the
+        centre, and a run from there has zero slope, so its first step is the
+        floor of 1e-6 and every state and stage stays zero."""
+        sched = ExponentialCosineSchedule(RateTriple(0.3, 0.3, 0.1), RateTriple(0.2, 0.2, 0.0),
+                                          FieldVector(1.0, 0.0, 0.5), 0.5, 1.0)
+        want, got = both_routes(kernel, ramp_args(sched, None, [0.0, 0.0, 0.0], 2.0, 1e-9))
+        assert got == want
+        steps = np.frombuffer(want[0]).reshape(-1, dynamics._RECORD)
+        assert steps[0, 1] == 1e-6 and not steps[:, 2:].any()
 
     def test_underflow_message(self, kernel):
         s = ParameterPoint.make((1.0, 0.0, 0.0), (0.75, 0.75, 0.75))
@@ -551,6 +577,35 @@ class TestCellAnalysis:
         fine = _Ramp(s, f, DEFAULT_EPS, IntegratorConfig(sample_stride=0.005)).result(kappa, omega)
         assert fine.n_threshold_crossings == 21
 
+    def test_a_cell_whose_samples_leave_the_ball(self, kernel):
+        """The pure states that precess at zero rates (the last 12 cases) whose
+        samples leave the ball while their step ends do not, each run as a
+        gain-map cell on a set-up of its start and target, which no steady
+        state gives: the cell's sampled check raises ``_Ramp.result``'s
+        message, and the cell records ball-violation."""
+        seen = 0
+        for sched, r0, target, cfg, eps in list(analysis_cases())[-12:]:
+            ramp = object.__new__(_Ramp)
+            ramp.schedule = replace(sched, kappa=0.0, omega=0.0)
+            ramp.r0, ramp.target, ramp.cfg, ramp.eps = r0, target, cfg, eps
+            ramp.args = dynamics._ramp_args(ramp.schedule, r0, target, cfg, eps)
+            try:
+                ramp.result(sched.kappa, sched.omega)
+            except BallViolation as exc:
+                message = str(exc)
+            else:
+                continue
+            if "max sampled" not in message:  # left the ball at a step end
+                continue
+            with pytest.raises(BallViolation) as got:
+                ramp.run(sched.kappa, sched.omega)
+            assert str(got.value) == message
+            rates = sched.gamma_s.as_array(), sched.gamma_f.as_array()
+            column = (ramp, *rates, nonmarkov._boundary_slopes(*rates))
+            assert sweep._cell((sched.kappa, sched.omega, column, 10.0))[5] == "ball-violation"
+            seen += 1
+        assert seen
+
     def test_cells_build_no_trajectory(self, kernel, monkeypatch):
         spec = SweepSpec(RateTriple(0.75, 0.75, 0.75), RateTriple(0.05, 0.1, 0.15),
                          GridAxis.log("kappa", 0.01, 100.0, 5),
@@ -753,6 +808,27 @@ def test_the_loader_binds_every_exported_function():
                           re.M)
     bound = re.findall(r"\blibrary\.(pontus_\w+)", Path(_stepper.__file__).read_text())
     assert set(exported) == set(bound) and len(bound) == len(_stepper.Kernel._fields)
+
+
+def test_the_record_width_is_the_python_one():
+    """``_stepper.c``'s RECORD, the doubles of one step record, is
+    ``dynamics._RECORD``, so the kernel and the Python read one layout."""
+    widths = re.findall(r"enum \{ RECORD = (\d+) \};", _stepper.SOURCE.read_text())
+    assert widths == [str(dynamics._RECORD)]
+
+
+def test_a_failed_root_search_raises_the_python_message():
+    """``_run_end`` of a run whose kernel root search failed (code -4) makes
+    the Python search on the run's last record, and raises its error where
+    the stop function keeps its sign across that record."""
+    sched = ExponentialCosineSchedule(RateTriple(0.5, 0.1, 0.0), RateTriple(0.1, 0.5, 0.0),
+                                      FieldVector(1.0, 0.0, 0.5), 0.5, 1.0)
+    steps, *_ = dynamics._dormand_prince(*ramp_args(sched, None, [0.0, 0.0, 0.3], 2.0, 1e-9))
+    stop = ([5.0, 0.0, 0.0], 1e-5, 1e-4)  # a target far outside: the gap stays positive
+    state = np.zeros(16)
+    state[14] = steps[1, 0]  # where the first record ends
+    with pytest.raises(ValueError, match="f\\(a\\) and f\\(b\\) must have different signs"):
+        dynamics._run_end(-4, state, steps[:1], ramp_args(sched, stop, [0.0, 0.0, 0.3], 2.0, 1e-9))
 
 
 @needs_cc
