@@ -1,9 +1,10 @@
 /* The compiled kernel of pontus: the adaptive Dormand-Prince 5(4) step loop of
  * pontus.dynamics._dormand_prince for the ramp m(t) = exp(-kappa t)
- * cos(omega t) of ExponentialCosineSchedule (pontus_dormand_prince), its
- * dense output (pontus_dense_output), the samples and threshold analysis of
- * its runs, chunk by chunk of step records (pontus_cell), the non-Markov
- * measure (pontus_nm_total) and the CSV writer's rows (pontus_csv_rows).
+ * cos(omega t) of ExponentialCosineSchedule (pontus_dormand_prince), the
+ * samples and threshold analysis of its runs, chunk by chunk of step records,
+ * on their dense output (pontus_cell), the non-Markov measure
+ * (pontus_nm_total) and the CSV writer's rows (pontus_csv_rows).  These four
+ * are the library's exports; pontus._stepper binds each of them.
  *
  * Every expression is the Python's, with the same operands in the same order,
  * so both write the same floats: the stepper's initial step, stage
@@ -126,8 +127,8 @@ static int brentq(function f, const void *args, double a, double b, double xtol,
  * + q4 x^4), x = (t - t_k) / h, with q1 = k1 and q2..q4 the stages weighted by
  * P's columns (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6): each
  * float as pontus.dynamics._DenseOutput forms it, in the same order. */
-void pontus_dense_output(const double *steps, long n, double t_final, const double *ts,
-                                long m, double *out)
+static void dense_output(const double *steps, long n, double t_final, const double *ts, long m,
+                         double *out)
 {
     static const double P1[3] = {-8048581381.0 / 2820520608, 8663915743.0 / 2820520608,
                                  -12715105075.0 / 11282082432};
@@ -197,13 +198,15 @@ static double stop_gap(const void *args, double t)
     const struct stop_rule *a = args;
     const double *g = a->stop;
     double y[3];
-    pontus_dense_output(a->record, 1, t, &t, 1, y);
+    dense_output(a->record, 1, t, &t, 1, y);
     double d = 0.5 * sqrt(square(y[0] - g[0]) + square(y[1] - g[1]) + square(y[2] - g[2])) - g[3];
     double u = a->dg_max * exp(-a->kappa * t) - g[4];
     return u > d ? u : d;
 }
 
-/* Runs from t = 0 when `start` is set, else resumes from `s`.  `c` holds the
+/* Runs from t = 0 when `start` is set, else resumes from `s`.  The first step
+ * is Hairer, Norsett & Wanner's initial step, which does not read t_bound, so
+ * no step before the horizon depends on it.  `c` holds the
  * 14 ramp coefficients (L00, L11, L22, L01, L02, L12, b_z of (lam_f, b_f),
  * then of (dlam, db)); `stop` is NULL for a run to t_bound, or (target,
  * tol, eps), with the settle term dg_max exp(-kappa t).  Appends one RECORD-double
@@ -218,8 +221,8 @@ static double stop_gap(const void *args, double t)
  * s[T_NEW] with |r| = s[NORM]; -4 as 1, but where brentq finds no root. */
 int pontus_dormand_prince(const double *c, double kappa, double omega, double dg_max,
                           const double *stop, int start, double *s, double t_bound,
-                          double rtol, double atol, double max_step, double sqrt3,
-                          double ball_sq, double *steps, long cap, long *n)
+                          double rtol, double atol, double sqrt3, double ball_sq,
+                          double *steps, long cap, long *n)
 {
     const double C2 = 1.0 / 5, C3 = 3.0 / 10, C4 = 4.0 / 5, C5 = 8.0 / 9;
     const double A21 = 1.0 / 5;
@@ -278,8 +281,6 @@ int pontus_dormand_prince(const double *c, double kappa, double omega, double dg
         a = k11 / s1, b = k12 / s2, cc = k13 / s3;
         double d1 = sqrt(a * a + b * b + cc * cc) / sqrt3;
         double h0 = d0 < 1e-5 || d1 < 1e-5 ? 1e-6 : 0.01 * d0 / d1;
-        if (t_bound < h0)
-            h0 = t_bound;
         double u1, u2, u3;
         m = exp(-kappa * h0) * cos(omega * h0);
         COEFFICIENTS(m);
@@ -298,10 +299,6 @@ int pontus_dormand_prince(const double *c, double kappa, double omega, double dg
         h_abs = 100 * h0;
         if (h1 < h_abs)
             h_abs = h1;
-        if (t_bound < h_abs)
-            h_abs = t_bound;
-        if (max_step < h_abs)
-            h_abs = max_step;
         nfev = 2;
         n_rejected = 0;
         w1 = fabs(y1), w2 = fabs(y2), w3 = fabs(y3);
@@ -314,9 +311,7 @@ int pontus_dormand_prince(const double *c, double kappa, double omega, double dg
             break;
         }
         double min_step = 10 * (nextafter(t, INFINITY) - t);
-        if (h_abs > max_step)
-            h_abs = max_step;
-        else if (h_abs < min_step)
+        if (h_abs < min_step)
             h_abs = min_step;
         int rejected = 0;
         double h, t_new, a, b, cc, z1, z2, z3, v1, v2, v3;
@@ -452,7 +447,7 @@ static double distance_gap(const void *args, double t)
 {
     const struct run *a = args;
     double y[3];
-    pontus_dense_output(a->steps, a->n, a->t_final, &t, 1, y);
+    dense_output(a->steps, a->n, a->t_final, &t, 1, y);
     return distance(y, a->stop) - a->stop[4];
 }
 
@@ -524,7 +519,7 @@ static void interval(struct cell *c, const struct run *run, double t0, double t,
         double step = (t - t0) / 9, sub[8], z[24];
         for (int j = 0; j < 8; j++)
             sub[j] = (j + 1) * step + t0;
-        pontus_dense_output(run->steps, run->n, run->t_final, sub, 8, z);
+        dense_output(run->steps, run->n, run->t_final, sub, 8, z);
         for (int j = 0; j < 8; j++)
             visit(c, eps, sub[j], distance(z + 3 * j, run->stop));
     }
@@ -594,7 +589,7 @@ int pontus_cell(double *state, double *steps, long *n, double t_end, int end, co
             ts[k++] = i * stride;
         if (k < 64 && end && c->next + k == count && t_end - (count - 1) * stride > 1e-12)
             ts[k++] = t_end;
-        pontus_dense_output(steps, *n, t_end, ts, k, ys);
+        dense_output(steps, *n, t_end, ts, k, ys);
         for (int j = 0; j < k; j++)
             sample(c, &run, ts[j], ys + 3 * j, r, d, m);
     } while (k == 64);

@@ -1,6 +1,6 @@
 """Build, cache and load the kernel library of ``_stepper.c``: the compiled ramp
-stepper and its dense output, a ramp run's samples and threshold analysis, the
-non-Markov measure and the CSV writer's rows.
+stepper, a ramp run's samples and threshold analysis, the non-Markov measure
+and the CSV writer's rows.
 
 On first use the kernel is compiled with the system C compiler, ``cc``, and
 cached beside this file in ``__pycache__``, as CPython caches bytecode.  The
@@ -39,11 +39,10 @@ COMMAND = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _log = logging.getLogger(__name__)
 _D, _P = ctypes.c_double, ctypes.c_void_p
 _L = ctypes.c_long
-_STEPS_ARGTYPES = (_P, _D, _D, _D, _P, ctypes.c_int, _P, _D, _D, _D, _D, _D, _D, _P, _L,
+_STEPS_ARGTYPES = (_P, _D, _D, _D, _P, ctypes.c_int, _P, _D, _D, _D, _D, _D, _P, _L,
                    ctypes.POINTER(_L))
 _CELL_ARGTYPES = (_P, _P, ctypes.POINTER(_L), _D, ctypes.c_int, _P, _D, _D, _D, _D, _D, _P, _P,
                   _L)
-_DENSE_ARGTYPES = (_P, _L, _D, _P, _L, _P)
 _NM_TOTAL_ARGTYPES = (_P, _P, _L, _D, _D, ctypes.POINTER(_D))
 _UNTRIED = object()
 _kernel = _UNTRIED
@@ -51,17 +50,15 @@ _loading = threading.Lock()
 
 
 class Kernel(NamedTuple):
-    """The library's five functions: ``steps``, pontus_dormand_prince, which
-    also finds the stop rule's root; ``dense``, pontus_dense_output, the
-    states at given times from a run's step records; ``cell``, pontus_cell, a
-    run's samples on its stride grid, their states and distances, and the
-    threshold analysis of a stopped run, from its step records chunk by
-    chunk; ``nm_total``, pontus_nm_total; and ``csv_rows``, pontus_csv_rows,
-    a block of CSV rows.  Each writes only to the buffers it is given and
-    releases the GIL while it runs (``ctypes.CDLL``)."""
+    """The library's four functions: ``steps``, pontus_dormand_prince, which
+    also finds the stop rule's root; ``cell``, pontus_cell, a run's samples
+    on its stride grid, their states (the run's dense output) and distances,
+    and the threshold analysis of a stopped run, from its step records chunk
+    by chunk; ``nm_total``, pontus_nm_total; and ``csv_rows``,
+    pontus_csv_rows, a block of CSV rows.  Each writes only to the buffers it
+    is given and releases the GIL while it runs (``ctypes.CDLL``)."""
 
     steps: Callable
-    dense: Callable
     cell: Callable
     nm_total: Callable
     csv_rows: Callable
@@ -90,10 +87,9 @@ def cache_path() -> Path:
 
 def _open(path, check):
     library = ctypes.CDLL(str(path))
-    found = Kernel(library.pontus_dormand_prince, library.pontus_dense_output, library.pontus_cell,
-                   library.pontus_nm_total, library.pontus_csv_rows)
+    found = Kernel(library.pontus_dormand_prince, library.pontus_cell, library.pontus_nm_total,
+                   library.pontus_csv_rows)
     found.steps.restype, found.steps.argtypes = ctypes.c_int, _STEPS_ARGTYPES
-    found.dense.restype, found.dense.argtypes = None, _DENSE_ARGTYPES
     found.cell.restype, found.cell.argtypes = ctypes.c_int, _CELL_ARGTYPES
     found.nm_total.restype, found.nm_total.argtypes = ctypes.c_int, _NM_TOTAL_ARGTYPES
     found.csv_rows.restype, found.csv_rows.argtypes = _L, (_P, ctypes.c_int, _L, _L, _P, _P, _P)

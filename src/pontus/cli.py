@@ -193,11 +193,7 @@ def _integrator(cfg, args) -> IntegratorConfig:
     section = cfg.get("integrator", {})
     keys = [f.name for f in fields(IntegratorConfig)]
     _check_keys(section, keys, "config.integrator")
-    kwargs = {
-        k: _number(section[k], f"integrator.{k}", 0, True)
-        for k in keys
-        if k in section and (section[k] is not None or k != "max_step")  # null: unbounded
-    }
+    kwargs = {k: _number(section[k], f"integrator.{k}", 0, True) for k in keys if k in section}
     if args.t_cap is not None:
         kwargs["t_cap"] = _number(args.t_cap, "--t-cap", 0, True)
     return IntegratorConfig(**kwargs)

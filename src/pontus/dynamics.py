@@ -9,9 +9,10 @@ in-house adaptive Dormand-Prince 5(4) stepper specialised to its affine form
 Lambda(t) = lam_f + m(t) dlam, b(t) = b_f + m(t) db with
 m(t) = exp(-kappa t) cos(omega t): scalar floats, the stages formed inline,
 the stop rule checked inline, and the quartic dense output of all steps
-built in one pass (``_DenseOutput``).  It copies the initial step, error
-norm, controller and event location of scipy's RK45; the event's root is
-found by the in-house Brent solver (``_roots.brentq``, bit for bit scipy's).
+built in one pass (``_DenseOutput``).  It copies the error norm, controller
+and event location of scipy's RK45, and its initial step but for scipy's
+clamp to the horizon; the event's root is found by the in-house Brent
+solver (``_roots.brentq``, bit for bit scipy's).
 The compiled kernel (``_stepper.c``, loaded by ``_stepper.kernel``) repeats
 these float operations in the same order: the step loop with the event's
 root, then the dense output at a run's samples (``_sample_times``) and
@@ -77,7 +78,6 @@ class IntegratorConfig:
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-10
-    max_step: float = np.inf
     t_cap: float = 1e4
     sample_stride: float = 0.05
 
@@ -86,13 +86,11 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive and finite")
         if not (0 < self.t_cap < math.inf and 0 < self.sample_stride < math.inf):
             raise ValueError("t_cap and sample_stride must be positive and finite")
-        if not self.max_step > 0:
-            raise ValueError("max_step must be positive")
 
     def as_dict(self) -> dict:
         """The settings as a config's ``integrator`` section, which reproduces
-        them; ``max_step`` is left out while it is unbounded."""
-        return {k: v for k, v in asdict(self).items() if k != "max_step" or v < math.inf}
+        them."""
+        return asdict(self)
 
 
 def assemble_generator(p: ParameterPoint) -> AffineGenerator:
@@ -285,24 +283,30 @@ class _DenseOutput:
     """Quartic interpolants of the accepted steps, from the steppers' (n, 23)
     step records (``_RECORD``) and ending at ``t_final``.
 
-    Q = K^T P is formed for all steps at once, elementwise and term by term
-    in stage order, so no coefficient depends on a BLAS kernel.  A time is
-    served by the step whose interval holds it, a breakpoint by the step
-    that ends there.  Each time is evaluated on its own, so a value does not
-    depend on the other times.
+    Q = K^T P is formed for all steps at once, on the first call, elementwise
+    and term by term in stage order, so no coefficient depends on a BLAS
+    kernel.  A time is served by the step whose interval holds it, a
+    breakpoint by the step that ends there.  Each time is evaluated on its
+    own, so a value does not depend on the other times.
     """
 
     def __init__(self, a, t_final):
-        k1, k3, k4, k5, k6, k7 = (a[:, j : j + 3] for j in range(5, _RECORD, 3))
+        self.records = a
         self.t_break = np.append(a[:, 0], t_final)
         self.h = a[:, 1]
         self.y_old = a[:, 2:5]
-        self.q = np.empty((len(a), 3, 4))
-        self.q[:, :, 0] = k1
+
+    @functools.cached_property
+    def q(self) -> np.ndarray:
+        a = self.records
+        k1, k3, k4, k5, k6, k7 = (a[:, j : j + 3] for j in range(5, _RECORD, 3))
+        q = np.empty((len(a), 3, 4))
+        q[:, :, 0] = k1
         for j in range(3):
-            self.q[:, :, j + 1] = (
+            q[:, :, j + 1] = (
                 k1 * _P1[j] + k3 * _P3[j] + k4 * _P4[j] + k5 * _P5[j] + k6 * _P6[j] + k7 * _P7[j]
             )
+        return q
 
     def __call__(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -359,9 +363,12 @@ def _sampled_outside(worst: float) -> BallViolation:
     return BallViolation(f"trajectory left the Bloch ball (max sampled |r| = {worst:.12g})")
 
 
-def _dormand_prince(coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol, max_step):
-    """Adaptive Dormand-Prince 5(4) from t = 0, step for step as scipy's RK45,
-    for the damped-cosine ramp.
+def _dormand_prince(coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol):
+    """Adaptive Dormand-Prince 5(4) from t = 0 for the damped-cosine ramp,
+    step for step as scipy's RK45 but for the first step, which is Hairer,
+    Norsett & Wanner's without scipy's clamp to the horizon: a run's steps
+    do not depend on ``t_bound`` before they reach it, so a stop-rule run's
+    records are a prefix of a longer ``t_end`` run's.
 
     ``coef`` holds the entries L00, L11, L22, L01, L02, L12 and b_z of
     (lam_f, b_f), then of (dlam, db), and m = exp(-kappa t) cos(omega t).
@@ -428,7 +435,6 @@ def _dormand_prince(coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol, ma
     d0 = _rms3(y1 / s1, y2 / s2, y3 / s3)
     d1 = _rms3(k11 / s1, k12 / s2, k13 / s3)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, t_bound)
     m = exp(-kappa * h0) * cos(omega * h0)
     u1, u2, u3 = slope(m, y1 + h0 * k11, y2 + h0 * k12, y3 + h0 * k13)
     d2 = _rms3((u1 - k11) / s1, (u2 - k12) / s2, (u3 - k13) / s3) / h0
@@ -436,7 +442,7 @@ def _dormand_prince(coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol, ma
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    h_abs = min(100 * h0, h1, t_bound, max_step)
+    h_abs = min(100 * h0, h1)
     nfev = 2
     n_rejected = 0
 
@@ -447,9 +453,7 @@ def _dormand_prince(coef, kappa, omega, dg_max, stop, y, t_bound, rtol, atol, ma
     stopped = False
     while True:
         min_step = 10 * (nextafter(t, inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
+        if h_abs < min_step:
             h_abs = min_step
         rejected = False
         while True:
@@ -588,7 +592,7 @@ def _resumable(kernel, args, rule):
     it on, from where it last stopped, into the rows of a C-contiguous
     (rows, 23) array and returns the stepper's code and the records
     written; and the array of the run's state."""
-    coef, kappa, omega, dg_max, _, y, t_bound, rtol, atol, max_step = args
+    coef, kappa, omega, dg_max, _, y, t_bound, rtol, atol = args
     coef = np.array(coef, dtype=float)
     state = np.zeros(16)  # the slots of _stepper.c's enum
     state[1:4] = y
@@ -598,7 +602,7 @@ def _resumable(kernel, args, rule):
         code = kernel.steps(
             coef.ctypes.data, kappa, omega, dg_max,
             None if rule is None else rule.ctypes.data,
-            not state[12], state.ctypes.data, t_bound, rtol, atol, max_step, _SQRT3, _BALL_SQ,
+            not state[12], state.ctypes.data, t_bound, rtol, atol, _SQRT3, _BALL_SQ,
             rows.ctypes.data, len(rows), ctypes.byref(n),
         )  # it starts the run while it has made no right-hand-side call
         return code, n.value
@@ -638,18 +642,17 @@ def _compiled_steps(kernel, *args):
 
 def _kernel_agrees(kernel) -> bool:
     """Known-answer check of a loaded kernel: a short stop-rule run and a
-    ``t_end`` run with a capped step must equal the Python stepper's bit
-    for bit, records, counts and stop time; so must the dense output at
-    every step's start and end, the cell's states and distances on each
-    run's stride grid and its largest |r|, and its analysis of the stop-rule
-    run, which crosses eps 5 times with 15 refined intervals and ends
-    inconclusive, and on a 0.5 grid, where 2 of its 3 crossings lie in an
-    interval that only the lookahead of a slope reversal at its end refines,
-    also in chunks of 8 records; and so
-    must the non-Markov measure of a channel with 13 windows, one with a
-    vanishing final rate and one that never turns negative; and so must the
-    writer's rows of values where a ``%.17g`` formatter can go wrong, beside
-    a bytes column that holds a %."""
+    ``t_end`` run must equal the Python stepper's bit for bit, records,
+    counts and stop time; so must the cell's states, which it takes from
+    its dense output, and distances on each run's stride grid, its largest
+    |r|, and its analysis of the stop-rule run, which crosses eps 5 times
+    with 15 refined intervals and ends inconclusive, and on a 0.5 grid,
+    where 2 of its 3 crossings lie in an interval that only the lookahead
+    of a slope reversal at its end refines, also in chunks of 8 records;
+    and so must the non-Markov measure of a channel with 13 windows, one
+    with a vanishing final rate and one that never turns negative; and so
+    must the writer's rows of values where a ``%.17g`` formatter can go
+    wrong, beside a bytes column that holds a %."""
     # the coefficients and dg_max of the ramp from rates (0.9, 0.1, 0.3) to
     # (0.05, 0.4, 0.0) in the field (1, 0, 0.5), rounded, and F's attractor,
     # found without the generator functions, whose calls perfbench's tracer
@@ -668,20 +671,17 @@ def _kernel_agrees(kernel) -> bool:
     try:
         if b"".join(_csv_rows(columns, kernel)) != b"".join(_csv_rows(columns, None)):
             return False
-        for kappa, omega, stop, t_bound, rtol, max_step in (
-            (0.3, 1.0, rule, 1e4, 1e-6, math.inf),
-            (0.7, 2.0, None, 2.0, 1e-9, 0.25),
+        for kappa, omega, stop, t_bound, rtol in (
+            (0.3, 1.0, rule, 1e4, 1e-6),
+            (0.7, 2.0, None, 2.0, 1e-9),
         ):
-            args = (coef, kappa, omega, 0.85, stop, y, t_bound, rtol, 1e-10, max_step)
+            args = (coef, kappa, omega, 0.85, stop, y, t_bound, rtol, 1e-10)
             want = _dormand_prince(*args)
             got = _compiled_steps(kernel, *args)
             if want[0].tobytes() != got[0].tobytes() or want[1:] != got[1:]:
                 return False
             steps, t, stopped = got[:3]
             dense = _DenseOutput(steps, t)
-            ends = np.concatenate([steps[:, 0], steps[:, 0] + steps[:, 1]])
-            if _dense(kernel, steps, t, ends).tobytes() != dense(ends).tobytes():
-                return False
             ts = _sample_times(t, 0.05)
             rs, ds, worst, found = _samples(kernel, steps, t, stopped, len(ts), kappa, omega, 0.85,
                                             rule, 0.05)
@@ -776,7 +776,6 @@ def _ramp_args(schedule, r0: BlochVector, target: BlochVector, cfg: IntegratorCo
         # below about 100 eps the controller could not meet the tolerance
         max(cfg.rel_tol, 100 * _EPS),
         cfg.abs_tol,
-        cfg.max_step,
     )
 
 
@@ -882,15 +881,6 @@ def _ramp_cell(args, stride: float):
     return found if stopped else (None, False, 0)
 
 
-def _dense(kernel, steps, t_final, ts):
-    """``_DenseOutput(steps, t_final)(ts)`` through ``kernel.dense``: the same
-    floats."""
-    ts = np.ascontiguousarray(ts, dtype=float)
-    out = np.empty((len(ts), 3))
-    kernel.dense(steps.ctypes.data, len(steps), t_final, ts.ctypes.data, len(ts), out.ctypes.data)
-    return out
-
-
 def integrate(schedule, r0: BlochVector, target: BlochVector, cfg: IntegratorConfig, eps: float,
               t_end: Optional[float] = None) -> Trajectory:
     """Solve r' = Lambda(t) r + b(t) under a damped-cosine ramp.
@@ -900,10 +890,11 @@ def integrate(schedule, r0: BlochVector, target: BlochVector, cfg: IntegratorCon
     compiled kernel of ``_stepper.c`` loads (``_stepper.kernel``), it steps
     the run, and one ``kernel.cell`` call over all its records gives the
     samples, their distances and, for a stopped run, the ``analysis`` that
-    ``_threshold_analysis`` would make of them; ``distance_of`` evaluates
-    ``kernel.dense``.  Else ``_dormand_prince`` and ``_DenseOutput`` give
-    the same records and samples bit for bit, and ``analysis`` stays None
-    but for a run settled at t = 0.
+    ``_threshold_analysis`` would make of them.  Else ``_dormand_prince``
+    and ``_DenseOutput`` give the same records and samples bit for bit, and
+    ``analysis`` stays None but for a run settled at t = 0.  On both routes
+    ``distance_of`` evaluates the run's ``_DenseOutput``, which builds its
+    coefficients only if it is called.
 
     Integration stops once the trace distance to ``target`` is below
     ``eps/10`` while the schedule's remaining deviation from its final
@@ -927,12 +918,11 @@ def integrate(schedule, r0: BlochVector, target: BlochVector, cfg: IntegratorCon
         ts, rs = np.array([0.0]), y0[None, :]
     else:
         ts = _sample_times(t_stop, cfg.sample_stride)
+        dense = _DenseOutput(steps, t_stop)
         if kernel is None:
-            dense = _DenseOutput(steps, t_stop)
             rs = dense(ts)
             worst = float(np.max(np.linalg.norm(rs, axis=1)))
         else:
-            dense = functools.partial(_dense, kernel, steps, t_stop)
             rs, dist, worst, found = _samples(kernel, steps, t_stop, stopped, len(ts), *args[1:4],
                                               (tgt.tolist(), _settle_level(eps), eps),
                                               cfg.sample_stride)

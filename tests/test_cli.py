@@ -171,10 +171,9 @@ class TestConfigValidation:
 
     def test_switch_time_at_time_cap(self, tmp_path, capsys):
         points = dict(PLANAR_POINTS, A={"h": [0.0, 2.0, 2.0], "gamma": [1.0, 0.0, 0.0]})
-        # a null max_step is unbounded and leaves the time cap check standing;
         # every integrator key rejects zero and a string under its own path
-        cases = [({"t_cap": 50.0}, "time cap"), ({"t_cap": 50.0, "max_step": None}, "time cap")]
-        for key in ("rel_tol", "abs_tol", "max_step", "t_cap", "sample_stride"):
+        cases = [({"t_cap": 50.0}, "time cap")]
+        for key in ("rel_tol", "abs_tol", "t_cap", "sample_stride"):
             cases += [({key: 0}, f"integrator.{key}"), ({key: "0.1"}, f"integrator.{key}")]
         for integrator, message in cases:
             cfg = write_config(
@@ -250,7 +249,7 @@ class TestConfigValidation:
         ("simulate", {"protocol": RAMP, "epsilon": NAN}, "config.epsilon"),
         ("simulate", {"protocol": RAMP, "integrator": {"t_cap": INF}}, "integrator.t_cap"),
         ("simulate", {"protocol": RAMP, "integrator": {"rel_tol": -INF}}, "integrator.rel_tol"),
-        ("simulate", {"protocol": RAMP, "integrator": {"max_step": INF}}, "integrator.max_step"),
+        ("simulate", {"protocol": RAMP, "integrator": {"abs_tol": NAN}}, "integrator.abs_tol"),
         ("simulate", {"protocol": dict(RAMP, kappa=NAN)}, "protocol.kappa"),
         ("simulate", {"protocol": dict(RAMP, omega=INF)}, "protocol.omega"),
         ("simulate", {"protocol": {"kind": "two-step", "t_i": NAN}}, "protocol.t_i"),
@@ -316,6 +315,16 @@ class TestConfigValidation:
         assert code == 0
         assert out["epsilon"] == out["config"]["epsilon"] == 1e-3
         assert out["tau"] == run_direct(s, f, 1e-3).tau
+
+    def test_max_step_is_an_unknown_key(self, tmp_path, capsys, monkeypatch):
+        # the steppers take no step cap, so a config that sets one is refused
+        payload = {"schema": 1, "points": TILTED_POINTS, "protocol": self.RAMP,
+                   "integrator": {"max_step": 0.01}}
+        code, out, err, empty = self.refused_before_any_run(
+            tmp_path, capsys, monkeypatch, payload, "simulate"
+        )
+        message = "config error: config.integrator: unknown key(s) ['max_step']\n"
+        assert (code, out, err, empty) == (1, "", message, True)
 
     @pytest.mark.parametrize("sweep, key", [
         (theta_sweep(h=[1.0, 0.0, 0.0]), "h"),
@@ -859,31 +868,6 @@ class TestSimulate:
         assert code == 0
         assert second["tau"] == first["tau"]
         assert second["threshold_crossings"] == first["threshold_crossings"]
-
-    def test_round_trip_keeps_max_step(self, tmp_path, capsys):
-        # fig3b with a step cap: the echoed config must carry the cap, or the
-        # rerun takes other steps and moves tau in its eighth digit
-        cfg = write_config(
-            tmp_path,
-            {
-                "schema": 1,
-                "points": TILTED_POINTS,
-                "protocol": {"kind": "continuous", "kappa": 0.4, "omega": 0.45},
-                "integrator": {"max_step": 0.01},
-            },
-        )
-        code, first, _ = run_json(
-            capsys, "--config", cfg, "--output", str(tmp_path), "simulate"
-        )
-        assert code == 0
-        assert first["config"]["integrator"]["max_step"] == 0.01
-        echo = write_config(tmp_path, first["config"], name="echo.json")
-        code, second, _ = run_json(
-            capsys, "--config", echo, "--output", str(tmp_path), "simulate"
-        )
-        assert code == 0
-        assert first["tau"] == pytest.approx(19.45839778283673, abs=1e-12)
-        assert second["tau"] == first["tau"]
 
 
 class TestTwoStepScanJobs:

@@ -462,7 +462,6 @@ def scipy_rk45(schedule, r0, target, cfg, eps, t_end=None):
         method="RK45",
         rtol=cfg.rel_tol,
         atol=cfg.abs_tol,
-        max_step=cfg.max_step,
         dense_output=True,
         events=[stop] if t_end is None else None,
     )
@@ -507,14 +506,17 @@ def random_ramp(rng, omega=None):
 class TestSolveIvpOracle:
     """The in-house Dormand-Prince 5(4) stepper against scipy's RK45.
 
-    Both use the same tableau, controller and event location, so they take
-    the same steps up to round-off.  They differ in the last bits of their
-    dot products (scipy's go through BLAS, which fuses multiply-adds); that
-    moves later step sizes by about 1e-13 relative, and now and then a run
-    ends with one step more or fewer.  Measured: 1 of 240 ramps of this
-    random set (seeds 0-5; here seed 0's ramp 32), 2 of the 876 fig5a and
-    125 of the 900 fig4a map cells.  Such a run must still agree in
-    outcome, and its states to the integration tolerance.
+    Both use the same tableau, controller and event location, and the same
+    initial step wherever scipy's clamp of it to the interval does not bind
+    (here it never does: every run starts on S's attractor, so h0 = 1e-6 at
+    the default tolerance), so they take the same steps up to round-off.
+    They differ in the last bits of their dot products (scipy's go through
+    BLAS, which fuses multiply-adds); that moves later step sizes by about
+    1e-13 relative, and now and then a run ends with one step more or
+    fewer.  Measured: 1 of 240 ramps of this random set (seeds 0-5; here
+    seed 0's ramp 32), 2 of the 876 fig5a and 125 of the 900 fig4a map
+    cells.  Such a run must still agree in outcome, and its states to the
+    integration tolerance.
     """
 
     CFG = IntegratorConfig()
@@ -574,44 +576,49 @@ class TestRampProperties:
     CFG = IntegratorConfig()
     EPS = 1e-4
 
-    def test_early_stop_matches_fixed_horizon(self):
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-11])
+    def test_early_stop_matches_fixed_horizon(self, rel_tol):
         # past the stop time the distance can no longer cross the cutoff, so
         # integrating further changes neither tau nor the flag, bit for bit.
         # Bit equality also needs both runs to take the same steps, though
-        # their horizons differ (t_cap 1e4 against t_end).  The horizon
-        # enters the step sequence only through the initial-step rule, scipy
-        # RK45's select_initial_step: a run starts on S's attractor, so f(0)
-        # is round-off.  At rel_tol 1e-9, d1 < 1e-5 forces h0 = 1e-6 and the
-        # steps agree.  At rel_tol 1e-11, d1 clears that floor, so
-        # h0 = 0.01 d0/d1 exceeds the horizon and is clamped to it, and h1,
-        # from d2 over that h0, depends on the horizon: on ramp 2 at rel_tol
-        # 1e-11 and abs_tol 1e-12 the first accepted step is 0.00950539 at
-        # t_bound 1e4, 0.00945943 at 1e3, 0.00726116 at 100 and 0.00620854
-        # at 45.7.  At the same horizon the stop rule never changes a step
-        # (``test_stop_rule_never_changes_the_steps``).
+        # their horizons differ (t_cap 1e4 against t_end): the initial step
+        # reads no horizon, so they do, at rel_tol 1e-11 too, where d1 clears
+        # the 1e-5 floor and h0 = 0.01 d0/d1 exceeds some of these horizons
+        cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol / 10)
         rng = np.random.default_rng(2)
         n_compared = 0
         for k in range(40):
             sched, r0, target = random_ramp(rng)
             try:
-                traj = integrate(sched, r0, target, self.CFG, self.EPS)
+                traj = integrate(sched, r0, target, cfg, self.EPS)
             except BallViolation:
                 continue
             assert not traj.timed_out, k
-            longer = integrate(
-                sched, r0, target, self.CFG, self.EPS, t_end=1.5 * traj.t[-1]
-            )
+            longer = integrate(sched, r0, target, cfg, self.EPS, t_end=1.5 * traj.t[-1])
             assert _threshold_analysis(longer, self.EPS)[:2] == _threshold_analysis(traj, self.EPS)[:2], k
             n_compared += 1
         assert n_compared >= 35
+
+    def test_time_cap_never_moves_tau(self):
+        # seed-2 ramp 2 at rel_tol 1e-11, where h0 = 0.01 d0/d1 is 2.4e13,
+        # past every cap here: the first step must not read the cap
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            sched, r0, target = random_ramp(rng)
+        taus = set()
+        for t_cap in (1e4, 1e3, 100.0):
+            cfg = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-12, t_cap=t_cap)
+            taus.add(_threshold_analysis(integrate(sched, r0, target, cfg, self.EPS), self.EPS)[0])
+        assert taus == {23.132618481355735}
 
     @pytest.mark.parametrize("rel_tol", [1e-9, 1e-11])
     def test_stop_rule_never_changes_the_steps(self, rel_tol):
         # at one horizon T, as integrate's t_cap = T against t_end = T with
         # T 1.5 times the stop time, the stop rule only ends the run: its
-        # step records are a byte prefix of the fixed-horizon run's, on the
-        # kernel route for every ramp and on the Python route for every
-        # fourth (for all where no kernel loads)
+        # step records are a byte prefix of the fixed-horizon run's; and so
+        # are those of the stop-rule run at t_cap 1e4, as the horizon moves
+        # no step before it; on the kernel route for every ramp and on the
+        # Python route for every fourth (for all where no kernel loads)
         kernel = dynamics.ramp_kernel()
         routes = [] if kernel is None else [functools.partial(dynamics._compiled_steps, kernel)]
         rng = np.random.default_rng(2)
@@ -623,7 +630,7 @@ class TestRampProperties:
 
             def run(stepper, stop, t_bound):
                 steps, t, stopped, *_ = stepper(*ramp, stop, r0.as_array().tolist(), t_bound,
-                                                rel_tol, rel_tol / 10, math.inf)
+                                                rel_tol, rel_tol / 10)
                 return memoryview(steps).tobytes(), t, stopped
 
             steppers = routes + ([dynamics._dormand_prince] if k % 4 == 0 or not routes else [])
@@ -636,6 +643,7 @@ class TestRampProperties:
                 records = run(stepper, None, t_bound)[0]
                 assert stopped and len(head) < len(records), k
                 assert records.startswith(head), k
+                assert records.startswith(run(stepper, stop, 1e4)[0]), k
             n_compared += 1
         assert n_compared >= 35
 
@@ -1002,8 +1010,6 @@ class TestIntegratorConfig:
             IntegratorConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(t_cap=-1.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(max_step=0.0)
 
     @pytest.mark.parametrize("key", ["rel_tol", "abs_tol", "t_cap", "sample_stride"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -1012,18 +1018,12 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError, match="finite"):
             IntegratorConfig(**{key: value})
 
-    def test_max_step_may_stay_unbounded_but_not_nan(self):
-        assert IntegratorConfig(max_step=math.inf).max_step == math.inf
-        with pytest.raises(ValueError):
-            IntegratorConfig(max_step=math.nan)
-
     def test_as_dict_reproduces_the_config(self):
         default = IntegratorConfig().as_dict()
         assert list(default) == ["rel_tol", "abs_tol", "t_cap", "sample_stride"]
         assert IntegratorConfig(**default) == IntegratorConfig()
-        capped = IntegratorConfig(rel_tol=1e-7, max_step=0.25, sample_stride=0.1)
-        assert capped.as_dict()["max_step"] == 0.25
-        assert IntegratorConfig(**capped.as_dict()) == capped
+        custom = IntegratorConfig(rel_tol=1e-7, sample_stride=0.1)
+        assert IntegratorConfig(**custom.as_dict()) == custom
 
     def test_integrate_rejects_nonpositive_horizon(self):
         # the step loop ends only at the horizon, so an infinite one never

@@ -2,20 +2,20 @@
 
 Both steppers must write the same step records bit for bit, take the same
 counts and stop at the same time, and raise the same messages; the compiled
-dense output must give ``_DenseOutput``'s floats at every time up to a run's
-end, and the compiled cell ``integrate`` and ``_threshold_analysis``'s
-results, with one stepped run and no Python analysis unless it declines,
-whatever the chunks its records come in, and with a gain-map cell's memory
-bounded whatever its run's length; the compiled non-Markov measure must give
-``_non_markovian``'s, and the compiled CSV rows the ``%`` rows.  The loader
-must fall back to the Python routes, and say so, wherever no checked kernel
-loads; it binds every function that the source exports, keys its cache by
-each of the source, the command, the interpreter and the machine, removes
-the libraries of other keys, and loads once for threads that ask at once.
+cell must give ``integrate``'s samples, which it takes from its own dense
+output, and ``_threshold_analysis``'s results, with one stepped run and no
+Python analysis unless it declines, whatever the chunks its records come in,
+and with a gain-map cell's memory bounded whatever its run's length; the
+compiled non-Markov measure must give ``_non_markovian``'s, and the compiled
+CSV rows the ``%`` rows.  The loader must fall back to the Python routes, and
+say so, wherever no checked kernel loads.  It binds exactly the functions
+that the source exports, each with one argument type per C parameter, and
+the source compiles without a warning.  The loader keys its cache by each of
+the source, the command, the interpreter and the machine, removes the
+libraries of other keys, and loads once for threads that ask at once.
 """
 
 import ctypes
-import itertools
 import json
 import logging
 import math
@@ -71,10 +71,10 @@ def kernel():
     return function
 
 
-def ramp_args(sched, stop, y, t_bound, rtol, atol=1e-10, max_step=math.inf):
+def ramp_args(sched, stop, y, t_bound, rtol, atol=1e-10):
     """The steppers' one argument tuple for a run under ``sched``."""
     return (sched.coefficients, sched.kappa, sched.omega, sched._dg_max,
-            stop, y, t_bound, rtol, atol, max_step)
+            stop, y, t_bound, rtol, atol)
 
 
 def both_routes(kernel, args):
@@ -212,19 +212,6 @@ class TestBitwiseAgainstPython:
             want, got = both_routes(kernel, ramp_args(sched, stop, r0, 1e4, 1e-9))
             assert want[0] == "BallViolation" and got == want, (i, j)
 
-    def test_steps_clamped_to_max_step(self, kernel):
-        """Every other seeded stop-rule run of the first 40 ramps, its step
-        capped at 0.5: the controller grows some step past the cap, which
-        the next step clamps to it."""
-        clamped = 0
-        for i, sched, stop, y, t_bound, rtol in itertools.islice(seeded_runs(), 0, 80, 2):
-            want, got = both_routes(kernel, ramp_args(sched, stop, y, t_bound, rtol, max_step=0.5))
-            assert got == want, i
-            if isinstance(want[0], bytes):
-                steps = np.frombuffer(want[0]).reshape(-1, dynamics._RECORD)
-                clamped += bool(np.any(steps[1:, 1] == 0.5))
-        assert clamped
-
     def test_zero_slope_start(self, kernel):
         """Equal pumping rates at both ends: no forcing, both attractors at the
         centre, and a run from there has zero slope, so its first step is the
@@ -248,40 +235,7 @@ class TestBitwiseAgainstPython:
         assert got == want == ("StepSizeUnderflow", dynamics._UNDERFLOW)
 
 
-def cell_states(kernel, steps, t_final, ts):
-    """The compiled dense output's states at the times ``ts``."""
-    return dynamics._dense(kernel, steps, t_final, ts)
-
-
 class TestDenseOutput:
-    def test_seeded_ramps(self, kernel):
-        """On the seeded runs' records, through ``kernel.dense``: the stride
-        grid up to t_final, t = 0, t_final, every step's start and end and
-        seeded random times up to t_final, sorted, in one batch and one at a
-        time."""
-        rng = np.random.default_rng(25)
-        runs = 0
-        for i, sched, stop, y, t_bound, rtol in seeded_runs():
-            try:
-                steps, t_final, *_ = dynamics._compiled_steps(
-                    kernel, *ramp_args(sched, stop, y, t_bound, rtol))
-            except (BallViolation, StepSizeUnderflow):
-                continue
-            if steps is None:
-                continue
-            starts = steps[:, 0]
-            ts = np.sort(np.concatenate([
-                np.arange(0.0, t_final, 0.05), [0.0, t_final], starts, starts + steps[:, 1],
-                rng.uniform(0.0, t_final, 20),
-            ]))
-            want = dynamics._DenseOutput(steps, t_final)
-            assert cell_states(kernel, steps, t_final, ts).tobytes() == want(ts).tobytes(), i
-            one = ts[rng.choice(len(ts), 5)]
-            assert np.concatenate([cell_states(kernel, steps, t_final, one[k:k + 1])
-                                   for k in range(5)]).tobytes() == want(one).tobytes(), i
-            runs += 1
-        assert runs > 400
-
     def test_known_answer_check_covers_the_evaluator(self, kernel, generator_calls):
         def one_ulp_off(function, out):
             def wrong(*args):
@@ -293,7 +247,6 @@ class TestDenseOutput:
             return wrong
 
         assert dynamics._kernel_agrees(kernel)
-        assert not dynamics._kernel_agrees(kernel._replace(dense=one_ulp_off(kernel.dense, -1)))
         assert not dynamics._kernel_agrees(kernel._replace(cell=one_ulp_off(kernel.cell, -3)))
         assert generator_calls == []  # so perfbench's traced counts repeat
 
@@ -801,13 +754,28 @@ class TestWriter:
         assert generator_calls == []  # so perfbench's traced counts repeat
 
 
+def c_exports():
+    """{name: number of parameters} of each function that ``_stepper.c``
+    defines without ``static``."""
+    source = re.sub(r"/\*.*?\*/", "", _stepper.SOURCE.read_text(), flags=re.S)
+    found = re.findall(r"^(?!static\b)\w[\w \t*]*?\b(\w+)\(([^()]*)\)\s*\{", source, re.M)
+    return {name: len(params.split(",")) for name, params in found}
+
+
 def test_the_loader_binds_every_exported_function():
-    """The non-static ``pontus_*`` functions that ``_stepper.c`` defines are
-    those that ``_stepper.py`` binds, so none is left exported unused."""
-    exported = re.findall(r"^(?!static\b)\w[\w \t*]*?\b(pontus_\w+)\(", _stepper.SOURCE.read_text(),
-                          re.M)
-    bound = re.findall(r"\blibrary\.(pontus_\w+)", Path(_stepper.__file__).read_text())
-    assert set(exported) == set(bound) and len(bound) == len(_stepper.Kernel._fields)
+    """The functions that ``_stepper.c`` exports are exactly those that
+    ``_stepper._open`` binds, one per ``Kernel`` field, so none is left
+    exported unused."""
+    bound = re.findall(r"\blibrary\.(\w+)", Path(_stepper.__file__).read_text())
+    assert sorted(c_exports()) == sorted(bound)
+    assert len(bound) == len(_stepper.Kernel._fields) == 4
+
+
+def test_each_bound_function_takes_its_c_parameters(kernel):
+    """Each bound function has one ``argtypes`` entry per parameter of its C
+    definition, so a parameter added or removed on one side only fails
+    here."""
+    assert {function.__name__: len(function.argtypes) for function in kernel} == c_exports()
 
 
 def test_the_record_width_is_the_python_one():
